@@ -54,7 +54,6 @@ class CommandConfig:
     j: int | None = None
     tau: int | None = None
     c: int | None = None
-    mu: int | None = None
     seed: int | None = None
     max_j: int | None = None
     show_all: bool = False
@@ -346,6 +345,8 @@ def _cmd_verify(cfg: CommandConfig) -> tuple[int, str]:
                 "number": r.number,
                 "title": r.title,
                 "passed": r.passed,
+                "elapsed": r.elapsed,
+                "bound": r.bound,
                 "failures": list(r.failures),
                 "notes": list(r.notes),
             }
@@ -377,7 +378,7 @@ _HANDLERS = {
 
 def dispatch(cfg: CommandConfig) -> tuple[int, str]:
     """Validate ranges, run the subcommand, return (exit status, output)."""
-    for name in ("d", "j", "tau", "c", "mu", "max_j"):
+    for name in ("d", "j", "tau", "c", "max_j"):
         value = getattr(cfg, name)
         _require(value is None or value >= 0, f"--{name.replace('_', '-')} must be >= 0")
     if cfg.d is not None:
@@ -463,7 +464,6 @@ def _config_from_args(args: argparse.Namespace) -> CommandConfig:
         j=getattr(args, "j", None),
         tau=getattr(args, "tau", None),
         c=getattr(args, "c", None),
-        mu=getattr(args, "mu", None),
         seed=getattr(args, "seed", None),
         max_j=getattr(args, "max_j", None),
         show_all=getattr(args, "show_all", False),

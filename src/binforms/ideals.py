@@ -18,6 +18,7 @@ no syzygy modules are ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
@@ -66,7 +67,13 @@ class GradedIdeal:
             return zero_space(self.field, i)
         if i <= self.window_hi:
             return self.components[i - self.window_lo]
-        return principal_space(self.tail_gcd, i)
+        return shift(self._first_above, i - self.window_hi - 1)
+
+    @cached_property
+    def _first_above(self) -> FormSpace:
+        """(tail_gcd) ∩ R_{hi+1}, built once per ideal and kept off the fields;
+        the higher components are the rungs of its up-ladder."""
+        return principal_space(self.tail_gcd, self.window_hi + 1)
 
     def dim(self, i: int) -> int:
         return self.component(i).dim
@@ -107,18 +114,19 @@ def graded_ideal(
             raise PreconditionError(
                 "component degree out of place", expected=lo + k, got=c.degree
             )
+    # Both sides of each test are canonical bases, so equality proves the
+    # containment at once; the rank test runs only when they differ.
     for a, b in zip(comps, comps[1:]):
         up = shift(a, 1)
-        if space_sum(up, b).dim != b.dim:
+        if up != b and space_sum(up, b).dim != b.dim:
             raise PreconditionError(
                 "components are not closed under multiplication", degree=a.degree
             )
-    hi = lo + len(comps) - 1
-    up = shift(comps[-1], 1)
-    above = principal_space(f, hi + 1)
-    if space_sum(up, above).dim != above.dim:
+    ideal = GradedIdeal(field, lo, lo + len(comps) - 1, tuple(comps), f)
+    up, above = shift(comps[-1], 1), ideal.component(ideal.window_hi + 1)
+    if up != above and space_sum(up, above).dim != above.dim:
         raise PreconditionError("window top is inconsistent with the tail gcd")
-    return GradedIdeal(field, lo, hi, tuple(comps), f)
+    return ideal
 
 
 # ── the three ideals of a form space ──────────────────────────────────────────
@@ -322,12 +330,18 @@ def ideal_to_json(I: GradedIdeal) -> dict:
 
 
 def ideal_from_json(data: dict) -> GradedIdeal:
+    """Read the shape `ideal_to_json` writes; malformed input is a PreconditionError."""
     from .spaces import space_from_json
 
-    field = FieldSpec.from_name(data["field"])
-    tail = None if data.get("tailGcd") is None else form_from_json(field, data["tailGcd"])
-    lo, hi = data["window"]
-    comps = [space_from_json(data["components"][str(i)], field) for i in range(lo, hi + 1)]
+    try:
+        field = FieldSpec.from_name(data["field"])
+        tail = None if data.get("tailGcd") is None else form_from_json(field, data["tailGcd"])
+        lo, hi = (int(k) for k in data["window"])
+        comps = [space_from_json(data["components"][str(i)], field) for i in range(lo, hi + 1)]
+    except PreconditionError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"bad ideal JSON: {type(exc).__name__}: {exc}") from None
     if tail is None and not comps:
         return zero_ideal(field)
     return graded_ideal(field, lo, comps, tail)

@@ -136,13 +136,3 @@ def contains_vector(space: Matrix, vec: Sequence[Scalar]) -> bool:
     probe = Matrix(space.field, space.rows + (tuple(vec),), space.ncols)
     return rank(probe) == rank(space)
 
-
-def mat_vec(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    F = m.field
-    out = []
-    for row in m.rows:
-        acc = F.zero
-        for a, b in zip(row, vec):
-            acc = F.add(acc, F.mul(a, b))
-        out.append(acc)
-    return tuple(out)

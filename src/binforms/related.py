@@ -106,25 +106,13 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
             return  # a principal class; every further shift stays inside it
         if depth >= t0:
             raise RuntimeError("related-class recursion exceeded its tau budget")
-        down = next(
-            (
-                shift(W, -u)
-                for u in range(1, W.degree + 1)
-                if not equivalent(shift(W, -u), W)
-            ),
-            None,
-        )
+        down = _first_inequivalent(W, -1, W.degree)
         if down is None:
             raise RuntimeError("no inequivalent down-shift below a tau >= 2 space")
         if not down.is_zero and tau(down) >= tW:
             raise RuntimeError("tau failed to drop on the first inequivalent shift")
         visit(down, depth + 1)
-        up = None
-        for v in range(1, W.cod + tW + 3):
-            cand = shift(W, v)
-            if not equivalent(cand, W):
-                up = cand
-                break
+        up = _first_inequivalent(W, 1, W.cod + tW + 2)
         if up is None:
             raise RuntimeError("no inequivalent up-shift within the stable range")
         if tau(up) >= tW:
@@ -135,6 +123,16 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
     if len(ideals) > 2**t0 - 1:
         raise RuntimeError("related-class count exceeded 2^tau - 1")
     return ideals
+
+
+def _first_inequivalent(W: FormSpace, sign: int, steps: int) -> FormSpace | None:
+    """The first of R_{±1}W, R_{±2}W, ... (up to `steps`) not equivalent to W."""
+    out = W
+    for _ in range(steps):
+        out = shift(out, sign)
+        if not equivalent(out, W):
+            return out
+    return None
 
 
 # ── three-variable monomial spaces ────────────────────────────────────────────

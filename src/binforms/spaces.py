@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import BinaryForm, gcd_form, monomial, mul_form
+from .forms import BinaryForm, gcd_form
 from .linalg import (
     Matrix,
     contains_vector,
@@ -22,7 +23,6 @@ from .linalg import (
     row_basis,
     row_space_intersect,
     row_space_sum,
-    stack,
     zero_matrix,
 )
 
@@ -60,6 +60,18 @@ class FormSpace:
         if f.degree != self.degree:
             return False
         return contains_vector(self.mat, f.coeffs)
+
+    # The one-step rungs R_1V and R_{-1}V, built on first use and kept on the
+    # instance (not as fields, so equality and hashing ignore them).  `shift`
+    # walks these, so every rung of a space's ladder is built once.
+
+    @cached_property
+    def _up(self) -> FormSpace:
+        return _shift_up_once(self)
+
+    @cached_property
+    def _down(self) -> FormSpace:
+        return _shift_down_once(self)
 
 
 def span(field: FieldSpec, degree: int, forms) -> FormSpace:
@@ -100,24 +112,14 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
     """(f) in the given degree: f * R_{degree - deg f}, zero if degree < deg f."""
     if degree < f.degree or f.is_zero:
         return zero_space(f.field, degree)
-    s = degree - f.degree
-    gens = [mul_form(monomial(f.field, s - a, a), f) for a in range(s + 1)]
-    return span(f.field, degree, gens)
+    # x^(s-a) y^a f has f's coefficients moved a places right; they are
+    # canonical scalars already, so the rows skip span()'s coercion.
+    s, z = degree - f.degree, (f.field.zero,)
+    rows = tuple(z * a + f.coeffs + z * (s - a) for a in range(s + 1))
+    return FormSpace(f.field, degree, row_basis(Matrix(f.field, rows, degree + 1)))
 
 
 # ----- shifts -------------------------------------------------------------------
-
-
-def _reduce_mod(space: FormSpace, vec):
-    """Eliminate the pivot coordinates of `space` from vec (canonical rep mod V)."""
-    F = space.field
-    v = list(vec)
-    for row in space.mat.rows:
-        p = next(i for i, c in enumerate(row) if not F.is_zero(c))  # leading 1
-        coef = v[p]
-        if not F.is_zero(coef):
-            v = [F.sub(a, F.mul(coef, b)) for a, b in zip(v, row)]
-    return v
 
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
@@ -126,8 +128,8 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
     for r in V.mat.rows:
         rows.append((F.zero,) + r)          # y * f: y-exponent grows
         rows.append(r + (F.zero,))          # x * f
-    m = matrix(F, rows, ncols=j + 2) if rows else zero_matrix(F, j + 2)
-    return FormSpace(F, j + 1, row_basis(m))
+    # V's rows are canonical scalars already, so no re-coercion via matrix().
+    return FormSpace(F, j + 1, row_basis(Matrix(F, tuple(rows), j + 2)))
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
@@ -136,26 +138,34 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
         raise PreconditionError("shift below degree 0")
     if V.is_zero:
         return zero_space(F, j - 1)
-    rows = []
-    for k in range(j):  # basis x^(j-1-k) y^k of R_{j-1}
-        xe = [F.zero] * (j + 1)
-        xe[k] = F.one                      # x * x^(j-1-k) y^k
-        ye = [F.zero] * (j + 1)
-        ye[k + 1] = F.one                  # y * x^(j-1-k) y^k
-        rows.append(tuple(_reduce_mod(V, xe)) + tuple(_reduce_mod(V, ye)))
-    A = Matrix(F, tuple(rows), 2 * (j + 1))
+    # Canonical residue of the monomial e_k mod V: the basis is in RREF, so it
+    # is e_k minus the basis row with pivot k, or e_k itself if k is no pivot.
+    by_pivot = {next(i for i, c in enumerate(r) if c): r for r in V.mat.rows}
+
+    def residue(k: int) -> tuple:
+        r = by_pivot.get(k)
+        if r is None:
+            return tuple(F.one if i == k else F.zero for i in range(j + 1))
+        return tuple(F.zero if i == k else F.neg(c) for i, c in enumerate(r))
+
+    # basis x^(j-1-k) y^k of R_{j-1}: x times it is e_k, y times it is e_{k+1}
+    res = [residue(k) for k in range(j + 1)]
+    rows = tuple(res[k] + res[k + 1] for k in range(j))
+    A = Matrix(F, rows, 2 * (j + 1))
     return FormSpace(F, j - 1, kernel(A.transpose()))
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
-    """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs."""
+    """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs.
+
+    Walks V's memoized rungs, so repeated shifts of one space are free."""
     if s == 0:
         return V
     if V.degree + s < 0:
         raise PreconditionError(f"shift to negative degree {V.degree + s}")
     out = V
     for _ in range(abs(s)):
-        out = _shift_up_once(out) if s > 0 else _shift_down_once(out)
+        out = out._up if s > 0 else out._down
     return out
 
 

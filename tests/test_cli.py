@@ -1,6 +1,8 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from binforms.cli import main
 from binforms.fields import GF, QQ
 from binforms.forms import form, monomial
 from binforms.hilbert import realize_staircase
-from binforms.ideals import ideal_to_json
+from binforms.ideals import ideal_from_json, ideal_to_json
 from binforms.osequence import oseq
 from binforms.spaces import space_to_json, span
 from binforms.waring import dual_space, dual_to_json
@@ -104,6 +106,56 @@ def test_build_roundtrip(tmp_path):
     assert data["steps"]
 
 
+def _readme_ideal_example() -> dict:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("**Ideal**"):]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def test_build_from_readme_ideal_example(tmp_path):
+    example = _readme_ideal_example()
+    assert ideal_to_json(ideal_from_json(example)) == example
+    path = tmp_path / "I.json"
+    path.write_text(json.dumps(example))
+    rc, out, err = _run(
+        ["build", "--from", str(path), "--target-H", "1,2,1(0)", "--j", "2", "--json"]
+    )
+    assert rc == 0, err
+    data = json.loads(out)
+    assert data["finalH"] == "1,2,1(0)"
+    # the emitted ideal is valid input again
+    assert ideal_to_json(ideal_from_json(data["ideal"])) == data["ideal"]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        # the list-of-components shape with "tail_gcd" that older docs described
+        lambda d: {**d, "components": list(d["components"].values()), "tail_gcd": d["tailGcd"]},
+        lambda d: {k: v for k, v in d.items() if k != "field"},
+        lambda d: {**d, "field": 101},
+        lambda d: {**d, "window": [1]},
+        lambda d: {**d, "window": "1..1"},
+        lambda d: {**d, "window": [1, 2]},
+        lambda d: {**d, "components": {"1": {"degree": "one", "basis": []}}},
+        lambda d: {**d, "tailGcd": {"degree": 1}},
+        lambda d: {**d, "tailGcd": None},
+        lambda d: [d],
+    ],
+    ids=[
+        "list-components", "no-field", "field-not-a-name", "short-window",
+        "window-not-a-list", "missing-component", "bad-degree", "bad-tail-form",
+        "no-tail", "not-an-object",
+    ],
+)
+def test_malformed_ideal_exits_1(tmp_path, mangle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mangle(_readme_ideal_example())))
+    rc, out, err = _run(["build", "--from", str(path), "--target-H", "1,2,1(0)", "--j", "2"])
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "precondition"
+
+
 def test_waring_split_and_unsplit(tmp_path):
     W = dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])])
     path = tmp_path / "W.json"
@@ -172,3 +224,11 @@ def test_verify_smoke_quick():
     assert len(lines) == 11
     assert all("PASS" in l for l in lines)
     assert out.strip().endswith("all criteria passed")
+
+    rc, out, _ = _run(["verify", "--max-j", "1", "--json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert [r["number"] for r in rows] == list(range(1, 12))
+    for r in rows:
+        assert r["passed"] and r["failures"] == []
+        assert isinstance(r["elapsed"], float) and 0 <= r["elapsed"] <= r["bound"]

@@ -1,6 +1,7 @@
 """Graded ideals: the three constructions, Betti data, splits, serialization."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import form, format_form, monomial, mul_form
 from binforms.ideals import (
+    GradedIdeal,
     ancestor_ideal,
     common_factor_split,
     generated_ideal,
@@ -28,7 +30,16 @@ from binforms.ideals import (
     zero_ideal,
 )
 from binforms.osequence import is_proper_osequence, oseq
-from binforms.spaces import full_space, random_space, shift, span, tau, zero_space
+from binforms.spaces import (
+    FormSpace,
+    full_space,
+    principal_space,
+    random_space,
+    shift,
+    span,
+    tau,
+    zero_space,
+)
 
 from oracles import brute_force_hilbert, oracle_down_dim
 
@@ -166,6 +177,13 @@ def test_validating_constructor_rejects_unclosed_components():
     comps = [span(QQ, 2, [monomial(QQ, 2, 0)]), zero_space(QQ, 3)]
     with pytest.raises(PreconditionError):
         graded_ideal(QQ, 2, comps, unit_form(QQ))
+    # R_1<x^2> = <x^3, x^2 y> is nonzero but not inside <x^3>
+    comps = [span(QQ, 2, [monomial(QQ, 2, 0)]), span(QQ, 3, [monomial(QQ, 3, 0)])]
+    with pytest.raises(PreconditionError):
+        graded_ideal(QQ, 2, comps, monomial(QQ, 2, 0))
+    # a window top whose up-shift escapes the tail's principal block
+    with pytest.raises(PreconditionError):
+        graded_ideal(QQ, 2, [full_space(QQ, 2)], monomial(QQ, 1, 0))
 
 
 def test_json_roundtrip():
@@ -299,3 +317,37 @@ def test_ideal_json_roundtrip(V):
     I = ancestor_ideal(V)
     data = json.loads(json.dumps(ideal_to_json(I)))
     assert same_ideal(ideal_from_json(data), I)
+
+
+# ----- ladder-built ideals against independent recomputation ---------------------
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+@pytest.mark.parametrize("d,j,seed", [(2, 6, 0), (3, 7, 1), (5, 8, 2), (1, 4, 3)])
+def test_ladder_ideals_match_oracles(field, d, j, seed):
+    V = random_space(d, j, field, seed)
+    A = ancestor_ideal(V)
+    L, G = level_ideal(V), generated_ideal(V)  # read the ladder A filled
+    top = A.window_hi + 4
+    above = brute_force_hilbert(V, top)
+    for i in range(top + 1):
+        if i < j:
+            assert A.dim(i) == L.dim(i) == oracle_down_dim(V, j - i)
+            assert G.dim(i) == 0
+        else:
+            assert A.dim(i) == G.dim(i) == (i + 1) - above[i]
+    # above the window every component is the tail gcd's principal block
+    for I in (A, L, G):
+        for i in range(I.window_hi + 1, I.window_hi + 5):
+            assert I.component(i) == principal_space(I.tail_gcd, i)
+    # a fresh, unfilled copy of V gives the same ideals and Betti data
+    fresh = FormSpace(V.field, V.degree, V.mat)
+    assert ancestor_ideal(fresh) == A
+    assert generator_degrees(ancestor_ideal(fresh)) == generator_degrees(A)
+    assert relation_degrees(ancestor_ideal(fresh)) == relation_degrees(A)
+
+
+def test_ideal_dataclass_fields_unchanged():
+    assert [f.name for f in fields(GradedIdeal)] == [
+        "field", "window_lo", "window_hi", "components", "tail_gcd"
+    ]

@@ -1,10 +1,13 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import form, monic, mul_form, monomial
+from binforms.ideals import ancestor_ideal
+from binforms.linalg import Matrix
 from binforms.spaces import (
     FormSpace,
     equivalent,
@@ -21,6 +24,8 @@ from binforms.spaces import (
     tau,
     zero_space,
 )
+
+from oracles import oracle_down_dim
 
 F101 = GF(101)
 
@@ -193,3 +198,48 @@ def test_equivalence_dimension_criterion():
             W = shift(V, s)
             pred = shift(V, s + 1).dim == V.dim + (s + 1) * t
             assert equivalent(V, W) == pred
+
+
+# ----- the memoized shift ladder ------------------------------------------------
+
+
+def _multiples(V, s):
+    """Span of every degree-s monomial multiple of V's basis, built directly."""
+    F = V.field
+    gens = [mul_form(monomial(F, s - a, a), b) for b in V.basis_forms() for a in range(s + 1)]
+    return span(F, V.degree + s, gens)
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+@pytest.mark.parametrize("d,j,seed", [(1, 5, 0), (3, 6, 1), (4, 7, 2), (6, 9, 3), (2, 8, 4)])
+def test_filled_ladder_matches_independent_recomputation(field, d, j, seed):
+    V = random_space(d, j, field, seed)
+    ancestor_ideal(V)  # fills the ladder in both directions
+    for s in range(-j, V.cod + 3):
+        W = shift(V, s)
+        assert W.degree == j + s
+        if s > 0:
+            assert W == _multiples(V, s)
+        elif s < 0:
+            assert W.dim == oracle_down_dim(V, -s)
+            for g in W.basis_forms():
+                for a in range(-s + 1):
+                    assert V.contains(mul_form(monomial(field, -s - a, a), g))
+        else:
+            assert W is V
+
+
+def test_memo_state_does_not_affect_equality_or_hash():
+    for field in (F101, QQ):
+        V = random_space(3, 7, field, 5)
+        fresh = FormSpace(V.field, V.degree, V.mat)
+        ancestor_ideal(V)
+        shift(V, 4)
+        assert V == fresh and hash(V) == hash(fresh)
+        assert len({V, fresh}) == 1
+        assert shift(fresh, 2) == shift(V, 2) and shift(fresh, -2) == shift(V, -2)
+
+
+def test_dataclass_fields_unchanged():
+    assert [f.name for f in fields(FormSpace)] == ["field", "degree", "mat"]
+    assert [f.name for f in fields(Matrix)] == ["field", "rows", "ncols"]
