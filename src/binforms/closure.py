@@ -29,6 +29,7 @@ from .ideals import GradedIdeal, graded_ideal, hilbert_function, unit_form
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
+    contained,
     full_space,
     principal_space,
     shift,
@@ -291,13 +292,9 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     if ideal.component(j) != Iprime.component(j):
         raise RuntimeError("glued ideal moved the degree-j component")
     for i in range(j + 1):
-        if not _contained(ideal.component(i), Iprime.component(i)):
+        if not contained(ideal.component(i), Iprime.component(i)):
             raise RuntimeError(f"inclusion fails below j at degree {i}")
     for i in range(j, top + 2):
-        if not _contained(Iprime.component(i), ideal.component(i)):
+        if not contained(Iprime.component(i), ideal.component(i)):
             raise RuntimeError(f"inclusion fails above j at degree {i}")
     return BuildTrace(nose_trace.steps + tail_trace.steps, ideal)
-
-
-def _contained(inner: FormSpace, outer: FormSpace) -> bool:
-    return space_sum(inner, outer).dim == outer.dim

@@ -203,10 +203,16 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _check_char(field: FieldSpec, degree: int):
-    if field.p is not None and field.p <= degree:
+def require_pairing_char(field: FieldSpec, degree: int) -> None:
+    """Refuse a field where the degree-`degree` contraction pairing degenerates.
+
+    The pairing weights (j-a)! a! must be invertible: char 0 or p > degree.
+    """
+    if field.char and field.char <= degree:
         raise PreconditionError(
-            f"contraction needs char 0 or p > degree; p={field.p}, degree={degree}"
+            "contraction pairing needs characteristic 0 or p > degree",
+            char=field.char,
+            degree=degree,
         )
 
 
@@ -219,7 +225,7 @@ def contract(f: BinaryForm, big: DualForm) -> DualForm:
     i, j = f.degree, big.degree
     if i > j:
         raise PreconditionError("contraction by higher-degree form")
-    _check_char(F, j)
+    require_pairing_char(F, j)
     out = [F.zero] * (j - i + 1)
     for w in range(j - i + 1):
         acc = F.zero
@@ -261,10 +267,62 @@ def linear_power(L: BinaryForm, n: int) -> BinaryForm:
 # ----- factoring into linear forms -----------------------------------------------
 
 
+def _univ_powmod(F: FieldSpec, base: list, e: int, mod: list) -> list:
+    """base^e mod `mod` by square-and-multiply; reduction is `_univ_divmod`."""
+
+    def mulmod(a: list, b: list) -> list:
+        out = [F.zero] * max(0, len(a) + len(b) - 1)
+        for u, c in enumerate(a):
+            if not F.is_zero(c):
+                for v, d in enumerate(b):
+                    out[u + v] = F.add(out[u + v], F.mul(c, d))
+        return _univ_divmod(F, out, mod)[1]
+
+    acc, base = [F.one], _univ_divmod(F, list(base), mod)[1]
+    for bit in bin(e)[2:]:
+        acc = mulmod(acc, acc)
+        if bit == "1":
+            acc = mulmod(acc, base)
+    return acc
+
+
+def _fp_roots(F: FieldSpec, core: list) -> list:
+    """Distinct roots in F_p, sorted, without scanning the residues.
+
+    g = gcd(core, t^p - t) is the product of t - r over the roots r.  For
+    odd p it is split deterministically (Cantor-Zassenhaus equal-degree
+    splitting with shifts a = 0, 1, 2, ...): gcd(g, (t+a)^((p-1)/2) - 1)
+    collects the roots r with r + a a nonzero square.  For two distinct
+    roots (p-1)/2 of the p shifts separate them, so the loop ends below p.
+    """
+    p, f = F.p, _univ_trim(F, list(core))
+    if p == 2:
+        return [t for t in (0, 1) if F.is_zero(_univ_eval(F, f, t))]
+    if len(f) < 2:
+        return []
+    h = _univ_powmod(F, [F.zero, F.one], p, f)
+    h += [F.zero] * (2 - len(h))
+    h[1] = F.sub(h[1], F.one)
+
+    def split(g: list, start: int) -> list:
+        if len(g) <= 2:
+            return [F.neg(g[0])] if len(g) == 2 else []
+        for a in range(start, p):
+            s = _univ_powmod(F, [F.coerce(a), F.one], (p - 1) // 2, g) or [F.zero]
+            s[0] = F.sub(s[0], F.one)
+            d = _univ_gcd(F, g, s)
+            if 1 < len(d) < len(g):
+                # a cannot split either part again: resume at a + 1
+                return split(d, a + 1) + split(_univ_divmod(F, g, d)[0], a + 1)
+        raise RuntimeError("no shift below p separates the roots")
+
+    return sorted(split(_univ_gcd(F, f, h), 0))
+
+
 def _rational_roots(F: FieldSpec, core: list) -> list:
     """Roots in the base field of the univariate core polynomial."""
     if F.p is not None:
-        return [t for t in range(F.p) if F.is_zero(_univ_eval(F, core, t))]
+        return _fp_roots(F, core)
     # rational root theorem on the integer-cleared polynomial
     denom_lcm = 1
     for c in core:

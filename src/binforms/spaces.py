@@ -102,6 +102,11 @@ def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
     return FormSpace(a.field, a.degree, row_space_sum(a.mat, b.mat))
 
 
+def contained(inner: FormSpace, outer: FormSpace) -> bool:
+    """Whether inner is a subspace of outer (same degree)."""
+    return space_sum(inner, outer).dim == outer.dim
+
+
 def space_intersect(a: FormSpace, b: FormSpace) -> FormSpace:
     if a.degree != b.degree:
         raise PreconditionError("intersection of spaces in different degrees")

@@ -48,6 +48,7 @@ from .ideals import (
 from .osequence import oseq
 from .related import apply_chain, berman_check, normalize_chain, related_classes
 from .spaces import (
+    contained,
     equivalent,
     gcd_of_space,
     random_space,
@@ -356,12 +357,6 @@ def criterion_6(max_j: int = 8) -> CriterionResult:
 # ── criterion 7: closure builds over comparable pairs ─────────────────────────
 
 
-def _contained(inner, outer) -> bool:
-    from .spaces import space_sum
-
-    return space_sum(inner, outer).dim == outer.dim
-
-
 def criterion_7(max_j: int = 7) -> CriterionResult:
     run = _Run(7, "closure builds along every comparable pair", 300.0)
     N1 = step_n(
@@ -395,10 +390,10 @@ def criterion_7(max_j: int = 7) -> CriterionResult:
                     f"build {Hs} -> {Ht} (d={d},j={j}): degree-j component moved",
                 )
                 ok_inc = all(
-                    _contained(ideal.component(i), source.component(i))
+                    contained(ideal.component(i), source.component(i))
                     for i in range(j + 1)
                 ) and all(
-                    _contained(source.component(i), ideal.component(i))
+                    contained(source.component(i), ideal.component(i))
                     for i in range(j, top + 1)
                 )
                 run.check(ok_inc, f"build {Hs} -> {Ht} (d={d},j={j}): inclusion failed")

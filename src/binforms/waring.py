@@ -30,10 +30,11 @@ from .forms import (
     monomial,
     mul_form,
     add_form,
+    require_pairing_char,
 )
 from .hilbert import dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, graded_ideal, unit_form
-from .linalg import kernel, matrix, zero_matrix
+from .linalg import Matrix, kernel, matrix, zero_matrix
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -47,16 +48,6 @@ from .spaces import (
 DUAL_VARS = ("X", "Y")
 
 
-def _require_char(field: FieldSpec, j: int) -> None:
-    # the pairing weights (j-a)! a! must be invertible
-    if field.char and field.char <= j:
-        raise PreconditionError(
-            "contraction pairing needs characteristic 0 or p > degree",
-            char=field.char,
-            degree=j,
-        )
-
-
 # ── dual spaces ───────────────────────────────────────────────────────────────
 
 
@@ -67,7 +58,7 @@ class DualSpace:
     space: FormSpace
 
     def __post_init__(self):
-        _require_char(self.space.field, self.space.degree)
+        require_pairing_char(self.space.field, self.space.degree)
 
     @property
     def field(self) -> FieldSpec:
@@ -115,37 +106,43 @@ def dual_from_json(obj: dict, field: FieldSpec | None = None) -> DualSpace:
 # ── the contraction pairing: perp and annihilator ─────────────────────────────
 
 
+def _weighted_rows(S: FormSpace) -> tuple[tuple, ...]:
+    """S's basis rows with entry a scaled by the pairing weight (j-a)! a!.
+
+    In coefficient coordinates the degree-j contraction pairing is diagonal
+    with these weights, so this is the one place they are applied.
+    """
+    F, j = S.field, S.degree
+    weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
+    return tuple(tuple(F.mul(c, wt) for c, wt in zip(r, weights)) for r in S.mat.rows)
+
+
 def perp(V: FormSpace) -> DualSpace:
     """V^perp, the dual forms killed by every element of V.
 
-    In coefficient coordinates the degree-j pairing is diagonal with
-    entries (j-a)! a!, so V^perp is the kernel of V's basis matrix with
-    rescaled columns; dim V^perp = j+1 - dim V.
+    The kernel of V's basis matrix with weighted columns; dim V^perp =
+    j+1 - dim V.
     """
     F, j = V.field, V.degree
-    _require_char(F, j)
-    weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
-    rows = [
-        [F.mul(v.coeffs[a], weights[a]) for a in range(j + 1)]
-        for v in V.basis_forms()
-    ]
-    m = matrix(F, rows, j + 1) if rows else zero_matrix(F, j + 1)
-    return DualSpace(span(F, j, (form(F, j, r) for r in kernel(m).rows)))
+    require_pairing_char(F, j)
+    return DualSpace(FormSpace(F, j, kernel(Matrix(F, _weighted_rows(V), j + 1))))
 
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:
-    """{f in R_i : f . w = 0 for all w in W}."""
+    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants.
+
+    With weighted coefficients w'_a = (j-a)! a! w_a, the Y^r coefficient of
+    f . w is sum_k f_k w'_{k+r} / ((j-i-r)! r!), and those divisors are
+    invertible.  So (Ann W)_i is the kernel of the stacked Hankel blocks
+    [w'_{k+r}] (rows r = 0..j-i, columns k = 0..i), one per basis element w.
+    """
     F, j = W.field, W.degree
     if i > j:
         return full_space(F, i)
-    monos = [monomial(F, i - k, k) for k in range(i + 1)]
-    eqs = []
-    for w in W.basis_forms():
-        images = [contract(m, w) for m in monos]
-        for r in range(j - i + 1):
-            eqs.append([g.coeffs[r] for g in images])
-    m = matrix(F, eqs, i + 1) if eqs else zero_matrix(F, i + 1)
-    return span(F, i, (form(F, i, row) for row in kernel(m).rows))
+    rows = tuple(
+        w[r : r + i + 1] for w in _weighted_rows(W.space) for r in range(j - i + 1)
+    )
+    return FormSpace(F, i, kernel(Matrix(F, rows, i + 1)))
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:
@@ -171,12 +168,31 @@ def tau_delta(W: DualSpace) -> int:
     return 1 + down.dim - W.dim
 
 
+def _initial_component(W: DualSpace) -> tuple[int, FormSpace]:
+    """mu(W) and (Ann W)_mu, by bisection on [c, j+1], c = dim W.
+
+    No degree below c qualifies: a nonzero f in (Ann W)_i puts f.R_{j-i} in
+    (Ann W)_j, so j-i+1 <= j+1-c.  Ann W is an ideal, so (Ann W)_i != 0
+    implies (Ann W)_{i+1} != 0, and (Ann W)_{j+1} is all of R_{j+1}.
+    """
+    lo, hi = W.dim, W.degree + 1
+    comp = full_space(W.field, hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cand = _ann_component(W, mid)
+        if cand.dim:
+            hi, comp = mid, cand
+        else:
+            lo = mid + 1
+    return hi, comp
+
+
 def mu(W: DualSpace) -> int:
-    """Initial degree of the annihilator; c <= mu(W) <= mu_generic(tau_delta)."""
-    for i in range(W.degree + 1):
-        if _ann_component(W, i).dim > 0:
-            return i
-    return W.degree + 1  # W is the full dual space
+    """Initial degree of the annihilator; c <= mu(W) <= mu_generic(tau_delta).
+
+    Found by bisection between c and j+1 (j+1 when W is the full dual space).
+    """
+    return _initial_component(W)[0]
 
 
 # ── generalized additive decompositions ───────────────────────────────────────
@@ -255,8 +271,8 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     lex-first candidate.
     """
     F, j = W.field, W.degree
-    m = mu(W)
-    candidates = sorted(w.coeffs for w in _ann_component(W, m).basis_forms())
+    m, comp = _initial_component(W)
+    candidates = sorted(comp.mat.rows)
     first_rem = None
     for row in candidates:
         f = form(F, m, row)

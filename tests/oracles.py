@@ -105,6 +105,49 @@ def oracle_contract(f_coeffs, f_deg, big_coeffs, big_deg):
     return tuple(coeffs)
 
 
+# ----- apolarity and roots ---------------------------------------------------
+
+
+def oracle_ann_component(W, i: int):
+    """(Ann W)_i from per-monomial contractions: the Y^r coefficient of
+    x^(i-k) y^k . w, over every basis element w and every r, is one linear
+    equation on the coefficients f_k of f in R_i."""
+    from binforms.forms import contract, form, monomial
+    from binforms.spaces import full_space, span
+
+    F, j = W.field, W.degree
+    if i > j:
+        return full_space(F, i)
+    monos = [monomial(F, i - k, k) for k in range(i + 1)]
+    eqs = []
+    for w in W.basis_forms():
+        images = [contract(m, w) for m in monos]
+        for r in range(j - i + 1):
+            eqs.append(tuple(g.coeffs[r] for g in images))
+    ker = kernel(Matrix(F, tuple(eqs), i + 1))
+    return span(F, i, (form(F, i, row) for row in ker.rows))
+
+
+def oracle_mu(W) -> int:
+    """Initial degree of Ann W by a linear scan upward from degree 0."""
+    for i in range(W.degree + 1):
+        if oracle_ann_component(W, i).dim > 0:
+            return i
+    return W.degree + 1
+
+
+def oracle_fp_roots(p: int, core) -> list:
+    """Roots in F_p of sum_k core[k] t^k, by evaluating every residue."""
+    out = []
+    for t in range(p):
+        acc = 0
+        for c in reversed(core):
+            acc = (acc * t + c) % p
+        if acc == 0:
+            out.append(t)
+    return out
+
+
 # ----- partitions & counting -------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import (
     BinaryForm,
+    _rational_roots,
     add_form,
     contract,
     divide_form,
@@ -27,7 +28,7 @@ from binforms.forms import (
     smallest_linear_factor,
     zero_form,
 )
-from oracles import oracle_contract, oracle_gcd, oracle_mul
+from oracles import oracle_contract, oracle_fp_roots, oracle_gcd, oracle_mul
 
 F7 = GF(7)
 F101 = GF(101)
@@ -174,6 +175,71 @@ def test_smallest_linear_factor_ordering():
     # y < x < x+y in the coefficient-tuple order
     f = mul_form(mul_form(q(1, [1, 0]), q(1, [0, 1])), q(1, [1, 1]))
     assert smallest_linear_factor(f) == q(1, [0, 1])
+
+
+# F_p roots come from gcd(f, t^p - t) and equal-degree splitting; the oracle
+# evaluates every residue.  Cores are coefficient lists, constant term first.
+
+ROOT_PRIMES = (2, 3, 5, 7, 101, 10007)
+
+
+def _times_root(p, core, r):
+    """core * (t - r) over F_p."""
+    return [(a - r * b) % p for a, b in zip([0] + core, core + [0])]
+
+
+def _rootless_quadratic(p):
+    """A monic irreducible quadratic: t^2 + t + 1 for p = 2, else t^2 - n
+    for the least non-square n."""
+    if p == 2:
+        return [1, 1, 1]
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return [-n % p, 0, 1]
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_fp_roots_match_residue_scan(p):
+    F, rng = GF(p), random.Random(f"fp-roots|{p}")
+    for _ in range(150 if p < 1000 else 25):
+        core = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, p)]
+        for _ in range(rng.choice((0, 0, 1, 2, 4))):
+            core = _times_root(p, core, rng.randrange(p))
+        got = _rational_roots(F, list(core))
+        assert got == oracle_fp_roots(p, core), core
+        assert _rational_roots(F, list(core)) == got  # deterministic
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_fp_roots_structured_cores(p):
+    F, rng = GF(p), random.Random(f"fp-structured|{p}")
+    quad = _rootless_quadratic(p)
+    # rootless: one irreducible quadratic, and a product of two
+    assert _rational_roots(F, quad) == []
+    assert _rational_roots(F, mul_form(form(F, 2, quad), form(F, 2, quad)).coeffs) == []
+    f = monic(form(F, 2, quad))
+    assert linear_factors(f) == ([], f)
+    # fully split: t^p - t for small p, else many distinct planted roots
+    if p < 100:
+        split = [0, p - 1] + [0] * (p - 2) + [1]
+        assert _rational_roots(F, split) == list(range(p))
+    roots = sorted(rng.sample(range(p), min(p, 12)))
+    core = [1]
+    for r in roots:
+        core = _times_root(p, core, r)
+    assert _rational_roots(F, core) == roots
+    # repeated roots times a rootless quadratic: linear_factors certifies the
+    # multiplicities by exact division and keeps the quadratic
+    mults = {r: rng.randint(1, 3) for r in rng.sample(range(p), min(p, 3))}
+    core = quad
+    for r, m in mults.items():
+        for _ in range(m):
+            core = _times_root(p, core, r)
+    assert _rational_roots(F, core) == sorted(mults)
+    factors, rem = linear_factors(form(F, len(core) - 1, core))
+    want = sorted(((monic(form(F, 1, [-r, 1])), m) for r, m in mults.items()),
+                  key=lambda fm: fm[0].coeffs)
+    assert factors == want
+    assert rem == f
 
 
 # ----- json ---------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Apolar duality: perp/annihilator, tau_delta, mu, GADs, generic-value formulas."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
-from binforms.forms import form, monomial
+from binforms.cli import main
+from binforms.forms import form, linear_power, monic, monomial
 from binforms.hilbert import (
     enumerate_acceptable,
     h_tau,
@@ -19,6 +23,7 @@ from binforms.spaces import full_space, random_space, span, zero_space
 from binforms.waring import (
     GAD,
     Unsplit,
+    _ann_component,
     annihilator,
     dual_from_json,
     dual_space,
@@ -32,10 +37,29 @@ from binforms.waring import (
     random_dual,
     tau_delta,
 )
+from oracles import oracle_ann_component, oracle_mu
 
 
 def _dual(field, degree, coeff_rows):
     return dual_space(field, degree, [form(field, degree, r) for r in coeff_rows])
+
+
+def _planted(field, c, j, m, seed):
+    """c random combinations of the j-th powers of m independent linear dual
+    forms, and those forms."""
+    rng = random.Random(f"planted|{field.name}|{c}|{j}|{m}|{seed}")
+    scalar = lambda: rng.randrange(field.p) if field.p else rng.randint(-9, 9)
+    lins = []
+    while len(lins) < m:
+        a, b = scalar(), scalar()
+        if (a, b) != (0, 0) and all(field.coerce(a * v - b * u) for u, v in lins):
+            lins.append((a, b))
+    powers = [linear_power(form(field, 1, ab), j).coeffs for ab in lins]
+    rows = []
+    for _ in range(c):
+        ws = [scalar() or 1 for _ in powers]
+        rows.append([sum(w * pw[k] for w, pw in zip(ws, powers)) for k in range(j + 1)])
+    return _dual(field, j, rows), [monic(form(field, 1, ab)) for ab in lins]
 
 
 # ── perp and annihilator ──────────────────────────────────────────────────────
@@ -104,6 +128,29 @@ def test_mu_examples():
     assert mu(_dual(QQ, 3, [[0, 1, -1, 0]])) == 2
     assert mu(dual_space(QQ, 4, [])) == 0
     assert mu(_dual(QQ, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3  # full dual
+
+
+# The catalecticant components and the bisected mu against the contract
+# route and the linear scan: every degree 0..j+1, random and planted duals
+# (planted ones have mu = c exactly), over F_101, over F_p with p = j+1 (the
+# smallest characteristic the pairing allows) and over Q.
+_CATALECTICANT_CASES = (
+    [(GF(101), j) for j in range(1, 9)]
+    + [(GF(j + 1), j) for j in (1, 2, 4, 6, 10)]
+    + [(QQ, j) for j in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "field,j", _CATALECTICANT_CASES, ids=[f"{F.name}-j{j}" for F, j in _CATALECTICANT_CASES]
+)
+def test_ann_component_and_mu_match_contract_route(field, j):
+    duals = [random_dual(c, j, field, seed=31 * j + c) for c in range(j + 2)]
+    duals += [_planted(field, c, j, c, seed=j)[0] for c in range(1, j // 2 + 1)]
+    for W in duals:
+        for i in range(j + 2):
+            assert _ann_component(W, i) == oracle_ann_component(W, i), (W, i)
+        assert mu(W) == oracle_mu(W), W
 
 
 # ── generalized additive decompositions ───────────────────────────────────────
@@ -183,6 +230,25 @@ def test_gad_certificate_random(j, craw, seed):
         assert len(g.cofactors) == W.dim
     else:
         assert g.form.degree >= 2
+
+
+@pytest.mark.parametrize("p", [2147483647, 2305843009213693951])
+@pytest.mark.parametrize("m", [2, 3])
+def test_gad_planted_powers_large_prime(p, m, tmp_path, capsys):
+    # a residue scan would visit all p candidates; gcd(f, t^p - t) does not
+    F = GF(p)
+    for c in sorted({1, m}):
+        W, lins = _planted(F, c, 12, m, seed=p % 97)
+        assert mu(W) == m
+        g = gad(W)
+        assert isinstance(g, GAD)
+        assert g.length == m and g.weights == (1,) * m
+        assert sorted(L.coeffs for L in g.linear_forms) == sorted(L.coeffs for L in lins)
+        path = tmp_path / f"W{c}.json"
+        path.write_text(json.dumps(dual_to_json(W)))
+        assert main(["waring", str(path), "--field", F.name, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["mu"] == m and data["gad"]["length"] == m
 
 
 # ── random identities ─────────────────────────────────────────────────────────
