@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .closure import BuildTrace, StepRecord, build_h, build_n, build_t, step_n, step_t
 from .errors import PreconditionError
 from .fields import GF, QQ, FieldSpec
-from .forms import BinaryForm, contract, form, format_form, linear_factors, monomial
+from .forms import BinaryForm, form, format_form, linear_factors, monomial
 from .hilbert import (
     Cmp,
     StratumReport,
@@ -94,7 +94,6 @@ __all__ = [
     "build_h",
     "build_n",
     "build_t",
-    "contract",
     "dims",
     "dual_space",
     "enumerate_acceptable",

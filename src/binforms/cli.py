@@ -282,7 +282,8 @@ def _cmd_build(cfg: CommandConfig) -> tuple[int, str]:
 def _cmd_waring(cfg: CommandConfig) -> tuple[int, str]:
     W = dual_from_json(_read_json(cfg.input_path), cfg.field)
     res = gad(W)
-    out = {"tauDelta": tau_delta(W), "mu": mu(W)}
+    # a GAD's length is mu, certified inside gad; only Unsplit needs mu(W)
+    out = {"tauDelta": tau_delta(W), "mu": res.length if isinstance(res, GAD) else mu(W)}
     if isinstance(res, GAD):
         out["gad"] = {
             "forms": [format_form(L, DUAL_VARS) for L in res.linear_forms],

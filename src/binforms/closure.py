@@ -153,7 +153,7 @@ def step_t(Tprime: OSequence, T: OSequence) -> OSequence:
 
 def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpace:
     """Grow `base` to `target_dim` by adjoining basis forms of `cap` in order."""
-    if space_sum(base, cap).dim != cap.dim:
+    if not contained(base, cap):
         raise RuntimeError("subspace choice: base escapes its cap")
     if not base.dim <= target_dim <= cap.dim:
         raise RuntimeError(

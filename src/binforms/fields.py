@@ -119,9 +119,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return not a
 

@@ -32,11 +32,6 @@ class BinaryForm:
         return all(self.field.is_zero(c) for c in self.coeffs)
 
 
-# Dual-ring elements share the representation; only the variable names
-# (X, Y) and the action differ.
-DualForm = BinaryForm
-
-
 def form(field: FieldSpec, degree: int, coeffs) -> BinaryForm:
     cs = tuple(field.coerce(c) for c in coeffs)
     if len(cs) != degree + 1:
@@ -185,22 +180,7 @@ def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return BinaryForm(F, j, tuple(out))
 
 
-def divides(g: BinaryForm, f: BinaryForm) -> bool:
-    try:
-        divide_form(f, g)
-        return True
-    except PreconditionError:
-        return False
-
-
 # ----- apolarity action ---------------------------------------------------------
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def require_pairing_char(field: FieldSpec, degree: int) -> None:
@@ -214,35 +194,6 @@ def require_pairing_char(field: FieldSpec, degree: int) -> None:
             char=field.char,
             degree=degree,
         )
-
-
-def contract(f: BinaryForm, big: DualForm) -> DualForm:
-    """f . big, the differentiation action of degree-i f on degree-j big (i <= j).
-
-    Result degree j-i; zero form results are legal (f annihilates big).
-    """
-    F = f.field
-    i, j = f.degree, big.degree
-    if i > j:
-        raise PreconditionError("contraction by higher-degree form")
-    require_pairing_char(F, j)
-    out = [F.zero] * (j - i + 1)
-    for w in range(j - i + 1):
-        acc = F.zero
-        for u, fu in enumerate(f.coeffs):
-            if F.is_zero(fu):
-                continue
-            Fv = big.coeffs[u + w]
-            if F.is_zero(Fv):
-                continue
-            weight = _falling(j - u - w, i - u) * _falling(u + w, u)
-            acc = F.add(acc, F.mul(F.mul(fu, Fv), F.coerce(weight)))
-        out[w] = acc
-    return BinaryForm(F, j - i, tuple(out))
-
-
-def linear_form(field: FieldSpec, a, b) -> BinaryForm:
-    return form(field, 1, [a, b])
 
 
 def linear_power(L: BinaryForm, n: int) -> BinaryForm:
@@ -308,7 +259,7 @@ def _fp_roots(F: FieldSpec, core: list) -> list:
         if len(g) <= 2:
             return [F.neg(g[0])] if len(g) == 2 else []
         for a in range(start, p):
-            s = _univ_powmod(F, [F.coerce(a), F.one], (p - 1) // 2, g) or [F.zero]
+            s = _univ_powmod(F, [a, F.one], (p - 1) // 2, g) or [F.zero]
             s[0] = F.sub(s[0], F.one)
             d = _univ_gcd(F, g, s)
             if 1 < len(d) < len(g):
@@ -350,8 +301,7 @@ def _divisors(n: int) -> list:
     return sorted(set(out))
 
 
-def _univ_eval(F: FieldSpec, core: list, t) -> Scalar:
-    t = F.coerce(t)
+def _univ_eval(F: FieldSpec, core: list, t: Scalar) -> Scalar:
     acc = F.zero
     for c in reversed(core):
         acc = F.add(F.mul(acc, t), c)
@@ -385,7 +335,7 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
             rem, mult = q, mult + 1
         if mult:
             # root t of the dehomogenized core <-> factor y - t x
-            factors.append((monic(form(F, 1, [F.neg(t), F.one])), mult))
+            factors.append((monic(BinaryForm(F, 1, (F.neg(t), F.one))), mult))
     rem_form = monic(BinaryForm(F, len(rem) - 1, tuple(rem)))
     factors.sort(key=lambda fm: _coeff_sort_key(fm[0]))
     return factors, rem_form

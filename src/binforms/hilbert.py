@@ -27,12 +27,6 @@ Partition = tuple[int, ...]
 # ── difference sequence and acceptability ────────────────────────────────────
 
 
-def diff(H: OSequence) -> tuple[int, ...]:
-    """(e_0, …, e_s) with e_i = H_{i-1} - H_i."""
-    s = H.stabilization()
-    return tuple(H.e(i) for i in range(s + 1))
-
-
 def tau_of_h(H: OSequence, j: int) -> int:
     return H.e(j) + 1
 
@@ -149,16 +143,6 @@ def nose_tail(H: OSequence, j: int) -> tuple[OSequence, OSequence]:
         H.constant,
     )
     return N, T
-
-
-def join_nose_tail(N: OSequence, T: OSequence, j: int) -> OSequence:
-    if N.value(j) != T.value(j):
-        raise PreconditionError("nose and tail disagree at degree j")
-    s = T.stabilization()
-    return oseq(
-        [N.value(i) for i in range(j)] + [T.value(i) for i in range(j, max(s, j) + 1)],
-        T.constant,
-    )
 
 
 def is_permissible_nose(N: OSequence, d: int, j: int) -> bool:
@@ -375,22 +359,6 @@ def majorization_le(p: Partition, q: Partition) -> Cmp:
     return _cmp_from_flags(_majorizes(p, q), _majorizes(q, p))
 
 
-def hn_le(p: Partition, q: Partition) -> Cmp:
-    """Dominance of the cumulative-content polygons, parts padded with zeros."""
-    n = max(len(p), len(q))
-    pp = p + (0,) * (n - len(p))
-    qq = q + (0,) * (n - len(q))
-    ge = True
-    le = True
-    acc_p = acc_q = 0
-    for k in range(n):
-        acc_p += pp[k]
-        acc_q += qq[k]
-        ge = ge and acc_p >= acc_q
-        le = le and acc_q >= acc_p
-    return _cmp_from_flags(ge, le)
-
-
 def le_by_partitions(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
     """Same order computed through (P,Q): H1 ≥ H2 iff P1 ≤ P2 and Q1 ≤ Q2."""
     P1, Q1 = partitions_pq(H1, d, j)
@@ -556,28 +524,23 @@ def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
 def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
     """Covering pairs (more general, more special) of the specialization order.
 
-    Also cross-checks the direct comparison against the partition route on
-    every pair."""
+    The relation comes from `le_partial` alone; each emitted edge is then
+    re-checked through the partition route (criterion 8 compares the two
+    routes on every pair)."""
     seqs = enumerate_acceptable(d, j)
-    rel = {}
-    for a in seqs:
-        for b in seqs:
-            direct = le_partial(a, b, d, j)
-            via = le_by_partitions(a, b, d, j)
-            if direct != via:
-                raise RuntimeError(
-                    f"order mismatch between direct and partition comparison: "
-                    f"{a} vs {b}: {direct} vs {via}"
-                )
-            rel[(a, b)] = direct
-    edges = []
-    for a in seqs:
-        for b in seqs:
-            if rel[(a, b)] is not Cmp.LESS:
-                continue
-            covered = any(
-                rel[(a, m)] is Cmp.LESS and rel[(m, b)] is Cmp.LESS for m in seqs
+    above = {a: [b for b in seqs if le_partial(a, b, d, j) is Cmp.LESS] for a in seqs}
+    above_set = {a: set(bs) for a, bs in above.items()}
+    edges = [
+        (a, b)
+        for a in seqs
+        for b in above[a]
+        if not any(b in above_set[m] for m in above[a])
+    ]
+    for a, b in edges:
+        via = le_by_partitions(a, b, d, j)
+        if via is not Cmp.LESS:
+            raise RuntimeError(
+                f"hasse_edges postcondition: edge {a} -> {b} compares {via.value} "
+                "through the partitions"
             )
-            if not covered:
-                edges.append((a, b))
     return edges

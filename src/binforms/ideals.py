@@ -24,8 +24,6 @@ from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import (
     BinaryForm,
-    divide_form,
-    form,
     form_from_json,
     form_to_json,
     monic,
@@ -33,6 +31,7 @@ from .forms import (
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
+    contained,
     full_space,
     gcd_of_space,
     principal_space,
@@ -45,7 +44,7 @@ from .spaces import (
 
 
 def unit_form(field: FieldSpec) -> BinaryForm:
-    return form(field, 0, [field.one])
+    return BinaryForm(field, 0, (field.one,))
 
 
 @dataclass(frozen=True)
@@ -114,17 +113,13 @@ def graded_ideal(
             raise PreconditionError(
                 "component degree out of place", expected=lo + k, got=c.degree
             )
-    # Both sides of each test are canonical bases, so equality proves the
-    # containment at once; the rank test runs only when they differ.
     for a, b in zip(comps, comps[1:]):
-        up = shift(a, 1)
-        if up != b and space_sum(up, b).dim != b.dim:
+        if not contained(shift(a, 1), b):
             raise PreconditionError(
                 "components are not closed under multiplication", degree=a.degree
             )
     ideal = GradedIdeal(field, lo, lo + len(comps) - 1, tuple(comps), f)
-    up, above = shift(comps[-1], 1), ideal.component(ideal.window_hi + 1)
-    if up != above and space_sum(up, above).dim != above.dim:
+    if not contained(shift(comps[-1], 1), ideal.component(ideal.window_hi + 1)):
         raise PreconditionError("window top is inconsistent with the tail gcd")
     return ideal
 
@@ -132,25 +127,9 @@ def graded_ideal(
 # ── the three ideals of a form space ──────────────────────────────────────────
 
 
-def _shift_chain_down(V: FormSpace) -> list[FormSpace]:
-    """[R_{-j}V, ..., R_{-1}V, V] — components of the ancestor ideal below j."""
-    chain = [V]
-    for _ in range(V.degree):
-        chain.append(shift(chain[-1], -1))
-    chain.reverse()
-    return chain
-
-
 def _stable_top(V: FormSpace) -> int:
     """Degree offset by which R_kV is a full principal component."""
     return max(1, V.cod - tau(V) + 2)
-
-
-def _shift_chain_up(V: FormSpace, steps: int) -> list[FormSpace]:
-    chain = [V]
-    for _ in range(steps):
-        chain.append(shift(chain[-1], 1))
-    return chain[1:]
 
 
 def _tail_of(top: FormSpace) -> BinaryForm:
@@ -164,7 +143,7 @@ def ancestor_ideal(V: FormSpace) -> GradedIdeal:
     """Largest ideal whose degree-j component is V: components R_{i-j}V."""
     if V.is_zero:
         return zero_ideal(V.field)
-    comps = _shift_chain_down(V) + _shift_chain_up(V, _stable_top(V))
+    comps = [shift(V, s) for s in range(-V.degree, _stable_top(V) + 1)]
     return graded_ideal(V.field, 0, comps, _tail_of(comps[-1]))
 
 
@@ -174,7 +153,7 @@ def level_ideal(V: FormSpace) -> GradedIdeal:
     if V.is_zero:
         comps = [full_space(V.field, j + 1)]
         return graded_ideal(V.field, j + 1, comps, unit_form(V.field))
-    comps = _shift_chain_down(V) + [full_space(V.field, j + 1)]
+    comps = [shift(V, s) for s in range(-j, 1)] + [full_space(V.field, j + 1)]
     return graded_ideal(V.field, 0, comps, unit_form(V.field))
 
 
@@ -182,7 +161,7 @@ def generated_ideal(V: FormSpace) -> GradedIdeal:
     """Smallest ideal containing V: zero below degree j."""
     if V.is_zero:
         return zero_ideal(V.field)
-    comps = [V] + _shift_chain_up(V, _stable_top(V))
+    comps = [shift(V, s) for s in range(_stable_top(V) + 1)]
     return graded_ideal(V.field, V.degree, comps, _tail_of(comps[-1]))
 
 
@@ -280,25 +259,6 @@ def nu_min(H: OSequence) -> int:
         if step > 0:
             total += step
     return total
-
-
-def common_factor_split(I: GradedIdeal) -> tuple[BinaryForm, GradedIdeal]:
-    """Write I = f·I' where f is the common factor of all components."""
-    if I.is_zero or I.tail_gcd.degree == 0:
-        raise PreconditionError("ideal has no common factor to split off")
-    f = I.tail_gcd
-    c = f.degree
-    comps = []
-    for i in range(I.window_lo, I.window_hi + 1):
-        comp = I.component(i)
-        if comp.is_zero:
-            comps.append(zero_space(I.field, i - c))
-        else:
-            comps.append(
-                span(I.field, i - c, [divide_form(b, f) for b in comp.basis_forms()])
-            )
-    J = graded_ideal(I.field, I.window_lo - c, comps, unit_form(I.field))
-    return f, J
 
 
 def same_ideal(I: GradedIdeal, J: GradedIdeal) -> bool:

@@ -2,8 +2,11 @@
 
 Everything is row-oriented: a Matrix is a tuple of rows and the row space
 is the object of interest.  All span questions (equality, membership,
-sum, intersection, kernel) reduce to exact RREF, which is idempotent and
-canonical, so two spaces are equal iff their basis matrices are equal.
+sum, kernel) reduce to exact RREF, which is idempotent and canonical, so
+two spaces are equal iff their basis matrices are equal.  Entries must
+already be canonical scalars of the field: nothing here converts them,
+since values are made canonical once, where they enter the system
+(`forms.form`, `spaces.span`, the JSON readers).
 
 Sizes here stay small (degree <= ~40), so dense Gauss-Jordan is the right
 tool; no pivoting heuristics are needed for exact arithmetic.
@@ -12,7 +15,7 @@ tool; no pivoting heuristics are needed for exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import FieldSpec, Scalar
 
@@ -35,15 +38,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         cols = tuple(tuple(r[c] for r in self.rows) for c in range(self.ncols))
         return Matrix(self.field, cols, self.nrows)
-
-
-def matrix(field: FieldSpec, rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
-    tup = tuple(tuple(field.coerce(x) for x in r) for r in rows)
-    if ncols is None:
-        if not tup:
-            raise ValueError("ncols is required for an empty matrix")
-        ncols = len(tup[0])
-    return Matrix(field, tup, ncols)
 
 
 def zero_matrix(field: FieldSpec, ncols: int) -> Matrix:
@@ -98,22 +92,6 @@ def stack(a: Matrix, b: Matrix) -> Matrix:
 
 def row_space_sum(a: Matrix, b: Matrix) -> Matrix:
     return row_basis(stack(a, b))
-
-
-def row_space_intersect(a: Matrix, b: Matrix) -> Matrix:
-    """Zassenhaus block elimination: rows [x|x] for a, [y|0] for b; the
-    right halves of the rows whose left half vanishes span the meet."""
-    if a.ncols != b.ncols or a.field != b.field:
-        raise ValueError("shape/field mismatch")
-    F, n = a.field, a.ncols
-    block = [r + r for r in a.rows] + [r + (F.zero,) * n for r in b.rows]
-    red, rank_, _ = rref(Matrix(F, tuple(block), 2 * n))
-    keep = [
-        r[n:]
-        for r in red.rows[:rank_]
-        if all(F.is_zero(x) for x in r[:n])
-    ]
-    return row_basis(Matrix(F, tuple(keep), n))
 
 
 def kernel(m: Matrix) -> Matrix:

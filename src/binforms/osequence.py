@@ -104,17 +104,3 @@ def _int(s: str) -> int:
     except ValueError:
         raise PreconditionError(f"bad integer {s!r} in Hilbert-function text") from None
 
-
-def is_proper_osequence(H: OSequence) -> bool:
-    """0 <= H_i <= i+1, starts at the diagonal, non-increasing once below it."""
-    upto = len(H.prefix) + 1
-    below = False
-    for i in range(upto + 1):
-        v = H.value(i)
-        if not 0 <= v <= i + 1:
-            return False
-        if below and v > H.value(i - 1):
-            return False
-        if v <= i:
-            below = True
-    return True

@@ -168,10 +168,6 @@ def _triples(n: int) -> list[Triple]:
     return out
 
 
-def full_mono3(degree: int) -> MonomialSpace3:
-    return MonomialSpace3(degree, frozenset(_triples(degree)))
-
-
 def shift3(S: MonomialSpace3, s: int) -> MonomialSpace3:
     """Monomial up-shift (all multiples) or down-shift (quotients by every
     degree -s monomial), the three-variable analogue of shift()."""

@@ -19,9 +19,7 @@ from .linalg import (
     Matrix,
     contains_vector,
     kernel,
-    matrix,
     row_basis,
-    row_space_intersect,
     row_space_sum,
     zero_matrix,
 )
@@ -75,16 +73,20 @@ class FormSpace:
 
 
 def span(field: FieldSpec, degree: int, forms) -> FormSpace:
+    """Span of forms or raw coefficient rows.  Forms of this field hold
+    canonical scalars already; raw rows and forms of another field are
+    coerced here, once."""
     rows = []
     for f in forms:
         if isinstance(f, BinaryForm):
             if f.degree != degree:
                 raise PreconditionError("spanning form of wrong degree")
-            rows.append(f.coeffs)
-        else:
-            rows.append(tuple(field.coerce(c) for c in f))
-    m = matrix(field, rows, ncols=degree + 1) if rows else zero_matrix(field, degree + 1)
-    return FormSpace(field, degree, row_basis(m))
+            if f.field == field:
+                rows.append(f.coeffs)
+                continue
+            f = f.coeffs
+        rows.append(tuple(field.coerce(c) for c in f))
+    return FormSpace(field, degree, row_basis(Matrix(field, tuple(rows), degree + 1)))
 
 
 def zero_space(field: FieldSpec, degree: int) -> FormSpace:
@@ -92,8 +94,12 @@ def zero_space(field: FieldSpec, degree: int) -> FormSpace:
 
 
 def full_space(field: FieldSpec, degree: int) -> FormSpace:
-    rows = [[1 if c == k else 0 for c in range(degree + 1)] for k in range(degree + 1)]
-    return FormSpace(field, degree, matrix(field, rows))
+    # the identity is already a canonical RREF basis
+    one, zero = field.one, field.zero
+    rows = tuple(
+        tuple(one if c == k else zero for c in range(degree + 1)) for k in range(degree + 1)
+    )
+    return FormSpace(field, degree, Matrix(field, rows, degree + 1))
 
 
 def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
@@ -103,14 +109,10 @@ def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
 
 
 def contained(inner: FormSpace, outer: FormSpace) -> bool:
-    """Whether inner is a subspace of outer (same degree)."""
-    return space_sum(inner, outer).dim == outer.dim
+    """Whether inner is a subspace of outer (same degree).
 
-
-def space_intersect(a: FormSpace, b: FormSpace) -> FormSpace:
-    if a.degree != b.degree:
-        raise PreconditionError("intersection of spaces in different degrees")
-    return FormSpace(a.field, a.degree, row_space_intersect(a.mat, b.mat))
+    Both bases are canonical, so equal bases prove it without the rank test."""
+    return inner == outer or space_sum(inner, outer).dim == outer.dim
 
 
 def principal_space(f: BinaryForm, degree: int) -> FormSpace:
@@ -133,7 +135,6 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
     for r in V.mat.rows:
         rows.append((F.zero,) + r)          # y * f: y-exponent grows
         rows.append(r + (F.zero,))          # x * f
-    # V's rows are canonical scalars already, so no re-coercion via matrix().
     return FormSpace(F, j + 1, row_basis(Matrix(F, tuple(rows), j + 2)))
 
 
@@ -218,8 +219,8 @@ def random_space(d: int, j: int, field: FieldSpec, seed) -> FormSpace:
         raise PreconditionError(f"need 0 <= d <= j+1, got d={d}, j={j}")
     rng = random.Random(f"formspace|{seed}|{d}|{j}|{field.name}")
     while True:
-        rows = [[field.random_scalar(rng) for _ in range(j + 1)] for _ in range(d)]
-        m = row_basis(matrix(field, rows, ncols=j + 1))
+        rows = tuple(tuple(field.random_scalar(rng) for _ in range(j + 1)) for _ in range(d))
+        m = row_basis(Matrix(field, rows, j + 1))
         if m.nrows == d:
             return FormSpace(field, j, m)
 

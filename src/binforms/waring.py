@@ -21,8 +21,6 @@ from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import (
     BinaryForm,
-    contract,
-    form,
     format_form,
     linear_factors,
     linear_power,
@@ -31,10 +29,11 @@ from .forms import (
     mul_form,
     add_form,
     require_pairing_char,
+    zero_form,
 )
 from .hilbert import dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, graded_ideal, unit_form
-from .linalg import Matrix, kernel, matrix, zero_matrix
+from .linalg import Matrix, kernel
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -155,17 +154,18 @@ def annihilator(W: DualSpace) -> GradedIdeal:
 
 
 def tau_delta(W: DualSpace) -> int:
-    """1 + dim R_1.W - dim W; equals tau((Ann W)_j)."""
-    F, j = W.field, W.degree
+    """1 + dim R_1.W - dim W; equals tau((Ann W)_j).
+
+    Under the perfect degree-(j-1) pairing R_1.W and (Ann W)_{j-1} are
+    each other's orthogonal complements (f kills x.w and y.w iff f.w = 0),
+    so dim R_1.W = j - dim (Ann W)_{j-1}.
+    """
+    j = W.degree
     if W.dim == 0:
         return 1
     if j == 0:
         return 1 - W.dim  # W = dual_0 itself; annihilator starts in degree 0
-    x, y = monomial(F, 1, 0), monomial(F, 0, 1)
-    down = span(
-        F, j - 1, (contract(v, w) for w in W.basis_forms() for v in (x, y))
-    )
-    return 1 + down.dim - W.dim
+    return 1 + j - _ann_component(W, j - 1).dim - W.dim
 
 
 def _initial_component(W: DualSpace) -> tuple[int, FormSpace]:
@@ -241,18 +241,17 @@ def _dual_of_linear(l: BinaryForm) -> BinaryForm:
     # l = c0 x + c1 y kills L = c1 X - c0 Y under contraction
     F = l.field
     c0, c1 = l.coeffs
-    return monic(form(F, 1, [c1, F.neg(c0)]))
+    return monic(BinaryForm(F, 1, (c1, F.neg(c0))))
 
 
 def _solve_coords(F: FieldSpec, vectors, target):
     """Coordinates of target in a list of independent vectors, or None."""
     n = len(vectors)
-    eqs = [
-        [v[r] for v in vectors] + [F.neg(target[r])]
+    eqs = tuple(
+        tuple(v[r] for v in vectors) + (F.neg(target[r]),)
         for r in range(len(target))
-    ]
-    m = matrix(F, eqs, n + 1) if eqs else zero_matrix(F, n + 1)
-    for z in kernel(m).rows:
+    )
+    for z in kernel(Matrix(F, eqs, n + 1)).rows:
         if not F.is_zero(z[-1]):
             s = F.inv(z[-1])
             return [F.mul(s, z[k]) for k in range(n)]
@@ -275,7 +274,7 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     candidates = sorted(comp.mat.rows)
     first_rem = None
     for row in candidates:
-        f = form(F, m, row)
+        f = BinaryForm(F, m, row)
         factors, rem = linear_factors(f)
         if first_rem is None:
             first_rem = rem
@@ -307,9 +306,9 @@ def gad(W: DualSpace) -> GAD | Unsplit:
                 for pos, (k, t) in enumerate(slots):
                     if k == idx:
                         cs[t] = coords[pos]
-                per_factor.append(form(F, b - 1, cs))
+                per_factor.append(BinaryForm(F, b - 1, tuple(cs)))
             # reconstruct to be safe: w = sum G_i L_i^{j+1-beta_i}
-            acc = form(F, j, [0] * (j + 1))
+            acc = zero_form(F, j)
             for G, P in zip(per_factor, powers):
                 acc = add_form(acc, mul_form(G, P))
             if acc != w:

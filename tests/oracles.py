@@ -13,8 +13,11 @@ from fractions import Fraction
 
 import sympy
 
+from binforms.errors import PreconditionError
 from binforms.fields import FieldSpec
-from binforms.linalg import Matrix, kernel, row_basis, stack
+from binforms.forms import BinaryForm, divide_form, require_pairing_char
+from binforms.linalg import Matrix, kernel, rref, row_basis, stack
+from binforms.osequence import OSequence, oseq
 
 x, y = sympy.symbols("x y")
 
@@ -26,6 +29,18 @@ def oracle_intersect(a: Matrix, b: Matrix) -> Matrix:
     """rowspace(A) ∩ rowspace(B) via double annihilators:
     rowspace(M) = ker(ker(M)) for the standard dot pairing."""
     return kernel(stack(kernel(a), kernel(b)))
+
+
+def zassenhaus_intersect(a: Matrix, b: Matrix) -> Matrix:
+    """rowspace(A) ∩ rowspace(B) by Zassenhaus block elimination: rows [x|x]
+    for a, [y|0] for b; the right halves of the rows whose left half
+    vanishes span the meet.  One `rref` of a different layout from
+    `oracle_intersect`, so the two routes check each other."""
+    F, n = a.field, a.ncols
+    block = [r + r for r in a.rows] + [r + (F.zero,) * n for r in b.rows]
+    red, rank_, _ = rref(Matrix(F, tuple(block), 2 * n))
+    keep = [r[n:] for r in red.rows[:rank_] if all(F.is_zero(x) for x in r[:n])]
+    return row_basis(Matrix(F, tuple(keep), n))
 
 
 # ----- sympy bridge for binary forms ----------------------------------------
@@ -105,14 +120,53 @@ def oracle_contract(f_coeffs, f_deg, big_coeffs, big_deg):
     return tuple(coeffs)
 
 
+def divides(g: BinaryForm, f: BinaryForm) -> bool:
+    try:
+        divide_form(f, g)
+        return True
+    except PreconditionError:
+        return False
+
+
 # ----- apolarity and roots ---------------------------------------------------
+
+
+def _falling(n: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+def contract(f: BinaryForm, big: BinaryForm) -> BinaryForm:
+    """f . big, the differentiation action of degree-i f on degree-j big
+    (i <= j), one monomial weight at a time.  The library reads the same
+    pairing off catalecticant blocks instead."""
+    F = f.field
+    i, j = f.degree, big.degree
+    if i > j:
+        raise PreconditionError("contraction by higher-degree form")
+    require_pairing_char(F, j)
+    out = [F.zero] * (j - i + 1)
+    for w in range(j - i + 1):
+        acc = F.zero
+        for u, fu in enumerate(f.coeffs):
+            if F.is_zero(fu):
+                continue
+            Fv = big.coeffs[u + w]
+            if F.is_zero(Fv):
+                continue
+            weight = _falling(j - u - w, i - u) * _falling(u + w, u)
+            acc = F.add(acc, F.mul(F.mul(fu, Fv), F.coerce(weight)))
+        out[w] = acc
+    return BinaryForm(F, j - i, tuple(out))
 
 
 def oracle_ann_component(W, i: int):
     """(Ann W)_i from per-monomial contractions: the Y^r coefficient of
     x^(i-k) y^k . w, over every basis element w and every r, is one linear
     equation on the coefficients f_k of f in R_i."""
-    from binforms.forms import contract, form, monomial
+    from binforms.forms import form, monomial
     from binforms.spaces import full_space, span
 
     F, j = W.field, W.degree
@@ -126,6 +180,21 @@ def oracle_ann_component(W, i: int):
             eqs.append(tuple(g.coeffs[r] for g in images))
     ker = kernel(Matrix(F, tuple(eqs), i + 1))
     return span(F, i, (form(F, i, row) for row in ker.rows))
+
+
+def oracle_tau_delta(W) -> int:
+    """1 + dim R_1.W - dim W, spanning the contractions x.w and y.w."""
+    from binforms.forms import monomial
+    from binforms.spaces import span
+
+    F, j = W.field, W.degree
+    if W.dim == 0:
+        return 1
+    if j == 0:
+        return 1 - W.dim
+    x, y = monomial(F, 1, 0), monomial(F, 0, 1)
+    down = span(F, j - 1, (contract(v, w) for w in W.basis_forms() for v in (x, y)))
+    return 1 + down.dim - W.dim
 
 
 def oracle_mu(W) -> int:
@@ -146,6 +215,73 @@ def oracle_fp_roots(p: int, core) -> list:
         if acc == 0:
             out.append(t)
     return out
+
+
+# ----- Hilbert functions and ideals -------------------------------------------
+
+
+def is_proper_osequence(H: OSequence) -> bool:
+    """0 <= H_i <= i+1, starts at the diagonal, non-increasing once below it."""
+    upto = len(H.prefix) + 1
+    below = False
+    for i in range(upto + 1):
+        v = H.value(i)
+        if not 0 <= v <= i + 1:
+            return False
+        if below and v > H.value(i - 1):
+            return False
+        if v <= i:
+            below = True
+    return True
+
+
+def join_nose_tail(N: OSequence, T: OSequence, j: int) -> OSequence:
+    """The sequence that follows N below j and T from j on."""
+    if N.value(j) != T.value(j):
+        raise PreconditionError("nose and tail disagree at degree j")
+    s = T.stabilization()
+    return oseq(
+        [N.value(i) for i in range(j)] + [T.value(i) for i in range(j, max(s, j) + 1)],
+        T.constant,
+    )
+
+
+def common_factor_split(I):
+    """Write I = f.I' where f is the common factor of all components, by
+    dividing every basis form of every window component by f."""
+    from binforms.ideals import graded_ideal, unit_form
+    from binforms.spaces import span, zero_space
+
+    if I.is_zero or I.tail_gcd.degree == 0:
+        raise PreconditionError("ideal has no common factor to split off")
+    f = I.tail_gcd
+    c = f.degree
+    comps = []
+    for i in range(I.window_lo, I.window_hi + 1):
+        comp = I.component(i)
+        if comp.is_zero:
+            comps.append(zero_space(I.field, i - c))
+        else:
+            comps.append(
+                span(I.field, i - c, [divide_form(b, f) for b in comp.basis_forms()])
+            )
+    J = graded_ideal(I.field, I.window_lo - c, comps, unit_form(I.field))
+    return f, J
+
+
+def brute_force_covers(d: int, j: int) -> list:
+    """Transitive reduction of the partition route `le_by_partitions` over
+    every pair of acceptable sequences, in enumeration order."""
+    from binforms.hilbert import Cmp, enumerate_acceptable, le_by_partitions
+
+    seqs = enumerate_acceptable(d, j)
+    less = {(a, b) for a in seqs for b in seqs if le_by_partitions(a, b, d, j) is Cmp.LESS}
+    return [
+        (a, b)
+        for a in seqs
+        for b in seqs
+        if (a, b) in less and not any((a, m) in less and (m, b) in less for m in seqs)
+    ]
 
 
 # ----- partitions & counting -------------------------------------------------

@@ -176,6 +176,24 @@ def test_waring_split_and_unsplit(tmp_path):
     assert "unsplit" in data and "gad" not in data
 
 
+def test_waring_reads_mu_from_the_decomposition(tmp_path, monkeypatch):
+    # a GAD's length is mu, certified inside gad; only Unsplit asks mu(W)
+    import binforms.cli as cli
+
+    calls = []
+    real_mu = cli.mu
+    monkeypatch.setattr(cli, "mu", lambda W: calls.append(W) or real_mu(W))
+    for field, want_calls in ((GF(7), 0), (QQ, 1)):
+        W = dual_space(field, 3, [form(field, 3, [0, 1, -1, 0])])
+        path = tmp_path / f"W{field.p}.json"
+        path.write_text(json.dumps(dual_to_json(W)))
+        rc, out, _ = _run(["waring", str(path)])
+        assert rc == 0
+        assert out.startswith("tau_delta = 2   mu = 2\n")
+        assert len(calls) == want_calls
+        calls.clear()
+
+
 def test_related_class_list(tmp_path):
     F = QQ
     V = span(F, 4, [monomial(F, 4, 0), monomial(F, 3, 1), monomial(F, 0, 4)])

@@ -10,16 +10,13 @@ from binforms.forms import (
     BinaryForm,
     _rational_roots,
     add_form,
-    contract,
     divide_form,
-    divides,
     form,
     form_from_json,
     form_to_json,
     format_form,
     gcd_form,
     linear_factors,
-    linear_form,
     linear_power,
     monic,
     monomial,
@@ -28,7 +25,7 @@ from binforms.forms import (
     smallest_linear_factor,
     zero_form,
 )
-from oracles import oracle_contract, oracle_fp_roots, oracle_gcd, oracle_mul
+from oracles import contract, divides, oracle_contract, oracle_fp_roots, oracle_gcd, oracle_mul
 
 F7 = GF(7)
 F101 = GF(101)
@@ -129,15 +126,15 @@ def test_contract_char_too_small():
 
 
 def test_linear_power_pure():
-    assert linear_power(linear_form(QQ, 1, 0), 4) == monomial(QQ, 4, 0)
+    assert linear_power(q(1, [1, 0]), 4) == monomial(QQ, 4, 0)
 
 
 def test_linear_power_binomial():
-    assert linear_power(linear_form(QQ, 1, 1), 2) == q(2, [1, 2, 1])
+    assert linear_power(q(1, [1, 1]), 2) == q(2, [1, 2, 1])
 
 
 def test_linear_power_general():
-    got = linear_power(linear_form(QQ, 2, -1), 3)
+    got = linear_power(q(1, [2, -1]), 3)
     assert got == q(3, [8, -12, 6, -1])
 
 

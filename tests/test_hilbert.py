@@ -10,7 +10,6 @@ from binforms.hilbert import (
     betti_partitions,
     count_by_tau,
     count_exact_largest,
-    diff,
     dims,
     dual_partition,
     ell,
@@ -18,11 +17,9 @@ from binforms.hilbert import (
     h_tau,
     hasse_edges,
     hilbert_from_partitions,
-    hn_le,
     is_acceptable,
     is_permissible_nose,
     is_permissible_tail,
-    join_nose_tail,
     le_by_partitions,
     le_partial,
     majorization_le,
@@ -41,7 +38,12 @@ from binforms.ideals import (
     relation_degrees,
 )
 from binforms.osequence import oseq, parse_oseq
-from oracles import count_partitions_largest, partitions_of
+from oracles import (
+    brute_force_covers,
+    count_partitions_largest,
+    join_nose_tail,
+    partitions_of,
+)
 
 
 # ── frozen worked examples ───────────────────────────────────────────────────
@@ -49,7 +51,7 @@ from oracles import count_partitions_largest, partitions_of
 
 def test_diff_worked_example():
     H = oseq([1, 2, 3, 3, 2, 1, 0], 0)
-    assert diff(H) == (-1, -1, -1, 0, 1, 1, 1)
+    assert tuple(H.e(i) for i in range(H.stabilization() + 1)) == (-1, -1, -1, 0, 1, 1, 1)
     assert tau_of_h(H, 4) == 2
 
 
@@ -175,7 +177,6 @@ def test_le_partial_examples():
     Hb = hilbert_from_partitions((3, 3, 3, 1), (2, 1), 12, 0)
     assert le_partial(Ha, Hb, 10, 12) is Cmp.INCOMPARABLE
     assert majorization_le((4, 2, 2, 2), (3, 3, 3, 1)) is Cmp.INCOMPARABLE
-    assert hn_le((4, 2, 2, 2), (3, 3, 3, 1)) is Cmp.INCOMPARABLE
 
 
 def test_majorization_unequal_lengths():
@@ -195,6 +196,33 @@ def test_hasse_4_5():
         ("1,2,3,3,3,2(1)", "1(2)"),
     }
     assert hasse_edges(1, 1) == []
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_hasse_edges_match_brute_force_reduction(j):
+    # the relation from le_partial alone, covers found through it: edges and
+    # their order equal the transitive reduction of the partition route
+    for d in range(1, j + 1):
+        assert hasse_edges(d, j) == brute_force_covers(d, j), (d, j)
+
+
+def test_hasse_edges_postcondition_checks_emitted_edges(monkeypatch):
+    import binforms.hilbert as hilbert
+
+    calls = []
+
+    def counting(H1, H2, d, j):
+        calls.append((H1, H2))
+        return le_by_partitions(H1, H2, d, j)
+
+    monkeypatch.setattr(hilbert, "le_by_partitions", counting)
+    edges = hasse_edges(4, 5)
+    assert calls == edges  # the partition route sees the emitted edges only
+
+    monkeypatch.setattr(hilbert, "le_by_partitions", lambda *args: Cmp.INCOMPARABLE)
+    with pytest.raises(RuntimeError, match="postcondition"):
+        hasse_edges(4, 5)
+    assert hasse_edges(1, 1) == []  # no edges, nothing to check
 
 
 def test_staircase_examples():

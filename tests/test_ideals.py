@@ -13,7 +13,6 @@ from binforms.forms import form, format_form, monomial, mul_form
 from binforms.ideals import (
     GradedIdeal,
     ancestor_ideal,
-    common_factor_split,
     generated_ideal,
     generator_degrees,
     graded_ideal,
@@ -29,7 +28,7 @@ from binforms.ideals import (
     unit_form,
     zero_ideal,
 )
-from binforms.osequence import is_proper_osequence, oseq
+from binforms.osequence import oseq
 from binforms.spaces import (
     FormSpace,
     full_space,
@@ -41,7 +40,12 @@ from binforms.spaces import (
     zero_space,
 )
 
-from oracles import brute_force_hilbert, oracle_down_dim
+from oracles import (
+    brute_force_hilbert,
+    common_factor_split,
+    is_proper_osequence,
+    oracle_down_dim,
+)
 
 FIELDS = [QQ, GF(101), GF(7)]
 

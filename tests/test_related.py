@@ -14,7 +14,6 @@ from binforms.related import (
     apply_chain,
     berman_check,
     chain_spec,
-    full_mono3,
     mono3,
     normalize_chain,
     related_classes,
@@ -163,7 +162,7 @@ def test_mono3_validation():
 
 def test_shift3_up_down_identity_on_full_set():
     for j in range(0, 5):
-        full = full_mono3(j)
+        full = mono3(j, [(a, b, j - a - b) for a in range(j + 1) for b in range(j + 1 - a)])
         for s in (1, 2):
             assert shift3(shift3(full, s), -s) == full
 

@@ -1,5 +1,6 @@
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from binforms.ideals import ancestor_ideal
 from binforms.linalg import Matrix
 from binforms.spaces import (
     FormSpace,
+    contained,
     equivalent,
     full_space,
     gcd_of_space,
@@ -17,7 +19,6 @@ from binforms.spaces import (
     random_space,
     shift,
     space_from_json,
-    space_intersect,
     space_sum,
     space_to_json,
     span,
@@ -136,6 +137,44 @@ def test_json_roundtrip():
     assert space_from_json(space_to_json(W)) == W
 
 
+# ----- coercion at the boundary ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F101], ids=lambda F: F.name)
+def test_span_raw_rows_match_form_route(field):
+    raw = [
+        [3, -1, 0, 250],
+        [Fraction(-2, 3), 0, Fraction(5, 2), -8],
+        [0, 0, 0, 0],
+        [-1, 14, Fraction(9), 1],
+    ]
+    for k in range(1, len(raw) + 1):
+        rows = raw[:k]
+        got = span(field, 3, rows)
+        assert got == span(field, 3, [form(field, 3, r) for r in rows])
+        assert got == span(field, 3, [form(QQ, 3, r) for r in rows])  # coerced too
+        want = Fraction if field.p is None else int
+        assert all(type(c) is want for r in got.mat.rows for c in r)
+        if field.p:
+            assert all(0 <= c < field.p for r in got.mat.rows for c in r)
+
+
+def test_span_rejects_denominator_divisible_by_p():
+    with pytest.raises(PreconditionError):
+        span(GF(7), 1, [[Fraction(1, 7), 1]])
+    with pytest.raises(PreconditionError):
+        span(GF(7), 1, [[1, 0], [Fraction(3, 14), 2]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F101], ids=lambda F: F.name)
+def test_full_space_equals_span_of_monomials(field):
+    for j in range(8):
+        full = full_space(field, j)
+        assert full == span(field, j, [monomial(field, j - a, a) for a in range(j + 1)])
+        assert full.is_full
+        assert all(type(c) is type(field.one) for r in full.mat.rows for c in r)
+
+
 # ----- randomized invariants ----------------------------------------------------
 
 
@@ -175,7 +214,7 @@ def test_updown_containments():
         up_of_down = shift(shift(V, -1), 1)
         down_of_up = shift(shift(V, 1), -1)
         assert space_sum(up_of_down, V) == V          # containment one way
-        assert space_intersect(down_of_up, V) == V    # and the other
+        assert contained(V, down_of_up)               # and the other
 
 
 def test_same_sign_composition():

@@ -37,7 +37,7 @@ from binforms.waring import (
     random_dual,
     tau_delta,
 )
-from oracles import oracle_ann_component, oracle_mu
+from oracles import oracle_ann_component, oracle_mu, oracle_tau_delta
 
 
 def _dual(field, degree, coeff_rows):
@@ -151,6 +151,25 @@ def test_ann_component_and_mu_match_contract_route(field, j):
         for i in range(j + 2):
             assert _ann_component(W, i) == oracle_ann_component(W, i), (W, i)
         assert mu(W) == oracle_mu(W), W
+
+
+def _least_prime_above(j):
+    return next(p for p in range(max(2, j + 1), 2 * j + 3) if all(p % q for q in range(2, p)))
+
+
+# tau_delta reads dim R_1.W off (Ann W)_{j-1}; the oracle spans the
+# contractions x.w and y.w.  Every c = 0..j+1 for j = 0..12, plus planted
+# powers, over F_101, over the smallest field the pairing allows (F_{j+1}
+# when j+1 is prime) and over Q.
+@pytest.mark.parametrize("kind", ["F101", "Fsmall", "Q"])
+def test_tau_delta_matches_contract_route(kind):
+    for j in range(13):
+        field = {"F101": GF(101), "Fsmall": GF(_least_prime_above(j)), "Q": QQ}[kind]
+        duals = [random_dual(c, j, field, seed=17 * j + c) for c in range(j + 2)]
+        duals += [_planted(field, c, j, m, seed=j)[0]
+                  for c in range(1, 4) for m in range(1, j // 2 + 1)]
+        for W in duals:
+            assert tau_delta(W) == oracle_tau_delta(W), (field.name, j, W)
 
 
 # ── generalized additive decompositions ───────────────────────────────────────
