@@ -13,6 +13,7 @@ monomial-ideal realization.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -333,12 +334,15 @@ def le_partial(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
     require_acceptable(H1, d, j)
     require_acceptable(H2, d, j)
     top = max(H1.stabilization(), H2.stabilization(), j) + 1
-    ge = all(H1.value(i) <= H2.value(i) for i in range(j + 1)) and all(
-        H1.value(i) >= H2.value(i) for i in range(j, top + 1)
-    )
-    le = all(H2.value(i) <= H1.value(i) for i in range(j + 1)) and all(
-        H2.value(i) >= H1.value(i) for i in range(j, top + 1)
-    )
+    return _le_values(H1.values(top), H2.values(top), j)
+
+
+def _le_values(v1: tuple[int, ...], v2: tuple[int, ...], j: int) -> Cmp:
+    """`le_partial` on value vectors of equal length that run past both
+    stabilizations (acceptable sequences are constant from there on)."""
+    lo1, lo2, hi1, hi2 = v1[: j + 1], v2[: j + 1], v1[j:], v2[j:]
+    ge = all(map(operator.le, lo1, lo2)) and all(map(operator.ge, hi1, hi2))
+    le = all(map(operator.ge, lo1, lo2)) and all(map(operator.le, hi1, hi2))
     return _cmp_from_flags(ge, le)
 
 
@@ -524,11 +528,17 @@ def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
 def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
     """Covering pairs (more general, more special) of the specialization order.
 
-    The relation comes from `le_partial` alone; each emitted edge is then
+    The relation comes from the value comparison of `le_partial` alone,
+    on sequences acceptable by construction; each emitted edge is then
     re-checked through the partition route (criterion 8 compares the two
     routes on every pair)."""
     seqs = enumerate_acceptable(d, j)
-    above = {a: [b for b in seqs if le_partial(a, b, d, j) is Cmp.LESS] for a in seqs}
+    top = max(j, *(H.stabilization() for H in seqs)) + 1
+    vals = [H.values(top) for H in seqs]
+    above = {
+        a: [b for b, vb in zip(seqs, vals) if _le_values(va, vb, j) is Cmp.LESS]
+        for a, va in zip(seqs, vals)
+    }
     above_set = {a: set(bs) for a, bs in above.items()}
     edges = [
         (a, b)

@@ -8,13 +8,33 @@ already be canonical scalars of the field: nothing here converts them,
 since values are made canonical once, where they enter the system
 (`forms.form`, `spaces.span`, the JSON readers).
 
-Sizes here stay small (degree <= ~40), so dense Gauss-Jordan is the right
-tool; no pivoting heuristics are needed for exact arithmetic.
+`rref` is the one entry point (`row_basis`, `rank`, `kernel` and
+`contains_vector` call it through this module's global) and picks one of
+two Gauss-Jordan kernels by the field, once per call:
+
+* F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
+  scaled by the inverse of its pivot only when that is not 1, and rows are
+  updated from the pivot column on, since the pivot row is zero to its left.
+* Q: each row's denominators are cleared once, leaving primitive integer
+  rows, which are eliminated fraction-free: row <- (a/g) row - (f/g) pivot
+  row for pivot entry a, entry f and g = gcd(a, f), then divided by its
+  content.  A row held after any step is primitive and proportional to a
+  vector of minors of the cleared input, so its entries never exceed that
+  input's Hadamard bound prod_i max(1, |row_i|_2) (Bareiss, Math. Comp. 22,
+  1968, keeps the same bound by exact division).  Fractions are built only
+  in the last pass, which divides each pivot row by its pivot.
+
+Both kernels return the same canonical RREF, with Fraction entries over Q
+and residues in [0, p) over F_p.  Sizes here stay small (degree <= ~40), so
+dense elimination is the right tool; exact arithmetic needs no pivoting
+heuristics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .fields import FieldSpec, Scalar
@@ -51,26 +71,97 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     1 and pivot columns are cleared, so the result is the canonical form
     of the row space (padded with zero rows).
     """
-    F = m.field
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
+    p = m.field.p
+    if p is None:
+        rows, pivots = _rref_q(m.rows, m.ncols)
+    else:
+        rows, pivots = _rref_fp(m.rows, m.ncols, p)
+    return Matrix(m.field, rows, m.ncols), len(pivots), pivots
+
+
+def _pivot_walk(rows: list[list], ncols: int):
+    """Yield (r, c) for each pivot in turn: c is the first column in which a
+    row at index >= r is nonzero, and the first such row has been swapped
+    into place r.  The caller clears column c before resuming."""
+    n = len(rows)
     r = 0
-    for c in range(m.ncols):
-        pr = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
-        if pr is None:
+    for c in range(ncols):
+        if r == n:
+            return
+        for pr in range(r, n):
+            if rows[pr][c]:
+                break
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
+        rows[pr], rows[r] = rows[r], rows[pr]
+        yield r, c
         r += 1
-        if r == len(rows):
-            break
-    return Matrix(F, tuple(tuple(row) for row in rows), m.ncols), r, tuple(pivots)
+
+
+def _rref_fp(rows_in, ncols: int, p: int):
+    """Gauss-Jordan on int rows with residues in [0, p)."""
+    rows = [list(r) for r in rows_in]
+    pivots = []
+    for r, c in _pivot_walk(rows, ncols):
+        prow = rows[r]
+        a = prow[c]
+        if a != 1:
+            inv = pow(a, -1, p)
+            prow[c:] = [x * inv % p for x in prow[c:]]
+        # Every row at index >= r is zero left of column c, the pivot row
+        # included, so columns < c never change.
+        tail = prow[c:]
+        for row in rows:
+            f = row[c]
+            if f and row is not prow:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _rref_q(rows_in, ncols: int):
+    """Fraction-free Gauss-Jordan on primitive integer rows."""
+    rows = [_integer_row(row) for row in rows_in]
+    pivots = []
+    for r, c in _pivot_walk(rows, ncols):
+        prow = rows[r]
+        a = prow[c]
+        tail = prow[c:]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(a, f)
+            ag, fg = a // g, f // g
+            new = [ag * x - fg * y for x, y in zip(row[c:], tail)]
+            # Rows below r are zero left of c; earlier pivot rows are not,
+            # and there the whole row is scaled by a/g.
+            head = [ag * x for x in row[:c]] if i < r else row[:c]
+            rows[i] = _primitive(head + new)
+        pivots.append(c)
+    zero = Fraction(0)
+    out = [
+        tuple(Fraction(x, row[c]) if x else zero for x in row)
+        for row, c in zip(rows, pivots)
+    ]
+    out += [(zero,) * ncols] * (len(rows) - len(pivots))
+    return tuple(out), tuple(pivots)
+
+
+def _integer_row(row) -> list[int]:
+    """The primitive integer row proportional to a row of Fractions."""
+    dens = [x.denominator for x in row]
+    nums = [x.numerator for x in row]
+    den = lcm(*dens)
+    if den != 1:
+        nums = [x * (den // d) for x, d in zip(nums, dens)]
+    return _primitive(nums)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (a zero row stays zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def row_basis(m: Matrix) -> Matrix:

@@ -33,7 +33,7 @@ from .forms import (
 )
 from .hilbert import dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, graded_ideal, unit_form
-from .linalg import Matrix, kernel
+from .linalg import Matrix, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -127,21 +127,27 @@ def perp(V: FormSpace) -> DualSpace:
     return DualSpace(FormSpace(F, j, kernel(Matrix(F, _weighted_rows(V), j + 1))))
 
 
-def _ann_component(W: DualSpace, i: int) -> FormSpace:
-    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants.
+def _catalecticant(W: DualSpace, i: int) -> Matrix:
+    """The stacked Hankel blocks [w'_{k+r}] (rows r = 0..j-i, columns
+    k = 0..i), one per basis element w of W, for 0 <= i <= j.
 
     With weighted coefficients w'_a = (j-a)! a! w_a, the Y^r coefficient of
     f . w is sum_k f_k w'_{k+r} / ((j-i-r)! r!), and those divisors are
-    invertible.  So (Ann W)_i is the kernel of the stacked Hankel blocks
-    [w'_{k+r}] (rows r = 0..j-i, columns k = 0..i), one per basis element w.
+    invertible, so the kernel of this matrix is (Ann W)_i.
     """
-    F, j = W.field, W.degree
-    if i > j:
-        return full_space(F, i)
+    j = W.degree
     rows = tuple(
         w[r : r + i + 1] for w in _weighted_rows(W.space) for r in range(j - i + 1)
     )
-    return FormSpace(F, i, kernel(Matrix(F, rows, i + 1)))
+    return Matrix(W.field, rows, i + 1)
+
+
+def _ann_component(W: DualSpace, i: int) -> FormSpace:
+    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants."""
+    F, j = W.field, W.degree
+    if i > j:
+        return full_space(F, i)
+    return FormSpace(F, i, kernel(_catalecticant(W, i)))
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:
@@ -158,14 +164,15 @@ def tau_delta(W: DualSpace) -> int:
 
     Under the perfect degree-(j-1) pairing R_1.W and (Ann W)_{j-1} are
     each other's orthogonal complements (f kills x.w and y.w iff f.w = 0),
-    so dim R_1.W = j - dim (Ann W)_{j-1}.
+    so dim R_1.W = j - dim (Ann W)_{j-1}, which is the rank of the
+    degree-(j-1) catalecticant.
     """
     j = W.degree
     if W.dim == 0:
         return 1
     if j == 0:
         return 1 - W.dim  # W = dual_0 itself; annihilator starts in degree 0
-    return 1 + j - _ann_component(W, j - 1).dim - W.dim
+    return 1 + rank(_catalecticant(W, j - 1)) - W.dim
 
 
 def _initial_component(W: DualSpace) -> tuple[int, FormSpace]:

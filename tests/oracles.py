@@ -25,6 +25,32 @@ x, y = sympy.symbols("x y")
 # ----- linear algebra -------------------------------------------------------
 
 
+def oracle_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Gauss-Jordan one scalar at a time through the FieldSpec operations,
+    normalizing each pivot row before it clears its column.  Same contract
+    as `linalg.rref`, which runs one integer kernel per field kind."""
+    F = m.field
+    rows = [list(r) for r in m.rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        pr = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return Matrix(F, tuple(tuple(row) for row in rows), m.ncols), r, tuple(pivots)
+
+
 def oracle_intersect(a: Matrix, b: Matrix) -> Matrix:
     """rowspace(A) ∩ rowspace(B) via double annihilators:
     rowspace(M) = ker(ker(M)) for the standard dot pairing."""

@@ -172,6 +172,11 @@ def test_le_partial_examples():
     a = oseq([1, 2, 3, 4, 4, 3, 2, 1, 0], 0)
     b = oseq([1, 2, 3, 4, 5, 3, 1], 1)
     assert le_partial(a, b, 3, 5) is Cmp.INCOMPARABLE
+    # the public comparison still validates both arguments (H_5 = 3 != 2)
+    with pytest.raises(PreconditionError):
+        le_partial(a, rows[0], 4, 5)
+    with pytest.raises(PreconditionError):
+        le_partial(rows[0], a, 4, 5)
 
     Ha = hilbert_from_partitions((4, 2, 2, 2), (3,), 12, 0)
     Hb = hilbert_from_partitions((3, 3, 3, 1), (2, 1), 12, 0)

@@ -1,8 +1,13 @@
 import pytest
+import random
+import sys
 from fractions import Fraction
+from math import gcd, lcm, prod
 
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
+from binforms import linalg
 from binforms.fields import GF, QQ, FieldSpec
 from binforms.linalg import (
     Matrix,
@@ -15,7 +20,7 @@ from binforms.linalg import (
     stack,
     zero_matrix,
 )
-from oracles import oracle_intersect, zassenhaus_intersect
+from oracles import oracle_intersect, oracle_rref, zassenhaus_intersect
 
 FIELDS = [QQ, GF(5), GF(101)]
 
@@ -193,3 +198,129 @@ def test_intersection_contained_in_both(pair):
     for row in inter.rows:
         assert contains_vector(ra, row)
         assert contains_vector(rb, row)
+
+
+# ------------------------------------------------- kernels against the oracle
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(101), GF(10007), GF(2**61 - 1), QQ]
+BIG = 2**128
+
+
+@st.composite
+def scalars(draw, fld):
+    if fld.p is not None:
+        return draw(st.one_of(st.integers(0, min(fld.p - 1, 3)), st.integers(0, fld.p - 1)))
+    num = draw(st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG)))
+    den = draw(st.one_of(st.integers(1, 3), st.integers(1, BIG)))
+    return Fraction(num, den)
+
+
+@st.composite
+def kernel_mats(draw, fields=KERNEL_FIELDS):
+    """Zero, empty, tall and wide matrices with repeated and proportional
+    rows, entries canonical and of any height the field allows."""
+    fld = draw(st.sampled_from(fields))
+    nr = draw(st.integers(0, 8))
+    nc = draw(st.integers(0, 8))
+    zero_prob = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rows = []
+    for _ in range(nr):
+        if rows and draw(st.booleans()):
+            # a multiple (0, 1 or any scalar) of an earlier row
+            base = draw(st.sampled_from(rows))
+            k = draw(st.one_of(st.sampled_from([fld.zero, fld.one]), scalars(fld)))
+            rows.append(tuple(fld.mul(k, x) for x in base))
+        else:
+            rows.append(tuple(
+                fld.zero if draw(st.floats(0, 1)) < zero_prob else draw(scalars(fld))
+                for _ in range(nc)
+            ))
+    order = draw(st.permutations(range(nr)))
+    return Matrix(fld, tuple(rows[i] for i in order), nc)
+
+
+def assert_identical(got, want):
+    """Equal matrices, ranks and pivots, entry types included, and F_p
+    residues in [0, p)."""
+    (gm, gr, gp), (wm, wr, wp) = got, want
+    assert (gm, gr, gp) == (wm, wr, wp)
+    p = gm.field.p
+    for grow, wrow in zip(gm.rows, wm.rows, strict=True):
+        for g, w in zip(grow, wrow, strict=True):
+            assert type(g) is type(w)
+            if p is not None:
+                assert 0 <= g < p
+
+
+def _zeros(fld, nr, nc):
+    return Matrix(fld, ((fld.zero,) * nc,) * nr, nc)
+
+
+@given(kernel_mats())
+@settings(max_examples=300, deadline=None)
+@example(_zeros(QQ, 0, 0))
+@example(_zeros(QQ, 0, 4))
+@example(_zeros(QQ, 3, 0))
+@example(_zeros(QQ, 7, 2))
+@example(_zeros(GF(3), 2, 7))
+@example(Matrix(GF(2**61 - 1), ((2**61 - 2, 2, 5), (5, 1, 11)), 3))
+@example(Matrix(QQ, ((Fraction(BIG, 3), Fraction(-1, BIG)), (Fraction(-2), Fraction(0))), 2))
+def test_rref_matches_scalar_oracle(m):
+    assert_identical(rref(m), oracle_rref(m))
+
+
+@given(kernel_mats(fields=[QQ]))
+@settings(max_examples=80, deadline=None)
+def test_rref_over_q_matches_sympy(m):
+    red, rk, piv = rref(m)
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m.rows for x in row]
+    want, want_piv = sympy.Matrix(m.nrows, m.ncols, flat).rref()
+    got = [sympy.Rational(x.numerator, x.denominator) for row in red.rows for x in row]
+    assert got == list(want) and piv == tuple(want_piv) and rk == len(want_piv)
+
+
+def _primitive_rows(m):
+    out = []
+    for row in m.rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * den // x.denominator for x in row]
+        out.append([x // (gcd(*ints) or 1) for x in ints])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_q_kernel_rows_stay_primitive_and_bounded(seed):
+    """Every row the Q kernel holds, at every line it runs, is primitive and
+    within the Hadamard bound prod_i max(1, |row_i|) of the input rows made
+    primitive integer rows: a reduced row is proportional to a vector of
+    minors of that matrix, and its primitive part divides that vector."""
+    rng = random.Random(seed)
+    nr, nc = rng.randint(5, 9), rng.randint(5, 9)
+    rows = [
+        tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(nc))
+        for _ in range(nr)
+    ]
+    rows.append(tuple(2 * x - y for x, y in zip(rows[0], rows[1])))
+    m = Matrix(QQ, tuple(rows), nc)
+    bound_sq = prod(max(1, sum(x * x for x in r)) for r in _primitive_rows(m))
+    held = []
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            held.extend(map(tuple, frame.f_locals.get("rows", ())))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is linalg._rref_q.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        got = rref(m)
+    finally:
+        sys.settrace(previous)
+    assert_identical(got, oracle_rref(m))
+    assert len(held) > nr
+    for r in held:
+        assert all(x * x <= bound_sq for x in r)
+        assert gcd(*r) in (0, 1)
