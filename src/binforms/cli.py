@@ -401,11 +401,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, *, path=None, needs_dj=False):
+    def add(name, help_, *, path=None, needs_dj=False, field=False):
+        # --field only where it is read; build takes its field from its input
         p = sub.add_parser(name, help=help_)
         if path:
             p.add_argument("path", help=path)
-        p.add_argument("--field", default=None, help="Q or Fp:<prime>")
+        if field:
+            p.add_argument("--field", default=None, help="Q or Fp:<prime>")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if needs_dj:
             p.add_argument("--d", type=int, default=None)
@@ -413,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("analyze", "full stratum report for a space read from JSON",
-        path="space JSON file ('-' for stdin)")
+        path="space JSON file ('-' for stdin)", field=True)
 
     p = add("enumerate", "acceptable Hilbert functions for (d, j)", needs_dj=True)
     p.add_argument("--tau", type=int, default=None)
@@ -434,12 +436,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
 
     add("waring", "length, apolar ideal order and decomposition of a dual space",
-        path="dual-space JSON file ('-' for stdin)")
+        path="dual-space JSON file ('-' for stdin)", field=True)
 
     add("related", "ancestor classes reachable by up/down multiplication chains",
-        path="space JSON file ('-' for stdin)")
+        path="space JSON file ('-' for stdin)", field=True)
 
-    p = add("random", "sample a space and analyze it", needs_dj=True)
+    p = add("random", "sample a space and analyze it", needs_dj=True, field=True)
     p.add_argument("--seed", type=int, required=True)
 
     p = add("verify", "run the acceptance criteria")

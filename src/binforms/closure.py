@@ -19,13 +19,12 @@ from .errors import PreconditionError
 from .forms import BinaryForm, divide_form, smallest_linear_factor
 from .hilbert import (
     Cmp,
-    is_acceptable,
     is_permissible_nose,
     is_permissible_tail,
     le_partial,
     nose_tail,
 )
-from .ideals import GradedIdeal, graded_ideal, hilbert_function, unit_form
+from .ideals import GradedIdeal, _assemble_ideal, graded_ideal, hilbert_function, unit_form
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -84,8 +83,7 @@ def step_n(Nprime: OSequence, N: OSequence) -> OSequence:
     The block is the maximal run of equal first differences of N' ending at
     the top degree where N' still lags N; the whole run is raised by one."""
     d, j = _nose_params(N)
-    dp, jp = _nose_params(Nprime)
-    if (d, j) != (dp, jp):
+    if _nose_params(Nprime) != (d, j):
         raise PreconditionError("nose pair has mismatched parameters")
     if any(Nprime.value(i) > N.value(i) for i in range(j + 1)):
         raise PreconditionError("nose step needs N' <= N termwise")
@@ -115,8 +113,7 @@ def step_t(Tprime: OSequence, T: OSequence) -> OSequence:
     When the first disagreement sits inside the constant range of T', every
     later value drops together and the eventual constant decreases."""
     d, j = _tail_params(T)
-    dp, jp = _tail_params(Tprime)
-    if (d, j) != (dp, jp):
+    if _tail_params(Tprime) != (d, j):
         raise PreconditionError("tail pair has mismatched parameters")
     top = max(Tprime.stabilization(), T.stabilization(), j) + 1
     if any(Tprime.value(i) < T.value(i) for i in range(j, top + 1)):
@@ -178,8 +175,7 @@ def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
     """An ideal inside I' with level-type Hilbert function N (N' ≤ N)."""
     d, j = _nose_params(N)
     F = Iprime.field
-    cur = hilbert_function(Iprime)
-    _nose_params(cur)
+    cur = hilbert_function(Iprime)  # step_n checks it on the first step
     comps = [Iprime.component(i) for i in range(j + 2)]
     if comps[j + 1].dim != j + 2:
         raise PreconditionError("nose construction expects everything above j")
@@ -193,7 +189,7 @@ def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
         for u in range(lo, hi + 1):
             base = shift(new[u - 1], 1) if u >= 1 else zero_space(F, 0)
             new[u] = _extend_inside(base, comps[u], u + 1 - nxt.value(u))
-        ideal = graded_ideal(F, 0, new, unit_form(F))
+        ideal = _assemble_ideal(F, 0, new, unit_form(F))
         if hilbert_function(ideal) != nxt:
             raise RuntimeError("nose construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, (lo, hi)))
@@ -216,8 +212,7 @@ def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
     """An ideal containing I' with tail-type Hilbert function T (T ≤ T')."""
     d, j = _tail_params(T)
     F = Iprime.field
-    cur = hilbert_function(Iprime)
-    _tail_params(cur)
+    cur = hilbert_function(Iprime)  # step_t checks it on the first step
     top = max(cur.stabilization(), T.stabilization(), j) + 1
     comps = [Iprime.component(i) for i in range(top + 1)]
     tail = Iprime.tail_gcd
@@ -241,7 +236,7 @@ def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
                 cap = shift(new[u + 1], -1)
                 new[u] = _extend_inside(comps[u], cap, u + 1 - nxt.value(u))
             block = (lo, hi)
-        ideal = graded_ideal(F, 0, new, tail)
+        ideal = _assemble_ideal(F, 0, new, tail)
         if hilbert_function(ideal) != nxt:
             raise RuntimeError("tail construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, block))
@@ -258,9 +253,7 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     F = Iprime.field
     Hp = hilbert_function(Iprime)
     d = j + 1 - Hp.value(j)
-    if not is_acceptable(H, d, j):
-        raise PreconditionError("target sequence not acceptable", H=str(H), d=d, j=j)
-    order = le_partial(Hp, H, d, j)
+    order = le_partial(Hp, H, d, j)  # checks that both sequences are acceptable
     if order is Cmp.EQUAL:
         return BuildTrace((), Iprime)
     if order is not Cmp.GREATER:
@@ -272,12 +265,12 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
         )
     N, T = nose_tail(H, j)
     nose_comps = [Iprime.component(i) for i in range(j + 1)] + [full_space(F, j + 1)]
-    nose_ideal = graded_ideal(F, 0, nose_comps, unit_form(F))
+    nose_ideal = _assemble_ideal(F, 0, nose_comps, unit_form(F))
     top = max(Hp.stabilization(), T.stabilization(), j) + 1
     tail_comps = [zero_space(F, i) for i in range(j)] + [
         Iprime.component(i) for i in range(j, top + 1)
     ]
-    tail_ideal = graded_ideal(F, 0, tail_comps, Iprime.tail_gcd)
+    tail_ideal = _assemble_ideal(F, 0, tail_comps, Iprime.tail_gcd)
 
     nose_trace = build_n(nose_ideal, N)
     tail_trace = build_t(tail_ideal, T)

@@ -33,10 +33,7 @@ class BinaryForm:
 
 
 def form(field: FieldSpec, degree: int, coeffs) -> BinaryForm:
-    cs = tuple(field.coerce(c) for c in coeffs)
-    if len(cs) != degree + 1:
-        raise ValueError("coefficient count must be degree + 1")
-    return BinaryForm(field, degree, cs)
+    return BinaryForm(field, degree, tuple(field.coerce(c) for c in coeffs))
 
 
 def zero_form(field: FieldSpec, degree: int) -> BinaryForm:

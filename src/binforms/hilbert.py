@@ -9,6 +9,10 @@ list — several printed formulas fail when the eventual constant is
 positive, and the report records rather than hides that), partial orders,
 exhaustive enumeration with the q-binomial count, and the staircase
 monomial-ideal realization.
+
+Each public function taking (H, d, j) checks that H is acceptable once, on
+entry; the private helpers (`_pq`, `_betti`, `_le_pq`, `_staircase_pairs`)
+work on sequences or partitions already known to be acceptable.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ def require_acceptable(H: OSequence, d: int, j: int) -> None:
 def partitions_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition]:
     """P = (e_j+1, …, e_µ+1) ⊢ d;  Q = (e_{j+1}, …, e_s) ⊢ j+1-d-c."""
     require_acceptable(H, d, j)
+    return _pq(H, j)
+
+
+def _pq(H: OSequence, j: int) -> tuple[Partition, Partition]:
+    """`partitions_pq` of a sequence known to be acceptable."""
     mu = H.order()
     s = H.stabilization()
     P = tuple(H.e(i) + 1 for i in range(j, mu - 1, -1))
@@ -88,7 +97,12 @@ def betti_partitions(
     H: OSequence, d: int, j: int
 ) -> tuple[Partition, Partition, Partition, Partition]:
     """A = P*, B = Q*; C, D pad A+1̄, B+1̄ with ones up to |C| = j+2, |D| = j-c."""
-    P, Q = partitions_pq(H, d, j)
+    return _betti(*partitions_pq(H, d, j), d, j)
+
+
+def _betti(
+    P: Partition, Q: Partition, d: int, j: int
+) -> tuple[Partition, Partition, Partition, Partition]:
     tau = P[0]
     A = dual_partition(P)
     B = dual_partition(Q)
@@ -207,8 +221,8 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     `discrepancies` (several of the formulas are only correct when the
     eventual constant vanishes)."""
     require_acceptable(H, d, j)
-    P, Q = partitions_pq(H, d, j)
-    A, B, C, D = betti_partitions(H, d, j)
+    P, Q = _pq(H, j)
+    A, B, C, D = _betti(P, Q, d, j)
     mu = H.order()
     s = H.stabilization()
     c = H.constant
@@ -365,8 +379,11 @@ def majorization_le(p: Partition, q: Partition) -> Cmp:
 
 def le_by_partitions(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
     """Same order computed through (P,Q): H1 ≥ H2 iff P1 ≤ P2 and Q1 ≤ Q2."""
-    P1, Q1 = partitions_pq(H1, d, j)
-    P2, Q2 = partitions_pq(H2, d, j)
+    return _le_pq(partitions_pq(H1, d, j), partitions_pq(H2, d, j))
+
+
+def _le_pq(pq1: tuple[Partition, Partition], pq2: tuple[Partition, Partition]) -> Cmp:
+    (P1, Q1), (P2, Q2) = pq1, pq2
     pc = majorization_le(P1, P2)
     qc = majorization_le(Q1, Q2)
     ge = pc in (Cmp.LESS, Cmp.EQUAL) and qc in (Cmp.LESS, Cmp.EQUAL)
@@ -404,29 +421,22 @@ def _tau_c_range(d: int, j: int):
 
 
 def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
-    """Every acceptable H for (d, j), generic strata first within each (τ, c)."""
+    """Every acceptable H for (d, j), generic strata first within each (τ, c).
+
+    Distinct (τ, c, P, Q) give distinct H (Theorem codpartition), so each H
+    is built once and sorted on the data it was built from."""
     if not 1 <= d <= j:
         raise PreconditionError("need 1 <= d <= j", d=d, j=j)
-    out = []
-    seen = set()
+    keyed = []
     for tau, c in _tau_c_range(d, j):
         for P in partitions_exact_largest(d, tau):
             if len(P) > j + 1:
                 continue
             for Q in partitions_exact_largest(j + 1 - d - c, tau - 1):
-                H = hilbert_from_partitions(P, Q, j, c)
-                if H not in seen:
-                    seen.add(H)
-                    out.append(H)
-    out.sort(
-        key=lambda H: (
-            -(H.e(j) + 1),
-            H.constant,
-            tuple(-x for x in partitions_pq(H, d, j)[0]),
-            tuple(-x for x in partitions_pq(H, d, j)[1]),
-        )
-    )
-    return out
+                key = (-tau, c, tuple(-x for x in P), tuple(-x for x in Q))
+                keyed.append((key, hilbert_from_partitions(P, Q, j, c)))
+    keyed.sort(key=operator.itemgetter(0))
+    return [H for _, H in keyed]
 
 
 def _generic_partition(n: int, k: int) -> Partition:
@@ -484,6 +494,10 @@ def count_by_tau(d: int, j: int, tau: int, c: int) -> int:
 def staircase_exponents(H: OSequence, d: int, j: int) -> list[tuple[int, int]]:
     """Monomial exponents (p_u, q_u) realizing H, from the Betti partitions."""
     A, B, _, _ = betti_partitions(H, d, j)
+    return _staircase_pairs(A, B, j)
+
+
+def _staircase_pairs(A: Partition, B: Partition, j: int) -> list[tuple[int, int]]:
     gens = [j + 1 - a for a in A]
     rels = [j + 1 + b for b in B]
     pairs = []
@@ -507,10 +521,9 @@ def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
         relation_degrees,
     )
 
-    pairs = staircase_exponents(H, d, j)
-    gens = [monomial(field, p, q) for p, q in pairs]
-    ideal = ideal_from_generators(field, gens)
     A, B, _, _ = betti_partitions(H, d, j)
+    gens = [monomial(field, p, q) for p, q in _staircase_pairs(A, B, j)]
+    ideal = ideal_from_generators(field, gens)
     want_gens = tuple(sorted(j + 1 - a for a in A))
     want_rels = tuple(sorted(j + 1 + b for b in B))
     if hilbert_function(ideal) != H:
@@ -530,8 +543,8 @@ def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
 
     The relation comes from the value comparison of `le_partial` alone,
     on sequences acceptable by construction; each emitted edge is then
-    re-checked through the partition route (criterion 8 compares the two
-    routes on every pair)."""
+    re-checked through the partition route, on partitions read once per
+    sequence (criterion 8 compares the two routes on every pair)."""
     seqs = enumerate_acceptable(d, j)
     top = max(j, *(H.stabilization() for H in seqs)) + 1
     vals = [H.values(top) for H in seqs]
@@ -546,8 +559,9 @@ def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
         for b in above[a]
         if not any(b in above_set[m] for m in above[a])
     ]
+    pq = {H: _pq(H, j) for H in seqs}
     for a, b in edges:
-        via = le_by_partitions(a, b, d, j)
+        via = _le_pq(pq[a], pq[b])
         if via is not Cmp.LESS:
             raise RuntimeError(
                 f"hasse_edges postcondition: edge {a} -> {b} compares {via.value} "

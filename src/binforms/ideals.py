@@ -13,6 +13,12 @@ The three ideals attached to a space V of degree-j forms:
 
 Numeric Betti data (generator/relation degrees) comes from dimension counts,
 no syzygy modules are ever built.
+
+An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
+R_1-closure, tail) runs in `ideal_from_json`, `ideal_from_generators`, on
+`closure.build_h`'s final ideal and for direct callers.  Ideals closed under
+R_1 by construction (the ladders above, the annihilator, the closure steps)
+go through `_assemble_ideal`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from .spaces import (
     gcd_of_space,
     principal_space,
     shift,
+    space_from_json,
     space_sum,
+    space_to_json,
     span,
     tau,
     zero_space,
@@ -82,6 +90,26 @@ def zero_ideal(field: FieldSpec) -> GradedIdeal:
     return GradedIdeal(field, 0, -1, (), None)
 
 
+def _assemble_ideal(
+    field: FieldSpec,
+    window_lo: int,
+    components,
+    tail_gcd: BinaryForm | None,
+) -> GradedIdeal:
+    """Drop leading zero components and make the tail monic; checks nothing."""
+    comps = list(components)
+    lo = window_lo
+    while comps and comps[0].is_zero:
+        comps.pop(0)
+        lo += 1
+    if tail_gcd is None:
+        return zero_ideal(field)
+    f = monic(tail_gcd)
+    if not comps:
+        return GradedIdeal(field, f.degree, f.degree, (principal_space(f, f.degree),), f)
+    return GradedIdeal(field, lo, lo + len(comps) - 1, tuple(comps), f)
+
+
 def graded_ideal(
     field: FieldSpec,
     window_lo: int,
@@ -90,21 +118,15 @@ def graded_ideal(
 ) -> GradedIdeal:
     """Validating constructor: checks degrees, R_1-closure and tail consistency."""
     comps = list(components)
-    lo = window_lo
-    while comps and comps[0].is_zero:
-        comps.pop(0)
-        lo += 1
-    if not comps:
-        if tail_gcd is None:
-            return zero_ideal(field)
-        f = monic(tail_gcd)
-        return GradedIdeal(field, f.degree, f.degree, (principal_space(f, f.degree),), f)
-    if tail_gcd is None:
+    if tail_gcd is None and any(not c.is_zero for c in comps):
         raise PreconditionError("an ideal with non-zero components needs a tail gcd")
+    ideal = _assemble_ideal(field, window_lo, comps, tail_gcd)
+    if ideal.is_zero:
+        return ideal
+    lo, comps = ideal.window_lo, ideal.components
     if lo < 0:
         raise PreconditionError("ideal components live in degrees >= 0", window_lo=lo)
-    f = monic(tail_gcd)
-    if f.field != field:
+    if ideal.tail_gcd.field != field:
         raise PreconditionError("tail gcd field mismatch")
     for k, c in enumerate(comps):
         if c.field != field:
@@ -118,7 +140,6 @@ def graded_ideal(
             raise PreconditionError(
                 "components are not closed under multiplication", degree=a.degree
             )
-    ideal = GradedIdeal(field, lo, lo + len(comps) - 1, tuple(comps), f)
     if not contained(shift(comps[-1], 1), ideal.component(ideal.window_hi + 1)):
         raise PreconditionError("window top is inconsistent with the tail gcd")
     return ideal
@@ -144,7 +165,7 @@ def ancestor_ideal(V: FormSpace) -> GradedIdeal:
     if V.is_zero:
         return zero_ideal(V.field)
     comps = [shift(V, s) for s in range(-V.degree, _stable_top(V) + 1)]
-    return graded_ideal(V.field, 0, comps, _tail_of(comps[-1]))
+    return _assemble_ideal(V.field, 0, comps, _tail_of(comps[-1]))
 
 
 def level_ideal(V: FormSpace) -> GradedIdeal:
@@ -152,9 +173,9 @@ def level_ideal(V: FormSpace) -> GradedIdeal:
     j = V.degree
     if V.is_zero:
         comps = [full_space(V.field, j + 1)]
-        return graded_ideal(V.field, j + 1, comps, unit_form(V.field))
+        return _assemble_ideal(V.field, j + 1, comps, unit_form(V.field))
     comps = [shift(V, s) for s in range(-j, 1)] + [full_space(V.field, j + 1)]
-    return graded_ideal(V.field, 0, comps, unit_form(V.field))
+    return _assemble_ideal(V.field, 0, comps, unit_form(V.field))
 
 
 def generated_ideal(V: FormSpace) -> GradedIdeal:
@@ -162,7 +183,7 @@ def generated_ideal(V: FormSpace) -> GradedIdeal:
     if V.is_zero:
         return zero_ideal(V.field)
     comps = [shift(V, s) for s in range(_stable_top(V) + 1)]
-    return graded_ideal(V.field, V.degree, comps, _tail_of(comps[-1]))
+    return _assemble_ideal(V.field, V.degree, comps, _tail_of(comps[-1]))
 
 
 def ideal_from_generators(
@@ -196,7 +217,7 @@ def ideal_from_generators(
         if i in by_degree:
             nxt = space_sum(nxt, span(field, i, by_degree[i]))
         comps.append(nxt)
-    return graded_ideal(field, lo, comps, gcd_of_space(comps[-1]))
+    return graded_ideal(field, lo, comps, g)
 
 
 # ── numeric invariants ────────────────────────────────────────────────────────
@@ -276,8 +297,6 @@ def same_ideal(I: GradedIdeal, J: GradedIdeal) -> bool:
 
 
 def ideal_to_json(I: GradedIdeal) -> dict:
-    from .spaces import space_to_json
-
     return {
         "field": I.field.name,
         "window": [I.window_lo, I.window_hi],
@@ -291,8 +310,6 @@ def ideal_to_json(I: GradedIdeal) -> dict:
 
 def ideal_from_json(data: dict) -> GradedIdeal:
     """Read the shape `ideal_to_json` writes; malformed input is a PreconditionError."""
-    from .spaces import space_from_json
-
     try:
         field = FieldSpec.from_name(data["field"])
         tail = None if data.get("tailGcd") is None else form_from_json(field, data["tailGcd"])
@@ -302,6 +319,4 @@ def ideal_from_json(data: dict) -> GradedIdeal:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"bad ideal JSON: {type(exc).__name__}: {exc}") from None
-    if tail is None and not comps:
-        return zero_ideal(field)
     return graded_ideal(field, lo, comps, tail)

@@ -1,12 +1,14 @@
 """Dense exact linear algebra over a FieldSpec.
 
 Everything is row-oriented: a Matrix is a tuple of rows and the row space
-is the object of interest.  All span questions (equality, membership,
-sum, kernel) reduce to exact RREF, which is idempotent and canonical, so
-two spaces are equal iff their basis matrices are equal.  Entries must
-already be canonical scalars of the field: nothing here converts them,
-since values are made canonical once, where they enter the system
-(`forms.form`, `spaces.span`, the JSON readers).
+is the object of interest.  A Matrix trusts its shape: nothing checks that
+each row has `ncols` entries (rows of caller-chosen length enter only
+through `spaces.span`, which does).  All span questions (equality,
+membership, sum, kernel) reduce to exact RREF, which is idempotent and
+canonical, so two spaces are equal iff their basis matrices are equal.
+Entries must already be canonical scalars of the field: nothing here
+converts them, since values are made canonical once, where they enter the
+system (`forms.form`, `spaces.span`, the JSON readers).
 
 `rref` is the one entry point (`row_basis`, `rank`, `kernel` and
 `contains_vector` call it through this module's global) and picks one of
@@ -45,11 +47,6 @@ class Matrix:
     field: FieldSpec
     rows: tuple[tuple[Scalar, ...], ...]
     ncols: int
-
-    def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
 
     @property
     def nrows(self) -> int:
@@ -176,8 +173,6 @@ def rank(m: Matrix) -> int:
 
 
 def stack(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.ncols or a.field != b.field:
-        raise ValueError("shape/field mismatch")
     return Matrix(a.field, a.rows + b.rows, a.ncols)
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import BinaryForm, gcd_form
+from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, monic
 from .linalg import (
     Matrix,
     contains_vector,
@@ -75,7 +75,8 @@ class FormSpace:
 def span(field: FieldSpec, degree: int, forms) -> FormSpace:
     """Span of forms or raw coefficient rows.  Forms of this field hold
     canonical scalars already; raw rows and forms of another field are
-    coerced here, once."""
+    coerced here, once.  This is where rows of caller-chosen length enter,
+    so their length is checked here and `Matrix` trusts it."""
     rows = []
     for f in forms:
         if isinstance(f, BinaryForm):
@@ -85,7 +86,10 @@ def span(field: FieldSpec, degree: int, forms) -> FormSpace:
                 rows.append(f.coeffs)
                 continue
             f = f.coeffs
-        rows.append(tuple(field.coerce(c) for c in f))
+        row = tuple(field.coerce(c) for c in f)
+        if len(row) != degree + 1:
+            raise PreconditionError("spanning row of wrong length", degree=degree, length=len(row))
+        rows.append(row)
     return FormSpace(field, degree, row_basis(Matrix(field, tuple(rows), degree + 1)))
 
 
@@ -103,8 +107,8 @@ def full_space(field: FieldSpec, degree: int) -> FormSpace:
 
 
 def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
-    if a.degree != b.degree:
-        raise PreconditionError("sum of spaces in different degrees")
+    if a.degree != b.degree or a.field != b.field:
+        raise PreconditionError("sum of spaces in different degrees or fields")
     return FormSpace(a.field, a.degree, row_space_sum(a.mat, b.mat))
 
 
@@ -139,9 +143,7 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
-    F, j = V.field, V.degree
-    if j == 0:
-        raise PreconditionError("shift below degree 0")
+    F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
     if V.is_zero:
         return zero_space(F, j - 1)
     # Canonical residue of the monomial e_k mod V: the basis is in RREF, so it
@@ -188,8 +190,6 @@ def gcd_of_space(V: FormSpace) -> BinaryForm:
         g = gcd_form(g, f)
         if g.degree == 0:
             break
-    from .forms import monic
-
     return monic(g)
 
 
@@ -229,8 +229,6 @@ def random_space(d: int, j: int, field: FieldSpec, seed) -> FormSpace:
 
 
 def space_to_json(V: FormSpace) -> dict:
-    from .forms import form_to_json
-
     return {
         "degree": V.degree,
         "field": V.field.name,
@@ -239,8 +237,6 @@ def space_to_json(V: FormSpace) -> dict:
 
 
 def space_from_json(obj: dict, field: FieldSpec | None = None) -> FormSpace:
-    from .forms import form_from_json
-
     try:
         fld = field or FieldSpec.from_name(obj["field"])
         degree = int(obj["degree"])

@@ -32,7 +32,7 @@ from .forms import (
     zero_form,
 )
 from .hilbert import dual_partition, ell, is_permissible_nose
-from .ideals import GradedIdeal, graded_ideal, unit_form
+from .ideals import GradedIdeal, _assemble_ideal, unit_form
 from .linalg import Matrix, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
@@ -156,7 +156,7 @@ def annihilator(W: DualSpace) -> GradedIdeal:
     F, j = W.field, W.degree
     comps = [_ann_component(W, i) for i in range(j + 1)]
     comps.append(full_space(F, j + 1))
-    return graded_ideal(F, 0, comps, unit_form(F))
+    return _assemble_ideal(F, 0, comps, unit_form(F))
 
 
 def tau_delta(W: DualSpace) -> int:
@@ -209,27 +209,14 @@ def mu(W: DualSpace) -> int:
 class GAD:
     """W inside span{X^s Y^t L_i^{j+1-beta_i} : s+t = beta_i - 1}.
 
-    linear_forms are pairwise independent degree-1 dual forms; length is
-    mu = sum of the weights.  cofactors[k][i] is the degree beta_i - 1
-    multiplier of L_i^{j+1-beta_i} for the k-th basis element of W.
-    """
+    `gad` builds it from the distinct linear factors of an apolar form, so
+    linear_forms are pairwise independent and each weight (a multiplicity)
+    is >= 1; length is mu = sum of the weights.  cofactors[k][i] is the degree
+    beta_i - 1 multiplier of L_i^{j+1-beta_i} for the k-th basis element of W."""
 
     linear_forms: tuple[BinaryForm, ...]
     weights: tuple[int, ...]
     cofactors: tuple[tuple[BinaryForm, ...], ...]
-
-    def __post_init__(self):
-        if len(self.linear_forms) != len(self.weights):
-            raise PreconditionError("one weight per linear form")
-        if any(b < 1 for b in self.weights):
-            raise PreconditionError("weights must be at least 1")
-        for u in range(len(self.linear_forms)):
-            for v in range(u + 1, len(self.linear_forms)):
-                a0, a1 = self.linear_forms[u].coeffs
-                b0, b1 = self.linear_forms[v].coeffs
-                F = self.linear_forms[u].field
-                if F.is_zero(F.sub(F.mul(a0, b1), F.mul(a1, b0))):
-                    raise PreconditionError("linear forms must be independent")
 
     @property
     def length(self) -> int:
@@ -302,11 +289,9 @@ def gad(W: DualSpace) -> GAD | Unsplit:
             raise RuntimeError("apolar power span has the wrong dimension")
         cofactors = []
         for w in W.basis_forms():
-            if not cert.contains(w):
-                raise RuntimeError("dual space escapes its apolar power span")
             coords = _solve_coords(F, [g.coeffs for g in gens], w.coeffs)
             if coords is None:
-                raise RuntimeError("membership without coordinates")
+                raise RuntimeError("dual space escapes its apolar power span")
             per_factor = []
             for idx, b in enumerate(weights):
                 cs = [F.zero] * b

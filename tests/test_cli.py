@@ -127,6 +127,11 @@ def test_build_from_readme_ideal_example(tmp_path):
     assert ideal_to_json(ideal_from_json(data["ideal"])) == data["ideal"]
 
 
+def _space_json(field: str, degree: int, *rows) -> dict:
+    return {"field": field, "degree": degree,
+            "basis": [{"degree": degree, "coeffs": list(r)} for r in rows]}
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -141,11 +146,16 @@ def test_build_from_readme_ideal_example(tmp_path):
         lambda d: {**d, "tailGcd": {"degree": 1}},
         lambda d: {**d, "tailGcd": None},
         lambda d: [d],
+        # well-formed, but not an ideal: only the validation in ideal_from_json
+        # refuses these, since build_h turns each into a valid ideal
+        lambda d: {**d, "window": [1, 2], "components": {**d["components"], "2": _space_json(
+            d["field"], 2, ["1", "0", "0"], ["0", "0", "1"])}},  # R_1<x> is not in <x^2, y^2>
+        lambda d: {**d, "tailGcd": {"degree": 1, "coeffs": ["0", "1"]}},  # R_1<x> is not in (y)
     ],
     ids=[
         "list-components", "no-field", "field-not-a-name", "short-window",
         "window-not-a-list", "missing-component", "bad-degree", "bad-tail-form",
-        "no-tail", "not-an-object",
+        "no-tail", "not-an-object", "unclosed-component", "top-escapes-tail",
     ],
 )
 def test_malformed_ideal_exits_1(tmp_path, mangle):
@@ -233,6 +243,37 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         _run(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--d", "2", "--j", "3"],
+        ["dims", "--H", "1,2,1(0)", "--d", "2", "--j", "2"],
+        ["hasse", "--d", "2", "--j", "3"],
+        ["build", "--from", "I.json", "--target-H", "1,2,1(0)", "--j", "2"],
+        ["verify", "--max-j", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_field_is_refused_where_it_is_not_read(argv):
+    # these subcommands never read --field; accepting it would run them over
+    # another field than asked (build takes its field from the ideal JSON)
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--field", "Fp:7"])
+    assert exc.value.code == 2
+
+
+def test_field_is_read_where_it_is_accepted(tmp_path):
+    V = span(GF(7), 3, [monomial(GF(7), 3, 0), monomial(GF(7), 0, 3)])
+    path = _space_file(tmp_path, "V.json", V)
+    W = tmp_path / "W.json"
+    W.write_text(json.dumps(dual_to_json(dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])]))))
+    for argv in (["analyze", path], ["related", path], ["waring", str(W)]):
+        rc, _, err = _run(argv + ["--field", "Q", "--json"])
+        assert rc == 0, (argv, err)
+    rc, out, _ = _run(["random", "--d", "2", "--j", "3", "--seed", "1", "--field", "Q", "--json"])
+    assert rc == 0 and json.loads(out)["space"]["field"] == "Q"
 
 
 def test_verify_smoke_quick():

@@ -1,8 +1,11 @@
 """Stratum-closure witnesses: interpolation steps and nested-ideal builds."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binforms import closure
 from binforms.closure import BuildTrace, build_h, build_n, build_t, step_n, step_t
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
@@ -14,7 +17,7 @@ from binforms.hilbert import (
     nose_tail,
     realize_staircase,
 )
-from binforms.ideals import ancestor_ideal, hilbert_function
+from binforms.ideals import ancestor_ideal, graded_ideal, hilbert_function
 from binforms.osequence import oseq
 from binforms.spaces import principal_space, space_sum
 
@@ -115,7 +118,7 @@ def test_build_n_and_t_directly():
     H = oseq([1, 2, 3, 4, 3, 2, 1], 0)
     _, source = realize_staircase(oseq([1], 2), 4, 5, F)
     N, T = nose_tail(H, 5)
-    from binforms.ideals import graded_ideal, unit_form
+    from binforms.ideals import unit_form
     from binforms.spaces import full_space, zero_space
 
     nose_src = graded_ideal(
@@ -146,6 +149,15 @@ def test_build_n_and_t_directly():
 
 # ── property sweep ────────────────────────────────────────────────────────────
 
+def _recording(build, finals):
+    def run(*args):
+        trace = build(*args)
+        finals.append(trace.final_ideal)
+        return trace
+
+    return run
+
+
 small_dj = st.integers(2, 6).flatmap(
     lambda j: st.tuples(st.integers(1, j), st.just(j))
 )
@@ -162,8 +174,16 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
     if le_partial(Hs, Ht, d, j) is not Cmp.GREATER:
         return
     _, source = realize_staircase(Hs, d, j, field)
-    tr = build_h(source, Ht, j)
+    halves = []
+    with mock.patch.object(closure, "build_n", _recording(build_n, halves)), \
+            mock.patch.object(closure, "build_t", _recording(build_t, halves)):
+        tr = build_h(source, Ht, j)
     ideal = tr.final_ideal
+    # build_n and build_t assemble their ideals without graded_ideal's checks;
+    # their final ideals, like build_h's, pass them
+    assert len(halves) == 2
+    for I in halves + [ideal]:
+        assert graded_ideal(I.field, I.window_lo, I.components, I.tail_gcd) == I
     assert hilbert_function(ideal) == Ht
     assert ideal.component(j) == source.component(j)
     top = max(hilbert_function(source).stabilization(), j) + 1

@@ -215,16 +215,18 @@ def test_hasse_edges_postcondition_checks_emitted_edges(monkeypatch):
     import binforms.hilbert as hilbert
 
     calls = []
+    real = hilbert._le_pq
 
-    def counting(H1, H2, d, j):
-        calls.append((H1, H2))
-        return le_by_partitions(H1, H2, d, j)
+    def counting(pq1, pq2):
+        calls.append((pq1, pq2))
+        return real(pq1, pq2)
 
-    monkeypatch.setattr(hilbert, "le_by_partitions", counting)
+    monkeypatch.setattr(hilbert, "_le_pq", counting)
     edges = hasse_edges(4, 5)
-    assert calls == edges  # the partition route sees the emitted edges only
+    # the partition route sees the emitted edges only
+    assert calls == [(partitions_pq(a, 4, 5), partitions_pq(b, 4, 5)) for a, b in edges]
 
-    monkeypatch.setattr(hilbert, "le_by_partitions", lambda *args: Cmp.INCOMPARABLE)
+    monkeypatch.setattr(hilbert, "_le_pq", lambda *args: Cmp.INCOMPARABLE)
     with pytest.raises(RuntimeError, match="postcondition"):
         hasse_edges(4, 5)
     assert hasse_edges(1, 1) == []  # no edges, nothing to check

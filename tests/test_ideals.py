@@ -29,6 +29,7 @@ from binforms.ideals import (
     zero_ideal,
 )
 from binforms.osequence import oseq
+from binforms.waring import annihilator, perp
 from binforms.spaces import (
     FormSpace,
     full_space,
@@ -212,6 +213,24 @@ def random_space_strategy():
         st.sampled_from(FIELDS),
         st.integers(min_value=0, max_value=10**6),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=100),
+    st.sampled_from([GF(101), QQ]),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_assembled_ideals_pass_full_validation(j, d_offset, field, seed, times_x):
+    # the ladder ideals and the annihilator skip graded_ideal's checks because
+    # they are closed under R_1 by construction; the checks agree
+    V = random_space(1 + d_offset % (j + 1), j, field, seed)
+    if times_x:  # a common factor, so that the tail gcd is not 1
+        V = span(field, j + 1, [mul_form(monomial(field, 1, 0), f) for f in V.basis_forms()])
+    for I in (ancestor_ideal(V), level_ideal(V), generated_ideal(V), annihilator(perp(V))):
+        assert graded_ideal(I.field, I.window_lo, I.components, I.tail_gcd) == I
 
 
 @settings(max_examples=40, deadline=None)

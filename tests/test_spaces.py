@@ -140,6 +140,13 @@ def test_json_roundtrip():
 # ----- coercion at the boundary ---------------------------------------------------
 
 
+def test_span_rejects_raw_row_of_wrong_length():
+    # raw rows enter through span, which checks their length; Matrix trusts it
+    for row in ([1, 2, 3], [1, 2, 3, 4, 5], []):
+        with pytest.raises(PreconditionError, match="wrong length"):
+            span(QQ, 3, [[1, 0, 0, 0], row])
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7), F101], ids=lambda F: F.name)
 def test_span_raw_rows_match_form_route(field):
     raw = [

@@ -251,6 +251,21 @@ def test_gad_certificate_random(j, craw, seed):
         assert g.form.degree >= 2
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([GF(101), QQ]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
+def test_gad_forms_are_independent_and_weighted(field, c, m, seed):
+    # GAD trusts the data gad builds it from (distinct linear factors of an
+    # apolar form and their multiplicities); the check lives here
+    W, _ = _planted(field, c, 2 * m + 1, m, seed)
+    g = gad(W)
+    if isinstance(g, GAD):
+        assert len(g.weights) == len(g.linear_forms) and all(b >= 1 for b in g.weights)
+        for u, L in enumerate(g.linear_forms):
+            for M in g.linear_forms[u + 1 :]:
+                (a0, a1), (b0, b1) = L.coeffs, M.coeffs
+                assert not field.is_zero(field.sub(field.mul(a0, b1), field.mul(a1, b0)))
+
+
 @pytest.mark.parametrize("p", [2147483647, 2305843009213693951])
 @pytest.mark.parametrize("m", [2, 3])
 def test_gad_planted_powers_large_prime(p, m, tmp_path, capsys):
