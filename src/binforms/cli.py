@@ -18,10 +18,10 @@ from .errors import PreconditionError
 from .fields import GF, FieldSpec
 from .forms import format_form
 from .hilbert import (
+    _hasse_edges,
     count_by_tau,
     dims,
     enumerate_acceptable,
-    hasse_edges,
     nose_tail,
     table_rows,
     tau_of_h,
@@ -234,8 +234,9 @@ def _cmd_dims(cfg: CommandConfig) -> tuple[int, str]:
 
 def _cmd_hasse(cfg: CommandConfig) -> tuple[int, str]:
     _require(cfg.d is not None and cfg.j is not None, "hasse needs --d and --j")
-    nodes = [str(H) for H in enumerate_acceptable(cfg.d, cfg.j)]
-    edges = [(str(u), str(v)) for u, v in hasse_edges(cfg.d, cfg.j)]
+    seqs = enumerate_acceptable(cfg.d, cfg.j)
+    nodes = [str(H) for H in seqs]
+    edges = [(str(u), str(v)) for u, v in _hasse_edges(seqs, cfg.j)]
     if cfg.fmt == "dot":
         lines = ["digraph hasse {", "  rankdir=BT;"]
         lines.extend(f'  "{n}";' for n in nodes)

@@ -54,23 +54,40 @@ class BuildTrace:
 # ── parameter inference ───────────────────────────────────────────────────────
 
 
-def _nose_params(N: OSequence) -> tuple[int, int]:
-    if N.is_zero_ideal or N.constant != 0 or not N.prefix:
-        raise PreconditionError("not a level-type sequence", N=str(N))
-    j = len(N.prefix) - 1
-    d = j + 1 - N.value(j)
-    if not is_permissible_nose(N, d, j):
-        raise PreconditionError("sequence is not a permissible nose", N=str(N))
+def _check_nose_pair(Nprime: OSequence, N: OSequence) -> tuple[int, int]:
+    params = []
+    for S in (N, Nprime):
+        if S.is_zero_ideal or S.constant != 0 or not S.prefix:
+            raise PreconditionError("not a level-type sequence", N=str(S))
+        j = len(S.prefix) - 1
+        d = j + 1 - S.value(j)
+        if not is_permissible_nose(S, d, j):
+            raise PreconditionError("sequence is not a permissible nose", N=str(S))
+        params.append((d, j))
+    d, j = params[0]  # of N; N' must share them
+    if params[1] != (d, j):
+        raise PreconditionError("nose pair has mismatched parameters")
+    if any(Nprime.value(i) > N.value(i) for i in range(j + 1)):
+        raise PreconditionError("nose step needs N' <= N termwise")
     return d, j
 
 
-def _tail_params(T: OSequence) -> tuple[int, int]:
-    if T.is_zero_ideal:
-        raise PreconditionError("not a tail sequence", T=str(T))
-    j = T.order()
-    d = j + 1 - T.value(j)
-    if not is_permissible_tail(T, d, j):
-        raise PreconditionError("sequence is not a permissible tail", T=str(T))
+def _check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int]:
+    params = []
+    for S in (T, Tprime):
+        if S.is_zero_ideal:
+            raise PreconditionError("not a tail sequence", T=str(S))
+        j = S.order()
+        d = j + 1 - S.value(j)
+        if not is_permissible_tail(S, d, j):
+            raise PreconditionError("sequence is not a permissible tail", T=str(S))
+        params.append((d, j))
+    d, j = params[0]  # of T; T' must share them
+    if params[1] != (d, j):
+        raise PreconditionError("tail pair has mismatched parameters")
+    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
+    if any(Tprime.value(i) < T.value(i) for i in range(j, top + 1)):
+        raise PreconditionError("tail step needs T' >= T termwise")
     return d, j
 
 
@@ -82,12 +99,11 @@ def step_n(Nprime: OSequence, N: OSequence) -> OSequence:
 
     The block is the maximal run of equal first differences of N' ending at
     the top degree where N' still lags N; the whole run is raised by one."""
-    d, j = _nose_params(N)
-    if _nose_params(Nprime) != (d, j):
-        raise PreconditionError("nose pair has mismatched parameters")
-    if any(Nprime.value(i) > N.value(i) for i in range(j + 1)):
-        raise PreconditionError("nose step needs N' <= N termwise")
-    if Nprime == N:
+    return _step_n(Nprime, N, *_check_nose_pair(Nprime, N))
+
+
+def _step_n(Nprime: OSequence, N: OSequence, d: int, j: int) -> OSequence:
+    if Nprime == N:  # the pair is checked, with parameters (d, j)
         raise PreconditionError("sequences already agree; no step to take")
     t = max(i for i in range(j + 1) if Nprime.value(i) != N.value(i))
     a = 0
@@ -112,14 +128,13 @@ def step_t(Tprime: OSequence, T: OSequence) -> OSequence:
 
     When the first disagreement sits inside the constant range of T', every
     later value drops together and the eventual constant decreases."""
-    d, j = _tail_params(T)
-    if _tail_params(Tprime) != (d, j):
-        raise PreconditionError("tail pair has mismatched parameters")
-    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
-    if any(Tprime.value(i) < T.value(i) for i in range(j, top + 1)):
-        raise PreconditionError("tail step needs T' >= T termwise")
-    if Tprime == T:
+    return _step_t(Tprime, T, *_check_tail_pair(Tprime, T))
+
+
+def _step_t(Tprime: OSequence, T: OSequence, d: int, j: int) -> OSequence:
+    if Tprime == T:  # the pair is checked, with parameters (d, j)
         raise PreconditionError("sequences already agree; no step to take")
+    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
     t = min(i for i in range(j, top + 1) if Tprime.value(i) != T.value(i))
     if Tprime.e(t + 1) == 0:
         # constant range: drop everything from t on, lowering the constant
@@ -173,16 +188,16 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
 
 def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
     """An ideal inside I' with level-type Hilbert function N (N' ≤ N)."""
-    d, j = _nose_params(N)
     F = Iprime.field
-    cur = hilbert_function(Iprime)  # step_n checks it on the first step
+    cur = hilbert_function(Iprime)
+    d, j = _check_nose_pair(cur, N)  # each step's output is checked in _step_n
     comps = [Iprime.component(i) for i in range(j + 2)]
     if comps[j + 1].dim != j + 2:
         raise PreconditionError("nose construction expects everything above j")
     ideal = Iprime
     steps = []
     while cur != N:
-        nxt = step_n(cur, N)
+        nxt = _step_n(cur, N, d, j)
         block = [i for i in range(j + 1) if nxt.value(i) != cur.value(i)]
         lo, hi = min(block), max(block)
         new = list(comps)
@@ -210,16 +225,16 @@ def _strip_linear(f: BinaryForm) -> BinaryForm:
 
 def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
     """An ideal containing I' with tail-type Hilbert function T (T ≤ T')."""
-    d, j = _tail_params(T)
     F = Iprime.field
-    cur = hilbert_function(Iprime)  # step_t checks it on the first step
+    cur = hilbert_function(Iprime)
+    d, j = _check_tail_pair(cur, T)  # each step's output is checked in _step_t
     top = max(cur.stabilization(), T.stabilization(), j) + 1
     comps = [Iprime.component(i) for i in range(top + 1)]
     tail = Iprime.tail_gcd
     ideal = Iprime
     steps = []
     while cur != T:
-        nxt = step_t(cur, T)
+        nxt = _step_t(cur, T, d, j)
         new = list(comps)
         if nxt.constant != cur.constant:
             t = min(i for i in range(j, top + 1) if nxt.value(i) != cur.value(i))

@@ -545,7 +545,10 @@ def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
     on sequences acceptable by construction; each emitted edge is then
     re-checked through the partition route, on partitions read once per
     sequence (criterion 8 compares the two routes on every pair)."""
-    seqs = enumerate_acceptable(d, j)
+    return _hasse_edges(enumerate_acceptable(d, j), j)
+
+
+def _hasse_edges(seqs: list[OSequence], j: int) -> list[tuple[OSequence, OSequence]]:
     top = max(j, *(H.stabilization() for H in seqs)) + 1
     vals = [H.values(top) for H in seqs]
     above = {

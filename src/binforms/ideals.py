@@ -12,7 +12,8 @@ The three ideals attached to a space V of degree-j forms:
   generated_ideal(V)  R_{i-j}V from degree j up, nothing below
 
 Numeric Betti data (generator/relation degrees) comes from dimension counts,
-no syzygy modules are ever built.
+no syzygy modules are ever built.  The tail gcd is read off the stable top:
+there the component is a principal block f.R_s, which knows its f (spaces).
 
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
 R_1-closure, tail) runs in `ideal_from_json`, `ideal_from_generators`, on
@@ -39,7 +40,6 @@ from .spaces import (
     FormSpace,
     contained,
     full_space,
-    gcd_of_space,
     principal_space,
     shift,
     space_from_json,
@@ -154,10 +154,9 @@ def _stable_top(V: FormSpace) -> int:
 
 
 def _tail_of(top: FormSpace) -> BinaryForm:
-    g = gcd_of_space(top)
-    if top.dim != top.degree + 1 - g.degree:
+    if top._principal is None:
         raise RuntimeError("ideal window ended before its components stabilized")
-    return g
+    return top._principal
 
 
 def ancestor_ideal(V: FormSpace) -> GradedIdeal:
@@ -206,10 +205,9 @@ def ideal_from_generators(
     cap = max(window_hi or 0, top_gen + comps[0].cod + 2)
     while True:
         cur = comps[-1]
-        if i >= top_gen and (window_hi is None or i >= window_hi):
-            g = gcd_of_space(cur)
-            if cur.dim == i + 1 - g.degree:
-                break
+        g = cur._principal  # the stop test; the next up-rung reads it too
+        if g is not None and i >= top_gen and (window_hi is None or i >= window_hi):
+            break
         if i > cap:
             raise RuntimeError("generated ideal failed to stabilize")
         i += 1

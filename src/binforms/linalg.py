@@ -34,6 +34,7 @@ heuristics.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -51,10 +52,6 @@ class Matrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def transpose(self) -> "Matrix":
-        cols = tuple(tuple(r[c] for r in self.rows) for c in range(self.ncols))
-        return Matrix(self.field, cols, self.nrows)
 
 
 def zero_matrix(field: FieldSpec, ncols: int) -> Matrix:
@@ -181,18 +178,22 @@ def row_space_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kernel(m: Matrix) -> Matrix:
-    """Canonical basis (as rows) of {x : m . x = 0}."""
-    F = m.field
-    red, _, pivots = rref(m)
+    """Canonical basis (as rows) of {x : m . x = 0}, from one elimination:
+    the RREF of m with its columns reversed.  There the vector of a free
+    column has its 1 at that column, zeros at the other free ones and its
+    other entries at pivot columns to its left (an RREF row is zero left of
+    its pivot); reversed back and listed by free column, they are the RREF."""
+    F, n = m.field, m.ncols
+    red, _, pivots = rref(Matrix(F, tuple(r[::-1] for r in m.rows), n))
     pivot_set = set(pivots)
     basis = []
-    for fc in (c for c in range(m.ncols) if c not in pivot_set):
-        v = [F.zero] * m.ncols
+    for fc in (c for c in range(n - 1, -1, -1) if c not in pivot_set):
+        v = [F.zero] * n
         v[fc] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(red.rows[i][fc])
-        basis.append(tuple(v))
-    return row_basis(Matrix(F, tuple(basis), m.ncols))
+        for i in range(bisect(pivots, fc)):
+            v[pivots[i]] = F.neg(red.rows[i][fc])
+        basis.append(tuple(v[::-1]))
+    return Matrix(F, tuple(basis), n)
 
 
 def contains_vector(space: Matrix, vec: Sequence[Scalar]) -> bool:

@@ -4,6 +4,15 @@ The central objects: R_s V for s > 0 is the span of all degree-s monomial
 multiples; R_{-s} V = {f : R_s f is contained in V}.  tau(V) = dim R_1 V - dim V
 measures how far V is from a principal block f.R_{j-c}; it controls the
 number of generators of every ideal V determines.
+
+A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a) needs
+no elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last
+k columns, rho_m being the remainders of 1/g: rho_0 = (-1, 0, ..., 0) and
+rho_{m+1}[q] = rho_m[q+1] - rho_m[0] g[q+1] (rho_m[k] = 0).  So f is the last
+row without its s leading zeros; `FormSpace._principal` keeps it when the rows
+match (else None, found within O(k) work).  The rungs take at most one
+recurrence step: R_1(f.R_s) = [e_a + rho_{s+2}] then y.(each row), and
+R_{-1}(f.R_s) = the rows after the first, each without its first entry.
 """
 
 from __future__ import annotations
@@ -71,6 +80,38 @@ class FormSpace:
     def _down(self) -> FormSpace:
         return _shift_down_once(self)
 
+    @cached_property
+    def _principal(self) -> BinaryForm | None:
+        """The monic f with V = f.R_s, or None (closed-form blocks store it)."""
+        s, rows = self.dim - 1, self.mat.rows
+        if self.is_zero or any(rows[-1][:s]):
+            return None
+        f = BinaryForm(self.field, self.degree - s, rows[-1][s:])
+        return f if all(r == w for r, w in zip(reversed(rows), _block_rows(f, s))) else None
+
+
+def _principal_block(F: FieldSpec, rows, f: BinaryForm) -> FormSpace:
+    V = FormSpace(F, f.degree + len(rows) - 1, Matrix(F, tuple(rows), f.degree + len(rows)))
+    V.__dict__["_principal"] = f  # the memo, set the way cached_property would
+    return V
+
+
+def _next_rho(F: FieldSpec, g: tuple, rho: tuple) -> tuple:
+    """rho_{m+1} from rho_m for a core g with g[0] = 1."""
+    c, tail = (rho[0], rho[1:] + (F.zero,)) if rho else (F.zero, rho)
+    return tuple(F.sub(r, F.mul(c, b)) for r, b in zip(tail, g[1:])) if c else tail
+
+
+def _block_rows(f: BinaryForm, s: int):
+    """The canonical basis rows of f.R_s (f monic), last row first."""
+    F, zero, one = f.field, f.field.zero, f.field.one
+    a = f.coeffs.index(one)  # f is monic: its first 1 leads
+    g = f.coeffs[a:]
+    rho = (F.neg(one),) + (zero,) * (len(g) - 2) if len(g) > 1 else ()
+    for i in range(s, -1, -1):
+        rho = _next_rho(F, g, rho)
+        yield (zero,) * (a + i) + (one,) + (zero,) * (s - i) + rho
+
 
 def span(field: FieldSpec, degree: int, forms) -> FormSpace:
     """Span of forms or raw coefficient rows.  Forms of this field hold
@@ -98,12 +139,7 @@ def zero_space(field: FieldSpec, degree: int) -> FormSpace:
 
 
 def full_space(field: FieldSpec, degree: int) -> FormSpace:
-    # the identity is already a canonical RREF basis
-    one, zero = field.one, field.zero
-    rows = tuple(
-        tuple(one if c == k else zero for c in range(degree + 1)) for k in range(degree + 1)
-    )
-    return FormSpace(field, degree, Matrix(field, rows, degree + 1))
+    return principal_space(BinaryForm(field, 0, (field.one,)), degree)  # 1.R_degree
 
 
 def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
@@ -123,11 +159,8 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
     """(f) in the given degree: f * R_{degree - deg f}, zero if degree < deg f."""
     if degree < f.degree or f.is_zero:
         return zero_space(f.field, degree)
-    # x^(s-a) y^a f has f's coefficients moved a places right; they are
-    # canonical scalars already, so the rows skip span()'s coercion.
-    s, z = degree - f.degree, (f.field.zero,)
-    rows = tuple(z * a + f.coeffs + z * (s - a) for a in range(s + 1))
-    return FormSpace(f.field, degree, row_basis(Matrix(f.field, rows, degree + 1)))
+    f = monic(f)
+    return _principal_block(f.field, list(_block_rows(f, degree - f.degree))[::-1], f)
 
 
 # ----- shifts -------------------------------------------------------------------
@@ -135,6 +168,12 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
     F, j = V.field, V.degree
+    f = V._principal
+    if f is not None:  # the new first row's rho_{s+2} is one step past row 0's rho_{s+1}
+        a, s = f.coeffs.index(F.one), V.dim - 1  # f is monic: its first 1 leads
+        rho = _next_rho(F, f.coeffs[a:], V.mat.rows[0][a + s + 1:])
+        first = (F.zero,) * a + (F.one,) + (F.zero,) * (s + 1) + rho
+        return _principal_block(F, [first] + [(F.zero,) + r for r in V.mat.rows], f)
     rows = []
     for r in V.mat.rows:
         rows.append((F.zero,) + r)          # y * f: y-exponent grows
@@ -144,8 +183,11 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
-    if V.is_zero:
+    f = V._principal
+    if V.is_zero or f is not None and V.dim == 1:
         return zero_space(F, j - 1)
+    if f is not None:
+        return _principal_block(F, [r[1:] for r in V.mat.rows[1:]], f)
     # Canonical residue of the monomial e_k mod V: the basis is in RREF, so it
     # is e_k minus the basis row with pivot k, or e_k itself if k is no pivot.
     by_pivot = {next(i for i, c in enumerate(r) if c): r for r in V.mat.rows}
@@ -156,11 +198,11 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
             return tuple(F.one if i == k else F.zero for i in range(j + 1))
         return tuple(F.zero if i == k else F.neg(c) for i, c in enumerate(r))
 
-    # basis x^(j-1-k) y^k of R_{j-1}: x times it is e_k, y times it is e_{k+1}
+    # basis x^(j-1-k) y^k of R_{j-1}: x times it is e_k, y times it is e_{k+1};
+    # column k of the matrix below is the residue pair of that basis form
     res = [residue(k) for k in range(j + 1)]
-    rows = tuple(res[k] + res[k + 1] for k in range(j))
-    A = Matrix(F, rows, 2 * (j + 1))
-    return FormSpace(F, j - 1, kernel(A.transpose()))
+    cols = tuple(zip(*(res[k] + res[k + 1] for k in range(j))))
+    return FormSpace(F, j - 1, kernel(Matrix(F, cols, j)))
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:

@@ -51,6 +51,22 @@ def oracle_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(F, tuple(tuple(row) for row in rows), m.ncols), r, tuple(pivots)
 
 
+def oracle_kernel(m: Matrix) -> Matrix:
+    """Kernel in two eliminations: read one vector per free column off the
+    RREF of m in its own column order, then row-reduce them.  `linalg.kernel`
+    eliminates once, on the column-reversed matrix."""
+    F = m.field
+    red, _, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [F.zero] * m.ncols
+        v[fc] = F.one
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(red.rows[i][fc])
+        basis.append(tuple(v))
+    return row_basis(Matrix(F, tuple(basis), m.ncols))
+
+
 def oracle_intersect(a: Matrix, b: Matrix) -> Matrix:
     """rowspace(A) ∩ rowspace(B) via double annihilators:
     rowspace(M) = ker(ker(M)) for the standard dot pairing."""
@@ -144,6 +160,20 @@ def oracle_contract(f_coeffs, f_deg, big_coeffs, big_deg):
             ex, ey = monom
             coeffs[ey] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
     return tuple(coeffs)
+
+
+def oracle_principal_space(f: BinaryForm, degree: int):
+    """f.R_{degree - deg f} by eliminating its band matrix, whose row a is
+    f's coefficients moved a places right (x^(s-a) y^a f); `principal_space`
+    writes the canonical basis down in closed form instead."""
+    from binforms.spaces import FormSpace, zero_space
+
+    F = f.field
+    if degree < f.degree or f.is_zero:
+        return zero_space(F, degree)
+    s, z = degree - f.degree, (F.zero,)
+    rows = tuple(z * a + f.coeffs + z * (s - a) for a in range(s + 1))
+    return FormSpace(F, degree, row_basis(Matrix(F, rows, degree + 1)))
 
 
 def divides(g: BinaryForm, f: BinaryForm) -> bool:
@@ -346,7 +376,7 @@ def oracle_down_dim(space, k: int) -> int:
         return 0
     if k == 0:
         return space.dim
-    ann = kernel(space.mat)
+    ann = oracle_kernel(space.mat)
     rows = tuple(
         tuple(w[a + t] for t in range(n + 1))
         for a in range(k + 1)
@@ -354,7 +384,7 @@ def oracle_down_dim(space, k: int) -> int:
     )
     if not rows:
         return n + 1
-    return kernel(Matrix(F, rows, n + 1)).nrows
+    return oracle_kernel(Matrix(F, rows, n + 1)).nrows
 
 
 def brute_force_hilbert(space, max_degree):

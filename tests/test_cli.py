@@ -291,3 +291,23 @@ def test_verify_smoke_quick():
     for r in rows:
         assert r["passed"] and r["failures"] == []
         assert isinstance(r["elapsed"], float) and 0 <= r["elapsed"] <= r["bound"]
+
+
+@pytest.mark.parametrize("name", ["hasse-text", "hasse-dot", "hasse-json"])
+def test_hasse_enumerates_once(monkeypatch, name):
+    import binforms.cli as cli
+    import binforms.hilbert as hilbert
+    from test_golden_cli import CASES, GOLDEN, run_case
+
+    calls = []
+    real = hilbert.enumerate_acceptable
+
+    def counting(d, j):
+        calls.append((d, j))
+        return real(d, j)
+
+    monkeypatch.setattr(cli, "enumerate_acceptable", counting)
+    monkeypatch.setattr(hilbert, "enumerate_acceptable", counting)
+    rc, stdout = run_case(next(c["argv"] for c in CASES if c["name"] == name))
+    assert rc == 0 and len(calls) == 1
+    assert stdout == (GOLDEN / "stdout" / f"{name}.txt").read_bytes()

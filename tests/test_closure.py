@@ -199,3 +199,29 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
         assert a.after == b.before
     for a, b in zip(tails, tails[1:]):
         assert a.after == b.before
+
+
+def test_builds_check_their_pair_once(monkeypatch):
+    # the pair is checked on entry; each step trusts it and checks its output
+    calls = []
+    for name in ("_check_nose_pair", "_check_tail_pair"):
+        real = getattr(closure, name)
+        monkeypatch.setattr(
+            closure, name, lambda A, B, _real=real, _name=name: calls.append(_name) or _real(A, B)
+        )
+    Np = oseq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 11, 9, 7, 4, 0], 0)
+    N = oseq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 12, 11, 8, 4, 0], 0)
+    assert step_n(step_n(Np, N), N) == N
+    assert calls == ["_check_nose_pair"] * 2
+    calls.clear()
+    F = GF(101)
+    for Hs, Ht, j in [
+        (oseq([1, 2, 3, 3, 2, 1], 0), oseq([1, 2, 3, 4, 2], 0), 4),
+        (oseq([1, 2, 3, 4, 3], 2), oseq([1, 2, 3, 4, 3, 2, 1], 0), 4),
+    ]:
+        d = j + 1 - Hs.value(j)
+        source = realize_staircase(Hs, d, j, F)[1]
+        tr = build_h(source, Ht, j)
+        assert hilbert_function(tr.final_ideal) == Ht and len(tr.steps) >= 2
+        assert calls == ["_check_nose_pair", "_check_tail_pair"]
+        calls.clear()

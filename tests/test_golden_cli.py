@@ -1,0 +1,76 @@
+"""CLI stdout and exit codes, byte for byte, against a recorded golden set.
+
+Each case in `golden/cases.json` is one `binforms` command line, run in
+process from inside `golden/` (its input files live in `golden/inputs/`).
+The expected stdout of case NAME is `golden/stdout/NAME.txt`; the expected
+exit codes are in `golden/exit_codes.json`.  Re-record only when a change of
+output is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from binforms.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@contextmanager
+def _in_golden_dir():
+    old = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def run_case(argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with _in_golden_dir(), redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue().encode("utf-8")
+
+
+def _expected_exit_codes() -> dict:
+    return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_cli_output_matches_golden(case):
+    rc, stdout = run_case(case["argv"])
+    assert rc == _expected_exit_codes()[case["name"]]
+    assert stdout == (GOLDEN / "stdout" / f"{case['name']}.txt").read_bytes()
+
+
+def test_every_case_is_recorded():
+    names = [c["name"] for c in CASES]
+    assert len(set(names)) == len(names)
+    assert sorted(_expected_exit_codes()) == sorted(names)
+    assert sorted(p.stem for p in (GOLDEN / "stdout").iterdir()) == sorted(names)
+
+
+def record() -> None:
+    (GOLDEN / "stdout").mkdir(exist_ok=True)
+    codes = {}
+    for case in CASES:
+        codes[case["name"]], stdout = run_case(case["argv"])
+        (GOLDEN / "stdout" / f"{case['name']}.txt").write_bytes(stdout)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()

@@ -374,3 +374,28 @@ def test_ideal_dataclass_fields_unchanged():
     assert [f.name for f in fields(GradedIdeal)] == [
         "field", "window_lo", "window_hi", "components", "tail_gcd"
     ]
+
+
+def test_ideal_assembly_reads_the_tail_off_the_memo(monkeypatch):
+    # the tail gcd is the stable top's principal-block memo: no gcd chain runs
+    import binforms.forms as forms_mod
+    import binforms.ideals as ideals_mod
+    import binforms.spaces as spaces_mod
+
+    def no_gcd_chain(*args):
+        raise AssertionError("ideal assembly ran a gcd chain")
+
+    for mod, name in ((spaces_mod, "gcd_of_space"), (spaces_mod, "gcd_form"),
+                      (forms_mod, "gcd_form")):
+        monkeypatch.setattr(mod, name, no_gcd_chain)
+    F = GF(101)
+    for field in (F, QQ):
+        for d, j, seed in ((1, 4, 0), (3, 7, 1), (5, 6, 2)):
+            V = random_space(d, j, field, seed)
+            for I in (ancestor_ideal(V), generated_ideal(V), level_ideal(V)):
+                assert forms_mod.monic(I.tail_gcd) == I.tail_gcd
+    f = form(F, 2, [0, 1, 3])
+    I = ideal_from_generators(F, [mul_form(f, monomial(F, 2, 0)), mul_form(f, monomial(F, 0, 3))])
+    assert I.tail_gcd == f
+    with pytest.raises(RuntimeError, match="before its components stabilized"):
+        ideals_mod._tail_of(random_space(3, 7, F, 4))

@@ -20,7 +20,7 @@ from binforms.linalg import (
     stack,
     zero_matrix,
 )
-from oracles import oracle_intersect, oracle_rref, zassenhaus_intersect
+from oracles import oracle_intersect, oracle_kernel, oracle_rref, zassenhaus_intersect
 
 FIELDS = [QQ, GF(5), GF(101)]
 
@@ -324,3 +324,65 @@ def test_q_kernel_rows_stay_primitive_and_bounded(seed):
     for r in held:
         assert all(x * x <= bound_sq for x in r)
         assert gcd(*r) in (0, 1)
+
+
+# ------------------------------------------- the kernel in one elimination
+
+
+def _kernel_examples(test):
+    for ex in (
+        _zeros(QQ, 0, 0), _zeros(QQ, 0, 4), _zeros(QQ, 3, 0), _zeros(GF(2), 7, 2),
+        _zeros(GF(3), 2, 7), Matrix(GF(2**61 - 1), ((2**61 - 2, 2, 5), (5, 1, 11)), 3),
+        Matrix(QQ, ((Fraction(BIG, 3), Fraction(-1, BIG)), (Fraction(-2), Fraction(0))), 2),
+    ):
+        test = example(ex)(test)
+    return test
+
+
+def assert_same_matrix(got, want):
+    assert got == want
+    p = got.field.p
+    for grow, wrow in zip(got.rows, want.rows, strict=True):
+        for g, w in zip(grow, wrow, strict=True):
+            assert type(g) is type(w)
+            assert p is None or 0 <= g < p
+
+
+@given(kernel_mats())
+@settings(max_examples=200, deadline=None)
+@_kernel_examples
+def test_kernel_matches_two_elimination_oracle(m):
+    assert_same_matrix(kernel(m), oracle_kernel(m))
+
+
+@given(kernel_mats())
+@settings(max_examples=150, deadline=None)
+@_kernel_examples
+def test_kernel_matches_sympy_nullspace(m):
+    from sympy.polys.matrices import DomainMatrix
+
+    F = m.field
+    K = sympy.QQ if F.p is None else sympy.GF(F.p)
+    if m.ncols == 0:
+        assert kernel(m).nrows == 0
+        return
+
+    def scalar(x):
+        r = K.to_sympy(x)
+        return F.coerce(Fraction(int(r.p), int(r.q))) if F.p is None else int(r) % F.p
+
+    dm = DomainMatrix([[K.convert(int(x) if F.p else sympy.Rational(x.numerator, x.denominator))
+                        for x in row] for row in m.rows], (m.nrows, m.ncols), K)
+    null = [tuple(scalar(x) for x in row) for row in dm.nullspace().to_list()]
+    assert_same_matrix(kernel(m), row_basis(Matrix(F, tuple(null), m.ncols)))
+
+
+def test_kernel_is_one_elimination(monkeypatch):
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    for F in KERNEL_FIELDS:
+        for m in (matrix(F, [[1, 2, 3, 4], [2, 4, 6, 9]]), _zeros(F, 0, 3), ident(F, 3)):
+            calls.clear()
+            kernel(m)
+            assert len(calls) == 1

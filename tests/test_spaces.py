@@ -3,10 +3,11 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
-from binforms.forms import form, monic, mul_form, monomial
+from binforms.forms import BinaryForm, form, monic, mul_form, monomial
 from binforms.ideals import ancestor_ideal
 from binforms.linalg import Matrix
 from binforms.spaces import (
@@ -26,7 +27,7 @@ from binforms.spaces import (
     zero_space,
 )
 
-from oracles import oracle_down_dim
+from oracles import oracle_down_dim, oracle_principal_space
 
 F101 = GF(101)
 
@@ -281,11 +282,164 @@ def test_memo_state_does_not_affect_equality_or_hash():
         fresh = FormSpace(V.field, V.degree, V.mat)
         ancestor_ideal(V)
         shift(V, 4)
+        assert V._principal is None
         assert V == fresh and hash(V) == hash(fresh)
         assert len({V, fresh}) == 1
         assert shift(fresh, 2) == shift(V, 2) and shift(fresh, -2) == shift(V, -2)
+        # a block built in closed form carries its memo from birth
+        P = principal_space(form(field, 3, [0, 2, 1, 5]), 7)
+        bare = FormSpace(P.field, P.degree, P.mat)
+        assert "_principal" in P.__dict__ and "_principal" not in bare.__dict__
+        assert P == bare and hash(P) == hash(bare) and len({P, bare}) == 1
+        assert bare._principal == P._principal  # now both hold the memo
+        assert P == bare and hash(P) == hash(bare)
 
 
 def test_dataclass_fields_unchanged():
     assert [f.name for f in fields(FormSpace)] == ["field", "degree", "mat"]
     assert [f.name for f in fields(Matrix)] == ["field", "rows", "ncols"]
+
+
+# ----- principal blocks in closed form ------------------------------------------
+
+PRINCIPAL_FIELDS = [GF(2), GF(3), F101, GF(2**61 - 1), QQ]
+
+
+def _scalar(draw, F, nonzero=False):
+    if F.p is not None:
+        x = draw(st.one_of(st.integers(0, min(F.p - 1, 3)), st.integers(0, F.p - 1)))
+    else:
+        x = Fraction(
+            draw(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))),
+            draw(st.one_of(st.integers(1, 3), st.integers(1, 2**70))),
+        )
+    return F.one if nonzero and not x else F.coerce(x)
+
+
+@st.composite
+def blocks(draw):
+    """(f, s): f = y^a x^b core with core(0), core(top) != 0, often not
+    monic, and 0 <= s <= 6."""
+    F = draw(st.sampled_from(PRINCIPAL_FIELDS))
+    a, b, k = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 5))
+    core = [_scalar(draw, F, nonzero=True)]
+    core += [_scalar(draw, F) for _ in range(k - 1)]
+    core += [_scalar(draw, F, nonzero=True)] if k else []
+    coeffs = (F.zero,) * a + tuple(core) + (F.zero,) * b
+    return BinaryForm(F, len(coeffs) - 1, coeffs), draw(st.integers(0, 6))
+
+
+def assert_same_basis(got, want):
+    """Equal canonical bases, scalar types and F_p residue range included."""
+    assert got == want
+    p = got.field.p
+    for grow, wrow in zip(got.mat.rows, want.mat.rows, strict=True):
+        for g, w in zip(grow, wrow, strict=True):
+            assert type(g) is type(w)
+            assert p is None or 0 <= g < p
+
+
+def _band_span(f, s, rng):
+    """f.R_s through `span`: the band rows mixed with random multiples of f."""
+    F, j = f.field, f.degree + s
+    gens = [mul_form(f, monomial(F, s - i, i)) for i in range(s + 1)]
+    gens += [
+        mul_form(f, form(F, s, [rng.randrange(-5, 6) for _ in range(s + 1)]))
+        for _ in range(rng.randint(0, 3))
+    ]
+    rng.shuffle(gens)
+    return span(F, j, gens)
+
+
+@given(blocks())
+@settings(max_examples=200, deadline=None)
+def test_principal_space_matches_band_elimination(case):
+    f, s = case
+    assert_same_basis(principal_space(f, f.degree + s), oracle_principal_space(f, f.degree + s))
+    if f.degree:
+        assert principal_space(f, f.degree - 1).is_zero
+
+
+@given(blocks(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_memo_matches_gcd_route_on_spanned_blocks(case, rng):
+    f, s = case
+    V = _band_span(f, s, rng)
+    assert "_principal" not in V.__dict__
+    g = V._principal
+    assert g == gcd_of_space(V) == monic(f)
+    assert all(type(c) is type(f.field.one) for c in g.coeffs)
+
+
+@given(blocks(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_memo_is_none_exactly_off_principal_blocks(case, rng):
+    f, s = case
+    F, j = f.field, f.degree + s
+    # f times a random subspace of R_s, sometimes with one random form added
+    gens = [
+        mul_form(f, form(F, s, [rng.randrange(-3, 4) for _ in range(s + 1)]))
+        for _ in range(rng.randint(1, s + 1))
+    ]
+    if rng.random() < 0.5:
+        gens.append(form(F, j, [rng.randrange(-3, 4) for _ in range(j + 1)]))
+    V = span(F, j, gens)
+    if V.is_zero:
+        assert V._principal is None
+        return
+    g = gcd_of_space(V)
+    if V.dim == j + 1 - g.degree:
+        assert V._principal == g
+    else:
+        assert V._principal is None
+
+
+@pytest.mark.parametrize("field", [F101, GF(2**61 - 1), QQ], ids=lambda F: F.name)
+def test_memo_on_generic_zero_and_full_spaces(field):
+    rng = random.Random(7)
+    for j in range(2, 9):
+        for d in range(2, j + 1):
+            # generic: pivots 0..d-1, random entries to their right, gcd 1
+            V = span(field, j, [
+                [int(c == i) for c in range(d)] + [rng.randint(1, 99) for _ in range(j + 1 - d)]
+                for i in range(d)
+            ])
+            pivots = [next(i for i, c in enumerate(r) if c) for r in V.mat.rows]
+            assert pivots == list(range(d)) and gcd_of_space(V).degree == 0
+            assert V._principal is None
+        assert zero_space(field, j)._principal is None
+        one = full_space(field, j)._principal
+        assert one == BinaryForm(field, 0, (field.one,)) and type(one.coeffs[0]) is type(field.one)
+        assert span(field, j, [monomial(field, j - 1, 1)])._principal == monomial(field, j - 1, 1)
+
+
+@given(blocks(), st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_principal_rungs_match_multiples_and_colon_dims(case, n, rng):
+    f, s = case
+    j = f.degree + s
+    # a block built in closed form, and the same block found by its memo
+    for P in (principal_space(f, j), _band_span(f, s, rng)):
+        up = shift(P, n)
+        assert_same_basis(up, oracle_principal_space(f, j + n))
+        assert up == _multiples(P, n)
+        assert up.__dict__["_principal"] == monic(f)
+        if n <= j:
+            down = shift(P, -n)
+            assert_same_basis(down, oracle_principal_space(f, j - n))
+            assert down.dim == oracle_down_dim(P, n)
+
+
+@given(blocks(), st.integers(-4, 4))
+@settings(max_examples=150, deadline=None)
+def test_stored_memo_matches_recomputed(case, n):
+    f, s = case
+    j = f.degree + s
+    P = principal_space(f, j)
+    for X in (P, shift(P, max(n, -j))):
+        if X.is_zero:
+            continue
+        stored = X.__dict__["_principal"]
+        recomputed = FormSpace(X.field, X.degree, X.mat)._principal
+        assert stored == recomputed
+        assert [type(c) for c in stored.coeffs] == [type(c) for c in recomputed.coeffs]
