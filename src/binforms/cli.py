@@ -36,7 +36,7 @@ from .ideals import (
 )
 from .osequence import parse_oseq
 from .related import related_classes
-from .spaces import FormSpace, gcd_of_space, random_space, space_from_json, space_to_json
+from .spaces import FormSpace, random_space, space_from_json, space_to_json
 from .waring import DUAL_VARS, GAD, dual_from_json, gad, mu, tau_delta
 
 DEFAULT_FIELD = GF(101)
@@ -103,7 +103,7 @@ def _analysis(V: FormSpace) -> dict:
         "tau": r.tau,
         "c": r.c,
         "mu": r.mu,
-        "gcd": format_form(gcd_of_space(V)),
+        "gcd": format_form(anc.tail_gcd),
         "partitions": {k: list(getattr(r, k)) for k in ("P", "Q", "A", "B", "C", "D")},
         "generatorDegrees": list(generator_degrees(anc)),
         "relationDegrees": list(relation_degrees(anc)),

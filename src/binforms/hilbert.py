@@ -8,7 +8,9 @@ the strata (collected in a StratumReport with an explicit discrepancy
 list — several printed formulas fail when the eventual constant is
 positive, and the report records rather than hides that), partial orders,
 exhaustive enumeration with the q-binomial count, and the staircase
-monomial-ideal realization.
+monomial-ideal realization.  The Hasse diagram is a transitive reduction on
+bitsets: one mask per coordinate and value, covers by a walk that skips
+members already reached, edges in enumeration order (see `hasse_edges`).
 
 Each public function taking (H, d, j) checks that H is acceptable once, on
 entry; the private helpers (`_pq`, `_betti`, `_le_pq`, `_staircase_pairs`)
@@ -21,6 +23,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import PreconditionError
 from .fields import FieldSpec
@@ -352,8 +355,8 @@ def le_partial(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
 
 
 def _le_values(v1: tuple[int, ...], v2: tuple[int, ...], j: int) -> Cmp:
-    """`le_partial` on value vectors of equal length that run past both
-    stabilizations (acceptable sequences are constant from there on)."""
+    """`le_partial` on value vectors of equal length past both stabilizations
+    (acceptable sequences are constant from there on); `_up_sets` is its bitset form."""
     lo1, lo2, hi1, hi2 = v1[: j + 1], v2[: j + 1], v1[j:], v2[j:]
     ge = all(map(operator.le, lo1, lo2)) and all(map(operator.ge, hi1, hi2))
     le = all(map(operator.ge, lo1, lo2)) and all(map(operator.le, hi1, hi2))
@@ -541,27 +544,22 @@ def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
 def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
     """Covering pairs (more general, more special) of the specialization order.
 
-    The relation comes from the value comparison of `le_partial` alone,
-    on sequences acceptable by construction; each emitted edge is then
-    re-checked through the partition route, on partitions read once per
-    sequence (criterion 8 compares the two routes on every pair)."""
+    Aho–Garey–Ullman reduction on n-bit ints.  The up-set of a is an AND of
+    masks, one per coordinate (`_up_sets`: O(n·L) ANDs for L values); its
+    covers are its members in no member's up-set (`_cover_pairs`).  The walk
+    skips a member m once an ORed up[m'] holds it, as then up[m] ⊆ up[m']: at
+    most one OR per member not skipped, and in enumeration order, a linear
+    extension, one per cover.  Edges come out by source, then target, in bit
+    order, which is the enumeration order the pairwise scan used.  Each edge
+    is re-checked through the partition route, on partitions read once per
+    sequence (criterion 8 compares the routes on every pair)."""
     return _hasse_edges(enumerate_acceptable(d, j), j)
 
 
 def _hasse_edges(seqs: list[OSequence], j: int) -> list[tuple[OSequence, OSequence]]:
     top = max(j, *(H.stabilization() for H in seqs)) + 1
-    vals = [H.values(top) for H in seqs]
-    above = {
-        a: [b for b, vb in zip(seqs, vals) if _le_values(va, vb, j) is Cmp.LESS]
-        for a, va in zip(seqs, vals)
-    }
-    above_set = {a: set(bs) for a, bs in above.items()}
-    edges = [
-        (a, b)
-        for a in seqs
-        for b in above[a]
-        if not any(b in above_set[m] for m in above[a])
-    ]
+    up = _up_sets([H.values(top) for H in seqs], j)
+    edges = [(seqs[a], seqs[b]) for a, b in _cover_pairs(up)]
     pq = {H: _pq(H, j) for H in seqs}
     for a, b in edges:
         via = _le_pq(pq[a], pq[b])
@@ -571,3 +569,35 @@ def _hasse_edges(seqs: list[OSequence], j: int) -> list[tuple[OSequence, OSequen
                 "through the partitions"
             )
     return edges
+
+
+def _up_sets(vals: list[tuple[int, ...]], j: int) -> list[int]:
+    """up[a] has bit b iff `_le_values(vals[a], vals[b], j)` is LESS (distinct
+    vectors): per coordinate, indices grouped by value and ORed cumulatively,
+    ascending for i ≤ j, descending for i ≥ j, both at i = j."""
+    up = [((1 << len(vals)) - 1) ^ (1 << a) for a in range(len(vals))]
+    for i in range(len(vals[0])):
+        column = [v[i] for v in vals]
+        ascending = sorted(set(column))
+        groups = dict.fromkeys(ascending, 0)
+        for b, x in enumerate(column):
+            groups[x] |= 1 << b
+        for keys in [ascending] * (i <= j) + [ascending[::-1]] * (i >= j):
+            within = dict(zip(keys, accumulate((groups[x] for x in keys), operator.or_)))
+            up = [u & within[x] for u, x in zip(up, column)]
+    return up
+
+
+def _cover_pairs(up: list[int]):
+    """(a, b) for b in up[a] and in no up[m] with m in up[a], b ascending."""
+    for a, members in enumerate(up):
+        reach, rest = 0, members
+        while rest:
+            low = rest & -rest
+            reach |= up[low.bit_length() - 1]
+            rest = (rest ^ low) & ~reach
+        covers = members & ~reach
+        while covers:
+            low = covers & -covers
+            yield a, low.bit_length() - 1
+            covers ^= low

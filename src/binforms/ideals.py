@@ -68,9 +68,7 @@ class GradedIdeal:
         return self.tail_gcd is None
 
     def component(self, i: int) -> FormSpace:
-        if i < 0:
-            raise PreconditionError("ideal components live in degrees >= 0", degree=i)
-        if self.is_zero or i < self.window_lo:
+        if self.dim(i) == 0:  # dim checks the degree
             return zero_space(self.field, i)
         if i <= self.window_hi:
             return self.components[i - self.window_lo]
@@ -83,7 +81,14 @@ class GradedIdeal:
         return principal_space(self.tail_gcd, self.window_hi + 1)
 
     def dim(self, i: int) -> int:
-        return self.component(i).dim
+        """dim I_i read off the window or the tail degree; builds no component."""
+        if i < 0:
+            raise PreconditionError("ideal components live in degrees >= 0", degree=i)
+        if self.is_zero or i < self.window_lo:
+            return 0
+        if i <= self.window_hi:
+            return self.components[i - self.window_lo].dim
+        return max(0, i + 1 - self.tail_gcd.degree)
 
 
 def zero_ideal(field: FieldSpec) -> GradedIdeal:

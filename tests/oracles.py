@@ -340,6 +340,27 @@ def brute_force_covers(d: int, j: int) -> list:
     ]
 
 
+
+def oracle_hasse_edges(seqs: list, j: int) -> list:
+    """Covers by the all-pairs scan: every LESS pair from the value comparison,
+    then each pair (a, b) kept unless some member m of above[a] has b above
+    it too; O(n^2) comparisons and an O(n^3) cover scan, in enumeration order."""
+    from binforms.hilbert import Cmp, _le_values
+
+    top = max(j, *(H.stabilization() for H in seqs)) + 1
+    vals = [H.values(top) for H in seqs]
+    above = {
+        a: [b for b, vb in zip(seqs, vals) if _le_values(va, vb, j) is Cmp.LESS]
+        for a, va in zip(seqs, vals)
+    }
+    above_set = {a: set(bs) for a, bs in above.items()}
+    return [
+        (a, b)
+        for a in seqs
+        for b in above[a]
+        if not any(b in above_set[m] for m in above[a])
+    ]
+
 # ----- partitions & counting -------------------------------------------------
 
 

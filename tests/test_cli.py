@@ -8,7 +8,7 @@ import pytest
 
 from binforms.cli import main
 from binforms.fields import GF, QQ
-from binforms.forms import form, monomial
+from binforms.forms import form, format_form, monomial
 from binforms.hilbert import realize_staircase
 from binforms.ideals import ideal_from_json, ideal_to_json
 from binforms.osequence import oseq
@@ -311,3 +311,26 @@ def test_hasse_enumerates_once(monkeypatch, name):
     rc, stdout = run_case(next(c["argv"] for c in CASES if c["name"] == name))
     assert rc == 0 and len(calls) == 1
     assert stdout == (GOLDEN / "stdout" / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["space_q_random", "space_f101_random", "space_q_principal", "space_f101_principal"]
+)
+def test_analysis_reads_gcd_off_the_ancestor_ideal(monkeypatch, name):
+    # the tail gcd of ancestor_ideal(V) is gcd(V), monic: no gcd chain runs
+    import binforms.cli as cli
+    import binforms.spaces as spaces
+
+    path = Path(__file__).resolve().parent / "golden" / "inputs" / f"{name}.json"
+    V = spaces.space_from_json(json.loads(path.read_text()))
+    want = cli._analysis(V)
+    assert want["gcd"] == format_form(spaces.gcd_of_space(V))
+
+    def no_gcd_chain(*args):
+        raise AssertionError("analysis ran gcd_of_space")
+
+    monkeypatch.setattr(cli, "gcd_of_space", no_gcd_chain, raising=False)
+    monkeypatch.setattr(spaces, "gcd_of_space", no_gcd_chain)
+    assert cli._analysis(V) == want
+    if "principal" in name:
+        assert want["gcd"] != "1"

@@ -7,6 +7,9 @@ from binforms.fields import GF, QQ
 from binforms.errors import PreconditionError
 from binforms.hilbert import (
     Cmp,
+    _cover_pairs,
+    _le_values,
+    _up_sets,
     betti_partitions,
     count_by_tau,
     count_exact_largest,
@@ -42,6 +45,7 @@ from oracles import (
     brute_force_covers,
     count_partitions_largest,
     join_nose_tail,
+    oracle_hasse_edges,
     partitions_of,
 )
 
@@ -231,6 +235,50 @@ def test_hasse_edges_postcondition_checks_emitted_edges(monkeypatch):
         hasse_edges(4, 5)
     assert hasse_edges(1, 1) == []  # no edges, nothing to check
 
+
+
+@pytest.mark.parametrize("d,j", [(d, j) for j in range(1, 13) for d in range(1, j + 1)])
+def test_hasse_edges_match_pairwise_oracle(d, j):
+    # exact lists, in order, against the all-pairs scan the bitsets replaced
+    assert hasse_edges(d, j) == oracle_hasse_edges(enumerate_acceptable(d, j), j)
+
+
+def _values(seqs, j):
+    top = max(j, *(H.stabilization() for H in seqs)) + 1
+    return [H.values(top) for H in seqs]
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_up_sets_are_the_pairwise_order(j):
+    # sequences of every d share j, so their values at j differ and the
+    # comparison at i = j, in both directions, is exercised
+    vals = _values([H for d in range(1, j + 1) for H in enumerate_acceptable(d, j)], j)
+    up = _up_sets(vals, j)
+    n = len(vals)
+    for a, va in enumerate(vals):
+        assert 0 <= up[a] < 1 << n
+        want = {b for b, vb in enumerate(vals) if _le_values(va, vb, j) is Cmp.LESS}
+        assert {b for b in range(n) if up[a] >> b & 1} == want
+
+
+class _ReadLog(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, m):
+        self.reads.append(m)
+        return super().__getitem__(m)
+
+
+@pytest.mark.parametrize("j", [5, 7, 9])
+def test_cover_walk_reads_one_up_set_per_edge(j):
+    # enumeration order is a linear extension of the order, so the walk skips
+    # every member that is not a cover: it reads exactly the edge targets
+    for d in range(1, j + 1):
+        up = _ReadLog(_up_sets(_values(enumerate_acceptable(d, j), j), j))
+        pairs = list(_cover_pairs(up))
+        assert up.reads == [b for _, b in pairs], (d, j)
 
 def test_staircase_examples():
     assert staircase_exponents(parse_oseq("1,2,3,4,3,2,1(0)"), 4, 5) == [(4, 0), (0, 4)]

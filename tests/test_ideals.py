@@ -370,6 +370,58 @@ def test_ladder_ideals_match_oracles(field, d, j, seed):
     assert relation_degrees(ancestor_ideal(fresh)) == relation_degrees(A)
 
 
+
+def _assert_dims_read_off(I):
+    top = (0 if I.is_zero else I.window_hi) + 3
+    assert [I.dim(i) for i in range(top + 1)] == [
+        I.component(i).dim for i in range(top + 1)
+    ]
+    with pytest.raises(PreconditionError):
+        I.dim(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=100),
+    st.sampled_from([GF(101), QQ]),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_dim_matches_the_component(j, d_offset, field, seed, times_x):
+    # dim reads the window and the tail degree; component builds the space
+    V = random_space(1 + d_offset % (j + 1), j, field, seed)
+    if times_x:  # a common factor, so that the tail gcd is not 1
+        V = span(field, j + 1, [mul_form(monomial(field, 1, 0), f) for f in V.basis_forms()])
+    for I in (ancestor_ideal(V), level_ideal(V), generated_ideal(V), annihilator(perp(V))):
+        _assert_dims_read_off(I)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+def test_dim_matches_the_component_on_edge_cases(field, monkeypatch):
+    import binforms.closure as closure
+    from binforms.hilbert import realize_staircase
+
+    _assert_dims_read_off(zero_ideal(field))
+    _assert_dims_read_off(level_ideal(zero_space(field, 3)))
+    _assert_dims_read_off(ancestor_ideal(principal_space(form(field, 2, [1, 0, 1]), 5)))
+    halves = []
+
+    def recording(build):
+        def run(*args):
+            halves.append(build(*args))
+            return halves[-1]
+
+        return run
+
+    for name in ("build_n", "build_t"):
+        monkeypatch.setattr(closure, name, recording(getattr(closure, name)))
+    _, source = realize_staircase(oseq([1], 2), 4, 5, field)
+    tr = closure.build_h(source, oseq([1, 2, 3, 4, 4, 2], 0), 5)
+    assert tr.steps and len(halves) == 2
+    for I in [source, tr.final_ideal] + [h.final_ideal for h in halves]:
+        _assert_dims_read_off(I)
+
 def test_ideal_dataclass_fields_unchanged():
     assert [f.name for f in fields(GradedIdeal)] == [
         "field", "window_lo", "window_hi", "components", "tail_gcd"
