@@ -10,45 +10,42 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from dataclasses import dataclass
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from binforms.cli import dispatch, CommandConfig
+from binforms.cli import main as binforms_main
 
 
-@dataclass(frozen=True)
-class GalleryConfig:
-    max_j: int
-    out_dir: Path
-
-
-def parse_args(argv: list[str] | None = None) -> GalleryConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-j", type=int, default=6)
     parser.add_argument("--out-dir", type=Path, default=Path("hasse_out"))
     args = parser.parse_args(argv)
     if args.max_j < 1:
         parser.error("--max-j must be >= 1")
-    return GalleryConfig(max_j=args.max_j, out_dir=args.out_dir)
+    return args
 
 
-def run(cfg: GalleryConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def run(args: argparse.Namespace) -> int:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
-    for j in range(1, cfg.max_j + 1):
+    for j in range(1, args.max_j + 1):
         for d in range(1, j + 1):
-            status, dot = dispatch(
-                CommandConfig(command="hasse", fmt="dot", d=d, j=j))
+            dot = io.StringIO()
+            with redirect_stdout(dot):
+                status = binforms_main(["hasse", "--d", str(d), "--j", str(j), "--dot"])
             if status != 0:
-                raise RuntimeError(f"hasse dispatch failed for d={d}, j={j}")
-            path = cfg.out_dir / f"hasse_d{d}_j{j}.dot"
-            path.write_text(dot + ("\n" if not dot.endswith("\n") else ""))
+                raise RuntimeError(f"binforms hasse failed for d={d}, j={j}")
+            path = args.out_dir / f"hasse_d{d}_j{j}.dot"
+            path.write_text(dot.getvalue())
             written += 1
-            nodes = dot.count("label=")
-            edges = dot.count("->")
-            print(f"{path}  ({nodes or 'n/a'} nodes, {edges} edges)")
-    print(f"\nwrote {written} DOT files to {cfg.out_dir}/")
+            lines = dot.getvalue().splitlines()
+            edges = sum("->" in line for line in lines)
+            nodes = sum(line.endswith('";') for line in lines) - edges
+            print(f"{path}  ({nodes} nodes, {edges} edges)")
+    print(f"\nwrote {written} DOT files to {args.out_dir}/")
     return 0
 
 

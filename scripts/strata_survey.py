@@ -15,18 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from binforms.hilbert import count_by_tau, dims, enumerate_acceptable
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    max_j: int
-    per_sequence: bool
-
-
-def parse_args(argv: list[str] | None = None) -> SurveyConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-j", type=int, default=8,
                         help="largest ambient degree j to survey (default 8)")
@@ -35,17 +28,17 @@ def parse_args(argv: list[str] | None = None) -> SurveyConfig:
     args = parser.parse_args(argv)
     if args.max_j < 1:
         parser.error("--max-j must be >= 1")
-    return SurveyConfig(max_j=args.max_j, per_sequence=args.per_sequence)
+    return args
 
 
-def survey(cfg: SurveyConfig) -> int:
+def survey(args: argparse.Namespace) -> int:
     total_sequences = 0
     count_mismatches = 0
     discrepancy_tally: Counter[str] = Counter()
     flagged_sequences = 0
     flagged_c0 = 0
 
-    for j in range(1, cfg.max_j + 1):
+    for j in range(1, args.max_j + 1):
         for d in range(1, j + 1):
             seqs = enumerate_acceptable(d, j)
             total_sequences += len(seqs)
@@ -57,7 +50,7 @@ def survey(cfg: SurveyConfig) -> int:
                     flagged_sequences += 1
                     for entry in report.discrepancies:
                         discrepancy_tally[entry.split(":")[0]] += 1
-                if cfg.per_sequence:
+                if args.per_sequence:
                     flags = ",".join(e.split(":")[0] for e in report.discrepancies)
                     print(f"d={d} j={j}  {str(H):<24} tau={report.tau} "
                           f"c={report.c} cod={report.cod_grass}"
@@ -71,7 +64,7 @@ def survey(cfg: SurveyConfig) -> int:
 
     print()
     print(f"surveyed {total_sequences} acceptable sequences, "
-          f"d <= j <= {cfg.max_j}")
+          f"d <= j <= {args.max_j}")
     print(f"counting-formula mismatches: {count_mismatches}")
     print(f"sequences with >= 1 formula discrepancy: {flagged_sequences}")
     if discrepancy_tally:

@@ -17,22 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from binforms.fields import GF
 from binforms.waring import GAD, gad, mu, random_dual, tau_delta
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    min_j: int
-    max_j: int
-    p: int
-    samples: int
-    seed: int
-
-
-def parse_args(argv: list[str] | None = None) -> ExperimentConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-j", type=int, default=4)
     parser.add_argument("--max-j", type=int, default=10)
@@ -46,29 +36,28 @@ def parse_args(argv: list[str] | None = None) -> ExperimentConfig:
         parser.error("need 1 <= min-j <= max-j")
     if args.p <= args.max_j:
         parser.error("--p must exceed --max-j")
-    return ExperimentConfig(min_j=args.min_j, max_j=args.max_j, p=args.p,
-                            samples=args.samples, seed=args.seed)
+    return args
 
 
 def generic_mu(c: int, j: int) -> int:
     return c * (j + 2) // (c + 1) if 2 * c < j else j
 
 
-def run(cfg: ExperimentConfig) -> int:
-    field = GF(cfg.p)
-    print(f"field F_{cfg.p}, {cfg.samples} samples per cell, seed {cfg.seed}")
+def run(args: argparse.Namespace) -> int:
+    field = GF(args.p)
+    print(f"field F_{args.p}, {args.samples} samples per cell, seed {args.seed}")
     print(f"{'j':>3} {'c':>3} {'predicted':>9} {'mode':>5} {'hit%':>6} "
           f"{'split':>6} {'unsplit':>8} {'tau_delta range':>16}")
 
     worst_hit_rate = 1.0
-    for j in range(cfg.min_j, cfg.max_j + 1):
+    for j in range(args.min_j, args.max_j + 1):
         for c in range(1, j):
             mus: Counter[int] = Counter()
             taus: Counter[int] = Counter()
             split = unsplit = 0
-            for s in range(cfg.samples):
+            for s in range(args.samples):
                 W = random_dual(c, j, field,
-                                seed=cfg.seed + 7919 * j + 191 * c + s)
+                                seed=args.seed + 7919 * j + 191 * c + s)
                 mus[mu(W)] += 1
                 taus[tau_delta(W)] += 1
                 if isinstance(gad(W), GAD):
@@ -77,7 +66,7 @@ def run(cfg: ExperimentConfig) -> int:
                     unsplit += 1
             predicted = generic_mu(c, j)
             mode, _ = mus.most_common(1)[0]
-            hits = mus[predicted] / cfg.samples
+            hits = mus[predicted] / args.samples
             worst_hit_rate = min(worst_hit_rate, hits)
             trange = f"{min(taus)}..{max(taus)}"
             print(f"{j:>3} {c:>3} {predicted:>9} {mode:>5} {hits:>6.0%} "

@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over the library modules — no numeric
 logic lives here.  Output is byte-identical for identical inputs and seed.
-Precondition violations exit with status 1 and a machine-readable JSON
+argparse checks every option; each handler reads its namespace.  Every
+refusal of input, usage errors included, exits 1 with a one-line JSON
 payload on stderr; any other escaping exception is a bug and exits 2.
 """
 
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .fields import GF, FieldSpec
@@ -40,23 +40,6 @@ from .spaces import FormSpace, random_space, space_from_json, space_to_json
 from .waring import DUAL_VARS, GAD, dual_from_json, gad, mu, tau_delta
 
 DEFAULT_FIELD = GF(101)
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    command: str
-    fmt: str = "text"  # text | json | dot
-    field: FieldSpec | None = None
-    input_path: str | None = None
-    h_text: str | None = None
-    target_h: str | None = None
-    d: int | None = None
-    j: int | None = None
-    tau: int | None = None
-    c: int | None = None
-    seed: int | None = None
-    max_j: int | None = None
-    show_all: bool = False
 
 
 # ── I/O helpers ───────────────────────────────────────────────────────────────
@@ -142,26 +125,25 @@ def _analysis_text(out: dict) -> str:
 # ── subcommands ───────────────────────────────────────────────────────────────
 
 
-def _cmd_analyze(cfg: CommandConfig) -> tuple[int, str]:
-    V = space_from_json(_read_json(cfg.input_path), cfg.field)
+def _cmd_analyze(args: argparse.Namespace) -> tuple[int, str]:
+    V = space_from_json(_read_json(args.path), args.field)
     out = {"space": space_to_json(V), **_analysis(V)}
-    return 0, _dump(out) if cfg.fmt == "json" else _analysis_text(out)
+    return 0, _dump(out) if args.json else _analysis_text(out)
 
 
-def _cmd_enumerate(cfg: CommandConfig) -> tuple[int, str]:
-    d, j = cfg.d, cfg.j
-    _require(d is not None and j is not None, "enumerate needs --d and --j")
-    full = cfg.show_all or cfg.tau is not None or cfg.c is not None
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+    d, j = args.d, args.j
+    full = args.show_all or args.tau is not None or args.c is not None
     if full:
         pool = [
             H
             for H in enumerate_acceptable(d, j)
-            if (cfg.tau is None or tau_of_h(H, j) == cfg.tau)
-            and (cfg.c is None or H.constant == cfg.c)
+            if (args.tau is None or tau_of_h(H, j) == args.tau)
+            and (args.c is None or H.constant == args.c)
         ]
         groups = Counter((tau_of_h(H, j), H.constant) for H in pool)
         for (t, c), n in sorted(groups.items()):
-            if cfg.tau is None and cfg.c is None and n != count_by_tau(d, j, t, c):
+            if args.tau is None and args.c is None and n != count_by_tau(d, j, t, c):
                 raise RuntimeError(f"count formula disagrees at (tau,c)=({t},{c})")
     else:
         pool = table_rows(d, j)
@@ -182,7 +164,7 @@ def _cmd_enumerate(cfg: CommandConfig) -> tuple[int, str]:
             }
         )
     out = {"d": d, "j": j, "mode": "all" if full else "table", "count": len(rows), "rows": rows}
-    if cfg.fmt == "json":
+    if args.json:
         return 0, _dump(out)
     lines = [f"{'H':<28} tau  c  dim  cod"]
     for row in rows:
@@ -193,15 +175,13 @@ def _cmd_enumerate(cfg: CommandConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_dims(cfg: CommandConfig) -> tuple[int, str]:
-    _require(cfg.h_text is not None and cfg.d is not None and cfg.j is not None,
-             "dims needs --H, --d and --j")
-    H = parse_oseq(cfg.h_text)
-    r = dims(H, cfg.d, cfg.j)
+def _cmd_dims(args: argparse.Namespace) -> tuple[int, str]:
+    H = parse_oseq(args.h_text)
+    r = dims(H, args.d, args.j)
     out = {
         "H": str(H),
-        "d": cfg.d,
-        "j": cfg.j,
+        "d": args.d,
+        "j": args.j,
         "tau": r.tau,
         "c": r.c,
         "ambient": r.ambient,
@@ -214,10 +194,10 @@ def _cmd_dims(cfg: CommandConfig) -> tuple[int, str]:
         "formulas": dict(r.formulas),
         "discrepancies": list(r.discrepancies),
     }
-    if cfg.fmt == "json":
+    if args.json:
         return 0, _dump(out)
     lines = [
-        f"H = {out['H']}  (d = {cfg.d}, j = {cfg.j}, tau = {r.tau}, c = {r.c})",
+        f"H = {out['H']}  (d = {args.d}, j = {args.j}, tau = {r.tau}, c = {r.c})",
         f"ambient = {r.ambient}   dim = {r.dim_grass}   cod = {r.cod_grass}",
         f"dim LA = {r.dim_la}   dim GA = {r.dim_ga}   "
         f"dim tau-stratum = {r.dim_grass_tau}   cod in stratum = {r.cod_tau_grass}",
@@ -232,33 +212,30 @@ def _cmd_dims(cfg: CommandConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_hasse(cfg: CommandConfig) -> tuple[int, str]:
-    _require(cfg.d is not None and cfg.j is not None, "hasse needs --d and --j")
-    seqs = enumerate_acceptable(cfg.d, cfg.j)
+def _cmd_hasse(args: argparse.Namespace) -> tuple[int, str]:
+    seqs = enumerate_acceptable(args.d, args.j)
     nodes = [str(H) for H in seqs]
-    edges = [(str(u), str(v)) for u, v in _hasse_edges(seqs, cfg.j)]
-    if cfg.fmt == "dot":
+    edges = [(str(u), str(v)) for u, v in _hasse_edges(seqs, args.j)]
+    if args.dot:
         lines = ["digraph hasse {", "  rankdir=BT;"]
         lines.extend(f'  "{n}";' for n in nodes)
         lines.extend(f'  "{u}" -> "{v}";' for u, v in edges)
         lines.append("}")
         return 0, "\n".join(lines)
-    out = {"d": cfg.d, "j": cfg.j, "nodes": nodes, "edges": [list(e) for e in edges]}
-    if cfg.fmt == "json":
+    out = {"d": args.d, "j": args.j, "nodes": nodes, "edges": [list(e) for e in edges]}
+    if args.json:
         return 0, _dump(out)
     lines = [f"{len(nodes)} sequences, {len(edges)} cover edges"]
     lines.extend(f"{u}  ->  {v}" for u, v in edges)
     return 0, "\n".join(lines)
 
 
-def _cmd_build(cfg: CommandConfig) -> tuple[int, str]:
+def _cmd_build(args: argparse.Namespace) -> tuple[int, str]:
     from .closure import build_h
 
-    _require(cfg.input_path is not None and cfg.target_h is not None and cfg.j is not None,
-             "build needs --from, --target-H and --j")
-    source = ideal_from_json(_read_json(cfg.input_path))
-    target = parse_oseq(cfg.target_h)
-    trace = build_h(source, target, cfg.j)
+    source = ideal_from_json(_read_json(args.path))
+    target = parse_oseq(args.target_h)
+    trace = build_h(source, target, args.j)
     steps = [
         {"before": str(s.before), "after": str(s.after), "degrees": list(s.degrees)}
         for s in trace.steps
@@ -271,7 +248,7 @@ def _cmd_build(cfg: CommandConfig) -> tuple[int, str]:
         "generatorDegrees": list(generator_degrees(final)),
         "ideal": ideal_to_json(final),
     }
-    if cfg.fmt == "json":
+    if args.json:
         return 0, _dump(out)
     lines = [f"{len(steps)} interpolation steps toward H = {target}"]
     for s in steps:
@@ -280,8 +257,8 @@ def _cmd_build(cfg: CommandConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_waring(cfg: CommandConfig) -> tuple[int, str]:
-    W = dual_from_json(_read_json(cfg.input_path), cfg.field)
+def _cmd_waring(args: argparse.Namespace) -> tuple[int, str]:
+    W = dual_from_json(_read_json(args.path), args.field)
     res = gad(W)
     # a GAD's length is mu, certified inside gad; only Unsplit needs mu(W)
     out = {"tauDelta": tau_delta(W), "mu": res.length if isinstance(res, GAD) else mu(W)}
@@ -293,7 +270,7 @@ def _cmd_waring(cfg: CommandConfig) -> tuple[int, str]:
         }
     else:
         out["unsplit"] = format_form(res.form, DUAL_VARS)
-    if cfg.fmt == "json":
+    if args.json:
         return 0, _dump(out)
     lines = [f"tau_delta = {out['tauDelta']}   mu = {out['mu']}"]
     if "gad" in out:
@@ -306,15 +283,15 @@ def _cmd_waring(cfg: CommandConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_related(cfg: CommandConfig) -> tuple[int, str]:
-    V = space_from_json(_read_json(cfg.input_path), cfg.field)
+def _cmd_related(args: argparse.Namespace) -> tuple[int, str]:
+    V = space_from_json(_read_json(args.path), args.field)
     classes = related_classes(V)
     rows = [
         {"generatorDegrees": list(generator_degrees(I)), "H": str(hilbert_function(I))}
         for I in classes
     ]
     out = {"count": len(rows), "classes": rows}
-    if cfg.fmt == "json":
+    if args.json:
         return 0, _dump(out)
     lines = [f"{len(rows)} related ancestor classes"]
     for k, row in enumerate(rows, start=1):
@@ -324,24 +301,22 @@ def _cmd_related(cfg: CommandConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_random(cfg: CommandConfig) -> tuple[int, str]:
-    _require(cfg.d is not None and cfg.j is not None and cfg.seed is not None,
-             "random needs --d, --j and --seed")
-    field = cfg.field or DEFAULT_FIELD
-    V = random_space(cfg.d, cfg.j, field, cfg.seed)
-    out = {"space": space_to_json(V), "seed": cfg.seed, **_analysis(V)}
-    if cfg.fmt == "json":
+def _cmd_random(args: argparse.Namespace) -> tuple[int, str]:
+    field = args.field or DEFAULT_FIELD
+    V = random_space(args.d, args.j, field, args.seed)
+    out = {"space": space_to_json(V), "seed": args.seed, **_analysis(V)}
+    if args.json:
         return 0, _dump(out)
     basis = ", ".join(format_form(f) for f in V.basis_forms())
-    header = f"sampled V over {field.name}, seed {cfg.seed}: <{basis}>"
+    header = f"sampled V over {field.name}, seed {args.seed}: <{basis}>"
     return 0, header + "\n" + _analysis_text(out)
 
 
-def _cmd_verify(cfg: CommandConfig) -> tuple[int, str]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     from .verify import run_all
 
-    results = run_all(cfg.max_j)
-    if cfg.fmt == "json":
+    results = run_all(args.max_j)
+    if args.json:
         out = [
             {
                 "number": r.number,
@@ -365,36 +340,38 @@ def _cmd_verify(cfg: CommandConfig) -> tuple[int, str]:
     return (0 if ok else 1), "\n".join(lines)
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "enumerate": _cmd_enumerate,
-    "dims": _cmd_dims,
-    "hasse": _cmd_hasse,
-    "build": _cmd_build,
-    "waring": _cmd_waring,
-    "related": _cmd_related,
-    "random": _cmd_random,
-    "verify": _cmd_verify,
-}
-
-
-def dispatch(cfg: CommandConfig) -> tuple[int, str]:
-    """Validate ranges, run the subcommand, return (exit status, output)."""
-    for name in ("d", "j", "tau", "c", "max_j"):
-        value = getattr(cfg, name)
-        _require(value is None or value >= 0, f"--{name.replace('_', '-')} must be >= 0")
-    if cfg.d is not None:
-        _require(cfg.d >= 1, "--d must be >= 1")
-    if cfg.fmt == "dot":
-        _require(cfg.command == "hasse", "--dot only applies to `hasse`")
-    return _HANDLERS[cfg.command](cfg)
-
-
 # ── argument parsing ──────────────────────────────────────────────────────────
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a refusal of input like any other: exit 1 with JSON."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _field(name: str) -> FieldSpec:
+    try:
+        return FieldSpec.from_name(name)
+    except PreconditionError as exc:  # a ValueError: argparse would drop its message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="binforms",
         description="Exact invariants of spaces of degree-j binary forms: "
         "ancestor/level ideals, Hilbert-function strata, closures, Waring "
@@ -402,82 +379,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, *, path=None, needs_dj=False, field=False):
+    def add(name, run, help_, *, path=None, needs_dj=False, field=False):
         # --field only where it is read; build takes its field from its input
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         if path:
             p.add_argument("path", help=path)
         if field:
-            p.add_argument("--field", default=None, help="Q or Fp:<prime>")
+            p.add_argument("--field", type=_field, default=None, help="Q or Fp:<prime>")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if needs_dj:
-            p.add_argument("--d", type=int, default=None)
-            p.add_argument("--j", type=int, default=None)
+            p.add_argument("--d", type=_at_least(1), required=True)
+            p.add_argument("--j", type=_at_least(0), required=True)
         return p
 
-    add("analyze", "full stratum report for a space read from JSON",
+    add("analyze", _cmd_analyze, "full stratum report for a space read from JSON",
         path="space JSON file ('-' for stdin)", field=True)
 
-    p = add("enumerate", "acceptable Hilbert functions for (d, j)", needs_dj=True)
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--c", type=int, default=None)
+    p = add("enumerate", _cmd_enumerate, "acceptable Hilbert functions for (d, j)", needs_dj=True)
+    p.add_argument("--tau", type=_at_least(0), default=None)
+    p.add_argument("--c", type=_at_least(0), default=None)
     p.add_argument("--all", action="store_true", dest="show_all",
                    help="every sequence, not just the per-class table")
 
-    p = add("dims", "dimension/codimension report for one sequence", needs_dj=True)
+    p = add("dims", _cmd_dims, "dimension/codimension report for one sequence", needs_dj=True)
     p.add_argument("--H", dest="h_text", required=True, help='sequence, e.g. "1,2,3,4,3,2,1(0)"')
 
-    p = add("hasse", "specialization poset of acceptable sequences", needs_dj=True)
+    p = add("hasse", _cmd_hasse, "specialization poset of acceptable sequences", needs_dj=True)
     p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
 
-    p = add("build", "rebuild an ideal to a more general Hilbert function, "
-            "keeping its degree-j component", path=None)
-    p.add_argument("--from", dest="input_path", required=True, help="source ideal JSON file")
+    p = add("build", _cmd_build, "rebuild an ideal to a more general Hilbert function, "
+            "keeping its degree-j component")
+    p.add_argument("--from", dest="path", required=True, help="source ideal JSON file")
     p.add_argument("--target-H", dest="target_h", required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_at_least(0), required=True)
 
-    add("waring", "length, apolar ideal order and decomposition of a dual space",
+    add("waring", _cmd_waring, "length, apolar ideal order and decomposition of a dual space",
         path="dual-space JSON file ('-' for stdin)", field=True)
 
-    add("related", "ancestor classes reachable by up/down multiplication chains",
+    add("related", _cmd_related, "ancestor classes reachable by up/down multiplication chains",
         path="space JSON file ('-' for stdin)", field=True)
 
-    p = add("random", "sample a space and analyze it", needs_dj=True, field=True)
+    p = add("random", _cmd_random, "sample a space and analyze it", needs_dj=True, field=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("verify", "run the acceptance criteria")
-    p.add_argument("--max-j", dest="max_j", type=int, default=None,
+    p = add("verify", _cmd_verify, "run the acceptance criteria")
+    p.add_argument("--max-j", dest="max_j", type=_at_least(0), default=None,
                    help="cap the sweep bounds for a quicker run")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CommandConfig:
-    field = FieldSpec.from_name(args.field) if getattr(args, "field", None) else None
-    fmt = "json" if getattr(args, "json", False) else "text"
-    if getattr(args, "dot", False):
-        fmt = "dot"
-    return CommandConfig(
-        command=args.command,
-        fmt=fmt,
-        field=field,
-        input_path=getattr(args, "input_path", None) or getattr(args, "path", None),
-        h_text=getattr(args, "h_text", None),
-        target_h=getattr(args, "target_h", None),
-        d=getattr(args, "d", None),
-        j=getattr(args, "j", None),
-        tau=getattr(args, "tau", None),
-        c=getattr(args, "c", None),
-        seed=getattr(args, "seed", None),
-        max_j=getattr(args, "max_j", None),
-        show_all=getattr(args, "show_all", False),
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        status, output = dispatch(_config_from_args(args))
+        args = _build_parser().parse_args(argv)
+        status, output = args.run(args)
     except PreconditionError as exc:
         print(json.dumps(exc.payload(), sort_keys=True), file=sys.stderr)
         return 1

@@ -13,8 +13,8 @@ bitsets: one mask per coordinate and value, covers by a walk that skips
 members already reached, edges in enumeration order (see `hasse_edges`).
 
 Each public function taking (H, d, j) checks that H is acceptable once, on
-entry; the private helpers (`_pq`, `_betti`, `_le_pq`, `_staircase_pairs`)
-work on sequences or partitions already known to be acceptable.
+entry; the private helpers (`_pq`, `_from_pq`, `_betti`, `_le_pq`,
+`_staircase_pairs`) work on sequences or partitions known to be acceptable.
 """
 
 from __future__ import annotations
@@ -128,25 +128,27 @@ def hilbert_from_partitions(P: Partition, Q: Partition, j: int, c: int) -> OSequ
             raise PreconditionError("largest part of Q must be τ-1", P=P, Q=Q)
     elif tau != 1:
         raise PreconditionError("Q may be empty only when τ = 1", P=P)
-    d = sum(P)
-    mu = j + 1 - len(P)
-    if mu < 0:
+    if len(P) > j + 1:
         raise PreconditionError("P has more than j+1 parts", P=P, j=j)
-    values = [i + 1 for i in range(mu)]
-    h = mu
-    for i in range(mu, j + 1):
-        h -= P[j - i] - 1
+    h = j + 1 - sum(P) - sum(Q)  # the last value `_from_pq` reaches
+    if h != c:
+        raise PreconditionError("partitions do not reach the requested constant", got=h, want=c)
+    H = _from_pq(P, Q, j, c)
+    require_acceptable(H, sum(P), j)
+    return H
+
+
+def _from_pq(P: Partition, Q: Partition, j: int, c: int) -> OSequence:
+    """`hilbert_from_partitions` of partitions known to give an acceptable H."""
+    h = j + 1 - len(P)  # µ: full up to here, then down by P_k - 1 from the last part
+    values = list(range(1, h + 1))
+    for p in reversed(P):
+        h -= p - 1
         values.append(h)
     for q in Q:
         h -= q
         values.append(h)
-    if h != c:
-        raise PreconditionError(
-            "partitions do not reach the requested constant", got=h, want=c
-        )
-    H = oseq(values, c)
-    require_acceptable(H, d, j)
-    return H
+    return oseq(values, c)
 
 
 # ── nose and tail ─────────────────────────────────────────────────────────────
@@ -231,7 +233,6 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     c = H.constant
     tau = H.e(j) + 1
     E = [H.e(i) for i in range(max(s, j) + 3)]
-    N, T = nose_tail(H, j)
 
     ambient = d * (j + 1 - d)
     dim_grass = c + sum((E[i] + 1) * E[i + 1] for i in range(mu, s + 2))
@@ -242,12 +243,11 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     if ambient - dim_grass_tau != ecodtau:
         raise RuntimeError("τ-stratum bookkeeping failed")
 
-    ecod_n = sum(
-        (E[i + 1] - E[i]) * (i - N.value(i - 1)) for i in range(mu, j)
-    ) + ecodtau
+    # nose N = H up to j, tail T = H from j on: the sums over N_{i-1}, T_{i+1} read H
+    ecod_n = sum((E[i + 1] - E[i]) * (i - H.value(i - 1)) for i in range(mu, j)) + ecodtau
     ecod_t = (
         (2 * d - 2 - j) * c
-        + sum((E[i] - E[i + 1]) * T.value(i + 1) for i in range(j + 1, s + 2))
+        + sum((E[i] - E[i + 1]) * H.value(i + 1) for i in range(j + 1, s + 2))
         + ecodtau
     )
     ecod_h = ecod_n + ecod_t - ecodtau
@@ -313,17 +313,7 @@ def h_tau(d: int, j: int, tau: int) -> OSequence:
     """Hilbert function of the generic stratum with the given τ."""
     if not 1 <= tau <= min(d, j + 2 - d):
         raise PreconditionError("τ out of range", tau=tau, d=d, j=j)
-    a = j + 1 - d
-    values = [min(i + 1, a + (tau - 1) * (j - i)) for i in range(j + 1)]
-    i = j + 1
-    while True:
-        v = max(0, a - (tau - 1) * (i - j))
-        values.append(v)
-        if v == 0 or tau == 1:
-            break
-        i += 1
-    constant = a if tau == 1 else 0
-    return oseq(values, constant)
+    return _generic_row(d, j, tau, j + 1 - d if tau == 1 else 0)
 
 
 # ── partial orders ────────────────────────────────────────────────────────────
@@ -437,7 +427,7 @@ def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
                 continue
             for Q in partitions_exact_largest(j + 1 - d - c, tau - 1):
                 key = (-tau, c, tuple(-x for x in P), tuple(-x for x in Q))
-                keyed.append((key, hilbert_from_partitions(P, Q, j, c)))
+                keyed.append((key, _from_pq(P, Q, j, c)))
     keyed.sort(key=operator.itemgetter(0))
     return [H for _, H in keyed]
 
@@ -450,14 +440,16 @@ def _generic_partition(n: int, k: int) -> Partition:
     return (k,) * (q + 1) + ((r,) if r else ())
 
 
+def _generic_row(d: int, j: int, tau: int, c: int) -> OSequence:
+    """The generic stratum of class (τ, c): both partitions dominance-largest."""
+    P = _generic_partition(d, tau)
+    Q = _generic_partition(j + 1 - d - c, tau - 1)
+    return _from_pq(P, Q, j, c)
+
+
 def table_rows(d: int, j: int) -> list[OSequence]:
     """One sequence per (τ, c): the generic stratum of that class."""
-    rows = []
-    for tau, c in _tau_c_range(d, j):
-        P = _generic_partition(d, tau)
-        Q = _generic_partition(j + 1 - d - c, tau - 1)
-        rows.append(hilbert_from_partitions(P, Q, j, c))
-    return rows
+    return [_generic_row(d, j, tau, c) for tau, c in _tau_c_range(d, j)]
 
 
 @lru_cache(maxsize=None)

@@ -190,9 +190,7 @@ def generated_ideal(V: FormSpace) -> GradedIdeal:
     return _assemble_ideal(V.field, V.degree, comps, _tail_of(comps[-1]))
 
 
-def ideal_from_generators(
-    field: FieldSpec, gens, window_hi: int | None = None
-) -> GradedIdeal:
+def ideal_from_generators(field: FieldSpec, gens) -> GradedIdeal:
     """Grow components degree by degree from a finite generator list."""
     forms = [g for g in gens if not g.is_zero]
     for g in forms:
@@ -207,11 +205,11 @@ def ideal_from_generators(
     top_gen = max(by_degree)
     comps = [span(field, lo, by_degree[lo])]
     i = lo
-    cap = max(window_hi or 0, top_gen + comps[0].cod + 2)
+    cap = top_gen + comps[0].cod + 2
     while True:
         cur = comps[-1]
         g = cur._principal  # the stop test; the next up-rung reads it too
-        if g is not None and i >= top_gen and (window_hi is None or i >= window_hi):
+        if g is not None and i >= top_gen:
             break
         if i > cap:
             raise RuntimeError("generated ideal failed to stabilize")

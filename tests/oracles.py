@@ -364,6 +364,49 @@ def oracle_hasse_edges(seqs: list, j: int) -> list:
 # ----- partitions & counting -------------------------------------------------
 
 
+def oracle_enumerate_acceptable(d: int, j: int) -> list:
+    """`enumerate_acceptable` with every sequence built and re-checked by the
+    public, validating `hilbert_from_partitions`."""
+    import operator
+
+    from binforms.hilbert import (
+        _tau_c_range,
+        hilbert_from_partitions,
+        partitions_exact_largest,
+    )
+
+    if not 1 <= d <= j:
+        raise PreconditionError("need 1 <= d <= j", d=d, j=j)
+    keyed = []
+    for tau, c in _tau_c_range(d, j):
+        for P in partitions_exact_largest(d, tau):
+            if len(P) > j + 1:
+                continue
+            for Q in partitions_exact_largest(j + 1 - d - c, tau - 1):
+                key = (-tau, c, tuple(-x for x in P), tuple(-x for x in Q))
+                keyed.append((key, hilbert_from_partitions(P, Q, j, c)))
+    keyed.sort(key=operator.itemgetter(0))
+    return [H for _, H in keyed]
+
+
+def oracle_h_tau(d: int, j: int, tau: int) -> OSequence:
+    """Generic stratum with the given τ in closed form: the full diagonal
+    capped by the line of slope τ-1 through (j, j+1-d), then down that line
+    to 0 (constant j+1-d when τ = 1)."""
+    if not 1 <= tau <= min(d, j + 2 - d):
+        raise PreconditionError("τ out of range", tau=tau, d=d, j=j)
+    a = j + 1 - d
+    values = [min(i + 1, a + (tau - 1) * (j - i)) for i in range(j + 1)]
+    i = j + 1
+    while True:
+        v = max(0, a - (tau - 1) * (i - j))
+        values.append(v)
+        if v == 0 or tau == 1:
+            break
+        i += 1
+    return oseq(values, a if tau == 1 else 0)
+
+
 def partitions_of(n: int):
     """All partitions of n (descending tuples), simple recursive generator."""
 

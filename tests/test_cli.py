@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from binforms.cli import main
+from binforms.cli import _build_parser, main
 from binforms.fields import GF, QQ
 from binforms.forms import form, format_form, monomial
 from binforms.hilbert import realize_staircase
@@ -239,10 +240,19 @@ def test_precondition_errors_exit_1():
     assert json.loads(err)["error"] == "precondition"
 
 
+def _refused(argv, named):
+    # one refusal path: exit 1, nothing on stdout, one JSON line naming the cause
+    rc, out, err = _run(argv)
+    assert rc == 1 and out == "", (argv, rc, out)
+    assert err.count("\n") == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "precondition"
+    assert named in payload["message"], (named, payload)
+    return payload
+
+
 def test_unknown_command_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        _run(["frobnicate"])
-    assert exc.value.code == 2
+    _refused(["frobnicate"], "frobnicate")
 
 
 @pytest.mark.parametrize(
@@ -259,9 +269,87 @@ def test_unknown_command_is_usage_error():
 def test_field_is_refused_where_it_is_not_read(argv):
     # these subcommands never read --field; accepting it would run them over
     # another field than asked (build takes its field from the ideal JSON)
+    _refused(argv + ["--field", "Fp:7"], "--field")
+
+
+# one well-formed command line per subcommand; no file is read before a refusal
+VALID = {
+    "analyze": ["analyze", "V.json"],
+    "enumerate": ["enumerate", "--d", "2", "--j", "3"],
+    "dims": ["dims", "--H", "1,2,1(0)", "--d", "2", "--j", "2"],
+    "hasse": ["hasse", "--d", "2", "--j", "3"],
+    "build": ["build", "--from", "I.json", "--target-H", "1,2,1(0)", "--j", "2"],
+    "waring": ["waring", "W.json"],
+    "related": ["related", "V.json"],
+    "random": ["random", "--d", "2", "--j", "3", "--seed", "1"],
+    "verify": ["verify", "--max-j", "1"],
+}
+
+
+def _without(name, option):
+    argv = VALID[name]
+    k = argv.index(option)
+    return argv[:k] + argv[k + 2:]
+
+
+def _with(name, option, value):
+    argv = _without(name, option) if option in VALID[name] else VALID[name]
+    return argv + [option, value]
+
+
+def _refusal_table():
+    cases = [(f"{name}-no-path", [name], "path") for name in ("analyze", "waring", "related")]
+    cases += [("dims-no-H", _without("dims", "--H"), "--H"),
+              ("build-no-from", _without("build", "--from"), "--from"),
+              ("build-no-target", _without("build", "--target-H"), "--target-H"),
+              ("build-no-j", _without("build", "--j"), "--j"),
+              ("random-no-seed", _without("random", "--seed"), "--seed")]
+    for name in ("enumerate", "dims", "hasse", "random"):
+        cases += [(f"{name}-no-{o[2:]}", _without(name, o), o) for o in ("--d", "--j")]
+        cases += [(f"{name}-d-abc", _with(name, "--d", "abc"), "--d"),
+                  (f"{name}-d-0", _with(name, "--d", "0"), "--d"),
+                  (f"{name}-j-neg", _with(name, "--j", "-1"), "--j")]
+    cases += [("build-j-abc", _with("build", "--j", "abc"), "--j"),
+              ("build-j-neg", _with("build", "--j", "-1"), "--j"),
+              ("enumerate-tau-neg", _with("enumerate", "--tau", "-1"), "--tau"),
+              ("enumerate-c-neg", _with("enumerate", "--c", "-1"), "--c"),
+              ("verify-max-j-neg", _with("verify", "--max-j", "-1"), "--max-j"),
+              ("verify-max-j-abc", _with("verify", "--max-j", "x"), "--max-j"),
+              ("random-seed-abc", _with("random", "--seed", "x"), "--seed")]
+    for name in VALID:
+        cases.append((f"{name}-unknown-option", VALID[name] + ["--frobnicate"], "--frobnicate"))
+        if name != "hasse":
+            cases.append((f"{name}-dot", VALID[name] + ["--dot"], "--dot"))
+    return cases + [("no-command", [], "command")]
+
+
+REFUSALS = _refusal_table()
+
+
+@pytest.mark.parametrize("argv,named", [c[1:] for c in REFUSALS], ids=[c[0] for c in REFUSALS])
+def test_every_refusal_exits_1_with_json(argv, named):
+    _refused(argv, named)
+
+
+def test_refusal_table_covers_every_subcommand():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(VALID) == set(sub.choices)
+    assert set(VALID) <= {argv[0] for _, argv, _ in REFUSALS if argv}
+
+
+def test_bad_field_keeps_the_library_message():
+    payload = _refused(_with("random", "--field", "F99"), "--field")
+    assert payload["message"].endswith("unknown field 'F99'; expected 'Q' or 'Fp:<prime>'")
+    payload = _refused(_with("random", "--field", "Fp:10"), "--field")
+    assert payload["message"].endswith("field modulus must be prime, got 10")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"], ["hasse", "-h"]])
+def test_help_exits_0(argv):
     with pytest.raises(SystemExit) as exc:
-        _run(argv + ["--field", "Fp:7"])
-    assert exc.value.code == 2
+        _run(argv)
+    assert exc.value.code == 0
 
 
 def test_field_is_read_where_it_is_accepted(tmp_path):

@@ -45,6 +45,8 @@ from oracles import (
     brute_force_covers,
     count_partitions_largest,
     join_nose_tail,
+    oracle_enumerate_acceptable,
+    oracle_h_tau,
     oracle_hasse_edges,
     partitions_of,
 )
@@ -143,6 +145,39 @@ def test_h_tau_examples():
     assert str(h_tau(4, 5, 1)) == "1(2)"
     with pytest.raises(PreconditionError):
         h_tau(4, 5, 4)
+
+
+@pytest.mark.parametrize("j", range(16))
+def test_h_tau_matches_closed_form(j):
+    for d in range(1, j + 2):
+        for tau in range(1, min(d, j + 2 - d) + 1):
+            assert h_tau(d, j, tau) == oracle_h_tau(d, j, tau), (d, j, tau)
+        for tau in (0, min(d, j + 2 - d) + 1):
+            with pytest.raises(PreconditionError):
+                h_tau(d, j, tau)
+
+
+@pytest.mark.parametrize("j", range(1, 13))
+def test_enumeration_matches_validating_oracle(j):
+    for d in range(1, j + 1):
+        assert enumerate_acceptable(d, j) == oracle_enumerate_acceptable(d, j), (d, j)
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_expected_codimensions_read_nose_and_tail(j):
+    # dims reads H where the published sums read the nose N and the tail T
+    for d in range(1, j + 1):
+        for H in enumerate_acceptable(d, j):
+            N, T = nose_tail(H, j)
+            E = [H.e(i) for i in range(max(H.stabilization(), j) + 3)]
+            mu, s, c = H.order(), H.stabilization(), H.constant
+            ecodtau = (d - tau_of_h(H, j)) * (j + 2 - d - tau_of_h(H, j))
+            ecod_n = ecodtau + sum(
+                (E[i + 1] - E[i]) * (i - N.value(i - 1)) for i in range(mu, j))
+            ecod_t = ecodtau + (2 * d - 2 - j) * c + sum(
+                (E[i] - E[i + 1]) * T.value(i + 1) for i in range(j + 1, s + 2))
+            formulas = dims(H, d, j).formulas
+            assert (formulas["ecodN"], formulas["ecodT"]) == (ecod_n, ecod_t), str(H)
 
 
 def test_partition_helpers():
