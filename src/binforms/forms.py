@@ -2,19 +2,23 @@
 
 Coefficient convention: coeffs[a] is the coefficient of x^(j-a) y^a, so a
 form of degree j carries exactly j+1 scalars and the zero form of each
-degree is representable.  The dual ring acts by differentiation:
+degree is representable.  The tuple is also f(1, t), the polynomial in
+t = y/x, constant term first, on which the `_univ_*` helpers work: trailing
+zeros are the power of x (the degree drop), leading zeros the power of y
+(the root t = 0).  The dual ring acts by differentiation:
 x^a y^b . X^c Y^d = c(c-1)...(c-a+1) d(d-1)...(d-b+1) X^(c-a) Y^(d-b),
 which is a perfect pairing exactly when char k = 0 or p > degree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .fields import FieldSpec, Scalar
+from .fields import GF, QQ, FieldSpec, Scalar, _is_prime
 
 
 @dataclass(frozen=True)
@@ -62,16 +66,8 @@ def scale_form(c, f: BinaryForm) -> BinaryForm:
 
 
 def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Product; convolution in the y-exponent."""
-    F = f.field
-    out = [F.zero] * (f.degree + g.degree + 1)
-    for u, a in enumerate(f.coeffs):
-        if F.is_zero(a):
-            continue
-        for v, b in enumerate(g.coeffs):
-            if not F.is_zero(b):
-                out[u + v] = F.add(out[u + v], F.mul(a, b))
-    return BinaryForm(F, f.degree + g.degree, tuple(out))
+    """Product: the product of the two polynomials in t."""
+    return BinaryForm(f.field, f.degree + g.degree, tuple(_univ_mul(f.field, f.coeffs, g.coeffs)))
 
 
 def monic(f: BinaryForm) -> BinaryForm:
@@ -83,26 +79,16 @@ def monic(f: BinaryForm) -> BinaryForm:
     return scale_form(F.inv(lead), f)
 
 
-# ----- core decomposition f = x^mx * y^my * core --------------------------------
+# ----- polynomials in t = y/x, constant term first --------------------------------
 
 
-def _support(f: BinaryForm) -> tuple[int, int]:
-    F = f.field
-    idx = [a for a, c in enumerate(f.coeffs) if not F.is_zero(c)]
-    if not idx:
-        raise ValueError("zero form has no support")
-    return idx[0], idx[-1]
-
-
-def split_monomial_part(f: BinaryForm) -> tuple[int, int, tuple[Scalar, ...]]:
-    """Return (mx, my, core) with f = x^mx y^my * core and core coprime to xy.
-
-    core is a dense univariate coefficient tuple in t = y/x, constant term
-    first, both ends nonzero.
-    """
-    lo, hi = _support(f)
-    core = f.coeffs[lo : hi + 1]
-    return f.degree - hi, lo, core
+def _univ_mul(F: FieldSpec, a, b) -> list:
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for u, c in enumerate(a):
+        if not F.is_zero(c):
+            for v, d in enumerate(b):
+                out[u + v] = F.add(out[u + v], F.mul(c, d))
+    return out
 
 
 def _univ_trim(F: FieldSpec, cs: list) -> list:
@@ -133,6 +119,17 @@ def _univ_gcd(F: FieldSpec, a: list, b: list) -> list:
     return [F.mul(inv, c) for c in a]
 
 
+def _univ_deriv(F: FieldSpec, a: list) -> list:
+    return [F.mul(F.coerce(k), c) for k, c in enumerate(a)][1:]
+
+
+def _univ_eval(F: FieldSpec, core: list, t: Scalar) -> Scalar:
+    acc = F.zero
+    for c in reversed(core):
+        acc = F.add(F.mul(acc, t), c)
+    return acc
+
+
 def gcd_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Monic gcd.  gcd(f, 0) = monic(f); gcd(0, 0) is an error."""
     if f.is_zero and g.is_zero:
@@ -142,15 +139,10 @@ def gcd_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero:
         return monic(f)
     F = f.field
-    fx, fy, fc = split_monomial_part(f)
-    gx, gy, gc = split_monomial_part(g)
-    core = _univ_gcd(F, list(fc), list(gc))
-    mx, my = min(fx, gx), min(fy, gy)
-    j = mx + my + len(core) - 1
-    out = [F.zero] * (j + 1)
-    for b, c in enumerate(core):
-        out[my + b] = c
-    return monic(BinaryForm(F, j, tuple(out)))
+    fc, gc = _univ_trim(F, list(f.coeffs)), _univ_trim(F, list(g.coeffs))
+    drop = min(f.degree + 1 - len(fc), g.degree + 1 - len(gc))  # the power of x
+    core = _univ_gcd(F, fc, gc)  # Euclid in t finds the common power of y
+    return monic(BinaryForm(F, len(core) - 1 + drop, tuple(core) + (F.zero,) * drop))
 
 
 def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -162,19 +154,14 @@ def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         if f.degree < g.degree:
             raise PreconditionError("quotient degree would be negative")
         return zero_form(F, f.degree - g.degree)
-    fx, fy, fc = split_monomial_part(f)
-    gx, gy, gc = split_monomial_part(g)
-    if gx > fx or gy > fy:
+    fc, gc = _univ_trim(F, list(f.coeffs)), _univ_trim(F, list(g.coeffs))
+    if g.degree + 1 - len(gc) > f.degree + 1 - len(fc):
         raise PreconditionError("monomial part does not divide")
-    q, r = _univ_divmod(F, list(fc), list(gc))
+    q, r = _univ_divmod(F, fc, gc)
     if r:
         raise PreconditionError("inexact form division")
     j = f.degree - g.degree
-    my = fy - gy
-    out = [F.zero] * (j + 1)
-    for b, c in enumerate(q):
-        out[my + b] = c
-    return BinaryForm(F, j, tuple(out))
+    return BinaryForm(F, j, tuple(q) + (F.zero,) * (j + 1 - len(q)))
 
 
 # ----- apolarity action ---------------------------------------------------------
@@ -217,20 +204,11 @@ def linear_power(L: BinaryForm, n: int) -> BinaryForm:
 
 def _univ_powmod(F: FieldSpec, base: list, e: int, mod: list) -> list:
     """base^e mod `mod` by square-and-multiply; reduction is `_univ_divmod`."""
-
-    def mulmod(a: list, b: list) -> list:
-        out = [F.zero] * max(0, len(a) + len(b) - 1)
-        for u, c in enumerate(a):
-            if not F.is_zero(c):
-                for v, d in enumerate(b):
-                    out[u + v] = F.add(out[u + v], F.mul(c, d))
-        return _univ_divmod(F, out, mod)[1]
-
     acc, base = [F.one], _univ_divmod(F, list(base), mod)[1]
     for bit in bin(e)[2:]:
-        acc = mulmod(acc, acc)
+        acc = _univ_divmod(F, _univ_mul(F, acc, acc), mod)[1]
         if bit == "1":
-            acc = mulmod(acc, base)
+            acc = _univ_divmod(F, _univ_mul(F, acc, base), mod)[1]
     return acc
 
 
@@ -268,41 +246,41 @@ def _fp_roots(F: FieldSpec, core: list) -> list:
 
 
 def _rational_roots(F: FieldSpec, core: list) -> list:
-    """Roots in the base field of the univariate core polynomial."""
+    """Distinct roots in k, sorted, of a polynomial in t; over Q its constant
+    term must be nonzero (`linear_factors` strips the power of t first).
+
+    Over Q the roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
+    1983).  f is the squarefree part cleared to integers, p the least odd
+    prime with p not dividing f_n and f squarefree mod p.  A root a/b has
+    a | f_0 and b | f_n, so it is a simple root mod p, Newton's iteration
+    lifts it uniquely to p^k > 2 max(|f_0|, |f_n|)^2, and half-extended
+    Euclid reads a/b back.  Only candidates with f(a/b) = 0 are kept.
+    """
     if F.p is not None:
         return _fp_roots(F, core)
-    # rational root theorem on the integer-cleared polynomial
-    denom_lcm = 1
-    for c in core:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in core]
-    a0 = next(c for c in ints if c != 0)
-    an = ints[-1]
-    roots = set()
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if not F.is_zero(_univ_eval(F, core, cand)):
-                    continue
-                roots.add(cand)
-    if ints[0] == 0:
-        roots.add(Fraction(0))
+    f = _univ_divmod(QQ, core, _univ_gcd(QQ, core, _univ_deriv(QQ, core)))[0]
+    den = math.lcm(*(c.denominator for c in f))
+    f = [int(c * den) for c in f]
+    for p in itertools.count(3, 2):
+        fp = [c % p for c in f]
+        if f[-1] % p and _is_prime(p) and len(_univ_gcd(GF(p), fp, _univ_deriv(GF(p), fp))) == 1:
+            break
+    bound, roots = 2 * max(abs(f[0]), abs(f[-1])) ** 2, []
+    for r in _fp_roots(GF(p), fp):
+        m = p
+        while m <= bound:
+            m *= m
+            fr = dfr = 0
+            for c in reversed(f):  # Horner for f(r) and f'(r) together
+                fr, dfr = (fr * r + c) % m, (dfr * r + fr) % m
+            r = (r - fr * pow(dfr, -1, m)) % m
+        r0, r1, s0, s1 = m, r, 0, 1
+        while 2 * r1 * r1 > m:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if not _univ_eval(QQ, core, Fraction(r1, s1)):
+            roots.append(Fraction(r1, s1))
     return sorted(roots)
-
-
-def _divisors(n: int) -> list:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.extend((d, n // d))
-    return sorted(set(out))
-
-
-def _univ_eval(F: FieldSpec, core: list, t: Scalar) -> Scalar:
-    acc = F.zero
-    for c in reversed(core):
-        acc = F.add(F.mul(acc, t), c)
-    return acc
 
 
 def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryForm]:
@@ -316,23 +294,17 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
     if f.is_zero:
         raise PreconditionError("cannot factor the zero form")
     F = f.field
-    mx, my, core = split_monomial_part(f)
-    factors: list[tuple[BinaryForm, int]] = []
-    if my:
-        factors.append((monomial(F, 0, 1), my))  # y^my
-    if mx:
-        factors.append((monomial(F, 1, 0), mx))  # x^mx
-    rem = list(core)
-    for t in _rational_roots(F, list(core)):
+    rem = _univ_trim(F, list(f.coeffs))
+    mx = f.degree + 1 - len(rem)  # the degree drop is the power of x
+    my = next(a for a, c in enumerate(rem) if not F.is_zero(c))  # the root t = 0
+    rem = rem[my:]
+    factors = [(l, m) for l, m in ((monomial(F, 0, 1), my), (monomial(F, 1, 0), mx)) if m]
+    for t in _rational_roots(F, rem):
         mult = 0
-        while True:
-            q, r = _univ_divmod(F, rem, [F.neg(t), F.one])
-            if r:
-                break
-            rem, mult = q, mult + 1
-        if mult:
-            # root t of the dehomogenized core <-> factor y - t x
-            factors.append((monic(BinaryForm(F, 1, (F.neg(t), F.one))), mult))
+        while not (qr := _univ_divmod(F, rem, [F.neg(t), F.one]))[1]:
+            rem, mult = qr[0], mult + 1
+        # root t of the polynomial in t <-> factor y - t x
+        factors.append((monic(BinaryForm(F, 1, (F.neg(t), F.one))), mult))
     rem_form = monic(BinaryForm(F, len(rem) - 1, tuple(rem)))
     factors.sort(key=lambda fm: _coeff_sort_key(fm[0]))
     return factors, rem_form

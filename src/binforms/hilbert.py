@@ -449,6 +449,8 @@ def _generic_row(d: int, j: int, tau: int, c: int) -> OSequence:
 
 def table_rows(d: int, j: int) -> list[OSequence]:
     """One sequence per (τ, c): the generic stratum of that class."""
+    if not 1 <= d <= j:
+        raise PreconditionError("need 1 <= d <= j", d=d, j=j)
     return [_generic_row(d, j, tau, c) for tau, c in _tau_c_range(d, j)]
 
 

@@ -15,6 +15,7 @@ codimension of the locus where mu drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial
 
 from .errors import PreconditionError
@@ -278,12 +279,10 @@ def gad(W: DualSpace) -> GAD | Unsplit:
         weights = tuple(b for _, b in factors)
         if sum(weights) != m:
             raise RuntimeError("factor multiplicities do not add up to mu")
-        gens, slots = [], []
         powers = [linear_power(L, j + 1 - b) for L, b in zip(linear_forms, weights)]
-        for idx, b in enumerate(weights):
-            for t in range(b):
-                gens.append(mul_form(monomial(F, b - 1 - t, t), powers[idx]))
-                slots.append((idx, t))
+        # factor by factor, t = 0..b-1 inside each: the cofactor slices read this order
+        gens = [mul_form(monomial(F, b - 1 - t, t), P)
+                for P, b in zip(powers, weights) for t in range(b)]
         cert = span(F, j, gens)
         if cert.dim != m:
             raise RuntimeError("apolar power span has the wrong dimension")
@@ -292,13 +291,10 @@ def gad(W: DualSpace) -> GAD | Unsplit:
             coords = _solve_coords(F, [g.coeffs for g in gens], w.coeffs)
             if coords is None:
                 raise RuntimeError("dual space escapes its apolar power span")
-            per_factor = []
-            for idx, b in enumerate(weights):
-                cs = [F.zero] * b
-                for pos, (k, t) in enumerate(slots):
-                    if k == idx:
-                        cs[t] = coords[pos]
-                per_factor.append(BinaryForm(F, b - 1, tuple(cs)))
+            per_factor = [
+                BinaryForm(F, b - 1, tuple(coords[end - b : end]))
+                for b, end in zip(weights, accumulate(weights))
+            ]
             # reconstruct to be safe: w = sum G_i L_i^{j+1-beta_i}
             acc = zero_form(F, j)
             for G, P in zip(per_factor, powers):

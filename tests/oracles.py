@@ -273,6 +273,38 @@ def oracle_fp_roots(p: int, core) -> list:
     return out
 
 
+def oracle_q_roots(core) -> list:
+    """Distinct rational roots of sum_k core[k] t^k, from sympy's factorization
+    over Q (its linear factors)."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(sum(sympy.Rational(c) * t**k for k, c in enumerate(core)), t, domain="QQ")
+    roots = []
+    for fac, _ in poly.factor_list()[1]:
+        if fac.degree() == 1:
+            a, b = fac.all_coeffs()  # a t + b
+            roots.append(Fraction(int(sympy.numer(-b / a)), int(sympy.denom(-b / a))))
+    return sorted(roots)
+
+
+def oracle_linear_factors(f: BinaryForm) -> tuple[dict, tuple]:
+    """`linear_factors` of a form over Q, from sympy's factorization in x, y:
+    ({monic linear coefficient pair: multiplicity}, monic remainder coeffs)."""
+    F = f.field
+
+    def monic_coeffs(poly):
+        cs = poly_to_coeffs(poly, poly.total_degree(), F)
+        lead = next(c for c in cs if c)
+        return tuple(c / lead for c in cs)
+
+    linear, rest = {}, sympy.Poly(1, x, y)
+    for fac, m in coeffs_to_poly(f.coeffs, f.degree).factor_list()[1]:
+        if fac.total_degree() == 1:
+            linear[monic_coeffs(fac)] = m
+        else:
+            rest *= fac**m
+    return linear, monic_coeffs(rest)
+
+
 # ----- Hilbert functions and ideals -------------------------------------------
 
 

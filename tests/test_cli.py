@@ -315,7 +315,10 @@ def _refusal_table():
               ("enumerate-c-neg", _with("enumerate", "--c", "-1"), "--c"),
               ("verify-max-j-neg", _with("verify", "--max-j", "-1"), "--max-j"),
               ("verify-max-j-abc", _with("verify", "--max-j", "x"), "--max-j"),
-              ("random-seed-abc", _with("random", "--seed", "x"), "--seed")]
+              ("random-seed-abc", _with("random", "--seed", "x"), "--seed"),
+              # table mode checks the (d, j) domain as --all mode does
+              ("enumerate-d-above-j", ["enumerate", "--d", "4", "--j", "3"], "need 1 <= d <= j"),
+              ("enumerate-d-far-above-j", ["enumerate", "--d", "9", "--j", "3"], "need 1 <= d <= j")]
     for name in VALID:
         cases.append((f"{name}-unknown-option", VALID[name] + ["--frobnicate"], "--frobnicate"))
         if name != "hasse":

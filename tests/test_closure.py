@@ -63,6 +63,33 @@ def test_step_t_worked_examples():
         step_t(oseq([1, 2, 3, 4, 2, 0], 0), oseq([1, 2, 3, 4, 2, 0], 0))
 
 
+# every refusal of the pair checks that step_n/step_t and build_n/build_t
+# share, each with its message; the pair is (N', N) and (T', T)
+T_35 = oseq([1, 2, 3, 4, 5], 3)  # a permissible tail for (d, j) = (3, 5)
+PAIR_REFUSALS = [
+    ("nose-constant", step_n, oseq([1, 2, 3, 2], 0), oseq([1, 2, 3, 2], 1), "not a level-type"),
+    ("nose-zero-ideal", step_n, oseq([1, 2, 3, 2], 0), oseq([], None), "not a level-type"),
+    ("nose-empty-prefix", step_n, oseq([1, 2, 3, 2], 0), oseq([], 0), "not a level-type"),
+    ("nose-impermissible", step_n, oseq([1, 2, 3, 2], 0), oseq([1, 2, 3, 1, 2], 0),
+     "not a permissible nose"),
+    ("nose-mismatched", step_n, oseq([1, 2, 1], 0), oseq([1, 2, 3, 2], 0), "mismatched parameters"),
+    ("nose-above", step_n, oseq([1, 2, 3, 4, 5, 3], 0), oseq([1, 2, 3, 3, 3, 3], 0),
+     "N' <= N termwise"),
+    ("tail-zero-ideal", step_t, T_35, oseq([], None), "not a tail sequence"),
+    ("tail-impermissible", step_t, T_35, oseq([1, 2, 3, 4, 5, 1, 2], 0), "not a permissible tail"),
+    ("tail-mismatched", step_t, T_35, oseq([1, 2, 3, 4, 3, 2, 1], 0), "mismatched parameters"),
+    ("tail-below", step_t, oseq([1, 2, 3, 4, 5, 3], 1), oseq([1, 2, 3, 4, 5, 3, 2, 1], 0),
+     "T' >= T termwise"),
+]
+
+
+@pytest.mark.parametrize("step,before,target,message", [c[1:] for c in PAIR_REFUSALS],
+                         ids=[c[0] for c in PAIR_REFUSALS])
+def test_step_pair_refusals(step, before, target, message):
+    with pytest.raises(PreconditionError, match=message):
+        step(before, target)
+
+
 def test_build_h_full_chain_4_5():
     F = GF(101)
     _, source = realize_staircase(oseq([1], 2), 4, 5, F)

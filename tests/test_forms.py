@@ -25,7 +25,16 @@ from binforms.forms import (
     smallest_linear_factor,
     zero_form,
 )
-from oracles import contract, divides, oracle_contract, oracle_fp_roots, oracle_gcd, oracle_mul
+from oracles import (
+    contract,
+    divides,
+    oracle_contract,
+    oracle_fp_roots,
+    oracle_gcd,
+    oracle_linear_factors,
+    oracle_mul,
+    oracle_q_roots,
+)
 
 F7 = GF(7)
 F101 = GF(101)
@@ -237,6 +246,72 @@ def test_fp_roots_structured_cores(p):
                   key=lambda fm: fm[0].coeffs)
     assert factors == want
     assert rem == f
+
+
+# Q roots are roots mod p, Newton-lifted and read back by rational
+# reconstruction; the oracle is sympy's factorization over Q.
+
+
+def _q_times(core, g):
+    """core * g, both integer lists in t, constant term first."""
+    out = [0] * (len(core) + len(g) - 1)
+    for u, a in enumerate(core):
+        for v, b in enumerate(g):
+            out[u + v] += a * b
+    return out
+
+
+def _planted_q_core(rng, bits):
+    """A Q polynomial in t with nonzero constant term: planted roots of height
+    below 2^bits, some repeated, times rootless quadratics n + m t^2, over a
+    common denominator; and the distinct planted roots."""
+    h = lambda: rng.randint(1, 2**bits)
+    core, roots = [rng.choice((1, -1)) * h()], set()
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice((1, -1)) * h(), h()
+        roots.add(Fraction(a, b))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            core = _q_times(core, [-a, b])
+    for _ in range(rng.randint(0, 2)):
+        core = _q_times(core, [h(), 0, h()])
+    den = h()
+    return [Fraction(c, den) for c in core], sorted(roots)
+
+
+@pytest.mark.parametrize("bits", [2, 8, 64, 256])
+def test_q_roots_match_sympy(bits):
+    rng = random.Random(f"q-roots|{bits}")
+    for _ in range(10):
+        core, planted = _planted_q_core(rng, bits)
+        got = _rational_roots(QQ, core)
+        assert got == planted == oracle_q_roots(core), core
+
+
+def test_q_roots_structured_cores():
+    assert _rational_roots(QQ, [Fraction(5)]) == []
+    assert _rational_roots(QQ, [1, 0, 1]) == []  # 1 + t^2
+    assert _rational_roots(QQ, [-2, 0, 1]) == []  # irrational roots
+    # (t - 1)^3 (t + 1): repeated roots, and roots that coincide mod 3
+    assert _rational_roots(QQ, [Fraction(c) for c in (-1, 2, 0, -2, 1)]) == [-1, 1]
+    assert _rational_roots(QQ, [Fraction(-3), Fraction(1, 7)]) == [21]
+    # y (y - 100 x): the power of y is split off before the root finder, so
+    # the lift bound 2 max(|f_0|, |f_n|)^2 is taken on t - 100 and covers 100
+    assert linear_factors(q(2, [0, -100, 1])) == (
+        [(q(1, [0, 1]), 1), (q(1, [1, Fraction(-1, 100)]), 1)], q(0, [1]))
+
+
+@pytest.mark.parametrize("my,mx", [(0, 0), (2, 0), (0, 3), (1, 1)])
+def test_linear_factors_q_match_sympy(my, mx):
+    # leading zeros are the power of y (the root t = 0), trailing ones the
+    # power of x; both are split off before the root finder runs
+    rng = random.Random(f"q-factors|{my}|{mx}")
+    for _ in range(6):
+        core, _ = _planted_q_core(rng, 64)
+        f = form(QQ, my + len(core) - 1 + mx, [0] * my + core + [0] * mx)
+        factors, rem = linear_factors(f)
+        linear, rest = oracle_linear_factors(f)
+        assert {l.coeffs: m for l, m in factors} == linear
+        assert rem.coeffs == rest
 
 
 # ----- json ---------------------------------------------------------------------

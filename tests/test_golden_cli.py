@@ -3,10 +3,10 @@
 Each case in `golden/cases.json` is one `binforms` command line, run in
 process from inside `golden/` (its input files live in `golden/inputs/`).
 The expected stdout of case NAME is `golden/stdout/NAME.txt`; the expected
-exit codes are in `golden/exit_codes.json`.  Re-record only when a change of
-output is intended:
+exit codes are in `golden/exit_codes.json`.  Record the named cases (a new
+case, or one whose change of output is intended); the others stay as they are:
 
-    PYTHONPATH=src python tests/test_golden_cli.py --record
+    PYTHONPATH=src python tests/test_golden_cli.py --record NAME [NAME ...]
 """
 
 from __future__ import annotations
@@ -61,16 +61,23 @@ def test_every_case_is_recorded():
     assert sorted(p.stem for p in (GOLDEN / "stdout").iterdir()) == sorted(names)
 
 
-def record() -> None:
+def record(names: list[str]) -> None:
+    """Run and store only the named cases; every other recording is kept."""
+    by_name = {c["name"]: c for c in CASES}
+    unknown = [n for n in names if n not in by_name]
+    if unknown:
+        sys.exit(f"no such case in golden/cases.json: {', '.join(unknown)}")
     (GOLDEN / "stdout").mkdir(exist_ok=True)
-    codes = {}
-    for case in CASES:
-        codes[case["name"]], stdout = run_case(case["argv"])
-        (GOLDEN / "stdout" / f"{case['name']}.txt").write_bytes(stdout)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")
+    path = GOLDEN / "exit_codes.json"
+    codes = _expected_exit_codes() if path.exists() else {}
+    for name in names:
+        codes[name], stdout = run_case(by_name[name]["argv"])
+        (GOLDEN / "stdout" / f"{name}.txt").write_bytes(stdout)
+    order = [c["name"] for c in CASES if c["name"] in codes]
+    path.write_text(json.dumps({n: codes[n] for n in order}, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"] or not sys.argv[2:]:
         sys.exit(__doc__)
-    record()
+    record(sys.argv[2:])

@@ -139,6 +139,54 @@ def test_9_14_companion():
     assert any(s.startswith("coda:") for s in r.discrepancies)
 
 
+@pytest.mark.parametrize(
+    "P,Q,c,message",
+    [
+        ((), (), 0, "bad partition data"),
+        ((2, 0), (1,), 0, "bad partition data"),
+        ((2, 1), (1,), -1, "bad partition data"),
+        ((1, 2), (1,), 0, "weakly decreasing"),
+        ((2, 1), (2,), 0, "largest part of Q must be τ-1"),
+        ((2, 1), (), 0, "Q may be empty only when τ = 1"),
+        ((1,) * 7, (), 0, r"more than j\+1 parts"),
+        ((2, 1), (1,), 0, "do not reach the requested constant"),
+    ],
+)
+def test_hilbert_from_partitions_refusals(P, Q, c, message):
+    with pytest.raises(PreconditionError, match=message):
+        hilbert_from_partitions(P, Q, 5, c)
+
+
+@pytest.mark.parametrize("d,j", [(0, 3), (4, 3), (9, 3)])
+def test_table_rows_refuses_outside_the_domain(d, j):
+    # the same domain and message as enumerate_acceptable, d = j+1 included
+    with pytest.raises(PreconditionError, match="need 1 <= d <= j"):
+        table_rows(d, j)
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("1,2,3,2,1,0", oseq([1, 2, 3, 2, 1], 0)),  # bare list: last entry is the constant
+        (" 1, 2, 1 ", oseq([1, 2], 1)),
+        ("(+)", oseq([], None)),  # the zero ideal
+        ("1,2,3(+)", oseq([], None)),
+    ],
+)
+def test_parse_oseq_documented_forms(text, want):
+    assert parse_oseq(text) == want
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("  ", "empty Hilbert-function text"), (",,", "bad Hilbert-function text"),
+     ("1,x,1(0)", "bad integer 'x'"), ("1,2(y)", "bad integer 'y'")],
+)
+def test_parse_oseq_refusals(text, message):
+    with pytest.raises(PreconditionError, match=message):
+        parse_oseq(text)
+
+
 def test_h_tau_examples():
     assert str(h_tau(4, 5, 2)) == "1,2,3,4,3,2,1(0)"
     assert str(h_tau(4, 5, 3)) == "1,2,3,4,4,2(0)"

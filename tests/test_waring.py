@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.cli import main
-from binforms.forms import form, linear_power, monic, monomial
+from binforms.forms import BinaryForm, form, linear_factors, linear_power, monic, monomial
 from binforms.hilbert import (
     enumerate_acceptable,
     h_tau,
@@ -37,7 +38,9 @@ from binforms.waring import (
     random_dual,
     tau_delta,
 )
-from oracles import oracle_ann_component, oracle_mu, oracle_tau_delta
+from oracles import oracle_ann_component, oracle_linear_factors, oracle_mu, oracle_tau_delta
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def _dual(field, degree, coeff_rows):
@@ -264,6 +267,29 @@ def test_gad_forms_are_independent_and_weighted(field, c, m, seed):
             for M in g.linear_forms[u + 1 :]:
                 (a0, a1), (b0, b1) = L.coeffs, M.coeffs
                 assert not field.is_zero(field.sub(field.mul(a0, b1), field.mul(a1, b0)))
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_gad_q_j12_is_certified_against_sympy(c):
+    # the apolar forms have coefficients of height about 10^20, far beyond
+    # trial division over the divisors of a_0 and a_n; the golden `waring`
+    # cases over Q at j = 12 read these spaces
+    W = random_dual(c, 12, QQ, seed=0)
+    golden = GOLDEN_INPUTS / f"dual_q_j12_c{c}.json"
+    assert dual_to_json(W) == json.loads(golden.read_text(encoding="utf-8"))
+    g = gad(W)
+    m = mu(W)
+    assert m == oracle_mu(W)
+    rows = sorted(_ann_component(W, m).mat.rows)
+    splits = []
+    for row in rows:
+        f = BinaryForm(QQ, m, row)
+        factors, rem = linear_factors(f)
+        assert ({l.coeffs: k for l, k in factors}, rem.coeffs) == oracle_linear_factors(f)
+        splits.append(rem.degree == 0)
+    # no candidate splits over Q, so gad reports the lex-first rootless part
+    assert isinstance(g, Unsplit) and not any(splits)
+    assert g.form == linear_factors(BinaryForm(QQ, m, rows[0]))[1]
 
 
 @pytest.mark.parametrize("p", [2147483647, 2305843009213693951])
