@@ -260,8 +260,7 @@ def _cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_waring(args: argparse.Namespace) -> tuple[int, str]:
     W = dual_from_json(_read_json(args.path), args.field)
     res = gad(W)
-    # a GAD's length is mu, certified inside gad; only Unsplit needs mu(W)
-    out = {"tauDelta": tau_delta(W), "mu": res.length if isinstance(res, GAD) else mu(W)}
+    out = {"tauDelta": tau_delta(W), "mu": mu(W)}
     if isinstance(res, GAD):
         out["gad"] = {
             "forms": [format_form(L, DUAL_VARS) for L in res.linear_forms],

@@ -1,9 +1,9 @@
 """Exact scalar arithmetic over Q and over the prime fields F_p.
 
 Rational scalars are `fractions.Fraction`; F_p scalars are plain ints kept
-in the canonical range [0, p).  Every routine in this package that touches
-coefficients goes through a FieldSpec, so swapping the base field never
-changes code paths elsewhere.
+in the canonical range [0, p).  Scalars enter through a FieldSpec, which
+makes them canonical; the inner loops of `linalg.rref` and of the polynomial
+layer in `forms` instead pick one plain-int kernel per field kind by `p`.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 Coefficient convention: coeffs[a] is the coefficient of x^(j-a) y^a, so a
 form of degree j carries exactly j+1 scalars and the zero form of each
 degree is representable.  The tuple is also f(1, t), the polynomial in
-t = y/x, constant term first, on which the `_univ_*` helpers work: trailing
-zeros are the power of x (the degree drop), leading zeros the power of y
-(the root t = 0).  The dual ring acts by differentiation:
+t = y/x, constant term first: trailing zeros are the power of x (the degree
+drop), leading zeros the power of y (the root t = 0).  Polynomials in t are
+int lists, one kernel per field kind picked once per call by `F.p`: residues
+mod a local p, or primitive integer lists over Q (Fractions only for the
+result).  The dual ring acts by differentiation:
 x^a y^b . X^c Y^d = c(c-1)...(c-a+1) d(d-1)...(d-b+1) X^(c-a) Y^(d-b),
 which is a perfect pairing exactly when char k = 0 or p > degree.
 """
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .fields import GF, QQ, FieldSpec, Scalar, _is_prime
+from .fields import FieldSpec, Scalar, _is_prime
+from .linalg import _integer_row, _primitive
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,13 @@ def scale_form(c, f: BinaryForm) -> BinaryForm:
 
 def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Product: the product of the two polynomials in t."""
-    return BinaryForm(f.field, f.degree + g.degree, tuple(_univ_mul(f.field, f.coeffs, g.coeffs)))
+    p, b = f.field.p, g.coeffs
+    out = [0] * (f.degree + g.degree + 1)
+    for u, c in enumerate(f.coeffs):
+        if c:
+            out[u : u + len(b)] = [o + c * d for o, d in zip(out[u : u + len(b)], b)]
+    cs = [Fraction(c) for c in out] if p is None else [c % p for c in out]
+    return BinaryForm(f.field, len(out) - 1, tuple(cs))
 
 
 def monic(f: BinaryForm) -> BinaryForm:
@@ -82,52 +91,113 @@ def monic(f: BinaryForm) -> BinaryForm:
 # ----- polynomials in t = y/x, constant term first --------------------------------
 
 
-def _univ_mul(F: FieldSpec, a, b) -> list:
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for u, c in enumerate(a):
-        if not F.is_zero(c):
-            for v, d in enumerate(b):
-                out[u + v] = F.add(out[u + v], F.mul(c, d))
-    return out
-
-
-def _univ_trim(F: FieldSpec, cs: list) -> list:
-    while cs and F.is_zero(cs[-1]):
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def _univ_divmod(F: FieldSpec, num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    q = [F.zero] * max(0, len(num) - len(den) + 1)
-    inv_lead = F.inv(den[-1])
-    for k in range(len(num) - len(den), -1, -1):
-        c = F.mul(num[k + len(den) - 1], inv_lead)
-        if not F.is_zero(c):
+def _mod(cs, p: int) -> list[int]:
+    return _trim([c % p for c in cs])
+
+
+def _deriv(f: list) -> list:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _divmod_p(num, den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod p.  den is reduced and trimmed; num may be
+    unreduced, since each step reduces only the coefficient it divides."""
+    num, n = list(num), len(den) - 1
+    inv = pow(den[-1], -1, p)
+    q = [0] * max(0, len(num) - n)
+    for k in range(len(num) - n - 1, -1, -1):
+        c = num.pop() * inv % p
+        if c:
             q[k] = c
-            for i, d in enumerate(den):
-                num[k + i] = F.sub(num[k + i], F.mul(c, d))
-    return q, _univ_trim(F, num)
+            num[k:] = [x - c * d for x, d in zip(num[k:], den)]
+    return q, _mod(num, p)
 
 
-def _univ_gcd(F: FieldSpec, a: list, b: list) -> list:
-    a, b = _univ_trim(F, list(a)), _univ_trim(F, list(b))
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod p of reduced, trimmed lists, not both zero."""
     while b:
-        _, r = _univ_divmod(F, a, b)
-        a, b = b, r
-    inv = F.inv(a[-1])
-    return [F.mul(inv, c) for c in a]
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _univ_deriv(F: FieldSpec, a: list) -> list:
-    return [F.mul(F.coerce(k), c) for k, c in enumerate(a)][1:]
+def _powmod_p(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod `mod` (degree n >= 1; base of at most n+1 entries) over F_p.
+
+    Square-and-multiply on residues packed w bits per entry (Kronecker
+    substitution), so a product is one int product.  Its entries n..2n-1 fold
+    back through t^k mod `mod`, packed once, and the n entries left are then
+    reduced once each; they stay below 2n p^2 < 2^w, so they never carry."""
+    n = len(mod) - 1
+    w = 2 * p.bit_length() + n.bit_length() + 2
+    mask, shifts = (1 << w) - 1, range(0, 2 * n * w, w)
+    inv = pow(mod[-1], -1, p)
+    r = t_n = [-c * inv % p for c in mod[:-1]]  # t^n mod `mod`
+    folds = []
+    for _ in range(n):
+        folds.append(sum(c << s for c, s in zip(r, shifts)))
+        r = [(x + r[-1] * d) % p for x, d in zip([0] + r[:-1], t_n)]
+
+    def reduce(X: int) -> int:
+        X = (X & (1 << n * w) - 1) + sum(((X >> s) & mask) % p * R for s, R in zip(shifts[n:], folds))
+        return sum(((X >> s) & mask) % p << s for s in shifts[:n])
+
+    A, B = 1, reduce(sum(c << s for c, s in zip(base, shifts)))
+    for bit in bin(e)[2:]:
+        A = reduce(A * A)
+        if bit == "1":
+            A = reduce(A * B)
+    return [(A >> s) & mask for s in shifts[:n]]
 
 
-def _univ_eval(F: FieldSpec, core: list, t: Scalar) -> Scalar:
-    acc = F.zero
-    for c in reversed(core):
-        acc = F.add(F.mul(acc, t), c)
-    return acc
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[t] by the primitive PRS (Brown, JACM 18, 1971): each
+    fraction-free remainder, num <- (lc/g) num - (c/g) t^k den for top entry c
+    and g = gcd(lc, c), is divided by its content, so it is the primitive part
+    of a subresultant and never outgrows it, as Euclid over Q does."""
+    while b:
+        num, n, lc = list(a), len(b) - 1, b[-1]
+        for k in range(len(num) - n - 1, -1, -1):
+            c = num.pop()
+            if c:
+                g = math.gcd(lc, c)
+                s, c = lc // g, c // g
+                num[:k] = [s * x for x in num[:k]]
+                num[k:] = [s * x - c * d for x, d in zip(num[k:], b)]
+        a, b = b, _primitive(_trim(num))
+    return _primitive(a)
+
+
+def _exquo(num: list[int], den: list[int], p: int | None) -> list[int] | None:
+    """num / den when den divides num, else None: mod p, or over Z (p None)
+    for a primitive den, where Gauss's lemma makes the quotient integral."""
+    if p is not None:
+        q, r = _divmod_p(num, den, p)
+        return None if r else q
+    num, n, lc = list(num), len(den) - 1, den[-1]
+    q = [0] * max(0, len(num) - n)
+    for k in range(len(num) - n - 1, -1, -1):
+        c, r = divmod(num.pop(), lc)
+        if r:
+            return None
+        q[k] = c
+        num[k:] = [x - c * d for x, d in zip(num[k:], den)]
+    return None if any(num) else q
+
+
+def _monic_form(F: FieldSpec, cs: list[int]) -> BinaryForm:
+    """The form with int coefficients cs, scaled as `monic` scales."""
+    lead = next(c for c in cs if c)
+    if F.p is None:
+        return BinaryForm(F, len(cs) - 1, tuple(Fraction(c, lead) for c in cs))
+    inv = pow(lead, -1, F.p)
+    return BinaryForm(F, len(cs) - 1, tuple(c * inv % F.p for c in cs))
 
 
 def gcd_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -139,10 +209,13 @@ def gcd_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero:
         return monic(f)
     F = f.field
-    fc, gc = _univ_trim(F, list(f.coeffs)), _univ_trim(F, list(g.coeffs))
+    fc, gc = _trim(list(f.coeffs)), _trim(list(g.coeffs))
     drop = min(f.degree + 1 - len(fc), g.degree + 1 - len(gc))  # the power of x
-    core = _univ_gcd(F, fc, gc)  # Euclid in t finds the common power of y
-    return monic(BinaryForm(F, len(core) - 1 + drop, tuple(core) + (F.zero,) * drop))
+    if F.p is None:  # the gcd in t finds the common power of y
+        core = _prs_gcd(_integer_row(fc), _integer_row(gc))
+    else:
+        core = _gcd_p(fc, gc, F.p)
+    return _monic_form(F, core + [0] * drop)
 
 
 def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -154,11 +227,18 @@ def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         if f.degree < g.degree:
             raise PreconditionError("quotient degree would be negative")
         return zero_form(F, f.degree - g.degree)
-    fc, gc = _univ_trim(F, list(f.coeffs)), _univ_trim(F, list(g.coeffs))
+    fc, gc = _trim(list(f.coeffs)), _trim(list(g.coeffs))
     if g.degree + 1 - len(gc) > f.degree + 1 - len(fc):
         raise PreconditionError("monomial part does not divide")
-    q, r = _univ_divmod(F, fc, gc)
-    if r:
+    if F.p is None:
+        fi, gi = _integer_row(fc), _integer_row(gc)
+        q = _exquo(fi, gi, None)
+        if q is not None:  # fc = fi fc[-1]/fi[-1], and gc likewise
+            s = fc[-1] * gi[-1] / (gc[-1] * fi[-1])
+            q = [s * c for c in q]
+    else:
+        q = _exquo(fc, gc, F.p)
+    if q is None:
         raise PreconditionError("inexact form division")
     j = f.degree - g.degree
     return BinaryForm(F, j, tuple(q) + (F.zero,) * (j + 1 - len(q)))
@@ -186,63 +266,53 @@ def linear_power(L: BinaryForm, n: int) -> BinaryForm:
         raise PreconditionError("linear_power needs a degree-1 form")
     if L.is_zero:
         raise PreconditionError("linear_power of the zero form")
-    field = L.field
-    a, b = L.coeffs
-    cs = []
-    for k in range(n + 1):
-        term = field.coerce(math.comb(n, k))
-        for _ in range(n - k):
-            term = field.mul(term, a)
-        for _ in range(k):
-            term = field.mul(term, b)
-        cs.append(term)
-    return BinaryForm(field, n, tuple(cs))
+    (a, b), p = L.coeffs, L.field.p
+    if p is None:
+        cs = (math.comb(n, k) * a ** (n - k) * b**k for k in range(n + 1))
+    else:
+        cs = (math.comb(n, k) * pow(a, n - k, p) * pow(b, k, p) % p for k in range(n + 1))
+    return BinaryForm(L.field, n, tuple(cs))
 
 
 # ----- factoring into linear forms -----------------------------------------------
 
 
-def _univ_powmod(F: FieldSpec, base: list, e: int, mod: list) -> list:
-    """base^e mod `mod` by square-and-multiply; reduction is `_univ_divmod`."""
-    acc, base = [F.one], _univ_divmod(F, list(base), mod)[1]
-    for bit in bin(e)[2:]:
-        acc = _univ_divmod(F, _univ_mul(F, acc, acc), mod)[1]
-        if bit == "1":
-            acc = _univ_divmod(F, _univ_mul(F, acc, base), mod)[1]
-    return acc
+def _fp_roots(f: list[int], p: int) -> list[int]:
+    """Distinct roots in F_p, sorted, of a reduced trimmed list, without
+    scanning the residues.
 
-
-def _fp_roots(F: FieldSpec, core: list) -> list:
-    """Distinct roots in F_p, sorted, without scanning the residues.
-
-    g = gcd(core, t^p - t) is the product of t - r over the roots r.  For
-    odd p it is split deterministically (Cantor-Zassenhaus equal-degree
-    splitting with shifts a = 0, 1, 2, ...): gcd(g, (t+a)^((p-1)/2) - 1)
-    collects the roots r with r + a a nonzero square.  For two distinct
-    roots (p-1)/2 of the p shifts separate them, so the loop ends below p.
+    g = gcd(f, t^p - t) is the product of t - r over the roots r.  For odd p
+    it is split deterministically (Cantor-Zassenhaus equal-degree splitting
+    with shifts a = 0, 1, 2, ...): gcd(g, (t+a)^((p-1)/2) - 1) collects the
+    roots r with r + a a nonzero square.  For two distinct roots (p-1)/2 of
+    the p shifts separate them, so the loop ends below p.
     """
-    p, f = F.p, _univ_trim(F, list(core))
-    if p == 2:
-        return [t for t in (0, 1) if F.is_zero(_univ_eval(F, f, t))]
     if len(f) < 2:
         return []
-    h = _univ_powmod(F, [F.zero, F.one], p, f)
-    h += [F.zero] * (2 - len(h))
-    h[1] = F.sub(h[1], F.one)
+    if p == 2:
+        return [t for t, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
+    h = _powmod_p([0, 1], p, f, p) + [0]  # the pad is for linear f
+    h[1] -= 1
 
     def split(g: list, start: int) -> list:
         if len(g) <= 2:
-            return [F.neg(g[0])] if len(g) == 2 else []
+            return [-g[0] % p] if len(g) == 2 else []
         for a in range(start, p):
-            s = _univ_powmod(F, [a, F.one], (p - 1) // 2, g) or [F.zero]
-            s[0] = F.sub(s[0], F.one)
-            d = _univ_gcd(F, g, s)
+            s = _powmod_p([a, 1], (p - 1) // 2, g, p)
+            s[0] -= 1
+            d = _gcd_p(g, _mod(s, p), p)
             if 1 < len(d) < len(g):
                 # a cannot split either part again: resume at a + 1
-                return split(d, a + 1) + split(_univ_divmod(F, g, d)[0], a + 1)
+                return split(d, a + 1) + split(_divmod_p(g, d, p)[0], a + 1)
         raise RuntimeError("no shift below p separates the roots")
 
-    return sorted(split(_univ_gcd(F, f, h), 0))
+    return sorted(split(_gcd_p(f, _mod(h, p), p), 0))
+
+
+def _lifting_prime(f: list[int], p: int) -> bool:
+    """p does not divide f_n and gcd(f, f') = 1 mod p: then the discriminant
+    of f is nonzero mod p, so f is squarefree and p can lift its roots."""
+    return f[-1] % p != 0 and len(_gcd_p(_mod(f, p), _mod(_deriv(f), p), p)) == 1
 
 
 def _rational_roots(F: FieldSpec, core: list) -> list:
@@ -250,23 +320,23 @@ def _rational_roots(F: FieldSpec, core: list) -> list:
     term must be nonzero (`linear_factors` strips the power of t first).
 
     Over Q the roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
-    1983).  f is the squarefree part cleared to integers, p the least odd
-    prime with p not dividing f_n and f squarefree mod p.  A root a/b has
-    a | f_0 and b | f_n, so it is a simple root mod p, Newton's iteration
-    lifts it uniquely to p^k > 2 max(|f_0|, |f_n|)^2, and half-extended
-    Euclid reads a/b back.  Only candidates with f(a/b) = 0 are kept.
+    1983).  f is core cleared to a primitive integer list.  A lifting prime
+    among the first 8 odd primes certifies f squarefree; without one, f
+    becomes f / gcd(f, f') by the primitive PRS and p its least odd lifting
+    prime.  A root a/b has a | f_0 and b | f_n, so it is a simple root mod p,
+    Newton's iteration lifts it uniquely to p^k > 2 max(|f_0|, |f_n|)^2, and
+    half-extended Euclid reads a/b back.  Only candidates with f(a/b) = 0 are
+    kept.
     """
     if F.p is not None:
-        return _fp_roots(F, core)
-    f = _univ_divmod(QQ, core, _univ_gcd(QQ, core, _univ_deriv(QQ, core)))[0]
-    den = math.lcm(*(c.denominator for c in f))
-    f = [int(c * den) for c in f]
-    for p in itertools.count(3, 2):
-        fp = [c % p for c in f]
-        if f[-1] % p and _is_prime(p) and len(_univ_gcd(GF(p), fp, _univ_deriv(GF(p), fp))) == 1:
-            break
+        return _fp_roots(_mod(core, F.p), F.p)
+    f = _integer_row(core)
+    p = next((p for p in (3, 5, 7, 11, 13, 17, 19, 23) if _lifting_prime(f, p)), None)
+    if p is None:
+        f = _exquo(f, _prs_gcd(f, _deriv(f)), None)
+        p = next(p for p in itertools.count(3, 2) if _is_prime(p) and _lifting_prime(f, p))
     bound, roots = 2 * max(abs(f[0]), abs(f[-1])) ** 2, []
-    for r in _fp_roots(GF(p), fp):
+    for r in _fp_roots(_mod(f, p), p):
         m = p
         while m <= bound:
             m *= m
@@ -278,7 +348,10 @@ def _rational_roots(F: FieldSpec, core: list) -> list:
         while 2 * r1 * r1 > m:
             q = r0 // r1
             r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        if not _univ_eval(QQ, core, Fraction(r1, s1)):
+        acc, sk = 0, 1
+        for c in reversed(f):  # s1^n f(r1/s1) by Horner, in integers
+            acc, sk = acc * r1 + c * sk, sk * s1
+        if not acc:
             roots.append(Fraction(r1, s1))
     return sorted(roots)
 
@@ -293,21 +366,21 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
     """
     if f.is_zero:
         raise PreconditionError("cannot factor the zero form")
-    F = f.field
-    rem = _univ_trim(F, list(f.coeffs))
+    F, p = f.field, f.field.p
+    rem = _trim(list(f.coeffs))
     mx = f.degree + 1 - len(rem)  # the degree drop is the power of x
-    my = next(a for a, c in enumerate(rem) if not F.is_zero(c))  # the root t = 0
-    rem = rem[my:]
+    my = next(a for a, c in enumerate(rem) if c)  # the root t = 0
+    rem = rem[my:] if p else _integer_row(rem[my:])
     factors = [(l, m) for l, m in ((monomial(F, 0, 1), my), (monomial(F, 1, 0), mx)) if m]
     for t in _rational_roots(F, rem):
-        mult = 0
-        while not (qr := _univ_divmod(F, rem, [F.neg(t), F.one]))[1]:
-            rem, mult = qr[0], mult + 1
         # root t of the polynomial in t <-> factor y - t x
-        factors.append((monic(BinaryForm(F, 1, (F.neg(t), F.one))), mult))
-    rem_form = monic(BinaryForm(F, len(rem) - 1, tuple(rem)))
+        lin = [-t % p, 1] if p else [-t.numerator, t.denominator]
+        mult = 0
+        while (q := _exquo(rem, lin, p)) is not None:
+            rem, mult = q, mult + 1
+        factors.append((_monic_form(F, lin), mult))
     factors.sort(key=lambda fm: _coeff_sort_key(fm[0]))
-    return factors, rem_form
+    return factors, _monic_form(F, rem)
 
 
 def _coeff_sort_key(f: BinaryForm):

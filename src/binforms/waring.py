@@ -15,6 +15,7 @@ codimension of the locus where mu drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import factorial
 
@@ -53,12 +54,36 @@ DUAL_VARS = ("X", "Y")
 
 @dataclass(frozen=True)
 class DualSpace:
-    """A subspace of the degree-j dual forms in X, Y (canonical RREF basis)."""
+    """A subspace of the degree-j dual forms in X, Y (canonical RREF basis).
+    Its weighted rows and (mu, (Ann W)_mu) are cached properties, not fields."""
 
     space: FormSpace
 
     def __post_init__(self):
         require_pairing_char(self.space.field, self.space.degree)
+
+    @cached_property
+    def _weighted(self) -> tuple[tuple, ...]:
+        return _weighted_rows(self.space)
+
+    @cached_property
+    def _initial(self) -> tuple[int, FormSpace]:
+        """mu(W) and (Ann W)_mu, by bisection on [c, j+1], c = dim W.
+
+        No degree below c qualifies: a nonzero f in (Ann W)_i puts f.R_{j-i}
+        in (Ann W)_j, so j-i+1 <= j+1-c.  Ann W is an ideal, so (Ann W)_i != 0
+        implies (Ann W)_{i+1} != 0, and (Ann W)_{j+1} is all of R_{j+1}.
+        """
+        lo, hi = self.dim, self.degree + 1
+        comp = full_space(self.field, hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            cand = _ann_component(self, mid)
+            if cand.dim:
+                hi, comp = mid, cand
+            else:
+                lo = mid + 1
+        return hi, comp
 
     @property
     def field(self) -> FieldSpec:
@@ -138,7 +163,7 @@ def _catalecticant(W: DualSpace, i: int) -> Matrix:
     """
     j = W.degree
     rows = tuple(
-        w[r : r + i + 1] for w in _weighted_rows(W.space) for r in range(j - i + 1)
+        w[r : r + i + 1] for w in W._weighted for r in range(j - i + 1)
     )
     return Matrix(W.field, rows, i + 1)
 
@@ -176,31 +201,12 @@ def tau_delta(W: DualSpace) -> int:
     return 1 + rank(_catalecticant(W, j - 1)) - W.dim
 
 
-def _initial_component(W: DualSpace) -> tuple[int, FormSpace]:
-    """mu(W) and (Ann W)_mu, by bisection on [c, j+1], c = dim W.
-
-    No degree below c qualifies: a nonzero f in (Ann W)_i puts f.R_{j-i} in
-    (Ann W)_j, so j-i+1 <= j+1-c.  Ann W is an ideal, so (Ann W)_i != 0
-    implies (Ann W)_{i+1} != 0, and (Ann W)_{j+1} is all of R_{j+1}.
-    """
-    lo, hi = W.dim, W.degree + 1
-    comp = full_space(W.field, hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cand = _ann_component(W, mid)
-        if cand.dim:
-            hi, comp = mid, cand
-        else:
-            lo = mid + 1
-    return hi, comp
-
-
 def mu(W: DualSpace) -> int:
     """Initial degree of the annihilator; c <= mu(W) <= mu_generic(tau_delta).
 
     Found by bisection between c and j+1 (j+1 when W is the full dual space).
     """
-    return _initial_component(W)[0]
+    return W._initial[0]
 
 
 # ── generalized additive decompositions ───────────────────────────────────────
@@ -265,7 +271,7 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     lex-first candidate.
     """
     F, j = W.field, W.degree
-    m, comp = _initial_component(W)
+    m, comp = W._initial
     candidates = sorted(comp.mat.rows)
     first_rem = None
     for row in candidates:

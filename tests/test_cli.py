@@ -187,21 +187,24 @@ def test_waring_split_and_unsplit(tmp_path):
     assert "unsplit" in data and "gad" not in data
 
 
-def test_waring_reads_mu_from_the_decomposition(tmp_path, monkeypatch):
-    # a GAD's length is mu, certified inside gad; only Unsplit asks mu(W)
-    import binforms.cli as cli
+def test_waring_bisects_once(tmp_path, monkeypatch):
+    # mu(W) and gad(W) share the dual space's memoized bisection, so one CLI
+    # run probes as many catalecticant kernels as one mu(W)
+    import binforms.waring as waring
 
     calls = []
-    real_mu = cli.mu
-    monkeypatch.setattr(cli, "mu", lambda W: calls.append(W) or real_mu(W))
-    for field, want_calls in ((GF(7), 0), (QQ, 1)):
+    real = waring._ann_component
+    monkeypatch.setattr(waring, "_ann_component", lambda W, i: calls.append(i) or real(W, i))
+    for field in (GF(7), QQ):  # the first splits, the second stays Unsplit
         W = dual_space(field, 3, [form(field, 3, [0, 1, -1, 0])])
         path = tmp_path / f"W{field.p}.json"
         path.write_text(json.dumps(dual_to_json(W)))
+        assert waring.mu(W) == 2
+        want, calls[:] = len(calls), []
         rc, out, _ = _run(["waring", str(path)])
         assert rc == 0
         assert out.startswith("tau_delta = 2   mu = 2\n")
-        assert len(calls) == want_calls
+        assert len(calls) == want > 0
         calls.clear()
 
 

@@ -287,6 +287,24 @@ def test_q_roots_match_sympy(bits):
         assert got == planted == oracle_q_roots(core), core
 
 
+def test_q_roots_without_a_certificate_prime(monkeypatch):
+    # every one of the first 8 odd primes divides the leading coefficient, so
+    # none certifies this squarefree core and the PRS fallback runs
+    import binforms.forms as forms
+
+    M = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    core = _q_times([-1, M], [-2, 1])  # (M t - 1)(t - 2)
+    calls = []
+    real = forms._prs_gcd
+    monkeypatch.setattr(forms, "_prs_gcd", lambda a, b: calls.append(a) or real(a, b))
+    got = _rational_roots(QQ, core)
+    assert got == [Fraction(1, M), 2] == oracle_q_roots(core)
+    assert len(calls) == 1
+    calls.clear()
+    assert _rational_roots(QQ, _q_times([-1, 1], [-2, 1])) == [1, 2]  # 3 certifies
+    assert calls == []
+
+
 def test_q_roots_structured_cores():
     assert _rational_roots(QQ, [Fraction(5)]) == []
     assert _rational_roots(QQ, [1, 0, 1]) == []  # 1 + t^2
@@ -372,6 +390,39 @@ def test_gcd_matches_sympy(f, g):
     coeffs, deg = oracle_gcd(f.coeffs, f.degree, g.coeffs, g.degree, QQ)
     assert got.degree == deg and got.coeffs == coeffs
     assert divides(got, f) and divides(got, g)
+
+
+P61 = GF(2**61 - 1)
+
+
+@pytest.mark.parametrize("field", [F7, P61], ids=["F7", "F2^61-1"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gcd_and_divide_match_sympy_fp(field, data):
+    # f and g share the factor c, so the gcds are not all 1
+    a, b, c = (data.draw(forms_over(field, max_degree=4, allow_zero=False)) for _ in range(3))
+    f, g = mul_form(a, c), mul_form(b, c)
+    got = gcd_form(f, g)
+    coeffs, deg = oracle_gcd(f.coeffs, f.degree, g.coeffs, g.degree, field)
+    assert got.degree == deg and got.coeffs == coeffs
+    for num, den in ((f, got), (g, got), (f, c)):
+        quo = divide_form(num, den)
+        assert oracle_mul(quo.coeffs, quo.degree, den.coeffs, den.degree, field) == num.coeffs
+    if gcd_form(f, b).degree < b.degree:
+        with pytest.raises(PreconditionError):
+            divide_form(f, b)
+
+
+def test_gcd_matches_sympy_at_height_2_256():
+    rng = random.Random("q-gcd|256")
+    h = lambda: Fraction(rng.randint(-(2**256), 2**256), rng.randint(1, 2**256))
+    for _ in range(5):
+        a, b, c = (q(d, [h() for _ in range(d + 1)]) for d in (5, 4, 3))
+        f, g = mul_form(a, c), mul_form(b, c)
+        got = gcd_form(f, g)
+        coeffs, deg = oracle_gcd(f.coeffs, f.degree, g.coeffs, g.degree, QQ)
+        assert got.degree == deg == 3 and got.coeffs == coeffs
+        assert divide_form(f, got) == scale_form(c.coeffs[0], a)  # got = c / c_0
 
 
 @given(forms_over(QQ, max_degree=4), forms_over(QQ, max_degree=4, allow_zero=False))

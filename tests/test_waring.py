@@ -38,7 +38,13 @@ from binforms.waring import (
     random_dual,
     tau_delta,
 )
-from oracles import oracle_ann_component, oracle_linear_factors, oracle_mu, oracle_tau_delta
+from oracles import (
+    oracle_ann_component,
+    oracle_linear_factors,
+    oracle_mu,
+    oracle_q_roots,
+    oracle_tau_delta,
+)
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -290,6 +296,34 @@ def test_gad_q_j12_is_certified_against_sympy(c):
     # no candidate splits over Q, so gad reports the lex-first rootless part
     assert isinstance(g, Unsplit) and not any(splits)
     assert g.form == linear_factors(BinaryForm(QQ, m, rows[0]))[1]
+
+
+def test_gad_q_j30_reports_a_rootless_factor():
+    # the apolar forms here carry coefficients of dozens of digits; their
+    # squarefree parts and gcds run on integers, never Euclid over Fractions
+    g = gad(random_dual(8, 30, QQ, seed=0))
+    assert isinstance(g, Unsplit) and g.form.degree >= 1
+    assert oracle_q_roots(g.form.coeffs) == []
+
+
+def test_mu_and_gad_share_one_bisection(monkeypatch):
+    import dataclasses
+
+    import binforms.waring as waring
+
+    W, twin, fresh = (random_dual(2, 10, GF(10007), seed=3) for _ in range(3))
+    m = mu(W)
+    calls = []
+    real = waring._ann_component
+    monkeypatch.setattr(waring, "_ann_component", lambda V, i: calls.append(i) or real(V, i))
+    g = gad(W)
+    assert calls == []  # gad reads the bisection mu ran
+    assert gad(twin) == g and mu(twin) == m and calls  # a new instance bisects
+    # the memo is no dataclass field: equality, hashing and fields see `space`
+    assert "_initial" in W.__dict__ and "_initial" not in fresh.__dict__
+    assert W == fresh and hash(W) == hash(fresh) and repr(W) == repr(fresh)
+    assert dataclasses.fields(W) == dataclasses.fields(fresh)
+    assert [f.name for f in dataclasses.fields(W)] == ["space"]
 
 
 @pytest.mark.parametrize("p", [2147483647, 2305843009213693951])
