@@ -53,7 +53,9 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise PreconditionError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no permission
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an over-long int, deep nesting
         raise PreconditionError(f"invalid JSON in {path}: {exc}") from None
 
 

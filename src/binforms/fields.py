@@ -16,6 +16,8 @@ from .errors import PreconditionError
 
 # Fraction over Q, canonical residue (int) over F_p.
 Scalar = Fraction | int
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
+_MAX_EXPONENT = 4300  # Python's default int-to-str digit limit
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -73,7 +75,7 @@ class FieldSpec:
     def from_name(name: str) -> "FieldSpec":
         if name == "Q":
             return QQ
-        if name.startswith("Fp:"):
+        if isinstance(name, str) and name.startswith("Fp:"):
             try:
                 p = int(name[3:])
             except ValueError:
@@ -94,11 +96,11 @@ class FieldSpec:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        return _Q_ZERO if self.p is None else 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return _Q_ONE if self.p is None else 1
 
     # ----- arithmetic ---------------------------------------------------------
 
@@ -129,8 +131,13 @@ class FieldSpec:
         return str(a)
 
     def parse_scalar(self, text: str) -> Scalar:
+        """Refuses what Python cannot print back; checks an exponent before expanding it."""
         try:
-            return self.coerce(Fraction(text))
+            if abs(int(text.lower().partition("e")[2] or 0)) > _MAX_EXPONENT:
+                raise ValueError
+            value = Fraction(text)
+            str(value)  # ValueError beyond the int-to-str digit limit
+            return self.coerce(value)
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"bad scalar {text!r} for field {self.name}") from None
 

@@ -430,9 +430,16 @@ def form_to_json(f: BinaryForm) -> dict:
     return {"degree": f.degree, "coeffs": [f.field.format_scalar(c) for c in f.coeffs]}
 
 
+def json_int(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):  # a list, "a", 1e400
+        raise PreconditionError(f"expected an integer, got {value!r}") from None
+
+
 def form_from_json(field: FieldSpec, obj: dict) -> BinaryForm:
     try:
-        degree = int(obj["degree"])
+        degree = json_int(obj["degree"])
         coeffs = [field.parse_scalar(str(c)) for c in obj["coeffs"]]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"bad form JSON: {exc}") from None

@@ -318,6 +318,6 @@ def ideal_from_json(data: dict) -> GradedIdeal:
         comps = [space_from_json(data["components"][str(i)], field) for i in range(lo, hi + 1)]
     except PreconditionError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PreconditionError(f"bad ideal JSON: {type(exc).__name__}: {exc}") from None
     return graded_ideal(field, lo, comps, tail)

@@ -138,7 +138,7 @@ def _rref_q(rows_in, ncols: int):
         tuple(Fraction(x, row[c]) if x else zero for x in row)
         for row, c in zip(rows, pivots)
     ]
-    out += [(zero,) * ncols] * (len(rows) - len(pivots))
+    out += [(zero,) * ncols for _ in range(len(rows) - len(pivots))]  # builds nothing at full rank
     return tuple(out), tuple(pivots)
 
 

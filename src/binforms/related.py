@@ -5,9 +5,9 @@ W is related to V when W = R_{i_k}...R_{i_1}V for nonzero integers i_u
 indices collapse, so every chain has a sign-alternating normal form whose
 absolute values rise strictly and then fall weakly.  For two variables
 the ancestor classes reachable from V number at most 2^tau - 1, found by
-recursing on the first inequivalent down- and up-shifts; for three
-variables mutual reachability does not force equivalence, witnessed by a
-classical triple of monomials in degree 5.
+recursing on the first inequivalent down- and up-shifts, each compared with
+the one before it (the same step, by transitivity, for one rung per step).
+For three variables mutual reachability does not force equivalence (`berman_check`).
 """
 
 from __future__ import annotations
@@ -126,11 +126,11 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
 
 
 def _first_inequivalent(W: FormSpace, sign: int, steps: int) -> FormSpace | None:
-    """The first of R_{±1}W, R_{±2}W, ... (up to `steps`) not equivalent to W."""
+    """The first R_{±k}W (k <= steps) inequivalent to R_{±(k-1)}W, hence to W."""
     out = W
     for _ in range(steps):
-        out = shift(out, sign)
-        if not equivalent(out, W):
+        prev, out = out, shift(out, sign)
+        if not equivalent(out, prev):
             return out
     return None
 

@@ -10,8 +10,11 @@ no elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last
 k columns, rho_m being the remainders of 1/g: rho_0 = (-1, 0, ..., 0) and
 rho_{m+1}[q] = rho_m[q+1] - rho_m[0] g[q+1] (rho_m[k] = 0).  So f is the last
 row without its s leading zeros; `FormSpace._principal` keeps it when the rows
-match (else None, found within O(k) work).  The rungs take at most one
-recurrence step: R_1(f.R_s) = [e_a + rho_{s+2}] then y.(each row), and
+match.  It first checks one entry, the first of the last k in the second-to-
+last row, against rho_2[0] = g_2 - g_1^2 (g_2 = 0 if k = 1): one multiply and
+one subtract reject almost every other space, and a space that passes still
+gets the full row comparison, so the test stays exact.  The rungs take at
+most one recurrence step: R_1(f.R_s) = [e_a + rho_{s+2}] then y.(each row), and
 R_{-1}(f.R_s) = the rows after the first, each without its first entry.
 """
 
@@ -23,7 +26,7 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, monic
+from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int, monic
 from .linalg import (
     Matrix,
     contains_vector,
@@ -83,10 +86,13 @@ class FormSpace:
     @cached_property
     def _principal(self) -> BinaryForm | None:
         """The monic f with V = f.R_s, or None (closed-form blocks store it)."""
-        s, rows = self.dim - 1, self.mat.rows
+        F, s, rows = self.field, self.dim - 1, self.mat.rows
         if self.is_zero or any(rows[-1][:s]):
             return None
-        f = BinaryForm(self.field, self.degree - s, rows[-1][s:])
+        f = BinaryForm(F, self.degree - s, rows[-1][s:])
+        g = f.coeffs[f.coeffs.index(F.one):] + (F.zero,)  # (1, g_1, ..., g_k, 0): f is monic
+        if s and len(g) > 2 and rows[-2][2 - len(g)] != F.sub(g[2], F.mul(g[1], g[1])):
+            return None  # the one-entry pre-test: rho_2[0] = g_2 - g_1^2
         return f if all(r == w for r, w in zip(reversed(rows), _block_rows(f, s))) else None
 
 
@@ -168,6 +174,8 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
     F, j = V.field, V.degree
+    if V.is_zero:
+        return zero_space(F, j + 1)
     f = V._principal
     if f is not None:  # the new first row's rho_{s+2} is one step past row 0's rho_{s+1}
         a, s = f.coeffs.index(F.one), V.dim - 1  # f is monic: its first 1 leads
@@ -238,10 +246,10 @@ def gcd_of_space(V: FormSpace) -> BinaryForm:
 def equivalent(V: FormSpace, W: FormSpace) -> bool:
     """Whether V and W have the same ancestor ideal.
 
-    Same degree: canonical bases are equal.  Different degrees: the higher
-    space must be the up-shift of the lower and the two tau values agree
-    (shifting inside the stable range preserves the ancestor ideal; a tau
-    drop means the ideal changed).
+    Same degree: canonical bases are equal.  Different degrees: the tau values
+    agree (compared first: one rung each) and the higher space is the up-shift
+    of the lower (shifting inside the stable range preserves the ancestor
+    ideal; a tau drop means the ideal changed).
     """
     if V.field != W.field:
         raise PreconditionError("field mismatch")
@@ -250,9 +258,7 @@ def equivalent(V: FormSpace, W: FormSpace) -> bool:
     if V.degree == W.degree:
         return V.mat == W.mat
     lo, hi = (V, W) if V.degree < W.degree else (W, V)
-    if shift(lo, hi.degree - lo.degree).mat != hi.mat:
-        return False
-    return tau(lo) == tau(hi)
+    return tau(lo) == tau(hi) and shift(lo, hi.degree - lo.degree).mat == hi.mat
 
 
 def random_space(d: int, j: int, field: FieldSpec, seed) -> FormSpace:
@@ -281,7 +287,7 @@ def space_to_json(V: FormSpace) -> dict:
 def space_from_json(obj: dict, field: FieldSpec | None = None) -> FormSpace:
     try:
         fld = field or FieldSpec.from_name(obj["field"])
-        degree = int(obj["degree"])
+        degree = json_int(obj["degree"])
         basis = [form_from_json(fld, b) for b in obj["basis"]]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"bad space JSON: {exc}") from None

@@ -74,6 +74,8 @@ class DualSpace:
         in (Ann W)_j, so j-i+1 <= j+1-c.  Ann W is an ideal, so (Ann W)_i != 0
         implies (Ann W)_{i+1} != 0, and (Ann W)_{j+1} is all of R_{j+1}.
         """
+        if not self.dim:  # every form kills 0: mu = 0 and (Ann W)_0 = R_0
+            return 0, full_space(self.field, 0)
         lo, hi = self.dim, self.degree + 1
         comp = full_space(self.field, hi)
         while lo < hi:

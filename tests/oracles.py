@@ -506,3 +506,17 @@ def brute_force_hilbert(space, max_degree):
         mat = Matrix(F, tuple(rows), i + 1) if rows else Matrix(F, (), i + 1)
         dims.append((i + 1) - row_basis(mat).nrows)
     return dims
+
+
+def oracle_first_inequivalent(W, sign: int, steps: int):
+    """The first of R_{±1}W, R_{±2}W, ... (up to `steps`) not equivalent to W,
+    each compared with W itself: the walk `related._first_inequivalent` ran
+    before it compared each step with the one before."""
+    from binforms.spaces import equivalent, shift
+
+    out = W
+    for _ in range(steps):
+        out = shift(out, sign)
+        if not equivalent(out, W):
+            return out
+    return None

@@ -1,11 +1,12 @@
 """Field construction: the primality test behind every Fp:<p> field."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
 from binforms.errors import PreconditionError
-from binforms.fields import FieldSpec, _is_prime
+from binforms.fields import GF, QQ, FieldSpec, _is_prime
 
 
 def _trial_division(n):
@@ -63,3 +64,34 @@ def test_huge_prime_field_builds_at_once():
 def test_modulus_beyond_exact_bound_is_refused():
     with pytest.raises(PreconditionError):
         FieldSpec(2**89 - 1)  # prime, but above 3.3e24
+
+
+def test_q_constants_are_shared_fractions():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert (QQ.zero, QQ.one) == (0, 1)
+    F = GF(101)
+    assert type(F.zero) is int and F.zero == 0
+    assert type(F.one) is int and F.one == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=lambda F: F.name)
+@pytest.mark.parametrize("text", ["1e999999", "1e-999999", "1e4301", "7" * 4000 + "e400", "1" * 4301, "e5"])
+def test_scalars_that_cannot_be_printed_back_are_refused(field, text):
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        field.parse_scalar(text)
+    assert time.perf_counter() - t0 < 1.0  # the exponent is refused before it is expanded
+
+
+def test_scalars_within_the_digit_limit_parse():
+    assert QQ.parse_scalar("1e4000") == 10**4000
+    assert QQ.parse_scalar("-2.5E-3") == Fraction(-1, 400)
+    assert QQ.parse_scalar(f"{2**256 + 1}/{2**256 - 1}") == Fraction(2**256 + 1, 2**256 - 1)
+    assert GF(101).parse_scalar("1e2") == 100
+
+
+@pytest.mark.parametrize("name", [["Q"], 101, None, {"p": 7}])
+def test_field_name_that_is_not_a_string_is_refused(name):
+    with pytest.raises(PreconditionError, match="unknown field"):
+        FieldSpec.from_name(name)

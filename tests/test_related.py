@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
-from binforms.forms import form, monomial
+from binforms import spaces
+from binforms.forms import form, monomial, mul_form
 from binforms.ideals import generator_degrees, hilbert_function
 from binforms.osequence import oseq
 from binforms.related import (
@@ -15,11 +16,14 @@ from binforms.related import (
     berman_check,
     chain_spec,
     mono3,
+    _first_inequivalent,
     normalize_chain,
     related_classes,
     shift3,
 )
-from binforms.spaces import equivalent, principal_space, random_space, span, tau
+from binforms.spaces import FormSpace, equivalent, principal_space, random_space, shift, span, tau
+
+from oracles import oracle_first_inequivalent
 
 F101 = GF(101)
 
@@ -181,3 +185,70 @@ def test_berman_check():
 def test_chain_spec_len():
     assert len(ChainSpec((1, -2, 3))) == 3
     assert len(chain_spec([2, 2])) == 2
+
+
+# ── the step-to-step walk against the walk back to W ─────────────────────────
+
+WALK_FIELDS = [F101, QQ]
+
+
+@st.composite
+def walk_spaces(draw):
+    """Random spaces, spaces f.U with a planted common factor f, and principal
+    blocks, over F_101 and Q with d <= 8 and j <= 16."""
+    F = draw(st.sampled_from(WALK_FIELDS))
+    kind = draw(st.sampled_from(["random", "factor", "principal"]))
+    j = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_space(draw(st.integers(1, min(8, j + 1))), j, F, seed)
+    k = draw(st.integers(1, j))
+    f = form(F, k, [rng.randint(-3, 3) for _ in range(k)] + [1])
+    if kind == "principal":
+        return principal_space(f, j)
+    d = draw(st.integers(1, min(8, j - k + 1)))
+    return span(F, j, [mul_form(f, g) for g in random_space(d, j - k, F, seed).basis_forms()])
+
+
+def _fresh(W):
+    """W without its memoized rungs, so each walk builds its own ladder."""
+    return FormSpace(W.field, W.degree, W.mat)
+
+
+@given(walk_spaces())
+@settings(max_examples=80, deadline=None)
+def test_step_walk_matches_walk_back_to_w(W):
+    # the `steps` the recursion in related_classes passes for each sign
+    for sign, steps in ((-1, W.degree), (1, W.cod + tau(W) + 2)):
+        got = _first_inequivalent(_fresh(W), sign, steps)
+        want = oracle_first_inequivalent(_fresh(W), sign, steps)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.degree == want.degree and got.mat == want.mat
+
+
+def _count_rungs(monkeypatch):
+    built = []
+    for name in ("_shift_up_once", "_shift_down_once"):
+        real = getattr(spaces, name)
+        monkeypatch.setattr(spaces, name, lambda V, real=real: built.append(V) or real(V))
+    return built
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=lambda F: F.name)
+def test_down_walk_builds_at_most_two_rungs_per_step(monkeypatch, field):
+    built = _count_rungs(monkeypatch)
+    walked = 0
+    for seed in range(8):
+        f = form(field, 2, [1, seed, 1])
+        for U in (random_space(2 + seed % 2, 5, field, seed),
+                  span(field, 6, [mul_form(f, g) for g in random_space(2, 4, field, seed).basis_forms()])):
+            # up-shifts of U inside its stable range walk down several equivalent steps
+            W = _fresh(shift(U, 1 + seed % 4))
+            del built[:]
+            out = _first_inequivalent(W, -1, W.degree)
+            k = W.degree - (out.degree if out is not None else 0)
+            assert len(built) <= 2 * k + 1, (k, len(built))
+            walked = max(walked, k)
+    assert walked >= 4  # some walks are long enough to tell 2k + 1 from k^2

@@ -3,7 +3,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
@@ -443,3 +443,102 @@ def test_stored_memo_matches_recomputed(case, n):
         recomputed = FormSpace(X.field, X.degree, X.mat)._principal
         assert stored == recomputed
         assert [type(c) for c in stored.coeffs] == [type(c) for c in recomputed.coeffs]
+
+
+# ----- the one-entry pre-test of `_principal` ------------------------------------
+
+PRETEST_FIELDS = [F101, QQ]
+
+
+@st.composite
+def pretest_blocks(draw):
+    """(f, s) over F_101 or Q with a core of degree k >= 1 and s >= 1, so the
+    block has a second-to-last row and a tail entry for the pre-test to read."""
+    F = draw(st.sampled_from(PRETEST_FIELDS))
+    a, b, k = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 5))
+    core = [_scalar(draw, F, nonzero=True)] + [_scalar(draw, F) for _ in range(k - 1)]
+    core += [_scalar(draw, F, nonzero=True)]
+    coeffs = (F.zero,) * a + tuple(core) + (F.zero,) * b
+    return BinaryForm(F, len(coeffs) - 1, coeffs), draw(st.integers(1, 6))
+
+
+def _pretest_passes(F, rows):
+    """rows[-2]'s first tail entry is rho_2[0] = g_2 - g_1^2 of the last row's f."""
+    last = rows[-1]
+    g = last[next(i for i, c in enumerate(last) if c):] + (F.zero,)
+    return rows[-2][2 - len(g)] == F.sub(g[2], F.mul(g[1], g[1]))
+
+
+def _unmemoized(F, rows):
+    V = FormSpace(F, len(rows[0]) - 1, Matrix(F, tuple(rows), len(rows[0])))
+    assert span(F, V.degree, rows).mat == V.mat  # the rows are a canonical RREF basis
+    return V
+
+
+@given(pretest_blocks())
+@settings(max_examples=150, deadline=None)
+def test_memo_accepts_blocks_built_by_elimination(case):
+    f, s = case
+    F, j = f.field, f.degree + s
+    V = span(F, j, [mul_form(f, monomial(F, s - i, i)) for i in range(s + 1)])
+    assert "_principal" not in V.__dict__
+    assert _pretest_passes(F, V.mat.rows)
+    assert V._principal == monic(f)
+
+
+@given(pretest_blocks(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_memo_rejects_a_block_changed_off_the_pretest_row(case, data):
+    f, s = case
+    F, j = f.field, f.degree + s
+    rows = [list(r) for r in principal_space(f, j).mat.rows]
+    g_deg = len(monic(f).coeffs) - monic(f).coeffs.index(F.one) - 1
+    # a row other than the second-to-last; the last k columns hold no pivot,
+    # so changing one of them keeps the RREF shape
+    i = data.draw(st.sampled_from([i for i in range(s + 1) if i != s - 1]))
+    cols = range(j + 1 - g_deg, j + 1) if i < s else range(j + 1 - g_deg + 2, j + 1)
+    if not cols:  # the last row's g_1 and g_2 feed the pre-test itself
+        return
+    c = data.draw(st.sampled_from(list(cols)))
+    rows[i][c] = F.add(rows[i][c], F.coerce(data.draw(st.integers(1, 100))))
+    rows = [tuple(r) for r in rows]
+    assert _pretest_passes(F, rows)  # only the full comparison can see the change
+    assert _unmemoized(F, rows)._principal is None
+
+
+@given(st.sampled_from(PRETEST_FIELDS), st.integers(2, 9), st.integers(2, 5), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_memo_rejects_a_non_principal_space_that_passes_the_pretest(F, j, d, rng):
+    d = min(d, j)
+    # pivots 0..d-2 and the last row's pivot at d-1+e, random entries right of them
+    e = rng.randint(0, j + 1 - d - 1)
+    pivots = list(range(d - 1)) + [d - 1 + e]
+    rows = []
+    for r, p in enumerate(pivots):
+        rows.append([F.zero] * (j + 1))
+        rows[-1][p] = F.one
+        for c in range(p + 1, j + 1):
+            if c not in pivots:
+                rows[-1][c] = F.coerce(rng.randint(-5, 5))
+    g = rows[-1][pivots[-1]:] + [F.zero]
+    if len(g) <= 2:
+        return  # f = t^a: no tail entry to test
+    rows[-2][2 - len(g)] = F.sub(g[2], F.mul(g[1], g[1]))
+    rows = [tuple(r) for r in rows]
+    V = _unmemoized(F, rows)
+    assert _pretest_passes(F, rows)
+    h = gcd_of_space(V)
+    assume(V.dim != j + 1 - h.degree)  # not a principal block
+    assert V._principal is None
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_zero_space_up_rung_runs_no_elimination(monkeypatch, field):
+    from binforms import linalg
+
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    up = shift(zero_space(field, 3), 4)
+    assert calls == []
+    assert up == zero_space(field, 7) and up.is_zero
