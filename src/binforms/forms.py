@@ -431,7 +431,10 @@ def form_to_json(f: BinaryForm) -> dict:
 
 
 def json_int(value) -> int:
+    """An int, an integral float or a digit string; not a bool, not 2.9."""
     try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):  # a list, "a", 1e400
         raise PreconditionError(f"expected an integer, got {value!r}") from None

@@ -33,6 +33,7 @@ from .forms import (
     BinaryForm,
     form_from_json,
     form_to_json,
+    json_int,
     monic,
 )
 from .osequence import OSequence, oseq
@@ -314,7 +315,7 @@ def ideal_from_json(data: dict) -> GradedIdeal:
     try:
         field = FieldSpec.from_name(data["field"])
         tail = None if data.get("tailGcd") is None else form_from_json(field, data["tailGcd"])
-        lo, hi = (int(k) for k in data["window"])
+        lo, hi = (json_int(k) for k in data["window"])
         comps = [space_from_json(data["components"][str(i)], field) for i in range(lo, hi + 1)]
     except PreconditionError:
         raise

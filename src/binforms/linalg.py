@@ -38,6 +38,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .fields import FieldSpec, Scalar
@@ -179,21 +180,59 @@ def row_space_sum(a: Matrix, b: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> Matrix:
     """Canonical basis (as rows) of {x : m . x = 0}, from one elimination:
-    the RREF of m with its columns reversed.  There the vector of a free
-    column has its 1 at that column, zeros at the other free ones and its
-    other entries at pivot columns to its left (an RREF row is zero left of
-    its pivot); reversed back and listed by free column, they are the RREF."""
+    the RREF of m with its columns reversed.  Its `free_dual` vectors have
+    their 1 at a free column and their other entries at pivots left of it;
+    reversed back and listed last first, they are the RREF."""
     F, n = m.field, m.ncols
-    red, _, pivots = rref(Matrix(F, tuple(r[::-1] for r in m.rows), n))
+    red, rank_, pivots = rref(Matrix(F, tuple(r[::-1] for r in m.rows), n))
+    dual = free_dual(Matrix(F, red.rows[:rank_], n), pivots)
+    return Matrix(F, tuple(z[::-1] for z in reversed(dual)), n)
+
+
+def free_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
+    """A basis of kernel(m) for an RREF basis m (its pivots given or found),
+    read off without elimination: e_f minus column f at the pivots, for each
+    free column f in turn; its dot with w is entry f of w's normal form."""
+    F, n = m.field, m.ncols
+    pivots = pivots or [next(c for c, x in enumerate(r) if x) for r in m.rows]
     pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(n - 1, -1, -1) if c not in pivot_set):
+    out = []
+    for f in (c for c in range(n) if c not in pivot_set):
         v = [F.zero] * n
-        v[fc] = F.one
-        for i in range(bisect(pivots, fc)):
-            v[pivots[i]] = F.neg(red.rows[i][fc])
-        basis.append(tuple(v[::-1]))
-    return Matrix(F, tuple(basis), n)
+        v[f] = F.one
+        for i in range(bisect(pivots, f)):
+            v[pivots[i]] = F.neg(m.rows[i][f])
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def preimage(m: Matrix, rows, b: Matrix) -> Matrix:
+    """Canonical basis of {sum c_i b_i : sum c_i a_i in the row space of m}
+    for RREF bases m, b and a row a_i per row b_i.  The c solve the a_i's
+    normal forms mod m (over Q, D times them, on integers) in one elimination;
+    c in RREF gives sum c_i b_i in RREF, as c_i is its entry at b's pivot i."""
+    F, p = m.field, m.field.p
+    pivots = [next(c for c, x in enumerate(r) if x) for r in m.rows]
+    (D, basis), (_, rows), (_, brows) = (
+        ((1, m.rows), (1, rows), (1, b.rows)) if p else (_integral(x) for x in (m.rows, rows, b.rows)))
+    leads, cols = [[a[q] for q in pivots] for a in rows], list(zip(*basis))
+    forms = []
+    for f in sorted(set(range(m.ncols)).difference(pivots)):
+        nf = [D * a[f] - sum(map(mul, lead, cols[f])) for a, lead in zip(rows, leads)]
+        forms.append(tuple(x % p for x in nf) if p else tuple(nf))
+    cols, out = list(zip(*brows)), []
+    for c in kernel(Matrix(F, tuple(forms), b.nrows)).rows:
+        c = c if p else _integer_row(c)
+        u = [sum(map(mul, c, col)) for col in cols]
+        lead = next(x for x in u if x)  # 1 over F_p: c and b are in RREF
+        out.append(tuple(x % p if p else Fraction(x, lead) for x in u))
+    return Matrix(F, tuple(out), b.ncols)
+
+
+def _integral(rows) -> tuple[int, list[list[int]]]:
+    """(D, D times each row) for the common denominator D of Fraction rows."""
+    D = lcm(*(x.denominator for r in rows for x in r))
+    return D, [[x.numerator * (D // x.denominator) for x in r] for r in rows]
 
 
 def contains_vector(space: Matrix, vec: Sequence[Scalar]) -> bool:

@@ -96,14 +96,16 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
     reps: list[FormSpace] = []
     ideals: list[GradedIdeal] = []
 
-    def visit(W: FormSpace, depth: int) -> None:
+    todo = [(V, 0)]  # depth first, each down branch before its up branch
+    while todo:
+        W, depth = todo.pop()
         if W.is_zero or any(equivalent(W, r) for r in reps):
-            return
+            continue
         reps.append(W)
         ideals.append(ancestor_ideal(W))
         tW = tau(W)
         if tW == 1:
-            return  # a principal class; every further shift stays inside it
+            continue  # a principal class; every further shift stays inside it
         if depth >= t0:
             raise RuntimeError("related-class recursion exceeded its tau budget")
         down = _first_inequivalent(W, -1, W.degree)
@@ -111,15 +113,12 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
             raise RuntimeError("no inequivalent down-shift below a tau >= 2 space")
         if not down.is_zero and tau(down) >= tW:
             raise RuntimeError("tau failed to drop on the first inequivalent shift")
-        visit(down, depth + 1)
         up = _first_inequivalent(W, 1, W.cod + tW + 2)
         if up is None:
             raise RuntimeError("no inequivalent up-shift within the stable range")
         if tau(up) >= tW:
             raise RuntimeError("tau failed to drop on the first inequivalent shift")
-        visit(up, depth + 1)
-
-    visit(V, 0)
+        todo += [(up, depth + 1), (down, depth + 1)]
     if len(ideals) > 2**t0 - 1:
         raise RuntimeError("related-class count exceeded 2^tau - 1")
     return ideals

@@ -1,21 +1,27 @@
 """Vector subspaces V of R_j and their shift calculus.
 
-The central objects: R_s V for s > 0 is the span of all degree-s monomial
-multiples; R_{-s} V = {f : R_s f is contained in V}.  tau(V) = dim R_1 V - dim V
+R_s V (s > 0) is the span of all degree-s monomial multiples of V, and
+R_{-s} V = {f : R_s f is contained in V}.  tau(V) = dim R_1 V - dim V
 measures how far V is from a principal block f.R_{j-c}; it controls the
-number of generators of every ideal V determines.
+number of generators of every ideal V determines.  `shift` walks one-step
+rungs, built once per space and kept on it:
 
-A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a) needs
-no elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last
-k columns, rho_m being the remainders of 1/g: rho_0 = (-1, 0, ..., 0) and
-rho_{m+1}[q] = rho_m[q+1] - rho_m[0] g[q+1] (rho_m[k] = 0).  So f is the last
-row without its s leading zeros; `FormSpace._principal` keeps it when the rows
-match.  It first checks one entry, the first of the last k in the second-to-
-last row, against rho_2[0] = g_2 - g_1^2 (g_2 = 0 if k = 1): one multiply and
-one subtract reject almost every other space, and a space that passes still
-gets the full row comparison, so the test stays exact.  The rungs take at
-most one recurrence step: R_1(f.R_s) = [e_a + rho_{s+2}] then y.(each row), and
-R_{-1}(f.R_s) = the rows after the first, each without its first entry.
+* A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a)
+  needs no elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i}
+  in the last k columns, rho_m being the remainders of 1/g: rho_0 = (-1,
+  0, ..., 0), rho_{m+1}[q] = rho_m[q+1] - rho_m[0] g[q+1], rho_m[k] = 0.
+  `_principal` finds f in the last row, rejects most other spaces on one
+  entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if k = 1)
+  and then compares every row.  R_1 puts [e_a + rho_{s+2}] over y.(each
+  row); R_{-1} drops the first row and each row's first entry.
+* Up, otherwise: R_{k+1}B = x.R_kB + y^(k+1).B, as x divides every degree-
+  (k+1) monomial but y^(k+1).  A rung records k and its ladder base B as
+  rows (a space would form a reference cycle), and x.R_kB is reduced, so
+  one elimination takes dim R_kB + dim B rows.  Off a ladder, B = V, k = 0.
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}, in the fewer unknowns.
+  If dim V <= cod V, x.u = w in V with w[j] = 0 and y.w[:j] in V: `preimage`
+  solves for w's dim V coordinates.  Else each `free_dual` vector z of V
+  (one per free column) gives z[:j].u = 0 and z[1:].u = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int,
 from .linalg import (
     Matrix,
     contains_vector,
+    free_dual,
     kernel,
+    preimage,
     row_basis,
     row_space_sum,
     zero_matrix,
@@ -173,6 +181,7 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
 
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
+    """R_1V: the next block in closed form, else x.R_kB + y^(k+1).B for V = R_kB."""
     F, j = V.field, V.degree
     if V.is_zero:
         return zero_space(F, j + 1)
@@ -182,35 +191,29 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
         rho = _next_rho(F, f.coeffs[a:], V.mat.rows[0][a + s + 1:])
         first = (F.zero,) * a + (F.one,) + (F.zero,) * (s + 1) + rho
         return _principal_block(F, [first] + [(F.zero,) + r for r in V.mat.rows], f)
-    rows = []
-    for r in V.mat.rows:
-        rows.append((F.zero,) + r)          # y * f: y-exponent grows
-        rows.append(r + (F.zero,))          # x * f
-    return FormSpace(F, j + 1, row_basis(Matrix(F, tuple(rows), j + 2)))
+    base, k = V.__dict__.get("_ladder", (V.mat.rows, 0))  # x.f appends a 0
+    rows = tuple(r + (F.zero,) for r in V.mat.rows) + tuple((F.zero,) * (k + 1) + b for b in base)
+    up = FormSpace(F, j + 1, row_basis(Matrix(F, rows, j + 2)))
+    up.__dict__["_ladder"] = (base, k + 1)  # the base's rows, never the base space
+    return up
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
+    """R_{-1}V: in closed form, in V's pivot coordinates or on its free columns."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
     f = V._principal
     if V.is_zero or f is not None and V.dim == 1:
         return zero_space(F, j - 1)
     if f is not None:
         return _principal_block(F, [r[1:] for r in V.mat.rows[1:]], f)
-    # Canonical residue of the monomial e_k mod V: the basis is in RREF, so it
-    # is e_k minus the basis row with pivot k, or e_k itself if k is no pivot.
-    by_pivot = {next(i for i, c in enumerate(r) if c): r for r in V.mat.rows}
-
-    def residue(k: int) -> tuple:
-        r = by_pivot.get(k)
-        if r is None:
-            return tuple(F.one if i == k else F.zero for i in range(j + 1))
-        return tuple(F.zero if i == k else F.neg(c) for i, c in enumerate(r))
-
-    # basis x^(j-1-k) y^k of R_{j-1}: x times it is e_k, y times it is e_{k+1};
-    # column k of the matrix below is the residue pair of that basis form
-    res = [residue(k) for k in range(j + 1)]
-    cols = tuple(zip(*(res[k] + res[k + 1] for k in range(j))))
-    return FormSpace(F, j - 1, kernel(Matrix(F, cols, j)))
+    rows = V.mat.rows
+    if V.dim <= V.cod:  # V lifted by a column: w[j] = 0 and y.w[:j] in V
+        lifted = Matrix(F, tuple((F.zero,) + r for r in rows), j + 2)
+        w = preimage(lifted, [(r[j], F.zero) + r[:j] for r in rows], V.mat)
+        return FormSpace(F, j - 1, Matrix(F, tuple(r[:j] for r in w.rows), j))
+    dual = free_dual(V.mat)
+    system = tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual)
+    return FormSpace(F, j - 1, kernel(Matrix(F, system, j)))
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:

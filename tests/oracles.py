@@ -520,3 +520,39 @@ def oracle_first_inequivalent(W, sign: int, steps: int):
         if not equivalent(out, W):
             return out
     return None
+
+
+# ----- one-step shifts by plain elimination ------------------------------------
+
+
+def oracle_shift_up_once(m: Matrix) -> Matrix:
+    """R_1V for V with basis m in R_j: one elimination of the 2 dim V rows
+    y.v and x.v, for every V (`spaces` builds a block's next block in closed
+    form and R_{k+1}B as x.R_kB + y^(k+1).B)."""
+    rows = []
+    for r in m.rows:
+        rows.append((m.field.zero,) + r)  # y * v: y-exponent grows
+        rows.append(r + (m.field.zero,))  # x * v
+    return row_basis(Matrix(m.field, tuple(rows), m.ncols + 1))
+
+
+def oracle_shift_down_once(m: Matrix) -> Matrix:
+    """R_{-1}V for V with basis m in R_j, j >= 1: the kernel of the residues
+    of x.u and y.u mod V on all j + 1 columns, for u over all of R_{j-1}
+    (`spaces` solves in V's pivot or free coordinates only)."""
+    F, j = m.field, m.ncols - 1
+    # Canonical residue of the monomial e_k mod V: the basis is in RREF, so it
+    # is e_k minus the basis row with pivot k, or e_k itself if k is no pivot.
+    by_pivot = {next(i for i, c in enumerate(r) if c): r for r in m.rows}
+
+    def residue(k: int) -> tuple:
+        r = by_pivot.get(k)
+        if r is None:
+            return tuple(F.one if i == k else F.zero for i in range(j + 1))
+        return tuple(F.zero if i == k else F.neg(c) for i, c in enumerate(r))
+
+    # basis x^(j-1-k) y^k of R_{j-1}: x times it is e_k, y times it is e_{k+1};
+    # column k of the matrix below is the residue pair of that basis form
+    res = [residue(k) for k in range(j + 1)]
+    cols = tuple(zip(*(res[k] + res[k + 1] for k in range(j))))
+    return oracle_kernel(Matrix(F, cols, j))

@@ -167,6 +167,39 @@ def test_malformed_ideal_exits_1(tmp_path, mangle):
     assert json.loads(err)["error"] == "precondition"
 
 
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        ({"field": "Q", "degree": 2.9, "basis": [
+            {"degree": 2.2, "coeffs": ["1", "0", "1"]},
+            {"degree": "2", "coeffs": ["0", "1", "0"]}]}, "2.9"),
+        ({"field": "Q", "degree": True, "basis": [{"degree": 1, "coeffs": ["1", "0"]}]}, "True"),
+    ],
+    ids=["non-integral-float", "bool"],
+)
+def test_json_degree_is_an_integer_not_truncated(tmp_path, doc, named):
+    # int() would read 2.9 as 2 and true as 1 and analyze the space
+    path = tmp_path / "V.json"
+    path.write_text(json.dumps(doc))
+    _refused(["analyze", str(path)], f"expected an integer, got {named}")
+
+
+def test_json_window_bound_is_an_integer_not_truncated(tmp_path):
+    path = tmp_path / "I.json"
+    path.write_text(json.dumps({**_readme_ideal_example(), "window": [0.5, 3]}))
+    _refused(["build", "--from", str(path), "--target-H", "1,2,1(0)", "--j", "2"],
+             "expected an integer, got 0.5")
+
+
+@pytest.mark.parametrize("degree", [2, 2.0, "2"], ids=["int", "integral-float", "digits"])
+def test_json_degree_accepts_ints_integral_floats_and_digit_strings(tmp_path, degree):
+    path = tmp_path / "V.json"
+    path.write_text(json.dumps({"field": "Q", "degree": degree, "basis": [
+        {"degree": degree, "coeffs": ["1", "0", "1"]}]}))
+    rc, out, err = _run(["analyze", str(path)])
+    assert rc == 0 and err == "" and "tau = " in out
+
+
 def test_waring_split_and_unsplit(tmp_path):
     W = dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])])
     path = tmp_path / "W.json"

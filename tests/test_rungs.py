@@ -1,0 +1,195 @@
+"""The one-step rungs of `spaces`: R_{k+1}B = x.R_kB + y^(k+1).B going up,
+pivot coordinates (dim <= cod) or free-column residues going down, checked
+against plain eliminations, for their sizes and for the garbage they leave."""
+
+import fractions
+import gc
+import inspect
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from binforms import fields, linalg, spaces
+from binforms.fields import GF, QQ
+from binforms.forms import form, mul_form
+from binforms.ideals import ancestor_ideal
+from binforms.related import related_classes
+from binforms.spaces import (
+    FormSpace,
+    principal_space,
+    random_space,
+    shift,
+    space_sum,
+    span,
+)
+
+from oracles import oracle_shift_down_once, oracle_shift_up_once
+
+F101 = GF(101)
+LADDER_FIELDS = [F101, GF(7), QQ]
+
+
+def _random_form(F, degree, rng):
+    coeffs = [rng.randint(-5, 5) for _ in range(degree + 1)]
+    coeffs[rng.randrange(degree + 1)] = rng.randint(1, 5)  # nonzero over F_7 too
+    return form(F, degree, coeffs)
+
+
+@st.composite
+def ladder_spaces(draw):
+    """A random space (every d from 1 to j+1), a random space times a planted
+    common factor, or the sum of two principal blocks; j <= 16."""
+    F = draw(st.sampled_from(LADDER_FIELDS))
+    j = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["random", "factor", "blocks"]))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_space(draw(st.integers(1, j + 1)), j, F, seed)
+    if kind == "factor":
+        e = draw(st.integers(1, j))
+        W = random_space(draw(st.integers(1, j - e + 1)), j - e, F, seed)
+        h = _random_form(F, e, rng)
+        return span(F, j, [mul_form(h, b) for b in W.basis_forms()])
+    a, b = draw(st.integers(0, j)), draw(st.integers(0, j))
+    return space_sum(principal_space(_random_form(F, a, rng), j),
+                     principal_space(_random_form(F, b, rng), j))
+
+
+def _assert_same(got: FormSpace, want):
+    assert got.mat == want
+    kind = type(got.field.one)
+    assert all(type(x) is kind for r in got.mat.rows for x in r)
+
+
+@given(ladder_spaces())
+@settings(max_examples=120, deadline=None)
+def test_whole_ladder_matches_plain_elimination(V):
+    # up to one step past the stable top (cod falls by >= 1 per unstable step)
+    m = V.mat
+    for k in range(1, V.cod + 2):
+        m = oracle_shift_up_once(m)
+        _assert_same(shift(V, k), m)
+    # down to zero, or to degree 0
+    m = V.mat
+    for s in range(1, V.degree + 1):
+        m = oracle_shift_down_once(m)
+        _assert_same(shift(V, -s), m)
+        if not m.rows:
+            break
+
+
+def _fresh(V):
+    """V without its memos, its principal memo computed (no elimination)."""
+    W = FormSpace(V.field, V.degree, V.mat)
+    assert W._principal is None
+    return W
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_pencil_up_rung_eliminates_dim_plus_two_rows(eliminations, field):
+    V = random_space(2, 12, field, 3)
+    W = V
+    while W._principal is None:
+        eliminations.clear()
+        up = W._up
+        assert [m.nrows for m in eliminations] == [W.dim + 2]
+        W = up
+    assert W.degree > V.degree + 1
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(2, 40), (5, 16), (8, 15)])
+def test_down_rung_with_dim_at_most_cod_solves_in_dim_unknowns(eliminations, field, d, j):
+    V = _fresh(random_space(d, j, field, 1))
+    assert V.dim <= V.cod
+    eliminations.clear()
+    down = V._down
+    assert [(m.nrows, m.ncols) for m in eliminations] == [(V.cod + 1, V.dim)]
+    assert down.mat == oracle_shift_down_once(V.mat)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(38, 40), (12, 16), (9, 15)])
+def test_down_rung_with_dim_above_cod_solves_on_free_columns(eliminations, field, d, j):
+    V = _fresh(random_space(d, j, field, 1))
+    assert V.dim > V.cod
+    eliminations.clear()
+    down = V._down
+    assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
+    assert down.mat == oracle_shift_down_once(V.mat)
+
+
+def test_ladders_leave_nothing_for_the_cyclic_collector():
+    # a rung records its base's rows, never the base space: base -> _up ->
+    # rung -> base would be a reference cycle on every ladder
+    gc.collect()
+    gc.disable()
+    try:
+        for field, cases in ((F101, [(2, 12), (5, 12), (9, 12)]), (QQ, [(2, 7), (4, 8)])):
+            for seed, (d, j) in enumerate(cases):
+                V = random_space(d, j, field, seed)
+                ancestor_ideal(V)
+                related_classes(V)
+        del V
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+ARITHMETIC = {"add", "sub", "mul", "neg", "inv", "coerce"}
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(2, 12), (5, 12), (9, 12)])
+def test_rungs_do_no_field_arithmetic_in_spaces(field, d, j):
+    # every scalar operation of a rung built by elimination runs in linalg
+    made_here = []
+
+    def watch(frame, event, arg):
+        if event != "call" or frame.f_back is None:
+            return
+        callee = frame.f_code
+        if frame.f_back.f_code.co_filename != spaces.__file__:
+            return
+        if callee.co_filename == fractions.__file__ or (
+            callee.co_filename == fields.__file__ and callee.co_name in ARITHMETIC
+        ):
+            made_here.append((frame.f_back.f_code.co_name, callee.co_name))
+
+    up = shift(random_space(2, 12, field, 2), 1)  # a rung on its base's ladder
+    down = _fresh(random_space(d, j, field, 2))
+    assert up._principal is None
+    sys.setprofile(watch)
+    try:
+        spaces._shift_up_once(up)
+        spaces._shift_down_once(down)
+    finally:
+        sys.setprofile(None)
+    assert made_here == []
+    for builder in (spaces._shift_up_once, spaces._shift_down_once):
+        source = inspect.getsource(builder)
+        assert "%" not in source and "Fraction" not in source
+
+
+def test_q_down_rung_runs_the_integer_kernel(monkeypatch):
+    V = _fresh(random_space(20, 40, QQ, 0))
+    assert V.dim <= V.cod
+    seen = []
+    real = linalg._rref_q
+    monkeypatch.setattr(linalg, "_rref_q", lambda rows, n: seen.append(rows) or real(rows, n))
+    down = V._down
+    assert len(seen) == 1
+    # the normal forms reach the kernel as integers, not Fractions
+    assert all(type(x) is int for row in seen[0] for x in row)
+    assert down.mat == oracle_shift_down_once(V.mat)
