@@ -511,10 +511,10 @@ def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
     """A monomial ideal I with H(R/I) = H, plus its degree-j component."""
     from .forms import monomial
     from .ideals import (
+        _ancestor_betti,
         generator_degrees,
         hilbert_function,
         ideal_from_generators,
-        is_ancestor_ideal_of,
         relation_degrees,
     )
 
@@ -525,9 +525,10 @@ def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
     want_rels = tuple(sorted(j + 1 + b for b in B))
     if hilbert_function(ideal) != H:
         raise RuntimeError("staircase realization missed the Hilbert function")
-    if generator_degrees(ideal) != want_gens or relation_degrees(ideal) != want_rels:
+    gens, rels = generator_degrees(ideal), relation_degrees(ideal)
+    if gens != want_gens or rels != want_rels:
         raise RuntimeError("staircase realization has wrong Betti degrees")
-    if not is_ancestor_ideal_of(ideal, j):
+    if not _ancestor_betti(gens, rels, j):
         raise RuntimeError("staircase realization is not an ancestor ideal")
     return ideal.component(j), ideal
 

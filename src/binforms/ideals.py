@@ -12,8 +12,10 @@ The three ideals attached to a space V of degree-j forms:
   generated_ideal(V)  R_{i-j}V from degree j up, nothing below
 
 Numeric Betti data (generator/relation degrees) comes from dimension counts,
-no syzygy modules are ever built.  The tail gcd is read off the stable top:
-there the component is a principal block f.R_s, which knows its f (spaces).
+no syzygy modules are ever built; fresh-generator counts read dim R_1I_{i-1}
+off the rung of I_{i-1} already built, as `tau` does.  The tail gcd is read
+off the stable top: there the component is a principal block f.R_s, which
+knows its f (spaces).
 
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
 R_1-closure, tail) runs in `ideal_from_json`, `ideal_from_generators`, on
@@ -39,6 +41,7 @@ from .forms import (
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
+    _up_dim,
     contained,
     full_space,
     principal_space,
@@ -244,7 +247,7 @@ def generator_degrees(I: GradedIdeal) -> tuple[int, ...]:
 
 
 def _fresh_generators(I: GradedIdeal, i: int) -> int:
-    prev = shift(I.component(i - 1), 1).dim if i >= 1 else 0
+    prev = _up_dim(I.component(i - 1)) if i > I.window_lo else 0  # zero below
     return I.dim(i) - prev
 
 
@@ -265,8 +268,10 @@ def relation_degrees(I: GradedIdeal) -> tuple[int, ...]:
 
 def is_ancestor_ideal_of(I: GradedIdeal, j: int) -> bool:
     """True iff I is the ancestor ideal of its own degree-j component."""
-    gens = generator_degrees(I)
-    rels = relation_degrees(I)
+    return _ancestor_betti(generator_degrees(I), relation_degrees(I), j)
+
+
+def _ancestor_betti(gens: tuple[int, ...], rels: tuple[int, ...], j: int) -> bool:
     return (not gens or max(gens) <= j) and (not rels or min(rels) >= j + 2)
 
 

@@ -27,9 +27,9 @@ two Gauss-Jordan kernels by the field, once per call:
   in the last pass, which divides each pivot row by its pivot.
 
 Both kernels return the same canonical RREF, with Fraction entries over Q
-and residues in [0, p) over F_p.  Sizes here stay small (degree <= ~40), so
-dense elimination is the right tool; exact arithmetic needs no pivoting
-heuristics.
+and residues in [0, p) over F_p.  Sizes here stay small (the up-ladder of a
+degree-j space climbs to about degree 2j: 79 for j = 40), so dense
+elimination is the right tool; exact arithmetic needs no pivoting heuristics.
 """
 
 from __future__ import annotations

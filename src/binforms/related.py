@@ -125,11 +125,14 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
 
 
 def _first_inequivalent(W: FormSpace, sign: int, steps: int) -> FormSpace | None:
-    """The first R_{±k}W (k <= steps) inequivalent to R_{±(k-1)}W, hence to W."""
+    """The first R_{±k}W (k <= steps) inequivalent to R_{±(k-1)}W, hence to W:
+    the first whose tau differs, since R_1R_{-1}P ⊆ P and tau(P) = dim P - dim R_{-1}P."""
     out = W
     for _ in range(steps):
         prev, out = out, shift(out, sign)
-        if not equivalent(out, prev):
+        if sign < 0 and out.degree:
+            shift(out, -1)  # the rung tau(out) reads, and the walk's next
+        if tau(out) != tau(prev):
             return out
     return None
 

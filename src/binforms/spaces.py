@@ -3,8 +3,9 @@
 R_s V (s > 0) is the span of all degree-s monomial multiples of V, and
 R_{-s} V = {f : R_s f is contained in V}.  tau(V) = dim R_1 V - dim V
 measures how far V is from a principal block f.R_{j-c}; it controls the
-number of generators of every ideal V determines.  `shift` walks one-step
-rungs, built once per space and kept on it:
+number of generators of every ideal V determines.  As xV ∩ yV = xy.R_{-1}V,
+dim R_1V = 2 dim V - dim R_{-1}V, so `tau` reads whichever neighbour rung is
+built.  `shift` walks one-step rungs, built once per space and kept on it:
 
 * A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a)
   needs no elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i}
@@ -230,8 +231,15 @@ def shift(V: FormSpace, s: int) -> FormSpace:
     return out
 
 
+def _up_dim(W: FormSpace) -> int:
+    """dim R_1W, read off R_{-1}W or a block's f if known, else off R_1W (built once)."""
+    if "_down" in W.__dict__:
+        return 2 * W.dim - W._down.dim
+    return W.dim + 1 if W.__dict__.get("_principal") is not None else W._up.dim
+
+
 def tau(V: FormSpace) -> int:
-    return shift(V, 1).dim - V.dim
+    return _up_dim(V) - V.dim
 
 
 def gcd_of_space(V: FormSpace) -> BinaryForm:

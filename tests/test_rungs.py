@@ -1,6 +1,7 @@
 """The one-step rungs of `spaces`: R_{k+1}B = x.R_kB + y^(k+1).B going up,
 pivot coordinates (dim <= cod) or free-column residues going down, checked
-against plain eliminations, for their sizes and for the garbage they leave."""
+against plain eliminations, for their sizes and for the garbage they leave;
+and dim R_1W read off the rung already built (dim R_1W = 2 dim W - dim R_{-1}W)."""
 
 import fractions
 import gc
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from binforms import fields, linalg, spaces
 from binforms.fields import GF, QQ
 from binforms.forms import form, mul_form
-from binforms.ideals import ancestor_ideal
-from binforms.related import related_classes
+from binforms.ideals import ancestor_ideal, generator_degrees, relation_degrees
+from binforms.related import _first_inequivalent, related_classes
 from binforms.spaces import (
     FormSpace,
     principal_space,
@@ -23,6 +24,7 @@ from binforms.spaces import (
     shift,
     space_sum,
     span,
+    tau,
 )
 
 from oracles import oracle_shift_down_once, oracle_shift_up_once
@@ -79,6 +81,51 @@ def test_whole_ladder_matches_plain_elimination(V):
         _assert_same(shift(V, -s), m)
         if not m.rows:
             break
+
+
+def _bare(V):
+    return FormSpace(V.field, V.degree, V.mat)
+
+
+@given(ladder_spaces())
+@settings(max_examples=120, deadline=None)
+def test_tau_is_read_right_off_whichever_rung_is_built(V):
+    want = oracle_shift_up_once(V.mat).nrows - V.dim
+    # nothing built, the principal memo, the rung down, the rung up
+    for build in (None, lambda W: W._principal, lambda W: shift(W, -1), lambda W: shift(W, 1)):
+        W = _bare(V)
+        if build:
+            build(W)
+        assert tau(W) == want
+
+
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=lambda F: F.name)
+def test_tau_of_zero_and_degree_zero_spaces(field):
+    R0 = principal_space(form(field, 0, [1]), 0)  # a block, which knows its f
+    assert tau(R0) == tau(_bare(R0)) == 1
+    Z, Z_down = spaces.zero_space(field, 3), spaces.zero_space(field, 3)
+    shift(Z_down, -1)
+    assert tau(Z) == tau(Z_down) == 0
+
+
+@pytest.mark.parametrize("d,j", [(2, 10), (6, 10), (9, 10)])  # d <= cod, then d > cod
+def test_betti_counts_and_down_walk_build_no_up_rung(monkeypatch, d, j):
+    built = []
+    real = spaces._shift_up_once
+    monkeypatch.setattr(spaces, "_shift_up_once", lambda V: built.append(V) or real(V))
+    V = random_space(d, j, F101, 0)
+    A = ancestor_ideal(V)
+    del built[:]
+    generator_degrees(A)
+    relation_degrees(A)
+    assert built == []
+    walked = 0
+    for W in (random_space(d, j, F101, 1), _bare(shift(V, 1))):
+        del built[:]  # shift(V, 1) is an up-rung; the walks down build none
+        out = _first_inequivalent(W, -1, W.degree)
+        assert built == []
+        walked += W.degree - (out.degree if out is not None else 0)
+    assert walked >= 3  # the up-rung walks at least one equivalent step
 
 
 def _fresh(V):
