@@ -10,6 +10,7 @@ payload on stderr; any other escaping exception is a bug and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -318,18 +319,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
     results = run_all(args.max_j)
     if args.json:
-        out = [
-            {
-                "number": r.number,
-                "title": r.title,
-                "passed": r.passed,
-                "elapsed": r.elapsed,
-                "bound": r.bound,
-                "failures": list(r.failures),
-                "notes": list(r.notes),
-            }
-            for r in results
-        ]
+        out = [dataclasses.asdict(r) for r in results]
         return (0 if all(r.passed for r in results) else 1), _dump(out)
     lines = []
     for r in results:

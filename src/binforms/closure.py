@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .errors import PreconditionError
 from .forms import BinaryForm, divide_form, smallest_linear_factor
 from .hilbert import (
@@ -32,8 +33,6 @@ from .spaces import (
     full_space,
     principal_space,
     shift,
-    space_sum,
-    span,
     zero_space,
 )
 
@@ -164,23 +163,24 @@ def _step_t(Tprime: OSequence, T: OSequence, d: int, j: int) -> OSequence:
 
 
 def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpace:
-    """Grow `base` to `target_dim` by adjoining basis forms of `cap` in order."""
-    if not contained(base, cap):
+    """Grow `base` to `target_dim` by adjoining basis forms of `cap` in order.
+
+    One elimination of the columns (base's basis, cap's basis) certifies and
+    chooses: its pivots, the column rank profile, are base's columns and then
+    the cap forms the greedy loop adjoins, dim cap of them iff base lies in
+    cap.  A second one, unless base is already big enough, reduces the choice."""
+    F, rows = cap.field, base.mat.rows + cap.mat.rows
+    _, _, pivots = linalg.rref(linalg.Matrix(F, tuple(zip(*rows)), len(rows)))
+    if len(pivots) != cap.dim:
         raise RuntimeError("subspace choice: base escapes its cap")
     if not base.dim <= target_dim <= cap.dim:
         raise RuntimeError(
             f"subspace choice impossible: {base.dim} <= {target_dim} <= {cap.dim}"
         )
-    cur = base
-    for f in cap.basis_forms():
-        if cur.dim == target_dim:
-            break
-        bigger = space_sum(cur, span(cap.field, cap.degree, [f]))
-        if bigger.dim > cur.dim:
-            cur = bigger
-    if cur.dim != target_dim:
-        raise RuntimeError("subspace choice ran out of vectors")
-    return cur
+    if base.dim == target_dim:
+        return base
+    chosen = linalg.Matrix(F, tuple(rows[c] for c in pivots[:target_dim]), cap.degree + 1)
+    return FormSpace(F, cap.degree, linalg.row_basis(chosen))
 
 
 # ── ideal constructions ───────────────────────────────────────────────────────

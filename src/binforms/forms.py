@@ -81,11 +81,7 @@ def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 def monic(f: BinaryForm) -> BinaryForm:
     """Scale so the first nonzero coefficient (highest x power) is 1."""
-    F = f.field
-    lead = next((c for c in f.coeffs if not F.is_zero(c)), None)
-    if lead is None:
-        return f
-    return scale_form(F.inv(lead), f)
+    return f if f.is_zero else _monic_form(f.field, list(f.coeffs))
 
 
 # ----- polynomials in t = y/x, constant term first --------------------------------
@@ -192,7 +188,7 @@ def _exquo(num: list[int], den: list[int], p: int | None) -> list[int] | None:
 
 
 def _monic_form(F: FieldSpec, cs: list[int]) -> BinaryForm:
-    """The form with int coefficients cs, scaled as `monic` scales."""
+    """cs (ints or canonical scalars, not all zero) over its first nonzero one."""
     lead = next(c for c in cs if c)
     if F.p is None:
         return BinaryForm(F, len(cs) - 1, tuple(Fraction(c, lead) for c in cs))

@@ -247,6 +247,8 @@ def generator_degrees(I: GradedIdeal) -> tuple[int, ...]:
 
 
 def _fresh_generators(I: GradedIdeal, i: int) -> int:
+    if i > I.window_hi + 1:  # I_{i-1} is a block (tail_gcd).R_s, I_i its R_1
+        return 0
     prev = _up_dim(I.component(i - 1)) if i > I.window_lo else 0  # zero below
     return I.dim(i) - prev
 

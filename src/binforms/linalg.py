@@ -10,9 +10,10 @@ Entries must already be canonical scalars of the field: nothing here
 converts them, since values are made canonical once, where they enter the
 system (`forms.form`, `spaces.span`, the JSON readers).
 
-`rref` is the one entry point (`row_basis`, `rank`, `kernel` and
-`contains_vector` call it through this module's global) and picks one of
-two Gauss-Jordan kernels by the field, once per call:
+`rref` is the one entry point: `row_basis`, `rank`, `kernel`, `contains_vector`
+and `closure._extend_inside` reach it through this module's global, never by
+name, so rebinding `linalg.rref` sees every elimination.  It picks one of two
+Gauss-Jordan kernels by the field, once per call:
 
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
   scaled by the inverse of its pivot only when that is not 1, and rows are
@@ -238,5 +239,5 @@ def _integral(rows) -> tuple[int, list[list[int]]]:
 def contains_vector(space: Matrix, vec: Sequence[Scalar]) -> bool:
     """Membership of vec in the row space (space should be a basis matrix)."""
     probe = Matrix(space.field, space.rows + (tuple(vec),), space.ncols)
-    return rank(probe) == rank(space)
+    return rank(probe) == space.nrows
 

@@ -35,11 +35,11 @@ from .hilbert import (
     tau_of_h,
 )
 from .ideals import (
+    _ancestor_betti,
     ancestor_ideal,
     generator_degrees,
     hilbert_function,
     ideal_from_generators,
-    is_ancestor_ideal_of,
     level_ideal,
     nu_min,
     relation_degrees,
@@ -346,7 +346,7 @@ def criterion_6(max_j: int = 8) -> CriterionResult:
                 f"relation degrees j+1+B for {H} (d={d},j={j})",
             )
             run.check(
-                is_ancestor_ideal_of(ideal, j),
+                _ancestor_betti(gens, rels, j),
                 f"realized ideal is an ancestor ideal for {H} (d={d},j={j})",
             )
             run.check(V == ideal.component(j), f"returned space is I_j for {H}")

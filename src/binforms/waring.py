@@ -247,20 +247,6 @@ def _dual_of_linear(l: BinaryForm) -> BinaryForm:
     return monic(BinaryForm(F, 1, (c1, F.neg(c0))))
 
 
-def _solve_coords(F: FieldSpec, vectors, target):
-    """Coordinates of target in a list of independent vectors, or None."""
-    n = len(vectors)
-    eqs = tuple(
-        tuple(v[r] for v in vectors) + (F.neg(target[r]),)
-        for r in range(len(target))
-    )
-    for z in kernel(Matrix(F, eqs, n + 1)).rows:
-        if not F.is_zero(z[-1]):
-            s = F.inv(z[-1])
-            return [F.mul(s, z[k]) for k in range(n)]
-    return None
-
-
 def gad(W: DualSpace) -> GAD | Unsplit:
     """Decompose W through powers of linear dual forms.
 
@@ -271,8 +257,13 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     multiplicities, together with per-basis-element cofactors.  If no
     candidate splits, returns Unsplit with the rootless part of the
     lex-first candidate.
+
+    One kernel per split candidate certifies and solves: with columns w_1..w_c
+    (W's basis), g_1..g_m (the X^sY^t L_i^{j+1-beta_i}) its RREF basis has c
+    rows with pivots 0..c-1 iff the g are independent and span every w, and
+    then row k is (e_k | -coords of w_k).
     """
-    F, j = W.field, W.degree
+    F, j, c = W.field, W.degree, W.dim
     m, comp = W._initial
     candidates = sorted(comp.mat.rows)
     first_rem = None
@@ -291,14 +282,13 @@ def gad(W: DualSpace) -> GAD | Unsplit:
         # factor by factor, t = 0..b-1 inside each: the cofactor slices read this order
         gens = [mul_form(monomial(F, b - 1 - t, t), P)
                 for P, b in zip(powers, weights) for t in range(b)]
-        cert = span(F, j, gens)
-        if cert.dim != m:
-            raise RuntimeError("apolar power span has the wrong dimension")
+        cols = W.space.mat.rows + tuple(g.coeffs for g in gens)
+        ker = kernel(Matrix(F, tuple(zip(*cols)), c + m)).rows
+        if len(ker) != c or any(F.is_zero(z[k]) for k, z in enumerate(ker)):
+            raise RuntimeError("dual space escapes its apolar power span")
         cofactors = []
-        for w in W.basis_forms():
-            coords = _solve_coords(F, [g.coeffs for g in gens], w.coeffs)
-            if coords is None:
-                raise RuntimeError("dual space escapes its apolar power span")
+        for w, z in zip(W.basis_forms(), ker):
+            coords = [F.neg(x) for x in z[c:]]  # z = (e_k | -coords of w_k)
             per_factor = [
                 BinaryForm(F, b - 1, tuple(coords[end - b : end]))
                 for b, end in zip(weights, accumulate(weights))

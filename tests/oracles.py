@@ -305,6 +305,33 @@ def oracle_linear_factors(f: BinaryForm) -> tuple[dict, tuple]:
     return linear, monic_coeffs(rest)
 
 
+def oracle_gad_cofactors(W, linear_forms, weights):
+    """GAD cofactors for W and the given linear dual forms and weights, one
+    kernel per basis element of W on the columns (g_1..g_m, -w), after a
+    separate rank check of the g; None if that check or a solve fails.
+    `waring.gad` certifies and solves all of W in one kernel."""
+    from binforms.forms import linear_power, monomial, mul_form
+
+    F, j = W.field, W.degree
+    powers = [linear_power(L, j + 1 - b) for L, b in zip(linear_forms, weights)]
+    gens = [mul_form(monomial(F, b - 1 - t, t), P).coeffs
+            for P, b in zip(powers, weights) for t in range(b)]
+    m = len(gens)
+    if m and row_basis(Matrix(F, tuple(gens), j + 1)).nrows != m:
+        return None
+    cofactors = []
+    for w in W.basis_forms():
+        eqs = tuple(tuple(g[r] for g in gens) + (F.neg(w.coeffs[r]),) for r in range(j + 1))
+        z = next((z for z in kernel(Matrix(F, eqs, m + 1)).rows if not F.is_zero(z[-1])), None)
+        if z is None:
+            return None
+        coords = [F.mul(F.inv(z[-1]), z[k]) for k in range(m)]
+        ends = list(itertools.accumulate(weights))
+        cofactors.append(tuple(BinaryForm(F, b - 1, tuple(coords[e - b : e]))
+                               for b, e in zip(weights, ends)))
+    return tuple(cofactors)
+
+
 # ----- Hilbert functions and ideals -------------------------------------------
 
 
@@ -520,6 +547,28 @@ def oracle_first_inequivalent(W, sign: int, steps: int):
         if not equivalent(out, W):
             return out
     return None
+
+
+# ----- subspace choice -----------------------------------------------------------
+
+
+def oracle_extend_inside(base, cap, target_dim: int):
+    """Grow base to target_dim by adjoining the basis forms of cap one at a
+    time, one sum per form tried (`closure._extend_inside` reads the same
+    choice off one column rank profile); None if base is not inside cap or
+    the target is out of range."""
+    from binforms.spaces import space_sum, span
+
+    if space_sum(base, cap).dim != cap.dim or not base.dim <= target_dim <= cap.dim:
+        return None
+    cur = base
+    for f in cap.basis_forms():
+        if cur.dim == target_dim:
+            break
+        bigger = space_sum(cur, span(cap.field, cap.degree, [f]))
+        if bigger.dim > cur.dim:
+            cur = bigger
+    return cur
 
 
 # ----- one-step shifts by plain elimination ------------------------------------

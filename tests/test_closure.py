@@ -1,11 +1,12 @@
 """Stratum-closure witnesses: interpolation steps and nested-ideal builds."""
 
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binforms import closure
+from binforms import closure, linalg
 from binforms.closure import BuildTrace, build_h, build_n, build_t, step_n, step_t
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
@@ -19,7 +20,9 @@ from binforms.hilbert import (
 )
 from binforms.ideals import ancestor_ideal, graded_ideal, hilbert_function
 from binforms.osequence import oseq
-from binforms.spaces import principal_space, space_sum
+from binforms.spaces import principal_space, random_space, space_sum, span, zero_space
+
+from oracles import oracle_extend_inside
 
 
 def _contained(inner, outer):
@@ -252,3 +255,54 @@ def test_builds_check_their_pair_once(monkeypatch):
         assert hilbert_function(tr.final_ideal) == Ht and len(tr.steps) >= 2
         assert calls == ["_check_nose_pair", "_check_tail_pair"]
         calls.clear()
+
+
+# ── subspace choice: one column rank profile ──────────────────────────────────
+
+
+def _base_inside(cap, k, seed):
+    """The span of k random combinations of cap's basis."""
+    F, rng = cap.field, random.Random(seed)
+    combos = [[rng.randint(-3, 3) for _ in cap.mat.rows] for _ in range(k)]
+    rows = [[sum(a * x for a, x in zip(cs, col)) for col in zip(*cap.mat.rows)] for cs in combos]
+    return span(F, cap.degree, rows) if cap.dim else zero_space(F, cap.degree)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([GF(7), GF(101), QQ]),
+    st.integers(0, 10),
+    st.integers(0, 11),
+    st.integers(0, 11),
+    st.integers(0, 10**6),
+)
+def test_extend_inside_matches_the_greedy_loop(field, j, cap_dim, k, seed):
+    cap = random_space(min(cap_dim, j + 1), j, field, seed)
+    base = _base_inside(cap, min(k, cap.dim), seed)
+    for target in range(base.dim, cap.dim + 1):
+        assert closure._extend_inside(base, cap, target) == oracle_extend_inside(base, cap, target)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
+def test_extend_inside_eliminates_at_most_twice(monkeypatch, field):
+    cap = random_space(6, 9, field, 2)
+    base = _base_inside(cap, 2, 3)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    for target in range(base.dim, cap.dim + 1):
+        calls.clear()
+        out = closure._extend_inside(base, cap, target)
+        assert out.dim == target
+        assert len(calls) == (1 if target == base.dim else 2)
+
+
+def test_extend_inside_refusals():
+    F = GF(101)
+    cap = span(F, 3, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(RuntimeError, match="base escapes its cap"):
+        closure._extend_inside(span(F, 3, [[0, 0, 1, 0]]), cap, 2)
+    base = span(F, 3, [[1, 1, 0, 0]])
+    for target in (0, 3):
+        with pytest.raises(RuntimeError, match="subspace choice impossible"):
+            closure._extend_inside(base, cap, target)

@@ -451,3 +451,14 @@ def test_ideal_assembly_reads_the_tail_off_the_memo(monkeypatch):
     assert I.tail_gcd == f
     with pytest.raises(RuntimeError, match="before its components stabilized"):
         ideals_mod._tail_of(random_space(3, 7, F, 4))
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j,seed", [(1, 4, 0), (3, 7, 1), (5, 6, 2), (6, 9, 3)])
+def test_ancestor_betti_counts_build_no_block_above_the_window(field, d, j, seed):
+    # I_{hi+1} is a block (tail_gcd).R_s and I_{hi+2} its R_1: no fresh
+    # generator there, so neither count needs the block itself
+    I = ancestor_ideal(random_space(d, j, field, seed))
+    generator_degrees(I)
+    relation_degrees(I)
+    assert "_first_above" not in I.__dict__

@@ -1,0 +1,28 @@
+"""Module layering: every elimination goes through `linalg.rref`.
+
+`linalg` calls `rref` through its module global, so rebinding
+`binforms.linalg.rref` (as the bench tracer and the elimination-count tests
+do) sees every call made that way.  A module that imported `rref` or one of
+its kernels by name would hold its own reference and run unseen."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "binforms"
+KERNELS = {"rref", "_rref_fp", "_rref_q"}
+
+
+def _imported_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"), ids=lambda p: p.name
+)
+def test_no_module_but_linalg_imports_rref_by_name(path):
+    names = set(_imported_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not names & KERNELS, f"{path.name} imports {sorted(names & KERNELS)} from linalg"

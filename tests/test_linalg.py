@@ -386,3 +386,15 @@ def test_kernel_is_one_elimination(monkeypatch):
             calls.clear()
             kernel(m)
             assert len(calls) == 1
+
+
+def test_contains_vector_is_one_elimination(monkeypatch):
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    for F in FIELDS:
+        basis = row_basis(matrix(F, [[1, 2, 3, 4], [2, 4, 6, 9]]))
+        for vec, inside in (([3, 6, 9, 13], True), ([0, 0, 1, 0], False), ([0, 0, 0, 0], True)):
+            calls.clear()
+            assert contains_vector(basis, matrix(F, [vec]).rows[0]) is inside
+            assert len(calls) == 1

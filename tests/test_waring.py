@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binforms import linalg
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.cli import main
@@ -40,6 +41,7 @@ from binforms.waring import (
 )
 from oracles import (
     oracle_ann_component,
+    oracle_gad_cofactors,
     oracle_linear_factors,
     oracle_mu,
     oracle_q_roots,
@@ -493,3 +495,54 @@ def test_gad_locus_codim_sweep_consistent():
                     assert v >= 0
                     if m >= c + t - 1 and n_mu_tau(m, t, d, j).e(m) == 0:
                         assert v == (j - m) * t - (d - 1)
+
+
+# ── one kernel certifies and solves every cofactor ────────────────────────────
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from([GF(7), GF(101), GF(10007), QQ]),
+    st.integers(1, 14),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_gad_cofactors_match_one_solve_per_element(field, j, c, m, planted, seed):
+    j = min(j, field.p - 1) if field.p else j  # the pairing needs p > j
+    if planted:
+        W, _ = _planted(field, c, j, min(m, j + 1), seed)
+    else:
+        W = random_dual(min(c, j + 1), j, field, seed)
+    g = gad(W)
+    if isinstance(g, GAD):
+        assert g.cofactors == oracle_gad_cofactors(W, g.linear_forms, g.weights)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(101), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("c,m", [(1, 1), (2, 3), (3, 3)])
+def test_gad_eliminates_once_on_a_split_candidate(monkeypatch, field, c, m):
+    W, _ = _planted(field, c, 6, m, seed=5)
+    mu(W)  # gad reads the bisection mu ran
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda mat: calls.append(mat) or real(mat))
+    g = gad(W)
+    assert isinstance(g, GAD)
+    assert [(mat.nrows, mat.ncols) for mat in calls] == [(7, W.dim + g.length)]
+
+
+@pytest.mark.parametrize("lines", [[[1, 0], [0, 1]], [[1, 0], [1, 0]]], ids=["escapes", "dependent"])
+def test_gad_refuses_powers_that_miss_the_dual_space(monkeypatch, lines):
+    # factors that do not kill W: X^6, Y^6 miss a planted space, and a
+    # repeated factor makes the power span too small; the one kernel sees both
+    import binforms.waring as waring
+
+    F = GF(101)
+    W, _ = _planted(F, 2, 6, 2, seed=1)
+    assert mu(W) == 2
+    fake = [(form(F, 1, ab), 1) for ab in lines]
+    monkeypatch.setattr(waring, "linear_factors", lambda f: (fake, form(F, 0, [1])))
+    with pytest.raises(RuntimeError, match="dual space escapes its apolar power span"):
+        gad(W)
