@@ -98,10 +98,13 @@ def step_n(Nprime: OSequence, N: OSequence) -> OSequence:
 
     The block is the maximal run of equal first differences of N' ending at
     the top degree where N' still lags N; the whole run is raised by one."""
-    return _step_n(Nprime, N, *_check_nose_pair(Nprime, N))
+    return _step_n(Nprime, N, *_check_nose_pair(Nprime, N))[0]
 
 
-def _step_n(Nprime: OSequence, N: OSequence, d: int, j: int) -> OSequence:
+def _step_n(
+    Nprime: OSequence, N: OSequence, d: int, j: int
+) -> tuple[OSequence, tuple[int, int]]:
+    """The step and the block (t - a, t) of degrees it raises."""
     if Nprime == N:  # the pair is checked, with parameters (d, j)
         raise PreconditionError("sequences already agree; no step to take")
     t = max(i for i in range(j + 1) if Nprime.value(i) != N.value(i))
@@ -119,7 +122,7 @@ def _step_n(Nprime: OSequence, N: OSequence, d: int, j: int) -> OSequence:
         raise RuntimeError(f"nose step produced an impermissible sequence {out}")
     if any(out.value(i) > N.value(i) for i in range(j + 1)):
         raise RuntimeError(f"nose step overshot the target: {out} vs {N}")
-    return out
+    return out, (t - a, t)
 
 
 def step_t(Tprime: OSequence, T: OSequence) -> OSequence:
@@ -127,36 +130,33 @@ def step_t(Tprime: OSequence, T: OSequence) -> OSequence:
 
     When the first disagreement sits inside the constant range of T', every
     later value drops together and the eventual constant decreases."""
-    return _step_t(Tprime, T, *_check_tail_pair(Tprime, T))
+    return _step_t(Tprime, T, *_check_tail_pair(Tprime, T))[0]
 
 
-def _step_t(Tprime: OSequence, T: OSequence, d: int, j: int) -> OSequence:
+def _step_t(
+    Tprime: OSequence, T: OSequence, d: int, j: int
+) -> tuple[OSequence, tuple[int, int]]:
+    """The step and the block it lowers: (t, t + a - 1) for a run, or (t, top)
+    for a constant drop, top being one past j and the stabilizations of T', T."""
     if Tprime == T:  # the pair is checked, with parameters (d, j)
         raise PreconditionError("sequences already agree; no step to take")
     top = max(Tprime.stabilization(), T.stabilization(), j) + 1
     t = min(i for i in range(j, top + 1) if Tprime.value(i) != T.value(i))
     if Tprime.e(t + 1) == 0:
         # constant range: drop everything from t on, lowering the constant
-        out = oseq(
-            [Tprime.value(i) - (1 if i >= t else 0) for i in range(top + 1)],
-            Tprime.constant - 1,
-        )
+        hi, constant = top, Tprime.constant - 1
     else:
         a = 1
         while Tprime.e(t + 1 + a) == Tprime.e(t + 1):
             a += 1
-        out = oseq(
-            [
-                Tprime.value(i) - (1 if t <= i <= t + a - 1 else 0)
-                for i in range(top + 1)
-            ],
-            Tprime.constant,
-        )
+        hi, constant = t + a - 1, Tprime.constant
+    lowered = [Tprime.value(i) - (1 if t <= i <= hi else 0) for i in range(top + 1)]
+    out = oseq(lowered, constant)
     if not is_permissible_tail(out, d, j):
         raise RuntimeError(f"tail step produced an impermissible sequence {out}")
     if any(out.value(i) < T.value(i) for i in range(j, top + 2)):
         raise RuntimeError(f"tail step undershot the target: {out} vs {T}")
-    return out
+    return out, (t, hi)
 
 
 # ── subspace choice ───────────────────────────────────────────────────────────
@@ -197,9 +197,7 @@ def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
     ideal = Iprime
     steps = []
     while cur != N:
-        nxt = _step_n(cur, N, d, j)
-        block = [i for i in range(j + 1) if nxt.value(i) != cur.value(i)]
-        lo, hi = min(block), max(block)
+        nxt, (lo, hi) = _step_n(cur, N, d, j)
         new = list(comps)
         for u in range(lo, hi + 1):
             base = shift(new[u - 1], 1) if u >= 1 else zero_space(F, 0)
@@ -234,27 +232,23 @@ def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
     ideal = Iprime
     steps = []
     while cur != T:
-        nxt = _step_t(cur, T, d, j)
+        nxt, (lo, hi) = _step_t(cur, T, d, j)
         new = list(comps)
         if nxt.constant != cur.constant:
-            t = min(i for i in range(j, top + 1) if nxt.value(i) != cur.value(i))
+            # the step's own top shrinks with cur's stabilization; every
+            # component up to this build's top is replaced, so record that
+            hi = top
             tail = _strip_linear(tail)
-            for u in range(t, top + 1):
+            for u in range(lo, top + 1):
                 new[u] = principal_space(tail, u)
-            block = (t, top)
         else:
-            block_deg = [
-                i for i in range(j, top + 1) if nxt.value(i) != cur.value(i)
-            ]
-            lo, hi = min(block_deg), max(block_deg)
             for u in range(hi, lo - 1, -1):
                 cap = shift(new[u + 1], -1)
                 new[u] = _extend_inside(comps[u], cap, u + 1 - nxt.value(u))
-            block = (lo, hi)
         ideal = _assemble_ideal(F, 0, new, tail)
         if hilbert_function(ideal) != nxt:
             raise RuntimeError("tail construction missed its interpolant")
-        steps.append(StepRecord(cur, nxt, block))
+        steps.append(StepRecord(cur, nxt, (lo, hi)))
         cur, comps = nxt, new
     return BuildTrace(tuple(steps), ideal)
 

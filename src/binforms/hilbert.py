@@ -253,36 +253,24 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     ecod_h = ecod_n + ecod_t - ecodtau
 
     lA, lB, lC, lD = ell(A), ell(B), ell(C), ell(D)
-    formulas = {
-        "codb": lA,
-        "codc": lB + (d - 1) * c,
-        "coda": lA + lB + (d - 1) * c,
-        "code": lC,
-        "codf": lD + (d - 1) * c,
-        "codd": lC + lD + (d - 1) * c - ecodtau,
-        "code2": lC + lB + (d - 1) * c,
-        "ecodN": ecod_n,
-        "ecodT": ecod_t,
-        "ecodH": ecod_h,
-        "ecodtau": ecodtau,
+    ledger = {  # name: (published formula, the dimension count it must equal)
+        "codb": (lA, dim_grass_tau - dim_la),
+        "codc": (lB + (d - 1) * c, dim_grass_tau - dim_ga),
+        "coda": (lA + lB + (d - 1) * c, dim_grass_tau - dim_grass),
+        "code": (lC, ambient - dim_la),
+        "codf": (lD + (d - 1) * c, ambient - dim_ga),
+        "codd": (lC + lD + (d - 1) * c - ecodtau, ambient - dim_grass),
+        "code2": (lC + lB + (d - 1) * c, ambient - dim_grass),
+        "ecodN": (ecod_n, ambient - dim_la),
+        "ecodT": (ecod_t, ambient - dim_ga),
+        "ecodH": (ecod_h, ambient - dim_grass),
+        "ecodtau": (ecodtau, ecodtau),
     }
-    truths = {
-        "codb": dim_grass_tau - dim_la,
-        "codc": dim_grass_tau - dim_ga,
-        "coda": dim_grass_tau - dim_grass,
-        "code": ambient - dim_la,
-        "codf": ambient - dim_ga,
-        "codd": ambient - dim_grass,
-        "code2": ambient - dim_grass,
-        "ecodN": ambient - dim_la,
-        "ecodT": ambient - dim_ga,
-        "ecodH": ambient - dim_grass,
-        "ecodtau": ecodtau,
-    }
+    formulas = {name: formula for name, (formula, _) in ledger.items()}
     discrepancies = tuple(
-        f"{name}: formula gives {formulas[name]}, truth {truths[name]}"
-        for name in formulas
-        if formulas[name] != truths[name]
+        f"{name}: formula gives {formula}, truth {truth}"
+        for name, (formula, truth) in ledger.items()
+        if formula != truth
     )
     return StratumReport(
         H=H,

@@ -179,9 +179,6 @@ def ancestor_ideal(V: FormSpace) -> GradedIdeal:
 def level_ideal(V: FormSpace) -> GradedIdeal:
     """Ancestor components up to degree j, then everything."""
     j = V.degree
-    if V.is_zero:
-        comps = [full_space(V.field, j + 1)]
-        return _assemble_ideal(V.field, j + 1, comps, unit_form(V.field))
     comps = [shift(V, s) for s in range(-j, 1)] + [full_space(V.field, j + 1)]
     return _assemble_ideal(V.field, 0, comps, unit_form(V.field))
 

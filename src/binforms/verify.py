@@ -11,6 +11,7 @@ as discrepancy notes rather than silently patched.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from collections import Counter
@@ -675,15 +676,13 @@ ALL_CRITERIA = (
     criterion_11,
 )
 
-_SWEEP_DEFAULTS = {4: 9, 5: 8, 6: 8, 7: 7, 8: 8, 9: 10}
-
 
 def run_all(max_j: int | None = None) -> list[CriterionResult]:
-    """Run every criterion; `max_j` caps the sweep bounds for quick runs."""
+    """Run every criterion; `max_j` caps the sweep bounds for quick runs, each
+    at the smaller of `max_j` and its criterion's own `max_j` default."""
     results = []
-    for k, fn in enumerate(ALL_CRITERIA, start=1):
-        if k in _SWEEP_DEFAULTS and max_j is not None:
-            results.append(fn(min(_SWEEP_DEFAULTS[k], max_j)))
-        else:
-            results.append(fn())
+    for fn in ALL_CRITERIA:
+        sweep = inspect.signature(fn).parameters.get("max_j")
+        capped = sweep is not None and max_j is not None
+        results.append(fn(min(sweep.default, max_j)) if capped else fn())
     return results

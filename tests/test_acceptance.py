@@ -4,9 +4,13 @@ The criterion implementations live in binforms.verify and are shared with
 the `binforms verify` CLI command.  Each result carries its elapsed time
 and pinned time bound; a criterion fails if any check fails or the bound
 is exceeded.  Known disagreements with published constants are surfaced
-as notes, never patched into the checks themselves.
+as notes, never patched into the checks themselves.  The last test pins
+how `run_all` caps the sweeping criteria.
 """
 
+from unittest import mock
+
+from binforms import verify
 from binforms.verify import (
     criterion_1,
     criterion_2,
@@ -72,3 +76,23 @@ def test_criterion_10_related(capsys):
 
 def test_criterion_11_tau_calculus(capsys):
     _report(criterion_11(), capsys)
+
+
+def _stand_in(default=None):
+    """A recording criterion: `max_j` with the given default, or no parameter."""
+    if default is None:
+        return mock.create_autospec(lambda: None)
+    return mock.create_autospec(lambda max_j=default: None)
+
+
+def test_run_all_caps_each_sweep_at_its_own_default(monkeypatch):
+    stand_ins = (_stand_in(), _stand_in(9), _stand_in(4), _stand_in(), _stand_in(7))
+    monkeypatch.setattr(verify, "ALL_CRITERIA", stand_ins)
+    verify.run_all(5)
+    assert [fn.call_args_list for fn in stand_ins] == [
+        [mock.call()], [mock.call(5)], [mock.call(4)], [mock.call()], [mock.call(5)]
+    ]
+    for fn in stand_ins:
+        fn.reset_mock()
+    verify.run_all()
+    assert [fn.call_args_list for fn in stand_ins] == [[mock.call()]] * 5

@@ -231,6 +231,50 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
         assert a.after == b.before
 
 
+def _traced(build, steps):
+    def run(*args):
+        trace = build(*args)
+        steps.append(trace.steps)
+        return trace
+
+    return run
+
+
+def _changed(before, after, lo, hi):
+    return [i for i in range(lo, hi + 1) if before.value(i) != after.value(i)]
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
+def test_step_blocks_are_where_the_sequences_differ(field):
+    # every comparable pair with d <= j <= 6; each half is recorded on its own
+    for j in range(1, 7):
+        for d in range(1, j + 1):
+            pool = enumerate_acceptable(d, j)
+            for Hs in pool:
+                _, source = realize_staircase(Hs, d, j, field)
+                for Ht in pool:
+                    if le_partial(Hs, Ht, d, j) not in (Cmp.GREATER, Cmp.EQUAL):
+                        continue
+                    halves = []
+                    with mock.patch.object(closure, "build_n", _traced(build_n, halves)), \
+                            mock.patch.object(closure, "build_t", _traced(build_t, halves)):
+                        tr = build_h(source, Ht, j)
+                    if not halves:
+                        assert tr.steps == ()
+                        continue
+                    nose, tail = halves
+                    assert tr.steps == nose + tail
+                    for r in nose:
+                        block = _changed(r.before, r.after, 0, j)
+                        assert r.degrees == (min(block), max(block))
+                    if tail:
+                        first, last = tail[0].before, tail[-1].after
+                        top = max(first.stabilization(), last.stabilization(), j) + 1
+                        for r in tail:
+                            block = _changed(r.before, r.after, j, top)
+                            assert r.degrees == (min(block), max(block))
+
+
 def test_builds_check_their_pair_once(monkeypatch):
     # the pair is checked on entry; each step trusts it and checks its output
     calls = []

@@ -453,6 +453,40 @@ def test_dims_consistency(dj, pick):
         assert names <= {"coda", "codc", "code2", "ecodT", "ecodH"}
 
 
+LEDGER_NAMES = (
+    "codb", "codc", "coda", "code", "codf", "codd", "code2",
+    "ecodN", "ecodT", "ecodH", "ecodtau",
+)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_dims_ledger_against_a_restatement(j):
+    # each truth restated from the report's own dimension fields
+    for d in range(1, j + 1):
+        for H in enumerate_acceptable(d, j):
+            r = dims(H, d, j)
+            inner, amb = r.dim_grass_tau, r.ambient
+            truth = {
+                "codb": inner - r.dim_la,
+                "codc": inner - r.dim_ga,
+                "coda": inner - r.dim_grass,
+                "code": amb - r.dim_la,
+                "codf": amb - r.dim_ga,
+                "codd": amb - r.dim_grass,
+                "code2": amb - r.dim_grass,
+                "ecodN": amb - r.dim_la,
+                "ecodT": amb - r.dim_ga,
+                "ecodH": amb - r.dim_grass,
+                "ecodtau": (d - r.tau) * (j + 2 - d - r.tau),
+            }
+            assert tuple(r.formulas) == LEDGER_NAMES
+            assert r.discrepancies == tuple(
+                f"{name}: formula gives {r.formulas[name]}, truth {truth[name]}"
+                for name in LEDGER_NAMES
+                if r.formulas[name] != truth[name]
+            )
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_dj, st.integers(0, 10**6))
 def test_generic_stratum_is_maximal(dj, pick):

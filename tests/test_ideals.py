@@ -171,6 +171,14 @@ def test_level_ideal_of_zero_space_is_power_of_maximal_ideal():
     assert generator_degrees(L) == (4, 4, 4, 4, 4)
 
 
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("j", range(7))
+def test_level_ideal_of_zero_space_is_r_above_j(field, j):
+    # the j+1 zero components below the window are dropped: only R_{j+1} is kept
+    want = GradedIdeal(field, j + 1, j + 1, (full_space(field, j + 1),), unit_form(field))
+    assert level_ideal(zero_space(field, j)) == want
+
+
 def test_nu_min_values():
     assert nu_min(oseq([1, 1], 0)) == 2
     assert nu_min(oseq([1, 2, 3, 3, 2, 1], 0)) == 2
