@@ -19,6 +19,7 @@ from .errors import PreconditionError
 from .fields import GF, FieldSpec
 from .forms import format_form
 from .hilbert import (
+    StratumReport,
     _hasse_edges,
     count_by_tau,
     dims,
@@ -86,23 +87,29 @@ def _analysis(V: FormSpace) -> dict:
         "H": str(H),
         "nose": str(N),
         "tail": str(T),
-        "tau": r.tau,
-        "c": r.c,
         "mu": r.mu,
         "gcd": format_form(anc.tail_gcd),
         "partitions": {k: list(getattr(r, k)) for k in ("P", "Q", "A", "B", "C", "D")},
         "generatorDegrees": list(generator_degrees(anc)),
         "relationDegrees": list(relation_degrees(anc)),
-        "ambient": r.ambient,
         "dimGrass": r.dim_grass,
-        "dimLA": r.dim_la,
-        "dimGA": r.dim_ga,
-        "dimGrassTau": r.dim_grass_tau,
         "codGrass": r.cod_grass,
-        "codTauGrass": r.cod_tau_grass,
-        "formulas": dict(r.formulas),
-        "discrepancies": list(r.discrepancies),
+        **_report_fields(r),
     }
+
+
+def _report_fields(r: StratumReport) -> dict:
+    """The StratumReport fields `analyze` and `dims` both report, by JSON key."""
+    return {
+        "tau": r.tau, "c": r.c, "ambient": r.ambient, "dimLA": r.dim_la, "dimGA": r.dim_ga,
+        "dimGrassTau": r.dim_grass_tau, "codTauGrass": r.cod_tau_grass,
+        "formulas": dict(r.formulas), "discrepancies": list(r.discrepancies),
+    }
+
+
+def _stratum_line(out: dict) -> str:
+    return (f"dim LA = {out['dimLA']}   dim GA = {out['dimGA']}   "
+            f"dim tau-stratum = {out['dimGrassTau']}   cod in stratum = {out['codTauGrass']}")
 
 
 def _analysis_text(out: dict) -> str:
@@ -117,8 +124,7 @@ def _analysis_text(out: dict) -> str:
         f"generator degrees = {tuple(out['generatorDegrees'])}",
         f"relation degrees  = {tuple(out['relationDegrees'])}",
         f"ambient = {out['ambient']}   dim = {out['dimGrass']}   cod = {out['codGrass']}",
-        f"dim LA = {out['dimLA']}   dim GA = {out['dimGA']}   "
-        f"dim tau-stratum = {out['dimGrassTau']}   cod in stratum = {out['codTauGrass']}",
+        _stratum_line(out),
     ]
     for s in out["discrepancies"]:
         lines.append(f"discrepancy: {s}")
@@ -185,25 +191,16 @@ def _cmd_dims(args: argparse.Namespace) -> tuple[int, str]:
         "H": str(H),
         "d": args.d,
         "j": args.j,
-        "tau": r.tau,
-        "c": r.c,
-        "ambient": r.ambient,
         "dim": r.dim_grass,
         "cod": r.cod_grass,
-        "dimLA": r.dim_la,
-        "dimGA": r.dim_ga,
-        "dimGrassTau": r.dim_grass_tau,
-        "codTauGrass": r.cod_tau_grass,
-        "formulas": dict(r.formulas),
-        "discrepancies": list(r.discrepancies),
+        **_report_fields(r),
     }
     if args.json:
         return 0, _dump(out)
     lines = [
         f"H = {out['H']}  (d = {args.d}, j = {args.j}, tau = {r.tau}, c = {r.c})",
         f"ambient = {r.ambient}   dim = {r.dim_grass}   cod = {r.cod_grass}",
-        f"dim LA = {r.dim_la}   dim GA = {r.dim_ga}   "
-        f"dim tau-stratum = {r.dim_grass_tau}   cod in stratum = {r.cod_tau_grass}",
+        _stratum_line(out),
         "formula values: "
         + ", ".join(f"{k}={v}" for k, v in sorted(r.formulas.items())),
     ]

@@ -25,12 +25,11 @@ from .hilbert import (
     le_partial,
     nose_tail,
 )
-from .ideals import GradedIdeal, _assemble_ideal, graded_ideal, hilbert_function, unit_form
+from .ideals import GradedIdeal, _assemble_ideal, _with_unit_tail, graded_ideal, hilbert_function
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
     contained,
-    full_space,
     principal_space,
     shift,
     zero_space,
@@ -202,7 +201,7 @@ def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
         for u in range(lo, hi + 1):
             base = shift(new[u - 1], 1) if u >= 1 else zero_space(F, 0)
             new[u] = _extend_inside(base, comps[u], u + 1 - nxt.value(u))
-        ideal = _assemble_ideal(F, 0, new, unit_form(F))
+        ideal = _with_unit_tail(F, new[: j + 1])
         if hilbert_function(ideal) != nxt:
             raise RuntimeError("nose construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, (lo, hi)))
@@ -273,8 +272,7 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
             relation=order.value,
         )
     N, T = nose_tail(H, j)
-    nose_comps = [Iprime.component(i) for i in range(j + 1)] + [full_space(F, j + 1)]
-    nose_ideal = _assemble_ideal(F, 0, nose_comps, unit_form(F))
+    nose_ideal = _with_unit_tail(F, [Iprime.component(i) for i in range(j + 1)])
     top = max(Hp.stabilization(), T.stabilization(), j) + 1
     tail_comps = [zero_space(F, i) for i in range(j)] + [
         Iprime.component(i) for i in range(j, top + 1)

@@ -86,6 +86,11 @@ class FieldSpec:
     # ----- element construction ---------------------------------------------
 
     def coerce(self, value) -> Scalar:
+        """The canonical scalar for an int or a Fraction; floats and bools are refused."""
+        if type(value) is int:  # the common case, ahead of the ABC checks
+            return Fraction(value) if self.p is None else value % self.p
+        if isinstance(value, (bool, float)):
+            raise PreconditionError(f"expected an exact scalar, got {value!r}")
         if self.p is None:
             return Fraction(value)
         if isinstance(value, Fraction):

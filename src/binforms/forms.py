@@ -47,11 +47,11 @@ def zero_form(field: FieldSpec, degree: int) -> BinaryForm:
     return BinaryForm(field, degree, (field.zero,) * (degree + 1))
 
 
-def monomial(field: FieldSpec, deg_x: int, deg_y: int, coeff=1) -> BinaryForm:
-    """coeff * x^deg_x y^deg_y."""
+def monomial(field: FieldSpec, deg_x: int, deg_y: int) -> BinaryForm:
+    """x^deg_x y^deg_y, with coefficient `field.one` (`scale_form` for another)."""
     j = deg_x + deg_y
     cs = [field.zero] * (j + 1)
-    cs[deg_y] = field.coerce(coeff)
+    cs[deg_y] = field.one
     return BinaryForm(field, j, tuple(cs))
 
 

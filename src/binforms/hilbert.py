@@ -224,14 +224,14 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     The dimension sums over the difference sequence are the ground truth;
     each closed formula is compared against them and mismatches land in
     `discrepancies` (several of the formulas are only correct when the
-    eventual constant vanishes)."""
-    require_acceptable(H, d, j)
-    P, Q = _pq(H, j)
+    eventual constant vanishes).  The τ-stratum identity ambient - dim τ-stratum
+    = (d - τ)(j + 2 - d - τ) is checked there too, as the "ecodtau" entry."""
+    P, Q = partitions_pq(H, d, j)
     A, B, C, D = _betti(P, Q, d, j)
     mu = H.order()
     s = H.stabilization()
     c = H.constant
-    tau = H.e(j) + 1
+    tau = tau_of_h(H, j)
     E = [H.e(i) for i in range(max(s, j) + 3)]
 
     ambient = d * (j + 1 - d)
@@ -240,8 +240,6 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     dim_ga = c + sum((E[i] + 1) * E[i + 1] for i in range(j + 1, s + 2)) + d * E[j + 1]
     dim_grass_tau = tau * (j + 2 - tau) - d
     ecodtau = (d - tau) * (j + 2 - d - tau)
-    if ambient - dim_grass_tau != ecodtau:
-        raise RuntimeError("τ-stratum bookkeeping failed")
 
     # nose N = H up to j, tail T = H from j on: the sums over N_{i-1}, T_{i+1} read H
     ecod_n = sum((E[i + 1] - E[i]) * (i - H.value(i - 1)) for i in range(mu, j)) + ecodtau
@@ -264,7 +262,7 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
         "ecodN": (ecod_n, ambient - dim_la),
         "ecodT": (ecod_t, ambient - dim_ga),
         "ecodH": (ecod_h, ambient - dim_grass),
-        "ecodtau": (ecodtau, ecodtau),
+        "ecodtau": (ecodtau, ambient - dim_grass_tau),
     }
     formulas = {name: formula for name, (formula, _) in ledger.items()}
     discrepancies = tuple(
@@ -365,10 +363,8 @@ def le_by_partitions(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
 
 def _le_pq(pq1: tuple[Partition, Partition], pq2: tuple[Partition, Partition]) -> Cmp:
     (P1, Q1), (P2, Q2) = pq1, pq2
-    pc = majorization_le(P1, P2)
-    qc = majorization_le(Q1, Q2)
-    ge = pc in (Cmp.LESS, Cmp.EQUAL) and qc in (Cmp.LESS, Cmp.EQUAL)
-    le = pc in (Cmp.GREATER, Cmp.EQUAL) and qc in (Cmp.GREATER, Cmp.EQUAL)
+    ge = _majorizes(P2, P1) and _majorizes(Q2, Q1)
+    le = _majorizes(P1, P2) and _majorizes(Q1, Q2)
     return _cmp_from_flags(ge, le)
 
 
@@ -387,8 +383,6 @@ def _parts_at_most(n: int, k: int):
 def partitions_exact_largest(n: int, k: int) -> list[Partition]:
     if k == 0:
         return [()] if n == 0 else []
-    if k > n:
-        return []
     return [(k,) + rest for rest in _parts_at_most(n - k, k)]
 
 
@@ -411,8 +405,6 @@ def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
     keyed = []
     for tau, c in _tau_c_range(d, j):
         for P in partitions_exact_largest(d, tau):
-            if len(P) > j + 1:
-                continue
             for Q in partitions_exact_largest(j + 1 - d - c, tau - 1):
                 key = (-tau, c, tuple(-x for x in P), tuple(-x for x in Q))
                 keyed.append((key, _from_pq(P, Q, j, c)))
@@ -455,19 +447,14 @@ def _box_partitions(a: int, b: int, n: int) -> int:
 
 
 def count_exact_largest(n: int, k: int) -> int:
-    """p_k(n): partitions of n with largest part exactly k."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n < k:
-        return 0
+    """p_k(n): partitions of n with largest part exactly k.  The base cases of
+    `_box_partitions` give 0 for n < k and [n = 0] for k = 0."""
     return _box_partitions(k, n - k, n - k)
 
 
 def count_by_tau(d: int, j: int, tau: int, c: int) -> int:
     if not 1 <= tau <= min(d, j + 2 - d):
         return 0
-    if tau == 1:
-        return 1 if c == j + 1 - d else 0
     if not 0 <= c <= j + 2 - d - tau:
         return 0
     return count_exact_largest(d, tau) * count_exact_largest(j + 1 - d - c, tau - 1)

@@ -178,9 +178,12 @@ def ancestor_ideal(V: FormSpace) -> GradedIdeal:
 
 def level_ideal(V: FormSpace) -> GradedIdeal:
     """Ancestor components up to degree j, then everything."""
-    j = V.degree
-    comps = [shift(V, s) for s in range(-j, 1)] + [full_space(V.field, j + 1)]
-    return _assemble_ideal(V.field, 0, comps, unit_form(V.field))
+    return _with_unit_tail(V.field, [shift(V, s) for s in range(-V.degree, 1)])
+
+
+def _with_unit_tail(field: FieldSpec, comps) -> GradedIdeal:
+    """The ideal with component comps[i] in each degree i < len(comps), then all of R."""
+    return _assemble_ideal(field, 0, [*comps, full_space(field, len(comps))], unit_form(field))
 
 
 def generated_ideal(V: FormSpace) -> GradedIdeal:
@@ -235,8 +238,6 @@ def hilbert_function(I: GradedIdeal) -> OSequence:
 
 def generator_degrees(I: GradedIdeal) -> tuple[int, ...]:
     """Degrees of a minimal generating set: dim I_i - dim R_1·I_{i-1} per degree."""
-    if I.is_zero:
-        return ()
     degs: list[int] = []
     for i in range(I.window_lo, I.window_hi + 2):
         degs.extend([i] * _fresh_generators(I, i))
@@ -252,8 +253,6 @@ def _fresh_generators(I: GradedIdeal, i: int) -> int:
 
 def relation_degrees(I: GradedIdeal) -> tuple[int, ...]:
     """Degrees of the minimal first syzygies, from second differences of dim I."""
-    if I.is_zero:
-        return ()
     degs: list[int] = []
     for i in range(I.window_lo, I.window_hi + 3):
         d1 = I.dim(i - 1) if i >= 1 else 0

@@ -64,7 +64,7 @@ class OSequence:
         return f"{body}({tail})" if body else f"({tail})"
 
 
-def oseq(values, constant: int | None = None) -> OSequence:
+def oseq(values, constant: int | None) -> OSequence:
     """Normalizing constructor: trims prefix entries equal to the eventual value."""
     prefix = list(int(v) for v in values)
     if any(v < 0 for v in prefix):

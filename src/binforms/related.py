@@ -173,8 +173,6 @@ def _triples(n: int) -> list[Triple]:
 def shift3(S: MonomialSpace3, s: int) -> MonomialSpace3:
     """Monomial up-shift (all multiples) or down-shift (quotients by every
     degree -s monomial), the three-variable analogue of shift()."""
-    if s == 0:
-        return S
     if S.degree + s < 0:
         raise PreconditionError(f"shift to negative degree {S.degree + s}")
     if s > 0:

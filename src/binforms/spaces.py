@@ -221,8 +221,6 @@ def shift(V: FormSpace, s: int) -> FormSpace:
     """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs.
 
     Walks V's memoized rungs, so repeated shifts of one space are free."""
-    if s == 0:
-        return V
     if V.degree + s < 0:
         raise PreconditionError(f"shift to negative degree {V.degree + s}")
     out = V

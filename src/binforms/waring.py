@@ -34,7 +34,7 @@ from .forms import (
     zero_form,
 )
 from .hilbert import dual_partition, ell, is_permissible_nose
-from .ideals import GradedIdeal, _assemble_ideal, unit_form
+from .ideals import GradedIdeal, _with_unit_tail
 from .linalg import Matrix, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
@@ -73,9 +73,8 @@ class DualSpace:
         No degree below c qualifies: a nonzero f in (Ann W)_i puts f.R_{j-i}
         in (Ann W)_j, so j-i+1 <= j+1-c.  Ann W is an ideal, so (Ann W)_i != 0
         implies (Ann W)_{i+1} != 0, and (Ann W)_{j+1} is all of R_{j+1}.
+        The zero space, killed by every form, ends at mu = 0 with (Ann W)_0 = R_0.
         """
-        if not self.dim:  # every form kills 0: mu = 0 and (Ann W)_0 = R_0
-            return 0, full_space(self.field, 0)
         lo, hi = self.dim, self.degree + 1
         comp = full_space(self.field, hi)
         while lo < hi:
@@ -157,11 +156,12 @@ def perp(V: FormSpace) -> DualSpace:
 
 def _catalecticant(W: DualSpace, i: int) -> Matrix:
     """The stacked Hankel blocks [w'_{k+r}] (rows r = 0..j-i, columns
-    k = 0..i), one per basis element w of W, for 0 <= i <= j.
+    k = 0..i), one per basis element w of W.
 
     With weighted coefficients w'_a = (j-a)! a! w_a, the Y^r coefficient of
     f . w is sum_k f_k w'_{k+r} / ((j-i-r)! r!), and those divisors are
-    invertible, so the kernel of this matrix is (Ann W)_i.
+    invertible, so the kernel of this matrix is (Ann W)_i.  For i > j (or
+    W = 0) there are no rows, so the kernel is all of R_i.
     """
     j = W.degree
     rows = tuple(
@@ -172,19 +172,13 @@ def _catalecticant(W: DualSpace, i: int) -> Matrix:
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:
     """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants."""
-    F, j = W.field, W.degree
-    if i > j:
-        return full_space(F, i)
-    return FormSpace(F, i, kernel(_catalecticant(W, i)))
+    return FormSpace(W.field, i, kernel(_catalecticant(W, i)))
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:
     """The ideal of forms contracting W to zero; equals the level ideal
     of V = (Ann W)_j, so annihilator(perp(V)) == level_ideal(V)."""
-    F, j = W.field, W.degree
-    comps = [_ann_component(W, i) for i in range(j + 1)]
-    comps.append(full_space(F, j + 1))
-    return _assemble_ideal(F, 0, comps, unit_form(F))
+    return _with_unit_tail(W.field, [_ann_component(W, i) for i in range(W.degree + 1)])
 
 
 def tau_delta(W: DualSpace) -> int:
@@ -193,11 +187,10 @@ def tau_delta(W: DualSpace) -> int:
     Under the perfect degree-(j-1) pairing R_1.W and (Ann W)_{j-1} are
     each other's orthogonal complements (f kills x.w and y.w iff f.w = 0),
     so dim R_1.W = j - dim (Ann W)_{j-1}, which is the rank of the
-    degree-(j-1) catalecticant.
+    degree-(j-1) catalecticant.  The zero space gets 1: for j >= 1 its
+    catalecticant has no rows, and for j = 0 it gets 1 - 0.
     """
     j = W.degree
-    if W.dim == 0:
-        return 1
     if j == 0:
         return 1 - W.dim  # W = dual_0 itself; annihilator starts in degree 0
     return 1 + rank(_catalecticant(W, j - 1)) - W.dim

@@ -1,5 +1,7 @@
-"""Field construction: the primality test behind every Fp:<p> field."""
+"""Field construction (the primality test behind every Fp:<p> field) and
+scalar coercion."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -7,6 +9,10 @@ import pytest
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ, FieldSpec, _is_prime
+from binforms.forms import form, form_from_json
+from binforms.spaces import span
+
+COERCE_FIELDS = [GF(7), GF(101), QQ]
 
 
 def _trial_division(n):
@@ -95,3 +101,33 @@ def test_scalars_within_the_digit_limit_parse():
 def test_field_name_that_is_not_a_string_is_refused(name):
     with pytest.raises(PreconditionError, match="unknown field"):
         FieldSpec.from_name(name)
+
+
+@pytest.mark.parametrize("field", COERCE_FIELDS, ids=lambda F: F.name)
+@pytest.mark.parametrize("bad", [2.9, 2.5, 2.0, 0.1, -0.0, True, False])
+def test_floats_and_bools_are_refused(field, bad):
+    with pytest.raises(PreconditionError):
+        field.coerce(bad)
+    with pytest.raises(PreconditionError):
+        form(field, 1, [bad, 1])
+    with pytest.raises(PreconditionError):
+        span(field, 1, [[1, 0], [bad, 1]])
+
+
+@pytest.mark.parametrize("field", COERCE_FIELDS, ids=lambda F: F.name)
+def test_exact_scalars_keep_their_values(field):
+    def want(x):
+        x = Fraction(x)
+        return x if field.p is None else x.numerator * pow(x.denominator, -1, field.p) % field.p
+
+    scalars = [0, 1, -1, 6, 7, 100, -203, 10**30 + 7,
+               Fraction(1, 2), Fraction(-3, 4), Fraction(22, 3), Fraction(10**20, 3)]
+    for x in scalars:
+        got = field.coerce(x)
+        assert got == want(x) and type(got) is type(field.one), x
+    parsed = json.loads("[3, -2, 0, 12345678901234567890]")
+    assert form(field, 3, parsed).coeffs == tuple(map(want, parsed))
+    assert span(field, 1, [parsed[:2]]) == span(field, 1, [form(field, 1, [want(3), want(-2)])])
+    # JSON files go through the text route, which reads a decimal exactly
+    obj = json.loads('{"degree": 2, "coeffs": [3, "-1/2", 2.5]}')
+    assert form_from_json(field, obj).coeffs == tuple(map(want, [3, Fraction(-1, 2), Fraction(5, 2)]))

@@ -111,6 +111,14 @@ def test_enumerate_4_5_is_bigger_than_table():
     assert count_by_tau(4, 5, 1, 2) == 1
 
 
+def test_count_by_tau_one_is_the_principal_class():
+    # τ = 1: only c = j+1-d, with P = (1, ..., 1) and Q empty
+    for j in range(0, 9):
+        for d in range(1, j + 2):
+            for c in range(-1, j + 3):
+                assert count_by_tau(d, j, 1, c) == int(c == j + 1 - d)
+
+
 def test_9_14_worked_example():
     H = oseq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 11, 9, 6, 3, 0], 0)
     r = dims(H, 9, 14)
@@ -376,7 +384,7 @@ def test_staircase_examples():
 
 def test_counting_against_oracle():
     for n in range(0, 13):
-        for k in range(0, n + 2):
+        for k in range(0, n + 4):
             assert count_exact_largest(n, k) == count_partitions_largest(n, k)
             got = {p for p in partitions_exact_largest(n, k)}
             want = {p for p in partitions_of(n) if (p[0] if p else 0) == k}
@@ -485,6 +493,16 @@ def test_dims_ledger_against_a_restatement(j):
                 for name in LEDGER_NAMES
                 if r.formulas[name] != truth[name]
             )
+
+
+@pytest.mark.parametrize("j", range(1, 11))
+def test_tau_stratum_identity_holds_on_every_stratum(j):
+    # ambient - dim τ-stratum = (d - τ)(j + 2 - d - τ) is one ledger entry
+    for d in range(1, j + 1):
+        for H in enumerate_acceptable(d, j):
+            r = dims(H, d, j)
+            assert r.ambient - r.dim_grass_tau == r.formulas["ecodtau"]
+            assert not any(s.startswith("ecodtau:") for s in r.discrepancies)
 
 
 @settings(max_examples=40, deadline=None)

@@ -149,14 +149,15 @@ def test_staircase_betti_numbers():
 
 
 def test_zero_and_unit_ideals():
-    Z = zero_ideal(QQ)
-    assert Z.is_zero
-    assert hilbert_function(Z).is_zero_ideal
-    assert generator_degrees(Z) == ()
-    assert relation_degrees(Z) == ()
-    assert nu_min(hilbert_function(Z)) == 0
-    assert is_ancestor_ideal_of(Z, 5)
-    assert same_ideal(Z, ancestor_ideal(zero_space(QQ, 3)))
+    for field in (GF(101), QQ):
+        Z = zero_ideal(field)
+        assert Z.is_zero
+        assert hilbert_function(Z).is_zero_ideal
+        assert generator_degrees(Z) == ()
+        assert relation_degrees(Z) == ()
+        assert nu_min(hilbert_function(Z)) == 0
+        assert is_ancestor_ideal_of(Z, 5)
+        assert same_ideal(Z, ancestor_ideal(zero_space(field, 3)))
 
     unit = ancestor_ideal(full_space(QQ, 2))
     assert hilbert_function(unit) == oseq([], 0)

@@ -177,6 +177,8 @@ def test_berman_check():
     assert report.witness == (2, 2, 2)
     assert report.recovered
     assert shift3(report.w, -2) == report.v
+    for S in (report.v, report.w, mono3(3, []), mono3(0, [(0, 0, 0)])):
+        assert shift3(S, 0) == S
     # (2,2,2) separates the down-shift of W from the up-shift of V
     assert report.witness in shift3(report.w, -1).monomials
     assert report.witness not in shift3(report.v, 1).monomials

@@ -51,6 +51,13 @@ def test_shift_down_to_zero():
     assert shift(V, -1).is_zero
 
 
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_shift_by_zero_is_the_space_itself(field):
+    for j in range(0, 5):
+        for V in (zero_space(field, j), full_space(field, j), random_space(1, j, field, j)):
+            assert shift(V, 0) is V
+
+
 def test_shift_degree_underflow():
     with pytest.raises(PreconditionError):
         shift(span(QQ, 1, [[1, 0]]), -2)

@@ -142,7 +142,7 @@ def test_mu_examples():
 
 
 # The catalecticant components and the bisected mu against the contract
-# route and the linear scan: every degree 0..j+1, random and planted duals
+# route and the linear scan: every degree 0..j+3, random and planted duals
 # (planted ones have mu = c exactly), over F_101, over F_p with p = j+1 (the
 # smallest characteristic the pairing allows) and over Q.
 _CATALECTICANT_CASES = (
@@ -159,7 +159,7 @@ def test_ann_component_and_mu_match_contract_route(field, j):
     duals = [random_dual(c, j, field, seed=31 * j + c) for c in range(j + 2)]
     duals += [_planted(field, c, j, c, seed=j)[0] for c in range(1, j // 2 + 1)]
     for W in duals:
-        for i in range(j + 2):
+        for i in range(j + 4):
             assert _ann_component(W, i) == oracle_ann_component(W, i), (W, i)
         assert mu(W) == oracle_mu(W), W
 
@@ -241,6 +241,17 @@ def test_gad_full_dual():
     assert isinstance(g, GAD)
     assert g.weights == (3,)
     assert g.length == 3 == mu(_dual(QQ, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(101), QQ], ids=lambda F: F.name)
+def test_zero_dual_space_in_every_degree(field):
+    # every form kills W = 0: tau_delta 1, mu 0, all of R, the empty decomposition
+    for j in range(7):
+        W = dual_space(field, j, [])
+        assert tau_delta(W) == 1
+        assert mu(W) == 0 and W._initial[1] == full_space(field, 0)
+        assert annihilator(W) == level_ideal(full_space(field, j))
+        assert gad(W) == GAD((), (), ())
 
 
 def test_gad_zero_dual():
