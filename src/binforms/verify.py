@@ -46,6 +46,7 @@ from .ideals import (
     relation_degrees,
     same_ideal,
 )
+from .linalg import rank
 from .osequence import oseq
 from .related import apply_chain, berman_check, normalize_chain, related_classes
 from .spaces import (
@@ -59,7 +60,8 @@ from .spaces import (
 )
 from .waring import (
     GAD,
-    annihilator,
+    _ann_component,
+    _catalecticant,
     gad,
     gad_locus_codim,
     mu,
@@ -444,13 +446,14 @@ def criterion_9(max_j: int = 10) -> CriterionResult:
     run = _Run(9, "apolarity, generic Waring ranks and GAD certificates", 60.0)
     rng = random.Random(91)
 
-    # (a) annihilator of the perp equals the level ideal
+    # (a) annihilator of the perp equals the level ideal, one catalecticant per degree
     for s in range(100):
         j = rng.randint(1, 10)
         d = rng.randint(1, j + 1)
         V = random_space(d, j, F101, seed=600 + s)
+        W, L = perp(V), level_ideal(V)
         if not run.check(
-            annihilator(perp(V)) == level_ideal(V),
+            all(_ann_component(W, i) == L.component(i) for i in range(j + 1)),
             f"apolarity identity failed at seed {600 + s} (d={d},j={j})",
         ):
             break
@@ -483,9 +486,10 @@ def criterion_9(max_j: int = 10) -> CriterionResult:
                 tau_delta(W) == t,
                 f"realized class (d={d},j={j},tau={t}): tau_delta = {tau_delta(W)}",
             )
+            m = next(i for i in range(j + 2) if rank(_catalecticant(W, i)) <= i)  # upward scan
             run.check(
-                mu(W) == mu_generic(t, d, j),
-                f"realized class (d={d},j={j},tau={t}): mu = {mu(W)} != {mu_generic(t, d, j)}",
+                m == mu_generic(t, d, j),
+                f"realized class (d={d},j={j},tau={t}): mu = {m} != {mu_generic(t, d, j)}",
             )
 
     # (e) every decomposition passes its own certificate (gad() raises on

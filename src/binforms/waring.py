@@ -9,7 +9,9 @@ annihilator measures how many powers of linear dual forms are needed to
 span W.  This module computes perp/annihilator, tau_delta and mu, extracts
 generalized additive decompositions by factoring a minimal-degree apolar
 form, and evaluates the generic-value formulas mu(tau,d,j) and the
-codimension of the locus where mu drops.
+codimension of the locus where mu drops.  Below degree j+1 each component
+of Ann W is the colon R_{-1} of the next, so mu is read off the down-rungs of
+one catalecticant kernel, taken at the bound mu_generic(tau_delta, d, j).
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from .forms import (
     zero_form,
 )
 from .hilbert import dual_partition, ell, is_permissible_nose
-from .ideals import GradedIdeal, _with_unit_tail
+from .ideals import GradedIdeal, level_ideal
 from .linalg import Matrix, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
     full_space,
     random_space,
+    shift,
     span,
     space_from_json,
     space_to_json,
@@ -55,7 +58,7 @@ DUAL_VARS = ("X", "Y")
 @dataclass(frozen=True)
 class DualSpace:
     """A subspace of the degree-j dual forms in X, Y (canonical RREF basis).
-    Its weighted rows and (mu, (Ann W)_mu) are cached properties, not fields."""
+    Its weighted rows, tau_delta and (mu, (Ann W)_mu) are cached, not fields."""
 
     space: FormSpace
 
@@ -67,24 +70,36 @@ class DualSpace:
         return _weighted_rows(self.space)
 
     @cached_property
-    def _initial(self) -> tuple[int, FormSpace]:
-        """mu(W) and (Ann W)_mu, by bisection on [c, j+1], c = dim W.
+    def _tau_delta(self) -> int:
+        """1 + dim R_1.W - dim W = tau((Ann W)_j).  R_1.W is the complement of
+        (Ann W)_{j-1} under the perfect degree-(j-1) pairing (f kills x.w and
+        y.w iff f.w = 0), so its dimension is the rank of that catalecticant.
+        The zero space gets 1: no rows for j >= 1, and 1 - 0 for j = 0."""
+        j = self.degree
+        if j == 0:
+            return 1 - self.dim  # W = dual_0 itself; annihilator starts in degree 0
+        return 1 + rank(_catalecticant(self, j - 1)) - self.dim
 
-        No degree below c qualifies: a nonzero f in (Ann W)_i puts f.R_{j-i}
-        in (Ann W)_j, so j-i+1 <= j+1-c.  Ann W is an ideal, so (Ann W)_i != 0
-        implies (Ann W)_{i+1} != 0, and (Ann W)_{j+1} is all of R_{j+1}.
-        The zero space, killed by every form, ends at mu = 0 with (Ann W)_0 = R_0.
+    @cached_property
+    def _initial(self) -> tuple[int, FormSpace]:
+        """mu(W) and (Ann W)_mu, walked down from mu_g = mu_generic(tau_delta, d, j).
+
+        mu_g bounds mu, and one kernel checks it: (Ann W)_{mu_g} = 0 raises.
+        For 1 <= i <= j, (Ann W)_{i-1} = R_{-1}(Ann W)_i, as f.w of positive
+        degree killed by x and y is 0; so the down-rungs of (Ann W)_{mu_g} are
+        the lower components, and the lowest nonzero one is (Ann W)_mu.  The
+        full dual space (d = 0) has mu = j+1, where that identity fails.
         """
-        lo, hi = self.dim, self.degree + 1
-        comp = full_space(self.field, hi)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cand = _ann_component(self, mid)
-            if cand.dim:
-                hi, comp = mid, cand
-            else:
-                lo = mid + 1
-        return hi, comp
+        j, d = self.degree, self.space.cod
+        if d == 0:
+            return j + 1, full_space(self.field, j + 1)
+        top = mu_generic(self._tau_delta, d, j)
+        comp = _ann_component(self, top)
+        if comp.is_zero:
+            raise RuntimeError(f"(Ann W)_{top} = 0: mu exceeds its bound mu_generic = {top}")
+        while comp.degree and shift(comp, -1).dim:
+            comp = shift(comp, -1)
+        return comp.degree, comp
 
     @property
     def field(self) -> FieldSpec:
@@ -176,30 +191,21 @@ def _ann_component(W: DualSpace, i: int) -> FormSpace:
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:
-    """The ideal of forms contracting W to zero; equals the level ideal
-    of V = (Ann W)_j, so annihilator(perp(V)) == level_ideal(V)."""
-    return _with_unit_tail(W.field, [_ann_component(W, i) for i in range(W.degree + 1)])
+    """The ideal of forms contracting W to zero: the level ideal of its
+    degree-j part V, so annihilator(perp(V)) == level_ideal(V)."""
+    return level_ideal(_ann_component(W, W.degree))
 
 
 def tau_delta(W: DualSpace) -> int:
-    """1 + dim R_1.W - dim W; equals tau((Ann W)_j).
-
-    Under the perfect degree-(j-1) pairing R_1.W and (Ann W)_{j-1} are
-    each other's orthogonal complements (f kills x.w and y.w iff f.w = 0),
-    so dim R_1.W = j - dim (Ann W)_{j-1}, which is the rank of the
-    degree-(j-1) catalecticant.  The zero space gets 1: for j >= 1 its
-    catalecticant has no rows, and for j = 0 it gets 1 - 0.
-    """
-    j = W.degree
-    if j == 0:
-        return 1 - W.dim  # W = dual_0 itself; annihilator starts in degree 0
-    return 1 + rank(_catalecticant(W, j - 1)) - W.dim
+    """1 + dim R_1.W - dim W = tau((Ann W)_j), computed once per dual space."""
+    return W._tau_delta
 
 
 def mu(W: DualSpace) -> int:
     """Initial degree of the annihilator; c <= mu(W) <= mu_generic(tau_delta).
 
-    Found by bisection between c and j+1 (j+1 when W is the full dual space).
+    One catalecticant kernel at the bound, then down-rungs to the lowest
+    nonzero component (j+1 when W is the full dual space).
     """
     return W._initial[0]
 

@@ -221,8 +221,8 @@ def test_waring_split_and_unsplit(tmp_path):
 
 
 def test_waring_bisects_once(tmp_path, monkeypatch):
-    # mu(W) and gad(W) share the dual space's memoized bisection, so one CLI
-    # run probes as many catalecticant kernels as one mu(W)
+    # mu(W) and gad(W) share the dual space's memoized (Ann W)_mu, so one CLI
+    # run builds as many catalecticant kernels as one mu(W)
     import binforms.waring as waring
 
     calls = []

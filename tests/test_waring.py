@@ -24,6 +24,7 @@ from binforms.osequence import oseq
 from binforms.spaces import full_space, random_space, span, zero_space
 from binforms.waring import (
     GAD,
+    DualSpace,
     Unsplit,
     _ann_component,
     annihilator,
@@ -141,10 +142,11 @@ def test_mu_examples():
     assert mu(_dual(QQ, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3  # full dual
 
 
-# The catalecticant components and the bisected mu against the contract
-# route and the linear scan: every degree 0..j+3, random and planted duals
-# (planted ones have mu = c exactly), over F_101, over F_p with p = j+1 (the
-# smallest characteristic the pairing allows) and over Q.
+# The catalecticant components and mu, walked down from its generic bound,
+# against the contract route and the linear scan: every degree 0..j+3,
+# random and planted duals (planted ones have mu = c exactly), over F_101,
+# over F_p with p = j+1 (the smallest characteristic the pairing allows) and
+# over Q.
 _CATALECTICANT_CASES = (
     [(GF(101), j) for j in range(1, 9)]
     + [(GF(j + 1), j) for j in (1, 2, 4, 6, 10)]
@@ -162,6 +164,76 @@ def test_ann_component_and_mu_match_contract_route(field, j):
         for i in range(j + 4):
             assert _ann_component(W, i) == oracle_ann_component(W, i), (W, i)
         assert mu(W) == oracle_mu(W), W
+
+
+def _sparse(field, c, j, seed):
+    """The span of c rows with entries in {0, 1, -1}; it may be smaller than c."""
+    rng = random.Random(f"sparse|{field.name}|{c}|{j}|{seed}")
+    return _dual(field, j, [[rng.choice((0, 0, 1, -1)) for _ in range(j + 1)] for _ in range(c)])
+
+
+# mu and (Ann W)_mu come from one kernel at mu_generic(tau_delta, d, j) and
+# its down-rungs, the annihilator from one kernel in degree j and the same
+# walk; both against the per-monomial oracle in every degree 0..j+1.  Random
+# and sparse {0, 1, -1} duals of every dimension, planted powers of m = 1..j//2
+# linear forms (mu = m, up to several rungs below the bound), zero and full.
+_WALK_CASES = (
+    [(GF(7), j) for j in range(7)]
+    + [(GF(13), j) for j in (3, 8, 12)]
+    + [(GF(101), j) for j in (5, 10, 14)]
+    + [(GF(10007), j) for j in (9, 14)]
+    + [(QQ, j) for j in (4, 7, 9)]
+)
+
+
+@pytest.mark.parametrize("field,j", _WALK_CASES, ids=[f"{F.name}-j{j}" for F, j in _WALK_CASES])
+def test_mu_and_annihilator_walk_down_from_the_generic_bound(field, j):
+    duals = [dual_space(field, j, []), DualSpace(full_space(field, j))]
+    duals += [random_dual(c, j, field, seed=c) for c in range(1, j + 1)]
+    duals += [_sparse(field, c, j, seed=c) for c in range(1, j + 2)]
+    duals += [_planted(field, c, j, m, seed=c)[0] for c in (1, 2, 3) for m in range(1, j // 2 + 1)]
+    for W in duals:
+        m = oracle_mu(W)
+        assert mu(W) == m and W._initial[1] == oracle_ann_component(W, m), W
+        A = annihilator(W)
+        assert all(A.component(i) == oracle_ann_component(W, i) for i in range(j + 2)), W
+
+
+def test_a_zero_component_at_the_bound_is_an_internal_error(monkeypatch):
+    # no mu rests on the bound unchecked: lowered by one, the bound of a
+    # generic space (mu = mu_generic) has no apolar form, and mu refuses
+    import binforms.waring as waring
+
+    W = random_dual(2, 12, GF(101), seed=0)
+    bound = mu_generic(tau_delta(W), W.space.cod, 12)
+    assert mu(random_dual(2, 12, GF(101), seed=0)) == bound
+    monkeypatch.setattr(waring, "mu_generic", lambda t, d, j: bound - 1)
+    with pytest.raises(RuntimeError, match="mu_generic"):
+        mu(W)
+
+
+@pytest.mark.parametrize("c,j", [(1, 10), (2, 12), (3, 12)])
+def test_mu_and_annihilator_build_one_catalecticant_kernel(monkeypatch, c, j):
+    import dataclasses
+
+    import binforms.waring as waring
+
+    comps, elims = [], []
+    real_comp, real_rref = waring._ann_component, linalg.rref
+    monkeypatch.setattr(waring, "_ann_component", lambda V, i: comps.append(i) or real_comp(V, i))
+    monkeypatch.setattr(linalg, "rref", lambda mat: elims.append(mat) or real_rref(mat))
+    for seed in range(5):
+        W = random_dual(c, j, GF(101), seed)
+        bound = mu_generic(tau_delta(W), j + 1 - c, j)
+        comps.clear()
+        assert mu(W) == bound and comps == [bound]  # generic: the walk stops at once
+        comps.clear()
+        annihilator(W)
+        assert comps == [j]
+        elims.clear()
+        tau_delta(W)
+        assert elims == []  # computed once per dual space
+        assert [f.name for f in dataclasses.fields(W)] == ["space"]
 
 
 def _least_prime_above(j):
@@ -330,8 +402,8 @@ def test_mu_and_gad_share_one_bisection(monkeypatch):
     real = waring._ann_component
     monkeypatch.setattr(waring, "_ann_component", lambda V, i: calls.append(i) or real(V, i))
     g = gad(W)
-    assert calls == []  # gad reads the bisection mu ran
-    assert gad(twin) == g and mu(twin) == m and calls  # a new instance bisects
+    assert calls == []  # gad reads the component mu found
+    assert gad(twin) == g and mu(twin) == m and calls  # a new instance builds its own
     # the memo is no dataclass field: equality, hashing and fields see `space`
     assert "_initial" in W.__dict__ and "_initial" not in fresh.__dict__
     assert W == fresh and hash(W) == hash(fresh) and repr(W) == repr(fresh)
@@ -535,7 +607,7 @@ def test_gad_cofactors_match_one_solve_per_element(field, j, c, m, planted, seed
 @pytest.mark.parametrize("c,m", [(1, 1), (2, 3), (3, 3)])
 def test_gad_eliminates_once_on_a_split_candidate(monkeypatch, field, c, m):
     W, _ = _planted(field, c, 6, m, seed=5)
-    mu(W)  # gad reads the bisection mu ran
+    mu(W)  # gad reads the component mu found
     calls = []
     real = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda mat: calls.append(mat) or real(mat))
