@@ -12,9 +12,9 @@ monomial-ideal realization.  The Hasse diagram is a transitive reduction on
 bitsets: one mask per coordinate and value, covers by a walk that skips
 members already reached, edges in enumeration order (see `hasse_edges`).
 
-Each public function taking (H, d, j) checks that H is acceptable once, on
-entry; the private helpers (`_pq`, `_from_pq`, `_betti`, `_le_pq`,
-`_staircase_pairs`) work on sequences or partitions known to be acceptable.
+Acceptability is decided once, by the partition round trip in `is_acceptable`;
+the private helpers (`_pq`, `_from_pq`, `_betti`, `_le_pq`, `_staircase_pairs`)
+work on sequences or partitions known to be acceptable.
 """
 
 from __future__ import annotations
@@ -40,47 +40,55 @@ def tau_of_h(H: OSequence, j: int) -> int:
 
 
 def is_acceptable(H: OSequence, d: int, j: int) -> bool:
-    """Is H the Hilbert function of an ancestor algebra of some V in Grass(d, R_j)?"""
-    if not (1 <= d <= j + 1):
-        return False
-    if H.is_zero_ideal:
-        return False
-    if H.value(j) != j + 1 - d:
-        return False
-    top = max(H.stabilization(), j) + 1
-    if any(not 0 <= H.value(i) <= i + 1 for i in range(top + 1)):
-        return False
-    E = [H.e(i) for i in range(top + 3)]
-    if any(E[i] > E[i + 1] for i in range(j + 1)):
-        return False
-    if any(E[i] < E[i + 1] for i in range(j, top + 2)):
-        return False
-    return 0 <= E[j] <= min(j + 1 - d, d - 1)
+    """Is H the Hilbert function of an ancestor algebra of some V in Grass(d, R_j)?
 
-
-def require_acceptable(H: OSequence, d: int, j: int) -> None:
-    if not is_acceptable(H, d, j):
-        raise PreconditionError(
-            "sequence is not acceptable for these parameters", H=str(H), d=d, j=j
-        )
+    Decided by the partition round trip: 1 <= d <= j+1, H is not the zero-ideal
+    sequence, and its (P, Q, c) pass `_refusal`, have |P| = d and rebuild H."""
+    if not 1 <= d <= j + 1 or H.is_zero_ideal:
+        return False
+    P, Q = _pq(H, j)
+    c = H.constant
+    return sum(P) == d and _refusal(P, Q, j, c) is None and _from_pq(P, Q, j, c) == H
 
 
 # ── partitions ────────────────────────────────────────────────────────────────
 
 
 def partitions_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition]:
-    """P = (e_j+1, …, e_µ+1) ⊢ d;  Q = (e_{j+1}, …, e_s) ⊢ j+1-d-c."""
-    require_acceptable(H, d, j)
+    """P = (e_j+1, …, e_µ+1) ⊢ d;  Q = (e_{j+1}, …, e_s) ⊢ j+1-d-c.  Refuses H
+    unless it `is_acceptable`."""
+    if not is_acceptable(H, d, j):
+        raise PreconditionError(
+            "sequence is not acceptable for these parameters", H=str(H), d=d, j=j
+        )
     return _pq(H, j)
 
 
 def _pq(H: OSequence, j: int) -> tuple[Partition, Partition]:
-    """`partitions_pq` of a sequence known to be acceptable."""
+    """(P, Q) read off the difference sequence of any H but the zero ideal's."""
     mu = H.order()
     s = H.stabilization()
     P = tuple(H.e(i) + 1 for i in range(j, mu - 1, -1))
     Q = tuple(H.e(i) for i in range(j + 1, s + 1))
     return P, Q
+
+
+def _refusal(P: Partition, Q: Partition, j: int, c: int) -> str | None:
+    """The message of the first condition of `hilbert_from_partitions` that
+    (P, Q, c) fails, or None."""
+    if not P or any(x <= 0 for x in P + tuple(Q)) or c < 0:
+        return "bad partition data"
+    if any(p[k] < p[k + 1] for p in (P, Q) for k in range(len(p) - 1)):
+        return "partition parts must be weakly decreasing"
+    if Q and Q[0] != P[0] - 1:
+        return "largest part of Q must be τ-1"
+    if not Q and P[0] != 1:
+        return "Q may be empty only when τ = 1"
+    if len(P) > j + 1:
+        return "P has more than j+1 parts"
+    if j + 1 - sum(P) - sum(Q) != c:
+        return "partitions do not reach the requested constant"
+    return None
 
 
 def dual_partition(p: Partition) -> Partition:
@@ -90,10 +98,16 @@ def dual_partition(p: Partition) -> Partition:
 
 
 def ell(p: Partition) -> int:
-    """Σ over pairs u ≤ v of (p_u - p_v - 1)^+."""
-    return sum(
-        max(0, p[u] - p[v] - 1) for u in range(len(p)) for v in range(u, len(p))
-    )
+    """Σ over pairs u ≤ v of (p_u - p_v - 1)^+, in one pass up the parts:
+    a part v adds (v-1)·count - sum over the `count` parts ≤ v-2."""
+    up = p[::-1]
+    total = count = below = 0
+    for v in up:
+        while up[count] <= v - 2:  # stops at v itself at the latest
+            below += up[count]
+            count += 1
+        total += (v - 1) * count - below
+    return total
 
 
 def betti_partitions(
@@ -115,27 +129,14 @@ def _betti(
 
 
 def hilbert_from_partitions(P: Partition, Q: Partition, j: int, c: int) -> OSequence:
-    """Rebuild H from its two partitions; inverse of partitions_pq."""
-    if not P or any(x <= 0 for x in P + tuple(Q)) or c < 0:
-        raise PreconditionError("bad partition data", P=P, Q=Q, c=c)
-    if any(P[k] < P[k + 1] for k in range(len(P) - 1)) or any(
-        Q[k] < Q[k + 1] for k in range(len(Q) - 1)
-    ):
-        raise PreconditionError("partition parts must be weakly decreasing")
-    tau = P[0]
-    if Q:
-        if Q[0] != tau - 1:
-            raise PreconditionError("largest part of Q must be τ-1", P=P, Q=Q)
-    elif tau != 1:
-        raise PreconditionError("Q may be empty only when τ = 1", P=P)
-    if len(P) > j + 1:
-        raise PreconditionError("P has more than j+1 parts", P=P, j=j)
-    h = j + 1 - sum(P) - sum(Q)  # the last value `_from_pq` reaches
-    if h != c:
-        raise PreconditionError("partitions do not reach the requested constant", got=h, want=c)
-    H = _from_pq(P, Q, j, c)
-    require_acceptable(H, sum(P), j)
-    return H
+    """Rebuild H from its two partitions; inverse of partitions_pq.  Theorem
+    codpartition: (P, Q, c) give an acceptable H iff P, Q are partitions, P has
+    1..j+1 parts, Q[0] = τ-1 for τ = P[0] (Q empty only when τ = 1), c >= 0
+    and |P| + |Q| + c = j+1; other data are refused (`_refusal`)."""
+    message = _refusal(P, Q, j, c)
+    if message is not None:
+        raise PreconditionError(message, P=P, Q=Q, j=j, c=c)
+    return _from_pq(P, Q, j, c)
 
 
 def _from_pq(P: Partition, Q: Partition, j: int, c: int) -> OSequence:
@@ -324,8 +325,8 @@ def _cmp_from_flags(ge: bool, le: bool) -> Cmp:
 
 def le_partial(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
     """Specialization order: greater = smaller up to j and larger from j on."""
-    require_acceptable(H1, d, j)
-    require_acceptable(H2, d, j)
+    partitions_pq(H1, d, j)  # refuses unless both are acceptable
+    partitions_pq(H2, d, j)
     top = max(H1.stabilization(), H2.stabilization(), j) + 1
     return _le_values(H1.values(top), H2.values(top), j)
 

@@ -26,6 +26,7 @@ from .hilbert import (
     count_by_tau,
     dims,
     dual_partition,
+    ell,
     enumerate_acceptable,
     h_tau,
     hilbert_from_partitions,
@@ -221,8 +222,6 @@ def criterion_3() -> CriterionResult:
     r = dims(H, 9, 14)
     run.check(r.A == (3, 3, 2, 1), f"A, got {r.A}")
     run.check(dual_partition(r.A) == (4, 3, 2) == r.P, "A* = (4,3,2) = P")
-    from .hilbert import ell
-
     run.check(ell(r.A) == 2, f"l(A) = 2, got {ell(r.A)}")
     gens = tuple(sorted(15 - a for a in r.A))
     run.check(gens == (12, 12, 13, 14), f"generator degrees, got {gens}")

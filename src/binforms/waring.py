@@ -35,7 +35,7 @@ from .forms import (
     require_pairing_char,
     zero_form,
 )
-from .hilbert import dual_partition, ell, is_permissible_nose
+from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
 from .linalg import Matrix, kernel, rank
 from .osequence import OSequence, oseq
@@ -348,8 +348,7 @@ def gad_locus_codim(mu_: int, tau: int, c: int, j: int) -> int:
     """
     d = j + 1 - c
     N = n_mu_tau(mu_, tau, d, j)
-    P = tuple(N.e(i) + 1 for i in range(j, mu_ - 1, -1))
-    A = dual_partition(P)
+    A = dual_partition(_pq(N, j)[0])
     value = ell(A)
     if mu_ >= c + tau - 1 and N.e(mu_) == 0:
         closed = (j - mu_) * tau - (d - 1)

@@ -423,9 +423,38 @@ def oracle_hasse_edges(seqs: list, j: int) -> list:
 # ----- partitions & counting -------------------------------------------------
 
 
+def oracle_is_acceptable(H: OSequence, d: int, j: int) -> bool:
+    """Acceptability as inequalities on the difference sequence: H_j = j+1-d,
+    0 <= H_i <= i+1, E weakly increasing up to j+1 and weakly decreasing from
+    j on, and 0 <= E_j <= min(j+1-d, d-1).  The library decides the same
+    question by the partition round trip instead."""
+    if not (1 <= d <= j + 1):
+        return False
+    if H.is_zero_ideal:
+        return False
+    if H.value(j) != j + 1 - d:
+        return False
+    top = max(H.stabilization(), j) + 1
+    if any(not 0 <= H.value(i) <= i + 1 for i in range(top + 1)):
+        return False
+    E = [H.e(i) for i in range(top + 3)]
+    if any(E[i] > E[i + 1] for i in range(j + 1)):
+        return False
+    if any(E[i] < E[i + 1] for i in range(j, top + 2)):
+        return False
+    return 0 <= E[j] <= min(j + 1 - d, d - 1)
+
+
+def oracle_ell(p: tuple[int, ...]) -> int:
+    """ℓ(p) pair by pair: Σ over u ≤ v of (p_u - p_v - 1)^+."""
+    return sum(
+        max(0, p[u] - p[v] - 1) for u in range(len(p)) for v in range(u, len(p))
+    )
+
+
 def oracle_enumerate_acceptable(d: int, j: int) -> list:
-    """`enumerate_acceptable` with every sequence built and re-checked by the
-    public, validating `hilbert_from_partitions`."""
+    """`enumerate_acceptable` with every sequence built by the public
+    `hilbert_from_partitions` and re-checked by `oracle_is_acceptable`."""
     import operator
 
     from binforms.hilbert import (
@@ -442,8 +471,11 @@ def oracle_enumerate_acceptable(d: int, j: int) -> list:
             if len(P) > j + 1:
                 continue
             for Q in partitions_exact_largest(j + 1 - d - c, tau - 1):
+                H = hilbert_from_partitions(P, Q, j, c)
+                if not oracle_is_acceptable(H, d, j):
+                    raise AssertionError(f"built {H} from {P}, {Q}, c={c}: not acceptable")
                 key = (-tau, c, tuple(-x for x in P), tuple(-x for x in Q))
-                keyed.append((key, hilbert_from_partitions(P, Q, j, c)))
+                keyed.append((key, H))
     keyed.sort(key=operator.itemgetter(0))
     return [H for _, H in keyed]
 

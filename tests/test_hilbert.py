@@ -1,5 +1,7 @@
 """Hilbert-function combinatorics: acceptability, partitions, strata, orders."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from binforms.hilbert import (
     Cmp,
     _cover_pairs,
     _le_values,
+    _pq,
     _up_sets,
     betti_partitions,
     count_by_tau,
@@ -45,9 +48,11 @@ from oracles import (
     brute_force_covers,
     count_partitions_largest,
     join_nose_tail,
+    oracle_ell,
     oracle_enumerate_acceptable,
     oracle_h_tau,
     oracle_hasse_edges,
+    oracle_is_acceptable,
     partitions_of,
 )
 
@@ -165,6 +170,71 @@ def test_hilbert_from_partitions_refusals(P, Q, c, message):
         hilbert_from_partitions(P, Q, 5, c)
 
 
+def _small_sequences():
+    """Every prefix of length <= 5 with H_i in 0..i+2, under every constant
+    0..6 and the zero-ideal tail."""
+    prefixes = [()]
+    for i in range(5):
+        prefixes += [p + (v,) for p in prefixes if len(p) == i for v in range(i + 3)]
+    return {oseq(p, c) for p in prefixes for c in [*range(7), None]}
+
+
+def _mutations(H, j):
+    """H and each sequence one step from it: one entry H_i, i <= max(s, j) + 1,
+    or the constant moved by ±1."""
+    vals = list(H.values(max(H.stabilization(), j) + 1))
+    out = {H}
+    for i, v in enumerate(vals):
+        out.update(
+            oseq(vals[:i] + [v + step] + vals[i + 1 :], H.constant)
+            for step in (-1, 1)
+            if v + step >= 0
+        )
+    out.update(oseq(H.prefix, H.constant + step) for step in (-1, 1) if H.constant + step >= 0)
+    return out
+
+
+def test_is_acceptable_matches_inequality_oracle():
+    # the partition round trip against the inequalities on the difference sequence
+    for H in _small_sequences():
+        for j in range(6):
+            for d in range(j + 3):
+                assert is_acceptable(H, d, j) == oracle_is_acceptable(H, d, j), (str(H), d, j)
+    for j in range(1, 11):
+        for d in range(1, j + 1):
+            near = set().union(*(_mutations(H, j) for H in enumerate_acceptable(d, j)))
+            for H in near:
+                assert is_acceptable(H, d, j) == oracle_is_acceptable(H, d, j), (str(H), d, j)
+
+
+@pytest.mark.parametrize("j", range(10))
+def test_hilbert_from_partitions_inverts_pq_on_every_shape(j):
+    # every pair of partitions of size <= j+2: built exactly when the shape
+    # conditions hold, and then acceptable with (P, Q) read back by _pq
+    parts = [p for n in range(j + 3) for p in partitions_of(n)]
+    built = 0
+    for P in parts:
+        for Q in parts:
+            for c in range(-1, j + 3):
+                shaped = (
+                    bool(P)
+                    and (Q[:1] == (P[0] - 1,) if Q else P[0] == 1)
+                    and len(P) <= j + 1
+                    and 0 <= c == j + 1 - sum(P) - sum(Q)
+                )
+                try:
+                    H = hilbert_from_partitions(P, Q, j, c)
+                except PreconditionError:
+                    assert not shaped, (P, Q, c)
+                    continue
+                assert shaped, (P, Q, c)
+                assert oracle_is_acceptable(H, sum(P), j), (P, Q, c)
+                assert _pq(H, j) == (P, Q) and H.constant == c
+                built += 1
+    # d = j+1 has one sequence, P = (1, …, 1), which enumerate_acceptable omits
+    assert built == 1 + sum(len(enumerate_acceptable(d, j)) for d in range(1, j + 1))
+
+
 @pytest.mark.parametrize("d,j", [(0, 3), (4, 3), (9, 3)])
 def test_table_rows_refuses_outside_the_domain(d, j):
     # the same domain and message as enumerate_acceptable, d = j+1 included
@@ -243,6 +313,28 @@ def test_partition_helpers():
     assert ell((3, 3, 2, 1)) == 2
     assert ell((2,)) == 0
     assert ell(()) == 0
+
+
+def test_ell_matches_pairwise_oracle():
+    for n in range(22):
+        for p in partitions_of(n):
+            assert ell(p) == oracle_ell(p), p
+    for j in range(1, 11):
+        for d in range(1, j + 1):
+            for H in enumerate_acceptable(d, j):
+                r = dims(H, d, j)
+                for p in (r.A, r.B, r.C, r.D):
+                    assert ell(p) == oracle_ell(p), (str(H), p)
+
+
+def test_dims_of_a_line_is_linear_in_j():
+    # d = 1 pads C to j+1 parts; the pairwise ℓ took seconds at j = 4000
+    j = 20000
+    H = table_rows(1, j)[0]
+    start = time.perf_counter()
+    r = dims(H, 1, j)
+    assert time.perf_counter() - start < 2.0
+    assert len(r.C) == j + 1 and r.formulas["code"] == ell(r.C)
 
 
 def test_nose_tail_table_row():
