@@ -10,10 +10,10 @@ Entries must already be canonical scalars of the field: nothing here
 converts them, since values are made canonical once, where they enter the
 system (`forms.form`, `spaces.span`, the JSON readers).
 
-`rref` is the one entry point: `row_basis`, `rank`, `kernel`, `contains_vector`
-and `closure._extend_inside` reach it through this module's global, never by
-name, so rebinding `linalg.rref` sees every elimination.  It picks one of two
-Gauss-Jordan kernels by the field, once per call:
+`rref` is the one entry point: `row_basis`, `rank` (which `spaces`, `waring`
+and `verify` call), `kernel`, `contains_vector` and `closure._extend_inside`
+reach it through this module's global, never by name, so rebinding `linalg.rref`
+sees every elimination.  Once per call, it picks a Gauss-Jordan kernel by field:
 
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
   scaled by the inverse of its pivot only when that is not 1, and rows are

@@ -66,11 +66,11 @@ class OSequence:
 
 def oseq(values, constant: int | None) -> OSequence:
     """Normalizing constructor: trims prefix entries equal to the eventual value."""
-    prefix = list(int(v) for v in values)
-    if any(v < 0 for v in prefix):
-        raise PreconditionError("Hilbert function values must be non-negative")
-    if constant is not None and constant < 0:
-        raise PreconditionError("eventual constant must be non-negative")
+    prefix = list(values)
+    if any(type(v) is not int or v < 0 for v in prefix):
+        raise PreconditionError("Hilbert function values must be non-negative ints")
+    if constant is not None and (type(constant) is not int or constant < 0):
+        raise PreconditionError("eventual constant must be a non-negative int")
     if constant is None:
         while prefix and prefix[-1] == len(prefix):
             prefix.pop()

@@ -15,6 +15,10 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if k = 1)
   and then compares every row.  R_1 puts [e_a + rho_{s+2}] over y.(each
   row); R_{-1} drops the first row and each row's first entry.
+* Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2,
+  read off R_{-1}V if built, else off the rank of its 2 cod V free-column rows (if
+  dim V + dim B >= j + 2, column 0 is a pivot and column j is nonzero).  R_{-1}V = 0
+  iff dim R_1V = 2 dim V, read off R_1V if built.
 * Up, otherwise: R_{k+1}B = x.R_kB + y^(k+1).B, as x divides every degree-
   (k+1) monomial but y^(k+1).  A rung records k and its ladder base B as
   rows (a space would form a reference cycle), and x.R_kB is reduced, so
@@ -40,6 +44,7 @@ from .linalg import (
     free_dual,
     kernel,
     preimage,
+    rank,
     row_basis,
     row_space_sum,
     zero_matrix,
@@ -76,9 +81,9 @@ class FormSpace:
         return tuple(BinaryForm(self.field, self.degree, r) for r in self.mat.rows)
 
     def contains(self, f: BinaryForm) -> bool:
-        if f.degree != self.degree:
-            return False
-        return contains_vector(self.mat, f.coeffs)
+        if f.field != self.field:
+            raise PreconditionError("field mismatch")
+        return f.degree == self.degree and contains_vector(self.mat, f.coeffs)
 
     # The one-step rungs R_1V and R_{-1}V, built on first use and kept on the
     # instance (not as fields, so equality and hashing ignore them).  `shift`
@@ -193,6 +198,8 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
         first = (F.zero,) * a + (F.one,) + (F.zero,) * (s + 1) + rho
         return _principal_block(F, [first] + [(F.zero,) + r for r in V.mat.rows], f)
     base, k = V.__dict__.get("_ladder", (V.mat.rows, 0))  # x.f appends a 0
+    if V.dim + len(base) >= j + 2 and _fills_next(V):  # dim R_{k+1}B <= dim R_kB + dim B
+        return full_space(F, j + 1)
     rows = tuple(r + (F.zero,) for r in V.mat.rows) + tuple((F.zero,) * (k + 1) + b for b in base)
     up = FormSpace(F, j + 1, row_basis(Matrix(F, rows, j + 2)))
     up.__dict__["_ladder"] = (base, k + 1)  # the base's rows, never the base space
@@ -202,8 +209,8 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 def _shift_down_once(V: FormSpace) -> FormSpace:
     """R_{-1}V: in closed form, in V's pivot coordinates or on its free columns."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
-    f = V._principal
-    if V.is_zero or f is not None and V.dim == 1:
+    f, up = V._principal, V.__dict__.get("_up")
+    if V.is_zero or f is not None and V.dim == 1 or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
     if f is not None:
         return _principal_block(F, [r[1:] for r in V.mat.rows[1:]], f)
@@ -212,9 +219,21 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
         lifted = Matrix(F, tuple((F.zero,) + r for r in rows), j + 2)
         w = preimage(lifted, [(r[j], F.zero) + r[:j] for r in rows], V.mat)
         return FormSpace(F, j - 1, Matrix(F, tuple(r[:j] for r in w.rows), j))
-    dual = free_dual(V.mat)
-    system = tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual)
-    return FormSpace(F, j - 1, kernel(Matrix(F, system, j)))
+    return FormSpace(F, j - 1, kernel(_residues(V)))
+
+
+def _residues(V: FormSpace) -> Matrix:
+    """The 2 cod V rows z[:j], z[1:] over V's `free_dual` vectors z; they kill exactly R_{-1}V."""
+    dual, j = free_dual(V.mat), V.degree
+    return Matrix(V.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j)
+
+
+def _fills_next(V: FormSpace) -> bool:
+    """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2)."""
+    if "_down" in V.__dict__:
+        return 2 * V.dim - V._down.dim == V.degree + 2
+    rows = V.mat.rows  # a free column 0 or a zero column j is a zero residue row
+    return bool(rows[0][0]) and any(r[-1] for r in rows) and rank(_residues(V)) == 2 * V.cod
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
@@ -230,7 +249,7 @@ def shift(V: FormSpace, s: int) -> FormSpace:
 
 
 def _up_dim(W: FormSpace) -> int:
-    """dim R_1W, read off R_{-1}W or a block's f if known, else off R_1W (built once)."""
+    """dim R_1W, read off R_{-1}W or a block's f if known, else off R_1W (built once; by one rank if full)."""
     if "_down" in W.__dict__:
         return 2 * W.dim - W._down.dim
     return W.dim + 1 if W.__dict__.get("_principal") is not None else W._up.dim

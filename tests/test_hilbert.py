@@ -1,6 +1,7 @@
 """Hilbert-function combinatorics: acceptability, partitions, strata, orders."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,6 +264,17 @@ def test_parse_oseq_documented_forms(text, want):
 def test_parse_oseq_refusals(text, message):
     with pytest.raises(PreconditionError, match=message):
         parse_oseq(text)
+
+
+@pytest.mark.parametrize(
+    "values,constant",
+    [([1, 2.9, 1.5], 0), ([True, 2], 1), ([1, Fraction(2)], 0), ([1, "2"], 0), ([1, -1], 0),
+     ([1, 2], 1.0), ([1, 2], True), ([1, 2], Fraction(1)), ([1, 2], -1)],
+)
+def test_oseq_refuses_what_is_not_a_non_negative_int(values, constant):
+    # nothing is truncated: oseq([1, 2.9, 1.5], 0) is refused, not 1,2,1(0)
+    with pytest.raises(PreconditionError, match="must be a? ?non-negative int"):
+        oseq(values, constant)
 
 
 def test_h_tau_examples():

@@ -27,7 +27,7 @@ from binforms.spaces import (
     tau,
 )
 
-from oracles import oracle_shift_down_once, oracle_shift_up_once
+from oracles import oracle_down_dim, oracle_shift_down_once, oracle_shift_up_once
 
 F101 = GF(101)
 LADDER_FIELDS = [F101, GF(7), QQ]
@@ -145,14 +145,67 @@ def eliminations(monkeypatch):
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
 def test_pencil_up_rung_eliminates_dim_plus_two_rows(eliminations, field):
+    # every rung below the last stacks dim + 2 rows; the last one fills
+    # R_{j+1}, and a rank of its 2 cod = 2 free-column rows shows it
     V = random_space(2, 12, field, 3)
-    W = V
+    W, rungs = V, []
     while W._principal is None:
         eliminations.clear()
         up = W._up
-        assert [m.nrows for m in eliminations] == [W.dim + 2]
+        rungs.append((W, [m.nrows for m in eliminations]))
         W = up
-    assert W.degree > V.degree + 1
+    *below, (last, top) = rungs
+    assert len(below) >= 2 and all(sizes == [U.dim + 2] for U, sizes in below)
+    assert W.is_full and top == [2 * last.cod] == [2]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(5, 8), (9, 12), (30, 40)])
+def test_full_up_rung_runs_one_rank_of_2_cod_rows(eliminations, field, d, j):
+    V = _fresh(random_space(d, j, field, 4))
+    eliminations.clear()
+    up = V._up
+    assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
+    assert up.is_full and up._principal is not None  # later rungs are closed form
+    assert up.mat == oracle_shift_up_once(V.mat)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(5, 8), (9, 12)])
+def test_full_up_rung_read_off_its_built_down_rung_runs_no_elimination(eliminations, field, d, j):
+    V = _fresh(random_space(d, j, field, 5))
+    V._down
+    eliminations.clear()
+    assert V._up.is_full and eliminations == []
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(3, 10), (6, 10), (2, 40)])
+def test_zero_down_rung_read_off_its_built_up_rung_runs_no_elimination(eliminations, field, d, j):
+    V = _fresh(random_space(d, j, field, 6))
+    assert V._up.dim == 2 * V.dim
+    eliminations.clear()
+    assert V._down.is_zero and eliminations == []
+    assert oracle_shift_down_once(V.mat).nrows == 0
+
+
+def _near_miss(F, a, b, j):
+    """x^j .. x^(j-a+1)y^(a-1) and x^(b-1)y^(j-b+1) .. y^j: both end columns
+    reached, and R_1 misses j - a - b monomials."""
+    return span(F, j, [[int(i == c) for i in range(j + 1)] for c in [*range(a), *range(j - b + 1, j + 1)]])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ], ids=lambda F: F.name)
+def test_near_miss_is_no_full_rung_either_way(field):
+    # span{x^5, x^4y, xy^4, y^5}: 2 dim >= j + 2 and both end columns pass,
+    # but the rank of the 2 cod = 4 rows is 3, and dim R_1 = 6 of 7
+    for build_down_first in (False, True):
+        V = _near_miss(field, 2, 2, 5)
+        if build_down_first:
+            assert V._down.dim == 2
+        assert V._up.dim == 6 and not V._up.is_full
+        assert V._up.mat == oracle_shift_up_once(V.mat)
+        assert V._down.mat == oracle_shift_down_once(V.mat)
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
@@ -240,3 +293,52 @@ def test_q_down_rung_runs_the_integer_kernel(monkeypatch):
     # the normal forms reach the kernel as integers, not Fractions
     assert all(type(x) is int for row in seen[0] for x in row)
     assert down.mat == oracle_shift_down_once(V.mat)
+
+
+PINNED_FIELDS = [GF(2), GF(3), F101, QQ]
+
+
+@st.composite
+def pinned_spaces(draw):
+    """Random spaces, spans of sparse monomial-and-binomial rows, spaces
+    with a planted common factor, and near misses (the first a and last b
+    monomials, a + b in {j - 1, j}: R_1 one short of full, or full); j <= 12."""
+    F = draw(st.sampled_from(PINNED_FIELDS))
+    j = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "sparse", "factor", "near-miss"]))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_space(draw(st.integers(1, j + 1)), j, F, seed)
+    if kind == "sparse":
+        cols = draw(st.lists(st.integers(0, j), min_size=1, max_size=j + 1, unique=True))
+        rows = [[int(i == c) for i in range(j + 1)] for c in cols]
+        for row in rows:
+            d = rng.randint(0, j)
+            row[d] = row[d] or rng.choice([0, 1, -1])
+        return span(F, j, rows)
+    if kind == "factor":
+        e = draw(st.integers(1, j))
+        W = random_space(draw(st.integers(1, j - e + 1)), j - e, F, seed)
+        h = _random_form(F, e, rng)
+        return span(F, j, [mul_form(h, b) for b in W.basis_forms()])
+    a = draw(st.integers(1, max(1, j - 1)))
+    b = max(1, j - a - draw(st.integers(0, 1)))
+    return _near_miss(F, a, b, j)
+
+
+@given(pinned_spaces(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ladder_rungs_match_the_oracle_whichever_neighbour_is_built_first(V, down_first):
+    # climb V's own ladder; at each rung build R_{-1} before R_1 (R_1 read off
+    # its dimension) or after it (R_{-1} read off R_1's dimension)
+    U, m = _bare(V), V.mat
+    for _ in range(V.cod + 2):
+        if down_first and U.degree:
+            assert U._down.mat == oracle_shift_down_once(m)
+        up_m = oracle_shift_up_once(m)
+        _assert_same(U._up, up_m)
+        if U.degree:
+            _assert_same(U._down, oracle_shift_down_once(m))
+            assert U._down.dim == oracle_down_dim(U, 1)
+        U, m = U._up, up_m

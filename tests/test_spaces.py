@@ -181,6 +181,15 @@ def test_span_rejects_denominator_divisible_by_p():
         span(GF(7), 1, [[1, 0], [Fraction(3, 14), 2]])
 
 
+def test_contains_refuses_a_form_of_another_field():
+    V = span(F101, 2, [[1, 0, 0]])
+    with pytest.raises(PreconditionError, match="field mismatch"):
+        V.contains(form(QQ, 2, [Fraction(1, 2), 0, 0]))  # 1/2 is a unit mod 101
+    with pytest.raises(PreconditionError, match="field mismatch"):
+        span(QQ, 2, [[1, 0, 0]]).contains(form(F101, 2, [1, 0, 0]))
+    assert V.contains(form(F101, 2, [5, 0, 0])) and not V.contains(form(F101, 3, [1, 0, 0, 0]))
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), F101], ids=lambda F: F.name)
 def test_full_space_equals_span_of_monomials(field):
     for j in range(8):
