@@ -44,11 +44,17 @@ def is_acceptable(H: OSequence, d: int, j: int) -> bool:
 
     Decided by the partition round trip: 1 <= d <= j+1, H is not the zero-ideal
     sequence, and its (P, Q, c) pass `_refusal`, have |P| = d and rebuild H."""
+    return _acceptable_pq(H, d, j) is not None
+
+
+def _acceptable_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition] | None:
+    """H's (P, Q) if it `is_acceptable`, else None."""
     if not 1 <= d <= j + 1 or H.is_zero_ideal:
-        return False
+        return None
     P, Q = _pq(H, j)
     c = H.constant
-    return sum(P) == d and _refusal(P, Q, j, c) is None and _from_pq(P, Q, j, c) == H
+    ok = sum(P) == d and _refusal(P, Q, j, c) is None and _from_pq(P, Q, j, c) == H
+    return (P, Q) if ok else None
 
 
 # ── partitions ────────────────────────────────────────────────────────────────
@@ -57,11 +63,11 @@ def is_acceptable(H: OSequence, d: int, j: int) -> bool:
 def partitions_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition]:
     """P = (e_j+1, …, e_µ+1) ⊢ d;  Q = (e_{j+1}, …, e_s) ⊢ j+1-d-c.  Refuses H
     unless it `is_acceptable`."""
-    if not is_acceptable(H, d, j):
+    if (pq := _acceptable_pq(H, d, j)) is None:
         raise PreconditionError(
             "sequence is not acceptable for these parameters", H=str(H), d=d, j=j
         )
-    return _pq(H, j)
+    return pq
 
 
 def _pq(H: OSequence, j: int) -> tuple[Partition, Partition]:

@@ -10,10 +10,11 @@ Entries must already be canonical scalars of the field: nothing here
 converts them, since values are made canonical once, where they enter the
 system (`forms.form`, `spaces.span`, the JSON readers).
 
-`rref` is the one entry point: `row_basis`, `rank` (which `spaces`, `waring`
-and `verify` call), `kernel`, `contains_vector` and `closure._extend_inside`
-reach it through this module's global, never by name, so rebinding `linalg.rref`
-sees every elimination.  Once per call, it picks a Gauss-Jordan kernel by field:
+`rref` is the one entry point: `row_basis`, `rank` (which `waring` and `verify` call),
+`rref_reversed` (which `kernel` and `spaces` call) and `closure._extend_inside` reach it
+through this module's global, never by name, so rebinding `linalg.rref` sees every
+elimination; `kernel_from` and `contains_vector` eliminate nothing.  Once per call, it
+picks a Gauss-Jordan kernel by field:
 
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
   scaled by the inverse of its pivot only when that is not 1, and rows are
@@ -180,14 +181,21 @@ def row_space_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kernel(m: Matrix) -> Matrix:
-    """Canonical basis (as rows) of {x : m . x = 0}, from one elimination:
-    the RREF of m with its columns reversed.  Its `free_dual` vectors have
-    their 1 at a free column and their other entries at pivots left of it;
-    reversed back and listed last first, they are the RREF."""
-    F, n = m.field, m.ncols
-    red, rank_, pivots = rref(Matrix(F, tuple(r[::-1] for r in m.rows), n))
-    dual = free_dual(Matrix(F, red.rows[:rank_], n), pivots)
-    return Matrix(F, tuple(z[::-1] for z in reversed(dual)), n)
+    """Canonical basis (as rows) of {x : m . x = 0}, from one elimination."""
+    return kernel_from(rref_reversed(m))
+
+
+def rref_reversed(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """`rref` of m with its columns reversed: m's rank, and its kernel by `kernel_from`."""
+    return rref(Matrix(m.field, tuple(r[::-1] for r in m.rows), m.ncols))
+
+
+def kernel_from(reduced: tuple[Matrix, int, tuple[int, ...]]) -> Matrix:
+    """kernel(m) read off `rref_reversed(m)`: the `free_dual` vectors of that RREF (1 at a free
+    column, other entries at pivots left of it), reversed back and listed last first."""
+    red, rank_, pivots = reduced
+    dual = free_dual(Matrix(red.field, red.rows[:rank_], red.ncols), pivots)
+    return Matrix(red.field, tuple(z[::-1] for z in reversed(dual)), red.ncols)
 
 
 def free_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
@@ -236,8 +244,14 @@ def _integral(rows) -> tuple[int, list[list[int]]]:
     return D, [[x.numerator * (D // x.denominator) for x in r] for r in rows]
 
 
-def contains_vector(space: Matrix, vec: Sequence[Scalar]) -> bool:
-    """Membership of vec in the row space (space should be a basis matrix)."""
-    probe = Matrix(space.field, space.rows + (tuple(vec),), space.ncols)
-    return rank(probe) == space.nrows
+def integral_dual(m: Matrix) -> tuple:
+    """`free_dual(m)`, over Q each vector scaled to a primitive integer one: it kills the same vectors."""
+    return free_dual(m) if m.field.p else tuple(tuple(_integer_row(z)) for z in free_dual(m))
 
+
+def contains_vector(dual: Sequence[Sequence[int]], vec: Sequence[Scalar], field: FieldSpec) -> bool:
+    """Membership of vec in the row space with `integral_dual` dual, with no elimination:
+    vec's dots with it are (over Q, multiples of) the free entries of vec's normal form."""
+    p = field.p
+    vec = vec if p else _integer_row(vec)
+    return not any(sum(map(mul, z, vec)) % p if p else sum(map(mul, z, vec)) for z in dual)

@@ -15,18 +15,18 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if k = 1)
   and then compares every row.  R_1 puts [e_a + rho_{s+2}] over y.(each
   row); R_{-1} drops the first row and each row's first entry.
-* Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2,
-  read off R_{-1}V if built, else off the rank of its 2 cod V free-column rows (if
-  dim V + dim B >= j + 2, column 0 is a pivot and column j is nonzero).  R_{-1}V = 0
-  iff dim R_1V = 2 dim V, read off R_1V if built.
+* Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
+  iff V's 2 cod V free-column rows (below) are independent; tried if dim V + dim B >=
+  j + 2, column 0 is a pivot and column j is nonzero.  R_{-1}V = 0 iff dim R_1V =
+  2 dim V, read off R_1V if built.
 * Up, otherwise: R_{k+1}B = x.R_kB + y^(k+1).B, as x divides every degree-
   (k+1) monomial but y^(k+1).  A rung records k and its ladder base B as
   rows (a space would form a reference cycle), and x.R_kB is reduced, so
   one elimination takes dim R_kB + dim B rows.  Off a ladder, B = V, k = 0.
-* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}, in the fewer unknowns.
-  If dim V <= cod V, x.u = w in V with w[j] = 0 and y.w[:j] in V: `preimage`
-  solves for w's dim V coordinates.  Else each `free_dual` vector z of V
-  (one per free column) gives z[:j].u = 0 and z[1:].u = 0.
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}, in the fewer unknowns.  If dim V <=
+  cod V, x.u = w in V with w[j] = 0 and y.w[:j] in V: `preimage` solves for w's dim V
+  coordinates.  Else each `free_dual` vector z of V (one per free column) gives
+  z[:j].u = 0 and z[1:].u = 0; V keeps those rows' reversed RREF, which pins R_1V too.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int,
 from .linalg import (
     Matrix,
     contains_vector,
-    free_dual,
-    kernel,
+    integral_dual,
+    kernel_from,
     preimage,
-    rank,
     row_basis,
+    rref_reversed,
     row_space_sum,
     zero_matrix,
 )
@@ -83,7 +83,7 @@ class FormSpace:
     def contains(self, f: BinaryForm) -> bool:
         if f.field != self.field:
             raise PreconditionError("field mismatch")
-        return f.degree == self.degree and contains_vector(self.mat, f.coeffs)
+        return f.degree == self.degree and contains_vector(self._dual, f.coeffs, self.field)
 
     # The one-step rungs R_1V and R_{-1}V, built on first use and kept on the
     # instance (not as fields, so equality and hashing ignore them).  `shift`
@@ -96,6 +96,17 @@ class FormSpace:
     @cached_property
     def _down(self) -> FormSpace:
         return _shift_down_once(self)
+
+    @cached_property
+    def _dual(self) -> tuple:
+        """V's `integral_dual`: w is in V iff its dot with each vector is 0."""
+        return integral_dual(self.mat)
+
+    @cached_property
+    def _residues(self) -> tuple:
+        """`rref_reversed` of the 2 cod V rows z[:j], z[1:] over `_dual`, which kill exactly R_{-1}V."""
+        j, dual = self.degree, self._dual
+        return rref_reversed(Matrix(self.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j))
 
     @cached_property
     def _principal(self) -> BinaryForm | None:
@@ -169,10 +180,11 @@ def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
 
 
 def contained(inner: FormSpace, outer: FormSpace) -> bool:
-    """Whether inner is a subspace of outer (same degree).
-
-    Both bases are canonical, so equal bases prove it without the rank test."""
-    return inner == outer or space_sum(inner, outer).dim == outer.dim
+    """Whether inner is a subspace of outer (same degree and field, else refused): equal
+    canonical bases, or a zero normal form mod outer (read off its `_dual`) for each row."""
+    if inner.degree != outer.degree or inner.field != outer.field:
+        raise PreconditionError("sum of spaces in different degrees or fields")
+    return inner == outer or all(contains_vector(outer._dual, r, outer.field) for r in inner.mat.rows)
 
 
 def principal_space(f: BinaryForm, degree: int) -> FormSpace:
@@ -219,21 +231,13 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
         lifted = Matrix(F, tuple((F.zero,) + r for r in rows), j + 2)
         w = preimage(lifted, [(r[j], F.zero) + r[:j] for r in rows], V.mat)
         return FormSpace(F, j - 1, Matrix(F, tuple(r[:j] for r in w.rows), j))
-    return FormSpace(F, j - 1, kernel(_residues(V)))
-
-
-def _residues(V: FormSpace) -> Matrix:
-    """The 2 cod V rows z[:j], z[1:] over V's `free_dual` vectors z; they kill exactly R_{-1}V."""
-    dual, j = free_dual(V.mat), V.degree
-    return Matrix(V.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j)
+    return FormSpace(F, j - 1, kernel_from(V._residues))
 
 
 def _fills_next(V: FormSpace) -> bool:
-    """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2)."""
-    if "_down" in V.__dict__:
-        return 2 * V.dim - V._down.dim == V.degree + 2
+    """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2): V's residue rows are independent."""
     rows = V.mat.rows  # a free column 0 or a zero column j is a zero residue row
-    return bool(rows[0][0]) and any(r[-1] for r in rows) and rank(_residues(V)) == 2 * V.cod
+    return bool(rows[0][0]) and any(r[-1] for r in rows) and V._residues[1] == 2 * V.cod
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:

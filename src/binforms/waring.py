@@ -233,8 +233,8 @@ class GAD:
 
 @dataclass(frozen=True)
 class Unsplit:
-    """A minimal-degree apolar form whose rootless part blocks splitting
-    over the base field; a decomposition would need a field extension."""
+    """No row of (Ann W)_mu's canonical basis splits over the base field; form is the
+    rootless part of the lex-first row.  Other apolar forms of degree mu may split."""
 
     form: BinaryForm
 

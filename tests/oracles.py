@@ -584,6 +584,14 @@ def oracle_first_inequivalent(W, sign: int, steps: int):
 # ----- subspace choice -----------------------------------------------------------
 
 
+def oracle_contained(inner, outer) -> bool:
+    """inner ⊆ outer by plain elimination: the scalar Gauss-Jordan rank of
+    outer's basis stacked on inner's stays dim outer.  `spaces.contained` reads
+    normal forms off outer's dual vectors instead, with no elimination."""
+    stacked = Matrix(outer.field, outer.mat.rows + inner.mat.rows, outer.degree + 1)
+    return oracle_rref(stacked)[1] == outer.dim
+
+
 def oracle_extend_inside(base, cap, target_dim: int):
     """Grow base to target_dim by adjoining the basis forms of cap one at a
     time, one sum per form tried (`closure._extend_inside` reads the same

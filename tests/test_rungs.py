@@ -300,20 +300,20 @@ PINNED_FIELDS = [GF(2), GF(3), F101, QQ]
 
 @st.composite
 def pinned_spaces(draw):
-    """Random spaces, spans of sparse monomial-and-binomial rows, spaces
-    with a planted common factor, and near misses (the first a and last b
-    monomials, a + b in {j - 1, j}: R_1 one short of full, or full); j <= 12."""
+    """Random spaces, spans of monomials, spans of sparse monomial-and-binomial
+    rows, spaces with a planted common factor, and near misses (the first a and
+    last b monomials, a + b in {j - 1, j}: R_1 one short of full, or full); j <= 12."""
     F = draw(st.sampled_from(PINNED_FIELDS))
     j = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["random", "sparse", "factor", "near-miss"]))
+    kind = draw(st.sampled_from(["random", "monomial", "sparse", "factor", "near-miss"]))
     seed = draw(st.integers(0, 10**6))
     rng = random.Random(seed)
     if kind == "random":
         return random_space(draw(st.integers(1, j + 1)), j, F, seed)
-    if kind == "sparse":
+    if kind in ("monomial", "sparse"):
         cols = draw(st.lists(st.integers(0, j), min_size=1, max_size=j + 1, unique=True))
         rows = [[int(i == c) for i in range(j + 1)] for c in cols]
-        for row in rows:
+        for row in rows if kind == "sparse" else ():
             d = rng.randint(0, j)
             row[d] = row[d] or rng.choice([0, 1, -1])
         return span(F, j, rows)
@@ -342,3 +342,38 @@ def test_ladder_rungs_match_the_oracle_whichever_neighbour_is_built_first(V, dow
             _assert_same(U._down, oracle_shift_down_once(m))
             assert U._down.dim == oracle_down_dim(U, 1)
         U, m = U._up, up_m
+
+
+@given(pinned_spaces(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_shared_residue_rref_pins_both_rungs_whichever_is_built_first(V, down_first):
+    # R_1V's fullness is the rank of the reversed RREF of V's 2 cod V residue
+    # rows and R_{-1}V its kernel; building both rungs eliminates those rows at
+    # most once, in either order
+    up_m, down_m = oracle_shift_up_once(V.mat), oracle_shift_down_once(V.mat)
+    full = up_m.nrows == V.degree + 2
+    reduced = _bare(V)._residues
+    assert (reduced[1] == 2 * V.cod) is full
+    _assert_same(FormSpace(V.field, V.degree - 1, linalg.kernel_from(reduced)), down_m)
+    W, residue_eliminations = _bare(V), []
+    real = spaces.rref_reversed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "rref_reversed", lambda m: residue_eliminations.append(m) or real(m))
+        for rung in ("_down", "_up") if down_first else ("_up", "_down"):
+            getattr(W, rung)
+    assert len(residue_eliminations) <= 1
+    assert W._up.is_full is full
+    _assert_same(W._up, up_m)
+    _assert_same(W._down, down_m)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("d,j", [(6, 8), (9, 12), (30, 40)])  # R_1V full, R_{-1}V nonzero
+def test_tau_then_down_rung_run_one_residue_elimination(eliminations, field, d, j):
+    V = _fresh(random_space(d, j, field, 4))
+    eliminations.clear()
+    t = tau(V)
+    down = shift(V, -1)
+    assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
+    assert t == j + 2 - d and V._up.is_full and not down.is_zero
+    assert down.mat == oracle_shift_down_once(V.mat)

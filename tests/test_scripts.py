@@ -36,3 +36,48 @@ def test_hasse_gallery_writes_dot_files(tmp_path):
     proc = _run_script("hasse_gallery.py", "--max-j", "4", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("hasse_d*_j*.dot"))) == 10  # 1 <= d <= j <= 4
+
+
+def _result(ops_per_s, p50_ms, failed=0):
+    metrics = {"ops_per_s": {"value": ops_per_s, "unit": "ops/s"},
+               "op_p50_ms": {"value": p50_ms, "unit": "ms"}}
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summarizes_canned_records_and_launches_nothing(monkeypatch):
+    import importlib.util
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"launched {args[0] if args else kwargs}")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    parent = [(100, 2.0), (110, 2.0), (120, 2.0), (130, 2.0), (140, 2.0)]
+    change = [(105, 1.0), (120, 3.0), (125, 2.0), (150, 3.0), (160, 4.0)]
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change), start=11):
+        sides = [("parent", _result(*p)), ("change", _result(*c, failed=int(seed == 12)))]
+        for side, result in sides if seed % 2 else sides[::-1]:
+            runs.append({"seed": seed, "side": side, "workload": "analyze-fp", "result": result})
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
+    s = bench.summarize(runs, end_to_end)["analyze-fp"]
+    assert (s["pairs"], s["seeds"]) == (5, [11, 15])
+    assert s["failed_ops"] == {"parent": 0, "change": 1}
+    assert s["correct"] == {"parent": True, "change": False}
+    ops = s["ops_per_s"]  # inclusive quartiles of five values: the 2nd, 3rd and 4th
+    assert ops["parent"] == {"q1": 110, "median": 120, "q3": 130}
+    assert ops["change"] == {"q1": 120, "median": 125, "q3": 150}
+    assert ops["ratio_change_over_parent"] == pytest.approx(125 / 120)
+    assert (ops["change_wins"], ops["parent_iqr"], ops["worse_by"]) == (5, 20, 0.0)
+    p50 = s["op_p50_ms"]  # lower is better: 1 win, 3 losses and a tie, which counts for neither
+    assert p50["change"] == {"q1": 2.0, "median": 3.0, "q3": 3.0}
+    assert p50["change_wins"] == 1 and p50["worse_by"] == pytest.approx(0.5)
+    assert (p50["bound"], p50["better"]) == (0.25, "lower")
+    with pytest.raises(ValueError, match="without both sides"):
+        bench.summarize(runs[:-1], end_to_end)
+    assert bench.seed_range("2101-2110") == list(range(2101, 2111))

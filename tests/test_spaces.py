@@ -27,7 +27,7 @@ from binforms.spaces import (
     zero_space,
 )
 
-from oracles import oracle_down_dim, oracle_principal_space
+from oracles import oracle_contained, oracle_down_dim, oracle_principal_space
 
 F101 = GF(101)
 
@@ -188,6 +188,83 @@ def test_contains_refuses_a_form_of_another_field():
     with pytest.raises(PreconditionError, match="field mismatch"):
         span(QQ, 2, [[1, 0, 0]]).contains(form(F101, 2, [1, 0, 0]))
     assert V.contains(form(F101, 2, [5, 0, 0])) and not V.contains(form(F101, 3, [1, 0, 0, 0]))
+
+
+CONTAIN_FIELDS = [GF(2), GF(3), F101, QQ]
+
+
+@st.composite
+def space_pairs(draw):
+    """(inner, outer) in one degree j <= 10 over F_2, F_3, F_101 or Q: inner is
+    spanned by combinations of outer's rows (inside), by those plus one unit
+    vector at a free column of outer (just outside: its normal form is that
+    unit vector), by random rows, or is outer itself or the zero space."""
+    F = draw(st.sampled_from(CONTAIN_FIELDS))
+    j = draw(st.integers(0, 10))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    outer = random_space(draw(st.integers(0, j + 1)), j, F, seed)
+    kind = draw(st.sampled_from(["inside", "one-outside", "random", "same", "zero"]))
+    if kind == "same":
+        return FormSpace(F, j, outer.mat), outer  # equal, but not the same object
+    if kind == "zero":
+        return zero_space(F, j), outer
+    if kind == "random":
+        return random_space(rng.randint(1, j + 1), j, F, seed + 1), outer
+
+    def combination():
+        coeffs = [F.coerce(rng.randint(-3, 3)) for _ in outer.mat.rows]
+        return [F.coerce(sum(c * r[i] for c, r in zip(coeffs, outer.mat.rows))) for i in range(j + 1)]
+
+    rows = [combination() for _ in range(rng.randint(1, 3))]
+    pivots = {next(c for c, x in enumerate(r) if x) for r in outer.mat.rows}
+    free = [c for c in range(j + 1) if c not in pivots]
+    if kind == "one-outside" and free:
+        f = rng.choice(free)
+        rows[-1][f] = F.add(rows[-1][f], F.one)
+    return span(F, j, rows), outer
+
+
+@given(space_pairs())
+@settings(max_examples=200, deadline=None)
+def test_contained_and_contains_match_plain_elimination(pair):
+    inner, outer = pair
+    assert contained(inner, outer) is oracle_contained(inner, outer)
+    for f in inner.basis_forms():
+        assert outer.contains(f) is oracle_contained(span(f.field, f.degree, [f]), outer)
+
+
+def test_contained_decides_by_normal_forms_without_elimination(monkeypatch):
+    from binforms import linalg
+
+    pairs = [(random_space(d, 8, F, 1), random_space(e, 8, F, 2))
+             for F in CONTAIN_FIELDS for d, e in ((2, 5), (5, 5), (3, 9))]
+    pairs += [(span(outer.field, 8, outer.basis_forms()[:2]), outer) for _, outer in pairs]
+    for F in CONTAIN_FIELDS:  # one unit vector past a sum of the rows, at each free column
+        outer = random_space(4, 8, F, 3)
+        pivots = {next(c for c, x in enumerate(r) if x) for r in outer.mat.rows}
+        row = [F.add(x, y) for x, y in zip(*outer.mat.rows[:2])]
+        for f in sorted(set(range(9)) - pivots):
+            pairs.append((span(F, 8, [row[:f] + [F.add(row[f], F.one)] + row[f + 1:]]), outer))
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    got = [contained(inner, outer) for inner, outer in pairs]
+    assert calls == []  # the oracle eliminates by its own scalar loop, not `rref`
+    assert got == [oracle_contained(inner, outer) for inner, outer in pairs]
+    assert got.count(True) >= 12 and got.count(False) >= 20  # the 12 row subspaces are inside
+
+
+@pytest.mark.parametrize("field", CONTAIN_FIELDS, ids=lambda F: F.name)
+def test_contained_refuses_another_degree_or_field(field):
+    V = random_space(2, 4, field, 0)
+    others = [random_space(2, 5, field, 0), random_space(1, 3, field, 0)]
+    others += [random_space(2, 4, F, 0) for F in CONTAIN_FIELDS if F != field]
+    for other in others:
+        for inner, outer in ((V, other), (other, V)):
+            with pytest.raises(PreconditionError, match="sum of spaces in different degrees or fields"):
+                contained(inner, outer)
+
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), F101], ids=lambda F: F.name)
