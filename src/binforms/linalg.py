@@ -215,35 +215,6 @@ def free_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
     return tuple(out)
 
 
-def preimage(m: Matrix, rows, b: Matrix) -> Matrix:
-    """Canonical basis of {sum c_i b_i : sum c_i a_i in the row space of m}
-    for RREF bases m, b and a row a_i per row b_i.  The c solve the a_i's
-    normal forms mod m (over Q, D times them, on integers) in one elimination;
-    c in RREF gives sum c_i b_i in RREF, as c_i is its entry at b's pivot i."""
-    F, p = m.field, m.field.p
-    pivots = [next(c for c, x in enumerate(r) if x) for r in m.rows]
-    (D, basis), (_, rows), (_, brows) = (
-        ((1, m.rows), (1, rows), (1, b.rows)) if p else (_integral(x) for x in (m.rows, rows, b.rows)))
-    leads, cols = [[a[q] for q in pivots] for a in rows], list(zip(*basis))
-    forms = []
-    for f in sorted(set(range(m.ncols)).difference(pivots)):
-        nf = [D * a[f] - sum(map(mul, lead, cols[f])) for a, lead in zip(rows, leads)]
-        forms.append(tuple(x % p for x in nf) if p else tuple(nf))
-    cols, out = list(zip(*brows)), []
-    for c in kernel(Matrix(F, tuple(forms), b.nrows)).rows:
-        c = c if p else _integer_row(c)
-        u = [sum(map(mul, c, col)) for col in cols]
-        lead = next(x for x in u if x)  # 1 over F_p: c and b are in RREF
-        out.append(tuple(x % p if p else Fraction(x, lead) for x in u))
-    return Matrix(F, tuple(out), b.ncols)
-
-
-def _integral(rows) -> tuple[int, list[list[int]]]:
-    """(D, D times each row) for the common denominator D of Fraction rows."""
-    D = lcm(*(x.denominator for r in rows for x in r))
-    return D, [[x.numerator * (D // x.denominator) for x in r] for r in rows]
-
-
 def integral_dual(m: Matrix) -> tuple:
     """`free_dual(m)`, over Q each vector scaled to a primitive integer one: it kills the same vectors."""
     return free_dual(m) if m.field.p else tuple(tuple(_integer_row(z)) for z in free_dual(m))

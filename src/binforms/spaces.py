@@ -23,10 +23,9 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   (k+1) monomial but y^(k+1).  A rung records k and its ladder base B as
   rows (a space would form a reference cycle), and x.R_kB is reduced, so
   one elimination takes dim R_kB + dim B rows.  Off a ladder, B = V, k = 0.
-* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}, in the fewer unknowns.  If dim V <=
-  cod V, x.u = w in V with w[j] = 0 and y.w[:j] in V: `preimage` solves for w's dim V
-  coordinates.  Else each `free_dual` vector z of V (one per free column) gives
-  z[:j].u = 0 and z[1:].u = 0; V keeps those rows' reversed RREF, which pins R_1V too.
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each `free_dual` vector z of V (one
+  per free column) gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those
+  2 cod V rows.  V keeps their reversed RREF, which pins R_1V too.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .linalg import (
     contains_vector,
     integral_dual,
     kernel_from,
-    preimage,
     row_basis,
     rref_reversed,
     row_space_sum,
@@ -219,18 +217,13 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
-    """R_{-1}V: in closed form, in V's pivot coordinates or on its free columns."""
+    """R_{-1}V: zero when pinned, a block's closed form, else the kernel of V's residue rows."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
     f, up = V._principal, V.__dict__.get("_up")
     if V.is_zero or f is not None and V.dim == 1 or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
     if f is not None:
         return _principal_block(F, [r[1:] for r in V.mat.rows[1:]], f)
-    rows = V.mat.rows
-    if V.dim <= V.cod:  # V lifted by a column: w[j] = 0 and y.w[:j] in V
-        lifted = Matrix(F, tuple((F.zero,) + r for r in rows), j + 2)
-        w = preimage(lifted, [(r[j], F.zero) + r[:j] for r in rows], V.mat)
-        return FormSpace(F, j - 1, Matrix(F, tuple(r[:j] for r in w.rows), j))
     return FormSpace(F, j - 1, kernel_from(V._residues))
 
 

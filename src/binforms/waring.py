@@ -67,7 +67,14 @@ class DualSpace:
 
     @cached_property
     def _weighted(self) -> tuple[tuple, ...]:
-        return _weighted_rows(self.space)
+        """W's basis rows with entry a scaled by the pairing weight (j-a)! a!.
+
+        In coefficient coordinates the degree-j contraction pairing is diagonal
+        with these weights, so this is the one place they are applied.
+        """
+        F, j = self.field, self.degree
+        weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
+        return tuple(tuple(F.mul(c, wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
 
     @cached_property
     def _tau_delta(self) -> int:
@@ -147,26 +154,13 @@ def dual_from_json(obj: dict, field: FieldSpec | None = None) -> DualSpace:
 # ── the contraction pairing: perp and annihilator ─────────────────────────────
 
 
-def _weighted_rows(S: FormSpace) -> tuple[tuple, ...]:
-    """S's basis rows with entry a scaled by the pairing weight (j-a)! a!.
-
-    In coefficient coordinates the degree-j contraction pairing is diagonal
-    with these weights, so this is the one place they are applied.
-    """
-    F, j = S.field, S.degree
-    weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
-    return tuple(tuple(F.mul(c, wt) for c, wt in zip(r, weights)) for r in S.mat.rows)
-
-
 def perp(V: FormSpace) -> DualSpace:
-    """V^perp, the dual forms killed by every element of V.
+    """V^perp, the dual forms killed by every element of V; dim V^perp = j+1 - dim V.
 
-    The kernel of V's basis matrix with weighted columns; dim V^perp =
-    j+1 - dim V.
+    The pairing is symmetric, so V^perp = (Ann V)_j with V read as dual forms:
+    the kernel of V's weighted rows, which are its degree-j catalecticant.
     """
-    F, j = V.field, V.degree
-    require_pairing_char(F, j)
-    return DualSpace(FormSpace(F, j, kernel(Matrix(F, _weighted_rows(V), j + 1))))
+    return DualSpace(_ann_component(DualSpace(V), V.degree))
 
 
 def _catalecticant(W: DualSpace, i: int) -> Matrix:

@@ -628,7 +628,7 @@ def oracle_shift_up_once(m: Matrix) -> Matrix:
 def oracle_shift_down_once(m: Matrix) -> Matrix:
     """R_{-1}V for V with basis m in R_j, j >= 1: the kernel of the residues
     of x.u and y.u mod V on all j + 1 columns, for u over all of R_{j-1}
-    (`spaces` solves in V's pivot or free coordinates only)."""
+    (`spaces` solves on V's free columns only)."""
     F, j = m.field, m.ncols - 1
     # Canonical residue of the monomial e_k mod V: the basis is in RREF, so it
     # is e_k minus the basis row with pivot k, or e_k itself if k is no pivot.

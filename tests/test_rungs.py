@@ -1,5 +1,5 @@
 """The one-step rungs of `spaces`: R_{k+1}B = x.R_kB + y^(k+1).B going up,
-pivot coordinates (dim <= cod) or free-column residues going down, checked
+the kernel of the free-column residue rows going down, checked
 against plain eliminations, for their sizes and for the garbage they leave;
 and dim R_1W read off the rung already built (dim R_1W = 2 dim W - dim R_{-1}W)."""
 
@@ -42,14 +42,19 @@ def _random_form(F, degree, rng):
 @st.composite
 def ladder_spaces(draw):
     """A random space (every d from 1 to j+1), a random space times a planted
-    common factor, or the sum of two principal blocks; j <= 16."""
+    common factor, the sum of two principal blocks, or R_1U for a random U of
+    dim <= (j+1)/4 over F_101 or Q (dim <= cod, and R_{-1} contains U); j <= 16."""
     F = draw(st.sampled_from(LADDER_FIELDS))
     j = draw(st.integers(1, 16))
-    kind = draw(st.sampled_from(["random", "factor", "blocks"]))
+    kind = draw(st.sampled_from(["random", "factor", "blocks", "up"]))
     seed = draw(st.integers(0, 10**6))
     rng = random.Random(seed)
     if kind == "random":
         return random_space(draw(st.integers(1, j + 1)), j, F, seed)
+    if kind == "up":
+        F, j = draw(st.sampled_from([F101, QQ])), max(j, 3)
+        up = shift(random_space(draw(st.integers(1, (j + 1) // 4)), j - 1, F, seed), 1)
+        return FormSpace(F, j, up.mat)  # its memos dropped
     if kind == "factor":
         e = draw(st.integers(1, j))
         W = random_space(draw(st.integers(1, j - e + 1)), j - e, F, seed)
@@ -209,21 +214,9 @@ def test_near_miss_is_no_full_rung_either_way(field):
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
-@pytest.mark.parametrize("d,j", [(2, 40), (5, 16), (8, 15)])
-def test_down_rung_with_dim_at_most_cod_solves_in_dim_unknowns(eliminations, field, d, j):
+@pytest.mark.parametrize("d,j", [(2, 40), (5, 16), (8, 15), (38, 40), (12, 16), (9, 15)])  # dim <= cod, then dim > cod
+def test_down_rung_solves_on_free_columns(eliminations, field, d, j):
     V = _fresh(random_space(d, j, field, 1))
-    assert V.dim <= V.cod
-    eliminations.clear()
-    down = V._down
-    assert [(m.nrows, m.ncols) for m in eliminations] == [(V.cod + 1, V.dim)]
-    assert down.mat == oracle_shift_down_once(V.mat)
-
-
-@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
-@pytest.mark.parametrize("d,j", [(38, 40), (12, 16), (9, 15)])
-def test_down_rung_with_dim_above_cod_solves_on_free_columns(eliminations, field, d, j):
-    V = _fresh(random_space(d, j, field, 1))
-    assert V.dim > V.cod
     eliminations.clear()
     down = V._down
     assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
@@ -290,7 +283,7 @@ def test_q_down_rung_runs_the_integer_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_q", lambda rows, n: seen.append(rows) or real(rows, n))
     down = V._down
     assert len(seen) == 1
-    # the normal forms reach the kernel as integers, not Fractions
+    # the residue rows reach the kernel as integers, not Fractions
     assert all(type(x) is int for row in seen[0] for x in row)
     assert down.mat == oracle_shift_down_once(V.mat)
 
