@@ -15,9 +15,11 @@ side on seed 0.  The run length is BENCHMARK.json's `run_seconds`.
 Writes BENCH_<name>.json at the root of the working tree: every run's result
 line, and, per workload and end-to-end metric of BENCHMARK.json, each side's
 quartiles over the seed range (statistics.quantiles(n=4, method='inclusive')),
-the ratio of the medians (change over parent), the pairs the change won (ties
-count for neither side), the parent's interquartile range, and how much worse
-the change's median is than the parent's (0 when it is not worse).
+the ratio of the medians (change over parent), the median of the per-seed
+ratios (a host burst that slows both runs of a pair cancels in it), the pairs
+the change won (ties count for neither side), the parent's interquartile range,
+and how much worse the change's median is than the parent's (0 when it is not
+worse).
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             summary[name] = {
                 **qs,
                 "ratio_change_over_parent": ratio,
+                "median_pair_ratio": statistics.median(c / p for p, c in zip(values["parent"], values["change"])),
                 "change_wins": wins,
                 "parent_iqr": qs["parent"]["q3"] - qs["parent"]["q1"],
                 "worse_by": max(0.0, 1 - ratio if higher else ratio - 1),
@@ -181,7 +184,8 @@ def main() -> int:
     path.write_text(json.dumps(out, indent=1) + "\n")
     for workload, summary in out["summary"].items():
         print(workload, ", ".join(
-            f"{k} x{v['ratio_change_over_parent']:.3f} ({v['change_wins']}/{summary['pairs']})"
+            f"{k} x{v['ratio_change_over_parent']:.3f}, pairs x{v['median_pair_ratio']:.3f} "
+            f"({v['change_wins']}/{summary['pairs']})"
             for k, v in summary.items() if isinstance(v, dict) and "ratio_change_over_parent" in v))
     print(f"wrote {path}")
     return 0

@@ -278,7 +278,7 @@ def _cmd_waring(args: argparse.Namespace) -> tuple[int, str]:
         )
         lines.append(f"decomposition of length {out['gad']['length']}: {pieces}")
     else:
-        lines.append(f"no split decomposition over this field; unsplit factor: {out['unsplit']}")
+        lines.append(f"no basis row of (Ann W)_mu splits over this field; unsplit factor: {out['unsplit']}")
     return 0, "\n".join(lines)
 
 

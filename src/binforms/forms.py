@@ -7,7 +7,8 @@ t = y/x, constant term first: trailing zeros are the power of x (the degree
 drop), leading zeros the power of y (the root t = 0).  Polynomials in t are
 int lists, one kernel per field kind picked once per call by `F.p`: residues
 mod a local p, or primitive integer lists over Q (Fractions only for the
-result).  The dual ring acts by differentiation:
+result).  `_linear_split` gives the rootless part of f at once and its
+linear factors on demand.  The dual ring acts by differentiation:
 x^a y^b . X^c Y^d = c(c-1)...(c-a+1) d(d-1)...(d-b+1) X^(c-a) Y^(d-b),
 which is a perfect pairing exactly when char k = 0 or p > degree.
 """
@@ -18,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import PreconditionError
 from .fields import FieldSpec, Scalar, _is_prime
@@ -123,16 +125,17 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _powmod_p(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base^e mod `mod` (degree n >= 1; base of at most n+1 entries) over F_p.
+def _powmod_p(a: int, e: int, mod: list[int], p: int) -> list[int]:
+    """(t+a)^e mod `mod` (degree n >= 1) over F_p, 0 <= a < p: its n entries.
 
     Square-and-multiply on residues packed w bits per entry (Kronecker
-    substitution), so a product is one int product.  Its entries n..2n-1 fold
+    substitution), so a square is one int product.  Its entries n..2n-1 fold
     back through t^k mod `mod`, packed once, and the n entries left are then
-    reduced once each; they stay below 2n p^2 < 2^w, so they never carry."""
+    reduced once each; they stay below 2n p^2 < 2^w, so they never carry.
+    Times t+a is A one lane up plus a.A, lane n folded back once: below 2p^2."""
     n = len(mod) - 1
     w = 2 * p.bit_length() + n.bit_length() + 2
-    mask, shifts = (1 << w) - 1, range(0, 2 * n * w, w)
+    mask, shifts, low = (1 << w) - 1, range(0, 2 * n * w, w), (1 << n * w) - 1
     inv = pow(mod[-1], -1, p)
     r = t_n = [-c * inv % p for c in mod[:-1]]  # t^n mod `mod`
     folds = []
@@ -140,15 +143,16 @@ def _powmod_p(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
         folds.append(sum(c << s for c, s in zip(r, shifts)))
         r = [(x + r[-1] * d) % p for x, d in zip([0] + r[:-1], t_n)]
 
-    def reduce(X: int) -> int:
-        X = (X & (1 << n * w) - 1) + sum(((X >> s) & mask) % p * R for s, R in zip(shifts[n:], folds))
+    def lanes(X: int) -> int:  # each of the n low lanes mod p
         return sum(((X >> s) & mask) % p << s for s in shifts[:n])
 
-    A, B = 1, reduce(sum(c << s for c, s in zip(base, shifts)))
+    A = 1
     for bit in bin(e)[2:]:
-        A = reduce(A * A)
+        X = A * A
+        A = lanes((X & low) + sum(((X >> s) & mask) % p * R for s, R in zip(shifts[n:], folds)))
         if bit == "1":
-            A = reduce(A * B)
+            X = (A << w) + a * A
+            A = lanes((X & low) + (X >> n * w) * folds[0])
     return [(A >> s) & mask for s in shifts[:n]]
 
 
@@ -273,28 +277,26 @@ def linear_power(L: BinaryForm, n: int) -> BinaryForm:
 # ----- factoring into linear forms -----------------------------------------------
 
 
-def _fp_roots(f: list[int], p: int) -> list[int]:
-    """Distinct roots in F_p, sorted, of a reduced trimmed list, without
-    scanning the residues.
-
-    g = gcd(f, t^p - t) is the product of t - r over the roots r.  For odd p
-    it is split deterministically (Cantor-Zassenhaus equal-degree splitting
-    with shifts a = 0, 1, 2, ...): gcd(g, (t+a)^((p-1)/2) - 1) collects the
-    roots r with r + a a nonzero square.  For two distinct roots (p-1)/2 of
-    the p shifts separate them, so the loop ends below p.
-    """
-    if len(f) < 2:
-        return []
-    if p == 2:
-        return [t for t, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
-    h = _powmod_p([0, 1], p, f, p) + [0]  # the pad is for linear f
+def _root_gcd(f: list[int], p: int) -> list[int]:
+    """g = gcd(f, t^p - t), the product of t - r over the roots r in F_p of f
+    (reduced, trimmed, of degree >= 1), from one Frobenius power t^p mod f."""
+    h = _powmod_p(0, p, f, p) + [0]  # the pad is for linear f
     h[1] -= 1
+    return _gcd_p(f, _mod(h, p), p)
+
+
+def _fp_roots(g: list[int], p: int) -> list[int]:
+    """The roots, sorted, of g = `_root_gcd(f, p)` for odd p, without scanning the
+    residues: deterministic Cantor-Zassenhaus equal-degree splitting (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14) with shifts a = 0, 1, ...:
+    gcd(g, (t+a)^((p-1)/2) - 1) collects the roots r with r + a a nonzero square.
+    For two distinct roots (p-1)/2 of the p shifts separate them: the loop ends below p."""
 
     def split(g: list, start: int) -> list:
         if len(g) <= 2:
             return [-g[0] % p] if len(g) == 2 else []
         for a in range(start, p):
-            s = _powmod_p([a, 1], (p - 1) // 2, g, p)
+            s = _powmod_p(a, (p - 1) // 2, g, p)
             s[0] -= 1
             d = _gcd_p(g, _mod(s, p), p)
             if 1 < len(d) < len(g):
@@ -302,7 +304,7 @@ def _fp_roots(f: list[int], p: int) -> list[int]:
                 return split(d, a + 1) + split(_divmod_p(g, d, p)[0], a + 1)
         raise RuntimeError("no shift below p separates the roots")
 
-    return sorted(split(_gcd_p(f, _mod(h, p), p), 0))
+    return sorted(split(g, 0))
 
 
 def _lifting_prime(f: list[int], p: int) -> bool:
@@ -312,8 +314,9 @@ def _lifting_prime(f: list[int], p: int) -> bool:
 
 
 def _rational_roots(F: FieldSpec, core: list) -> list:
-    """Distinct roots in k, sorted, of a polynomial in t; over Q its constant
-    term must be nonzero (`linear_factors` strips the power of t first).
+    """Distinct roots in k, sorted, of a polynomial in t (over F_p reduced and
+    trimmed); over Q its constant term must be nonzero (`linear_factors`
+    strips the power of t first).
 
     Over Q the roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
     1983).  f is core cleared to a primitive integer list.  A lifting prime
@@ -324,15 +327,19 @@ def _rational_roots(F: FieldSpec, core: list) -> list:
     half-extended Euclid reads a/b back.  Only candidates with f(a/b) = 0 are
     kept.
     """
-    if F.p is not None:
-        return _fp_roots(_mod(core, F.p), F.p)
+    if len(core) < 2:
+        return []
+    if F.p == 2:  # F_2 evaluates at 0 and 1
+        return [t for t, v in ((0, core[0]), (1, sum(core))) if v % 2 == 0]
+    if F.p:
+        return _fp_roots(_root_gcd(_mod(core, F.p), F.p), F.p)
     f = _integer_row(core)
     p = next((p for p in (3, 5, 7, 11, 13, 17, 19, 23) if _lifting_prime(f, p)), None)
     if p is None:
         f = _exquo(f, _prs_gcd(f, _deriv(f)), None)
         p = next(p for p in itertools.count(3, 2) if _is_prime(p) and _lifting_prime(f, p))
     bound, roots = 2 * max(abs(f[0]), abs(f[-1])) ** 2, []
-    for r in _fp_roots(_mod(f, p), p):
+    for r in _fp_roots(_root_gcd(_mod(f, p), p), p):
         m = p
         while m <= bound:
             m *= m
@@ -352,6 +359,42 @@ def _rational_roots(F: FieldSpec, core: list) -> list:
     return sorted(roots)
 
 
+def _linear_split(f: BinaryForm) -> tuple[BinaryForm, Callable[[], list[tuple[BinaryForm, int]]]]:
+    """(remainder, factors) with `linear_factors(f)` == (factors(), remainder).
+    Over F_p, p odd, the remainder of the core (f less its powers of x and y)
+    costs one Frobenius power, g = `_root_gcd(core, p)`, then rem <- rem /
+    gcd(rem, g) until that gcd is 1; factors() splits that g.  Over Q and F_2
+    the roots come first.  Multiplicities are counted by exact division."""
+    if f.is_zero:
+        raise PreconditionError("cannot factor the zero form")
+    F, p = f.field, f.field.p
+    cs = _trim(list(f.coeffs))
+    mx = f.degree + 1 - len(cs)  # the degree drop is the power of x
+    my = next(a for a, c in enumerate(cs) if c)  # the root t = 0
+    core = cs[my:] if p else _integer_row(cs[my:])
+
+    def strip(roots) -> tuple[list, list]:
+        rem = core
+        factors = [(l, m) for l, m in ((monomial(F, 0, 1), my), (monomial(F, 1, 0), mx)) if m]
+        for t in roots:
+            # root t of the polynomial in t <-> factor y - t x
+            lin = [-t % p, 1] if p else [-t.numerator, t.denominator]
+            mult = 0
+            while (q := _exquo(rem, lin, p)) is not None:
+                rem, mult = q, mult + 1
+            factors.append((_monic_form(F, lin), mult))
+        factors.sort(key=lambda fm: [(c.numerator, c.denominator) for c in map(Fraction, fm[0].coeffs)])
+        return factors, rem
+
+    if p is None or p == 2 or len(core) < 2:
+        factors, rem = strip(_rational_roots(F, core))
+        return _monic_form(F, rem), lambda: factors
+    g, rem = _root_gcd(core, p), core
+    while len(d := _gcd_p(rem, g, p)) > 1:
+        rem = _divmod_p(rem, d, p)[0]
+    return _monic_form(F, rem), lambda: strip(_fp_roots(g, p))[0]
+
+
 def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryForm]:
     """Split off all linear factors over the base field.
 
@@ -360,30 +403,8 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
     tuple, so the result is deterministic.  remainder is monic with no
     roots in k (degree 0 when f splits completely).
     """
-    if f.is_zero:
-        raise PreconditionError("cannot factor the zero form")
-    F, p = f.field, f.field.p
-    rem = _trim(list(f.coeffs))
-    mx = f.degree + 1 - len(rem)  # the degree drop is the power of x
-    my = next(a for a, c in enumerate(rem) if c)  # the root t = 0
-    rem = rem[my:] if p else _integer_row(rem[my:])
-    factors = [(l, m) for l, m in ((monomial(F, 0, 1), my), (monomial(F, 1, 0), mx)) if m]
-    for t in _rational_roots(F, rem):
-        # root t of the polynomial in t <-> factor y - t x
-        lin = [-t % p, 1] if p else [-t.numerator, t.denominator]
-        mult = 0
-        while (q := _exquo(rem, lin, p)) is not None:
-            rem, mult = q, mult + 1
-        factors.append((_monic_form(F, lin), mult))
-    factors.sort(key=lambda fm: _coeff_sort_key(fm[0]))
-    return factors, _monic_form(F, rem)
-
-
-def _coeff_sort_key(f: BinaryForm):
-    return tuple(
-        (c.numerator, c.denominator) if isinstance(c, Fraction) else (c, 1)
-        for c in f.coeffs
-    )
+    rem, factors = _linear_split(f)
+    return factors(), rem
 
 
 def smallest_linear_factor(f: BinaryForm) -> BinaryForm | None:

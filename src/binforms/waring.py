@@ -26,7 +26,7 @@ from .fields import FieldSpec
 from .forms import (
     BinaryForm,
     format_form,
-    linear_factors,
+    _linear_split,
     linear_power,
     monic,
     monomial,
@@ -37,7 +37,7 @@ from .forms import (
 )
 from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
-from .linalg import Matrix, kernel, rank
+from .linalg import Matrix, free_dual, kernel, row_basis
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -58,7 +58,7 @@ DUAL_VARS = ("X", "Y")
 @dataclass(frozen=True)
 class DualSpace:
     """A subspace of the degree-j dual forms in X, Y (canonical RREF basis).
-    Its weighted rows, tau_delta and (mu, (Ann W)_mu) are cached, not fields."""
+    Its weighted rows, `_down_basis`, tau_delta and (mu, (Ann W)_mu) are cached, not fields."""
 
     space: FormSpace
 
@@ -77,6 +77,11 @@ class DualSpace:
         return tuple(tuple(F.mul(c, wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
 
     @cached_property
+    def _down_basis(self) -> Matrix:
+        """The RREF basis of `_catalecticant(self, j-1)`, j >= 1."""
+        return row_basis(_catalecticant(self, self.degree - 1))
+
+    @cached_property
     def _tau_delta(self) -> int:
         """1 + dim R_1.W - dim W = tau((Ann W)_j).  R_1.W is the complement of
         (Ann W)_{j-1} under the perfect degree-(j-1) pairing (f kills x.w and
@@ -85,7 +90,7 @@ class DualSpace:
         j = self.degree
         if j == 0:
             return 1 - self.dim  # W = dual_0 itself; annihilator starts in degree 0
-        return 1 + rank(_catalecticant(self, j - 1)) - self.dim
+        return 1 + self._down_basis.nrows - self.dim
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:
@@ -180,8 +185,12 @@ def _catalecticant(W: DualSpace, i: int) -> Matrix:
 
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:
-    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants."""
-    return FormSpace(W.field, i, kernel(_catalecticant(W, i)))
+    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants; in degree
+    j-1 from the d - tau_delta `free_dual` vectors of the RREF tau_delta ranks."""
+    F = W.field
+    if i == W.degree - 1:  # one small elimination, not a second one of 2c rows
+        return FormSpace(F, i, row_basis(Matrix(F, free_dual(W._down_basis), i + 1)))
+    return FormSpace(F, i, kernel(_catalecticant(W, i)))
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:
@@ -243,10 +252,10 @@ def _dual_of_linear(l: BinaryForm) -> BinaryForm:
 def gad(W: DualSpace) -> GAD | Unsplit:
     """Decompose W through powers of linear dual forms.
 
-    Takes a minimal-degree element f of the annihilator (lex-smallest
-    basis coordinates first, every basis element tried before giving up),
-    extracts its roots over the base field, and on full splitting returns
-    the GAD with L_i dual to the linear factors and weights equal to the
+    Tries the rows f of the canonical basis of (Ann W)_mu, lex-smallest
+    first, by their rootless part alone, and extracts roots over the base
+    field only for the form it keeps, the first with a constant remainder:
+    the GAD has L_i dual to its linear factors and weights equal to their
     multiplicities, together with per-basis-element cofactors.  If no
     candidate splits, returns Unsplit with the rootless part of the
     lex-first candidate.
@@ -258,15 +267,14 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     """
     F, j, c = W.field, W.degree, W.dim
     m, comp = W._initial
-    candidates = sorted(comp.mat.rows)
     first_rem = None
-    for row in candidates:
-        f = BinaryForm(F, m, row)
-        factors, rem = linear_factors(f)
+    for row in sorted(comp.mat.rows):
+        rem, split = _linear_split(BinaryForm(F, m, row))
         if first_rem is None:
             first_rem = rem
         if rem.degree > 0:
             continue
+        factors = split()
         linear_forms = tuple(_dual_of_linear(l) for l, _ in factors)
         weights = tuple(b for _, b in factors)
         if sum(weights) != m:

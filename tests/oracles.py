@@ -332,6 +332,32 @@ def oracle_gad_cofactors(W, linear_forms, weights):
     return tuple(cofactors)
 
 
+def oracle_gad(W):
+    """`waring.gad` by `linear_factors` on every row of the canonical basis of
+    (Ann W)_mu, with mu and that component from the upward scan.  A row splits
+    when its multiplicities add up to mu, and its rootless part is the row
+    divided by the product of its linear factors (not `linear_factors`' own
+    remainder).  The lex-first row that splits gives the linear dual forms
+    (l = c0 x + c1 y kills c1 X - c0 Y) and weights, and `oracle_gad_cofactors`
+    the cofactors; with no such row, Unsplit of the lex-first row's rootless part."""
+    from binforms.forms import form, linear_factors, monic, mul_form
+    from binforms.waring import GAD, Unsplit
+
+    F, m = W.field, oracle_mu(W)
+    rows = sorted(oracle_ann_component(W, m).basis_forms(), key=lambda f: f.coeffs)
+    for f in rows:
+        factors, _ = linear_factors(f)
+        if sum(b for _, b in factors) == m:
+            forms = tuple(monic(BinaryForm(F, 1, (l.coeffs[1], F.neg(l.coeffs[0])))) for l, _ in factors)
+            weights = tuple(b for _, b in factors)
+            return GAD(forms, weights, oracle_gad_cofactors(W, forms, weights))
+    product = form(F, 0, [1])
+    for l, b in linear_factors(rows[0])[0]:
+        for _ in range(b):
+            product = mul_form(product, l)
+    return Unsplit(monic(divide_form(rows[0], product)))
+
+
 # ----- Hilbert functions and ideals -------------------------------------------
 
 

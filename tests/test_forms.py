@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binforms import forms
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import (
@@ -246,6 +247,44 @@ def test_fp_roots_structured_cores(p):
                   key=lambda fm: fm[0].coeffs)
     assert factors == want
     assert rem == f
+
+
+# _powmod_p raises t + a, and multiplies by it with a lane shift and one
+# fold of the top lane; the oracle is plain list arithmetic.
+
+
+def _naive_powmod(a, e, mod, p):
+    """(t + a)^e mod `mod` over F_p by square-and-multiply on plain lists:
+    schoolbook products, then long division by `mod`."""
+    n, inv = len(mod) - 1, pow(mod[-1], -1, p)
+
+    def mulmod(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for k, y in enumerate(v):
+                out[i + k] = (out[i + k] + x * y) % p
+        for top in range(len(out) - 1, n - 1, -1):
+            c = out[top] * inv % p
+            for k in range(n + 1):
+                out[top - n + k] = (out[top - n + k] - c * mod[k]) % p
+        return (out + [0] * n)[:n]
+
+    acc = mulmod([1], [1])
+    for bit in bin(e)[2:]:
+        acc = mulmod(acc, acc)
+        if bit == "1":
+            acc = mulmod(acc, [a % p, 1])
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, 10007, 2**61 - 1])
+def test_powmod_matches_naive_square_and_multiply(p):
+    rng = random.Random(f"powmod|{p}")
+    for n in range(1, 13):
+        mod = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        for a in sorted({0, 1, p - 1, rng.randrange(p)}):
+            for e in (0, 1, 2, p, (p - 1) // 2):
+                assert forms._powmod_p(a, e, mod, p) == _naive_powmod(a, e, mod, p), (n, a, e)
 
 
 # Q roots are roots mod p, Newton-lifted and read back by rational

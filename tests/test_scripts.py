@@ -73,10 +73,13 @@ def test_bench_pairs_summarizes_canned_records_and_launches_nothing(monkeypatch)
     assert ops["parent"] == {"q1": 110, "median": 120, "q3": 130}
     assert ops["change"] == {"q1": 120, "median": 125, "q3": 150}
     assert ops["ratio_change_over_parent"] == pytest.approx(125 / 120)
+    # per-seed ratios 105/100, 120/110, 125/120, 150/130, 160/140: the median is the 2nd largest
+    assert ops["median_pair_ratio"] == pytest.approx(120 / 110)
     assert (ops["change_wins"], ops["parent_iqr"], ops["worse_by"]) == (5, 20, 0.0)
     p50 = s["op_p50_ms"]  # lower is better: 1 win, 3 losses and a tie, which counts for neither
     assert p50["change"] == {"q1": 2.0, "median": 3.0, "q3": 3.0}
     assert p50["change_wins"] == 1 and p50["worse_by"] == pytest.approx(0.5)
+    assert p50["median_pair_ratio"] == pytest.approx(1.5)  # of 0.5, 1.5, 1, 1.5, 2
     assert (p50["bound"], p50["better"]) == (0.25, "lower")
     with pytest.raises(ValueError, match="without both sides"):
         bench.summarize(runs[:-1], end_to_end)

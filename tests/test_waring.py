@@ -12,7 +12,18 @@ from binforms import linalg
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.cli import main
-from binforms.forms import BinaryForm, form, linear_factors, linear_power, monic, monomial
+from binforms.forms import (
+    BinaryForm,
+    add_form,
+    form,
+    linear_factors,
+    linear_power,
+    monic,
+    monomial,
+    mul_form,
+    scale_form,
+    zero_form,
+)
 from binforms.hilbert import (
     enumerate_acceptable,
     h_tau,
@@ -22,12 +33,13 @@ from binforms.hilbert import (
 )
 from binforms.ideals import hilbert_function, level_ideal
 from binforms.osequence import oseq
-from binforms.spaces import full_space, random_space, span, zero_space
+from binforms.spaces import FormSpace, full_space, random_space, span, zero_space
 from binforms.waring import (
     GAD,
     DualSpace,
     Unsplit,
     _ann_component,
+    _catalecticant,
     annihilator,
     dual_from_json,
     dual_space,
@@ -43,6 +55,7 @@ from binforms.waring import (
 )
 from oracles import (
     oracle_ann_component,
+    oracle_gad,
     oracle_gad_cofactors,
     oracle_linear_factors,
     oracle_mu,
@@ -634,6 +647,190 @@ def test_gad_refuses_powers_that_miss_the_dual_space(monkeypatch, lines):
     W, _ = _planted(F, 2, 6, 2, seed=1)
     assert mu(W) == 2
     fake = [(form(F, 1, ab), 1) for ab in lines]
-    monkeypatch.setattr(waring, "linear_factors", lambda f: (fake, form(F, 0, [1])))
+    monkeypatch.setattr(waring, "_linear_split", lambda f: (form(F, 0, [1]), lambda: fake))
     with pytest.raises(RuntimeError, match="dual space escapes its apolar power span"):
         gad(W)
+
+
+# ── gad factors only the candidate it keeps ───────────────────────────────────
+
+GAD_FIELDS = [GF(2), GF(3), GF(7), GF(101), GF(10007), GF(2**61 - 1), QQ]
+
+
+def _weighted_planted(field, c, j, lins, weights, rng):
+    """The span of c random combinations of the X^s Y^t L^(j+1-b) (s+t = b-1)
+    for the linear dual forms L (coefficient pairs) with weights b."""
+    scalar = lambda: rng.randrange(field.p) if field.p else rng.randint(-9, 9)
+    gens = [mul_form(monomial(field, b - 1 - t, t), linear_power(form(field, 1, L), j + 1 - b))
+            for L, b in zip(lins, weights) for t in range(b)]
+    rows = []
+    for _ in range(c):
+        acc = zero_form(field, j)
+        for g in gens:
+            acc = add_form(acc, scale_form(scalar(), g))
+        rows.append(acc)
+    return dual_space(field, j, rows)
+
+
+@st.composite
+def gad_cases(draw):
+    """Random duals, and planted ones: pairwise independent L, some of them X
+    or Y (apolar forms with a power of y or of x), weights up to 3 (apolar
+    forms that are not squarefree).  The pairing needs p > j."""
+    field = draw(st.sampled_from(GAD_FIELDS))
+    j = draw(st.integers(1, min(10, field.p - 1) if field.p else 10))
+    c = draw(st.integers(1, min(3, j + 1)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        return random_dual(c, j, field, rng.randrange(10**6))
+    scalar = lambda: rng.randrange(field.p) if field.p else rng.randint(-9, 9)
+    lins = rng.choice([[], [(1, 0)], [(0, 1)], [(1, 0), (0, 1)]])
+    want = rng.randint(len(lins), 3 if field.p == 2 else 4)
+    while len(lins) < want:
+        a, b = scalar(), scalar()
+        if (a, b) != (0, 0) and all(field.coerce(a * v - b * u) for u, v in lins):
+            lins.append((a, b))
+    rng.shuffle(lins)
+    weights = [min(rng.randint(1, 3), j + 1) for _ in lins]
+    return _weighted_planted(field, c, j, lins, weights, rng)
+
+
+@settings(deadline=None, max_examples=200)
+@given(gad_cases())
+def test_gad_matches_the_factor_every_candidate_oracle(W):
+    assert gad(W) == oracle_gad(W)
+
+
+# weights >= 2 at roots off t = 0 and t = oo: the remainder must divide each
+# root out as often as it repeats, and the kept candidate count it
+_REPEATED = [
+    (GF(3), 2, [(1, 1)], [2]),
+    (GF(7), 6, [(1, 3), (1, 5)], [2, 1]),
+    (GF(101), 10, [(1, 2), (3, 1)], [3, 2]),
+    (GF(10007), 9, [(2, 5)], [3]),
+    (GF(2**61 - 1), 10, [(1, 7), (1, 0)], [2, 3]),
+    (QQ, 9, [(1, 2), (1, -1)], [2, 2]),
+]
+
+
+@pytest.mark.parametrize("field,j,lins,weights", _REPEATED, ids=[case[0].name for case in _REPEATED])
+def test_gad_counts_the_repeated_factors_of_the_kept_candidate(field, j, lins, weights):
+    W = _weighted_planted(field, sum(weights), j, lins, weights, random.Random(0))
+    g = gad(W)
+    assert isinstance(g, GAD) and sorted(g.weights) == sorted(weights)
+    assert g == oracle_gad(W)
+
+
+def _unsplit_fp(p, j):
+    return next(W for W in (random_dual(2, j, GF(p), seed) for seed in range(50))
+                if isinstance(gad(W), Unsplit))
+
+
+@pytest.mark.parametrize("p", [101, 10007])
+def test_an_unsplit_result_over_fp_raises_no_half_power(monkeypatch, p):
+    # only the kept candidate is split into roots; a rootless remainder needs
+    # one Frobenius power t^p per candidate and no (t+a)^((p-1)/2)
+    import binforms.forms as forms
+
+    W = _unsplit_fp(p, 10)
+    W = DualSpace(W.space)  # fresh memos
+    m = mu(W)
+    exponents = []
+    real = forms._powmod_p
+    monkeypatch.setattr(forms, "_powmod_p", lambda a, e, f, q: exponents.append(e) or real(a, e, f, q))
+    assert isinstance(gad(W), Unsplit)
+    assert exponents == [p] * W._initial[1].dim and m == W._initial[0]
+
+
+# ── (Ann W)_{j-1} from the catalecticant tau_delta ranks ──────────────────────
+
+
+def _at_j_minus_1(field, j, seeds):
+    """Random and planted duals with mu_generic(tau_delta, d, j) = j-1."""
+    duals = [random_dual(c, j, field, seed) for c in range(1, j + 1) for seed in seeds]
+    duals += [_planted(field, c, j, m, seed)[0] for c in (1, 2, 3) for m in range(1, j // 2 + 1)
+              for seed in seeds]
+    return [W for W in duals if W.space.cod and mu_generic(tau_delta(W), W.space.cod, j) == j - 1]
+
+
+_JM1_CASES = [(GF(7), 6), (GF(101), 8), (GF(101), 12), (GF(10007), 14), (QQ, 6), (QQ, 9)]
+
+
+@pytest.mark.parametrize("field,j", _JM1_CASES, ids=[f"{F.name}-j{j}" for F, j in _JM1_CASES])
+def test_ann_component_below_j_reads_the_ranked_catalecticant(field, j):
+    duals = _at_j_minus_1(field, j, range(3))
+    assert duals
+    for W in duals:
+        fresh = DualSpace(W.space)
+        assert _ann_component(fresh, j - 1) == oracle_ann_component(W, j - 1), W
+        assert mu(fresh) == oracle_mu(W)
+        assert fresh._initial[1] == oracle_ann_component(W, mu(W)), W
+
+
+@pytest.mark.parametrize("field,j", [(GF(101), 9), (GF(101), 12), (QQ, 8)], ids=lambda v: str(v))
+def test_mu_at_j_minus_1_eliminates_the_catalecticant_once(monkeypatch, field, j):
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda mat: calls.append(mat) or real(mat))
+    duals = _at_j_minus_1(field, j, range(2))
+    assert duals
+    for W in duals:
+        W = DualSpace(W.space)
+        cat = _catalecticant(W, j - 1)
+        calls.clear()
+        mu(W)
+        assert [(m.nrows, m.ncols) for m in calls].count((cat.nrows, j)) == 1, W
+        small = [m for m in calls if m.ncols == j and m.nrows != cat.nrows]
+        assert [m.nrows for m in small] == [W.space.cod - tau_delta(W)]
+
+
+# ── coordinate-free invariants under GL_2 (a spot check) ─────────────────────
+
+
+def _substitute(f, g):
+    """f(a x + b y, c x + d y) for g = ((a, b), (c, d))."""
+    F, j = f.field, f.degree
+    (a, b), (c, d) = g
+    acc = zero_form(F, j)
+    for k, fk in enumerate(f.coeffs):
+        term = mul_form(linear_power(form(F, 1, [a, b]), j - k), linear_power(form(F, 1, [c, d]), k))
+        acc = add_form(acc, scale_form(fk, term))
+    return acc
+
+
+def _gl2_image(V, g):
+    return span(V.field, V.degree, [_substitute(f, g) for f in V.basis_forms()])
+
+
+_GL2_CASES = [(GF(7), j) for j in (2, 4, 6)] + [(GF(101), j) for j in (5, 8, 10)] + [(QQ, j) for j in (4, 7, 10)]
+
+
+@pytest.mark.parametrize("field,j", _GL2_CASES, ids=[f"{F.name}-j{j}" for F, j in _GL2_CASES])
+def test_apolar_invariants_are_gl2_invariant(field, j):
+    # W = perp(V) and W' = perp(g.V), for the swap x <-> y and a random g with
+    # entries -3..3: mu, tau_delta and dim (Ann W)_mu do not depend on
+    # coordinates, and when (Ann W)_mu is one form, neither does whether it
+    # splits, nor the length and weights.  With dim >= 2 gad tries basis rows,
+    # which are not coordinate-free, so those outcomes are left uncompared.
+    rng = random.Random(f"gl2|{field.name}|{j}")
+    spaces = [random_space(d, j, field, seed) for d in range(1, j + 2) for seed in range(2)]
+    spaces += [perp(_planted(field, c, j, m, seed)[0].space).space
+               for c in (1, 2) for m in range(1, j // 2 + 1) for seed in range(2)]
+    split = 0
+    for V in spaces:
+        while True:
+            g = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+            if field.coerce(g[0][0] * g[1][1] - g[0][1] * g[1][0]):
+                break
+        W = perp(V)
+        for h in (((0, 1), (1, 0)), g):
+            W2 = perp(_gl2_image(V, h))
+            assert (mu(W2), tau_delta(W2)) == (mu(W), tau_delta(W)), (V, h)
+            assert W2._initial[1].dim == W._initial[1].dim, (V, h)
+            if W._initial[1].dim == 1:
+                r, r2 = gad(W), gad(W2)
+                assert type(r) is type(r2), (V, h)
+                if isinstance(r, GAD):
+                    split += 1
+                    assert r.length == r2.length and sorted(r.weights) == sorted(r2.weights)
+    assert split
