@@ -34,7 +34,8 @@ class BinaryForm:
 
     def __post_init__(self):
         if self.degree < 0 or len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
+            raise PreconditionError("coefficient count must be degree + 1 >= 1",
+                                    degree=self.degree, count=len(self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -457,12 +458,17 @@ def json_int(value) -> int:
         raise PreconditionError(f"expected an integer, got {value!r}") from None
 
 
+def json_list(value) -> list:
+    """A JSON array: a string or an object would be read entry by entry."""
+    if not isinstance(value, list):
+        raise PreconditionError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def form_from_json(field: FieldSpec, obj: dict) -> BinaryForm:
     try:
         degree = json_int(obj["degree"])
-        coeffs = [field.parse_scalar(str(c)) for c in obj["coeffs"]]
+        coeffs = tuple(field.parse_scalar(str(c)) for c in json_list(obj["coeffs"]))
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"bad form JSON: {exc}") from None
-    if len(coeffs) != degree + 1:
-        raise PreconditionError("form JSON: coefficient count must be degree + 1")
-    return BinaryForm(field, degree, tuple(coeffs))
+    return BinaryForm(field, degree, coeffs)

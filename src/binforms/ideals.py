@@ -162,18 +162,20 @@ def _stable_top(V: FormSpace) -> int:
     return max(1, V.cod - tau(V) + 2)
 
 
-def _tail_of(top: FormSpace) -> BinaryForm:
-    if top._principal is None:
+def _rung_window(V: FormSpace, lo: int) -> GradedIdeal:
+    """The ideal with components R_sV, s = lo .. `_stable_top(V)`; the top one is a block f.R_k, f the tail."""
+    if V.is_zero:
+        return zero_ideal(V.field)
+    comps = [shift(V, s) for s in range(lo, _stable_top(V) + 1)]
+    tail = comps[-1]._principal
+    if tail is None:
         raise RuntimeError("ideal window ended before its components stabilized")
-    return top._principal
+    return _assemble_ideal(V.field, V.degree + lo, comps, tail)
 
 
 def ancestor_ideal(V: FormSpace) -> GradedIdeal:
     """Largest ideal whose degree-j component is V: components R_{i-j}V."""
-    if V.is_zero:
-        return zero_ideal(V.field)
-    comps = [shift(V, s) for s in range(-V.degree, _stable_top(V) + 1)]
-    return _assemble_ideal(V.field, 0, comps, _tail_of(comps[-1]))
+    return _rung_window(V, -V.degree)
 
 
 def level_ideal(V: FormSpace) -> GradedIdeal:
@@ -188,10 +190,7 @@ def _with_unit_tail(field: FieldSpec, comps) -> GradedIdeal:
 
 def generated_ideal(V: FormSpace) -> GradedIdeal:
     """Smallest ideal containing V: zero below degree j."""
-    if V.is_zero:
-        return zero_ideal(V.field)
-    comps = [shift(V, s) for s in range(_stable_top(V) + 1)]
-    return _assemble_ideal(V.field, V.degree, comps, _tail_of(comps[-1]))
+    return _rung_window(V, 0)
 
 
 def ideal_from_generators(field: FieldSpec, gens) -> GradedIdeal:

@@ -16,9 +16,8 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   and then compares every row.  R_1 puts [e_a + rho_{s+2}] over y.(each
   row); R_{-1} drops the first row and each row's first entry.
 * Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
-  iff V's 2 cod V free-column rows (below) are independent; tried if dim V + dim B >=
-  j + 2, column 0 is a pivot and column j is nonzero.  R_{-1}V = 0 iff dim R_1V =
-  2 dim V, read off R_1V if built.
+  iff V's 2 cod V free-column rows (below) are independent: one rank, tried if dim V +
+  dim B >= j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
 * Up, otherwise: R_{k+1}B = x.R_kB + y^(k+1).B, as x divides every degree-
   (k+1) monomial but y^(k+1).  A rung records k and its ladder base B as
   rows (a space would form a reference cycle), and x.R_kB is reduced, so
@@ -36,7 +35,7 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int, monic
+from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int, json_list, monic
 from .linalg import (
     Matrix,
     contains_vector,
@@ -56,8 +55,8 @@ class FormSpace:
     mat: Matrix  # canonical RREF basis, no zero rows
 
     def __post_init__(self):
-        if self.mat.ncols != self.degree + 1:
-            raise ValueError("basis width must be degree + 1")
+        if self.degree < 0 or self.mat.ncols != self.degree + 1:
+            raise PreconditionError("basis width must be degree + 1 >= 1", degree=self.degree)
 
     @property
     def dim(self) -> int:
@@ -181,7 +180,7 @@ def contained(inner: FormSpace, outer: FormSpace) -> bool:
     """Whether inner is a subspace of outer (same degree and field, else refused): equal
     canonical bases, or a zero normal form mod outer (read off its `_dual`) for each row."""
     if inner.degree != outer.degree or inner.field != outer.field:
-        raise PreconditionError("sum of spaces in different degrees or fields")
+        raise PreconditionError("containment of spaces in different degrees or fields")
     return inner == outer or all(contains_vector(outer._dual, r, outer.field) for r in inner.mat.rows)
 
 
@@ -229,8 +228,7 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
 
 def _fills_next(V: FormSpace) -> bool:
     """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2): V's residue rows are independent."""
-    rows = V.mat.rows  # a free column 0 or a zero column j is a zero residue row
-    return bool(rows[0][0]) and any(r[-1] for r in rows) and V._residues[1] == 2 * V.cod
+    return V._residues[1] == 2 * V.cod
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
@@ -313,7 +311,7 @@ def space_from_json(obj: dict, field: FieldSpec | None = None) -> FormSpace:
     try:
         fld = field or FieldSpec.from_name(obj["field"])
         degree = json_int(obj["degree"])
-        basis = [form_from_json(fld, b) for b in obj["basis"]]
+        basis = [form_from_json(fld, b) for b in json_list(obj["basis"])]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"bad space JSON: {exc}") from None
     return span(fld, degree, basis)

@@ -9,9 +9,12 @@ annihilator measures how many powers of linear dual forms are needed to
 span W.  This module computes perp/annihilator, tau_delta and mu, extracts
 generalized additive decompositions by factoring a minimal-degree apolar
 form, and evaluates the generic-value formulas mu(tau,d,j) and the
-codimension of the locus where mu drops.  Below degree j+1 each component
-of Ann W is the colon R_{-1} of the next, so mu is read off the down-rungs of
-one catalecticant kernel, taken at the bound mu_generic(tau_delta, d, j).
+codimension of the locus where mu drops.  `_ann_component` has one rule:
+(Ann W)_i is the kernel of the degree-i catalecticant, whatever i is, and
+tau_delta is the rank of the degree-(j-1) one.  Below degree j+1 each
+component of Ann W is the colon R_{-1} of the next, so mu is read off the
+down-rungs of one catalecticant kernel, taken at the bound
+mu_generic(tau_delta, d, j).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .forms import (
 )
 from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
-from .linalg import Matrix, free_dual, kernel, row_basis
+from .linalg import Matrix, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -58,7 +61,8 @@ DUAL_VARS = ("X", "Y")
 @dataclass(frozen=True)
 class DualSpace:
     """A subspace of the degree-j dual forms in X, Y (canonical RREF basis).
-    Its weighted rows, `_down_basis`, tau_delta and (mu, (Ann W)_mu) are cached, not fields."""
+    Its weighted rows, tau_delta and (mu, (Ann W)_mu) are cached, not fields; no
+    catalecticant or its RREF is kept, so each rank or kernel eliminates afresh."""
 
     space: FormSpace
 
@@ -77,11 +81,6 @@ class DualSpace:
         return tuple(tuple(F.mul(c, wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
 
     @cached_property
-    def _down_basis(self) -> Matrix:
-        """The RREF basis of `_catalecticant(self, j-1)`, j >= 1."""
-        return row_basis(_catalecticant(self, self.degree - 1))
-
-    @cached_property
     def _tau_delta(self) -> int:
         """1 + dim R_1.W - dim W = tau((Ann W)_j).  R_1.W is the complement of
         (Ann W)_{j-1} under the perfect degree-(j-1) pairing (f kills x.w and
@@ -90,7 +89,7 @@ class DualSpace:
         j = self.degree
         if j == 0:
             return 1 - self.dim  # W = dual_0 itself; annihilator starts in degree 0
-        return 1 + self._down_basis.nrows - self.dim
+        return 1 + rank(_catalecticant(self, j - 1)) - self.dim
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:
@@ -185,12 +184,8 @@ def _catalecticant(W: DualSpace, i: int) -> Matrix:
 
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:
-    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}, from catalecticants; in degree
-    j-1 from the d - tau_delta `free_dual` vectors of the RREF tau_delta ranks."""
-    F = W.field
-    if i == W.degree - 1:  # one small elimination, not a second one of 2c rows
-        return FormSpace(F, i, row_basis(Matrix(F, free_dual(W._down_basis), i + 1)))
-    return FormSpace(F, i, kernel(_catalecticant(W, i)))
+    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}: the kernel of the degree-i catalecticant."""
+    return FormSpace(W.field, i, kernel(_catalecticant(W, i)))
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:

@@ -200,6 +200,29 @@ def test_json_degree_accepts_ints_integral_floats_and_digit_strings(tmp_path, de
     assert rc == 0 and err == "" and "tau = " in out
 
 
+_NEGATIVE_FORM = _space_json("Fp:101", 2, ["1", "0", "3"])
+_NEGATIVE_FORM["basis"].append({"degree": -1, "coeffs": []})
+
+
+@pytest.mark.parametrize(
+    "command,doc,named",
+    [
+        *[(c, _NEGATIVE_FORM, "coefficient count must be degree + 1") for c in ("analyze", "related", "waring")],
+        ("waring", {"field": "Fp:101", "degree": -1, "basis": []}, "basis width must be degree + 1"),
+        ("waring", {"field": "Fp:101", "degree": 2, "basis": [{"degree": 2, "coeffs": "123"}]},
+         "expected a list, got str"),
+        ("analyze", {"field": "Fp:101", "degree": 2, "basis": "ab"}, "expected a list, got str"),
+    ],
+    ids=["analyze-negative-form", "related-negative-form", "waring-negative-form",
+         "waring-negative-degree", "waring-string-coeffs", "analyze-string-basis"],
+)
+def test_json_shapes_are_refused_where_they_are_read(tmp_path, command, doc, named):
+    # a degree -1 form was an internal error, and a string was read digit by digit
+    path = tmp_path / "V.json"
+    path.write_text(json.dumps(doc))
+    _refused([command, str(path)], named)
+
+
 def test_waring_split_and_unsplit(tmp_path):
     W = dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])])
     path = tmp_path / "W.json"

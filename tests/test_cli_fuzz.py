@@ -100,9 +100,11 @@ def space_json(draw):
                      for _ in range(d)]}
     if obj["basis"] and draw(st.booleans()):
         form = draw(st.sampled_from(obj["basis"]))
-        key = draw(st.sampled_from(["degree", "coeffs", "drop"]))
+        key = draw(st.sampled_from(["degree", "coeffs", "drop", "negative"]))
         if key == "drop":
             del form[draw(st.sampled_from(sorted(form)))]
+        elif key == "negative":
+            form.update(_form(-1, []))
         else:
             form[key] = draw(junk)
     for _ in range(draw(st.integers(0, 2))):

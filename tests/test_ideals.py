@@ -458,16 +458,24 @@ def test_ideal_assembly_reads_the_tail_off_the_memo(monkeypatch):
     f = form(F, 2, [0, 1, 3])
     I = ideal_from_generators(F, [mul_form(f, monomial(F, 2, 0)), mul_form(f, monomial(F, 0, 3))])
     assert I.tail_gcd == f
+    monkeypatch.setattr(ideals_mod, "_stable_top", lambda V: 0)  # a window that stops at V
     with pytest.raises(RuntimeError, match="before its components stabilized"):
-        ideals_mod._tail_of(random_space(3, 7, F, 4))
+        ancestor_ideal(random_space(3, 7, F, 4))
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
 @pytest.mark.parametrize("d,j,seed", [(1, 4, 0), (3, 7, 1), (5, 6, 2), (6, 9, 3)])
-def test_ancestor_betti_counts_build_no_block_above_the_window(field, d, j, seed):
+def test_ancestor_betti_counts_build_no_block_above_the_window(monkeypatch, field, d, j, seed):
     # I_{hi+1} is a block (tail_gcd).R_s and I_{hi+2} its R_1: no fresh
     # generator there, so neither count needs the block itself
+    import binforms.ideals as ideals_mod
+
+    blocks = []
+    real = ideals_mod.principal_space
+    monkeypatch.setattr(ideals_mod, "principal_space", lambda f, i: blocks.append(i) or real(f, i))
     I = ancestor_ideal(random_space(d, j, field, seed))
     generator_degrees(I)
     relation_degrees(I)
-    assert "_first_above" not in I.__dict__
+    assert blocks == []
+    assert I.component(I.window_hi + 1).dim == I.dim(I.window_hi + 1)
+    assert blocks == [I.window_hi + 1]  # the count sees a block above the window

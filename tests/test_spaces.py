@@ -262,7 +262,7 @@ def test_contained_refuses_another_degree_or_field(field):
     others += [random_space(2, 4, F, 0) for F in CONTAIN_FIELDS if F != field]
     for other in others:
         for inner, outer in ((V, other), (other, V)):
-            with pytest.raises(PreconditionError, match="sum of spaces in different degrees or fields"):
+            with pytest.raises(PreconditionError, match="containment of spaces in different degrees or fields"):
                 contained(inner, outer)
 
 

@@ -39,7 +39,6 @@ from binforms.waring import (
     DualSpace,
     Unsplit,
     _ann_component,
-    _catalecticant,
     annihilator,
     dual_from_json,
     dual_space,
@@ -742,7 +741,7 @@ def test_an_unsplit_result_over_fp_raises_no_half_power(monkeypatch, p):
     assert exponents == [p] * W._initial[1].dim and m == W._initial[0]
 
 
-# ── (Ann W)_{j-1} from the catalecticant tau_delta ranks ──────────────────────
+# ── (Ann W)_{j-1}, the kernel of the catalecticant tau_delta ranks ────────────
 
 
 def _at_j_minus_1(field, j, seeds):
@@ -765,23 +764,6 @@ def test_ann_component_below_j_reads_the_ranked_catalecticant(field, j):
         assert _ann_component(fresh, j - 1) == oracle_ann_component(W, j - 1), W
         assert mu(fresh) == oracle_mu(W)
         assert fresh._initial[1] == oracle_ann_component(W, mu(W)), W
-
-
-@pytest.mark.parametrize("field,j", [(GF(101), 9), (GF(101), 12), (QQ, 8)], ids=lambda v: str(v))
-def test_mu_at_j_minus_1_eliminates_the_catalecticant_once(monkeypatch, field, j):
-    calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda mat: calls.append(mat) or real(mat))
-    duals = _at_j_minus_1(field, j, range(2))
-    assert duals
-    for W in duals:
-        W = DualSpace(W.space)
-        cat = _catalecticant(W, j - 1)
-        calls.clear()
-        mu(W)
-        assert [(m.nrows, m.ncols) for m in calls].count((cat.nrows, j)) == 1, W
-        small = [m for m in calls if m.ncols == j and m.nrows != cat.nrows]
-        assert [m.nrows for m in small] == [W.space.cod - tau_delta(W)]
 
 
 # ── coordinate-free invariants under GL_2 (a spot check) ─────────────────────
