@@ -15,6 +15,7 @@ import json
 import sys
 from collections import Counter
 
+from .closure import build_h
 from .errors import PreconditionError
 from .fields import GF, FieldSpec
 from .forms import format_form
@@ -231,8 +232,6 @@ def _cmd_hasse(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_build(args: argparse.Namespace) -> tuple[int, str]:
-    from .closure import build_h
-
     source = ideal_from_json(_read_json(args.path))
     target = parse_oseq(args.target_h)
     trace = build_h(source, target, args.j)

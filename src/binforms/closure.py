@@ -8,7 +8,8 @@ run of equal first differences below the highest degree where the two
 sequences still disagree; the tail (degrees ≥ j) is shrunk symmetrically
 from the lowest disagreement upward.  When the eventual constant has to
 drop, the common factor loses one linear factor per move, so those moves
-need the factor to split over the base field.
+need the factor to split over the base field.  The walks run on component
+lists; each public call checks its pair once and assembles one ideal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import PreconditionError
-from .forms import BinaryForm, divide_form, smallest_linear_factor
+from .forms import BinaryForm, divide_form, linear_factors
 from .hilbert import (
     Cmp,
     is_permissible_nose,
@@ -185,57 +186,56 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
 # ── ideal constructions ───────────────────────────────────────────────────────
 
 
-def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
-    """An ideal inside I' with level-type Hilbert function N (N' ≤ N)."""
-    F = Iprime.field
-    cur = hilbert_function(Iprime)
-    d, j = _check_nose_pair(cur, N)  # each step's output is checked in _step_n
-    comps = [Iprime.component(i) for i in range(j + 2)]
-    if comps[j + 1].dim != j + 2:
-        raise PreconditionError("nose construction expects everything above j")
-    ideal = Iprime
-    steps = []
+def _nose_steps(
+    comps: list[FormSpace], Nprime: OSequence, N: OSequence, d: int, j: int
+) -> tuple[tuple[StepRecord, ...], list[FormSpace]]:
+    """Walk I'_0 .. I'_j from N' to N: the steps and the components they end at."""
+    F, cur, steps = comps[0].field, Nprime, []
     while cur != N:
         nxt, (lo, hi) = _step_n(cur, N, d, j)
         new = list(comps)
         for u in range(lo, hi + 1):
             base = shift(new[u - 1], 1) if u >= 1 else zero_space(F, 0)
             new[u] = _extend_inside(base, comps[u], u + 1 - nxt.value(u))
-        ideal = _with_unit_tail(F, new[: j + 1])
-        if hilbert_function(ideal) != nxt:
+        if oseq([i + 1 - c.dim for i, c in enumerate(new)], 0) != nxt:
             raise RuntimeError("nose construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, (lo, hi)))
         cur, comps = nxt, new
-    return BuildTrace(tuple(steps), ideal)
+    return tuple(steps), comps
+
+
+def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
+    """An ideal inside I' with level-type Hilbert function N (N' ≤ N)."""
+    Nprime = hilbert_function(Iprime)
+    d, j = _check_nose_pair(Nprime, N)  # each step's output is checked in _step_n
+    if Iprime.dim(j + 1) != j + 2:
+        raise PreconditionError("nose construction expects everything above j")
+    steps, comps = _nose_steps([Iprime.component(i) for i in range(j + 1)], Nprime, N, d, j)
+    return BuildTrace(steps, _with_unit_tail(Iprime.field, comps) if steps else Iprime)
 
 
 def _strip_linear(f: BinaryForm) -> BinaryForm:
-    lin = smallest_linear_factor(f)
-    if lin is None:
+    factors, _ = linear_factors(f)
+    if not factors:
         raise PreconditionError(
             "common factor has no linear factor over this field; "
             "an extension field is required",
             factor=str(f),
         )
-    return divide_form(f, lin)
+    return divide_form(f, factors[0][0])
 
 
-def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
-    """An ideal containing I' with tail-type Hilbert function T (T ≤ T')."""
-    F = Iprime.field
-    cur = hilbert_function(Iprime)
-    d, j = _check_tail_pair(cur, T)  # each step's output is checked in _step_t
-    top = max(cur.stabilization(), T.stabilization(), j) + 1
-    comps = [Iprime.component(i) for i in range(top + 1)]
-    tail = Iprime.tail_gcd
-    ideal = Iprime
-    steps = []
+def _tail_steps(
+    comps: list[FormSpace], tail: BinaryForm, Tprime: OSequence, T: OSequence, d: int, j: int
+) -> tuple[tuple[StepRecord, ...], list[FormSpace], BinaryForm]:
+    """Walk I'_0 .. I'_top (zero below j) from T' to T: the steps, components and tail gcd."""
+    top, cur, steps = len(comps) - 1, Tprime, []
     while cur != T:
         nxt, (lo, hi) = _step_t(cur, T, d, j)
         new = list(comps)
         if nxt.constant != cur.constant:
             # the step's own top shrinks with cur's stabilization; every
-            # component up to this build's top is replaced, so record that
+            # component up to this walk's top is replaced, so record that
             hi = top
             tail = _strip_linear(tail)
             for u in range(lo, top + 1):
@@ -244,24 +244,32 @@ def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
             for u in range(hi, lo - 1, -1):
                 cap = shift(new[u + 1], -1)
                 new[u] = _extend_inside(comps[u], cap, u + 1 - nxt.value(u))
-        ideal = _assemble_ideal(F, 0, new, tail)
-        if hilbert_function(ideal) != nxt:
+        if oseq([i + 1 - c.dim for i, c in enumerate(new)], tail.degree) != nxt:
             raise RuntimeError("tail construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, (lo, hi)))
         cur, comps = nxt, new
-    return BuildTrace(tuple(steps), ideal)
+    return tuple(steps), comps, tail
+
+
+def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
+    """An ideal containing I' with tail-type Hilbert function T (T ≤ T')."""
+    Tprime = hilbert_function(Iprime)
+    d, j = _check_tail_pair(Tprime, T)  # each step's output is checked in _step_t
+    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
+    comps = [Iprime.component(i) for i in range(top + 1)]
+    steps, comps, tail = _tail_steps(comps, Iprime.tail_gcd, Tprime, T, d, j)
+    return BuildTrace(steps, _assemble_ideal(Iprime.field, 0, comps, tail) if steps else Iprime)
 
 
 def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     """An ideal I with H(R/I) = H and I_j = I'_j, for H' ≥ H in the order.
 
-    The nose is rebuilt inside I' + (everything above j), the tail above I'
-    with degrees < j discarded, and the halves share the untouched degree-j
-    component."""
+    Both walks run on one list I'_0 .. I'_top: the nose inside it below j, the
+    tail above it past j (read as zero below j); they share the untouched I'_j."""
     F = Iprime.field
     Hp = hilbert_function(Iprime)
     d = j + 1 - Hp.value(j)
-    order = le_partial(Hp, H, d, j)  # checks that both sequences are acceptable
+    order = le_partial(Hp, H, d, j)  # both acceptable and H' >= H: so are the walks' pairs
     if order is Cmp.EQUAL:
         return BuildTrace((), Iprime)
     if order is not Cmp.GREATER:
@@ -271,22 +279,13 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
             target=str(H),
             relation=order.value,
         )
-    N, T = nose_tail(H, j)
-    nose_ideal = _with_unit_tail(F, [Iprime.component(i) for i in range(j + 1)])
+    (Np, Tp), (N, T) = nose_tail(Hp, j), nose_tail(H, j)
     top = max(Hp.stabilization(), T.stabilization(), j) + 1
-    tail_comps = [zero_space(F, i) for i in range(j)] + [
-        Iprime.component(i) for i in range(j, top + 1)
-    ]
-    tail_ideal = _assemble_ideal(F, 0, tail_comps, Iprime.tail_gcd)
-
-    nose_trace = build_n(nose_ideal, N)
-    tail_trace = build_t(tail_ideal, T)
-    In, It = nose_trace.final_ideal, tail_trace.final_ideal
-
-    glued = [In.component(i) for i in range(j)] + [
-        It.component(i) for i in range(j, top + 1)
-    ]
-    ideal = graded_ideal(F, 0, glued, It.tail_gcd)
+    comps = [Iprime.component(i) for i in range(top + 1)]
+    nose_steps, nose = _nose_steps(comps[: j + 1], Np, N, d, j)
+    below = [zero_space(F, i) for i in range(j)]
+    tail_steps, tail, gcd = _tail_steps(below + comps[j:], Iprime.tail_gcd, Tp, T, d, j)
+    ideal = graded_ideal(F, 0, nose[:j] + tail[j:], gcd)
     if hilbert_function(ideal) != H:
         raise RuntimeError("glued ideal has the wrong Hilbert function")
     if ideal.component(j) != Iprime.component(j):
@@ -297,4 +296,4 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     for i in range(j, top + 2):
         if not contained(Iprime.component(i), ideal.component(i)):
             raise RuntimeError(f"inclusion fails above j at degree {i}")
-    return BuildTrace(nose_trace.steps + tail_trace.steps, ideal)
+    return BuildTrace(nose_steps + tail_steps, ideal)

@@ -408,12 +408,6 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
     return factors(), rem
 
 
-def smallest_linear_factor(f: BinaryForm) -> BinaryForm | None:
-    """Lexicographically smallest monic linear factor over k, or None."""
-    factors, _ = linear_factors(f)
-    return factors[0][0] if factors else None
-
-
 # ----- text & JSON --------------------------------------------------------------
 
 

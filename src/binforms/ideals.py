@@ -20,8 +20,9 @@ knows its f (spaces).
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
 R_1-closure, tail) runs in `ideal_from_json`, `ideal_from_generators`, on
 `closure.build_h`'s final ideal and for direct callers.  Ideals closed under
-R_1 by construction (the ladders above, the annihilator, the closure steps)
-go through `_assemble_ideal`, which checks nothing.
+R_1 by construction (the ladders above, the annihilator, the final ideals of
+`closure.build_n` and `build_t`) go through `_assemble_ideal`, which checks
+nothing; the closure walks themselves assemble no ideal.
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ def _first_inequivalent(W: FormSpace, sign: int, steps: int) -> FormSpace | None
     out = W
     for _ in range(steps):
         prev, out = out, shift(out, sign)
-        if sign < 0 and out.degree:
-            shift(out, -1)  # the rung tau(out) reads, and the walk's next
         if tau(out) != tau(prev):
             return out
     return None

@@ -127,9 +127,6 @@ class DualSpace:
     def basis_forms(self):
         return self.space.basis_forms()
 
-    def contains(self, w: BinaryForm) -> bool:
-        return self.space.contains(w)
-
     def __str__(self) -> str:
         if self.dim == 0:
             return "<0>"

@@ -637,6 +637,32 @@ def oracle_extend_inside(base, cap, target_dim: int):
     return cur
 
 
+# ----- closure witnesses --------------------------------------------------------
+
+
+def oracle_build_h(Iprime, H: OSequence, j: int):
+    """build_h composed of the public halves: build_n on I'_0 .. I'_j under all
+    of R above j, build_t on I' with its degrees below j zeroed, and their
+    final ideals glued at j through graded_ideal (`closure.build_h` walks one
+    component list and assembles only the glued ideal)."""
+    from binforms.closure import BuildTrace, build_n, build_t
+    from binforms.hilbert import nose_tail
+    from binforms.ideals import _assemble_ideal, _with_unit_tail, graded_ideal, hilbert_function
+    from binforms.spaces import zero_space
+
+    F, Hp = Iprime.field, hilbert_function(Iprime)
+    if Hp == H:
+        return BuildTrace((), Iprime)
+    N, T = nose_tail(H, j)
+    top = max(Hp.stabilization(), T.stabilization(), j) + 1
+    nose = build_n(_with_unit_tail(F, [Iprime.component(i) for i in range(j + 1)]), N)
+    tail_comps = [zero_space(F, i) for i in range(j)] + [Iprime.component(i) for i in range(j, top + 1)]
+    tail = build_t(_assemble_ideal(F, 0, tail_comps, Iprime.tail_gcd), T)
+    In, It = nose.final_ideal, tail.final_ideal
+    glued = [In.component(i) for i in range(j)] + [It.component(i) for i in range(j, top + 1)]
+    return BuildTrace(nose.steps + tail.steps, graded_ideal(F, 0, glued, It.tail_gcd))
+
+
 # ----- one-step shifts by plain elimination ------------------------------------
 
 

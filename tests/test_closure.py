@@ -1,6 +1,7 @@
 """Stratum-closure witnesses: interpolation steps and nested-ideal builds."""
 
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -18,11 +19,18 @@ from binforms.hilbert import (
     nose_tail,
     realize_staircase,
 )
-from binforms.ideals import ancestor_ideal, graded_ideal, hilbert_function
+from binforms.ideals import (
+    GradedIdeal,
+    _assemble_ideal,
+    _with_unit_tail,
+    ancestor_ideal,
+    graded_ideal,
+    hilbert_function,
+)
 from binforms.osequence import oseq
 from binforms.spaces import principal_space, random_space, space_sum, span, zero_space
 
-from oracles import oracle_extend_inside
+from oracles import oracle_build_h, oracle_extend_inside
 
 
 def _contained(inner, outer):
@@ -179,13 +187,26 @@ def test_build_n_and_t_directly():
 
 # ── property sweep ────────────────────────────────────────────────────────────
 
-def _recording(build, finals):
-    def run(*args):
-        trace = build(*args)
-        finals.append(trace.final_ideal)
-        return trace
+@contextmanager
+def _walked_halves():
+    """Spy on build_h's two walks: yields the (steps, half ideal) each ends
+    at, the half assembled here as build_n and build_t assemble theirs."""
+    halves = []
+    nose_steps, tail_steps = closure._nose_steps, closure._tail_steps
 
-    return run
+    def nose(comps, *args):
+        steps, out = nose_steps(comps, *args)
+        halves.append((steps, _with_unit_tail(comps[0].field, out)))
+        return steps, out
+
+    def tail(*args):
+        steps, out, gcd = tail_steps(*args)
+        halves.append((steps, _assemble_ideal(gcd.field, 0, out, gcd)))
+        return steps, out, gcd
+
+    with mock.patch.object(closure, "_nose_steps", nose), \
+            mock.patch.object(closure, "_tail_steps", tail):
+        yield halves
 
 
 small_dj = st.integers(2, 6).flatmap(
@@ -204,15 +225,13 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
     if le_partial(Hs, Ht, d, j) is not Cmp.GREATER:
         return
     _, source = realize_staircase(Hs, d, j, field)
-    halves = []
-    with mock.patch.object(closure, "build_n", _recording(build_n, halves)), \
-            mock.patch.object(closure, "build_t", _recording(build_t, halves)):
+    with _walked_halves() as halves:
         tr = build_h(source, Ht, j)
     ideal = tr.final_ideal
-    # build_n and build_t assemble their ideals without graded_ideal's checks;
-    # their final ideals, like build_h's, pass them
+    # build_n and build_t assemble their halves without graded_ideal's checks;
+    # each half build_h walks, like build_h's final ideal, passes them
     assert len(halves) == 2
-    for I in halves + [ideal]:
+    for I in [half for _, half in halves] + [ideal]:
         assert graded_ideal(I.field, I.window_lo, I.components, I.tail_gcd) == I
     assert hilbert_function(ideal) == Ht
     assert ideal.component(j) == source.component(j)
@@ -231,15 +250,6 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
         assert a.after == b.before
 
 
-def _traced(build, steps):
-    def run(*args):
-        trace = build(*args)
-        steps.append(trace.steps)
-        return trace
-
-    return run
-
-
 def _changed(before, after, lo, hi):
     return [i for i in range(lo, hi + 1) if before.value(i) != after.value(i)]
 
@@ -255,14 +265,12 @@ def test_step_blocks_are_where_the_sequences_differ(field):
                 for Ht in pool:
                     if le_partial(Hs, Ht, d, j) not in (Cmp.GREATER, Cmp.EQUAL):
                         continue
-                    halves = []
-                    with mock.patch.object(closure, "build_n", _traced(build_n, halves)), \
-                            mock.patch.object(closure, "build_t", _traced(build_t, halves)):
+                    with _walked_halves() as halves:
                         tr = build_h(source, Ht, j)
                     if not halves:
                         assert tr.steps == ()
                         continue
-                    nose, tail = halves
+                    (nose, _), (tail, _) = halves
                     assert tr.steps == nose + tail
                     for r in nose:
                         block = _changed(r.before, r.after, 0, j)
@@ -276,7 +284,9 @@ def test_step_blocks_are_where_the_sequences_differ(field):
 
 
 def test_builds_check_their_pair_once(monkeypatch):
-    # the pair is checked on entry; each step trusts it and checks its output
+    # each public step and build checks its pair on entry, and each step
+    # trusts it and checks its output; build_h's le_partial vouches for both
+    # of its pairs, and the glued ideal is the one ideal it assembles
     calls = []
     for name in ("_check_nose_pair", "_check_tail_pair"):
         real = getattr(closure, name)
@@ -288,6 +298,12 @@ def test_builds_check_their_pair_once(monkeypatch):
     assert step_n(step_n(Np, N), N) == N
     assert calls == ["_check_nose_pair"] * 2
     calls.clear()
+    assert step_t(oseq([1, 2, 3, 4, 2, 1, 0], 0), oseq([1, 2, 3, 4, 2], 0)) == oseq([1, 2, 3, 4, 2], 0)
+    assert calls == ["_check_tail_pair"]
+    made, glued = [], []
+    real_init, real_glue = GradedIdeal.__init__, closure.graded_ideal
+    monkeypatch.setattr(GradedIdeal, "__init__", lambda I, *a: made.append(I) or real_init(I, *a))
+    monkeypatch.setattr(closure, "graded_ideal", lambda *a: glued.append(a) or real_glue(*a))
     F = GF(101)
     for Hs, Ht, j in [
         (oseq([1, 2, 3, 3, 2, 1], 0), oseq([1, 2, 3, 4, 2], 0), 4),
@@ -295,10 +311,51 @@ def test_builds_check_their_pair_once(monkeypatch):
     ]:
         d = j + 1 - Hs.value(j)
         source = realize_staircase(Hs, d, j, F)[1]
+        del calls[:], made[:], glued[:]
         tr = build_h(source, Ht, j)
         assert hilbert_function(tr.final_ideal) == Ht and len(tr.steps) >= 2
-        assert calls == ["_check_nose_pair", "_check_tail_pair"]
+        assert calls == [] and len(glued) == 1
+        assert len(made) == 1 and made[0] is tr.final_ideal
+        # the public builds on the half-ideals check their pairs once each
+        N, T = nose_tail(Ht, j)
+        nose = _with_unit_tail(F, [source.component(i) for i in range(j + 1)])
+        tail_comps = [source.component(i) if i >= j else zero_space(F, i)
+                      for i in range(source.window_hi + 1)]
+        tail = _assemble_ideal(F, 0, tail_comps, source.tail_gcd)
         calls.clear()
+        assert hilbert_function(build_n(nose, N).final_ideal) == N
+        assert calls == ["_check_nose_pair"]
+        calls.clear()
+        assert hilbert_function(build_t(tail, T).final_ideal) == T
+        assert calls == ["_check_tail_pair"]
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
+def test_build_h_matches_the_composed_public_builds(field):
+    # every comparable pair with d <= j <= 6: build_n on the nose ideal and
+    # build_t on the tail ideal, glued at j, take build_h's steps to its ideal
+    for j in range(1, 7):
+        for d in range(1, j + 1):
+            pool = enumerate_acceptable(d, j)
+            for Hs in pool:
+                _, source = realize_staircase(Hs, d, j, field)
+                for Ht in pool:
+                    if le_partial(Hs, Ht, d, j) in (Cmp.GREATER, Cmp.EQUAL):
+                        assert build_h(source, Ht, j) == oracle_build_h(source, Ht, j)
+
+
+def test_le_partial_vouches_for_the_nose_and_tail_pairs():
+    # build_h checks neither pair: H' > H in the order makes both valid
+    for j in range(1, 9):
+        for d in range(1, j + 1):
+            pool = enumerate_acceptable(d, j)
+            for Hs in pool:
+                Np, Tp = nose_tail(Hs, j)
+                for Ht in pool:
+                    if le_partial(Hs, Ht, d, j) is Cmp.GREATER:
+                        N, T = nose_tail(Ht, j)
+                        assert closure._check_nose_pair(Np, N) == (d, j)
+                        assert closure._check_tail_pair(Tp, T) == (d, j)
 
 
 # ── subspace choice: one column rank profile ──────────────────────────────────

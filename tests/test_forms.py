@@ -23,7 +23,6 @@ from binforms.forms import (
     monomial,
     mul_form,
     scale_form,
-    smallest_linear_factor,
     zero_form,
 )
 from oracles import (
@@ -181,7 +180,7 @@ def test_no_rational_roots():
 def test_smallest_linear_factor_ordering():
     # y < x < x+y in the coefficient-tuple order
     f = mul_form(mul_form(q(1, [1, 0]), q(1, [0, 1])), q(1, [1, 1]))
-    assert smallest_linear_factor(f) == q(1, [0, 1])
+    assert linear_factors(f)[0][0][0] == q(1, [0, 1])
 
 
 # F_p roots come from gcd(f, t^p - t) and equal-degree splitting; the oracle

@@ -94,7 +94,7 @@ def test_perp_worked_example():
     V = span(QQ, 3, [form(QQ, 3, [0, 1, 1, 0]), monomial(QQ, 3, 0), monomial(QQ, 0, 3)])
     W = perp(V)
     assert W.dim == 1
-    assert W.contains(form(QQ, 3, [0, 1, -1, 0]))  # X^2 Y - X Y^2
+    assert W.space.contains(form(QQ, 3, [0, 1, -1, 0]))  # X^2 Y - X Y^2
     assert perp(full_space(QQ, 4)).dim == 0
     assert perp(zero_space(QQ, 4)).dim == 5
 
@@ -102,8 +102,8 @@ def test_perp_worked_example():
 def test_dual_contains_refuses_a_form_of_another_field():
     W = dual_space(GF(101), 2, [[1, 0, 0]])
     with pytest.raises(PreconditionError, match="field mismatch"):
-        W.contains(form(QQ, 2, [Fraction(1, 2), 0, 0]))  # 1/2 is a unit mod 101
-    assert W.contains(form(GF(101), 2, [3, 0, 0]))
+        W.space.contains(form(QQ, 2, [Fraction(1, 2), 0, 0]))  # 1/2 is a unit mod 101
+    assert W.space.contains(form(GF(101), 2, [3, 0, 0]))
 
 
 def test_annihilator_equals_level_ideal():
