@@ -1,9 +1,12 @@
-"""Exact scalar arithmetic over Q and over the prime fields F_p.
+"""The scalar fields Q and F_p, and their canonical scalars.
 
 Rational scalars are `fractions.Fraction`; F_p scalars are plain ints kept
-in the canonical range [0, p).  Scalars enter through a FieldSpec, which
-makes them canonical; the inner loops of `linalg.rref` and of the polynomial
-layer in `forms` instead pick one plain-int kernel per field kind by `p`.
+in the canonical range [0, p).  A FieldSpec is a modulus (None for Q) and a
+name; `coerce` is the one place a value becomes canonical, and the rest is
+zero and one, parsing and random sampling.  It carries no arithmetic: glue
+code computes with Python's operators and reduces each result through
+`coerce`, while the inner loops of `linalg.rref` and of the polynomial layer
+in `forms` pick one plain-int kernel per field kind by `p`.
 """
 
 from __future__ import annotations
@@ -86,9 +89,15 @@ class FieldSpec:
     # ----- element construction ---------------------------------------------
 
     def coerce(self, value) -> Scalar:
-        """The canonical scalar for an int or a Fraction; floats and bools are refused."""
+        """The canonical scalar for an int or a Fraction; floats and bools are refused.
+
+        Glue code passes each result of Python arithmetic on scalars through here:
+        over F_p that reduces it mod p, over Q a Fraction is returned as it is.
+        """
         if type(value) is int:  # the common case, ahead of the ABC checks
             return Fraction(value) if self.p is None else value % self.p
+        if self.p is None and type(value) is Fraction:  # already canonical
+            return value
         if isinstance(value, (bool, float)):
             raise PreconditionError(f"expected an exact scalar, got {value!r}")
         if self.p is None:
@@ -107,33 +116,7 @@ class FieldSpec:
     def one(self) -> Scalar:
         return _Q_ONE if self.p is None else 1
 
-    # ----- arithmetic ---------------------------------------------------------
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a: Scalar) -> Scalar:
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
-
-    def is_zero(self, a: Scalar) -> bool:
-        return not a
-
     # ----- text & sampling ------------------------------------------------------
-
-    def format_scalar(self, a: Scalar) -> str:
-        # Fraction prints "n" or "n/d"; residues print as plain ints.
-        return str(a)
 
     def parse_scalar(self, text: str) -> Scalar:
         """Refuses what Python cannot print back; checks an exponent before expanding it."""

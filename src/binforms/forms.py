@@ -39,7 +39,7 @@ class BinaryForm:
 
     @property
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
 
 def form(field: FieldSpec, degree: int, coeffs) -> BinaryForm:
@@ -62,13 +62,13 @@ def add_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if f.degree != g.degree:
         raise PreconditionError("cannot add forms of different degrees")
     F = f.field
-    return BinaryForm(F, f.degree, tuple(F.add(a, b) for a, b in zip(f.coeffs, g.coeffs)))
+    return BinaryForm(F, f.degree, tuple(F.coerce(a + b) for a, b in zip(f.coeffs, g.coeffs)))
 
 
 def scale_form(c, f: BinaryForm) -> BinaryForm:
     F = f.field
     c = F.coerce(c)
-    return BinaryForm(F, f.degree, tuple(F.mul(c, a) for a in f.coeffs))
+    return BinaryForm(F, f.degree, tuple(F.coerce(c * a) for a in f.coeffs))
 
 
 def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -412,11 +412,10 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
 
 
 def format_form(f: BinaryForm, vars=("x", "y")) -> str:
-    F = f.field
     vx, vy = vars
     parts = []
     for a, c in enumerate(f.coeffs):
-        if F.is_zero(c):
+        if not c:
             continue
         dx, dy = f.degree - a, a
         mono = "".join(
@@ -424,7 +423,7 @@ def format_form(f: BinaryForm, vars=("x", "y")) -> str:
             for v, e in ((vx, dx), (vy, dy))
             if e
         ) or "1"
-        cs = F.format_scalar(c)
+        cs = str(c)
         if cs == "1" and mono != "1":
             cs = ""
         elif cs == "-1" and mono != "1":
@@ -439,7 +438,7 @@ def format_form(f: BinaryForm, vars=("x", "y")) -> str:
 
 
 def form_to_json(f: BinaryForm) -> dict:
-    return {"degree": f.degree, "coeffs": [f.field.format_scalar(c) for c in f.coeffs]}
+    return {"degree": f.degree, "coeffs": [str(c) for c in f.coeffs]}
 
 
 def json_int(value) -> int:

@@ -106,7 +106,9 @@ def _assemble_ideal(
     components,
     tail_gcd: BinaryForm | None,
 ) -> GradedIdeal:
-    """Drop leading zero components and make the tail monic; checks nothing."""
+    """Drop leading zero components and make the tail monic; checks nothing.
+    With no nonzero component the ideal is zero up to the window's top and
+    (tail) ∩ R_i above it, so it starts at the later of window top + 1 and deg tail."""
     comps = list(components)
     lo = window_lo
     while comps and comps[0].is_zero:
@@ -116,7 +118,8 @@ def _assemble_ideal(
         return zero_ideal(field)
     f = monic(tail_gcd)
     if not comps:
-        return GradedIdeal(field, f.degree, f.degree, (principal_space(f, f.degree),), f)
+        m = max(lo, f.degree)
+        return GradedIdeal(field, m, m, (principal_space(f, m),), f)
     return GradedIdeal(field, lo, lo + len(comps) - 1, tuple(comps), f)
 
 
@@ -319,6 +322,8 @@ def ideal_from_json(data: dict) -> GradedIdeal:
         field = FieldSpec.from_name(data["field"])
         tail = None if data.get("tailGcd") is None else form_from_json(field, data["tailGcd"])
         lo, hi = (json_int(k) for k in data["window"])
+        if lo < 0 or hi < lo - 1:
+            raise PreconditionError("ideal window must satisfy 0 <= lo <= hi + 1", window=[lo, hi])
         comps = [space_from_json(data["components"][str(i)], field) for i in range(lo, hi + 1)]
     except PreconditionError:
         raise

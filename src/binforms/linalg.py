@@ -210,7 +210,7 @@ def free_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
         v = [F.zero] * n
         v[f] = F.one
         for i in range(bisect(pivots, f)):
-            v[pivots[i]] = F.neg(m.rows[i][f])
+            v[pivots[i]] = F.coerce(-m.rows[i][f])
         out.append(tuple(v))
     return tuple(out)
 

@@ -113,7 +113,7 @@ class FormSpace:
             return None
         f = BinaryForm(F, self.degree - s, rows[-1][s:])
         g = f.coeffs[f.coeffs.index(F.one):] + (F.zero,)  # (1, g_1, ..., g_k, 0): f is monic
-        if s and len(g) > 2 and rows[-2][2 - len(g)] != F.sub(g[2], F.mul(g[1], g[1])):
+        if s and len(g) > 2 and rows[-2][2 - len(g)] != F.coerce(g[2] - g[1] * g[1]):
             return None  # the one-entry pre-test: rho_2[0] = g_2 - g_1^2
         return f if all(r == w for r, w in zip(reversed(rows), _block_rows(f, s))) else None
 
@@ -127,7 +127,7 @@ def _principal_block(F: FieldSpec, rows, f: BinaryForm) -> FormSpace:
 def _next_rho(F: FieldSpec, g: tuple, rho: tuple) -> tuple:
     """rho_{m+1} from rho_m for a core g with g[0] = 1."""
     c, tail = (rho[0], rho[1:] + (F.zero,)) if rho else (F.zero, rho)
-    return tuple(F.sub(r, F.mul(c, b)) for r, b in zip(tail, g[1:])) if c else tail
+    return tuple(F.coerce(r - c * b) for r, b in zip(tail, g[1:])) if c else tail
 
 
 def _block_rows(f: BinaryForm, s: int):
@@ -135,7 +135,7 @@ def _block_rows(f: BinaryForm, s: int):
     F, zero, one = f.field, f.field.zero, f.field.one
     a = f.coeffs.index(one)  # f is monic: its first 1 leads
     g = f.coeffs[a:]
-    rho = (F.neg(one),) + (zero,) * (len(g) - 2) if len(g) > 1 else ()
+    rho = (F.coerce(-one),) + (zero,) * (len(g) - 2) if len(g) > 1 else ()
     for i in range(s, -1, -1):
         rho = _next_rho(F, g, rho)
         yield (zero,) * (a + i) + (one,) + (zero,) * (s - i) + rho

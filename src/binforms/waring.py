@@ -78,7 +78,7 @@ class DualSpace:
         """
         F, j = self.field, self.degree
         weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
-        return tuple(tuple(F.mul(c, wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
+        return tuple(tuple(F.coerce(c * wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
 
     @cached_property
     def _tau_delta(self) -> int:
@@ -238,7 +238,7 @@ def _dual_of_linear(l: BinaryForm) -> BinaryForm:
     # l = c0 x + c1 y kills L = c1 X - c0 Y under contraction
     F = l.field
     c0, c1 = l.coeffs
-    return monic(BinaryForm(F, 1, (c1, F.neg(c0))))
+    return monic(BinaryForm(F, 1, (c1, F.coerce(-c0))))
 
 
 def gad(W: DualSpace) -> GAD | Unsplit:
@@ -277,11 +277,11 @@ def gad(W: DualSpace) -> GAD | Unsplit:
                 for P, b in zip(powers, weights) for t in range(b)]
         cols = W.space.mat.rows + tuple(g.coeffs for g in gens)
         ker = kernel(Matrix(F, tuple(zip(*cols)), c + m)).rows
-        if len(ker) != c or any(F.is_zero(z[k]) for k, z in enumerate(ker)):
+        if len(ker) != c or any(not z[k] for k, z in enumerate(ker)):
             raise RuntimeError("dual space escapes its apolar power span")
         cofactors = []
         for w, z in zip(W.basis_forms(), ker):
-            coords = [F.neg(x) for x in z[c:]]  # z = (e_k | -coords of w_k)
+            coords = [F.coerce(-x) for x in z[c:]]  # z = (e_k | -coords of w_k)
             per_factor = [
                 BinaryForm(F, b - 1, tuple(coords[end - b : end]))
                 for b, end in zip(weights, accumulate(weights))

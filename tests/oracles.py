@@ -26,24 +26,24 @@ x, y = sympy.symbols("x y")
 
 
 def oracle_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Gauss-Jordan one scalar at a time through the FieldSpec operations,
-    normalizing each pivot row before it clears its column.  Same contract
-    as `linalg.rref`, which runs one integer kernel per field kind."""
+    """Gauss-Jordan one scalar at a time, each result made canonical by
+    `coerce`, normalizing each pivot row before it clears its column.  Same
+    contract as `linalg.rref`, which runs one integer kernel per field kind."""
     F = m.field
     rows = [list(r) for r in m.rows]
     pivots: list[int] = []
     r = 0
     for c in range(m.ncols):
-        pr = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        inv = F.coerce(Fraction(1) / rows[r][c])
+        rows[r] = [F.coerce(inv * x) for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [F.coerce(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -62,7 +62,7 @@ def oracle_kernel(m: Matrix) -> Matrix:
         v = [F.zero] * m.ncols
         v[fc] = F.one
         for i, pc in enumerate(pivots):
-            v[pc] = F.neg(red.rows[i][fc])
+            v[pc] = F.coerce(-red.rows[i][fc])
         basis.append(tuple(v))
     return row_basis(Matrix(F, tuple(basis), m.ncols))
 
@@ -81,7 +81,7 @@ def zassenhaus_intersect(a: Matrix, b: Matrix) -> Matrix:
     F, n = a.field, a.ncols
     block = [r + r for r in a.rows] + [r + (F.zero,) * n for r in b.rows]
     red, rank_, _ = rref(Matrix(F, tuple(block), 2 * n))
-    keep = [r[n:] for r in red.rows[:rank_] if all(F.is_zero(x) for x in r[:n])]
+    keep = [r[n:] for r in red.rows[:rank_] if not any(r[:n])]
     return row_basis(Matrix(F, tuple(keep), n))
 
 
@@ -132,9 +132,9 @@ def oracle_gcd(f_coeffs, f_deg, g_coeffs, g_deg, field: FieldSpec):
     deg = g.total_degree()
     coeffs = poly_to_coeffs(g, deg, field)
     # normalize to leading coefficient 1 (first nonzero entry)
-    lead = next(c for c in coeffs if not field.is_zero(c))
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, c) for c in coeffs), deg
+    lead = next(c for c in coeffs if c)
+    inv = field.coerce(Fraction(1) / lead)
+    return tuple(field.coerce(inv * c) for c in coeffs), deg
 
 
 def oracle_contract(f_coeffs, f_deg, big_coeffs, big_deg):
@@ -207,13 +207,13 @@ def contract(f: BinaryForm, big: BinaryForm) -> BinaryForm:
     for w in range(j - i + 1):
         acc = F.zero
         for u, fu in enumerate(f.coeffs):
-            if F.is_zero(fu):
+            if not fu:
                 continue
             Fv = big.coeffs[u + w]
-            if F.is_zero(Fv):
+            if not Fv:
                 continue
             weight = _falling(j - u - w, i - u) * _falling(u + w, u)
-            acc = F.add(acc, F.mul(F.mul(fu, Fv), F.coerce(weight)))
+            acc = F.coerce(acc + fu * Fv * weight)
         out[w] = acc
     return BinaryForm(F, j - i, tuple(out))
 
@@ -321,11 +321,12 @@ def oracle_gad_cofactors(W, linear_forms, weights):
         return None
     cofactors = []
     for w in W.basis_forms():
-        eqs = tuple(tuple(g[r] for g in gens) + (F.neg(w.coeffs[r]),) for r in range(j + 1))
-        z = next((z for z in kernel(Matrix(F, eqs, m + 1)).rows if not F.is_zero(z[-1])), None)
+        eqs = tuple(tuple(g[r] for g in gens) + (F.coerce(-w.coeffs[r]),) for r in range(j + 1))
+        z = next((z for z in kernel(Matrix(F, eqs, m + 1)).rows if z[-1]), None)
         if z is None:
             return None
-        coords = [F.mul(F.inv(z[-1]), z[k]) for k in range(m)]
+        inv = F.coerce(Fraction(1) / z[-1])
+        coords = [F.coerce(inv * z[k]) for k in range(m)]
         ends = list(itertools.accumulate(weights))
         cofactors.append(tuple(BinaryForm(F, b - 1, tuple(coords[e - b : e]))
                                for b, e in zip(weights, ends)))
@@ -348,7 +349,7 @@ def oracle_gad(W):
     for f in rows:
         factors, _ = linear_factors(f)
         if sum(b for _, b in factors) == m:
-            forms = tuple(monic(BinaryForm(F, 1, (l.coeffs[1], F.neg(l.coeffs[0])))) for l, _ in factors)
+            forms = tuple(monic(BinaryForm(F, 1, (l.coeffs[1], F.coerce(-l.coeffs[0])))) for l, _ in factors)
             weights = tuple(b for _, b in factors)
             return GAD(forms, weights, oracle_gad_cofactors(W, forms, weights))
     product = form(F, 0, [1])
@@ -690,7 +691,7 @@ def oracle_shift_down_once(m: Matrix) -> Matrix:
         r = by_pivot.get(k)
         if r is None:
             return tuple(F.one if i == k else F.zero for i in range(j + 1))
-        return tuple(F.zero if i == k else F.neg(c) for i, c in enumerate(r))
+        return tuple(F.zero if i == k else F.coerce(-c) for i, c in enumerate(r))
 
     # basis x^(j-1-k) y^k of R_{j-1}: x times it is e_k, y times it is e_{k+1};
     # column k of the matrix below is the residue pair of that basis form

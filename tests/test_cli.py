@@ -143,6 +143,8 @@ def _space_json(field: str, degree: int, *rows) -> dict:
         lambda d: {**d, "window": [1]},
         lambda d: {**d, "window": "1..1"},
         lambda d: {**d, "window": [1, 2]},
+        lambda d: {**d, "window": [5, 2]},
+        lambda d: {**d, "window": [-1, 1]},
         lambda d: {**d, "components": {"1": {"degree": "one", "basis": []}}},
         lambda d: {**d, "tailGcd": {"degree": 1}},
         lambda d: {**d, "tailGcd": None},
@@ -155,8 +157,8 @@ def _space_json(field: str, degree: int, *rows) -> dict:
     ],
     ids=[
         "list-components", "no-field", "field-not-a-name", "short-window",
-        "window-not-a-list", "missing-component", "bad-degree", "bad-tail-form",
-        "no-tail", "not-an-object", "unclosed-component", "top-escapes-tail",
+        "window-not-a-list", "missing-component", "reversed-window", "negative-window",
+        "bad-degree", "bad-tail-form", "no-tail", "not-an-object", "unclosed-component", "top-escapes-tail",
     ],
 )
 def test_malformed_ideal_exits_1(tmp_path, mangle):

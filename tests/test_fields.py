@@ -6,11 +6,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ, FieldSpec, _is_prime
-from binforms.forms import form, form_from_json
-from binforms.spaces import span
+from binforms.forms import add_form, form, form_from_json, linear_power, scale_form
+from binforms.linalg import free_dual
+from binforms.spaces import principal_space, span
+from binforms.waring import GAD, dual_space, gad
 
 COERCE_FIELDS = [GF(7), GF(101), QQ]
 
@@ -62,7 +65,7 @@ def test_huge_prime_field_builds_at_once():
     F = FieldSpec(10**18 + 3)
     assert time.perf_counter() - t0 < 1.0
     assert F.name == "Fp:1000000000000000003"
-    assert F.mul(F.inv(2), 2) == 1
+    assert F.coerce(F.coerce(Fraction(1) / 2) * 2) == 1
     with pytest.raises(PreconditionError):
         FieldSpec(10**18 + 1)  # 101 * 9901 * 999999000001
 
@@ -125,9 +128,59 @@ def test_exact_scalars_keep_their_values(field):
     for x in scalars:
         got = field.coerce(x)
         assert got == want(x) and type(got) is type(field.one), x
+        if field.p is None and type(x) is Fraction:  # already canonical: passed through
+            assert got is x
     parsed = json.loads("[3, -2, 0, 12345678901234567890]")
     assert form(field, 3, parsed).coeffs == tuple(map(want, parsed))
     assert span(field, 1, [parsed[:2]]) == span(field, 1, [form(field, 1, [want(3), want(-2)])])
     # JSON files go through the text route, which reads a decimal exactly
     obj = json.loads('{"degree": 2, "coeffs": [3, "-1/2", 2.5]}')
     assert form_from_json(field, obj).coeffs == tuple(map(want, [3, Fraction(-1, 2), Fraction(5, 2)]))
+
+
+CANONICAL_FIELDS = [GF(2), GF(7), GF(101), GF(2**61 - 1), QQ]
+
+
+def _assert_canonical(F, scalars):
+    for x in scalars:
+        if F.p is None:
+            assert type(x) is Fraction, x
+        else:
+            assert type(x) is int and 0 <= x < F.p, x
+
+
+@given(st.sampled_from(CANONICAL_FIELDS), st.integers(1, 7), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_library_results_hold_canonical_scalars(F, j, m, data):
+    # raw ints of both signs and beyond p: the library must reduce what it computes
+    raw = st.integers(-(2**70), 2**70) | st.integers(-9, 9)
+    coeffs = lambda n: data.draw(st.lists(raw, min_size=n, max_size=n))
+    k = data.draw(st.integers(0, j))
+    f = form(F, k, coeffs(k + 1))
+    _assert_canonical(F, [x for r in principal_space(f, j).mat.rows for x in r])
+    V = span(F, j, [coeffs(j + 1) for _ in range(data.draw(st.integers(1, j + 1)))])
+    _assert_canonical(F, [x for z in free_dual(V.mat) for x in z])
+    g = form(F, j, coeffs(j + 1))
+    _assert_canonical(F, add_form(f if k == j else g, g).coeffs)
+    _assert_canonical(F, scale_form(data.draw(raw), g).coeffs)
+    if F.p is not None and F.p <= j:
+        return  # no apolarity pairing in degree j
+    # m combinations of j-th powers of independent linear dual forms, so gad can split
+    lins = []
+    for a, b in data.draw(st.lists(st.tuples(raw, raw), min_size=m, max_size=m)):
+        if F.coerce(a) or F.coerce(b):
+            if all(F.coerce(a * v - b * u) for u, v in lins):
+                lins.append((a, b))
+    powers = [linear_power(form(F, 1, ab), j) for ab in lins]
+    rows = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        w = form(F, j, [0] * (j + 1))
+        for P in powers:
+            w = add_form(w, scale_form(data.draw(raw), P))
+        rows.append(w)
+    W = dual_space(F, j, rows)
+    _assert_canonical(F, [x for r in W._weighted for x in r])
+    result = gad(W)
+    if isinstance(result, GAD):
+        _assert_canonical(F, [x for L in result.linear_forms for x in L.coeffs])
+        _assert_canonical(F, [x for per in result.cofactors for G in per for x in G.coeffs])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from binforms.errors import PreconditionError
 
 from binforms.fields import GF, QQ
-from binforms.forms import form, format_form, monomial, mul_form
+from binforms.forms import form, form_to_json, format_form, monomial, mul_form
 from binforms.ideals import (
     GradedIdeal,
     ancestor_ideal,
@@ -36,6 +36,7 @@ from binforms.spaces import (
     principal_space,
     random_space,
     shift,
+    space_to_json,
     span,
     tau,
     zero_space,
@@ -205,6 +206,28 @@ def test_json_roundtrip():
     for I in (ancestor_ideal(V), generated_ideal(V), zero_ideal(GF(101))):
         data = json.loads(json.dumps(ideal_to_json(I)))
         assert same_ideal(ideal_from_json(data), I)
+
+
+@pytest.mark.parametrize("F", [GF(101), QQ], ids=lambda F: F.name)
+def test_an_all_zero_window_starts_the_tail_above_it(F):
+    # x.M three ways: a window of zero components, an empty window, the component itself
+    x = form(F, 1, [1, 0])
+    zero = {str(i): space_to_json(zero_space(F, i)) for i in (0, 1)}
+    block = {"2": space_to_json(principal_space(x, 2))}
+    encodings = [([0, 1], zero), ([2, 1], {}), ([2, 2], block)]
+    ideals = [ideal_from_json(json.loads(json.dumps(
+        {"field": F.name, "window": w, "components": c, "tailGcd": form_to_json(x)})))
+        for w, c in encodings]
+    for I in ideals:
+        assert hilbert_function(I) == oseq([1, 2], 1)
+        assert same_ideal(I, ideals[-1])
+
+
+@pytest.mark.parametrize("window", [[5, 2], [2, 0], [-1, 0], [-1, -2]])
+def test_json_window_out_of_order_or_below_zero_is_refused(window):
+    data = {**ideal_to_json(generated_ideal(full_space(QQ, 1))), "window": window}
+    with pytest.raises(PreconditionError, match="ideal window"):
+        ideal_from_json(data)
 
 
 # ----- randomized invariants -------------------------------------------------

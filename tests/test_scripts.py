@@ -32,12 +32,6 @@ def test_script_runs(name, args):
     assert proc.stdout
 
 
-def test_hasse_gallery_writes_dot_files(tmp_path):
-    proc = _run_script("hasse_gallery.py", "--max-j", "4", "--out-dir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.glob("hasse_d*_j*.dot"))) == 10  # 1 <= d <= j <= 4
-
-
 def _result(ops_per_s, p50_ms, failed=0):
     metrics = {"ops_per_s": {"value": ops_per_s, "unit": "ops/s"},
                "op_p50_ms": {"value": p50_ms, "unit": "ms"}}

@@ -221,7 +221,7 @@ def space_pairs(draw):
     free = [c for c in range(j + 1) if c not in pivots]
     if kind == "one-outside" and free:
         f = rng.choice(free)
-        rows[-1][f] = F.add(rows[-1][f], F.one)
+        rows[-1][f] = F.coerce(rows[-1][f] + 1)
     return span(F, j, rows), outer
 
 
@@ -243,9 +243,9 @@ def test_contained_decides_by_normal_forms_without_elimination(monkeypatch):
     for F in CONTAIN_FIELDS:  # one unit vector past a sum of the rows, at each free column
         outer = random_space(4, 8, F, 3)
         pivots = {next(c for c, x in enumerate(r) if x) for r in outer.mat.rows}
-        row = [F.add(x, y) for x, y in zip(*outer.mat.rows[:2])]
+        row = [F.coerce(x + y) for x, y in zip(*outer.mat.rows[:2])]
         for f in sorted(set(range(9)) - pivots):
-            pairs.append((span(F, 8, [row[:f] + [F.add(row[f], F.one)] + row[f + 1:]]), outer))
+            pairs.append((span(F, 8, [row[:f] + [F.coerce(row[f] + 1)] + row[f + 1:]]), outer))
     calls = []
     real = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
@@ -559,7 +559,7 @@ def _pretest_passes(F, rows):
     """rows[-2]'s first tail entry is rho_2[0] = g_2 - g_1^2 of the last row's f."""
     last = rows[-1]
     g = last[next(i for i, c in enumerate(last) if c):] + (F.zero,)
-    return rows[-2][2 - len(g)] == F.sub(g[2], F.mul(g[1], g[1]))
+    return rows[-2][2 - len(g)] == F.coerce(g[2] - g[1] * g[1])
 
 
 def _unmemoized(F, rows):
@@ -593,7 +593,7 @@ def test_memo_rejects_a_block_changed_off_the_pretest_row(case, data):
     if not cols:  # the last row's g_1 and g_2 feed the pre-test itself
         return
     c = data.draw(st.sampled_from(list(cols)))
-    rows[i][c] = F.add(rows[i][c], F.coerce(data.draw(st.integers(1, 100))))
+    rows[i][c] = F.coerce(rows[i][c] + data.draw(st.integers(1, 100)))
     rows = [tuple(r) for r in rows]
     assert _pretest_passes(F, rows)  # only the full comparison can see the change
     assert _unmemoized(F, rows)._principal is None
@@ -616,7 +616,7 @@ def test_memo_rejects_a_non_principal_space_that_passes_the_pretest(F, j, d, rng
     g = rows[-1][pivots[-1]:] + [F.zero]
     if len(g) <= 2:
         return  # f = t^a: no tail entry to test
-    rows[-2][2 - len(g)] = F.sub(g[2], F.mul(g[1], g[1]))
+    rows[-2][2 - len(g)] = F.coerce(g[2] - g[1] * g[1])
     rows = [tuple(r) for r in rows]
     V = _unmemoized(F, rows)
     assert _pretest_passes(F, rows)
