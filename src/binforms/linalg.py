@@ -6,9 +6,10 @@ each row has `ncols` entries (rows of caller-chosen length enter only
 through `spaces.span`, which does).  All span questions (equality,
 membership, sum, kernel) reduce to exact RREF, which is idempotent and
 canonical, so two spaces are equal iff their basis matrices are equal.
-Entries must already be canonical scalars of the field: nothing here
-converts them, since values are made canonical once, where they enter the
-system (`forms.form`, `spaces.span`, the JSON readers).
+Entries must already be canonical scalars of the field, or over Q integer
+rows (`from_ints`): nothing here converts them, since values are made
+canonical once, where they enter the system (`forms.form`, `spaces.span`,
+the JSON readers).
 
 `rref` is the one entry point: `row_basis`, `rank` (which `waring` and `verify` call),
 `rref_reversed` (which `kernel` and `spaces` call) and `closure._extend_inside` reach it
@@ -19,16 +20,15 @@ picks a Gauss-Jordan kernel by field:
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
   scaled by the inverse of its pivot only when that is not 1, and rows are
   updated from the pivot column on, since the pivot row is zero to its left.
-* Q: each row's denominators are cleared once, leaving primitive integer
-  rows, which are eliminated fraction-free: row <- (a/g) row - (f/g) pivot
-  row for pivot entry a, entry f and g = gcd(a, f), then divided by its
-  content.  A row held after any step is primitive and proportional to a
-  vector of minors of the cleared input, so its entries never exceed that
-  input's Hadamard bound prod_i max(1, |row_i|_2) (Bareiss, Math. Comp. 22,
-  1968, keeps the same bound by exact division).  Fractions are built only
-  in the last pass, which divides each pivot row by its pivot.
+* Q: integer rows (`Matrix.ints`) in and out, no Fraction built, eliminated
+  fraction-free: a pivot row is divided by its content, sign included, when
+  chosen, and row <- (a/g) row - (f/g) pivot row for pivot entry a, entry f,
+  g = gcd(a, f), then divided by its content.  A row held after any step is
+  primitive and proportional to a vector of minors of the input made
+  primitive, so its entries never exceed that input's Hadamard bound prod_i
+  max(1, |row_i|_2) (Bareiss, Math. Comp. 22, 1968, does so by exact division).
 
-Both kernels return the same canonical RREF, with Fraction entries over Q
+Both kernels give the same canonical RREF, with Fraction entries over Q
 and residues in [0, p) over F_p.  Sizes here stay small (the up-ladder of a
 degree-j space climbs to about degree 2j: 79 for j = 40), so dense
 elimination is the right tool; exact arithmetic needs no pivoting heuristics.
@@ -46,15 +46,46 @@ from typing import Sequence
 from .fields import FieldSpec, Scalar
 
 
+class _RowsOverLeads:
+    """`Matrix.rows` of a matrix built by `from_ints` over Q, computed on first read."""
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            raise AttributeError("rows")  # no class-level default: the field stays required
+        leads = (next(filter(None, r), 1) for r in m._ints)  # a zero row stays zero
+        rows = m.__dict__["rows"] = tuple(tuple(Fraction(x, a) for x in r) for r, a in zip(m._ints, leads))
+        return rows
+
+
 @dataclass(frozen=True)
 class Matrix:
+    """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else
+    primitive integer rows (leads positive in an RREF), converted once.  Over Q `from_ints` (so `rref`,
+    `row_basis`, `kernel`) keeps only `ints`, and `rows`, `==`, hash and repr build the Fractions."""
+
     field: FieldSpec
-    rows: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[Scalar, ...], ...] = _RowsOverLeads()
     ncols: int
 
+    def __post_init__(self):  # nrows: a plain attribute, not a field, read often and building no rows
+        object.__setattr__(self, "nrows", len(self.rows))  # not via __dict__, which slows later reads
+
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def ints(self) -> tuple[tuple[int, ...], ...]:
+        if self.field.p:
+            return self.rows
+        if "_ints" not in self.__dict__:
+            self.__dict__["_ints"] = tuple(tuple(_integer_row(r)) for r in self.rows)
+        return self.__dict__["_ints"]
+
+
+def from_ints(field: FieldSpec, ints: tuple, ncols: int) -> Matrix:
+    """The Matrix with these `ints` (tuples of ints); over Q its `rows` are computed on first read."""
+    if field.p:
+        return Matrix(field, ints, ncols)
+    m = object.__new__(Matrix)
+    m.__dict__.update(field=field, _ints=ints, ncols=ncols, nrows=len(ints))
+    return m
 
 
 def zero_matrix(field: FieldSpec, ncols: int) -> Matrix:
@@ -69,11 +100,8 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     of the row space (padded with zero rows).
     """
     p = m.field.p
-    if p is None:
-        rows, pivots = _rref_q(m.rows, m.ncols)
-    else:
-        rows, pivots = _rref_fp(m.rows, m.ncols, p)
-    return Matrix(m.field, rows, m.ncols), len(pivots), pivots
+    rows, pivots = _rref_fp(m.ints, m.ncols, p) if p else _rref_q(m.ints, m.ncols)
+    return from_ints(m.field, rows, m.ncols), len(pivots), pivots
 
 
 def _pivot_walk(rows: list[list], ncols: int):
@@ -117,11 +145,14 @@ def _rref_fp(rows_in, ncols: int, p: int):
 
 
 def _rref_q(rows_in, ncols: int):
-    """Fraction-free Gauss-Jordan on primitive integer rows."""
-    rows = [_integer_row(row) for row in rows_in]
+    """Fraction-free Gauss-Jordan on integer rows: primitive rows out, pivot entries positive."""
+    rows = [list(r) for r in rows_in]
     pivots = []
     for r, c in _pivot_walk(rows, ncols):
         prow = rows[r]
+        g = gcd(*prow) if prow[c] > 0 else -gcd(*prow)
+        if g != 1:
+            prow = rows[r] = [x // g for x in prow]
         a = prow[c]
         tail = prow[c:]
         for i, row in enumerate(rows):
@@ -136,13 +167,7 @@ def _rref_q(rows_in, ncols: int):
             head = [ag * x for x in row[:c]] if i < r else row[:c]
             rows[i] = _primitive(head + new)
         pivots.append(c)
-    zero = Fraction(0)
-    out = [
-        tuple(Fraction(x, row[c]) if x else zero for x in row)
-        for row, c in zip(rows, pivots)
-    ]
-    out += [(zero,) * ncols for _ in range(len(rows) - len(pivots))]  # builds nothing at full rank
-    return tuple(out), tuple(pivots)
+    return tuple(map(tuple, rows)), tuple(pivots)
 
 
 def _integer_row(row) -> list[int]:
@@ -163,9 +188,8 @@ def _primitive(row: list[int]) -> list[int]:
 
 def row_basis(m: Matrix) -> Matrix:
     """Canonical basis of the row space: RREF with zero rows dropped."""
-    F = m.field
     red, rank, _ = rref(m)
-    return Matrix(F, red.rows[:rank], m.ncols)
+    return from_ints(m.field, red.ints[:rank], m.ncols)
 
 
 def rank(m: Matrix) -> int:
@@ -173,7 +197,8 @@ def rank(m: Matrix) -> int:
 
 
 def stack(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(a.field, a.rows + b.rows, a.ncols)
+    """a's rows over b's; over Q built from `ints`, so `rows` are each int row over its lead."""
+    return from_ints(a.field, a.ints + b.ints, a.ncols)
 
 
 def row_space_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -187,37 +212,33 @@ def kernel(m: Matrix) -> Matrix:
 
 def rref_reversed(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """`rref` of m with its columns reversed: m's rank, and its kernel by `kernel_from`."""
-    return rref(Matrix(m.field, tuple(r[::-1] for r in m.rows), m.ncols))
+    return rref(from_ints(m.field, tuple(r[::-1] for r in m.ints), m.ncols))
 
 
 def kernel_from(reduced: tuple[Matrix, int, tuple[int, ...]]) -> Matrix:
-    """kernel(m) read off `rref_reversed(m)`: the `free_dual` vectors of that RREF (1 at a free
-    column, other entries at pivots left of it), reversed back and listed last first."""
-    red, rank_, pivots = reduced
-    dual = free_dual(Matrix(red.field, red.rows[:rank_], red.ncols), pivots)
-    return Matrix(red.field, tuple(z[::-1] for z in reversed(dual)), red.ncols)
+    """kernel(m) read off `rref_reversed(m)`: the `integral_dual` vectors of that RREF (lead at a
+    free column, other entries at pivots left of it), reversed back and listed last first."""
+    red, _, pivots = reduced
+    dual = integral_dual(red, pivots)  # red's zero rows lie below its pivot rows: none is read
+    return from_ints(red.field, tuple(z[::-1] for z in reversed(dual)), red.ncols)
 
 
-def free_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
-    """A basis of kernel(m) for an RREF basis m (its pivots given or found),
-    read off without elimination: e_f minus column f at the pivots, for each
-    free column f in turn; its dot with w is entry f of w's normal form."""
-    F, n = m.field, m.ncols
-    pivots = pivots or [next(c for c, x in enumerate(r) if x) for r in m.rows]
-    pivot_set = set(pivots)
+def integral_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
+    """A basis of kernel(m) for an RREF basis m (its pivots given or found), read off `m.ints`: for
+    each free column f, e_f minus column f at the pivots, over Q times the lcm of the pivot entries
+    left of f, made primitive.  Its dot with w is (over Q a multiple of) entry f of w's normal form."""
+    p, rows, n = m.field.p, m.ints, m.ncols
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows] if pivots is None else pivots
+    leads = [r[c] for r, c in zip(rows, pivots)]
     out = []
-    for f in (c for c in range(n) if c not in pivot_set):
-        v = [F.zero] * n
-        v[f] = F.one
-        for i in range(bisect(pivots, f)):
-            v[pivots[i]] = F.coerce(-m.rows[i][f])
-        out.append(tuple(v))
+    for f in sorted(set(range(n)).difference(pivots)):
+        k = bisect(pivots, f)
+        v = [0] * n
+        v[f] = den = 1 if p else lcm(*leads[:k])
+        for i in range(k):
+            v[pivots[i]] = -rows[i][f] % p if p else -rows[i][f] * (den // leads[i])
+        out.append(tuple(v) if p else tuple(_primitive(v)))
     return tuple(out)
-
-
-def integral_dual(m: Matrix) -> tuple:
-    """`free_dual(m)`, over Q each vector scaled to a primitive integer one: it kills the same vectors."""
-    return free_dual(m) if m.field.p else tuple(tuple(_integer_row(z)) for z in free_dual(m))
 
 
 def contains_vector(dual: Sequence[Sequence[int]], vec: Sequence[Scalar], field: FieldSpec) -> bool:

@@ -19,10 +19,10 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   iff V's 2 cod V free-column rows (below) are independent: one rank, tried if dim V +
   dim B >= j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
 * Up, otherwise: R_{k+1}B = x.R_kB + y^(k+1).B, as x divides every degree-
-  (k+1) monomial but y^(k+1).  A rung records k and its ladder base B as
-  rows (a space would form a reference cycle), and x.R_kB is reduced, so
+  (k+1) monomial but y^(k+1).  A rung records k and its ladder base B's
+  `ints` (a space would form a reference cycle), and x.R_kB is reduced, so
   one elimination takes dim R_kB + dim B rows.  Off a ladder, B = V, k = 0.
-* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each `free_dual` vector z of V (one
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each `integral_dual` vector z of V (one
   per free column) gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those
   2 cod V rows.  V keeps their reversed RREF, which pins R_1V too.
 """
@@ -39,6 +39,7 @@ from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int,
 from .linalg import (
     Matrix,
     contains_vector,
+    from_ints,
     integral_dual,
     kernel_from,
     row_basis,
@@ -103,18 +104,22 @@ class FormSpace:
     def _residues(self) -> tuple:
         """`rref_reversed` of the 2 cod V rows z[:j], z[1:] over `_dual`, which kill exactly R_{-1}V."""
         j, dual = self.degree, self._dual
-        return rref_reversed(Matrix(self.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j))
+        return rref_reversed(from_ints(self.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j))
 
     @cached_property
     def _principal(self) -> BinaryForm | None:
         """The monic f with V = f.R_s, or None (closed-form blocks store it)."""
-        F, s, rows = self.field, self.dim - 1, self.mat.rows
-        if self.is_zero or any(rows[-1][:s]):
+        F, s, ints = self.field, self.dim - 1, self.mat.ints
+        if self.is_zero or any(ints[-1][:s]):
             return None
+        last = ints[-1]
+        c = next(i for i, x in enumerate(last) if x)  # f = last[s:] / a leads at column c
+        if s and c < self.degree:  # the one-entry pre-test, rho_2[0] = g_2 - g_1^2, on int rows
+            pen, (a, g1, g2) = ints[-2], (last[c:c + 3] + (0,))[:3]  # g_i = last[c + i] / a
+            if F.coerce(pen[c + 1] * a * a - next(filter(None, pen)) * (g2 * a - g1 * g1)):
+                return None
+        rows = self.mat.rows
         f = BinaryForm(F, self.degree - s, rows[-1][s:])
-        g = f.coeffs[f.coeffs.index(F.one):] + (F.zero,)  # (1, g_1, ..., g_k, 0): f is monic
-        if s and len(g) > 2 and rows[-2][2 - len(g)] != F.coerce(g[2] - g[1] * g[1]):
-            return None  # the one-entry pre-test: rho_2[0] = g_2 - g_1^2
         return f if all(r == w for r, w in zip(reversed(rows), _block_rows(f, s))) else None
 
 
@@ -181,7 +186,8 @@ def contained(inner: FormSpace, outer: FormSpace) -> bool:
     canonical bases, or a zero normal form mod outer (read off its `_dual`) for each row."""
     if inner.degree != outer.degree or inner.field != outer.field:
         raise PreconditionError("containment of spaces in different degrees or fields")
-    return inner == outer or all(contains_vector(outer._dual, r, outer.field) for r in inner.mat.rows)
+    rows = inner.mat.ints
+    return rows == outer.mat.ints or all(contains_vector(outer._dual, r, outer.field) for r in rows)
 
 
 def principal_space(f: BinaryForm, degree: int) -> FormSpace:
@@ -206,12 +212,12 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
         rho = _next_rho(F, f.coeffs[a:], V.mat.rows[0][a + s + 1:])
         first = (F.zero,) * a + (F.one,) + (F.zero,) * (s + 1) + rho
         return _principal_block(F, [first] + [(F.zero,) + r for r in V.mat.rows], f)
-    base, k = V.__dict__.get("_ladder", (V.mat.rows, 0))  # x.f appends a 0
+    base, k = V.__dict__.get("_ladder", (V.mat.ints, 0))  # x.f appends a 0
     if V.dim + len(base) >= j + 2 and _fills_next(V):  # dim R_{k+1}B <= dim R_kB + dim B
         return full_space(F, j + 1)
-    rows = tuple(r + (F.zero,) for r in V.mat.rows) + tuple((F.zero,) * (k + 1) + b for b in base)
-    up = FormSpace(F, j + 1, row_basis(Matrix(F, rows, j + 2)))
-    up.__dict__["_ladder"] = (base, k + 1)  # the base's rows, never the base space
+    rows = tuple(r + (0,) for r in V.mat.ints) + tuple((0,) * (k + 1) + b for b in base)
+    up = FormSpace(F, j + 1, row_basis(from_ints(F, rows, j + 2)))
+    up.__dict__["_ladder"] = (base, k + 1)  # the base's `ints`, never the base space
     return up
 
 
@@ -279,9 +285,9 @@ def equivalent(V: FormSpace, W: FormSpace) -> bool:
     if V.is_zero or W.is_zero:
         return V.is_zero and W.is_zero
     if V.degree == W.degree:
-        return V.mat == W.mat
+        return V.mat.ints == W.mat.ints
     lo, hi = (V, W) if V.degree < W.degree else (W, V)
-    return tau(lo) == tau(hi) and shift(lo, hi.degree - lo.degree).mat == hi.mat
+    return tau(lo) == tau(hi) and shift(lo, hi.degree - lo.degree).mat.ints == hi.mat.ints
 
 
 def random_space(d: int, j: int, field: FieldSpec, seed) -> FormSpace:

@@ -1,4 +1,5 @@
-"""Module layering: every elimination goes through `linalg.rref`.
+"""Module layering: every elimination goes through `linalg.rref`, and the Q row
+representation stays inside `linalg`.
 
 `linalg` calls `rref` through its module global, so rebinding
 `binforms.linalg.rref` (as the bench tracer and the elimination-count tests
@@ -26,3 +27,24 @@ def _imported_names(tree: ast.AST):
 def test_no_module_but_linalg_imports_rref_by_name(path):
     names = set(_imported_names(ast.parse(path.read_text(encoding="utf-8"))))
     assert not names & KERNELS, f"{path.name} imports {sorted(names & KERNELS)} from linalg"
+
+
+def _q_representation_reads(tree: ast.AST):
+    """`_ints` named as an attribute or a string, and `__new__` calls: the ways around
+    `Matrix`'s constructor and its `ints` property."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("_ints", "__new__"):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and node.value == "_ints":
+            yield repr(node.value)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"), ids=lambda p: p.name
+)
+def test_no_module_but_linalg_reads_integer_rows_behind_matrix(path):
+    """Over Q a Matrix may hold only its integer rows; `linalg` alone reads them (`_ints`) or
+    builds a Matrix without its constructor (`object.__new__`), so the representation stays in
+    one module and every other module uses `ints`, `rows` and `from_ints`."""
+    found = sorted(set(_q_representation_reads(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not found, f"{path.name} reads {found}"
