@@ -169,8 +169,8 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
     chooses: its pivots, the column rank profile, are base's columns and then
     the cap forms the greedy loop adjoins, dim cap of them iff base lies in
     cap.  A second one, unless base is already big enough, reduces the choice."""
-    F, rows = cap.field, base.mat.rows + cap.mat.rows
-    _, _, pivots = linalg.rref(linalg.Matrix(F, tuple(zip(*rows)), len(rows)))
+    F, rows = cap.field, base.mat.ints + cap.mat.ints  # scaling a row moves no pivot and no span
+    _, _, pivots = linalg.rref(linalg.from_ints(F, tuple(zip(*rows)), len(rows)))
     if len(pivots) != cap.dim:
         raise RuntimeError("subspace choice: base escapes its cap")
     if not base.dim <= target_dim <= cap.dim:
@@ -179,7 +179,7 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
         )
     if base.dim == target_dim:
         return base
-    chosen = linalg.Matrix(F, tuple(rows[c] for c in pivots[:target_dim]), cap.degree + 1)
+    chosen = linalg.from_ints(F, tuple(rows[c] for c in pivots[:target_dim]), cap.degree + 1)
     return FormSpace(F, cap.degree, linalg.row_basis(chosen))
 
 

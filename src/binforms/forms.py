@@ -314,27 +314,25 @@ def _lifting_prime(f: list[int], p: int) -> bool:
     return f[-1] % p != 0 and len(_gcd_p(_mod(f, p), _mod(_deriv(f), p), p)) == 1
 
 
-def _rational_roots(F: FieldSpec, core: list) -> list:
-    """Distinct roots in k, sorted, of a polynomial in t (over F_p reduced and
-    trimmed); over Q its constant term must be nonzero (`linear_factors`
-    strips the power of t first).
+def _rational_roots(F: FieldSpec, f: list) -> list:
+    """Distinct roots in k, sorted, of a polynomial f in t: over F_p reduced and
+    trimmed, over Q the primitive integer list `_linear_split` made, with a
+    nonzero constant term (the power of t is stripped first).
 
     Over Q the roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
-    1983).  f is core cleared to a primitive integer list.  A lifting prime
-    among the first 8 odd primes certifies f squarefree; without one, f
-    becomes f / gcd(f, f') by the primitive PRS and p its least odd lifting
-    prime.  A root a/b has a | f_0 and b | f_n, so it is a simple root mod p,
-    Newton's iteration lifts it uniquely to p^k > 2 max(|f_0|, |f_n|)^2, and
-    half-extended Euclid reads a/b back.  Only candidates with f(a/b) = 0 are
-    kept.
+    1983).  A lifting prime among the first 8 odd primes certifies f
+    squarefree; without one, f becomes f / gcd(f, f') by the primitive PRS
+    and p its least odd lifting prime.  A root a/b has a | f_0 and b | f_n,
+    so it is a simple root mod p, Newton's iteration lifts it uniquely to
+    p^k > 2 max(|f_0|, |f_n|)^2, and half-extended Euclid reads a/b back.
+    Only candidates with f(a/b) = 0 are kept.
     """
-    if len(core) < 2:
+    if len(f) < 2:
         return []
     if F.p == 2:  # F_2 evaluates at 0 and 1
-        return [t for t, v in ((0, core[0]), (1, sum(core))) if v % 2 == 0]
+        return [t for t, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
     if F.p:
-        return _fp_roots(_root_gcd(_mod(core, F.p), F.p), F.p)
-    f = _integer_row(core)
+        return _fp_roots(_root_gcd(_mod(f, F.p), F.p), F.p)
     p = next((p for p in (3, 5, 7, 11, 13, 17, 19, 23) if _lifting_prime(f, p)), None)
     if p is None:
         f = _exquo(f, _prs_gcd(f, _deriv(f)), None)

@@ -18,9 +18,9 @@ off the stable top: there the component is a principal block f.R_s, which
 knows its f (spaces).
 
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
-R_1-closure, tail) runs in `ideal_from_json`, `ideal_from_generators`, on
-`closure.build_h`'s final ideal and for direct callers.  Ideals closed under
-R_1 by construction (the ladders above, the annihilator, the final ideals of
+R_1-closure, tail) runs in `ideal_from_json`, on `closure.build_h`'s final
+ideal and for direct callers.  Ideals closed under R_1 by construction (the
+ladders above, `ideal_from_generators`, the annihilator, the final ideals of
 `closure.build_n` and `build_t`) go through `_assemble_ideal`, which checks
 nothing; the closure walks themselves assemble no ideal.
 """
@@ -198,34 +198,25 @@ def generated_ideal(V: FormSpace) -> GradedIdeal:
 
 
 def ideal_from_generators(field: FieldSpec, gens) -> GradedIdeal:
-    """Grow components degree by degree from a finite generator list."""
+    """The ideal (G) of a finite generator list G with top degree t.  From G's lowest degree up
+    to t each component is R_1 of the one below plus the span of that degree's generators; above
+    t, (G)_i = R_{i-t}(G)_t, so the rest is `generated_ideal((G)_t)`, whose window ends where its
+    rungs stabilize.  Closed under R_1 by construction: only the generators' field is checked."""
     forms = [g for g in gens if not g.is_zero]
-    for g in forms:
-        if g.field != field:
-            raise PreconditionError("generator field mismatch")
+    if any(g.field != field for g in forms):
+        raise PreconditionError("generator field mismatch")
     if not forms:
         return zero_ideal(field)
     by_degree: dict[int, list[BinaryForm]] = {}
     for g in forms:
         by_degree.setdefault(g.degree, []).append(g)
     lo = min(by_degree)
-    top_gen = max(by_degree)
-    comps = [span(field, lo, by_degree[lo])]
-    i = lo
-    cap = top_gen + comps[0].cod + 2
-    while True:
-        cur = comps[-1]
-        g = cur._principal  # the stop test; the next up-rung reads it too
-        if g is not None and i >= top_gen:
-            break
-        if i > cap:
-            raise RuntimeError("generated ideal failed to stabilize")
-        i += 1
-        nxt = shift(cur, 1)
-        if i in by_degree:
-            nxt = space_sum(nxt, span(field, i, by_degree[i]))
-        comps.append(nxt)
-    return graded_ideal(field, lo, comps, g)
+    grown = [span(field, lo, by_degree[lo])]
+    for i in range(lo + 1, max(by_degree) + 1):
+        up = shift(grown[-1], 1)
+        grown.append(space_sum(up, span(field, i, by_degree[i])) if i in by_degree else up)
+    top = generated_ideal(grown.pop())
+    return _assemble_ideal(field, lo, grown + list(top.components), top.tail_gcd)
 
 
 # ── numeric invariants ────────────────────────────────────────────────────────

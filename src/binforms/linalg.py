@@ -243,7 +243,7 @@ def integral_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
 
 def contains_vector(dual: Sequence[Sequence[int]], vec: Sequence[Scalar], field: FieldSpec) -> bool:
     """Membership of vec in the row space with `integral_dual` dual, with no elimination:
-    vec's dots with it are (over Q, multiples of) the free entries of vec's normal form."""
+    vec's dots with it are (over Q, multiples of) the free entries of vec's normal form.  Over Q
+    vec may be integers or Fractions, dotted exactly as they are: a zero test ignores scale."""
     p = field.p
-    vec = vec if p else _integer_row(vec)
     return not any(sum(map(mul, z, vec)) % p if p else sum(map(mul, z, vec)) for z in dual)

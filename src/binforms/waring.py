@@ -77,6 +77,8 @@ class DualSpace:
         with these weights, so this is the one place they are applied.
         """
         F, j = self.field, self.degree
+        if not self.dim:  # no row to weight, so no j + 1 factorial pairs to build
+            return ()
         weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
         return tuple(tuple(F.coerce(c * wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
 

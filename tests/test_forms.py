@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from binforms import forms
 from binforms.errors import PreconditionError
+from binforms.linalg import _integer_row
 from binforms.fields import GF, QQ
 from binforms.forms import (
     BinaryForm,
@@ -321,7 +322,7 @@ def test_q_roots_match_sympy(bits):
     rng = random.Random(f"q-roots|{bits}")
     for _ in range(10):
         core, planted = _planted_q_core(rng, bits)
-        got = _rational_roots(QQ, core)
+        got = _rational_roots(QQ, _integer_row(core))  # the root finder's input over Q
         assert got == planted == oracle_q_roots(core), core
 
 
@@ -348,8 +349,8 @@ def test_q_roots_structured_cores():
     assert _rational_roots(QQ, [1, 0, 1]) == []  # 1 + t^2
     assert _rational_roots(QQ, [-2, 0, 1]) == []  # irrational roots
     # (t - 1)^3 (t + 1): repeated roots, and roots that coincide mod 3
-    assert _rational_roots(QQ, [Fraction(c) for c in (-1, 2, 0, -2, 1)]) == [-1, 1]
-    assert _rational_roots(QQ, [Fraction(-3), Fraction(1, 7)]) == [21]
+    assert _rational_roots(QQ, _integer_row([Fraction(c) for c in (-1, 2, 0, -2, 1)])) == [-1, 1]
+    assert _rational_roots(QQ, _integer_row([Fraction(-3), Fraction(1, 7)])) == [21]
     # y (y - 100 x): the power of y is split off before the root finder, so
     # the lift bound 2 max(|f_0|, |f_n|)^2 is taken on t - 100 and covers 100
     assert linear_factors(q(2, [0, -100, 1])) == (

@@ -1,11 +1,13 @@
 """Graded ideals: the three constructions, Betti data, splits, serialization."""
 
 import json
+import random
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binforms import ideals
 from binforms.errors import PreconditionError
 
 from binforms.fields import GF, QQ
@@ -28,6 +30,7 @@ from binforms.ideals import (
     unit_form,
     zero_ideal,
 )
+from binforms.linalg import Matrix
 from binforms.osequence import oseq
 from binforms.waring import annihilator, perp
 from binforms.spaces import (
@@ -47,6 +50,7 @@ from oracles import (
     common_factor_split,
     is_proper_osequence,
     oracle_down_dim,
+    oracle_rref,
 )
 
 FIELDS = [QQ, GF(101), GF(7)]
@@ -334,6 +338,78 @@ def test_generated_ideal_equals_generator_path(V):
     J = ideal_from_generators(V.field, list(V.basis_forms()))
     assert same_ideal(G, J)
     assert is_ancestor_ideal_of(G, V.degree) == same_ideal(G, ancestor_ideal(V))
+
+
+def _random_form(F, degree, rng):
+    return form(F, degree, [F.random_scalar(rng) for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("F", [GF(101), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("kind", ["random", "principal", "planted"])
+@pytest.mark.parametrize("d,j,seed", [(1, 4, 0), (2, 6, 1), (3, 7, 2), (4, 5, 3)])
+def test_generators_of_a_space_give_its_generated_ideal(F, kind, d, j, seed):
+    # one degree of generators: the ideal is generated_ideal's, window included
+    rng = random.Random(f"gens-of-space|{F.name}|{kind}|{d}|{j}|{seed}")
+    if kind == "random":
+        V = random_space(d, j, F, seed)
+    elif kind == "principal":  # f.R_{d-1}, deg f = j + 1 - d
+        V = principal_space(_random_form(F, j + 1 - d, rng), j)
+    else:  # a random (d, j - 2) space times a planted quadratic
+        g, U = _random_form(F, 2, rng), random_space(min(d, j - 1), j - 2, F, seed)
+        V = span(F, j, [mul_form(g, u) for u in U.basis_forms()])
+    assert ideal_from_generators(F, V.basis_forms()) == generated_ideal(V)
+
+
+def _oracle_component(F, gens, i):
+    """The RREF basis of (gens)_i: every generator times every monomial of degree i - its own."""
+    rows = tuple(
+        mul_form(g, monomial(F, i - g.degree - a, a)).coeffs
+        for g in gens if g.degree <= i for a in range(i - g.degree + 1)
+    )
+    red, rank, _ = oracle_rref(Matrix(F, rows, i + 1))
+    return red.rows[:rank]
+
+
+def _mixed_generators(F, seed):
+    """One random generator in the lowest degree and one to three above it, half of the lists
+    times a planted common factor (so the tail gcd is not 1).  One generator never fills a
+    degree, so the first one above it is (with high probability) a new one."""
+    rng = random.Random(f"mixed-gens|{F.name}|{seed}")
+    lo = rng.randint(1, 3)
+    degrees = [lo] + [lo + rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    gens = [_random_form(F, e, rng) for e in degrees]
+    if seed % 2:
+        g = _random_form(F, 1 + seed % 3, rng)
+        gens = [mul_form(g, f) for f in gens]
+    return gens
+
+
+def _first_oracle_mismatch(F, gens):
+    """The first degree through window_hi + 2 where ideal_from_generators differs from the
+    span of all monomial multiples, or None."""
+    I = ideal_from_generators(F, gens)
+    return next(
+        (i for i in range(I.window_hi + 3) if I.component(i).mat.rows != _oracle_component(F, gens, i)),
+        None,
+    )
+
+
+MIXED = [(F, seed) for F in (GF(101), QQ) for seed in range(8)]
+
+
+@pytest.mark.parametrize("F,seed", MIXED, ids=lambda v: getattr(v, "name", v))
+def test_mixed_degree_generators_match_all_monomial_multiples(F, seed):
+    gens = _mixed_generators(F, seed)
+    assert _first_oracle_mismatch(F, gens) is None
+    # built closed under R_1, and the validating constructor agrees
+    I = ideal_from_generators(F, gens)
+    assert graded_ideal(F, I.window_lo, I.components, I.tail_gcd) == I
+
+
+def test_generator_oracle_catches_dropped_new_degree_generators(monkeypatch):
+    # without the span of each new degree's generators, only the lowest degree's would count
+    monkeypatch.setattr(ideals, "space_sum", lambda a, b: a)
+    assert all(_first_oracle_mismatch(F, _mixed_generators(F, seed)) is not None for F, seed in MIXED)
 
 
 @settings(max_examples=25, deadline=None)

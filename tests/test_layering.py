@@ -1,5 +1,5 @@
-"""Module layering: every elimination goes through `linalg.rref`, and the Q row
-representation stays inside `linalg`.
+"""Module layering: every elimination goes through `linalg.rref`, the Q row
+representation stays inside `linalg`, and an ideal is validated where it enters.
 
 `linalg` calls `rref` through its module global, so rebinding
 `binforms.linalg.rref` (as the bench tracer and the elimination-count tests
@@ -48,3 +48,30 @@ def test_no_module_but_linalg_reads_integer_rows_behind_matrix(path):
     one module and every other module uses `ints`, `rows` and `from_ints`."""
     found = sorted(set(_q_representation_reads(ast.parse(path.read_text(encoding="utf-8")))))
     assert not found, f"{path.name} reads {found}"
+
+
+def _calls_by_function(tree: ast.AST, name: str, scope: str = "<module>"):
+    """(innermost enclosing function, call) for each call of `name`, bare or as an attribute."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                yield scope
+        yield from _calls_by_function(node, name, inner)
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    return {
+        (path.stem, fn)
+        for path in SRC.glob("*.py")
+        for fn in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")), name)
+    }
+
+
+def test_an_ideal_is_validated_where_it_enters():
+    """Only `ideals` builds a GradedIdeal itself, and the validating `graded_ideal` runs on the
+    two ideals that enter from outside the constructions: a JSON ideal and `build_h`'s glued one.
+    Every other ideal is closed under R_1 by construction and goes through `_assemble_ideal`."""
+    assert {module for module, _ in _callers("GradedIdeal")} == {"ideals"}
+    assert _callers("graded_ideal") == {("ideals", "ideal_from_json"), ("closure", "build_h")}
