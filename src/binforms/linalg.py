@@ -18,12 +18,16 @@ elimination; `kernel_from` and `contains_vector` eliminate nothing.  Once per ca
 picks a Gauss-Jordan kernel by field:
 
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
-  scaled by the inverse of its pivot only when that is not 1, and rows are
-  updated from the pivot column on, since the pivot row is zero to its left.
+  scaled by the inverse of its pivot only when that is not 1.  Each row with
+  a nonzero entry f in the pivot column c is updated in place: entry c set
+  to 0, and row[k] -= f * prow[k] mod p only at the pivot row's support, its
+  nonzero columns right of c (zero to the left), listed once per pivot and
+  only when some row needs clearing.  Nothing is allocated per row.
 * Q: integer rows (`Matrix.ints`) in and out, no Fraction built, eliminated
   fraction-free: a pivot row is divided by its content, sign included, when
   chosen, and row <- (a/g) row - (f/g) pivot row for pivot entry a, entry f,
-  g = gcd(a, f), then divided by its content.  A row held after any step is
+  g = gcd(a, f), the subtraction made only at the pivot row's support, then
+  divided by its content in a new list.  A row held after any step is
   primitive and proportional to a vector of minors of the input made
   primitive, so its entries never exceed that input's Hadamard bound prod_i
   max(1, |row_i|_2) (Bareiss, Math. Comp. 22, 1968, does so by exact division).
@@ -124,7 +128,7 @@ def _pivot_walk(rows: list[list], ncols: int):
 
 
 def _rref_fp(rows_in, ncols: int, p: int):
-    """Gauss-Jordan on int rows with residues in [0, p)."""
+    """Gauss-Jordan on int rows with residues in [0, p), updated in place over each pivot row's support."""
     rows = [list(r) for r in rows_in]
     pivots = []
     for r, c in _pivot_walk(rows, ncols):
@@ -133,13 +137,17 @@ def _rref_fp(rows_in, ncols: int, p: int):
         if a != 1:
             inv = pow(a, -1, p)
             prow[c:] = [x * inv % p for x in prow[c:]]
-        # Every row at index >= r is zero left of column c, the pivot row
-        # included, so columns < c never change.
-        tail = prow[c:]
+        # No entry changes where the pivot row is zero (left of c, among others);
+        # its support is listed for the first row to clear, as many pivots clear none.
+        nz = None
         for row in rows:
             f = row[c]
             if f and row is not prow:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                if nz is None:
+                    nz = [k for k in range(c + 1, ncols) if prow[k]]
+                row[c] = 0
+                for k in nz:
+                    row[k] = (row[k] - f * prow[k]) % p
         pivots.append(c)
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
@@ -154,18 +162,21 @@ def _rref_q(rows_in, ncols: int):
         if g != 1:
             prow = rows[r] = [x // g for x in prow]
         a = prow[c]
-        tail = prow[c:]
+        nz = None
         for i, row in enumerate(rows):
             f = row[c]
             if not f or i == r:
                 continue
+            if nz is None:
+                nz = [k for k in range(c + 1, ncols) if prow[k]]
             g = gcd(a, f)
             ag, fg = a // g, f // g
-            new = [ag * x - fg * y for x, y in zip(row[c:], tail)]
-            # Rows below r are zero left of c; earlier pivot rows are not,
-            # and there the whole row is scaled by a/g.
-            head = [ag * x for x in row[:c]] if i < r else row[:c]
-            rows[i] = _primitive(head + new)
+            # Scaled whole (rows below r are zero left of c), in a new list: `rows` holds primitive rows.
+            new = [ag * x for x in row]
+            new[c] = 0
+            for k in nz:
+                new[k] -= fg * prow[k]
+            rows[i] = _primitive(new)
         pivots.append(c)
     return tuple(map(tuple, rows)), tuple(pivots)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import factorial
 
 from .errors import PreconditionError
 from .fields import FieldSpec
@@ -77,9 +76,10 @@ class DualSpace:
         with these weights, so this is the one place they are applied.
         """
         F, j = self.field, self.degree
-        if not self.dim:  # no row to weight, so no j + 1 factorial pairs to build
+        if not self.dim:  # no row to weight, so no j + 1 weights to build
             return ()
-        weights = [F.coerce(factorial(j - a) * factorial(a)) for a in range(j + 1)]
+        fact = list(accumulate(range(1, j + 1), lambda f, k: F.coerce(f * k), initial=F.one))  # 0!..j!
+        weights = [F.coerce(fact[j - a] * fact[a]) for a in range(j + 1)]
         return tuple(tuple(F.coerce(c * wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
 
     @cached_property

@@ -285,6 +285,85 @@ def test_rref_over_q_matches_sympy(m):
     assert got == list(want) and piv == tuple(want_piv) and rk == len(want_piv)
 
 
+# ------------------------------------- the shapes the library feeds `rref`
+
+
+def _entry(rng, fld, zero_prob):
+    """A canonical scalar: zero with probability zero_prob, else nonzero, small or any residue."""
+    if rng.random() < zero_prob:
+        return fld.zero
+    if fld.p is not None:
+        return rng.randrange(1, min(fld.p, 4)) if rng.random() < 0.5 else rng.randrange(1, fld.p)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+
+
+def _random_rows(rng, fld, nr, nc, zero_prob=0.0):
+    return [tuple(_entry(rng, fld, zero_prob) for _ in range(nc)) for _ in range(nr)]
+
+
+def _ladder(rng, fld):
+    """x.R_kB over y^(k+1).B, as `spaces._shift_up_once` stacks them: R_kB's RREF basis
+    (each monomial multiple of B's rows, reduced by the oracle) with a 0 appended, over
+    B's rows shifted k + 1 columns right."""
+    m, k = rng.randint(0, 24), rng.randint(0, 20)
+    B = _random_rows(rng, fld, rng.randint(1, min(m + 1, 8)), m + 1, rng.choice([0.0, 0.5]))
+    multiples = [(fld.zero,) * a + b + (fld.zero,) * (k - a) for b in B for a in range(k + 1)]
+    red, rk, _ = oracle_rref(Matrix(fld, tuple(multiples), m + k + 1))
+    rows = [r + (fld.zero,) for r in red.rows[:rk]] + [(fld.zero,) * (k + 1) + b for b in B]
+    return rows, m + k + 2
+
+
+def _residues(rng, fld):
+    """z[:j] over z[1:] for the rows z of an echelon block, as `FormSpace._residues`
+    stacks them before it eliminates with reversed columns."""
+    j = rng.randint(1, 59)
+    Z = _random_rows(rng, fld, rng.randint(1, min(j + 1, 20)), j + 1, rng.choice([0.0, 0.5]))
+    red, rk, _ = oracle_rref(Matrix(fld, tuple(Z), j + 1))
+    Z = red.rows[:rk]
+    return [z[:j] for z in Z] + [z[1:] for z in Z], j
+
+
+def _hankel(rng, fld):
+    """The degree-i catalecticant of W: each window w[r : r + i + 1] of each row w of W."""
+    j = rng.randint(0, 45)
+    i = rng.randint(0, j)
+    W = _random_rows(rng, fld, rng.randint(1, max(1, min(j + 1, 40 // (j - i + 1)))), j + 1)
+    return [w[r : r + i + 1] for w in W for r in range(j - i + 1)], i + 1
+
+
+def _unit_rows(rng, fld):
+    """Monomials: rows with one nonzero entry, some columns repeated, so pivot rows have
+    empty support; sometimes a few dense rows among them."""
+    nc = rng.randint(1, 60)
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        row = [fld.zero] * nc
+        row[rng.randrange(nc)] = _entry(rng, fld, 0.0)
+        rows.append(tuple(row))
+    if rng.random() < 0.5:
+        rows += _random_rows(rng, fld, rng.randint(1, 3), nc, 0.5)
+    rng.shuffle(rows)
+    return rows, nc
+
+
+@st.composite
+def library_shapes(draw):
+    """A matrix of one of the shapes the library eliminates, up to about 40 x 60."""
+    fld = draw(st.sampled_from(KERNEL_FIELDS))
+    shape = draw(st.sampled_from([_ladder, _residues, _hankel, _unit_rows]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows, nc = shape(rng, fld)
+    if draw(st.booleans()):  # `rref_reversed` eliminates with the columns reversed
+        rows = [r[::-1] for r in rows]
+    return Matrix(fld, tuple(rows), nc)
+
+
+@given(library_shapes())
+@settings(max_examples=250, deadline=None)
+def test_rref_on_library_shapes_matches_scalar_oracle(m):
+    assert_identical(rref(m), oracle_rref(m))
+
+
 def _primitive_rows(m):
     out = []
     for row in m.rows:
