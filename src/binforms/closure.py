@@ -71,7 +71,8 @@ def _check_nose_pair(Nprime: OSequence, N: OSequence) -> tuple[int, int]:
     return d, j
 
 
-def _check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int]:
+def _check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int, int]:
+    """(d, j) and the walk's top: one past j and the stabilizations of T', T."""
     params = []
     for S in (T, Tprime):
         if S.is_zero_ideal:
@@ -87,7 +88,7 @@ def _check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int]:
     top = max(Tprime.stabilization(), T.stabilization(), j) + 1
     if any(Tprime.value(i) < T.value(i) for i in range(j, top + 1)):
         raise PreconditionError("tail step needs T' >= T termwise")
-    return d, j
+    return d, j, top
 
 
 # ── single interpolation steps ────────────────────────────────────────────────
@@ -134,13 +135,12 @@ def step_t(Tprime: OSequence, T: OSequence) -> OSequence:
 
 
 def _step_t(
-    Tprime: OSequence, T: OSequence, d: int, j: int
+    Tprime: OSequence, T: OSequence, d: int, j: int, top: int
 ) -> tuple[OSequence, tuple[int, int]]:
     """The step and the block it lowers: (t, t + a - 1) for a run, or (t, top)
-    for a constant drop, top being one past j and the stabilizations of T', T."""
+    for a constant drop, top being the walk's: every T' on it stabilizes below."""
     if Tprime == T:  # the pair is checked, with parameters (d, j)
         raise PreconditionError("sequences already agree; no step to take")
-    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
     t = min(i for i in range(j, top + 1) if Tprime.value(i) != T.value(i))
     if Tprime.e(t + 1) == 0:
         # constant range: drop everything from t on, lowering the constant
@@ -231,12 +231,9 @@ def _tail_steps(
     """Walk I'_0 .. I'_top (zero below j) from T' to T: the steps, components and tail gcd."""
     top, cur, steps = len(comps) - 1, Tprime, []
     while cur != T:
-        nxt, (lo, hi) = _step_t(cur, T, d, j)
+        nxt, (lo, hi) = _step_t(cur, T, d, j, top)
         new = list(comps)
         if nxt.constant != cur.constant:
-            # the step's own top shrinks with cur's stabilization; every
-            # component up to this walk's top is replaced, so record that
-            hi = top
             tail = _strip_linear(tail)
             for u in range(lo, top + 1):
                 new[u] = principal_space(tail, u)
@@ -254,8 +251,7 @@ def _tail_steps(
 def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
     """An ideal containing I' with tail-type Hilbert function T (T ≤ T')."""
     Tprime = hilbert_function(Iprime)
-    d, j = _check_tail_pair(Tprime, T)  # each step's output is checked in _step_t
-    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
+    d, j, top = _check_tail_pair(Tprime, T)  # each step's output is checked in _step_t
     comps = [Iprime.component(i) for i in range(top + 1)]
     steps, comps, tail = _tail_steps(comps, Iprime.tail_gcd, Tprime, T, d, j)
     return BuildTrace(steps, _assemble_ideal(Iprime.field, 0, comps, tail) if steps else Iprime)

@@ -8,7 +8,7 @@ drop), leading zeros the power of y (the root t = 0).  Polynomials in t are
 int lists, one kernel per field kind picked once per call by `F.p`: residues
 mod a local p, or primitive integer lists over Q (Fractions only for the
 result).  `_linear_split` gives the rootless part of f at once and its
-linear factors on demand.  The dual ring acts by differentiation:
+linear factors on demand, F_2 like any F_p.  The dual ring acts by differentiation:
 x^a y^b . X^c Y^d = c(c-1)...(c-a+1) d(d-1)...(d-b+1) X^(c-a) Y^(d-b),
 which is a perfect pairing exactly when char k = 0 or p > degree.
 """
@@ -287,11 +287,12 @@ def _root_gcd(f: list[int], p: int) -> list[int]:
 
 
 def _fp_roots(g: list[int], p: int) -> list[int]:
-    """The roots, sorted, of g = `_root_gcd(f, p)` for odd p, without scanning the
-    residues: deterministic Cantor-Zassenhaus equal-degree splitting (von zur
-    Gathen-Gerhard, Modern Computer Algebra, ch. 14) with shifts a = 0, 1, ...:
-    gcd(g, (t+a)^((p-1)/2) - 1) collects the roots r with r + a a nonzero square.
-    For two distinct roots (p-1)/2 of the p shifts separate them: the loop ends below p."""
+    """The roots, sorted, of g = `_root_gcd(f, p)`, without scanning the residues:
+    g of degree <= 1 is read off (for p = 2 and f(0) != 0 every g: it divides t + 1),
+    larger g split by deterministic Cantor-Zassenhaus (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 14) with shifts a = 0, 1, ...: the gcd of g and
+    (t+a)^((p-1)/2) - 1 collects the roots r with r + a a nonzero square.  For two
+    distinct roots (p-1)/2 of the p shifts separate them: the loop ends below p."""
 
     def split(g: list, start: int) -> list:
         if len(g) <= 2:
@@ -314,12 +315,12 @@ def _lifting_prime(f: list[int], p: int) -> bool:
     return f[-1] % p != 0 and len(_gcd_p(_mod(f, p), _mod(_deriv(f), p), p)) == 1
 
 
-def _rational_roots(F: FieldSpec, f: list) -> list:
-    """Distinct roots in k, sorted, of a polynomial f in t: over F_p reduced and
-    trimmed, over Q the primitive integer list `_linear_split` made, with a
-    nonzero constant term (the power of t is stripped first).
+def _rational_roots(f: list) -> list:
+    """Distinct rational roots, sorted, of the primitive integer list f in t that
+    `_linear_split` made, with a nonzero constant term (the power of t is stripped
+    first); a constant f, over any field, has none.
 
-    Over Q the roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
+    The roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
     1983).  A lifting prime among the first 8 odd primes certifies f
     squarefree; without one, f becomes f / gcd(f, f') by the primitive PRS
     and p its least odd lifting prime.  A root a/b has a | f_0 and b | f_n,
@@ -329,10 +330,6 @@ def _rational_roots(F: FieldSpec, f: list) -> list:
     """
     if len(f) < 2:
         return []
-    if F.p == 2:  # F_2 evaluates at 0 and 1
-        return [t for t, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
-    if F.p:
-        return _fp_roots(_root_gcd(_mod(f, F.p), F.p), F.p)
     p = next((p for p in (3, 5, 7, 11, 13, 17, 19, 23) if _lifting_prime(f, p)), None)
     if p is None:
         f = _exquo(f, _prs_gcd(f, _deriv(f)), None)
@@ -360,10 +357,10 @@ def _rational_roots(F: FieldSpec, f: list) -> list:
 
 def _linear_split(f: BinaryForm) -> tuple[BinaryForm, Callable[[], list[tuple[BinaryForm, int]]]]:
     """(remainder, factors) with `linear_factors(f)` == (factors(), remainder).
-    Over F_p, p odd, the remainder of the core (f less its powers of x and y)
-    costs one Frobenius power, g = `_root_gcd(core, p)`, then rem <- rem /
-    gcd(rem, g) until that gcd is 1; factors() splits that g.  Over Q and F_2
-    the roots come first.  Multiplicities are counted by exact division."""
+    Over F_p the remainder of the core (f less its powers of x and y) costs
+    one Frobenius power, g = `_root_gcd(core, p)`, then rem <- rem /
+    gcd(rem, g) until that gcd is 1; factors() splits that g.  Over Q the
+    roots come first.  Multiplicities are counted by exact division."""
     if f.is_zero:
         raise PreconditionError("cannot factor the zero form")
     F, p = f.field, f.field.p
@@ -385,8 +382,8 @@ def _linear_split(f: BinaryForm) -> tuple[BinaryForm, Callable[[], list[tuple[Bi
         factors.sort(key=lambda fm: [(c.numerator, c.denominator) for c in map(Fraction, fm[0].coeffs)])
         return factors, rem
 
-    if p is None or p == 2 or len(core) < 2:
-        factors, rem = strip(_rational_roots(F, core))
+    if p is None or len(core) < 2:
+        factors, rem = strip(_rational_roots(core))
         return _monic_form(F, rem), lambda: factors
     g, rem = _root_gcd(core, p), core
     while len(d := _gcd_p(rem, g, p)) > 1:

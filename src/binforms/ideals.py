@@ -252,8 +252,8 @@ def relation_degrees(I: GradedIdeal) -> tuple[int, ...]:
         d1 = I.dim(i - 1) if i >= 1 else 0
         d2 = I.dim(i - 2) if i >= 2 else 0
         rels = _fresh_generators(I, i) - (I.dim(i) - 2 * d1 + d2)
-        if rels < 0:
-            raise PreconditionError("negative relation count", degree=i)
+        if rels < 0:  # beta_(1,i) of an ideal is >= 0 (Hilbert-Burch)
+            raise RuntimeError(f"postcondition failed: relation count {rels} < 0 at degree {i}")
         degs.extend([i] * rels)
     return tuple(degs)
 

@@ -54,23 +54,18 @@ def apply_chain(V: FormSpace, chain) -> FormSpace:
 def normalize_chain(chain) -> ChainSpec:
     """Shortest-known equivalent chain: merge same-sign neighbours and
     collapse triples whose middle index is dominated by both ends, until
-    the signs alternate and |i_1| < ... < |i_t| >= ... >= |i_k|."""
-    idx = list(chain_spec(chain).indices)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(idx) - 1):
-            if idx[k] * idx[k + 1] > 0:
-                idx[k : k + 2] = [idx[k] + idx[k + 1]]
-                changed = True
-                break
-        if changed:
-            continue
-        for k in range(len(idx) - 2):
-            a, b, c = idx[k : k + 3]
-            if a * c > 0 and abs(b) <= abs(a) and abs(b) <= abs(c):
-                idx[k : k + 3] = [a + b + c]
-                changed = True
+    the signs alternate and |i_1| < ... < |i_t| >= ... >= |i_k|.  One pass pushes
+    each index and rewrites the top while a rule applies (below it, none does)."""
+    idx: list[int] = []
+    for i in chain_spec(chain).indices:
+        idx.append(i)
+        while len(idx) >= 2:
+            a, b, c = [0, *idx[-3:]][-3:]  # a = 0 pads a stack of two
+            if b * c > 0:
+                idx[-2:] = [b + c]
+            elif a * c > 0 and abs(b) <= min(abs(a), abs(c)):
+                idx[-3:] = [a + b + c]
+            else:
                 break
     for u in range(len(idx) - 1):
         if idx[u] * idx[u + 1] > 0:

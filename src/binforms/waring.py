@@ -27,7 +27,6 @@ from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import (
     BinaryForm,
-    format_form,
     _linear_split,
     linear_power,
     monic,
@@ -128,13 +127,6 @@ class DualSpace:
 
     def basis_forms(self):
         return self.space.basis_forms()
-
-    def __str__(self) -> str:
-        if self.dim == 0:
-            return "<0>"
-        return "<" + ", ".join(
-            format_form(w, vars=DUAL_VARS) for w in self.basis_forms()
-        ) + ">"
 
 
 def dual_space(field: FieldSpec, degree: int, forms) -> DualSpace:

@@ -608,6 +608,31 @@ def oracle_first_inequivalent(W, sign: int, steps: int):
     return None
 
 
+def oracle_normalize_chain(indices) -> tuple[int, ...]:
+    """Normal form of a chain by restarting from the left after every rewrite:
+    the leftmost same-sign pair merges first, else the leftmost triple a, b, c
+    with a c > 0 and |b| <= min(|a|, |c|) collapses to a + b + c (the loop
+    `related.normalize_chain` ran before its one stack pass)."""
+    idx = list(indices)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(idx) - 1):
+            if idx[k] * idx[k + 1] > 0:
+                idx[k : k + 2] = [idx[k] + idx[k + 1]]
+                changed = True
+                break
+        if changed:
+            continue
+        for k in range(len(idx) - 2):
+            a, b, c = idx[k : k + 3]
+            if a * c > 0 and abs(b) <= abs(a) and abs(b) <= abs(c):
+                idx[k : k + 3] = [a + b + c]
+                changed = True
+                break
+    return tuple(idx)
+
+
 # ----- subspace choice -----------------------------------------------------------
 
 

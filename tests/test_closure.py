@@ -355,7 +355,7 @@ def test_le_partial_vouches_for_the_nose_and_tail_pairs():
                     if le_partial(Hs, Ht, d, j) is Cmp.GREATER:
                         N, T = nose_tail(Ht, j)
                         assert closure._check_nose_pair(Np, N) == (d, j)
-                        assert closure._check_tail_pair(Tp, T) == (d, j)
+                        assert closure._check_tail_pair(Tp, T)[:2] == (d, j)
 
 
 # ── subspace choice: one column rank profile ──────────────────────────────────

@@ -10,7 +10,9 @@ from binforms.linalg import _integer_row
 from binforms.fields import GF, QQ
 from binforms.forms import (
     BinaryForm,
+    _fp_roots,
     _rational_roots,
+    _root_gcd,
     add_form,
     divide_form,
     form,
@@ -81,6 +83,7 @@ def test_gcd_hand_factored():
 def test_gcd_with_zero():
     f = q(2, [2, 0, -2])
     assert gcd_form(f, zero_form(QQ, 5)) == monic(f)
+    assert gcd_form(zero_form(F7, 4), form(F7, 2, [3, 0, 2])) == monic(form(F7, 2, [3, 0, 2]))
     with pytest.raises(PreconditionError):
         gcd_form(zero_form(QQ, 1), zero_form(QQ, 2))
 
@@ -190,6 +193,14 @@ def test_smallest_linear_factor_ordering():
 ROOT_PRIMES = (2, 3, 5, 7, 101, 10007)
 
 
+def _fp_roots_of(p, core):
+    """Roots in F_p of a reduced, trimmed core by `_linear_split`'s path: the
+    power of t is the root 0, the rest are the roots of gcd(core, t^p - t)."""
+    my = next(a for a, c in enumerate(core) if c)
+    rest = list(core[my:])
+    return [0] * (my > 0) + (_fp_roots(_root_gcd(rest, p), p) if len(rest) > 1 else [])
+
+
 def _times_root(p, core, r):
     """core * (t - r) over F_p."""
     return [(a - r * b) % p for a, b in zip([0] + core, core + [0])]
@@ -206,14 +217,14 @@ def _rootless_quadratic(p):
 
 @pytest.mark.parametrize("p", ROOT_PRIMES)
 def test_fp_roots_match_residue_scan(p):
-    F, rng = GF(p), random.Random(f"fp-roots|{p}")
+    rng = random.Random(f"fp-roots|{p}")
     for _ in range(150 if p < 1000 else 25):
         core = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, p)]
         for _ in range(rng.choice((0, 0, 1, 2, 4))):
             core = _times_root(p, core, rng.randrange(p))
-        got = _rational_roots(F, list(core))
+        got = _fp_roots_of(p, core)
         assert got == oracle_fp_roots(p, core), core
-        assert _rational_roots(F, list(core)) == got  # deterministic
+        assert _fp_roots_of(p, list(core)) == got  # deterministic
 
 
 @pytest.mark.parametrize("p", ROOT_PRIMES)
@@ -221,19 +232,19 @@ def test_fp_roots_structured_cores(p):
     F, rng = GF(p), random.Random(f"fp-structured|{p}")
     quad = _rootless_quadratic(p)
     # rootless: one irreducible quadratic, and a product of two
-    assert _rational_roots(F, quad) == []
-    assert _rational_roots(F, mul_form(form(F, 2, quad), form(F, 2, quad)).coeffs) == []
+    assert _fp_roots_of(p, quad) == []
+    assert _fp_roots_of(p, mul_form(form(F, 2, quad), form(F, 2, quad)).coeffs) == []
     f = monic(form(F, 2, quad))
     assert linear_factors(f) == ([], f)
     # fully split: t^p - t for small p, else many distinct planted roots
     if p < 100:
         split = [0, p - 1] + [0] * (p - 2) + [1]
-        assert _rational_roots(F, split) == list(range(p))
+        assert _fp_roots_of(p, split) == list(range(p))
     roots = sorted(rng.sample(range(p), min(p, 12)))
     core = [1]
     for r in roots:
         core = _times_root(p, core, r)
-    assert _rational_roots(F, core) == roots
+    assert _fp_roots_of(p, core) == roots
     # repeated roots times a rootless quadratic: linear_factors certifies the
     # multiplicities by exact division and keeps the quadratic
     mults = {r: rng.randint(1, 3) for r in rng.sample(range(p), min(p, 3))}
@@ -241,7 +252,7 @@ def test_fp_roots_structured_cores(p):
     for r, m in mults.items():
         for _ in range(m):
             core = _times_root(p, core, r)
-    assert _rational_roots(F, core) == sorted(mults)
+    assert _fp_roots_of(p, core) == sorted(mults)
     factors, rem = linear_factors(form(F, len(core) - 1, core))
     want = sorted(((monic(form(F, 1, [-r, 1])), m) for r, m in mults.items()),
                   key=lambda fm: fm[0].coeffs)
@@ -322,7 +333,7 @@ def test_q_roots_match_sympy(bits):
     rng = random.Random(f"q-roots|{bits}")
     for _ in range(10):
         core, planted = _planted_q_core(rng, bits)
-        got = _rational_roots(QQ, _integer_row(core))  # the root finder's input over Q
+        got = _rational_roots(_integer_row(core))  # the root finder's input over Q
         assert got == planted == oracle_q_roots(core), core
 
 
@@ -336,21 +347,21 @@ def test_q_roots_without_a_certificate_prime(monkeypatch):
     calls = []
     real = forms._prs_gcd
     monkeypatch.setattr(forms, "_prs_gcd", lambda a, b: calls.append(a) or real(a, b))
-    got = _rational_roots(QQ, core)
+    got = _rational_roots(core)
     assert got == [Fraction(1, M), 2] == oracle_q_roots(core)
     assert len(calls) == 1
     calls.clear()
-    assert _rational_roots(QQ, _q_times([-1, 1], [-2, 1])) == [1, 2]  # 3 certifies
+    assert _rational_roots(_q_times([-1, 1], [-2, 1])) == [1, 2]  # 3 certifies
     assert calls == []
 
 
 def test_q_roots_structured_cores():
-    assert _rational_roots(QQ, [Fraction(5)]) == []
-    assert _rational_roots(QQ, [1, 0, 1]) == []  # 1 + t^2
-    assert _rational_roots(QQ, [-2, 0, 1]) == []  # irrational roots
+    assert _rational_roots([Fraction(5)]) == []
+    assert _rational_roots([1, 0, 1]) == []  # 1 + t^2
+    assert _rational_roots([-2, 0, 1]) == []  # irrational roots
     # (t - 1)^3 (t + 1): repeated roots, and roots that coincide mod 3
-    assert _rational_roots(QQ, _integer_row([Fraction(c) for c in (-1, 2, 0, -2, 1)])) == [-1, 1]
-    assert _rational_roots(QQ, _integer_row([Fraction(-3), Fraction(1, 7)])) == [21]
+    assert _rational_roots(_integer_row([Fraction(c) for c in (-1, 2, 0, -2, 1)])) == [-1, 1]
+    assert _rational_roots(_integer_row([Fraction(-3), Fraction(1, 7)])) == [21]
     # y (y - 100 x): the power of y is split off before the root finder, so
     # the lift bound 2 max(|f_0|, |f_n|)^2 is taken on t - 100 and covers 100
     assert linear_factors(q(2, [0, -100, 1])) == (

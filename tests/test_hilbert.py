@@ -361,6 +361,14 @@ def test_nose_tail_table_row():
     assert not is_permissible_tail(N, 4, 5)
 
 
+def test_permissibility_refuses_a_wrong_value_at_j_or_a_value_out_of_range():
+    N, T = nose_tail(parse_oseq("1,2,3,4,3,2,1(0)"), 5)
+    assert not is_permissible_nose(N, 3, 5)  # N_5 = 2, not 5 + 1 - 3
+    assert not is_permissible_tail(T, 3, 5)  # T_5 = 2, not 5 + 1 - 3
+    assert not is_permissible_nose(oseq([1, 2, 2, 1], 0), 1, 2)  # nonzero past j
+    assert not is_permissible_nose(oseq([1, 3, 2], 0), 1, 2)  # N_1 = 3 > 1 + 1
+
+
 def test_le_partial_examples():
     rows = table_rows(4, 5)
     for u, v in zip(rows, rows[1:]):

@@ -205,6 +205,28 @@ def test_validating_constructor_rejects_unclosed_components():
         graded_ideal(QQ, 2, [full_space(QQ, 2)], monomial(QQ, 1, 0))
 
 
+def test_negative_relation_count_is_an_internal_error():
+    # <x> in degree 1 and <y^2> in degree 2 is no ideal; only the unchecked
+    # assembly builds it, and its Betti count goes negative at degree 3
+    F = GF(101)
+    I = ideals._assemble_ideal(
+        F, 1, [span(F, 1, [form(F, 1, [1, 0])]), span(F, 2, [form(F, 2, [0, 0, 1])])], unit_form(F))
+    with pytest.raises(RuntimeError, match="postcondition.*relation count.*degree 3"):
+        relation_degrees(I)
+
+
+def test_generators_all_zero_or_of_another_field():
+    F = GF(101)
+    assert ideal_from_generators(F, [form(F, 2, [0, 0, 0]), form(F, 0, [0])]) == zero_ideal(F)
+    with pytest.raises(PreconditionError, match="generator field mismatch"):
+        ideal_from_generators(F, [form(F, 1, [1, 0]), form(QQ, 1, [0, 1])])
+
+
+def test_same_ideal_is_false_across_fields():
+    assert not same_ideal(generated_ideal(full_space(GF(101), 1)), generated_ideal(full_space(QQ, 1)))
+    assert not same_ideal(zero_ideal(GF(101)), zero_ideal(QQ))
+
+
 def test_json_roundtrip():
     V = _mono_space(GF(101), 4, 0, 1, 4)
     for I in (ancestor_ideal(V), generated_ideal(V), zero_ideal(GF(101))):

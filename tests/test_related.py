@@ -23,12 +23,13 @@ from binforms.related import (
 )
 from binforms.spaces import FormSpace, equivalent, principal_space, random_space, shift, span, tau
 
-from oracles import oracle_first_inequivalent
+from oracles import oracle_first_inequivalent, oracle_normalize_chain
 
 F101 = GF(101)
 
 nonzero_ints = st.integers(min_value=-4, max_value=4).filter(lambda i: i != 0)
 chains = st.lists(nonzero_ints, min_size=0, max_size=5).map(tuple)
+long_chains = st.lists(st.integers(min_value=-8, max_value=8).filter(lambda i: i != 0), max_size=16)
 
 
 def _mono_space():
@@ -72,6 +73,13 @@ def test_normalize_chain_shape_and_idempotence(chain):
     assert normalize_chain(norm) == norm
     signs = [1 if i > 0 else -1 for i in norm.indices]
     assert all(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(long_chains)
+def test_normalize_chain_matches_the_restart_loop(chain):
+    # one stack pass against the loop that rescans from the left after each rewrite
+    assert normalize_chain(chain).indices == oracle_normalize_chain(chain)
 
 
 @settings(max_examples=100, deadline=None)
