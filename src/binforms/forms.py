@@ -83,8 +83,8 @@ def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 def monic(f: BinaryForm) -> BinaryForm:
-    """Scale so the first nonzero coefficient (highest x power) is 1."""
-    return f if f.is_zero else _monic_form(f.field, list(f.coeffs))
+    """Scale so the first nonzero coefficient (highest x power) is 1: f itself if it is 1 or f = 0."""
+    return f if next(filter(None, f.coeffs), 1) == 1 else _monic_form(f.field, list(f.coeffs))
 
 
 # ----- polynomials in t = y/x, constant term first --------------------------------

@@ -50,46 +50,59 @@ from typing import Sequence
 from .fields import FieldSpec, Scalar
 
 
-class _RowsOverLeads:
-    """`Matrix.rows` of a matrix built by `from_ints` over Q, computed on first read."""
+class _RowsOnFirstRead:
+    """`Matrix.rows` that `from_ints` (over Q) or `lazy_matrix` left out: `m._write()`, on first read."""
 
     def __get__(self, m, owner=None):
         if m is None:
             raise AttributeError("rows")  # no class-level default: the field stays required
-        leads = (next(filter(None, r), 1) for r in m._ints)  # a zero row stays zero
-        rows = m.__dict__["rows"] = tuple(tuple(Fraction(x, a) for x in r) for r, a in zip(m._ints, leads))
-        return rows
+        object.__setattr__(m, "rows", m._write())
+        return m.rows
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else
-    primitive integer rows (leads positive in an RREF), converted once.  Over Q `from_ints` (so `rref`,
-    `row_basis`, `kernel`) keeps only `ints`, and `rows`, `==`, hash and repr build the Fractions."""
+    """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else primitive
+    integer rows (leads positive in an RREF).  `from_ints` over Q keeps only `ints`, `lazy_matrix` only a
+    thunk (`_write`); the rest is computed on first read and stored by `object.__setattr__`, as reading
+    `__dict__` would make CPython build the instance's dict, which slows every later attribute read."""
 
     field: FieldSpec
-    rows: tuple[tuple[Scalar, ...], ...] = _RowsOverLeads()
+    rows: tuple[tuple[Scalar, ...], ...] = _RowsOnFirstRead()
     ncols: int
+    _ints = None  # not a field: set by `from_ints` over Q, else on the first read of `ints` over Q
 
     def __post_init__(self):  # nrows: a plain attribute, not a field, read often and building no rows
-        object.__setattr__(self, "nrows", len(self.rows))  # not via __dict__, which slows later reads
+        object.__setattr__(self, "nrows", len(self.rows))
 
     @property
     def ints(self) -> tuple[tuple[int, ...], ...]:
         if self.field.p:
             return self.rows
-        if "_ints" not in self.__dict__:
-            self.__dict__["_ints"] = tuple(tuple(_integer_row(r)) for r in self.rows)
-        return self.__dict__["_ints"]
+        if self._ints is None:
+            object.__setattr__(self, "_ints", tuple(tuple(_integer_row(r)) for r in self.rows))
+        return self._ints
+
+    def _write(self):  # `from_ints` rows over Q: each int row over its lead (`lazy_matrix` sets a thunk)
+        leads = (next(filter(None, r), 1) for r in self._ints)  # a zero row stays zero
+        return tuple(tuple(Fraction(x, a) for x in r) for r, a in zip(self._ints, leads))
+
+
+def _bare(field: FieldSpec, ncols: int, nrows: int, name: str, value) -> Matrix:  # no `rows` yet
+    m = object.__new__(Matrix)
+    for attr in (("field", field), ("ncols", ncols), ("nrows", nrows), (name, value)):
+        object.__setattr__(m, *attr)
+    return m
 
 
 def from_ints(field: FieldSpec, ints: tuple, ncols: int) -> Matrix:
     """The Matrix with these `ints` (tuples of ints); over Q its `rows` are computed on first read."""
-    if field.p:
-        return Matrix(field, ints, ncols)
-    m = object.__new__(Matrix)
-    m.__dict__.update(field=field, _ints=ints, ncols=ncols, nrows=len(ints))
-    return m
+    return Matrix(field, ints, ncols) if field.p else _bare(field, ncols, len(ints), "_ints", ints)
+
+
+def lazy_matrix(field: FieldSpec, nrows: int, ncols: int, write) -> Matrix:
+    """The Matrix whose `nrows` rows of canonical scalars `write()` returns, on first read."""
+    return _bare(field, ncols, nrows, "_write", write)
 
 
 def zero_matrix(field: FieldSpec, ncols: int) -> Matrix:

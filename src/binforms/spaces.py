@@ -7,14 +7,13 @@ number of generators of every ideal V determines.  As xV ∩ yV = xy.R_{-1}V,
 dim R_1V = 2 dim V - dim R_{-1}V, so `tau` reads whichever neighbour rung is
 built.  `shift` walks one-step rungs, built once per space and kept on it:
 
-* A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a)
-  needs no elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i}
-  in the last k columns, rho_m being the remainders of 1/g: rho_0 = (-1,
-  0, ..., 0), rho_{m+1}[q] = rho_m[q+1] - rho_m[0] g[q+1], rho_m[k] = 0.
-  `_principal` finds f in the last row, rejects most other spaces on one
-  entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if k = 1)
-  and then compares every row.  R_1 puts [e_a + rho_{s+2}] over y.(each
-  row); R_{-1} drops the first row and each row's first entry.
+* A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a) needs no
+  elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last k columns,
+  rho_m being the remainders of 1/g: rho_0 = (-1, 0, ..., 0), rho_{m+1}[q] = rho_m[q+1]
+  - rho_m[0] g[q+1], rho_m[k] = 0.  `_principal` finds f in the last row, rejects most
+  other spaces on one entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if
+  k = 1) and then compares every row.  R_{+-1} of a block is the block f.R_{s+-1}, built
+  from (f, s +- 1) alone: its rows are written when first read.
 * Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
   iff V's 2 cod V free-column rows (below) are independent: one rank, tried if dim V +
   dim B >= j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
@@ -42,6 +41,7 @@ from .linalg import (
     from_ints,
     integral_dual,
     kernel_from,
+    lazy_matrix,
     row_basis,
     rref_reversed,
     row_space_sum,
@@ -123,27 +123,16 @@ class FormSpace:
         return f if all(r == w for r, w in zip(reversed(rows), _block_rows(f, s))) else None
 
 
-def _principal_block(F: FieldSpec, rows, f: BinaryForm) -> FormSpace:
-    V = FormSpace(F, f.degree + len(rows) - 1, Matrix(F, tuple(rows), f.degree + len(rows)))
-    V.__dict__["_principal"] = f  # the memo, set the way cached_property would
-    return V
-
-
-def _next_rho(F: FieldSpec, g: tuple, rho: tuple) -> tuple:
-    """rho_{m+1} from rho_m for a core g with g[0] = 1."""
-    c, tail = (rho[0], rho[1:] + (F.zero,)) if rho else (F.zero, rho)
-    return tuple(F.coerce(r - c * b) for r, b in zip(tail, g[1:])) if c else tail
-
-
 def _block_rows(f: BinaryForm, s: int):
-    """The canonical basis rows of f.R_s (f monic), last row first."""
-    F, zero, one = f.field, f.field.zero, f.field.one
+    """The canonical basis rows of f.R_s (f monic), last row first: rho_1 = h = g[1:]; mod p over F_p."""
+    p, zero, one = f.field.p, f.field.zero, f.field.one
     a = f.coeffs.index(one)  # f is monic: its first 1 leads
-    g = f.coeffs[a:]
-    rho = (F.coerce(-one),) + (zero,) * (len(g) - 2) if len(g) > 1 else ()
+    h = rho = f.coeffs[a + 1:]
     for i in range(s, -1, -1):
-        rho = _next_rho(F, g, rho)
         yield (zero,) * (a + i) + (one,) + (zero,) * (s - i) + rho
+        c, rho = (rho[0], rho[1:] + (zero,)) if rho else (zero, rho)
+        if c:
+            rho = tuple((r - c * b) % p for r, b in zip(rho, h)) if p else tuple(r - c * b for r, b in zip(rho, h))
 
 
 def span(field: FieldSpec, degree: int, forms) -> FormSpace:
@@ -191,27 +180,25 @@ def contained(inner: FormSpace, outer: FormSpace) -> bool:
 
 
 def principal_space(f: BinaryForm, degree: int) -> FormSpace:
-    """(f) in the given degree: f * R_{degree - deg f}, zero if degree < deg f."""
+    """(f) in the given degree: f * R_s, s = degree - deg f (zero if s < 0), rows written when first read."""
     if degree < f.degree or f.is_zero:
         return zero_space(f.field, degree)
-    f = monic(f)
-    return _principal_block(f.field, list(_block_rows(f, degree - f.degree))[::-1], f)
+    F, f, s = f.field, monic(f), degree - f.degree
+    V = FormSpace(F, degree, lazy_matrix(F, s + 1, degree + 1, lambda: tuple(_block_rows(f, s))[::-1]))
+    V.__dict__["_principal"] = f  # the memo, set the way cached_property would
+    return V
 
 
 # ----- shifts -------------------------------------------------------------------
 
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
-    """R_1V: the next block in closed form, else x.R_kB + y^(k+1).B for V = R_kB."""
+    """R_1V: f.R_{s+1} for a block f.R_s, else x.R_kB + y^(k+1).B for V = R_kB."""
     F, j = V.field, V.degree
     if V.is_zero:
         return zero_space(F, j + 1)
-    f = V._principal
-    if f is not None:  # the new first row's rho_{s+2} is one step past row 0's rho_{s+1}
-        a, s = f.coeffs.index(F.one), V.dim - 1  # f is monic: its first 1 leads
-        rho = _next_rho(F, f.coeffs[a:], V.mat.rows[0][a + s + 1:])
-        first = (F.zero,) * a + (F.one,) + (F.zero,) * (s + 1) + rho
-        return _principal_block(F, [first] + [(F.zero,) + r for r in V.mat.rows], f)
+    if V._principal is not None:
+        return principal_space(V._principal, j + 1)
     base, k = V.__dict__.get("_ladder", (V.mat.ints, 0))  # x.f appends a 0
     if V.dim + len(base) >= j + 2 and _fills_next(V):  # dim R_{k+1}B <= dim R_kB + dim B
         return full_space(F, j + 1)
@@ -222,13 +209,13 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
-    """R_{-1}V: zero when pinned, a block's closed form, else the kernel of V's residue rows."""
+    """R_{-1}V: f.R_{s-1} for a block f.R_s, zero when pinned, else the kernel of V's residue rows."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
     f, up = V._principal, V.__dict__.get("_up")
-    if V.is_zero or f is not None and V.dim == 1 or up is not None and up.dim == 2 * V.dim:
-        return zero_space(F, j - 1)
     if f is not None:
-        return _principal_block(F, [r[1:] for r in V.mat.rows[1:]], f)
+        return principal_space(f, j - 1)  # zero below deg f
+    if V.is_zero or up is not None and up.dim == 2 * V.dim:
+        return zero_space(F, j - 1)
     return FormSpace(F, j - 1, kernel_from(V._residues))
 
 

@@ -1,7 +1,11 @@
 import argparse
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -284,6 +288,20 @@ def test_random_is_deterministic():
     assert rc1 == rc2 == rc3 == 0
     assert out1 == out2
     assert out1 != out3
+
+
+def test_random_principal_space_runs_under_a_memory_cap():
+    # a principal V: its ancestor ideal has j + 2 blocks above it, whose rows nothing reads
+    cap = 1 << 30  # RLIMIT_AS of 1 GiB, set in the child only
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "binforms.cli", "random", "--d", "1", "--j", "3000", "--seed", "1"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "d = 1, j = 3000" in proc.stdout
 
 
 def test_precondition_errors_exit_1():

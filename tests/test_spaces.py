@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import BinaryForm, form, monic, mul_form, monomial
-from binforms.ideals import ancestor_ideal
+from binforms.ideals import ancestor_ideal, generator_degrees, hilbert_function, level_ideal, relation_degrees
 from binforms.linalg import Matrix
+from binforms.osequence import oseq
 from binforms.spaces import (
     FormSpace,
     contained,
@@ -423,8 +424,8 @@ def blocks(draw):
 
 
 def assert_same_basis(got, want):
-    """Equal canonical bases, scalar types and F_p residue range included."""
-    assert got == want
+    """Equal canonical bases, scalar types, F_p residue range and `nrows` included."""
+    assert got == want and got.dim == want.dim == len(got.mat.rows)
     p = got.field.p
     for grow, wrow in zip(got.mat.rows, want.mat.rows, strict=True):
         for g, w in zip(grow, wrow, strict=True):
@@ -448,9 +449,37 @@ def _band_span(f, s, rng):
 @settings(max_examples=200, deadline=None)
 def test_principal_space_matches_band_elimination(case):
     f, s = case
-    assert_same_basis(principal_space(f, f.degree + s), oracle_principal_space(f, f.degree + s))
+    j = f.degree + s
+    P = principal_space(f, j)
+    assert_same_basis(P, oracle_principal_space(f, j))
+    # the rungs down past the block's bottom row (to zero) and up, each a block from (f, s +- k)
+    for k in range(max(-(s + 1), -j), 7):
+        assert_same_basis(shift(P, k), oracle_principal_space(f, j + k))
     if f.degree:
         assert principal_space(f, f.degree - 1).is_zero
+
+
+def _rows_unwritten(m):
+    """A block matrix that holds its thunk and no rows: neither `rows` nor `_ints` computed."""
+    return set(vars(m)) == {"field", "ncols", "nrows", "_write"}
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_ideals_of_a_principal_space_write_no_block_rows(field):
+    rng = random.Random(400)
+    f = form(field, 3, [1, 0, rng.randint(1, 9), rng.randint(1, 9)])
+    g = form(field, 400, [rng.randint(1, 9) for _ in range(401)])
+    for V in (principal_space(f, 400), span(field, 400, [g])):
+        h = V._principal
+        A, L = ancestor_ideal(V), level_ideal(V)
+        assert generator_degrees(A) == (h.degree,) and relation_degrees(A) == ()
+        assert hilbert_function(A) == oseq(range(1, h.degree + 1), h.degree)
+        assert hilbert_function(L) == oseq([min(i + 1, h.degree) for i in range(401)], 0)
+        assert generator_degrees(L) == (h.degree,) + (401,) * h.degree
+        assert len(relation_degrees(L)) == h.degree  # Hilbert-Burch: one fewer than the generators
+        blocks = [W for I in (A, L) for W in I.components if not W.is_zero and W.mat is not V.mat]
+        assert len(blocks) > 400 and all(_rows_unwritten(W.mat) for W in blocks)
+        assert all("_first_above" not in vars(I) for I in (A, L))
 
 
 @given(blocks(), st.randoms(use_true_random=False))
