@@ -130,31 +130,32 @@ def _powmod_p(a: int, e: int, mod: list[int], p: int) -> list[int]:
     """(t+a)^e mod `mod` (degree n >= 1) over F_p, 0 <= a < p: its n entries.
 
     Square-and-multiply on residues packed w bits per entry (Kronecker
-    substitution), so a square is one int product.  Its entries n..2n-1 fold
-    back through t^k mod `mod`, packed once, and the n entries left are then
-    reduced once each; they stay below 2n p^2 < 2^w, so they never carry.
-    Times t+a is A one lane up plus a.A, lane n folded back once: below 2p^2."""
+    substitution), one product and one reduction per exponent bit: X is A^2,
+    or A^2 (t+a) on a 1-bit.  X's nonzero entries n..2n-1 fold back through
+    t^k mod `mod`, packed once, then the n low entries are reduced once each.
+    Entries of A^2 (t+a) are at most n p (p-1)^2 and the fold adds at most
+    n (p-1)^2, so all stay below n p^3 < 2^w, w = 3 bits(p) + bits(n): no carry."""
     n = len(mod) - 1
-    w = 2 * p.bit_length() + n.bit_length() + 2
-    mask, shifts, low = (1 << w) - 1, range(0, 2 * n * w, w), (1 << n * w) - 1
+    w = 3 * p.bit_length() + n.bit_length()
+    mask, shifts, low = (1 << w) - 1, range(0, n * w, w), (1 << n * w) - 1
     inv = pow(mod[-1], -1, p)
     r = t_n = [-c * inv % p for c in mod[:-1]]  # t^n mod `mod`
     folds = []
     for _ in range(n):
         folds.append(sum(c << s for c, s in zip(r, shifts)))
         r = [(x + r[-1] * d) % p for x, d in zip([0] + r[:-1], t_n)]
-
-    def lanes(X: int) -> int:  # each of the n low lanes mod p
-        return sum(((X >> s) & mask) % p << s for s in shifts[:n])
-
-    A = 1
+    A, ta = 1, (1 << w) + a
     for bit in bin(e)[2:]:
-        X = A * A
-        A = lanes((X & low) + sum(((X >> s) & mask) % p * R for s, R in zip(shifts[n:], folds)))
-        if bit == "1":
-            X = (A << w) + a * A
-            A = lanes((X & low) + (X >> n * w) * folds[0])
-    return [(A >> s) & mask for s in shifts[:n]]
+        X = A * A * ta if bit == "1" else A * A
+        hi, X = X >> n * w, X & low
+        for R in folds:
+            if hi & mask:
+                X += (hi & mask) % p * R
+            hi >>= w
+        A = 0
+        for s in shifts:
+            A |= ((X >> s) & mask) % p << s
+    return [(A >> s) & mask for s in shifts]
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -268,10 +269,11 @@ def linear_power(L: BinaryForm, n: int) -> BinaryForm:
     if L.is_zero:
         raise PreconditionError("linear_power of the zero form")
     (a, b), p = L.coeffs, L.field.p
+    binom = itertools.accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)  # exact C(n, k)
     if p is None:
-        cs = (math.comb(n, k) * a ** (n - k) * b**k for k in range(n + 1))
+        cs = (c * a ** (n - k) * b**k for k, c in enumerate(binom))
     else:
-        cs = (math.comb(n, k) * pow(a, n - k, p) * pow(b, k, p) % p for k in range(n + 1))
+        cs = (c % p * pow(a, n - k, p) * pow(b, k, p) % p for k, c in enumerate(binom))
     return BinaryForm(L.field, n, tuple(cs))
 
 

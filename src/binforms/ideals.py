@@ -42,6 +42,7 @@ from .forms import (
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
+    _rungs,
     _up_dim,
     contained,
     full_space,
@@ -170,7 +171,8 @@ def _rung_window(V: FormSpace, lo: int) -> GradedIdeal:
     """The ideal with components R_sV, s = lo .. `_stable_top(V)`; the top one is a block f.R_k, f the tail."""
     if V.is_zero:
         return zero_ideal(V.field)
-    comps = [shift(V, s) for s in range(lo, _stable_top(V) + 1)]
+    top = _stable_top(V)  # before the walk down: tau may build R_1V, which the down-step reads
+    comps = _rungs(V, lo)[:0:-1] + _rungs(V, top)
     tail = comps[-1]._principal
     if tail is None:
         raise RuntimeError("ideal window ended before its components stabilized")
@@ -184,7 +186,7 @@ def ancestor_ideal(V: FormSpace) -> GradedIdeal:
 
 def level_ideal(V: FormSpace) -> GradedIdeal:
     """Ancestor components up to degree j, then everything."""
-    return _with_unit_tail(V.field, [shift(V, s) for s in range(-V.degree, 1)])
+    return _with_unit_tail(V.field, _rungs(V, -V.degree)[::-1])
 
 
 def _with_unit_tail(field: FieldSpec, comps) -> GradedIdeal:

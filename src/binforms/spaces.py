@@ -28,6 +28,7 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,15 +226,15 @@ def _fills_next(V: FormSpace) -> bool:
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
-    """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs.
+    """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs."""
+    return _rungs(V, s)[-1]
 
-    Walks V's memoized rungs, so repeated shifts of one space are free."""
+
+def _rungs(V: FormSpace, s: int) -> list[FormSpace]:
+    """[V, R_{±1}V, .., R_sV] in one walk of V's memoized rungs, so repeated shifts of one space are free."""
     if V.degree + s < 0:
         raise PreconditionError(f"shift to negative degree {V.degree + s}")
-    out = V
-    for _ in range(abs(s)):
-        out = out._up if s > 0 else out._down
-    return out
+    return list(itertools.accumulate(range(abs(s)), lambda W, _: W._up if s > 0 else W._down, initial=V))
 
 
 def _up_dim(W: FormSpace) -> int:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -151,6 +152,19 @@ def test_linear_power_general():
     assert got == q(3, [8, -12, 6, -1])
 
 
+# The binomials come from one exact running product; the oracle is math.comb,
+# over F_p also for n >= p, where C(n, k) mod p is often 0.
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(3), QQ], ids=str)
+def test_linear_power_matches_math_comb(field):
+    a, b = field.coerce(2), field.coerce(-5 if field.p is None else 4)
+    for n in (0, 1, 2, 3, 4, 7, 9, 30, 101, 250):
+        want = [math.comb(n, k) * a ** (n - k) * b**k for k in range(n + 1)]
+        got = linear_power(form(field, 1, [a, b]), n)
+        assert got == form(field, n, want), n
+
+
 # ----- factoring ---------------------------------------------------------------
 
 
@@ -260,8 +274,10 @@ def test_fp_roots_structured_cores(p):
     assert rem == f
 
 
-# _powmod_p raises t + a, and multiplies by it with a lane shift and one
-# fold of the top lane; the oracle is plain list arithmetic.
+# _powmod_p raises t + a with one packed product per exponent bit, A^2 or
+# A^2 (t + a), and one fold of the lanes above the modulus's degree; the
+# oracle is plain list arithmetic.  The worst case (every coefficient p - 1,
+# a = p - 1, an exponent of all 1-bits) fills the lanes nearest their bound.
 
 
 def _naive_powmod(a, e, mod, p):
@@ -296,6 +312,8 @@ def test_powmod_matches_naive_square_and_multiply(p):
         for a in sorted({0, 1, p - 1, rng.randrange(p)}):
             for e in (0, 1, 2, p, (p - 1) // 2):
                 assert forms._powmod_p(a, e, mod, p) == _naive_powmod(a, e, mod, p), (n, a, e)
+        worst, e = [p - 1] * (n + 1), 2 ** p.bit_length() - 1
+        assert forms._powmod_p(p - 1, e, worst, p) == _naive_powmod(p - 1, e, worst, p), (n, "worst")
 
 
 # Q roots are roots mod p, Newton-lifted and read back by rational
