@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
 
@@ -428,8 +429,12 @@ def main(argv=None) -> int:
         payload = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 2
-    if output:
-        print(output)
+    try:
+        if output:
+            print(output, flush=True)
+    except BrokenPipeError:  # the reader closed stdout (`| head`); see "Note on SIGPIPE" in Python's `signal` docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise again
+        return 1
     return status
 
 

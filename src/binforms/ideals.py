@@ -28,7 +28,6 @@ nothing; the closure walks themselves assemble no ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
@@ -74,17 +73,12 @@ class GradedIdeal:
         return self.tail_gcd is None
 
     def component(self, i: int) -> FormSpace:
+        """I_i: a window component, else (above it) the block (tail_gcd).R_s, its rows unwritten."""
         if self.dim(i) == 0:  # dim checks the degree
             return zero_space(self.field, i)
         if i <= self.window_hi:
             return self.components[i - self.window_lo]
-        return shift(self._first_above, i - self.window_hi - 1)
-
-    @cached_property
-    def _first_above(self) -> FormSpace:
-        """(tail_gcd) ∩ R_{hi+1}, built once per ideal and kept off the fields;
-        the higher components are the rungs of its up-ladder."""
-        return principal_space(self.tail_gcd, self.window_hi + 1)
+        return principal_space(self.tail_gcd, i)
 
     def dim(self, i: int) -> int:
         """dim I_i read off the window or the tail degree; builds no component."""
@@ -134,6 +128,8 @@ def graded_ideal(
     comps = list(components)
     if tail_gcd is None and any(not c.is_zero for c in comps):
         raise PreconditionError("an ideal with non-zero components needs a tail gcd")
+    if tail_gcd is not None and tail_gcd.is_zero:
+        raise PreconditionError("the tail gcd is the zero form", degree=tail_gcd.degree)
     ideal = _assemble_ideal(field, window_lo, comps, tail_gcd)
     if ideal.is_zero:
         return ideal
@@ -288,7 +284,7 @@ def same_ideal(I: GradedIdeal, J: GradedIdeal) -> bool:
         return False
     if I.is_zero or J.is_zero:
         return I.is_zero and J.is_zero
-    if monic(I.tail_gcd) != monic(J.tail_gcd):
+    if I.tail_gcd != J.tail_gcd:  # monic: `_assemble_ideal` makes every tail so
         return False
     top = max(I.window_hi, J.window_hi)
     return all(I.component(i) == J.component(i) for i in range(top + 1))

@@ -261,19 +261,13 @@ def gcd_of_space(V: FormSpace) -> BinaryForm:
 
 
 def equivalent(V: FormSpace, W: FormSpace) -> bool:
-    """Whether V and W have the same ancestor ideal.
-
-    Same degree: canonical bases are equal.  Different degrees: the tau values
-    agree (compared first: one rung each) and the higher space is the up-shift
-    of the lower (shifting inside the stable range preserves the ancestor
-    ideal; a tau drop means the ideal changed).
+    """Whether V and W have the same ancestor ideal, by one rule for every pair of degrees:
+    the tau values agree (compared first: one rung each) and the higher space is the up-shift
+    of the lower (shifting inside the stable range preserves the ancestor ideal; a tau drop
+    means the ideal changed).  Same degree is a shift by 0; a zero space has tau 0, any other >= 1.
     """
     if V.field != W.field:
         raise PreconditionError("field mismatch")
-    if V.is_zero or W.is_zero:
-        return V.is_zero and W.is_zero
-    if V.degree == W.degree:
-        return V.mat.ints == W.mat.ints
     lo, hi = (V, W) if V.degree < W.degree else (W, V)
     return tau(lo) == tau(hi) and shift(lo, hi.degree - lo.degree).mat.ints == hi.mat.ints
 

@@ -132,6 +132,22 @@ def test_build_from_readme_ideal_example(tmp_path):
     assert ideal_to_json(ideal_from_json(data["ideal"])) == data["ideal"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_readme_ideal_example(), "tailGcd": {"degree": 0, "coeffs": ["0"]}},
+        {**_readme_ideal_example(), "tailGcd": {"degree": 1, "coeffs": ["0", "0"]}},
+        {"field": "Fp:101", "window": [1, 0], "components": {}, "tailGcd": {"degree": 0, "coeffs": ["0"]}},
+    ],
+    ids=["degree-0", "degree-1", "empty-window"],
+)
+def test_build_refuses_a_zero_tail_gcd(tmp_path, doc):
+    # read as an ideal with dim I_3 = 4 and a zero I_3, or refused as a window top off the tail
+    path = tmp_path / "I.json"
+    path.write_text(json.dumps(doc))
+    _refused(["build", "--from", str(path), "--target-H", "1,2,1(0)", "--j", "2"], "tail gcd is the zero form")
+
+
 def _space_json(field: str, degree: int, *rows) -> dict:
     return {"field": field, "degree": degree,
             "basis": [{"degree": degree, "coeffs": list(r)} for r in rows]}
@@ -302,6 +318,23 @@ def test_random_principal_space_runs_under_a_memory_cap():
     )
     assert proc.returncode == 0, proc.stderr
     assert "d = 1, j = 3000" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["hasse", "--d", "12", "--j", "24"],
+                                  ["enumerate", "--d", "12", "--j", "24", "--all"]],
+                         ids=["hasse", "enumerate"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # `binforms ... | head -1`: the reader closes the pipe after one line, long before the output
+    # ends (hundreds of kB against a 64 kB pipe buffer), so the final print meets a broken pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "binforms.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_precondition_errors_exit_1():

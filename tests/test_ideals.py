@@ -249,6 +249,22 @@ def test_an_all_zero_window_starts_the_tail_above_it(F):
         assert same_ideal(I, ideals[-1])
 
 
+@pytest.mark.parametrize("F", [GF(101), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("tail_degree", [0, 1])
+@pytest.mark.parametrize("window", [[1, 0], [1, 1]], ids=["empty-window", "nonempty-window"])
+def test_a_zero_tail_gcd_is_refused(F, tail_degree, window):
+    # it was read as an ideal with dim I_3 = 4 but I_3 = 0, H = 1,2(0) and generators in
+    # degrees (2, 2, 2), or refused as a window top inconsistent with the tail
+    zero = form(F, tail_degree, [0] * (tail_degree + 1))
+    comps = [full_space(F, i) for i in range(window[0], window[1] + 1)]
+    data = {"field": F.name, "window": window, "components": {str(c.degree): space_to_json(c) for c in comps},
+            "tailGcd": form_to_json(zero)}
+    with pytest.raises(PreconditionError, match="tail gcd is the zero form"):
+        ideal_from_json(json.loads(json.dumps(data)))
+    with pytest.raises(PreconditionError, match="tail gcd is the zero form"):
+        graded_ideal(F, window[0], comps, zero)
+
+
 @pytest.mark.parametrize("window", [[5, 2], [2, 0], [-1, 0], [-1, -2]])
 def test_json_window_out_of_order_or_below_zero_is_refused(window):
     data = {**ideal_to_json(generated_ideal(full_space(QQ, 1))), "window": window}
@@ -371,15 +387,33 @@ def _random_form(F, degree, rng):
 @pytest.mark.parametrize("d,j,seed", [(1, 4, 0), (2, 6, 1), (3, 7, 2), (4, 5, 3)])
 def test_generators_of_a_space_give_its_generated_ideal(F, kind, d, j, seed):
     # one degree of generators: the ideal is generated_ideal's, window included
+    V = _space_of_kind(F, kind, d, j, seed)
+    assert ideal_from_generators(F, V.basis_forms()) == generated_ideal(V)
+
+
+def _space_of_kind(F, kind, d, j, seed):
+    """A random (d, j) space, a block f.R_{d-1}, or a random (d, j - 2) space times a planted quadratic."""
     rng = random.Random(f"gens-of-space|{F.name}|{kind}|{d}|{j}|{seed}")
     if kind == "random":
-        V = random_space(d, j, F, seed)
-    elif kind == "principal":  # f.R_{d-1}, deg f = j + 1 - d
-        V = principal_space(_random_form(F, j + 1 - d, rng), j)
-    else:  # a random (d, j - 2) space times a planted quadratic
-        g, U = _random_form(F, 2, rng), random_space(min(d, j - 1), j - 2, F, seed)
-        V = span(F, j, [mul_form(g, u) for u in U.basis_forms()])
-    assert ideal_from_generators(F, V.basis_forms()) == generated_ideal(V)
+        return random_space(d, j, F, seed)
+    if kind == "principal":  # deg f = j + 1 - d
+        return principal_space(_random_form(F, j + 1 - d, rng), j)
+    g, U = _random_form(F, 2, rng), random_space(min(d, j - 1), j - 2, F, seed)
+    return span(F, j, [mul_form(g, u) for u in U.basis_forms()])
+
+
+@pytest.mark.parametrize("F", [GF(101), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("kind", ["random", "principal", "planted"])
+@pytest.mark.parametrize("d,j,seed", [(1, 4, 0), (2, 6, 1), (3, 7, 2), (4, 5, 3)])
+def test_components_above_the_window_are_all_monomial_multiples(F, kind, d, j, seed):
+    # above its window a component is the block (tail_gcd).R_s built from (tail_gcd, i) alone;
+    # it must be the span of every monomial multiple of the window's top (and, for the ancestor
+    # and generated ideals, of V)
+    V = _space_of_kind(F, kind, d, j, seed)
+    for I, also in ((ancestor_ideal(V), [V]), (level_ideal(V), []), (generated_ideal(V), [V])):
+        for W in (I.component(I.window_hi), *also):
+            for i in range(I.window_hi + 1, I.window_hi + 4):
+                assert I.component(i).mat.rows == _oracle_component(F, W.basis_forms(), i), (W.degree, i)
 
 
 def _oracle_component(F, gens, i):

@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import BinaryForm, form, monic, mul_form, monomial
-from binforms.ideals import ancestor_ideal, generator_degrees, hilbert_function, level_ideal, relation_degrees
+from binforms.ideals import (
+    ancestor_ideal,
+    generator_degrees,
+    hilbert_function,
+    level_ideal,
+    relation_degrees,
+    same_ideal,
+)
 from binforms.linalg import Matrix
 from binforms.osequence import oseq
 from binforms.spaces import (
@@ -341,6 +348,35 @@ def test_equivalence_dimension_criterion():
             assert equivalent(V, W) == pred
 
 
+@st.composite
+def equivalence_pairs(draw):
+    """(V, W) over F_2, F_101 or Q, each a shift of one random (d, j) space U (d = 0 gives zero
+    spaces), as a fresh copy with no rung built; or W a random space of its own, of V's degree
+    or another.  Same-degree pairs, equal or not, and zero spaces are all drawn."""
+    F = draw(st.sampled_from([GF(2), F101, QQ]))
+    j, seed = draw(st.integers(0, 7)), draw(st.integers(0, 10**6))
+
+    def space(d, k, seed):
+        return zero_space(F, k) if d == 0 else random_space(d, k, F, seed)
+
+    U = space(draw(st.integers(0, j + 1)), j, seed)
+    V, W = (shift(U, draw(st.integers(-min(j, 2), 3))) for _ in range(2))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([V.degree, draw(st.integers(0, 8))]))
+        W = space(draw(st.integers(0, k + 1)), k, seed + 1)
+    return tuple(FormSpace(X.field, X.degree, X.mat) for X in (V, W))
+
+
+@given(equivalence_pairs())
+@settings(max_examples=300, deadline=None)
+def test_equivalent_is_having_the_same_ancestor_ideal(pair):
+    # one rule for every pair of degrees, same-degree and zero pairs included
+    V, W = pair
+    assert equivalent(V, W) == same_ideal(ancestor_ideal(V), ancestor_ideal(W))
+    if V.is_zero or W.is_zero:
+        assert equivalent(V, W) == (V.is_zero and W.is_zero)
+
+
 # ----- the memoized shift ladder ------------------------------------------------
 
 
@@ -479,7 +515,8 @@ def test_ideals_of_a_principal_space_write_no_block_rows(field):
         assert len(relation_degrees(L)) == h.degree  # Hilbert-Burch: one fewer than the generators
         blocks = [W for I in (A, L) for W in I.components if not W.is_zero and W.mat is not V.mat]
         assert len(blocks) > 400 and all(_rows_unwritten(W.mat) for W in blocks)
-        assert all("_first_above" not in vars(I) for I in (A, L))
+        above = [I.component(i) for I in (A, L) for i in range(I.window_hi + 1, I.window_hi + 4)]
+        assert all(_rows_unwritten(W.mat) for W in above)  # each a block from (tail_gcd, i)
 
 
 @given(blocks(), st.randoms(use_true_random=False))
