@@ -8,8 +8,8 @@ run of equal first differences below the highest degree where the two
 sequences still disagree; the tail (degrees ≥ j) is shrunk symmetrically
 from the lowest disagreement upward.  When the eventual constant has to
 drop, the common factor loses one linear factor per move, so those moves
-need the factor to split over the base field.  The walks run on component
-lists; each public call checks its pair once and assembles one ideal.
+need the factor to split over the base field.  Both walks edit one component
+list in place; each public call checks its pair once and assembles one ideal.
 """
 
 from __future__ import annotations
@@ -112,13 +112,8 @@ def _step_n(
     a = 0
     while t - a - 1 >= 0 and Nprime.e(t - a - 1) == Nprime.e(t):
         a += 1
-    out = oseq(
-        [
-            Nprime.value(i) + (1 if t - a <= i <= t else 0)
-            for i in range(j + 1)
-        ],
-        0,
-    )
+    raised = [Nprime.value(i) + (1 if t - a <= i <= t else 0) for i in range(j + 1)]
+    out = oseq(raised, 0)
     if not is_permissible_nose(out, d, j):
         raise RuntimeError(f"nose step produced an impermissible sequence {out}")
     if any(out.value(i) > N.value(i) for i in range(j + 1)):
@@ -168,7 +163,7 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
     One elimination of the columns (base's basis, cap's basis) certifies and
     chooses: its pivots, the column rank profile, are base's columns and then
     the cap forms the greedy loop adjoins, dim cap of them iff base lies in
-    cap.  A second one, unless base is already big enough, reduces the choice."""
+    cap.  A second one reduces the choice."""
     F, rows = cap.field, base.mat.ints + cap.mat.ints  # scaling a row moves no pivot and no span
     _, _, pivots = linalg.rref(linalg.from_ints(F, tuple(zip(*rows)), len(rows)))
     if len(pivots) != cap.dim:
@@ -177,8 +172,6 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
         raise RuntimeError(
             f"subspace choice impossible: {base.dim} <= {target_dim} <= {cap.dim}"
         )
-    if base.dim == target_dim:
-        return base
     chosen = linalg.from_ints(F, tuple(rows[c] for c in pivots[:target_dim]), cap.degree + 1)
     return FormSpace(F, cap.degree, linalg.row_basis(chosen))
 
@@ -188,20 +181,19 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
 
 def _nose_steps(
     comps: list[FormSpace], Nprime: OSequence, N: OSequence, d: int, j: int
-) -> tuple[tuple[StepRecord, ...], list[FormSpace]]:
-    """Walk I'_0 .. I'_j from N' to N: the steps and the components they end at."""
+) -> tuple[StepRecord, ...]:
+    """Walk comps[:j] from N' to N in place, each cap read before it is written."""
     F, cur, steps = comps[0].field, Nprime, []
     while cur != N:
         nxt, (lo, hi) = _step_n(cur, N, d, j)
-        new = list(comps)
         for u in range(lo, hi + 1):
-            base = shift(new[u - 1], 1) if u >= 1 else zero_space(F, 0)
-            new[u] = _extend_inside(base, comps[u], u + 1 - nxt.value(u))
-        if oseq([i + 1 - c.dim for i, c in enumerate(new)], 0) != nxt:
+            base = shift(comps[u - 1], 1) if u >= 1 else zero_space(F, 0)
+            comps[u] = _extend_inside(base, comps[u], u + 1 - nxt.value(u))
+        if any(comps[i].dim != i + 1 - nxt.value(i) for i in range(j)):
             raise RuntimeError("nose construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, (lo, hi)))
-        cur, comps = nxt, new
-    return tuple(steps), comps
+        cur = nxt
+    return tuple(steps)
 
 
 def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
@@ -210,7 +202,8 @@ def build_n(Iprime: GradedIdeal, N: OSequence) -> BuildTrace:
     d, j = _check_nose_pair(Nprime, N)  # each step's output is checked in _step_n
     if Iprime.dim(j + 1) != j + 2:
         raise PreconditionError("nose construction expects everything above j")
-    steps, comps = _nose_steps([Iprime.component(i) for i in range(j + 1)], Nprime, N, d, j)
+    comps = [Iprime.component(i) for i in range(j + 1)]
+    steps = _nose_steps(comps, Nprime, N, d, j)
     return BuildTrace(steps, _with_unit_tail(Iprime.field, comps) if steps else Iprime)
 
 
@@ -227,25 +220,25 @@ def _strip_linear(f: BinaryForm) -> BinaryForm:
 
 def _tail_steps(
     comps: list[FormSpace], tail: BinaryForm, Tprime: OSequence, T: OSequence, d: int, j: int
-) -> tuple[tuple[StepRecord, ...], list[FormSpace], BinaryForm]:
-    """Walk I'_0 .. I'_top (zero below j) from T' to T: the steps, components and tail gcd."""
+) -> tuple[tuple[StepRecord, ...], BinaryForm]:
+    """Walk comps[j+1:] from T' to T in place, downwards: the steps and the tail gcd."""
     top, cur, steps = len(comps) - 1, Tprime, []
     while cur != T:
         nxt, (lo, hi) = _step_t(cur, T, d, j, top)
-        new = list(comps)
         if nxt.constant != cur.constant:
             tail = _strip_linear(tail)
             for u in range(lo, top + 1):
-                new[u] = principal_space(tail, u)
+                comps[u] = principal_space(tail, u)
         else:
             for u in range(hi, lo - 1, -1):
-                cap = shift(new[u + 1], -1)
-                new[u] = _extend_inside(comps[u], cap, u + 1 - nxt.value(u))
-        if oseq([i + 1 - c.dim for i, c in enumerate(new)], tail.degree) != nxt:
+                cap = shift(comps[u + 1], -1)
+                comps[u] = _extend_inside(comps[u], cap, u + 1 - nxt.value(u))
+        owned = range(j + 1, top + 1)
+        if tail.degree != nxt.constant or any(comps[i].dim != i + 1 - nxt.value(i) for i in owned):
             raise RuntimeError("tail construction missed its interpolant")
         steps.append(StepRecord(cur, nxt, (lo, hi)))
-        cur, comps = nxt, new
-    return tuple(steps), comps, tail
+        cur = nxt
+    return tuple(steps), tail
 
 
 def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
@@ -253,16 +246,15 @@ def build_t(Iprime: GradedIdeal, T: OSequence) -> BuildTrace:
     Tprime = hilbert_function(Iprime)
     d, j, top = _check_tail_pair(Tprime, T)  # each step's output is checked in _step_t
     comps = [Iprime.component(i) for i in range(top + 1)]
-    steps, comps, tail = _tail_steps(comps, Iprime.tail_gcd, Tprime, T, d, j)
+    steps, tail = _tail_steps(comps, Iprime.tail_gcd, Tprime, T, d, j)
     return BuildTrace(steps, _assemble_ideal(Iprime.field, 0, comps, tail) if steps else Iprime)
 
 
 def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     """An ideal I with H(R/I) = H and I_j = I'_j, for H' ≥ H in the order.
 
-    Both walks run on one list I'_0 .. I'_top: the nose inside it below j, the
-    tail above it past j (read as zero below j); they share the untouched I'_j."""
-    F = Iprime.field
+    Both walks edit one list I'_0 .. I'_top in place, the nose below j and the
+    tail above j; neither writes I'_j, and the list they leave is I's window."""
     Hp = hilbert_function(Iprime)
     d = j + 1 - Hp.value(j)
     order = le_partial(Hp, H, d, j)  # both acceptable and H' >= H: so are the walks' pairs
@@ -278,10 +270,9 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     (Np, Tp), (N, T) = nose_tail(Hp, j), nose_tail(H, j)
     top = max(Hp.stabilization(), T.stabilization(), j) + 1
     comps = [Iprime.component(i) for i in range(top + 1)]
-    nose_steps, nose = _nose_steps(comps[: j + 1], Np, N, d, j)
-    below = [zero_space(F, i) for i in range(j)]
-    tail_steps, tail, gcd = _tail_steps(below + comps[j:], Iprime.tail_gcd, Tp, T, d, j)
-    ideal = graded_ideal(F, 0, nose[:j] + tail[j:], gcd)
+    nose_steps = _nose_steps(comps, Np, N, d, j)
+    tail_steps, gcd = _tail_steps(comps, Iprime.tail_gcd, Tp, T, d, j)
+    ideal = graded_ideal(Iprime.field, 0, comps, gcd)
     if hilbert_function(ideal) != H:
         raise RuntimeError("glued ideal has the wrong Hilbert function")
     if ideal.component(j) != Iprime.component(j):

@@ -192,9 +192,7 @@ def is_permissible_tail(T: OSequence, d: int, j: int) -> bool:
         return False
     top = max(T.stabilization(), j) + 1
     E = [T.e(i) for i in range(top + 2)]
-    if any(E[i] < E[i + 1] for i in range(j, top + 1)):
-        return False
-    return E[top + 1] >= 0 and E[j + 1] <= d - 1
+    return all(E[i] >= E[i + 1] for i in range(j, top + 1))
 
 
 # ── dimension and codimension formulas ───────────────────────────────────────

@@ -9,6 +9,7 @@ instead of closed formulas), so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 
 import sympy
@@ -687,6 +688,39 @@ def oracle_build_h(Iprime, H: OSequence, j: int):
     In, It = nose.final_ideal, tail.final_ideal
     glued = [In.component(i) for i in range(j)] + [It.component(i) for i in range(j, top + 1)]
     return BuildTrace(nose.steps + tail.steps, graded_ideal(F, 0, glued, It.tail_gcd))
+
+
+@contextmanager
+def walked_halves():
+    """Spy on build_h's two walks, which edit one component list in place: yields
+    the (steps, half ideal) each ends at, the half assembled here as build_n and
+    build_t assemble theirs.  The nose's half is comps[:j + 1] under all of R
+    above j, read when the nose walk returns; the tail's is zeros below j and
+    comps[j:], read when the tail walk returns."""
+    from unittest import mock
+
+    from binforms import closure
+    from binforms.ideals import _assemble_ideal, _with_unit_tail
+    from binforms.spaces import zero_space
+
+    halves = []
+    nose_steps, tail_steps = closure._nose_steps, closure._tail_steps
+
+    def nose(comps, Nprime, N, d, j):
+        steps = nose_steps(comps, Nprime, N, d, j)
+        halves.append((steps, _with_unit_tail(comps[j].field, comps[: j + 1])))
+        return steps
+
+    def tail(comps, gcd, Tprime, T, d, j):
+        steps, gcd = tail_steps(comps, gcd, Tprime, T, d, j)
+        F = comps[j].field
+        below = [zero_space(F, i) for i in range(j)]
+        halves.append((steps, _assemble_ideal(F, 0, below + comps[j:], gcd)))
+        return steps, gcd
+
+    with mock.patch.object(closure, "_nose_steps", nose), \
+            mock.patch.object(closure, "_tail_steps", tail):
+        yield halves
 
 
 # ----- one-step shifts by plain elimination ------------------------------------

@@ -1,8 +1,6 @@
 """Stratum-closure witnesses: interpolation steps and nested-ideal builds."""
 
 import random
-from contextlib import contextmanager
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +28,7 @@ from binforms.ideals import (
 from binforms.osequence import oseq
 from binforms.spaces import principal_space, random_space, space_sum, span, zero_space
 
-from oracles import oracle_build_h, oracle_extend_inside
+from oracles import oracle_build_h, oracle_extend_inside, walked_halves
 
 
 def _contained(inner, outer):
@@ -187,28 +185,6 @@ def test_build_n_and_t_directly():
 
 # ── property sweep ────────────────────────────────────────────────────────────
 
-@contextmanager
-def _walked_halves():
-    """Spy on build_h's two walks: yields the (steps, half ideal) each ends
-    at, the half assembled here as build_n and build_t assemble theirs."""
-    halves = []
-    nose_steps, tail_steps = closure._nose_steps, closure._tail_steps
-
-    def nose(comps, *args):
-        steps, out = nose_steps(comps, *args)
-        halves.append((steps, _with_unit_tail(comps[0].field, out)))
-        return steps, out
-
-    def tail(*args):
-        steps, out, gcd = tail_steps(*args)
-        halves.append((steps, _assemble_ideal(gcd.field, 0, out, gcd)))
-        return steps, out, gcd
-
-    with mock.patch.object(closure, "_nose_steps", nose), \
-            mock.patch.object(closure, "_tail_steps", tail):
-        yield halves
-
-
 small_dj = st.integers(2, 6).flatmap(
     lambda j: st.tuples(st.integers(1, j), st.just(j))
 )
@@ -225,7 +201,7 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
     if le_partial(Hs, Ht, d, j) is not Cmp.GREATER:
         return
     _, source = realize_staircase(Hs, d, j, field)
-    with _walked_halves() as halves:
+    with walked_halves() as halves:
         tr = build_h(source, Ht, j)
     ideal = tr.final_ideal
     # build_n and build_t assemble their halves without graded_ideal's checks;
@@ -265,7 +241,7 @@ def test_step_blocks_are_where_the_sequences_differ(field):
                 for Ht in pool:
                     if le_partial(Hs, Ht, d, j) not in (Cmp.GREATER, Cmp.EQUAL):
                         continue
-                    with _walked_halves() as halves:
+                    with walked_halves() as halves:
                         tr = build_h(source, Ht, j)
                     if not halves:
                         assert tr.steps == ()
@@ -385,7 +361,7 @@ def test_extend_inside_matches_the_greedy_loop(field, j, cap_dim, k, seed):
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
-def test_extend_inside_eliminates_at_most_twice(monkeypatch, field):
+def test_extend_inside_eliminates_twice(monkeypatch, field):
     cap = random_space(6, 9, field, 2)
     base = _base_inside(cap, 2, 3)
     calls = []
@@ -395,7 +371,7 @@ def test_extend_inside_eliminates_at_most_twice(monkeypatch, field):
         calls.clear()
         out = closure._extend_inside(base, cap, target)
         assert out.dim == target
-        assert len(calls) == (1 if target == base.dim else 2)
+        assert len(calls) == 2
 
 
 def test_extend_inside_refusals():

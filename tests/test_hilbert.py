@@ -1,5 +1,6 @@
 """Hilbert-function combinatorics: acceptability, partitions, strata, orders."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -367,6 +368,25 @@ def test_permissibility_refuses_a_wrong_value_at_j_or_a_value_out_of_range():
     assert not is_permissible_tail(T, 3, 5)  # T_5 = 2, not 5 + 1 - 3
     assert not is_permissible_nose(oseq([1, 2, 2, 1], 0), 1, 2)  # nonzero past j
     assert not is_permissible_nose(oseq([1, 3, 2], 0), 1, 2)  # N_1 = 3 > 1 + 1
+
+
+def test_permissible_means_the_nose_or_tail_of_an_acceptable_sequence():
+    # for 1 <= d <= j <= 6, a permissible nose (tail) for (d, j) is exactly the
+    # nose (tail) of some acceptable H; the candidates are every nose with
+    # 0 <= N_i <= i + 1 and N_j = j + 1 - d, and every tail with up to three
+    # entries past j and a constant, each in 0 .. j + 1
+    for j in range(1, 7):
+        for d in range(1, j + 1):
+            halves = [nose_tail(H, j) for H in enumerate_acceptable(d, j)]
+            noses, tails = {N for N, _ in halves}, {T for _, T in halves}
+            for head in itertools.product(*(range(i + 2) for i in range(j))):
+                N = oseq([*head, j + 1 - d], 0)
+                assert is_permissible_nose(N, d, j) == (N in noses), (d, j, str(N))
+            for k in range(4):
+                for past in itertools.product(range(j + 2), repeat=k):
+                    for constant in range(j + 2):
+                        T = oseq([*range(1, j + 1), j + 1 - d, *past], constant)
+                        assert is_permissible_tail(T, d, j) == (T in tails), (d, j, str(T))
 
 
 def test_le_partial_examples():

@@ -51,6 +51,7 @@ from oracles import (
     is_proper_osequence,
     oracle_down_dim,
     oracle_rref,
+    walked_halves,
 )
 
 FIELDS = [QQ, GF(101), GF(7)]
@@ -562,36 +563,22 @@ def test_dim_matches_the_component(j, d_offset, field, seed, times_x):
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ])
-def test_dim_matches_the_component_on_edge_cases(field, monkeypatch):
+def test_dim_matches_the_component_on_edge_cases(field):
     import binforms.closure as closure
     from binforms.hilbert import realize_staircase
-    from binforms.ideals import _assemble_ideal, _with_unit_tail
 
     _assert_dims_read_off(zero_ideal(field))
     _assert_dims_read_off(level_ideal(zero_space(field, 3)))
     _assert_dims_read_off(ancestor_ideal(principal_space(form(field, 2, [1, 0, 1]), 5)))
-    # build_h's walks end at component lists; each half is assembled here
-    # as build_n and build_t assemble theirs
-    halves = []
-    nose_steps, tail_steps = closure._nose_steps, closure._tail_steps
-
-    def nose(*args):
-        steps, comps = nose_steps(*args)
-        halves.append(_with_unit_tail(field, comps))
-        return steps, comps
-
-    def tail(*args):
-        steps, comps, gcd = tail_steps(*args)
-        halves.append(_assemble_ideal(field, 0, comps, gcd))
-        return steps, comps, gcd
-
-    monkeypatch.setattr(closure, "_nose_steps", nose)
-    monkeypatch.setattr(closure, "_tail_steps", tail)
+    # build_h's walks edit one component list; each half is assembled by the
+    # spy as build_n and build_t assemble theirs
     _, source = realize_staircase(oseq([1], 2), 4, 5, field)
-    tr = closure.build_h(source, oseq([1, 2, 3, 4, 4, 2], 0), 5)
+    with walked_halves() as halves:
+        tr = closure.build_h(source, oseq([1, 2, 3, 4, 4, 2], 0), 5)
     assert tr.steps and len(halves) == 2
-    for I in [source, tr.final_ideal] + halves:
+    for I in [source, tr.final_ideal] + [half for _, half in halves]:
         _assert_dims_read_off(I)
+
 
 def test_ideal_dataclass_fields_unchanged():
     assert [f.name for f in fields(GradedIdeal)] == [
