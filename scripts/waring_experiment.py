@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 
 from binforms.fields import GF
-from binforms.waring import GAD, gad, mu, random_dual, tau_delta
+from binforms.waring import GAD, gad, mu, mu_generic, random_dual, tau_delta
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -37,10 +37,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if args.p <= args.max_j:
         parser.error("--p must exceed --max-j")
     return args
-
-
-def generic_mu(c: int, j: int) -> int:
-    return c * (j + 2) // (c + 1) if 2 * c < j else j
 
 
 def run(args: argparse.Namespace) -> int:
@@ -64,7 +60,7 @@ def run(args: argparse.Namespace) -> int:
                     split += 1
                 else:
                     unsplit += 1
-            predicted = generic_mu(c, j)
+            predicted = mu_generic(min(c + 1, j + 1 - c), j + 1 - c, j)  # the largest tau_delta
             mode, _ = mus.most_common(1)[0]
             hits = mus[predicted] / args.samples
             worst_hit_rate = min(worst_hit_rate, hits)

@@ -202,22 +202,16 @@ def _monic_form(F: FieldSpec, cs: list[int]) -> BinaryForm:
     return BinaryForm(F, len(cs) - 1, tuple(c * inv % F.p for c in cs))
 
 
-def gcd_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd.  gcd(f, 0) = monic(f); gcd(0, 0) is an error."""
-    if f.is_zero and g.is_zero:
-        raise PreconditionError("gcd of two zero forms")
-    if f.is_zero:
-        return monic(g)
-    if g.is_zero:
-        return monic(f)
-    F = f.field
-    fc, gc = _trim(list(f.coeffs)), _trim(list(g.coeffs))
-    drop = min(f.degree + 1 - len(fc), g.degree + 1 - len(gc))  # the power of x
-    if F.p is None:  # the gcd in t finds the common power of y
-        core = _prs_gcd(_integer_row(fc), _integer_row(gc))
-    else:
-        core = _gcd_p(fc, gc, F.p)
-    return _monic_form(F, core + [0] * drop)
+def gcd_rows(F: FieldSpec, degree: int, rows) -> BinaryForm:
+    """Monic gcd of the degree-`degree` forms with these nonzero `Matrix.ints` rows: the least
+    degree drop over all rows is the power of x, one gcd chain in t, stopped once constant, the rest."""
+    polys = [_trim(list(r)) for r in rows]
+    core = polys[0]
+    for b in polys[1:]:
+        if len(core) == 1:
+            break
+        core = _gcd_p(core, b, F.p) if F.p else _prs_gcd(core, b)
+    return _monic_form(F, core + [0] * (degree + 1 - max(map(len, polys))))
 
 
 def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:

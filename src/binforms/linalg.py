@@ -62,8 +62,8 @@ class _RowsOnFirstRead:
 
 @dataclass(frozen=True)
 class Matrix:
-    """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else primitive
-    integer rows (leads positive in an RREF).  `from_ints` over Q keeps only `ints`, `lazy_matrix` only a
+    """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else integer
+    rows (primitive, leads positive, in an RREF).  `from_ints` over Q keeps only `ints`, `lazy_matrix` only a
     thunk (`_write`); the rest is computed on first read and stored by `object.__setattr__`, as reading
     `__dict__` would make CPython build the instance's dict, which slows every later attribute read."""
 

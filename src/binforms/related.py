@@ -30,7 +30,7 @@ class ChainSpec:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not isinstance(i, int) or i == 0 for i in self.indices):
+        if any(type(i) is not int or i == 0 for i in self.indices):  # a bool is an int subclass
             raise PreconditionError("chain indices must be nonzero integers")
 
     def __len__(self) -> int:
@@ -40,7 +40,7 @@ class ChainSpec:
 def chain_spec(indices) -> ChainSpec:
     if isinstance(indices, ChainSpec):
         return indices
-    return ChainSpec(tuple(int(i) for i in indices))
+    return ChainSpec(tuple(indices))
 
 
 def apply_chain(V: FormSpace, chain) -> FormSpace:

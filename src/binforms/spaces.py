@@ -35,7 +35,7 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import BinaryForm, form_from_json, form_to_json, gcd_form, json_int, json_list, monic
+from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic
 from .linalg import (
     Matrix,
     contains_vector,
@@ -251,13 +251,7 @@ def tau(V: FormSpace) -> int:
 def gcd_of_space(V: FormSpace) -> BinaryForm:
     if V.is_zero:
         raise PreconditionError("gcd of the zero space")
-    forms = V.basis_forms()
-    g = forms[0]
-    for f in forms[1:]:
-        g = gcd_form(g, f)
-        if g.degree == 0:
-            break
-    return monic(g)
+    return gcd_rows(V.field, V.degree, V.mat.ints)
 
 
 def equivalent(V: FormSpace, W: FormSpace) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 from .errors import PreconditionError
 from .fields import FieldSpec
@@ -38,7 +39,7 @@ from .forms import (
 )
 from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
-from .linalg import Matrix, kernel, rank
+from .linalg import Matrix, from_ints, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -69,17 +70,19 @@ class DualSpace:
 
     @cached_property
     def _weighted(self) -> tuple[tuple, ...]:
-        """W's basis rows with entry a scaled by the pairing weight (j-a)! a!.
+        """W's `ints` rows with entry a scaled by the pairing weight (j-a)! a!: integer rows
+        over Q, residues over F_p.
 
         In coefficient coordinates the degree-j contraction pairing is diagonal
         with these weights, so this is the one place they are applied.
         """
-        F, j = self.field, self.degree
+        p, j = self.field.p, self.degree
         if not self.dim:  # no row to weight, so no j + 1 weights to build
             return ()
-        fact = list(accumulate(range(1, j + 1), lambda f, k: F.coerce(f * k), initial=F.one))  # 0!..j!
-        weights = [F.coerce(fact[j - a] * fact[a]) for a in range(j + 1)]
-        return tuple(tuple(F.coerce(c * wt) for c, wt in zip(r, weights)) for r in self.space.mat.rows)
+        fact = list(accumulate(range(1, j + 1), lambda f, k: f * k % p if p else f * k, initial=1))  # 0!..j!
+        weights = [fact[j - a] * fact[a] for a in range(j + 1)]
+        rows = (map(mul, r, weights) for r in self.space.mat.ints)
+        return tuple(tuple(x % p for x in r) if p else tuple(r) for r in rows)
 
     @cached_property
     def _tau_delta(self) -> int:
@@ -171,7 +174,7 @@ def _catalecticant(W: DualSpace, i: int) -> Matrix:
     rows = tuple(
         w[r : r + i + 1] for w in W._weighted for r in range(j - i + 1)
     )
-    return Matrix(W.field, rows, i + 1)
+    return from_ints(W.field, rows, i + 1)
 
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:

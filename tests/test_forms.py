@@ -9,6 +9,7 @@ from binforms import forms
 from binforms.errors import PreconditionError
 from binforms.linalg import _integer_row
 from binforms.fields import GF, QQ
+from binforms.spaces import gcd_of_space, span
 from binforms.forms import (
     BinaryForm,
     _fp_roots,
@@ -20,7 +21,6 @@ from binforms.forms import (
     form_from_json,
     form_to_json,
     format_form,
-    gcd_form,
     linear_factors,
     linear_power,
     monic,
@@ -65,28 +65,43 @@ def test_mul_monomials():
 
 
 # ----- gcd ------------------------------------------------------------------
+# gcd(f, g) is gcd(V) of V = span(f, g), f and g of one degree: the same forms divide them
+
+
+def gcd2(f, g):
+    return gcd_of_space(span(f.field, f.degree, [f, g]))
 
 
 def test_gcd_coprime_monomials():
-    assert gcd_form(monomial(QQ, 3, 0), monomial(QQ, 0, 4)) == q(0, [1])
+    assert gcd2(monomial(QQ, 3, 0), monomial(QQ, 0, 3)) == q(0, [1])
 
 
 def test_gcd_monomials():
-    assert gcd_form(monomial(QQ, 2, 1), monomial(QQ, 1, 2)) == monomial(QQ, 1, 1)
+    assert gcd2(monomial(QQ, 2, 1), monomial(QQ, 1, 2)) == monomial(QQ, 1, 1)
 
 
 def test_gcd_hand_factored():
     # x^2 - y^2 = (x+y)(x-y); x^2 + 2xy + y^2 = (x+y)^2
-    got = gcd_form(q(2, [1, 0, -1]), q(2, [1, 2, 1]))
+    got = gcd2(q(2, [1, 0, -1]), q(2, [1, 2, 1]))
     assert got == q(1, [1, 1])
 
 
 def test_gcd_with_zero():
     f = q(2, [2, 0, -2])
-    assert gcd_form(f, zero_form(QQ, 5)) == monic(f)
-    assert gcd_form(zero_form(F7, 4), form(F7, 2, [3, 0, 2])) == monic(form(F7, 2, [3, 0, 2]))
-    with pytest.raises(PreconditionError):
-        gcd_form(zero_form(QQ, 1), zero_form(QQ, 2))
+    assert gcd2(f, zero_form(QQ, 2)) == monic(f)
+    assert gcd2(zero_form(F7, 2), form(F7, 2, [3, 0, 2])) == monic(form(F7, 2, [3, 0, 2]))
+    with pytest.raises(PreconditionError, match="zero space"):
+        gcd2(zero_form(QQ, 2), zero_form(QQ, 2))
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_gcd_reads_the_powers_of_x_and_y_off_every_row(field):
+    # the power of x is the least degree drop over all rows, not the first row's, and not
+    # only the rows read before the chain in t turns constant (x^2's row is constant at once)
+    m = lambda a, b: monomial(field, a, b)
+    for f, g, want in ((m(1, 1), m(0, 2), m(0, 1)), (m(2, 0), m(0, 2), m(0, 0)),
+                       (m(2, 1), m(1, 2), m(1, 1))):
+        assert gcd2(f, g) == gcd2(g, f) == want, (f, g)
 
 
 # ----- division --------------------------------------------------------------
@@ -427,8 +442,8 @@ coeff_ints = st.integers(-9, 9)
 
 
 @st.composite
-def forms_over(draw, field, max_degree=6, allow_zero=True):
-    d = draw(st.integers(0, max_degree))
+def forms_over(draw, field, max_degree=6, allow_zero=True, degree=None):
+    d = draw(st.integers(0, max_degree)) if degree is None else degree
     cs = draw(st.lists(coeff_ints, min_size=d + 1, max_size=d + 1))
     f = form(field, d, cs)
     if not allow_zero and f.is_zero:
@@ -451,10 +466,18 @@ def test_mul_matches_sympy_f7(f, g):
     assert got.coeffs == oracle_mul(f.coeffs, f.degree, g.coeffs, g.degree, F7)
 
 
-@given(forms_over(QQ, max_degree=4, allow_zero=False), forms_over(QQ, max_degree=4, allow_zero=False))
+@st.composite
+def form_pairs(draw, field, max_degree=4):
+    """Two nonzero forms of one degree."""
+    n = draw(st.integers(0, max_degree))
+    return tuple(draw(forms_over(field, allow_zero=False, degree=n)) for _ in range(2))
+
+
+@given(form_pairs(QQ))
 @settings(max_examples=40, deadline=None)
-def test_gcd_matches_sympy(f, g):
-    got = gcd_form(f, g)
+def test_gcd_matches_sympy(fg):
+    f, g = fg
+    got = gcd2(f, g)
     coeffs, deg = oracle_gcd(f.coeffs, f.degree, g.coeffs, g.degree, QQ)
     assert got.degree == deg and got.coeffs == coeffs
     assert divides(got, f) and divides(got, g)
@@ -468,15 +491,16 @@ P61 = GF(2**61 - 1)
 @settings(max_examples=40, deadline=None)
 def test_gcd_and_divide_match_sympy_fp(field, data):
     # f and g share the factor c, so the gcds are not all 1
-    a, b, c = (data.draw(forms_over(field, max_degree=4, allow_zero=False)) for _ in range(3))
+    a, b = data.draw(form_pairs(field))
+    c = data.draw(forms_over(field, max_degree=4, allow_zero=False))
     f, g = mul_form(a, c), mul_form(b, c)
-    got = gcd_form(f, g)
+    got = gcd2(f, g)
     coeffs, deg = oracle_gcd(f.coeffs, f.degree, g.coeffs, g.degree, field)
     assert got.degree == deg and got.coeffs == coeffs
     for num, den in ((f, got), (g, got), (f, c)):
         quo = divide_form(num, den)
         assert oracle_mul(quo.coeffs, quo.degree, den.coeffs, den.degree, field) == num.coeffs
-    if gcd_form(f, b).degree < b.degree:
+    if oracle_gcd(f.coeffs, f.degree, b.coeffs, b.degree, field)[1] < b.degree:
         with pytest.raises(PreconditionError):
             divide_form(f, b)
 
@@ -485,9 +509,9 @@ def test_gcd_matches_sympy_at_height_2_256():
     rng = random.Random("q-gcd|256")
     h = lambda: Fraction(rng.randint(-(2**256), 2**256), rng.randint(1, 2**256))
     for _ in range(5):
-        a, b, c = (q(d, [h() for _ in range(d + 1)]) for d in (5, 4, 3))
+        a, b, c = (q(d, [h() for _ in range(d + 1)]) for d in (5, 5, 3))
         f, g = mul_form(a, c), mul_form(b, c)
-        got = gcd_form(f, g)
+        got = gcd2(f, g)
         coeffs, deg = oracle_gcd(f.coeffs, f.degree, g.coeffs, g.degree, QQ)
         assert got.degree == deg == 3 and got.coeffs == coeffs
         assert divide_form(f, got) == scale_form(c.coeffs[0], a)  # got = c / c_0
@@ -527,9 +551,10 @@ def test_gcd_maximal_vs_brute_force():
         a = form(F7, 1, [rng.randrange(7), rng.randrange(1, 7)])
         b = form(F7, 1, [1, rng.randrange(7)])
         c = form(F7, 1, [1, rng.randrange(7)])
+        e = form(F7, 1, [1, rng.randrange(7)])
         f = mul_form(mul_form(a, b), c)
-        g = mul_form(a, b)
-        got = gcd_form(f, g)
+        g = mul_form(mul_form(a, b), e)
+        got = gcd2(f, g)
         best = 0
         for deg in range(1, 4):
             for code in range(7 ** (deg + 1)):

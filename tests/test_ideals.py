@@ -595,8 +595,8 @@ def test_ideal_assembly_reads_the_tail_off_the_memo(monkeypatch):
     def no_gcd_chain(*args):
         raise AssertionError("ideal assembly ran a gcd chain")
 
-    for mod, name in ((spaces_mod, "gcd_of_space"), (spaces_mod, "gcd_form"),
-                      (forms_mod, "gcd_form")):
+    for mod, name in ((spaces_mod, "gcd_of_space"), (spaces_mod, "gcd_rows"),
+                      (forms_mod, "gcd_rows")):
         monkeypatch.setattr(mod, name, no_gcd_chain)
     F = GF(101)
     for field in (F, QQ):

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from binforms.fields import QQ
 from binforms.ideals import ancestor_ideal
 from binforms.linalg import Matrix, kernel, row_basis
-from binforms.spaces import random_space, shift, space_sum, span, tau
+from binforms.spaces import gcd_of_space, random_space, shift, space_sum, span, tau
+from binforms.waring import mu, perp, random_dual, tau_delta
 from oracles import oracle_rref
 
 HIGH = 10**30
@@ -123,3 +124,20 @@ def test_up_ladder_builds_no_fraction_rows(seed):
     built = [R for R in rungs if "_ladder" in R.__dict__]
     assert built, "no rung was built by elimination"
     assert all("rows" not in R.mat.__dict__ for R in built)
+
+
+def test_apolarity_and_gcd_clear_no_denominators(monkeypatch):
+    # once the inputs are built, the catalecticants and gcd(V) read `Matrix.ints`: no row of
+    # Fractions is cleared back to integers, in `linalg` or in `forms`
+    import binforms.forms as forms
+    import binforms.linalg as linalg
+
+    inputs = [(random_dual(6, 24, QQ, s), random_space(5, 12, QQ, s)) for s in range(4)]
+    calls, real = [], linalg._integer_row
+    for mod in (linalg, forms):
+        monkeypatch.setattr(mod, "_integer_row", lambda row: calls.append(row) or real(row))
+    assert Matrix(QQ, ((Fraction(1, 2), Fraction(1)),), 2).ints == ((1, 2),) and len(calls) == 1  # the spy sees
+    calls.clear()
+    for W, V in inputs:
+        tau_delta(W), mu(W), perp(V), gcd_of_space(V)
+    assert calls == []

@@ -37,9 +37,14 @@ def _mono_space():
     return span(F, 4, [monomial(F, 4, 0), monomial(F, 3, 1), monomial(F, 0, 4)])
 
 
-def test_chain_spec_rejects_zero_index():
-    with pytest.raises(PreconditionError):
-        chain_spec((1, 0, -2))
+@pytest.mark.parametrize("indices", [(1, 0, -2), [2.9, -1.2], ["3"], [True]],
+                         ids=["zero", "float", "str", "bool"])
+def test_chain_spec_rejects_zero_index(indices):
+    # an index that is not an int is refused, not truncated to one
+    with pytest.raises(PreconditionError, match="nonzero integers"):
+        chain_spec(indices)
+    with pytest.raises(PreconditionError, match="nonzero integers"):
+        ChainSpec(tuple(indices))
 
 
 def test_apply_chain_worked_example():
