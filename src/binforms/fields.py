@@ -89,7 +89,9 @@ class FieldSpec:
     # ----- element construction ---------------------------------------------
 
     def coerce(self, value) -> Scalar:
-        """The canonical scalar for an int or a Fraction; floats and bools are refused.
+        """The canonical scalar for an exact number: an int, or anything `Fraction` takes exactly
+        (a Fraction, a Decimal, an integral or rational number type).  Text, bools and floats are
+        refused: text enters through `parse_scalar`, which guards its exponent.
 
         Glue code passes each result of Python arithmetic on scalars through here:
         over F_p that reduces it mod p, over Q a Fraction is returned as it is.
@@ -98,15 +100,17 @@ class FieldSpec:
             return Fraction(value) if self.p is None else value % self.p
         if self.p is None and type(value) is Fraction:  # already canonical
             return value
-        if isinstance(value, (bool, float)):
+        if isinstance(value, (str, bool, float)):
             raise PreconditionError(f"expected an exact scalar, got {value!r}")
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, OverflowError):  # not a number; a Decimal NaN or infinity
+            raise PreconditionError(f"expected an exact scalar, got {value!r}") from None
         if self.p is None:
-            return Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise PreconditionError(f"denominator divisible by p={self.p}")
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
+            return value
+        if value.denominator % self.p == 0:
+            raise PreconditionError(f"denominator divisible by p={self.p}")
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     @property
     def zero(self) -> Scalar:

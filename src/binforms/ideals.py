@@ -13,9 +13,9 @@ The three ideals attached to a space V of degree-j forms:
 
 Numeric Betti data (generator/relation degrees) comes from dimension counts,
 no syzygy modules are ever built; fresh-generator counts read dim R_1I_{i-1}
-off the rung of I_{i-1} already built, as `tau` does.  The tail gcd is read
-off the stable top: there the component is a principal block f.R_s, which
-knows its f (spaces).
+as `tau` does, off a rung of I_{i-1} already built or, above the window, off
+the block (tail_gcd).R_s itself.  The tail gcd is read off the stable top:
+there the component is a principal block f.R_s, which knows its f (spaces).
 
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
 R_1-closure, tail) runs in `ideal_from_json`, on `closure.build_h`'s final
@@ -237,8 +237,7 @@ def generator_degrees(I: GradedIdeal) -> tuple[int, ...]:
 
 
 def _fresh_generators(I: GradedIdeal, i: int) -> int:
-    if i > I.window_hi + 1:  # I_{i-1} is a block (tail_gcd).R_s, I_i its R_1
-        return 0
+    """dim I_i - dim R_1I_{i-1}, the number of degree-i minimal generators."""
     prev = _up_dim(I.component(i - 1)) if i > I.window_lo else 0  # zero below
     return I.dim(i) - prev
 

@@ -220,15 +220,6 @@ def rank(m: Matrix) -> int:
     return rref(m)[1]
 
 
-def stack(a: Matrix, b: Matrix) -> Matrix:
-    """a's rows over b's; over Q built from `ints`, so `rows` are each int row over its lead."""
-    return from_ints(a.field, a.ints + b.ints, a.ncols)
-
-
-def row_space_sum(a: Matrix, b: Matrix) -> Matrix:
-    return row_basis(stack(a, b))
-
-
 def kernel(m: Matrix) -> Matrix:
     """Canonical basis (as rows) of {x : m . x = 0}, from one elimination."""
     return kernel_from(rref_reversed(m))

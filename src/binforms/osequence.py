@@ -46,13 +46,10 @@ class OSequence:
         return max(len(self.prefix), self.constant)
 
     def stabilization(self) -> int:
-        """Smallest s with H_i = constant for all i >= s."""
+        """Smallest s with H_i = constant for all i >= s: the prefix length, as `oseq` trims its end."""
         if self.constant is None:
             raise PreconditionError("zero-ideal sequence never stabilizes")
-        s = len(self.prefix)
-        while s > 0 and self.prefix[s - 1] == self.constant:
-            s -= 1
-        return s
+        return len(self.prefix)
 
     def e(self, i: int) -> int:
         """First difference the Hilbert-function way: e_i = H_{i-1} - H_i."""

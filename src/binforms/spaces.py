@@ -10,10 +10,11 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
 * A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a) needs no
   elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last k columns,
   rho_m being the remainders of 1/g: rho_0 = (-1, 0, ..., 0), rho_{m+1}[q] = rho_m[q+1]
-  - rho_m[0] g[q+1], rho_m[k] = 0.  `_principal` finds f in the last row, rejects most
-  other spaces on one entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if
-  k = 1) and then compares every row.  R_{+-1} of a block is the block f.R_{s+-1}, built
-  from (f, s +- 1) alone: its rows are written when first read.
+  - rho_m[0] g[q+1], rho_m[k] = 0.  `_principal` reads f off the last row (its pivot is
+  >= s in any RREF of s+1 rows), rejects most other spaces on one entry (rho_2[0] = g_2 -
+  g_1^2 in the second-to-last row, g_2 = 0 if k = 1) and then compares every row.  R_{+-1}
+  of a block is the block f.R_{s+-1}, built from (f, s +- 1) alone in O(1): its rows are
+  written when first read.
 * Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
   iff V's 2 cod V free-column rows (below) are independent: one rank, tried if dim V +
   dim B >= j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
@@ -45,7 +46,6 @@ from .linalg import (
     lazy_matrix,
     row_basis,
     rref_reversed,
-    row_space_sum,
     zero_matrix,
 )
 
@@ -109,9 +109,10 @@ class FormSpace:
 
     @cached_property
     def _principal(self) -> BinaryForm | None:
-        """The monic f with V = f.R_s, or None (closed-form blocks store it)."""
+        """The monic f with V = f.R_s, or None (closed-form blocks store it).  The last of V's s + 1
+        RREF rows has its pivot at column >= s, so f is that row from column s on."""
         F, s, ints = self.field, self.dim - 1, self.mat.ints
-        if self.is_zero or any(ints[-1][:s]):
+        if self.is_zero:
             return None
         last = ints[-1]
         c = next(i for i, x in enumerate(last) if x)  # f = last[s:] / a leads at column c
@@ -168,7 +169,7 @@ def full_space(field: FieldSpec, degree: int) -> FormSpace:
 def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
     if a.degree != b.degree or a.field != b.field:
         raise PreconditionError("sum of spaces in different degrees or fields")
-    return FormSpace(a.field, a.degree, row_space_sum(a.mat, b.mat))
+    return FormSpace(a.field, a.degree, row_basis(from_ints(a.field, a.mat.ints + b.mat.ints, a.degree + 1)))
 
 
 def contained(inner: FormSpace, outer: FormSpace) -> bool:

@@ -555,8 +555,6 @@ def criterion_10() -> CriterionResult:
         d = rng.randint(1, j + 1)
         W = random_space(d, j, F101, seed=40_000 + trial)
         trial += 1
-        if W.is_zero:
-            continue
         t = tau(W)
         if t > 4:
             continue
@@ -605,8 +603,6 @@ def criterion_11() -> CriterionResult:
         d = rng.randint(1, j + 1)
         V = random_space(d, j, F101, seed=50_000 + t)
         t += 1
-        if V.is_zero:
-            continue
         samples += 1
         tag = f"seed {50_000 + t - 1} (d={d},j={j})"
         tV = tau(V)

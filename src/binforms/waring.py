@@ -257,7 +257,7 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     F, j, c = W.field, W.degree, W.dim
     m, comp = W._initial
     first_rem = None
-    for row in sorted(comp.mat.rows):
+    for row in comp.mat.rows[::-1]:  # lex-smallest first: a later RREF row is 0 at an earlier one's pivot 1
         rem, split = _linear_split(BinaryForm(F, m, row))
         if first_rem is None:
             first_rem = rem

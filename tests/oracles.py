@@ -17,7 +17,7 @@ import sympy
 from binforms.errors import PreconditionError
 from binforms.fields import FieldSpec
 from binforms.forms import BinaryForm, divide_form, require_pairing_char
-from binforms.linalg import Matrix, kernel, rref, row_basis, stack
+from binforms.linalg import Matrix, kernel, rref, row_basis
 from binforms.osequence import OSequence, oseq
 
 x, y = sympy.symbols("x y")
@@ -71,7 +71,7 @@ def oracle_kernel(m: Matrix) -> Matrix:
 def oracle_intersect(a: Matrix, b: Matrix) -> Matrix:
     """rowspace(A) ∩ rowspace(B) via double annihilators:
     rowspace(M) = ker(ker(M)) for the standard dot pairing."""
-    return kernel(stack(kernel(a), kernel(b)))
+    return kernel(Matrix(a.field, kernel(a).rows + kernel(b).rows, a.ncols))
 
 
 def zassenhaus_intersect(a: Matrix, b: Matrix) -> Matrix:

@@ -3,6 +3,7 @@ scalar coercion."""
 
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,24 @@ def test_exact_scalars_keep_their_values(field):
     # JSON files go through the text route, which reads a decimal exactly
     obj = json.loads('{"degree": 2, "coeffs": [3, "-1/2", 2.5]}')
     assert form_from_json(field, obj).coeffs == tuple(map(want, [3, Fraction(-1, 2), Fraction(5, 2)]))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(101), QQ], ids=lambda F: F.name)
+def test_coerce_takes_every_exact_number_at_its_value(field):
+    """A Decimal reaches the scalar of its exact Fraction (0.5 is 1/2, 4 mod 7, not int(0.5) = 0);
+    text, which `parse_scalar` alone reads, and whatever Fraction refuses are PreconditionErrors."""
+    for x in (Decimal("0.5"), Decimal("0.2"), Decimal("-2.75"), Decimal("1e3"), Decimal("7.000")):
+        q = Fraction(x)
+        if field.p is not None and q.denominator % field.p == 0:
+            with pytest.raises(PreconditionError, match="denominator"):
+                field.coerce(x)
+            continue
+        want = q if field.p is None else q.numerator * pow(q.denominator, -1, field.p) % field.p
+        assert field.coerce(x) == want and type(field.coerce(x)) is type(field.one), x
+        assert form(field, 0, [x]).coeffs == (want,)
+    for bad in ("3", "1/2", "x", "1e5000", Decimal("NaN"), Decimal("-Infinity"), 1j, None, [1]):
+        with pytest.raises(PreconditionError, match="exact scalar"):
+            field.coerce(bad)
 
 
 CANONICAL_FIELDS = [GF(2), GF(7), GF(101), GF(2**61 - 1), QQ]

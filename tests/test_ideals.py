@@ -615,16 +615,19 @@ def test_ideal_assembly_reads_the_tail_off_the_memo(monkeypatch):
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
 @pytest.mark.parametrize("d,j,seed", [(1, 4, 0), (3, 7, 1), (5, 6, 2), (6, 9, 3)])
 def test_ancestor_betti_counts_build_no_block_above_the_window(monkeypatch, field, d, j, seed):
-    # I_{hi+1} is a block (tail_gcd).R_s and I_{hi+2} its R_1: no fresh
-    # generator there, so neither count needs the block itself
-    import binforms.ideals as ideals_mod
+    # The counts read dimensions only: they run no elimination and write no block's rows.
+    # Above the window I_{hi+1} is a block (tail_gcd).R_s, built from (f, s) in O(1) with
+    # its rows unwritten: the counts may read it, never build its basis.
+    import binforms.linalg as linalg_mod
+    import binforms.spaces as spaces_mod
 
-    blocks = []
-    real = ideals_mod.principal_space
-    monkeypatch.setattr(ideals_mod, "principal_space", lambda f, i: blocks.append(i) or real(f, i))
     I = ancestor_ideal(random_space(d, j, field, seed))
-    generator_degrees(I)
-    relation_degrees(I)
-    assert blocks == []
+    want = generator_degrees(I), relation_degrees(I)
+    I = ancestor_ideal(random_space(d, j, field, seed))
+    work = []
+    with monkeypatch.context() as m:
+        m.setattr(linalg_mod, "rref", lambda mat: work.append("rref"))
+        m.setattr(spaces_mod, "_block_rows", lambda f, s: work.append("block rows") or iter(()))
+        got = generator_degrees(I), relation_degrees(I)
+    assert work == [] and got == want
     assert I.component(I.window_hi + 1).dim == I.dim(I.window_hi + 1)
-    assert blocks == [I.window_hi + 1]  # the count sees a block above the window

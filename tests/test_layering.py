@@ -75,3 +75,21 @@ def test_an_ideal_is_validated_where_it_enters():
     Every other ideal is closed under R_1 by construction and goes through `_assemble_ideal`."""
     assert {module for module, _ in _callers("GradedIdeal")} == {"ideals"}
     assert _callers("graded_ideal") == {("ideals", "ideal_from_json"), ("closure", "build_h")}
+
+
+def test_only_oseq_builds_an_osequence():
+    """`oseq` normalizes every sequence it builds, which `OSequence.stabilization` relies on."""
+    assert _callers("OSequence") == {("osequence", "oseq")}
+
+
+def _dict_reads(tree: ast.AST):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "spaces.py"), ids=lambda p: p.name
+)
+def test_only_spaces_touches_the_memos_of_a_space(path):
+    """A FormSpace's memos (`_up`, `_down`, `_principal`, `_ladder`) live in its `__dict__`: only
+    `spaces` reads or sets them there, so the memo protocol stays in one module."""
+    assert not _dict_reads(ast.parse(path.read_text(encoding="utf-8"))), f"{path.name} touches __dict__"

@@ -16,11 +16,10 @@ from binforms.linalg import (
     kernel,
     rank,
     row_basis,
-    row_space_sum,
     rref,
-    stack,
     zero_matrix,
 )
+from binforms.spaces import FormSpace, space_sum
 from oracles import oracle_intersect, oracle_kernel, oracle_rref, zassenhaus_intersect
 
 FIELDS = [QQ, GF(5), GF(101)]
@@ -36,6 +35,11 @@ def matrix(field, rows, ncols=None):
 def inside(space, vec):
     """Membership of vec in the row space of the basis matrix space."""
     return contains_vector(integral_dual(space), vec, space.field)
+
+
+def row_space_sum(a, b):
+    """The sum of two row spaces, by `spaces.space_sum` on the spaces they span."""
+    return space_sum(*(FormSpace(m.field, m.ncols - 1, row_basis(m)) for m in (a, b))).mat
 
 
 def ident(field, n):

@@ -115,15 +115,18 @@ def test_tau_of_zero_and_degree_zero_spaces(field):
 
 @pytest.mark.parametrize("d,j", [(2, 10), (6, 10), (9, 10)])  # d <= cod, then d > cod
 def test_betti_counts_and_down_walk_build_no_up_rung(monkeypatch, d, j):
-    built = []
+    # The counts after the walk run no elimination and write no block's rows: the one
+    # up-rung they may build is a block's R_1, f.R_{s+1}, built from (f, s + 1) in O(1).
+    A = ancestor_ideal(random_space(d, j, F101, 0))
+    built, work = [], []
     real = spaces._shift_up_once
     monkeypatch.setattr(spaces, "_shift_up_once", lambda V: built.append(V) or real(V))
-    V = random_space(d, j, F101, 0)
-    A = ancestor_ideal(V)
-    del built[:]
+    monkeypatch.setattr(linalg, "rref", lambda m: work.append("rref"))
+    monkeypatch.setattr(spaces, "_block_rows", lambda f, s: work.append("block rows") or iter(()))
     generator_degrees(A)
     relation_degrees(A)
-    assert built == []
+    assert work == []
+    assert all("_principal" in W.__dict__ and W._principal is not None for W in built)
 
 
 def _fresh(V):
