@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from decimal import Decimal
 
 from .closure import build_h
 from .errors import PreconditionError
@@ -50,11 +51,12 @@ DEFAULT_FIELD = GF(101)
 
 
 def _read_json(path: str) -> dict:
+    """The document at `path`; a JSON number with a point or an exponent is read as its exact Decimal."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_float=Decimal)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Decimal)
     except FileNotFoundError:
         raise PreconditionError(f"no such file: {path}") from None
     except OSError as exc:  # a directory, no permission
@@ -152,9 +154,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
             if (args.tau is None or tau_of_h(H, j) == args.tau)
             and (args.c is None or H.constant == args.c)
         ]
-        groups = Counter((tau_of_h(H, j), H.constant) for H in pool)
-        for (t, c), n in sorted(groups.items()):
-            if args.tau is None and args.c is None and n != count_by_tau(d, j, t, c):
+        for (t, c), n in sorted(Counter((tau_of_h(H, j), H.constant) for H in pool).items()):
+            if n != count_by_tau(d, j, t, c):  # the filters keep whole (tau, c) classes
                 raise RuntimeError(f"count formula disagrees at (tau,c)=({t},{c})")
     else:
         pool = table_rows(d, j)
@@ -430,8 +431,7 @@ def main(argv=None) -> int:
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 2
     try:
-        if output:
-            print(output, flush=True)
+        print(output, flush=True)
     except BrokenPipeError:  # the reader closed stdout (`| head`); see "Note on SIGPIPE" in Python's `signal` docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise again
         return 1

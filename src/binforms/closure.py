@@ -53,37 +53,43 @@ class BuildTrace:
 # ── parameter inference ───────────────────────────────────────────────────────
 
 
+def _nose_params(S: OSequence) -> tuple[int, int]:
+    if S.is_zero_ideal or S.constant != 0 or not S.prefix:
+        raise PreconditionError("not a level-type sequence", N=str(S))
+    j = len(S.prefix) - 1
+    d = j + 1 - S.value(j)
+    if not is_permissible_nose(S, d, j):
+        raise PreconditionError("sequence is not a permissible nose", N=str(S))
+    return d, j
+
+
 def _check_nose_pair(Nprime: OSequence, N: OSequence) -> tuple[int, int]:
-    params = []
-    for S in (N, Nprime):
-        if S.is_zero_ideal or S.constant != 0 or not S.prefix:
-            raise PreconditionError("not a level-type sequence", N=str(S))
-        j = len(S.prefix) - 1
-        d = j + 1 - S.value(j)
-        if not is_permissible_nose(S, d, j):
-            raise PreconditionError("sequence is not a permissible nose", N=str(S))
-        params.append((d, j))
-    d, j = params[0]  # of N; N' must share them
-    if params[1] != (d, j):
+    """(d, j) read off the target N (so d <= j); a source N' permissible there reads the same
+    (d, j) off itself, and any other is refused for its own fault if it has one, else for the mismatch."""
+    d, j = _nose_params(N)
+    if not is_permissible_nose(Nprime, d, j):
+        _nose_params(Nprime)
         raise PreconditionError("nose pair has mismatched parameters")
     if any(Nprime.value(i) > N.value(i) for i in range(j + 1)):
         raise PreconditionError("nose step needs N' <= N termwise")
     return d, j
 
 
+def _tail_params(S: OSequence) -> tuple[int, int]:
+    if S.is_zero_ideal:
+        raise PreconditionError("not a tail sequence", T=str(S))
+    j = S.order()
+    d = j + 1 - S.value(j)
+    if not is_permissible_tail(S, d, j):
+        raise PreconditionError("sequence is not a permissible tail", T=str(S))
+    return d, j
+
+
 def _check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int, int]:
-    """(d, j) and the walk's top: one past j and the stabilizations of T', T."""
-    params = []
-    for S in (T, Tprime):
-        if S.is_zero_ideal:
-            raise PreconditionError("not a tail sequence", T=str(S))
-        j = S.order()
-        d = j + 1 - S.value(j)
-        if not is_permissible_tail(S, d, j):
-            raise PreconditionError("sequence is not a permissible tail", T=str(S))
-        params.append((d, j))
-    d, j = params[0]  # of T; T' must share them
-    if params[1] != (d, j):
+    """(d, j) as `_check_nose_pair` reads them, and the walk's top: one past j, T', T's stabilizations."""
+    d, j = _tail_params(T)
+    if not is_permissible_tail(Tprime, d, j):
+        _tail_params(Tprime)
         raise PreconditionError("tail pair has mismatched parameters")
     top = max(Tprime.stabilization(), T.stabilization(), j) + 1
     if any(Tprime.value(i) < T.value(i) for i in range(j, top + 1)):

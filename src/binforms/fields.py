@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -21,6 +22,12 @@ from .errors import PreconditionError
 Scalar = Fraction | int
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 _MAX_EXPONENT = 4300  # Python's default int-to-str digit limit
+
+
+def _oversized(value: Decimal) -> bool:
+    """More than `_MAX_EXPONENT` digits or an exponent beyond ±it: `parse_scalar`'s rule for text."""
+    _, digits, exponent = value.as_tuple()
+    return len(digits) > _MAX_EXPONENT or type(exponent) is int and abs(exponent) > _MAX_EXPONENT
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -91,7 +98,8 @@ class FieldSpec:
     def coerce(self, value) -> Scalar:
         """The canonical scalar for an exact number: an int, or anything `Fraction` takes exactly
         (a Fraction, a Decimal, an integral or rational number type).  Text, bools and floats are
-        refused: text enters through `parse_scalar`, which guards its exponent.
+        refused: text enters through `parse_scalar`, which guards its exponent, and a Decimal
+        is refused unless `_oversized` clears it.
 
         Glue code passes each result of Python arithmetic on scalars through here:
         over F_p that reduces it mod p, over Q a Fraction is returned as it is.
@@ -102,6 +110,8 @@ class FieldSpec:
             return value
         if isinstance(value, (str, bool, float)):
             raise PreconditionError(f"expected an exact scalar, got {value!r}")
+        if isinstance(value, Decimal) and _oversized(value):
+            raise PreconditionError(f"Decimal scalar beyond {_MAX_EXPONENT} digits or exponent")
         try:
             value = Fraction(value)
         except (TypeError, ValueError, OverflowError):  # not a number; a Decimal NaN or infinity

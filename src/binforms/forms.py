@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
 
 from .errors import PreconditionError
-from .fields import FieldSpec, Scalar, _is_prime
+from .fields import FieldSpec, Scalar, _is_prime, _oversized
 from .linalg import _integer_row, _primitive
 
 
@@ -51,7 +52,7 @@ def zero_form(field: FieldSpec, degree: int) -> BinaryForm:
 
 
 def monomial(field: FieldSpec, deg_x: int, deg_y: int) -> BinaryForm:
-    """x^deg_x y^deg_y, with coefficient `field.one` (`scale_form` for another)."""
+    """x^deg_x y^deg_y, with coefficient `field.one`."""
     j = deg_x + deg_y
     cs = [field.zero] * (j + 1)
     cs[deg_y] = field.one
@@ -63,12 +64,6 @@ def add_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise PreconditionError("cannot add forms of different degrees")
     F = f.field
     return BinaryForm(F, f.degree, tuple(F.coerce(a + b) for a, b in zip(f.coeffs, g.coeffs)))
-
-
-def scale_form(c, f: BinaryForm) -> BinaryForm:
-    F = f.field
-    c = F.coerce(c)
-    return BinaryForm(F, f.degree, tuple(F.coerce(c * a) for a in f.coeffs))
 
 
 def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -433,13 +428,17 @@ def form_to_json(f: BinaryForm) -> dict:
 
 
 def json_int(value) -> int:
-    """An int, an integral float or a digit string; not a bool, not 2.9."""
+    """An int, an integral float or Decimal, or a digit string; not a bool, not 2.9.
+    A Decimal is refused unless `_oversized` clears it, before it is expanded."""
     try:
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or isinstance(value, Decimal) and _oversized(value):
+            raise ValueError
+        if isinstance(value, (float, Decimal)) and int(value) != value:
             raise ValueError
         return int(value)
-    except (TypeError, ValueError, OverflowError):  # a list, "a", 1e400
-        raise PreconditionError(f"expected an integer, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):  # a list, "a", 1e400, 2.9
+        shown = value if isinstance(value, Decimal) else repr(value)  # 2.9, as JSON wrote it
+        raise PreconditionError(f"expected an integer, got {shown}") from None
 
 
 def json_list(value) -> list:

@@ -357,10 +357,6 @@ def _majorizes(p: Partition, q: Partition) -> bool:
     return True
 
 
-def majorization_le(p: Partition, q: Partition) -> Cmp:
-    return _cmp_from_flags(_majorizes(p, q), _majorizes(q, p))
-
-
 def le_by_partitions(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
     """Same order computed through (P,Q): H1 ≥ H2 iff P1 ≤ P2 and Q1 ≤ Q2."""
     return _le_pq(partitions_pq(H1, d, j), partitions_pq(H2, d, j))
@@ -468,13 +464,8 @@ def count_by_tau(d: int, j: int, tau: int, c: int) -> int:
 # ── staircase realization ─────────────────────────────────────────────────────
 
 
-def staircase_exponents(H: OSequence, d: int, j: int) -> list[tuple[int, int]]:
-    """Monomial exponents (p_u, q_u) realizing H, from the Betti partitions."""
-    A, B, _, _ = betti_partitions(H, d, j)
-    return _staircase_pairs(A, B, j)
-
-
 def _staircase_pairs(A: Partition, B: Partition, j: int) -> list[tuple[int, int]]:
+    """Exponents (p_u, q_u) of the monomial generators whose Betti partitions are A, B."""
     gens = [j + 1 - a for a in A]
     rels = [j + 1 + b for b in B]
     pairs = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import PreconditionError
-from .ideals import GradedIdeal, ancestor_ideal
+from .ideals import GradedIdeal, _stable_top, ancestor_ideal
 from .spaces import FormSpace, equivalent, shift, tau
 
 
@@ -84,7 +84,9 @@ def normalize_chain(chain) -> ChainSpec:
 
 def related_classes(V: FormSpace) -> list[GradedIdeal]:
     """Distinct ancestor ideals of nonzero spaces related to V, at most
-    2^tau(V) - 1 of them, in discovery order (self, down branch, up branch)."""
+    2^tau(V) - 1 of them, in discovery order (self, down branch, up branch).
+    An up-walk ends by `_stable_top(W)`: from there on R_kW is a block, with
+    tau 1 < tau(W), so the first inequivalent up-shift comes at or before it."""
     if V.is_zero:
         raise PreconditionError("related classes of the zero space")
     t0 = tau(V)
@@ -108,7 +110,7 @@ def related_classes(V: FormSpace) -> list[GradedIdeal]:
             raise RuntimeError("no inequivalent down-shift below a tau >= 2 space")
         if not down.is_zero and tau(down) >= tW:
             raise RuntimeError("tau failed to drop on the first inequivalent shift")
-        up = _first_inequivalent(W, 1, W.cod + tW + 2)
+        up = _first_inequivalent(W, 1, _stable_top(W))
         if up is None:
             raise RuntimeError("no inequivalent up-shift within the stable range")
         if tau(up) >= tW:

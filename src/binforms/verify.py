@@ -597,14 +597,11 @@ def criterion_11() -> CriterionResult:
 
     run = _Run(11, "tau calculus on random spaces", 30.0)
     rng = random.Random(23)
-    samples = t = 0
-    while samples < 500 and t < 5000:
+    for t in range(500):
         j = rng.randint(1, 8)
         d = rng.randint(1, j + 1)
         V = random_space(d, j, F101, seed=50_000 + t)
-        t += 1
-        samples += 1
-        tag = f"seed {50_000 + t - 1} (d={d},j={j})"
+        tag = f"seed {50_000 + t} (d={d},j={j})"
         tV = tau(V)
 
         ok = shift(V, -1).dim + shift(V, 1).dim == 2 * V.dim
@@ -657,7 +654,6 @@ def criterion_11() -> CriterionResult:
             tV == len(generator_degrees(ancestor_ideal(V))),
             f"tau != generator count at {tag}",
         )
-    run.check(samples == 500, f"500 samples, got {samples}")
     return run.result()
 
 

@@ -48,7 +48,6 @@ from .spaces import (
     shift,
     span,
     space_from_json,
-    space_to_json,
 )
 
 DUAL_VARS = ("X", "Y")
@@ -139,10 +138,6 @@ def dual_space(field: FieldSpec, degree: int, forms) -> DualSpace:
 def random_dual(c: int, j: int, field: FieldSpec, seed) -> DualSpace:
     """Deterministic c-dimensional sample of degree-j dual forms."""
     return DualSpace(random_space(c, j, field, seed))
-
-
-def dual_to_json(W: DualSpace) -> dict:
-    return space_to_json(W.space)
 
 
 def dual_from_json(obj: dict, field: FieldSpec | None = None) -> DualSpace:

@@ -667,6 +667,52 @@ def oracle_extend_inside(base, cap, target_dim: int):
 # ----- closure witnesses --------------------------------------------------------
 
 
+def oracle_check_nose_pair(Nprime: OSequence, N: OSequence) -> tuple[int, int]:
+    """The nose pair check that infers (d, j) from each sequence, target first,
+    and compares them (`closure._check_nose_pair` reads them off the target and
+    tests the source at them)."""
+    from binforms.hilbert import is_permissible_nose
+
+    params = []
+    for S in (N, Nprime):
+        if S.is_zero_ideal or S.constant != 0 or not S.prefix:
+            raise PreconditionError("not a level-type sequence", N=str(S))
+        j = len(S.prefix) - 1
+        d = j + 1 - S.value(j)
+        if not is_permissible_nose(S, d, j):
+            raise PreconditionError("sequence is not a permissible nose", N=str(S))
+        params.append((d, j))
+    d, j = params[0]
+    if params[1] != (d, j):
+        raise PreconditionError("nose pair has mismatched parameters")
+    if any(Nprime.value(i) > N.value(i) for i in range(j + 1)):
+        raise PreconditionError("nose step needs N' <= N termwise")
+    return d, j
+
+
+def oracle_check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int, int]:
+    """The tail pair check that infers (d, j) from each sequence, as
+    `oracle_check_nose_pair` does, and the walk's top."""
+    from binforms.hilbert import is_permissible_tail
+
+    params = []
+    for S in (T, Tprime):
+        if S.is_zero_ideal:
+            raise PreconditionError("not a tail sequence", T=str(S))
+        j = S.order()
+        d = j + 1 - S.value(j)
+        if not is_permissible_tail(S, d, j):
+            raise PreconditionError("sequence is not a permissible tail", T=str(S))
+        params.append((d, j))
+    d, j = params[0]
+    if params[1] != (d, j):
+        raise PreconditionError("tail pair has mismatched parameters")
+    top = max(Tprime.stabilization(), T.stabilization(), j) + 1
+    if any(Tprime.value(i) < T.value(i) for i in range(j, top + 1)):
+        raise PreconditionError("tail step needs T' >= T termwise")
+    return d, j, top
+
+
 def oracle_build_h(Iprime, H: OSequence, j: int):
     """build_h composed of the public halves: build_n on I'_0 .. I'_j under all
     of R above j, build_t on I' with its degrees below j zeroed, and their

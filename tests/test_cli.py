@@ -18,7 +18,7 @@ from binforms.hilbert import realize_staircase
 from binforms.ideals import ideal_from_json, ideal_to_json
 from binforms.osequence import oseq
 from binforms.spaces import space_to_json, span
-from binforms.waring import dual_space, dual_to_json
+from binforms.waring import dual_space
 
 
 def _run(argv):
@@ -222,6 +222,25 @@ def test_json_degree_accepts_ints_integral_floats_and_digit_strings(tmp_path, de
     assert rc == 0 and err == "" and "tau = " in out
 
 
+@pytest.mark.parametrize(
+    "number,exact",
+    [
+        ("0.1000000000000000055511151231257827",
+         "1000000000000000055511151231257827/10000000000000000000000000000000000"),
+        ("12345678901234567890.5", "24691357802469135781/2"),
+        ("1e-400", f"1/{10**400}"),
+    ],
+    ids=["beyond-double-precision", "beyond-2^53", "below-double-range"],
+)
+def test_json_number_coefficients_are_read_exactly(tmp_path, number, exact):
+    # read as binary floats these were 1/10, 12345678901234567000 and 0
+    path = tmp_path / "V.json"
+    path.write_text('{"field": "Q", "degree": 1, "basis": [{"degree": 1, "coeffs": [1, %s]}]}' % number)
+    rc, out, err = _run(["analyze", str(path), "--json"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["space"]["basis"] == [{"degree": 1, "coeffs": ["1", exact]}]
+
+
 _NEGATIVE_FORM = _space_json("Fp:101", 2, ["1", "0", "3"])
 _NEGATIVE_FORM["basis"].append({"degree": -1, "coeffs": []})
 
@@ -248,7 +267,7 @@ def test_json_shapes_are_refused_where_they_are_read(tmp_path, command, doc, nam
 def test_waring_split_and_unsplit(tmp_path):
     W = dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])])
     path = tmp_path / "W.json"
-    path.write_text(json.dumps(dual_to_json(W)))
+    path.write_text(json.dumps(space_to_json(W.space)))
     rc, out, _ = _run(["waring", str(path), "--json"])
     assert rc == 0
     data = json.loads(out)
@@ -258,7 +277,7 @@ def test_waring_split_and_unsplit(tmp_path):
 
     Wq = dual_space(QQ, 3, [form(QQ, 3, [0, 1, -1, 0])])
     path2 = tmp_path / "Wq.json"
-    path2.write_text(json.dumps(dual_to_json(Wq)))
+    path2.write_text(json.dumps(space_to_json(Wq.space)))
     rc, out, _ = _run(["waring", str(path2), "--json"])
     assert rc == 0
     data = json.loads(out)
@@ -276,7 +295,7 @@ def test_waring_bisects_once(tmp_path, monkeypatch):
     for field in (GF(7), QQ):  # the first splits, the second stays Unsplit
         W = dual_space(field, 3, [form(field, 3, [0, 1, -1, 0])])
         path = tmp_path / f"W{field.p}.json"
-        path.write_text(json.dumps(dual_to_json(W)))
+        path.write_text(json.dumps(space_to_json(W.space)))
         assert waring.mu(W) == 2
         want, calls[:] = len(calls), []
         rc, out, _ = _run(["waring", str(path)])
@@ -471,7 +490,7 @@ def test_field_is_read_where_it_is_accepted(tmp_path):
     V = span(GF(7), 3, [monomial(GF(7), 3, 0), monomial(GF(7), 0, 3)])
     path = _space_file(tmp_path, "V.json", V)
     W = tmp_path / "W.json"
-    W.write_text(json.dumps(dual_to_json(dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])]))))
+    W.write_text(json.dumps(space_to_json(dual_space(GF(7), 3, [form(GF(7), 3, [0, 1, -1, 0])]).space)))
     for argv in (["analyze", path], ["related", path], ["waring", str(W)]):
         rc, _, err = _run(argv + ["--field", "Q", "--json"])
         assert rc == 0, (argv, err)

@@ -227,6 +227,39 @@ def test_fuzz_covers_every_subcommand():
     assert set(sub.choices) == set(ARGV) | {"verify"}
 
 
+def _space_doc(at):
+    """A space over Q with "@" at one of its numbers."""
+    doc = {"field": "Q", "degree": 1, "basis": [_form(1, [1, 1])]}
+    parent, key = {"degree": (doc, "degree"), "form-degree": (doc["basis"][0], "degree"),
+                   "coefficient": (doc["basis"][0]["coeffs"], 0)}[at]
+    parent[key] = "@"
+    return doc
+
+
+def _ideal_doc(at):
+    """The README's ideal with "@" at one of its numbers."""
+    doc = json.loads(json.dumps(README_IDEAL))
+    parent, key = {"window-lo": (doc["window"], 0), "window-hi": (doc["window"], 1),
+                   "tail-degree": (doc["tailGcd"], "degree")}[at]
+    parent[key] = "@"
+    return doc
+
+
+@pytest.mark.parametrize("number", ["1e1000000", "1e-1000000", "1" * 5001 + ".5"],
+                         ids=["exponent-1e6", "exponent-minus-1e6", "5001-digits"])
+def test_json_numbers_beyond_the_size_rule_are_refused_in_time(number):
+    """A bare JSON number is read as its exact Decimal, so one beyond 4300 digits or an
+    exponent beyond 4300 is refused before it is expanded, as a degree, a window bound
+    or a coefficient."""
+    runs = [([name, "-"], _space_doc(at)) for name in ("analyze", "related", "waring")
+            for at in ("degree", "form-degree", "coefficient")]
+    runs += [(["build", "--from", "-", "--target-H", "1(0)", "--j", "1"], _ideal_doc(at))
+             for at in ("window-lo", "window-hi", "tail-degree")]
+    for argv, doc in runs:
+        rc, out, err = _run(argv, json.dumps(doc).replace('"@"', number))
+        assert rc == 1 and out == "" and json.loads(err)["error"] == "precondition", (argv, doc)
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000, b"1" * 5000, None],
                          ids=["bad-utf8", "deep-nesting", "long-int", "directory"])
 def test_unreadable_input_file_is_refused(tmp_path, content):

@@ -28,7 +28,13 @@ from binforms.ideals import (
 from binforms.osequence import oseq
 from binforms.spaces import principal_space, random_space, space_sum, span, zero_space
 
-from oracles import oracle_build_h, oracle_extend_inside, walked_halves
+from oracles import (
+    oracle_build_h,
+    oracle_check_nose_pair,
+    oracle_check_tail_pair,
+    oracle_extend_inside,
+    walked_halves,
+)
 
 
 def _contained(inner, outer):
@@ -97,6 +103,49 @@ PAIR_REFUSALS = [
 def test_step_pair_refusals(step, before, target, message):
     with pytest.raises(PreconditionError, match=message):
         step(before, target)
+
+
+def _perturbed(S):
+    """S with its constant raised by one, or one of its values up to its stabilization moved by one."""
+    values = list(S.values(len(S.prefix)))
+    out = [oseq(values, S.constant + 1)]
+    for i, v in enumerate(values):
+        out += [oseq(values[:i] + [w] + values[i + 1:], S.constant) for w in (v - 1, v + 1) if w >= 0]
+    return out
+
+
+def _outcome(step, before, target):
+    try:
+        return step(before, target)
+    except PreconditionError as exc:
+        return exc.payload()
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["nose", "tail"])
+def test_pair_checks_match_the_two_inference_oracle(half):
+    """Every pair of permissible noses (tails) with d <= j <= 6, and each of them against each
+    sequence one entry away from one of them, on either side: step_n (step_t) reads (d, j) off
+    the target alone and must accept or refuse as the oracle that infers them from both."""
+    step, oracle, walk = [(step_n, oracle_check_nose_pair, closure._step_n),
+                          (step_t, oracle_check_tail_pair, closure._step_t)][half]
+    halves = {nose_tail(H, j)[half] for j in range(1, 7) for d in range(1, j + 1)
+              for H in enumerate_acceptable(d, j)}
+    permissible = sorted(halves, key=str)
+    perturbed = sorted({P for S in permissible for P in _perturbed(S)} - halves, key=str)
+    pairs = [(a, b) for a in permissible for b in permissible]
+    pairs += [pair for P in perturbed for S in permissible for pair in ((P, S), (S, P))]
+    outcomes = set()
+    for before, target in pairs:
+        want = _outcome(lambda a, b: walk(a, b, *oracle(a, b))[0], before, target)
+        assert _outcome(step, before, target) == want, (str(before), str(target))
+        outcomes.add(want["message"] if isinstance(want, dict) else "a step")
+    assert outcomes == {"a step", "sequences already agree; no step to take"} | [
+        {"not a level-type sequence", "sequence is not a permissible nose",
+         "nose pair has mismatched parameters", "nose step needs N' <= N termwise"},
+        # no perturbation reaches the zero ideal, PAIR_REFUSALS' "not a tail sequence"
+        {"sequence is not a permissible tail", "tail pair has mismatched parameters",
+         "tail step needs T' >= T termwise"},
+    ][half]
 
 
 def test_build_h_full_chain_4_5():

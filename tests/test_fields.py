@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ, FieldSpec, _is_prime
-from binforms.forms import add_form, form, form_from_json, linear_power, scale_form
+from binforms.forms import add_form, form, form_from_json, linear_power
 from binforms.linalg import integral_dual, kernel
 from binforms.spaces import principal_space, span
 from binforms.waring import GAD, dual_space, gad
@@ -157,6 +157,19 @@ def test_coerce_takes_every_exact_number_at_its_value(field):
             field.coerce(bad)
 
 
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda F: F.name)
+def test_coerce_refuses_a_decimal_beyond_the_size_rule_at_once(field):
+    """More than 4300 digits or an exponent beyond 4300, which `parse_scalar` refuses in text,
+    is refused before the Decimal is expanded (1e10000000 took seconds, 10^5 digits about one)."""
+    for bad in (Decimal("1e10000000"), Decimal("1" * 10**5 + ".5"), Decimal("1e-4301"), Decimal("1" * 4301)):
+        t0 = time.perf_counter()
+        with pytest.raises(PreconditionError, match="beyond 4300 digits or exponent"):
+            field.coerce(bad)
+        assert time.perf_counter() - t0 < 1.0, str(bad)[:20]
+    assert field.coerce(Decimal("1e4300")) == field.coerce(10**4300)
+    assert field.coerce(Decimal("1" * 4300)) == field.coerce(int("1" * 4300))
+
+
 CANONICAL_FIELDS = [GF(2), GF(7), GF(101), GF(2**61 - 1), QQ]
 
 
@@ -183,7 +196,8 @@ def test_library_results_hold_canonical_scalars(F, j, m, data):
         _assert_canonical(F, [x for z in integral_dual(V.mat) for x in z])
     g = form(F, j, coeffs(j + 1))
     _assert_canonical(F, add_form(f if k == j else g, g).coeffs)
-    _assert_canonical(F, scale_form(data.draw(raw), g).coeffs)
+    s = data.draw(raw)
+    _assert_canonical(F, form(F, j, [s * x for x in g.coeffs]).coeffs)
     if F.p is not None and F.p <= j:
         return  # no apolarity pairing in degree j
     # m combinations of j-th powers of independent linear dual forms, so gad can split
@@ -197,7 +211,8 @@ def test_library_results_hold_canonical_scalars(F, j, m, data):
     for _ in range(data.draw(st.integers(1, 2))):
         w = form(F, j, [0] * (j + 1))
         for P in powers:
-            w = add_form(w, scale_form(data.draw(raw), P))
+            s = data.draw(raw)
+            w = add_form(w, form(F, j, [s * x for x in P.coeffs]))
         rows.append(w)
     W = dual_space(F, j, rows)
     if F.p is None:  # over Q the weighted rows are integer rows, as the dual vectors are

@@ -21,7 +21,6 @@ from binforms.forms import (
     monic,
     monomial,
     mul_form,
-    scale_form,
     zero_form,
 )
 from binforms.hilbert import (
@@ -33,7 +32,7 @@ from binforms.hilbert import (
 )
 from binforms.ideals import hilbert_function, level_ideal
 from binforms.osequence import oseq
-from binforms.spaces import FormSpace, full_space, random_space, span, zero_space
+from binforms.spaces import FormSpace, full_space, random_space, space_to_json, span, zero_space
 from binforms.waring import (
     GAD,
     DualSpace,
@@ -42,7 +41,6 @@ from binforms.waring import (
     annihilator,
     dual_from_json,
     dual_space,
-    dual_to_json,
     gad,
     gad_locus_codim,
     mu,
@@ -141,7 +139,7 @@ def test_char_guard():
 
 def test_dual_json_roundtrip():
     W = random_dual(2, 5, GF(101), seed=7)
-    assert dual_from_json(dual_to_json(W)) == W
+    assert dual_from_json(space_to_json(W.space)) == W
 
 
 # ── tau_delta and mu ──────────────────────────────────────────────────────────
@@ -397,7 +395,7 @@ def test_gad_q_j12_is_certified_against_sympy(c):
     # cases over Q at j = 12 read these spaces
     W = random_dual(c, 12, QQ, seed=0)
     golden = GOLDEN_INPUTS / f"dual_q_j12_c{c}.json"
-    assert dual_to_json(W) == json.loads(golden.read_text(encoding="utf-8"))
+    assert space_to_json(W.space) == json.loads(golden.read_text(encoding="utf-8"))
     g = gad(W)
     m = mu(W)
     assert m == oracle_mu(W)
@@ -454,7 +452,7 @@ def test_gad_planted_powers_large_prime(p, m, tmp_path, capsys):
         assert g.length == m and g.weights == (1,) * m
         assert sorted(L.coeffs for L in g.linear_forms) == sorted(L.coeffs for L in lins)
         path = tmp_path / f"W{c}.json"
-        path.write_text(json.dumps(dual_to_json(W)))
+        path.write_text(json.dumps(space_to_json(W.space)))
         assert main(["waring", str(path), "--field", F.name, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["mu"] == m and data["gad"]["length"] == m
@@ -676,7 +674,8 @@ def _weighted_planted(field, c, j, lins, weights, rng):
     for _ in range(c):
         acc = zero_form(field, j)
         for g in gens:
-            acc = add_form(acc, scale_form(scalar(), g))
+            s = scalar()
+            acc = add_form(acc, form(field, j, [s * x for x in g.coeffs]))
         rows.append(acc)
     return dual_space(field, j, rows)
 
@@ -786,7 +785,7 @@ def _substitute(f, g):
     acc = zero_form(F, j)
     for k, fk in enumerate(f.coeffs):
         term = mul_form(linear_power(form(F, 1, [a, b]), j - k), linear_power(form(F, 1, [c, d]), k))
-        acc = add_form(acc, scale_form(fk, term))
+        acc = add_form(acc, form(F, j, [fk * x for x in term.coeffs]))
     return acc
 
 
