@@ -91,7 +91,8 @@ class FieldSpec:
             except ValueError:
                 raise PreconditionError(f"bad field name {name!r}") from None
             return FieldSpec(p)
-        raise PreconditionError(f"unknown field {name!r}; expected 'Q' or 'Fp:<prime>'")
+        shown = name if isinstance(name, Decimal) else repr(name)  # 1.5, as JSON wrote it
+        raise PreconditionError(f"unknown field {shown}; expected 'Q' or 'Fp:<prime>'")
 
     # ----- element construction ---------------------------------------------
 

@@ -444,7 +444,8 @@ def json_int(value) -> int:
 def json_list(value) -> list:
     """A JSON array: a string or an object would be read entry by entry."""
     if not isinstance(value, list):
-        raise PreconditionError(f"expected a list, got {type(value).__name__}")
+        shown = value if isinstance(value, Decimal) else type(value).__name__
+        raise PreconditionError(f"expected a list, got {shown}")
     return value
 
 

@@ -6,11 +6,13 @@ P, Q (difference sequence on each side of j) and their duals A, B and
 paddings C, D, the ℓ-invariant, every dimension/codimension formula for
 the strata (collected in a StratumReport with an explicit discrepancy
 list — several printed formulas fail when the eventual constant is
-positive, and the report records rather than hides that), partial orders,
-exhaustive enumeration with the q-binomial count, and the staircase
-monomial-ideal realization.  The Hasse diagram is a transitive reduction on
-bitsets: one mask per coordinate and value, covers by a walk that skips
-members already reached, edges in enumeration order (see `hasse_edges`).
+positive, and the report records rather than hides that), the
+specialization order, exhaustive enumeration with the q-binomial count, and
+the staircase monomial-ideal realization.  The order has two routes: a pair
+of sequences is compared through its partitions (`le_partial`), the Hasse
+diagram termwise, as a transitive reduction on bitsets: one mask per
+coordinate and value, covers by a walk that skips members already reached,
+edges in enumeration order (see `hasse_edges`).
 
 Acceptability is decided once, by the partition round trip in `is_acceptable`;
 the private helpers (`_pq`, `_from_pq`, `_betti`, `_le_pq`, `_staircase_pairs`)
@@ -328,20 +330,12 @@ def _cmp_from_flags(ge: bool, le: bool) -> Cmp:
 
 
 def le_partial(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
-    """Specialization order: greater = smaller up to j and larger from j on."""
-    partitions_pq(H1, d, j)  # refuses unless both are acceptable
-    partitions_pq(H2, d, j)
-    top = max(H1.stabilization(), H2.stabilization(), j) + 1
-    return _le_values(H1.values(top), H2.values(top), j)
+    """Specialization order: greater = smaller up to j and larger from j on.
 
-
-def _le_values(v1: tuple[int, ...], v2: tuple[int, ...], j: int) -> Cmp:
-    """`le_partial` on value vectors of equal length past both stabilizations
-    (acceptable sequences are constant from there on); `_up_sets` is its bitset form."""
-    lo1, lo2, hi1, hi2 = v1[: j + 1], v2[: j + 1], v1[j:], v2[j:]
-    ge = all(map(operator.le, lo1, lo2)) and all(map(operator.ge, hi1, hi2))
-    le = all(map(operator.ge, lo1, lo2)) and all(map(operator.le, hi1, hi2))
-    return _cmp_from_flags(ge, le)
+    Compared through the partitions that validate both arguments (Theorem
+    codpartition): H1 >= H2 iff P1 <= P2 and Q1 <= Q2 by majorization.
+    `_up_sets` is the termwise form that `hasse_edges` runs."""
+    return _le_pq(partitions_pq(H1, d, j), partitions_pq(H2, d, j))
 
 
 def _majorizes(p: Partition, q: Partition) -> bool:
@@ -355,11 +349,6 @@ def _majorizes(p: Partition, q: Partition) -> bool:
         if acc_p < acc_q:
             return False
     return True
-
-
-def le_by_partitions(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
-    """Same order computed through (P,Q): H1 ≥ H2 iff P1 ≤ P2 and Q1 ≤ Q2."""
-    return _le_pq(partitions_pq(H1, d, j), partitions_pq(H2, d, j))
 
 
 def _le_pq(pq1: tuple[Partition, Partition], pq2: tuple[Partition, Partition]) -> Cmp:
@@ -400,17 +389,17 @@ def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
     """Every acceptable H for (d, j), generic strata first within each (τ, c).
 
     Distinct (τ, c, P, Q) give distinct H (Theorem codpartition), so each H
-    is built once and sorted on the data it was built from."""
+    is built once, in the order of the keys (-τ, c, -P, -Q): `_tau_c_range`
+    yields τ descending and c ascending, `_parts_at_most` the partitions of n
+    lexicographically descending."""
     if not 1 <= d <= j:
         raise PreconditionError("need 1 <= d <= j", d=d, j=j)
-    keyed = []
-    for tau, c in _tau_c_range(d, j):
-        for P in partitions_exact_largest(d, tau):
-            for Q in partitions_exact_largest(j + 1 - d - c, tau - 1):
-                key = (-tau, c, tuple(-x for x in P), tuple(-x for x in Q))
-                keyed.append((key, _from_pq(P, Q, j, c)))
-    keyed.sort(key=operator.itemgetter(0))
-    return [H for _, H in keyed]
+    return [
+        _from_pq(P, Q, j, c)
+        for tau, c in _tau_c_range(d, j)
+        for P in partitions_exact_largest(d, tau)
+        for Q in partitions_exact_largest(j + 1 - d - c, tau - 1)
+    ]
 
 
 def _generic_partition(n: int, k: int) -> Partition:
@@ -509,14 +498,13 @@ def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
     most one OR per member not skipped, and in enumeration order, a linear
     extension, one per cover.  Edges come out by source, then target, in bit
     order, which is the enumeration order the pairwise scan used.  Each edge
-    is re-checked through the partition route, on partitions read once per
-    sequence (criterion 8 compares the routes on every pair)."""
+    is re-checked through the partitions `le_partial` compares, read once per
+    sequence (criterion 8 compares the bitsets against them on every pair)."""
     return _hasse_edges(enumerate_acceptable(d, j), j)
 
 
 def _hasse_edges(seqs: list[OSequence], j: int) -> list[tuple[OSequence, OSequence]]:
-    top = max(j, *(H.stabilization() for H in seqs)) + 1
-    up = _up_sets([H.values(top) for H in seqs], j)
+    up = _up_sets(seqs, j)
     edges = [(seqs[a], seqs[b]) for a, b in _cover_pairs(up)]
     pq = {H: _pq(H, j) for H in seqs}
     for a, b in edges:
@@ -529,10 +517,13 @@ def _hasse_edges(seqs: list[OSequence], j: int) -> list[tuple[OSequence, OSequen
     return edges
 
 
-def _up_sets(vals: list[tuple[int, ...]], j: int) -> list[int]:
-    """up[a] has bit b iff `_le_values(vals[a], vals[b], j)` is LESS (distinct
-    vectors): per coordinate, indices grouped by value and ORed cumulatively,
-    ascending for i ≤ j, descending for i ≥ j, both at i = j."""
+def _up_sets(seqs: list[OSequence], j: int) -> list[int]:
+    """up[a] has bit b iff `le_partial(seqs[a], seqs[b], d, j)` is LESS, for
+    distinct acceptable sequences, compared termwise up to past every
+    stabilization: per coordinate, indices grouped by value and ORed
+    cumulatively, ascending for i ≤ j, descending for i ≥ j, both at i = j."""
+    top = max(j, *(H.stabilization() for H in seqs)) + 1
+    vals = [H.values(top) for H in seqs]
     up = [((1 << len(vals)) - 1) ^ (1 << a) for a in range(len(vals))]
     for i in range(len(vals[0])):
         column = [v[i] for v in vals]

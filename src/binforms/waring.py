@@ -88,11 +88,9 @@ class DualSpace:
         """1 + dim R_1.W - dim W = tau((Ann W)_j).  R_1.W is the complement of
         (Ann W)_{j-1} under the perfect degree-(j-1) pairing (f kills x.w and
         y.w iff f.w = 0), so its dimension is the rank of that catalecticant.
-        The zero space gets 1: no rows for j >= 1, and 1 - 0 for j = 0."""
-        j = self.degree
-        if j == 0:
-            return 1 - self.dim  # W = dual_0 itself; annihilator starts in degree 0
-        return 1 + rank(_catalecticant(self, j - 1)) - self.dim
+        The zero space gets 1 (no rows); at j = 0 the degree -1 catalecticant
+        has no columns, so the answer is 1 - dim W."""
+        return 1 + rank(_catalecticant(self, self.degree - 1)) - self.dim
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:
@@ -315,8 +313,7 @@ def n_mu_tau(mu_: int, tau: int, d: int, j: int) -> OSequence:
         )
     vals = [min(i + 1, mu_, c + (tau - 1) * (j - i)) for i in range(j + 1)]
     N = oseq(vals, 0)
-    order = N.order()
-    if (order if order is not None else j + 1) != mu_:
+    if N.order() != mu_:
         raise RuntimeError("level nose has the wrong order")
     if not is_permissible_nose(N, d, j):
         raise RuntimeError("level nose fails permissibility")

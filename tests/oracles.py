@@ -9,6 +9,7 @@ instead of closed formulas), so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import operator
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -413,12 +414,12 @@ def common_factor_split(I):
 
 
 def brute_force_covers(d: int, j: int) -> list:
-    """Transitive reduction of the partition route `le_by_partitions` over
+    """Transitive reduction of the partition route `le_partial` over
     every pair of acceptable sequences, in enumeration order."""
-    from binforms.hilbert import Cmp, enumerate_acceptable, le_by_partitions
+    from binforms.hilbert import Cmp, enumerate_acceptable, le_partial
 
     seqs = enumerate_acceptable(d, j)
-    less = {(a, b) for a in seqs for b in seqs if le_by_partitions(a, b, d, j) is Cmp.LESS}
+    less = {(a, b) for a in seqs for b in seqs if le_partial(a, b, d, j) is Cmp.LESS}
     return [
         (a, b)
         for a in seqs
@@ -428,16 +429,30 @@ def brute_force_covers(d: int, j: int) -> list:
 
 
 
+def le_values(v1: tuple, v2: tuple, j: int):
+    """The specialization order compared termwise, on value vectors of equal
+    length past both stabilizations (acceptable sequences are constant from
+    there on): H1 >= H2 iff H1 is smaller up to j and larger from j on."""
+    from binforms.hilbert import Cmp
+
+    lo1, lo2, hi1, hi2 = v1[: j + 1], v2[: j + 1], v1[j:], v2[j:]
+    ge = all(map(operator.le, lo1, lo2)) and all(map(operator.ge, hi1, hi2))
+    le = all(map(operator.ge, lo1, lo2)) and all(map(operator.le, hi1, hi2))
+    if ge:
+        return Cmp.EQUAL if le else Cmp.GREATER
+    return Cmp.LESS if le else Cmp.INCOMPARABLE
+
+
 def oracle_hasse_edges(seqs: list, j: int) -> list:
     """Covers by the all-pairs scan: every LESS pair from the value comparison,
     then each pair (a, b) kept unless some member m of above[a] has b above
     it too; O(n^2) comparisons and an O(n^3) cover scan, in enumeration order."""
-    from binforms.hilbert import Cmp, _le_values
+    from binforms.hilbert import Cmp
 
     top = max(j, *(H.stabilization() for H in seqs)) + 1
     vals = [H.values(top) for H in seqs]
     above = {
-        a: [b for b, vb in zip(seqs, vals) if _le_values(va, vb, j) is Cmp.LESS]
+        a: [b for b, vb in zip(seqs, vals) if le_values(va, vb, j) is Cmp.LESS]
         for a, va in zip(seqs, vals)
     }
     above_set = {a: set(bs) for a, bs in above.items()}

@@ -253,9 +253,16 @@ _NEGATIVE_FORM["basis"].append({"degree": -1, "coeffs": []})
         ("waring", {"field": "Fp:101", "degree": 2, "basis": [{"degree": 2, "coeffs": "123"}]},
          "expected a list, got str"),
         ("analyze", {"field": "Fp:101", "degree": 2, "basis": "ab"}, "expected a list, got str"),
+        # a JSON number is named as JSON wrote it, not as the Decimal it is read into
+        ("analyze", {"field": "Fp:101", "degree": 2, "basis": 2.5}, "expected a list, got 2.5"),
+        ("analyze", {"field": "Fp:101", "degree": 2, "basis": [{"degree": 2, "coeffs": 2.5}]},
+         "expected a list, got 2.5"),
+        ("analyze", {"field": 1.5, "degree": 2, "basis": []},
+         "unknown field 1.5; expected 'Q' or 'Fp:<prime>'"),
     ],
     ids=["analyze-negative-form", "related-negative-form", "waring-negative-form",
-         "waring-negative-degree", "waring-string-coeffs", "analyze-string-basis"],
+         "waring-negative-degree", "waring-string-coeffs", "analyze-string-basis",
+         "analyze-number-basis", "analyze-number-coeffs", "analyze-number-field"],
 )
 def test_json_shapes_are_refused_where_they_are_read(tmp_path, command, doc, named):
     # a degree -1 form was an internal error, and a string was read digit by digit

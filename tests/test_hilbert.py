@@ -1,5 +1,6 @@
 """Hilbert-function combinatorics: acceptability, partitions, strata, orders."""
 
+import inspect
 import itertools
 import time
 from fractions import Fraction
@@ -12,7 +13,6 @@ from binforms.errors import PreconditionError
 from binforms.hilbert import (
     Cmp,
     _cover_pairs,
-    _le_values,
     _majorizes,
     _pq,
     _staircase_pairs,
@@ -30,7 +30,6 @@ from binforms.hilbert import (
     is_acceptable,
     is_permissible_nose,
     is_permissible_tail,
-    le_by_partitions,
     le_partial,
     nose_tail,
     partitions_exact_largest,
@@ -50,6 +49,7 @@ from oracles import (
     brute_force_covers,
     count_partitions_largest,
     join_nose_tail,
+    le_values,
     oracle_ell,
     oracle_enumerate_acceptable,
     oracle_h_tau,
@@ -257,6 +257,11 @@ def test_parse_oseq_documented_forms(text, want):
     assert parse_oseq(text) == want
 
 
+def test_zero_ideal_sequence_has_no_order():
+    # every degree is full, so there is no initial degree
+    assert oseq((), None).order() is None
+
+
 @pytest.mark.parametrize(
     "text,message",
     [("  ", "empty Hilbert-function text"), (",,", "bad Hilbert-function text"),
@@ -408,7 +413,6 @@ def test_le_partial_examples():
     Ha = hilbert_from_partitions((4, 2, 2, 2), (3,), 12, 0)
     Hb = hilbert_from_partitions((3, 3, 3, 1), (2, 1), 12, 0)
     assert le_partial(Ha, Hb, 10, 12) is Cmp.INCOMPARABLE
-    assert le_by_partitions(Ha, Hb, 10, 12) is Cmp.INCOMPARABLE
     assert _majorizes((4, 2, 2, 2), (3, 3, 3, 1)) is _majorizes((3, 3, 3, 1), (4, 2, 2, 2)) is False
 
 
@@ -477,13 +481,39 @@ def _values(seqs, j):
 def test_up_sets_are_the_pairwise_order(j):
     # sequences of every d share j, so their values at j differ and the
     # comparison at i = j, in both directions, is exercised
-    vals = _values([H for d in range(1, j + 1) for H in enumerate_acceptable(d, j)], j)
-    up = _up_sets(vals, j)
+    seqs = [H for d in range(1, j + 1) for H in enumerate_acceptable(d, j)]
+    up = _up_sets(seqs, j)
+    vals = _values(seqs, j)
     n = len(vals)
     for a, va in enumerate(vals):
         assert 0 <= up[a] < 1 << n
-        want = {b for b, vb in enumerate(vals) if _le_values(va, vb, j) is Cmp.LESS}
+        want = {b for b, vb in enumerate(vals) if le_values(va, vb, j) is Cmp.LESS}
         assert {b for b in range(n) if up[a] >> b & 1} == want
+
+
+@pytest.mark.parametrize("j", range(1, 11))
+def test_le_partial_is_the_termwise_order_on_every_pair(j):
+    # Theorem codpartition: majorization of (P, Q) is the termwise order of H
+    for d in range(1, j + 1):
+        seqs = enumerate_acceptable(d, j)
+        pairs = list(zip(seqs, _values(seqs, j)))
+        for H1, v1 in pairs:
+            for H2, v2 in pairs:
+                assert le_partial(H1, H2, d, j) is le_values(v1, v2, j), (d, j, str(H1), str(H2))
+
+
+def test_criterion_8_fails_on_up_sets_without_the_descending_pass(monkeypatch):
+    import binforms.hilbert as hilbert
+    import binforms.verify as verify
+
+    source = inspect.getsource(hilbert._up_sets)
+    assert source.count("ascending[::-1]") == 1
+    namespace = dict(vars(hilbert))
+    exec(source.replace("ascending[::-1]", "ascending"), namespace)
+    monkeypatch.setattr(verify, "_up_sets", namespace["_up_sets"])
+    result = verify.criterion_8(max_j=5)
+    assert not result.passed
+    assert all(": direct " in f and ", partitions " in f for f in result.failures)
 
 
 class _ReadLog(list):
@@ -501,7 +531,7 @@ def test_cover_walk_reads_one_up_set_per_edge(j):
     # enumeration order is a linear extension of the order, so the walk skips
     # every member that is not a cover: it reads exactly the edge targets
     for d in range(1, j + 1):
-        up = _ReadLog(_up_sets(_values(enumerate_acceptable(d, j), j), j))
+        up = _ReadLog(_up_sets(enumerate_acceptable(d, j), j))
         pairs = list(_cover_pairs(up))
         assert up.reads == [b for _, b in pairs], (d, j)
 
@@ -576,7 +606,8 @@ def test_order_agrees_with_partition_route(dj, p1, p2):
     d, j = dj
     pool = _pool(d, j)
     H1, H2 = pool[p1 % len(pool)], pool[p2 % len(pool)]
-    assert le_partial(H1, H2, d, j) == le_by_partitions(H1, H2, d, j)
+    v1, v2 = _values([H1, H2], j)
+    assert le_partial(H1, H2, d, j) == le_values(v1, v2, j)
 
 
 @settings(max_examples=60, deadline=None)
