@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import PreconditionError
-from .forms import BinaryForm, divide_form, linear_factors
+from .forms import BinaryForm, divide_form, format_form, linear_factors
 from .hilbert import (
     Cmp,
     is_permissible_nose,
@@ -219,7 +219,7 @@ def _strip_linear(f: BinaryForm) -> BinaryForm:
         raise PreconditionError(
             "common factor has no linear factor over this field; "
             "an extension field is required",
-            factor=str(f),
+            factor=format_form(f),
         )
     return divide_form(f, factors[0][0])
 

@@ -134,7 +134,8 @@ class FieldSpec:
     # ----- text & sampling ------------------------------------------------------
 
     def parse_scalar(self, text: str) -> Scalar:
-        """Refuses what Python cannot print back; checks an exponent before expanding it."""
+        """Refuses a numerator or denominator past Python's int-to-str digit limit, a rule on
+        input size only (output is written at any length); checks an exponent before expanding it."""
         try:
             if abs(int(text.lower().partition("e")[2] or 0)) > _MAX_EXPONENT:
                 raise ValueError

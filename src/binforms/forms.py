@@ -315,9 +315,10 @@ def _rational_roots(f: list) -> list:
     1983).  A lifting prime among the first 8 odd primes certifies f
     squarefree; without one, f becomes f / gcd(f, f') by the primitive PRS
     and p its least odd lifting prime.  A root a/b has a | f_0 and b | f_n,
-    so it is a simple root mod p, Newton's iteration lifts it uniquely to
-    p^k > 2 max(|f_0|, |f_n|)^2, and half-extended Euclid reads a/b back.
-    Only candidates with f(a/b) = 0 are kept.
+    so it is a simple root mod p and u = f_n a/b is an integer, |u| <= |f_0 f_n|
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).  Newton's iteration
+    lifts the root to r mod m = p^k > 2 |f_0 f_n|, so u is the symmetric residue
+    of f_n r mod m.  Only the u with f(u/f_n) = 0 are kept.
     """
     if len(f) < 2:
         return []
@@ -325,7 +326,7 @@ def _rational_roots(f: list) -> list:
     if p is None:
         f = _exquo(f, _prs_gcd(f, _deriv(f)), None)
         p = next(p for p in itertools.count(3, 2) if _is_prime(p) and _lifting_prime(f, p))
-    bound, roots = 2 * max(abs(f[0]), abs(f[-1])) ** 2, []
+    bound, roots = 2 * abs(f[0] * f[-1]), []
     for r in _fp_roots(_root_gcd(_mod(f, p), p), p):
         m = p
         while m <= bound:
@@ -334,15 +335,13 @@ def _rational_roots(f: list) -> list:
             for c in reversed(f):  # Horner for f(r) and f'(r) together
                 fr, dfr = (fr * r + c) % m, (dfr * r + fr) % m
             r = (r - fr * pow(dfr, -1, m)) % m
-        r0, r1, s0, s1 = m, r, 0, 1
-        while 2 * r1 * r1 > m:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        u = f[-1] * r % m
+        u -= m if 2 * u > m else 0
         acc, sk = 0, 1
-        for c in reversed(f):  # s1^n f(r1/s1) by Horner, in integers
-            acc, sk = acc * r1 + c * sk, sk * s1
+        for c in reversed(f):  # f_n^n f(u/f_n) by Horner, in integers
+            acc, sk = acc * u + c * sk, sk * f[-1]
         if not acc:
-            roots.append(Fraction(r1, s1))
+            roots.append(Fraction(u, f[-1]))
     return sorted(roots)
 
 
@@ -397,6 +396,12 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
 # ----- text & JSON --------------------------------------------------------------
 
 
+def _scalar_text(c: Scalar) -> str:
+    """str(c) at any length: Decimal writes integers past the int-to-str digit limit."""
+    q = Fraction(c)
+    return str(Decimal(q.numerator)) + ("" if q.denominator == 1 else f"/{Decimal(q.denominator)}")
+
+
 def format_form(f: BinaryForm, vars=("x", "y")) -> str:
     vx, vy = vars
     parts = []
@@ -409,7 +414,7 @@ def format_form(f: BinaryForm, vars=("x", "y")) -> str:
             for v, e in ((vx, dx), (vy, dy))
             if e
         ) or "1"
-        cs = str(c)
+        cs = _scalar_text(c)
         if cs == "1" and mono != "1":
             cs = ""
         elif cs == "-1" and mono != "1":
@@ -424,7 +429,7 @@ def format_form(f: BinaryForm, vars=("x", "y")) -> str:
 
 
 def form_to_json(f: BinaryForm) -> dict:
-    return {"degree": f.degree, "coeffs": [str(c) for c in f.coeffs]}
+    return {"degree": f.degree, "coeffs": [_scalar_text(c) for c in f.coeffs]}
 
 
 def json_int(value) -> int:

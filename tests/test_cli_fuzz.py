@@ -9,9 +9,13 @@ DEADLINE_S; a refusal is empty stdout and one JSON line on stderr.
 
 import io
 import json
+import random
+import re
 import signal
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -19,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binforms.cli import _build_parser, main
-from binforms.fields import _MR_EXACT_BELOW
+from binforms.fields import _MR_EXACT_BELOW, QQ
+from binforms.spaces import space_from_json
+from binforms.waring import Unsplit, dual_from_json, gad
 
 DEADLINE_S = 5.0
 PRIME_BELOW = sympy.prevprime(_MR_EXACT_BELOW)
@@ -273,3 +279,54 @@ def test_unreadable_input_file_is_refused(tmp_path, content):
         assert rc == 1 and out == "" and json.loads(err)["error"] == "precondition"
     rc, out, err = _run(["build", "--from", str(path), "--target-H", "1(0)", "--j", "1"])
     assert rc == 1 and json.loads(err)["error"] == "precondition"
+
+
+# ----- results past the int-to-str digit limit ----------------------------------
+
+
+def _read_back(text):
+    """A printed scalar, read through Decimal: int() refuses text past 4300 digits."""
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+
+def _read_form(text, degree):
+    """The coefficients of a dual form as `format_form` prints it, each read back."""
+    coeffs = [Fraction(0)] * (degree + 1)
+    term = re.compile(r"(-|[+-] )?([\d/]*)(?:X(?:\^\d+)?)?(Y(?:\^\d+)?)?")
+    for text in re.split(r" (?=[+-] )", text):
+        sign, scalar, y_power = term.fullmatch(text).groups()
+        value = _read_back(scalar or "1")
+        coeffs[int(y_power[2:] or 1) if y_power else 0] = -value if sign and "-" in sign else value
+    return coeffs
+
+
+def _q_doc(seed, rows, degree, digits):
+    """A space over Q whose coefficients are random integers of `digits` digits."""
+    rng = random.Random(seed)
+    big = lambda: str(rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10**digits))
+    return {"field": "Q", "degree": degree,
+            "basis": [_form(degree, [big() for _ in range(degree + 1)]) for _ in range(rows)]}
+
+
+def test_waring_prints_a_factor_past_the_digit_limit():
+    # 2,501-digit coefficients obey the input rule; the apolar quadratic's
+    # coefficients have about 5,000 digits, and it has roots mod 3 to lift
+    doc = _q_doc("waring|2501 digits|2", 1, 3, 2501)
+    rc, out, err = _run(["waring", "-", "--json"], json.dumps(doc))
+    assert rc == 0, err
+    res = gad(dual_from_json(doc))
+    assert isinstance(res, Unsplit) and max(abs(c.numerator) for c in res.form.coeffs) > 10**4300
+    assert _read_form(json.loads(out)["unsplit"], 2) == list(res.form.coeffs)
+
+
+def test_analyze_prints_a_space_past_the_digit_limit():
+    # the RREF entries of three rows of 2,001-digit integers are ratios of
+    # 3 x 3 minors, about 6,000 digits each
+    doc = _q_doc("analyze|2001 digits", 3, 6, 2001)
+    rc, out, err = _run(["analyze", "-", "--json"], json.dumps(doc))
+    assert rc == 0, err
+    basis = space_from_json(doc, QQ).basis_forms()
+    assert max(abs(c.denominator) for f in basis for c in f.coeffs) > 10**4300
+    got = [[_read_back(c) for c in f["coeffs"]] for f in json.loads(out)["space"]["basis"]]
+    assert got == [list(f.coeffs) for f in basis]

@@ -188,8 +188,10 @@ def test_constant_drop_needs_split_factor():
     assert str(hilbert_function(source)) == "1(2)"
     targets = [H for H in enumerate_acceptable(3, 4) if H.constant == 1]
     target = targets[0]
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as refusal:
         build_h(source, target, 4)
+    # the payload names the factor as the CLI prints forms, not as a dataclass repr
+    assert refusal.value.payload()["factor"] == "x^2 + y^2"
 
     # same shape over GF(5), where x^2 + y^2 = (x+2y)(x+3y)
     f_5 = form(GF(5), 2, [1, 0, 1])

@@ -330,8 +330,8 @@ def test_powmod_matches_naive_square_and_multiply(p):
         assert forms._powmod_p(p - 1, e, worst, p) == _naive_powmod(p - 1, e, worst, p), (n, "worst")
 
 
-# Q roots are roots mod p, Newton-lifted and read back by rational
-# reconstruction; the oracle is sympy's factorization over Q.
+# Q roots are roots mod p, Newton-lifted, and each root a/b is read off the
+# symmetric residue of f_n r; the oracle is sympy's factorization over Q.
 
 
 def _q_times(core, g):
@@ -387,6 +387,14 @@ def test_q_roots_without_a_certificate_prime(monkeypatch):
     assert calls == []
 
 
+def test_q_roots_lift_past_twice_f0_fn():
+    # u = f_n a/b has |u| <= |f_0 f_n| = 50; p = 3 lifts to 6561, since at
+    # m = 81 < 100 the residue 50 would read as -31 and the root be lost
+    assert _rational_roots([-50, 1]) == [50]
+    assert _rational_roots([50, 1]) == [-50]
+    assert _rational_roots([-50, 3]) == [Fraction(50, 3)]
+
+
 def test_q_roots_structured_cores():
     assert _rational_roots([Fraction(5)]) == []
     assert _rational_roots([1, 0, 1]) == []  # 1 + t^2
@@ -395,7 +403,7 @@ def test_q_roots_structured_cores():
     assert _rational_roots(_integer_row([Fraction(c) for c in (-1, 2, 0, -2, 1)])) == [-1, 1]
     assert _rational_roots(_integer_row([Fraction(-3), Fraction(1, 7)])) == [21]
     # y (y - 100 x): the power of y is split off before the root finder, so
-    # the lift bound 2 max(|f_0|, |f_n|)^2 is taken on t - 100 and covers 100
+    # the lift bound 2 |f_0 f_n| is taken on t - 100 and covers 100
     assert linear_factors(q(2, [0, -100, 1])) == (
         [(q(1, [0, 1]), 1), (q(1, [1, Fraction(-1, 100)]), 1)], q(0, [1]))
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,11 +68,11 @@ def _dual(field, degree, coeff_rows):
     return dual_space(field, degree, [form(field, degree, r) for r in coeff_rows])
 
 
-def _planted(field, c, j, m, seed):
+def _planted(field, c, j, m, seed, height=9):
     """c random combinations of the j-th powers of m independent linear dual
-    forms, and those forms."""
+    forms, and those forms; over Q every scalar has absolute value <= height."""
     rng = random.Random(f"planted|{field.name}|{c}|{j}|{m}|{seed}")
-    scalar = lambda: rng.randrange(field.p) if field.p else rng.randint(-9, 9)
+    scalar = lambda: rng.randrange(field.p) if field.p else rng.randint(-height, height)
     lins = []
     while len(lins) < m:
         a, b = scalar(), scalar()
@@ -417,6 +418,25 @@ def test_gad_q_j30_reports_a_rootless_factor():
     g = gad(random_dual(8, 30, QQ, seed=0))
     assert isinstance(g, Unsplit) and g.form.degree >= 1
     assert oracle_q_roots(g.form.coeffs) == []
+
+
+def test_gad_q_at_height_2_200_is_quick():
+    # the apolar forms' coefficients run to tens of thousands of bits; each
+    # root is read off f_n r, with no rational reconstruction
+    rng, h = random.Random("gad-q|2^200|0"), 2**200
+    rows = [[Fraction(rng.randint(-h, h), rng.randint(1, h)) for _ in range(13)] for _ in range(2)]
+    W = _dual(QQ, 12, rows)
+    start = time.perf_counter()
+    assert isinstance(gad(W), Unsplit)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_gad_q_planted_at_height_2_200():
+    # roots a/b of the apolar cubic with |a|, |b| near 2^200, recovered exactly
+    W, lins = _planted(QQ, 2, 10, 3, seed=0, height=2**200)
+    g = gad(W)
+    assert isinstance(g, GAD) and g.weights == (1, 1, 1)
+    assert sorted(L.coeffs for L in g.linear_forms) == sorted(L.coeffs for L in lins)
 
 
 def test_mu_and_gad_share_one_bisection(monkeypatch):
