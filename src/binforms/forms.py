@@ -318,7 +318,8 @@ def _rational_roots(f: list) -> list:
     so it is a simple root mod p and u = f_n a/b is an integer, |u| <= |f_0 f_n|
     (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).  Newton's iteration
     lifts the root to r mod m = p^k > 2 |f_0 f_n|, so u is the symmetric residue
-    of f_n r mod m.  Only the u with f(u/f_n) = 0 are kept.
+    of f_n r mod m; s = 1/f'(r) is lifted with r, s <- s (2 - f'(r) s), with no
+    inverse past the first.  Only the u with f(u/f_n) = 0 are kept.
     """
     if len(f) < 2:
         return []
@@ -334,7 +335,8 @@ def _rational_roots(f: list) -> list:
             fr = dfr = 0
             for c in reversed(f):  # Horner for f(r) and f'(r) together
                 fr, dfr = (fr * r + c) % m, (dfr * r + fr) % m
-            r = (r - fr * pow(dfr, -1, m)) % m
+            s = pow(dfr, -1, p) if m == p * p else s * (2 - dfr * s) % m  # 1/f'(r) mod sqrt(m), as f(r) is 0 there
+            r = (r - fr * s) % m
         u = f[-1] * r % m
         u -= m if 2 * u > m else 0
         acc, sk = 0, 1

@@ -43,6 +43,7 @@ from .spaces import (
     FormSpace,
     _rungs,
     _up_dim,
+    _up_rungs,
     contained,
     full_space,
     principal_space,
@@ -168,11 +169,8 @@ def _rung_window(V: FormSpace, lo: int) -> GradedIdeal:
     if V.is_zero:
         return zero_ideal(V.field)
     top = _stable_top(V)  # before the walk down: tau may build R_1V, which the down-step reads
-    comps = _rungs(V, lo)[:0:-1] + _rungs(V, top)
-    tail = comps[-1]._principal
-    if tail is None:
-        raise RuntimeError("ideal window ended before its components stabilized")
-    return _assemble_ideal(V.field, V.degree + lo, comps, tail)
+    comps = _rungs(V, lo)[:0:-1] + _up_rungs(V, top)
+    return _assemble_ideal(V.field, V.degree + lo, comps, comps[-1]._principal)
 
 
 def ancestor_ideal(V: FormSpace) -> GradedIdeal:

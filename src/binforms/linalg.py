@@ -51,26 +51,34 @@ from .fields import FieldSpec, Scalar
 
 
 class _RowsOnFirstRead:
-    """`Matrix.rows` that `from_ints` (over Q) or `lazy_matrix` left out: `m._write()`, on first read."""
+    """`Matrix.rows` that `from_ints` (over Q) or `lazy_matrix` left out, on first read: the made
+    Matrix's over F_p, else each row of `ints` over its lead (a zero row stays zero)."""
 
     def __get__(self, m, owner=None):
         if m is None:
             raise AttributeError("rows")  # no class-level default: the field stays required
-        object.__setattr__(m, "rows", m._write())
-        return m.rows
+        if m.field.p:
+            rows = m._write().rows
+        else:
+            leads = (next(filter(None, r), 1) for r in m.ints)
+            rows = tuple(tuple(Fraction(x, a) for x in r) for r, a in zip(m.ints, leads))
+        object.__setattr__(m, "rows", rows)
+        return rows
 
 
 @dataclass(frozen=True)
 class Matrix:
     """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else integer
     rows (primitive, leads positive, in an RREF).  `from_ints` over Q keeps only `ints`, `lazy_matrix` only a
-    thunk (`_write`); the rest is computed on first read and stored by `object.__setattr__`, as reading
-    `__dict__` would make CPython build the instance's dict, which slows every later attribute read."""
+    thunk (`_write`) that makes an equal Matrix; the rest is computed on first read and stored by
+    `object.__setattr__`, as reading `__dict__` would make CPython build the instance's dict, which slows
+    every later attribute read."""
 
     field: FieldSpec
     rows: tuple[tuple[Scalar, ...], ...] = _RowsOnFirstRead()
     ncols: int
     _ints = None  # not a field: set by `from_ints` over Q, else on the first read of `ints` over Q
+    _write = None  # not a field: `lazy_matrix`'s thunk
 
     def __post_init__(self):  # nrows: a plain attribute, not a field, read often and building no rows
         object.__setattr__(self, "nrows", len(self.rows))
@@ -79,13 +87,10 @@ class Matrix:
     def ints(self) -> tuple[tuple[int, ...], ...]:
         if self.field.p:
             return self.rows
-        if self._ints is None:
-            object.__setattr__(self, "_ints", tuple(tuple(_integer_row(r)) for r in self.rows))
+        if self._ints is None:  # a lazy matrix takes the made Matrix's, else each row of Fractions is cleared
+            ints = self._write().ints if self._write else tuple(tuple(_integer_row(r)) for r in self.rows)
+            object.__setattr__(self, "_ints", ints)
         return self._ints
-
-    def _write(self):  # `from_ints` rows over Q: each int row over its lead (`lazy_matrix` sets a thunk)
-        leads = (next(filter(None, r), 1) for r in self._ints)  # a zero row stays zero
-        return tuple(tuple(Fraction(x, a) for x in r) for r, a in zip(self._ints, leads))
 
 
 def _bare(field: FieldSpec, ncols: int, nrows: int, name: str, value) -> Matrix:  # no `rows` yet
@@ -101,7 +106,7 @@ def from_ints(field: FieldSpec, ints: tuple, ncols: int) -> Matrix:
 
 
 def lazy_matrix(field: FieldSpec, nrows: int, ncols: int, write) -> Matrix:
-    """The Matrix whose `nrows` rows of canonical scalars `write()` returns, on first read."""
+    """The Matrix equal to the one `write()` makes, which is called on the first read of `rows` or `ints`."""
     return _bare(field, ncols, nrows, "_write", write)
 
 

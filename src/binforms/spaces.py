@@ -33,12 +33,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic
 from .linalg import (
     Matrix,
+    _primitive,
     contains_vector,
     from_ints,
     integral_dual,
@@ -103,9 +105,30 @@ class FormSpace:
 
     @cached_property
     def _residues(self) -> tuple:
-        """`rref_reversed` of the 2 cod V rows z[:j], z[1:] over `_dual`, which kill exactly R_{-1}V."""
-        j, dual = self.degree, self._dual
-        return rref_reversed(from_ints(self.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j))
+        """`rref_reversed` of rows that kill exactly R_{-1}V: z[:j] (x.z) and w[1:] (y.w) for z, w in V's
+        dual, 2 cod V rows; on a dual-ladder rung R_{-m}B, z in B's dual and w in the rows V is the kernel of."""
+        j, rung = self.degree, self.__dict__.get("_dual_ladder")
+        if rung is None:
+            base = dual = self._dual
+        else:
+            (red, rank, _), base = rung
+            dual = tuple(r[::-1] for r in red.ints[:rank])
+        return rref_reversed(from_ints(self.field, tuple(z[:j] for z in base) + tuple(w[1:] for w in dual), j))
+
+    @cached_property
+    def _mu(self) -> tuple[int, ...]:
+        """`syzygy_degrees`: over Q, those of V mod `_SIGMA_PRIME` (V's RREF leads all units there) when
+        they are balanced and their gcd degree j - sum is 0 or deg gcd V; else those of V itself."""
+        ints, j, p = self.mat.ints, self.degree, self.field.p
+        if p is None and len(ints) > 1 and all(next(filter(None, r)) % _SIGMA_PRIME for r in ints):
+            mu = _order_basis_degrees([[x % _SIGMA_PRIME for x in r] for r in ints], j, _SIGMA_PRIME)
+            if mu[-1] - mu[0] <= 1 and (sum(mu) == j or sum(mu) == j - self._gcd.degree):
+                return mu
+        return _order_basis_degrees(ints, j, p)
+
+    @cached_property
+    def _gcd(self) -> BinaryForm:
+        return gcd_rows(self.field, self.degree, self.mat.ints)
 
     @cached_property
     def _principal(self) -> BinaryForm | None:
@@ -186,12 +209,18 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
     if degree < f.degree or f.is_zero:
         return zero_space(f.field, degree)
     F, f, s = f.field, monic(f), degree - f.degree
-    V = FormSpace(F, degree, lazy_matrix(F, s + 1, degree + 1, lambda: tuple(_block_rows(f, s))[::-1]))
+    V = FormSpace(F, degree, lazy_matrix(F, s + 1, degree + 1, lambda: Matrix(F, tuple(_block_rows(f, s))[::-1], degree + 1)))
     V.__dict__["_principal"] = f  # the memo, set the way cached_property would
     return V
 
 
 # ----- shifts -------------------------------------------------------------------
+
+
+def _ladder_step(F: FieldSpec, rung: Matrix, base, k: int) -> Matrix:
+    """The basis of x.R_{k-1}B + y^k.B from R_{k-1}B's matrix and B's `ints`: x.f appends a 0."""
+    rows = tuple(r + (0,) for r in rung.ints) + tuple((0,) * k + b for b in base)
+    return row_basis(from_ints(F, rows, rung.ncols + 1))
 
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
@@ -201,24 +230,27 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
         return zero_space(F, j + 1)
     if V._principal is not None:
         return principal_space(V._principal, j + 1)
-    base, k = V.__dict__.get("_ladder", (V.mat.ints, 0))  # x.f appends a 0
+    base, k = V.__dict__.get("_ladder", (V.mat.ints, 0))
     if V.dim + len(base) >= j + 2 and _fills_next(V):  # dim R_{k+1}B <= dim R_kB + dim B
         return full_space(F, j + 1)
-    rows = tuple(r + (0,) for r in V.mat.ints) + tuple((0,) * (k + 1) + b for b in base)
-    up = FormSpace(F, j + 1, row_basis(from_ints(F, rows, j + 2)))
+    up = FormSpace(F, j + 1, _ladder_step(F, V.mat, base, k + 1))
     up.__dict__["_ladder"] = (base, k + 1)  # the base's `ints`, never the base space
     return up
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
-    """R_{-1}V: f.R_{s-1} for a block f.R_s, zero when pinned, else the kernel of V's residue rows."""
+    """R_{-1}V: f.R_{s-1} for a block f.R_s, zero when pinned, else the kernel of V's residue rows, its
+    rows written on first read.  A dual-ladder rung's rows may be unwritten: it is not tested for a block."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
-    f, up = V._principal, V.__dict__.get("_up")
-    if f is not None:
-        return principal_space(f, j - 1)  # zero below deg f
+    rung, up = V.__dict__.get("_dual_ladder"), V.__dict__.get("_up")
+    if rung is None and V._principal is not None:
+        return principal_space(V._principal, j - 1)  # zero below deg f
     if V.is_zero or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
-    return FormSpace(F, j - 1, kernel_from(V._residues))
+    red = V._residues
+    down = FormSpace(F, j - 1, lazy_matrix(F, j - red[1], j, lambda: kernel_from(red)))
+    down.__dict__["_dual_ladder"] = (red, V._dual if rung is None else rung[1])  # rows, never a space
+    return down
 
 
 def _fills_next(V: FormSpace) -> bool:
@@ -239,8 +271,9 @@ def _rungs(V: FormSpace, s: int) -> list[FormSpace]:
 
 
 def _up_dim(W: FormSpace) -> int:
-    """dim R_1W, read off R_{-1}W or a block's f if known, else off R_1W (built once; by one rank if full)."""
-    if "_down" in W.__dict__:
+    """dim R_1W, read off R_{-1}W if built or W is a dual-ladder rung, or off a block's f if known, else
+    off R_1W (built once; by one rank if full)."""
+    if "_down" in W.__dict__ or W.degree and "_dual_ladder" in W.__dict__:
         return 2 * W.dim - W._down.dim
     return W.dim + 1 if W.__dict__.get("_principal") is not None else W._up.dim
 
@@ -252,7 +285,78 @@ def tau(V: FormSpace) -> int:
 def gcd_of_space(V: FormSpace) -> BinaryForm:
     if V.is_zero:
         raise PreconditionError("gcd of the zero space")
-    return gcd_rows(V.field, V.degree, V.mat.ints)
+    return V._gcd
+
+
+# ----- syzygy degrees and the up-rungs they size ------------------------------
+
+_SIGMA_PRIME = 2**31 - 1
+
+
+def syzygy_degrees(V: FormSpace) -> tuple[int, ...]:
+    """mu(V), ascending: the degrees of a minimal basis of the syzygies of V's basis, d - 1 of them,
+    summing to j - deg gcd V, so that dim R_kV = d(k+1) - sum_i max(0, k - mu_i + 1) (Hilbert-Burch).
+    Kept on V.  Over Q a pass mod p can only lower the dimensions, and for a fixed sum a balanced
+    mu gives the largest: so a balanced mu mod p of the right sum is mu."""
+    if V.is_zero:
+        raise PreconditionError("syzygy degrees of the zero space")
+    return V._mu
+
+
+def _order_basis_degrees(rows, j: int, p: int | None) -> tuple[int, ...]:
+    """mu of the independent rows (`ints`, or residues mod p), by one order-basis pass on the column v
+    of their polynomials in t (Beckermann-Labahn, SIAM J. Matrix Anal. Appl. 15, 1994).  Rows start at
+    the identity, each with degree delta and residual q_i = p_i.v, kept from order s on.  At order s the
+    row of least delta (the first on ties) with a nonzero residual clears the others' and is multiplied
+    by t: its list stays, delta + 1; every other list drops its zero.  Once d - 1 rows have s > j + delta
+    their residuals are 0 (deg q_i <= j + delta_i): syzygies of a minimal basis, of degrees delta."""
+    q, delta, s = [list(r) for r in rows], [0] * len(rows), 0
+    while sum(j + e < s for e in delta) < len(rows) - 1:
+        live = [i for i, r in enumerate(q) if r and r[0]]
+        k = min(live, key=delta.__getitem__, default=None)
+        if k is not None:
+            piv, lead = q[k], q[k][0]
+            inv = pow(lead, -1, p) if p else None
+            delta[k] += 1
+        for i, r in enumerate(q):
+            if i == k:
+                continue
+            if not r or not r[0]:
+                q[i] = r[1:]
+            elif p:  # piv is no longer than r, as delta_k <= delta_i
+                c = r[0] * inv % p
+                q[i] = [(a - c * b) % p for a, b in zip(r[1:], piv[1:])] + r[len(piv):]
+            else:  # fraction-free, made primitive
+                g = gcd(lead, r[0])
+                a0, c = lead // g, r[0] // g
+                q[i] = _primitive([a0 * a - c * b for a, b in zip(r[1:], piv[1:])] + [a0 * a for a in r[len(piv):]])
+        s += 1
+    return tuple(sorted(e for e in delta if j + e < s))
+
+
+def _up_rungs(V: FormSpace, top: int) -> list[FormSpace]:
+    """[V, R_1V, .., R_topV] for an ideal's window, R_topV a block.  R_1V is built as `tau` builds it;
+    if it is a block, so is every rung above.  Otherwise R_kV (2 <= k < top) is sized by mu, its rows
+    written on first read by one ladder step from the rung below, and R_topV is (gcd V).R_s (no gcd
+    when sum mu = j).  Each rung's `_up` memo is the next, unless one was built already."""
+    rungs = _rungs(V, min(top, 1))
+    if rungs[-1]._principal is not None:
+        return _rungs(V, top)
+    F, j, d, mu = V.field, V.degree, V.dim, syzygy_degrees(V)
+    if mu[-1] - 1 > top:  # R_kV is a block from k = max mu - 1 on
+        raise RuntimeError("postcondition failed: ideal window ended before its components stabilized")
+    base = V.mat.ints
+    for k in range(2, top + 1):
+        W = rungs[-1]
+        if "_up" not in W.__dict__:
+            if k == top:
+                up = full_space(F, j + k) if sum(mu) == j else principal_space(V._gcd, j + k)
+            else:
+                n = d * (k + 1) - sum(max(0, k - m + 1) for m in mu)
+                up = FormSpace(F, j + k, lazy_matrix(F, n, j + k + 1, lambda m=W.mat, k=k: _ladder_step(F, m, base, k)))
+            W.__dict__["_up"] = up
+        rungs.append(W._up)
+    return rungs
 
 
 def equivalent(V: FormSpace, W: FormSpace) -> bool:

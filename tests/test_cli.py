@@ -4,6 +4,7 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -344,6 +345,27 @@ def test_random_principal_space_runs_under_a_memory_cap():
     )
     assert proc.returncode == 0, proc.stderr
     assert "d = 1, j = 3000" in proc.stdout
+
+
+def _capped_child():
+    """RLIMIT_AS of 1 GiB and a 5 s SIGALRM, which kills the child (an alarm outlives exec)."""
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    signal.alarm(5)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_j400_runs_within_5_s_under_a_memory_cap(d):
+    # the up-rungs are sized by the syzygy degrees and their rows never written: the ladder of
+    # eliminations used to take 17.5 s and 849 MB at d = 2
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "binforms.cli", "random", "--d", str(d), "--j", "400", "--seed", "0"],
+        preexec_fn=_capped_child, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert f"d = {d}, j = 400" in proc.stdout and f"generator degrees = {(400,) * d}" in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [["hasse", "--d", "12", "--j", "24"],

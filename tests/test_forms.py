@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -385,6 +386,34 @@ def test_q_roots_without_a_certificate_prime(monkeypatch):
     calls.clear()
     assert _rational_roots(_q_times([-1, 1], [-2, 1])) == [1, 2]  # 3 certifies
     assert calls == []
+
+
+def test_q_roots_of_2048_bit_planted_cores_lift_one_inverse_per_root_within_a_deadline(monkeypatch):
+    # five cores, each four planted roots a/b of 2048 bits times t^2 + 1; 1/f'(r) is lifted with r
+    # by s <- s (2 - f'(r) s), so the one modular inverse per root is mod p
+    rng = random.Random("q-roots|2048")
+    cases = []
+    for _ in range(5):
+        core, planted = [1, 0, 1], []
+        for _ in range(4):
+            a, b = rng.choice((1, -1)) * (rng.getrandbits(2048) | 1), rng.getrandbits(2048) | 1 << 2047
+            core, planted = _q_times(core, [-a, b]), planted + [Fraction(a, b)]
+        cases.append((_integer_row(core), sorted(planted)))
+    inverses = []
+    monkeypatch.setattr(forms, "pow", lambda a, e, m=None: (e == -1 and inverses.append(m)) or pow(a, e, m),
+                        raising=False)
+
+    def overran(signum, frame):
+        raise TimeoutError("rational roots ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        assert all(_rational_roots(core) == planted for core, planted in cases)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert inverses and max(inverses) < 100  # mod a small lifting prime, never mod p^k
 
 
 def test_q_roots_lift_past_twice_f0_fn():
