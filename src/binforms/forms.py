@@ -335,7 +335,7 @@ def _rational_roots(f: list) -> list:
             fr = dfr = 0
             for c in reversed(f):  # Horner for f(r) and f'(r) together
                 fr, dfr = (fr * r + c) % m, (dfr * r + fr) % m
-            s = pow(dfr, -1, p) if m == p * p else s * (2 - dfr * s) % m  # 1/f'(r) mod sqrt(m), as f(r) is 0 there
+            s = pow(dfr, -1, p) if m == p * p else s * (2 - dfr * s) % m  # 1/f'(r) mod sqrt(m): f(r) is 0 mod sqrt(m)
             r = (r - fr * s) % m
         u = f[-1] * r % m
         u -= m if 2 * u > m else 0

@@ -14,8 +14,11 @@ The three ideals attached to a space V of degree-j forms:
 Numeric Betti data (generator/relation degrees) comes from dimension counts,
 no syzygy modules are ever built; fresh-generator counts read dim R_1I_{i-1}
 as `tau` does, off a rung of I_{i-1} already built or, above the window, off
-the block (tail_gcd).R_s itself.  The tail gcd is read off the stable top:
-there the component is a principal block f.R_s, which knows its f (spaces).
+the block (tail_gcd).R_s itself.  Above degree j + 1 a window's components
+are sized by V's syzygy degrees and below j each is a kernel (`spaces`): their
+rows are written only when read, so H and the Betti counts build no basis.
+The tail gcd is read off the stable top: there the component is a principal
+block f.R_s, which knows its f.
 
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
 R_1-closure, tail) runs in `ideal_from_json`, on `closure.build_h`'s final

@@ -51,8 +51,7 @@ from .fields import FieldSpec, Scalar
 
 
 class _RowsOnFirstRead:
-    """`Matrix.rows` that `from_ints` (over Q) or `lazy_matrix` left out, on first read: the made
-    Matrix's over F_p, else each row of `ints` over its lead (a zero row stays zero)."""
+    """`Matrix.rows` left out, on first read: `lazy_matrix`'s over F_p, else each `ints` row over its lead."""
 
     def __get__(self, m, owner=None):
         if m is None:
@@ -69,10 +68,9 @@ class _RowsOnFirstRead:
 @dataclass(frozen=True)
 class Matrix:
     """`rows` hold canonical scalars, `ints` the rows the kernels eliminate: `rows` over F_p, else integer
-    rows (primitive, leads positive, in an RREF).  `from_ints` over Q keeps only `ints`, `lazy_matrix` only a
-    thunk (`_write`) that makes an equal Matrix; the rest is computed on first read and stored by
-    `object.__setattr__`, as reading `__dict__` would make CPython build the instance's dict, which slows
-    every later attribute read."""
+    rows (primitive, leads positive, in an RREF).  `from_ints` over Q keeps only `ints`, `lazy_matrix` a thunk
+    (`_write`) making an equal Matrix; the rest is computed on first read and stored by `object.__setattr__`,
+    as reading `__dict__` would make CPython build the instance's dict, which slows every later attribute read."""
 
     field: FieldSpec
     rows: tuple[tuple[Scalar, ...], ...] = _RowsOnFirstRead()

@@ -16,15 +16,21 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   of a block is the block f.R_{s+-1}, built from (f, s +- 1) alone in O(1): its rows are
   written when first read.
 * Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
-  iff V's 2 cod V free-column rows (below) are independent: one rank, tried if dim V +
-  dim B >= j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
-* Up, otherwise: R_{k+1}B = x.R_kB + y^(k+1).B, as x divides every degree-
-  (k+1) monomial but y^(k+1).  A rung records k and its ladder base B's
-  `ints` (a space would form a reference cycle), and x.R_kB is reduced, so
-  one elimination takes dim R_kB + dim B rows.  Off a ladder, B = V, k = 0.
-* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each `integral_dual` vector z of V (one
-  per free column) gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those
-  2 cod V rows.  V keeps their reversed RREF, which pins R_1V too.
+  iff V's 2 cod V free-column rows (below) are independent: one rank, tried if 2 dim V >=
+  j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
+* Up, otherwise: R_1V = x.V + y.V, one elimination of 2 dim V rows.  A rung keeps no space
+  it was built from, only rows (a space would form a reference cycle).
+* mu, dimensions before bases: the d - 1 syzygy degrees of V's basis sum to j - deg gcd V, and
+  dim R_kV = d(k+1) - sum_i max(0, k - mu_i + 1) (Hilbert-Burch).  `syzygy_degrees` reads them
+  off one order-basis pass.  Unless R_1V is a block or R_2V is pinned full by one rank, an ideal's
+  window sizes each R_kV, 2 <= k < max mu - 1, by them, writes its rows on first read as
+  x.R_{k-1}V + y^k.V (x divides every degree-k monomial but y^k), and from there on R_kV is
+  the block (gcd V).R_s.
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each vector z of a basis of V^perp (one per
+  free column) gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those 2 cod V rows,
+  written on first read.  V keeps their reversed RREF, which pins R_1V too.  A down-rung is the
+  kernel of such an RREF, whose rows span its V^perp: its own residue rows are taken from them,
+  so no rung's rows are written on the way down (V's `integral_dual` serves V alone).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 from .errors import PreconditionError
@@ -105,15 +111,11 @@ class FormSpace:
 
     @cached_property
     def _residues(self) -> tuple:
-        """`rref_reversed` of rows that kill exactly R_{-1}V: z[:j] (x.z) and w[1:] (y.w) for z, w in V's
-        dual, 2 cod V rows; on a dual-ladder rung R_{-m}B, z in B's dual and w in the rows V is the kernel of."""
-        j, rung = self.degree, self.__dict__.get("_dual_ladder")
-        if rung is None:
-            base = dual = self._dual
-        else:
-            (red, rank, _), base = rung
-            dual = tuple(r[::-1] for r in red.ints[:rank])
-        return rref_reversed(from_ints(self.field, tuple(z[:j] for z in base) + tuple(w[1:] for w in dual), j))
+        """`rref_reversed` of the 2 cod V rows z[:j] (x.z) and z[1:] (y.z) over a basis z of V^perp, which
+        kill exactly R_{-1}V: V's `_dual`, or for a down-rung the reduced rows it is the kernel of, turned back."""
+        j, red = self.degree, self.__dict__.get("_kernel_of")
+        dual = self._dual if red is None else tuple(r[::-1] for r in red[0].ints[:red[1]])
+        return rref_reversed(from_ints(self.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j))
 
     @cached_property
     def _mu(self) -> tuple[int, ...]:
@@ -208,8 +210,8 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
     """(f) in the given degree: f * R_s, s = degree - deg f (zero if s < 0), rows written when first read."""
     if degree < f.degree or f.is_zero:
         return zero_space(f.field, degree)
-    F, f, s = f.field, monic(f), degree - f.degree
-    V = FormSpace(F, degree, lazy_matrix(F, s + 1, degree + 1, lambda: Matrix(F, tuple(_block_rows(f, s))[::-1], degree + 1)))
+    F, f, s, n = f.field, monic(f), degree - f.degree, degree + 1
+    V = FormSpace(F, degree, lazy_matrix(F, s + 1, n, lambda: Matrix(F, tuple(_block_rows(f, s))[::-1], n)))
     V.__dict__["_principal"] = f  # the memo, set the way cached_property would
     return V
 
@@ -224,32 +226,29 @@ def _ladder_step(F: FieldSpec, rung: Matrix, base, k: int) -> Matrix:
 
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
-    """R_1V: f.R_{s+1} for a block f.R_s, else x.R_kB + y^(k+1).B for V = R_kB."""
+    """R_1V: f.R_{s+1} for a block f.R_s, else x.V + y.V."""
     F, j = V.field, V.degree
     if V.is_zero:
         return zero_space(F, j + 1)
     if V._principal is not None:
         return principal_space(V._principal, j + 1)
-    base, k = V.__dict__.get("_ladder", (V.mat.ints, 0))
-    if V.dim + len(base) >= j + 2 and _fills_next(V):  # dim R_{k+1}B <= dim R_kB + dim B
+    if 2 * V.dim >= j + 2 and _fills_next(V):  # dim R_1V <= 2 dim V
         return full_space(F, j + 1)
-    up = FormSpace(F, j + 1, _ladder_step(F, V.mat, base, k + 1))
-    up.__dict__["_ladder"] = (base, k + 1)  # the base's `ints`, never the base space
-    return up
+    return FormSpace(F, j + 1, _ladder_step(F, V.mat, V.mat.ints, 1))
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
-    """R_{-1}V: f.R_{s-1} for a block f.R_s, zero when pinned, else the kernel of V's residue rows, its
-    rows written on first read.  A dual-ladder rung's rows may be unwritten: it is not tested for a block."""
+    """R_{-1}V: f.R_{s-1} for a block f.R_s (not tested on a down-rung, whose rows may be unwritten), zero
+    when pinned, else the kernel of V's residue rows, written on first read."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
-    rung, up = V.__dict__.get("_dual_ladder"), V.__dict__.get("_up")
-    if rung is None and V._principal is not None:
+    up = V.__dict__.get("_up")
+    if "_kernel_of" not in V.__dict__ and V._principal is not None:
         return principal_space(V._principal, j - 1)  # zero below deg f
     if V.is_zero or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
-    red = V._residues
-    down = FormSpace(F, j - 1, lazy_matrix(F, j - red[1], j, lambda: kernel_from(red)))
-    down.__dict__["_dual_ladder"] = (red, V._dual if rung is None else rung[1])  # rows, never a space
+    reduced = V._residues
+    down = FormSpace(F, j - 1, lazy_matrix(F, j - reduced[1], j, lambda: kernel_from(reduced)))
+    down.__dict__["_kernel_of"] = reduced  # rows, never a space
     return down
 
 
@@ -271,9 +270,8 @@ def _rungs(V: FormSpace, s: int) -> list[FormSpace]:
 
 
 def _up_dim(W: FormSpace) -> int:
-    """dim R_1W, read off R_{-1}W if built or W is a dual-ladder rung, or off a block's f if known, else
-    off R_1W (built once; by one rank if full)."""
-    if "_down" in W.__dict__ or W.degree and "_dual_ladder" in W.__dict__:
+    """dim R_1W, read off R_{-1}W (built, or W a down-rung) or a block's f if known, else off R_1W."""
+    if "_down" in W.__dict__ or W.degree and "_kernel_of" in W.__dict__:
         return 2 * W.dim - W._down.dim
     return W.dim + 1 if W.__dict__.get("_principal") is not None else W._up.dim
 
@@ -288,28 +286,23 @@ def gcd_of_space(V: FormSpace) -> BinaryForm:
     return V._gcd
 
 
-# ----- syzygy degrees and the up-rungs they size ------------------------------
-
-_SIGMA_PRIME = 2**31 - 1
+_SIGMA_PRIME = 2**31 - 1  # `_mu`'s prime over Q
 
 
 def syzygy_degrees(V: FormSpace) -> tuple[int, ...]:
-    """mu(V), ascending: the degrees of a minimal basis of the syzygies of V's basis, d - 1 of them,
-    summing to j - deg gcd V, so that dim R_kV = d(k+1) - sum_i max(0, k - mu_i + 1) (Hilbert-Burch).
-    Kept on V.  Over Q a pass mod p can only lower the dimensions, and for a fixed sum a balanced
-    mu gives the largest: so a balanced mu mod p of the right sum is mu."""
+    """mu(V), ascending, kept on V (see the header).  Over Q a pass mod p can only lower each dim R_kV,
+    and for a fixed sum a balanced mu gives the largest: so a balanced mu mod p of the right sum is mu."""
     if V.is_zero:
         raise PreconditionError("syzygy degrees of the zero space")
     return V._mu
 
 
 def _order_basis_degrees(rows, j: int, p: int | None) -> tuple[int, ...]:
-    """mu of the independent rows (`ints`, or residues mod p), by one order-basis pass on the column v
-    of their polynomials in t (Beckermann-Labahn, SIAM J. Matrix Anal. Appl. 15, 1994).  Rows start at
-    the identity, each with degree delta and residual q_i = p_i.v, kept from order s on.  At order s the
-    row of least delta (the first on ties) with a nonzero residual clears the others' and is multiplied
-    by t: its list stays, delta + 1; every other list drops its zero.  Once d - 1 rows have s > j + delta
-    their residuals are 0 (deg q_i <= j + delta_i): syzygies of a minimal basis, of degrees delta."""
+    """mu of independent rows (`ints`, or residues mod p) by one order-basis pass on their polynomials
+    in t (Beckermann-Labahn, SIAM J. Matrix Anal. Appl. 15, 1994).  Rows p_i start at the identity; only
+    their degrees delta and residuals q_i = p_i.v from order s on are kept.  At order s the least-delta row
+    (first on ties) with a nonzero residual clears the others' and is multiplied by t (its list stays,
+    delta + 1); each other list drops its zero.  Once d - 1 rows have s > j + delta, q_i = 0: their delta is mu."""
     q, delta, s = [list(r) for r in rows], [0] * len(rows), 0
     while sum(j + e < s for e in delta) < len(rows) - 1:
         live = [i for i, r in enumerate(q) if r and r[0]]
@@ -335,12 +328,11 @@ def _order_basis_degrees(rows, j: int, p: int | None) -> tuple[int, ...]:
 
 
 def _up_rungs(V: FormSpace, top: int) -> list[FormSpace]:
-    """[V, R_1V, .., R_topV] for an ideal's window, R_topV a block.  R_1V is built as `tau` builds it;
-    if it is a block, so is every rung above.  Otherwise R_kV (2 <= k < top) is sized by mu, its rows
-    written on first read by one ladder step from the rung below, and R_topV is (gcd V).R_s (no gcd
-    when sum mu = j).  Each rung's `_up` memo is the next, unless one was built already."""
+    """[V, R_1V, .., R_topV], R_topV a block: `_rungs` when R_1V (built as `tau` builds it) or R_2V is one,
+    else R_kV sized by mu, rows written on first read, up to the blocks (gcd V).R_s; a built rung is kept."""
     rungs = _rungs(V, min(top, 1))
-    if rungs[-1]._principal is not None:
+    up = rungs[-1]  # R_2V can be R_{j+2} only if 2 dim R_1V - dim V >= j + 3, as R_{-1}R_2V contains V
+    if up._principal is not None or 2 * up.dim - V.dim >= up.degree + 2 and _fills_next(up):
         return _rungs(V, top)
     F, j, d, mu = V.field, V.degree, V.dim, syzygy_degrees(V)
     if mu[-1] - 1 > top:  # R_kV is a block from k = max mu - 1 on
@@ -348,13 +340,11 @@ def _up_rungs(V: FormSpace, top: int) -> list[FormSpace]:
     base = V.mat.ints
     for k in range(2, top + 1):
         W = rungs[-1]
-        if "_up" not in W.__dict__:
-            if k == top:
-                up = full_space(F, j + k) if sum(mu) == j else principal_space(V._gcd, j + k)
-            else:
-                n = d * (k + 1) - sum(max(0, k - m + 1) for m in mu)
-                up = FormSpace(F, j + k, lazy_matrix(F, n, j + k + 1, lambda m=W.mat, k=k: _ladder_step(F, m, base, k)))
-            W.__dict__["_up"] = up
+        if "_up" not in W.__dict__ and k < mu[-1] - 1:
+            n, write = d * (k + 1) - sum(max(0, k - m + 1) for m in mu), partial(_ladder_step, F, W.mat, base, k)
+            W.__dict__["_up"] = FormSpace(F, j + k, lazy_matrix(F, n, j + k + 1, write))
+        elif "_up" not in W.__dict__:
+            W.__dict__["_up"] = full_space(F, j + k) if sum(mu) == j else principal_space(V._gcd, j + k)
         rungs.append(W._up)
     return rungs
 

@@ -90,6 +90,6 @@ def _dict_reads(tree: ast.AST):
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "spaces.py"), ids=lambda p: p.name
 )
 def test_only_spaces_touches_the_memos_of_a_space(path):
-    """A FormSpace's memos (`_up`, `_down`, `_principal`, `_ladder`) live in its `__dict__`: only
+    """A FormSpace's memos (`_up`, `_down`, `_principal`, `_kernel_of`) live in its `__dict__`: only
     `spaces` reads or sets them there, so the memo protocol stays in one module."""
     assert not _dict_reads(ast.parse(path.read_text(encoding="utf-8"))), f"{path.name} touches __dict__"

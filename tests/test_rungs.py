@@ -1,5 +1,5 @@
-"""The one-step rungs of `spaces`: R_{k+1}B = x.R_kB + y^(k+1).B going up,
-the kernel of the free-column residue rows going down, checked
+"""The one-step rungs of `spaces`: x.V + y.V going up, the kernel of the
+free-column residue rows (below the first, read off the reduced rows above) going down, checked
 against plain eliminations, for their sizes and for the garbage they leave;
 and dim R_1W read off the rung already built (dim R_1W = 2 dim W - dim R_{-1}W)."""
 
@@ -145,9 +145,9 @@ def eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
-def test_pencil_up_rung_eliminates_dim_plus_two_rows(eliminations, field):
-    # every rung below the last stacks dim + 2 rows; the last one fills
-    # R_{j+1}, and a rank of its 2 cod = 2 free-column rows shows it
+def test_pencil_up_rung_eliminates_twice_dim_rows(eliminations, field):
+    # every rung below the last stacks its 2 dim rows x.v and y.v, after one rank of its 2 cod
+    # free-column rows when 2 dim >= j + 2; the last one fills R_{j+1}, and that rank shows it
     V = random_space(2, 12, field, 3)
     W, rungs = V, []
     while W._principal is None:
@@ -156,7 +156,8 @@ def test_pencil_up_rung_eliminates_dim_plus_two_rows(eliminations, field):
         rungs.append((W, [m.nrows for m in eliminations]))
         W = up
     *below, (last, top) = rungs
-    assert len(below) >= 2 and all(sizes == [U.dim + 2] for U, sizes in below)
+    pinned = [[2 * U.cod] if 2 * U.dim >= U.degree + 2 else [] for U, _ in below]
+    assert len(below) >= 2 and [sizes for _, sizes in below] == [p + [2 * U.dim] for p, (U, _) in zip(pinned, below)]
     assert W.is_full and top == [2 * last.cod] == [2]
 
 
@@ -220,8 +221,8 @@ def test_down_rung_solves_on_free_columns(eliminations, field, d, j):
 
 
 def test_ladders_leave_nothing_for_the_cyclic_collector():
-    # a rung records its base's rows, never the base space: base -> _up ->
-    # rung -> base would be a reference cycle on every ladder
+    # a rung records rows (a down-rung the rows it is the kernel of, an ideal's up-rung the
+    # matrix below it), never a space: base -> _up -> rung -> base would be a reference cycle
     gc.collect()
     gc.disable()
     try:
@@ -256,7 +257,7 @@ def test_rungs_do_no_field_arithmetic_in_spaces(field, d, j):
         ):
             made_here.append((frame.f_back.f_code.co_name, callee.co_name))
 
-    up = shift(random_space(2, 12, field, 2), 1)  # a rung on its base's ladder
+    up = shift(random_space(2, 12, field, 2), 1)  # built by elimination
     down = _fresh(random_space(d, j, field, 2))
     assert up._principal is None
     sys.setprofile(watch)

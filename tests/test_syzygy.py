@@ -3,8 +3,8 @@
 By Hilbert-Burch the d - 1 syzygy degrees of a basis of V sum to j - deg gcd V,
 and dim R_kV = d(k+1) - sum_i max(0, k - mu_i + 1).  `ancestor_ideal` and
 `generated_ideal` read every up-rung's dimension off mu and write its rows only
-when read; each down-rung is the kernel of residue rows taken from the one above
-(the dual ladder), its rows also written only when read.  The oracles here are
+when read; each down-rung is the kernel of residue rows taken from the reduced rows
+of the step above, its rows also written only when read.  The oracles here are
 plain eliminations (`oracle_rref`), never the library's ladders."""
 
 import random
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binforms import linalg, spaces
+from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
 from binforms.forms import form, monomial, mul_form
 from binforms.ideals import (
@@ -91,6 +92,13 @@ def test_syzygy_degrees_give_every_up_dimension(V):
         assert _sylvester_kernel_dim(V, k) == sum(max(0, k - m + 1) for m in mu), k
 
 
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_syzygy_degrees_of_a_line_are_empty_and_of_zero_refused(field):
+    assert syzygy_degrees(span(field, 5, [[1, 2, 0, 0, 3, 1]])) == ()
+    with pytest.raises(PreconditionError, match="zero space"):
+        syzygy_degrees(span(field, 5, []))
+
+
 def _planted_unbalanced_mod_p():
     """1 + P t^2, t, t^4: mu = (2, 2) over Q, but mod P the span of 1, t, t^4, with mu (1, 3)."""
     return span(QQ, 4, [[1, 0, P, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]])
@@ -151,7 +159,7 @@ def test_lazy_ideals_once_forced_equal_the_eager_window(V):
     assert (hilbert_function(eager), generator_degrees(eager), relation_degrees(eager)) == (H, gens, rels)
 
 
-@pytest.mark.parametrize("d", [3, 58])  # up-rungs sized by mu; R_1V full, and down-rungs on the dual ladder
+@pytest.mark.parametrize("d", [3, 58])  # up-rungs sized by mu; R_1V full, and many down-rungs
 def test_betti_counts_run_no_elimination_and_write_no_rung(monkeypatch, d):
     # the counts read dimensions only: mu sizes the up-rungs, and each down-rung is the kernel of
     # residue rows already reduced; no rung's rows are written but V's and R_1V's
