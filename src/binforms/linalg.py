@@ -14,8 +14,9 @@ the JSON readers).
 `rref` is the one entry point: `row_basis`, `rank` (which `waring` and `verify` call),
 `rref_reversed` (which `kernel` and `spaces` call) and `closure._extend_inside` reach it
 through this module's global, never by name, so rebinding `linalg.rref` sees every
-elimination; `kernel_from` and `contains_vector` eliminate nothing.  Once per call, it
-picks a Gauss-Jordan kernel by field:
+elimination; `kernel_from`, `contains_vector` and `hankel` (the one builder of stacked Hankel
+windows: residue rows and catalecticants) eliminate nothing.  Once per call, it picks a
+Gauss-Jordan kernel by field:
 
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
   scaled by the inverse of its pivot only when that is not 1.  Each row with
@@ -110,6 +111,13 @@ def lazy_matrix(field: FieldSpec, nrows: int, ncols: int, write) -> Matrix:
 
 def zero_matrix(field: FieldSpec, ncols: int) -> Matrix:
     return Matrix(field, (), ncols)
+
+
+def hankel(field: FieldSpec, rows: Sequence[tuple[int, ...]], width: int) -> Matrix:
+    """The Hankel windows z[r : r + width] of int rows z of one length n, stacked offset-major (every
+    z[0:width], then every z[1:width + 1], ..): n - width + 1 windows per row, none if width > n."""
+    n = len(rows[0]) if rows else width
+    return from_ints(field, tuple(z[r : r + width] for r in range(n - width + 1) for z in rows), width)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:

@@ -26,11 +26,11 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   window sizes each R_kV, 2 <= k < max mu - 1, by them, writes its rows on first read as
   x.R_{k-1}V + y^k.V (x divides every degree-k monomial but y^k), and from there on R_kV is
   the block (gcd V).R_s.
-* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each vector z of a basis of V^perp (one per
-  free column) gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those 2 cod V rows,
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each vector z of V's `_dual`, a basis of V^perp,
+  gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those 2 cod V Hankel windows,
   written on first read.  V keeps their reversed RREF, which pins R_1V too.  A down-rung is the
-  kernel of such an RREF, whose rows span its V^perp: its own residue rows are taken from them,
-  so no rung's rows are written on the way down (V's `integral_dual` serves V alone).
+  kernel of such an RREF, whose rows span its V^perp and are its `_dual`: no rung's rows are
+  written on the way down, nor by a membership test.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .linalg import (
     _primitive,
     contains_vector,
     from_ints,
+    hankel,
     integral_dual,
     kernel_from,
     lazy_matrix,
@@ -106,16 +107,15 @@ class FormSpace:
 
     @cached_property
     def _dual(self) -> tuple:
-        """V's `integral_dual`: w is in V iff its dot with each vector is 0."""
-        return integral_dual(self.mat)
+        """A basis of V^perp (w is in V iff its dot with each row is 0): V's `integral_dual`, or for a
+        down-rung the reduced rows it is the kernel of, turned back, so that none of its rows is written."""
+        red = self.__dict__.get("_kernel_of")
+        return integral_dual(self.mat) if red is None else tuple(r[::-1] for r in red[0].ints[:red[1]])
 
     @cached_property
     def _residues(self) -> tuple:
-        """`rref_reversed` of the 2 cod V rows z[:j] (x.z) and z[1:] (y.z) over a basis z of V^perp, which
-        kill exactly R_{-1}V: V's `_dual`, or for a down-rung the reduced rows it is the kernel of, turned back."""
-        j, red = self.degree, self.__dict__.get("_kernel_of")
-        dual = self._dual if red is None else tuple(r[::-1] for r in red[0].ints[:red[1]])
-        return rref_reversed(from_ints(self.field, tuple(z[:j] for z in dual) + tuple(z[1:] for z in dual), j))
+        """`rref_reversed` of the 2 cod V width-j windows z[:j] (x.z), z[1:] (y.z) of V's `_dual`: they kill R_{-1}V."""
+        return rref_reversed(hankel(self.field, self._dual, self.degree))
 
     @cached_property
     def _mu(self) -> tuple[int, ...]:

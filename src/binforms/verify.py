@@ -48,7 +48,7 @@ from .ideals import (
     relation_degrees,
     same_ideal,
 )
-from .linalg import rank
+from .linalg import hankel, rank
 from .osequence import oseq
 from .related import apply_chain, berman_check, normalize_chain, related_classes
 from .spaces import (
@@ -63,7 +63,6 @@ from .spaces import (
 from .waring import (
     GAD,
     _ann_component,
-    _catalecticant,
     gad,
     gad_locus_codim,
     mu,
@@ -492,7 +491,7 @@ def criterion_9(max_j: int = 10) -> CriterionResult:
                 tau_delta(W) == t,
                 f"realized class (d={d},j={j},tau={t}): tau_delta = {tau_delta(W)}",
             )
-            m = next(i for i in range(j + 2) if rank(_catalecticant(W, i)) <= i)  # upward scan
+            m = next(i for i in range(j + 2) if rank(hankel(F101, W._weighted, i + 1)) <= i)  # upward scan
             run.check(
                 m == mu_generic(t, d, j),
                 f"realized class (d={d},j={j},tau={t}): mu = {m} != {mu_generic(t, d, j)}",

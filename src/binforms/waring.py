@@ -10,11 +10,11 @@ span W.  This module computes perp/annihilator, tau_delta and mu, extracts
 generalized additive decompositions by factoring a minimal-degree apolar
 form, and evaluates the generic-value formulas mu(tau,d,j) and the
 codimension of the locus where mu drops.  `_ann_component` has one rule:
-(Ann W)_i is the kernel of the degree-i catalecticant, whatever i is, and
-tau_delta is the rank of the degree-(j-1) one.  Below degree j+1 each
-component of Ann W is the colon R_{-1} of the next, so mu is read off the
-down-rungs of one catalecticant kernel, taken at the bound
-mu_generic(tau_delta, d, j).
+(Ann W)_i is the kernel of the degree-i catalecticant (the `linalg.hankel`
+windows of width i+1 of W's weighted rows), whatever i is, and tau_delta is
+the rank of the degree-(j-1) one.  Below degree j+1 each component of Ann W
+is the colon R_{-1} of the next, so mu is read off the down-rungs of one
+catalecticant kernel, taken at the bound mu_generic(tau_delta, d, j).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .forms import (
 )
 from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
-from .linalg import Matrix, from_ints, kernel, rank
+from .linalg import Matrix, hankel, kernel, rank
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -90,7 +90,7 @@ class DualSpace:
         y.w iff f.w = 0), so its dimension is the rank of that catalecticant.
         The zero space gets 1 (no rows); at j = 0 the degree -1 catalecticant
         has no columns, so the answer is 1 - dim W."""
-        return 1 + rank(_catalecticant(self, self.degree - 1)) - self.dim
+        return 1 + rank(hankel(self.field, self._weighted, self.degree)) - self.dim
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:
@@ -154,25 +154,12 @@ def perp(V: FormSpace) -> DualSpace:
     return DualSpace(_ann_component(DualSpace(V), V.degree))
 
 
-def _catalecticant(W: DualSpace, i: int) -> Matrix:
-    """The stacked Hankel blocks [w'_{k+r}] (rows r = 0..j-i, columns
-    k = 0..i), one per basis element w of W.
-
-    With weighted coefficients w'_a = (j-a)! a! w_a, the Y^r coefficient of
-    f . w is sum_k f_k w'_{k+r} / ((j-i-r)! r!), and those divisors are
-    invertible, so the kernel of this matrix is (Ann W)_i.  For i > j (or
-    W = 0) there are no rows, so the kernel is all of R_i.
-    """
-    j = W.degree
-    rows = tuple(
-        w[r : r + i + 1] for w in W._weighted for r in range(j - i + 1)
-    )
-    return from_ints(W.field, rows, i + 1)
-
-
 def _ann_component(W: DualSpace, i: int) -> FormSpace:
-    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}: the kernel of the degree-i catalecticant."""
-    return FormSpace(W.field, i, kernel(_catalecticant(W, i)))
+    """(Ann W)_i = {f in R_i : f . w = 0 for all w in W}: the kernel of the degree-i catalecticant,
+    the windows w'[r : r + i + 1] (r = 0..j-i) of W's weighted rows w'_a = (j-a)! a! w_a.  The Y^r
+    coefficient of f . w is sum_k f_k w'_{k+r} / ((j-i-r)! r!), and those divisors are invertible.
+    For i > j (or W = 0) there are no windows, so the kernel is all of R_i."""
+    return FormSpace(W.field, i, kernel(hankel(W.field, W._weighted, i + 1)))
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:

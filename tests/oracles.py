@@ -585,6 +585,46 @@ def oracle_down_dim(space, k: int) -> int:
     return oracle_kernel(Matrix(F, rows, n + 1)).nrows
 
 
+def oracle_dual_degrees(field: FieldSpec, z_rows, j: int) -> list[int]:
+    """The shifted row degrees delta of an order basis, at order j + 1 and shift (0, 1, .., 1), of
+    the (c+1) x c matrix [S_1 .. S_c; -I_c], S_l(t) = sum_a z_{l,a} t^a for the c rows z of length
+    j + 1 (Beckermann-Labahn, SIAM J. Matrix Anal. Appl. 15, 1994).
+
+    Rows p_0, p_1..p_c are lists of polynomials (coefficient lists) that start at the identity.
+    For each order s = 0..j and each column l the residual [t^s](p_0 S_l - p_l) is read off the
+    polynomials; the row of least delta with a nonzero residual (the first on ties) clears the
+    others' and is multiplied by t.  g in R_i has its windows g . z[b : b + i + 1] all zero iff
+    the reversed g is p_0 of an element of shifted degree <= i, so the width-(i+1) Hankel kernel of
+    the z has dimension sum_rho max(0, i - delta_rho + 1) for 0 <= i <= j (predictable degree).
+    Written from polynomial rows, with no reference to `spaces._order_basis_degrees`."""
+    F, c = field, len(z_rows)
+    S = [[F.coerce(x) for x in z] for z in z_rows]
+    rows = [[[F.one] if k == r else [] for k in range(c + 1)] for r in range(c + 1)]
+    delta = [0] + [1] * c
+
+    def at(poly, s):
+        return poly[s] if 0 <= s < len(poly) else F.zero
+
+    def residual(row, l, s):
+        return F.coerce(sum(at(row[0], k) * at(S[l], s - k) for k in range(s + 1)) - at(row[l + 1], s))
+
+    def minus(u, f, v):  # u - f.v
+        n = max(len(u), len(v))
+        return [F.coerce(at(u, k) - f * at(v, k)) for k in range(n)]
+
+    for s in range(j + 1):
+        for l in range(c):
+            res = [residual(row, l, s) for row in rows]
+            k = min((r for r in range(c + 1) if res[r]), key=delta.__getitem__)
+            for r in range(c + 1):
+                if r != k and res[r]:
+                    f = F.coerce(Fraction(res[r]) / res[k])
+                    rows[r] = [minus(u, f, v) for u, v in zip(rows[r], rows[k])]
+            rows[k] = [[F.zero] + u for u in rows[k]]
+            delta[k] += 1
+    return delta
+
+
 def brute_force_hilbert(space, max_degree):
     """H(R/ideal generated by the span of `space`) by degreewise spans.
 

@@ -12,6 +12,7 @@ from binforms.fields import GF, QQ, FieldSpec
 from binforms.linalg import (
     Matrix,
     contains_vector,
+    hankel,
     integral_dual,
     kernel,
     rank,
@@ -328,11 +329,21 @@ def _residues(rng, fld):
 
 
 def _hankel(rng, fld):
-    """The degree-i catalecticant of W: each window w[r : r + i + 1] of each row w of W."""
+    """The degree-i catalecticant of W, as `linalg.hankel` stacks it: every window w[r : r + i + 1]
+    of the rows w of W, offset by offset."""
     j = rng.randint(0, 45)
     i = rng.randint(0, j)
     W = _random_rows(rng, fld, rng.randint(1, max(1, min(j + 1, 40 // (j - i + 1)))), j + 1)
-    return [w[r : r + i + 1] for w in W for r in range(j - i + 1)], i + 1
+    return [w[r : r + i + 1] for r in range(j - i + 1) for w in W], i + 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=lambda F: F.name)
+def test_hankel_stacks_every_window_offset_major(field):
+    rows = ((1, 2, 3, 4), (5, 6, 7, 8))
+    m = hankel(field, rows, 2)
+    assert (m.ints, m.nrows, m.ncols) == (((1, 2), (5, 6), (2, 3), (6, 7), (3, 4), (7, 8)), 6, 2)
+    assert [(e.nrows, e.ncols) for e in (hankel(field, rows, 5), hankel(field, (), 3))] == [(0, 5), (0, 3)]
+    assert hankel(field, rows, 0).ints == ((),) * 10  # width 0: every row has n + 1 empty windows
 
 
 def _unit_rows(rng, fld):

@@ -8,6 +8,7 @@ import gc
 import inspect
 import random
 import sys
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,3 +368,22 @@ def test_tau_then_down_rung_run_one_residue_elimination(eliminations, field, d, 
     assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
     assert t == j + 2 - d and V._up.is_full and not down.is_zero
     assert down.mat == oracle_shift_down_once(V.mat)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_a_down_rung_reads_its_dual_and_members_with_no_row_written(field):
+    # a down-rung's `_dual` is the reduced rows it is the kernel of, turned back, so its residues
+    # and a membership test read those rows alone: over F_p `rows`, over Q `_ints`, stay unset
+    V = random_space(10, 12, field, 0)
+    R = shift(V, -1)
+    rng = random.Random(0)
+    want = oracle_shift_down_once(V.mat)
+    combos = [[rng.randint(-3, 3) for _ in want.rows] for _ in range(3)]
+    members = [form(field, 11, [sum(map(mul, a, col)) for col in zip(*want.rows)]) for a in combos]
+    others = [_random_form(field, 11, rng) for _ in range(3)]
+    R._residues
+    assert len(R._dual) == R.cod
+    assert all(R.contains(f) for f in members)
+    assert [R.contains(f) for f in others] == [False] * 3
+    assert "rows" not in vars(R.mat) and "_ints" not in vars(R.mat)
+    assert R.mat == want

@@ -5,7 +5,9 @@ and dim R_kV = d(k+1) - sum_i max(0, k - mu_i + 1).  `ancestor_ideal` and
 `generated_ideal` read every up-rung's dimension off mu and write its rows only
 when read; each down-rung is the kernel of residue rows taken from the reduced rows
 of the step above, its rows also written only when read.  The oracles here are
-plain eliminations (`oracle_rref`), never the library's ladders."""
+plain eliminations (`oracle_rref`), never the library's ladders.  Their twin on the dual side,
+one order-basis pass on a dual basis, gives every down-rung and annihilator dimension
+(`oracle_dual_degrees`)."""
 
 import random
 
@@ -31,11 +33,13 @@ from binforms.spaces import (
     gcd_of_space,
     principal_space,
     random_space,
+    shift,
     span,
     syzygy_degrees,
 )
+from binforms.waring import DualSpace, _ann_component
 
-from oracles import oracle_rref, oracle_shift_down_once, oracle_shift_up_once
+from oracles import oracle_dual_degrees, oracle_rref, oracle_shift_down_once, oracle_shift_up_once
 
 F101 = GF(101)
 P = spaces._SIGMA_PRIME
@@ -183,3 +187,40 @@ def test_ideal_up_rungs_run_one_pass_and_no_up_elimination_past_the_first(monkey
     assert [n for n in calls if n > 41] == [42]  # R_1V only; every rung above is sized by mu
     assert syzygy_degrees(V) == (40,) and A.window_hi == 40 + _stable_top(V)
     assert [A.dim(40 + k) for k in range(42)] == [min(2 * k + 2, k + 41) for k in range(42)]
+
+
+# ── the dual pass: down-rungs and (Ann W)_i off one order basis ─────────────
+
+
+def _assert_dual_pass(F, z, j, dim_at):
+    """`oracle_dual_degrees` of the rows z: sum delta = c(j+2), and for 0 <= i <= j the width-(i+1)
+    Hankel kernel dimension sum_rho max(0, i - delta_rho + 1) equals dim_at(i)."""
+    delta = oracle_dual_degrees(F, z, j)
+    assert sum(delta) == len(z) * (j + 2)
+    assert [dim_at(i) for i in range(j + 1)] == [sum(max(0, i - e + 1) for e in delta) for i in range(j + 1)]
+
+
+@st.composite
+def dual_pass_spaces(draw):
+    """A `syzygy_spaces` space with j <= 10 (random, planted-factor, x-power, monomial or principal),
+    a random space with 0 <= d <= j + 1, or a down-rung R_{-1} of a random space of degree j + 1."""
+    kind = draw(st.sampled_from(["syzygy", "random", "down-rung"]))
+    if kind == "syzygy":
+        return draw(syzygy_spaces(max_j=10))
+    F, j, seed = draw(st.sampled_from([GF(2), GF(7), F101, QQ])), draw(st.integers(0, 10)), draw(st.integers(0, 10**6))
+    if kind == "random":
+        return random_space(draw(st.integers(0, j + 1)), j, F, seed)
+    return shift(random_space(draw(st.integers(0, j + 2)), j + 1, F, seed), -1)
+
+
+@given(dual_pass_spaces())
+@settings(max_examples=150, deadline=None)
+def test_one_dual_pass_gives_every_down_rung_and_annihilator_dimension(V):
+    # the colon spaces R_{i-j}V are the Hankel kernels of V's `_dual` (for a down-rung, the reduced
+    # rows it is the kernel of), and the (Ann W)_i those of W's weighted rows
+    F, j = V.field, V.degree
+    assert len(V._dual) == V.cod
+    _assert_dual_pass(F, V._dual, j, lambda i: shift(V, i - j).dim)
+    if F.p is None or F.p > j:
+        W = DualSpace(V)
+        _assert_dual_pass(F, W._weighted, j, lambda i: _ann_component(W, i).dim)
