@@ -7,7 +7,8 @@ paddings C, D, the ℓ-invariant, every dimension/codimension formula for
 the strata (collected in a StratumReport with an explicit discrepancy
 list — several printed formulas fail when the eventual constant is
 positive, and the report records rather than hides that), the
-specialization order, exhaustive enumeration with the q-binomial count, and
+specialization order, exhaustive enumeration (every enumeration checks each
+(τ, c) class's size against its closed partition count `count_by_tau`), and
 the staircase monomial-ideal realization.  The order has two routes: a pair
 of sequences is compared through its partitions (`le_partial`), the Hasse
 diagram termwise, as a transitive reduction on bitsets: one mask per
@@ -377,12 +378,13 @@ def partitions_exact_largest(n: int, k: int) -> list[Partition]:
 
 
 def _tau_c_range(d: int, j: int):
+    """The (τ, c) classes of (d, j), τ descending and c ascending; a class the
+    closed count `count_by_tau` leaves empty is refused."""
     for tau in range(min(d, j + 2 - d), 0, -1):
-        if tau == 1:
-            yield tau, j + 1 - d
-        else:
-            for c in range(0, j + 2 - d - tau + 1):
-                yield tau, c
+        for c in [j + 1 - d] if tau == 1 else range(j + 3 - d - tau):
+            if count_by_tau(d, j, tau, c) < 1:
+                raise RuntimeError(f"class listed with no sequence at (tau,c)=({tau},{c})")
+            yield tau, c
 
 
 def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
@@ -391,15 +393,18 @@ def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
     Distinct (τ, c, P, Q) give distinct H (Theorem codpartition), so each H
     is built once, in the order of the keys (-τ, c, -P, -Q): `_tau_c_range`
     yields τ descending and c ascending, `_parts_at_most` the partitions of n
-    lexicographically descending."""
+    lexicographically descending.  Each class's size is checked against
+    `count_by_tau`."""
     if not 1 <= d <= j:
         raise PreconditionError("need 1 <= d <= j", d=d, j=j)
-    return [
-        _from_pq(P, Q, j, c)
-        for tau, c in _tau_c_range(d, j)
-        for P in partitions_exact_largest(d, tau)
-        for Q in partitions_exact_largest(j + 1 - d - c, tau - 1)
-    ]
+    out = []
+    for tau, c in _tau_c_range(d, j):
+        Ps = partitions_exact_largest(d, tau)
+        Qs = partitions_exact_largest(j + 1 - d - c, tau - 1)
+        if len(Ps) * len(Qs) != count_by_tau(d, j, tau, c):
+            raise RuntimeError(f"count formula disagrees at (tau,c)=({tau},{c})")
+        out += [_from_pq(P, Q, j, c) for P in Ps for Q in Qs]
+    return out
 
 
 def _generic_partition(n: int, k: int) -> Partition:

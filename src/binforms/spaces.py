@@ -330,7 +330,7 @@ def _order_basis_degrees(rows, j: int, p: int | None) -> tuple[int, ...]:
 def _up_rungs(V: FormSpace, top: int) -> list[FormSpace]:
     """[V, R_1V, .., R_topV], R_topV a block: `_rungs` when R_1V (built as `tau` builds it) or R_2V is one,
     else R_kV sized by mu, rows written on first read, up to the blocks (gcd V).R_s; a built rung is kept."""
-    rungs = _rungs(V, min(top, 1))
+    rungs = _rungs(V, 1)
     up = rungs[-1]  # R_2V can be R_{j+2} only if 2 dim R_1V - dim V >= j + 3, as R_{-1}R_2V contains V
     if up._principal is not None or 2 * up.dim - V.dim >= up.degree + 2 and _fills_next(up):
         return _rungs(V, top)

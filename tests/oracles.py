@@ -562,6 +562,28 @@ def count_partitions_largest(n: int, k: int) -> int:
     return sum(1 for p in partitions_of(n) if p and p[0] == k)
 
 
+def census(d: int, j: int, q: int) -> dict:
+    """|Z_H(F_q)| for every H reached, by counting every V in Grass(d, R_j)(F_q):
+    one V per RREF d x (j+1) matrix (pivot columns, then every free entry),
+    classified by H(R/Anc V).  Returns {H: (points, monomial points)}; a
+    monomial point is a V with no nonzero free entry, a span of monomials."""
+    from binforms.fields import GF
+    from binforms.ideals import ancestor_ideal, hilbert_function
+    from binforms.spaces import span
+
+    F, out = GF(q), {}
+    for pivots in itertools.combinations(range(j + 1), d):
+        free = [(r, c) for r, a in enumerate(pivots) for c in range(a + 1, j + 1) if c not in pivots]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[int(c == a) for c in range(j + 1)] for a in pivots]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            H = hilbert_function(ancestor_ideal(span(F, j, rows)))
+            points, monomial = out.get(H, (0, 0))
+            out[H] = (points + 1, monomial + (not any(values)))
+    return out
+
+
 def oracle_down_dim(space, k: int) -> int:
     """dim{g : monomial·g ∈ V for every degree-k monomial} via V's annihilator.
 

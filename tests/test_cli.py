@@ -400,6 +400,20 @@ def test_precondition_errors_exit_1():
     assert json.loads(err)["error"] == "precondition"
 
 
+def test_a_class_count_mismatch_is_an_internal_error(monkeypatch):
+    import binforms.hilbert as hilbert
+
+    real = hilbert.count_by_tau
+    monkeypatch.setattr(hilbert, "count_by_tau", lambda d, j, tau, c: real(d, j, tau, c) + 1)
+    rc, out, err = _run(["enumerate", "--d", "4", "--j", "5", "--all"])
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "internal",
+        "type": "RuntimeError",
+        "message": "count formula disagrees at (tau,c)=(3,0)",
+    }
+
+
 def _refused(argv, named):
     # one refusal path: exit 1, nothing on stdout, one JSON line naming the cause
     rc, out, err = _run(argv)

@@ -119,6 +119,23 @@ def test_enumerate_4_5_is_bigger_than_table():
     assert count_by_tau(4, 5, 1, 2) == 1
 
 
+def test_each_enumeration_checks_its_class_counts(monkeypatch):
+    import binforms.hilbert as hilbert
+
+    real = hilbert.count_by_tau
+    monkeypatch.setattr(hilbert, "count_by_tau", lambda d, j, tau, c: real(d, j, tau, c) + 1)
+    with pytest.raises(RuntimeError, match=r"count formula disagrees at \(tau,c\)=\(3,0\)"):
+        enumerate_acceptable(4, 5)
+    # a listed class whose closed count is empty is refused, in table mode too
+    monkeypatch.setattr(
+        hilbert, "count_by_tau", lambda d, j, tau, c: 0 if (tau, c) == (2, 1) else real(d, j, tau, c)
+    )
+    with pytest.raises(RuntimeError, match=r"no sequence at \(tau,c\)=\(2,1\)"):
+        table_rows(4, 5)
+    with pytest.raises(RuntimeError, match=r"\(tau,c\)=\(2,1\)"):
+        enumerate_acceptable(4, 5)
+
+
 def test_count_by_tau_one_is_the_principal_class():
     # τ = 1: only c = j+1-d, with P = (1, ..., 1) and Q empty
     for j in range(0, 9):
@@ -445,19 +462,32 @@ def test_hasse_edges_match_brute_force_reduction(j):
         assert hasse_edges(d, j) == brute_force_covers(d, j), (d, j)
 
 
+def _l1(p, q):
+    return sum(abs(a - b) for a, b in itertools.zip_longest(p, q, fillvalue=0))
+
+
 def test_every_cover_drops_the_stratum_dimension():
     # Theorem closureofstrata's frontier property: a more special stratum lies in the
     # closure's boundary, so it has smaller dimension.  The poset is not graded by
     # dimension: the 885 covers with d <= j <= 10 drop by 1, 2, 3 and 4 on 446, 329,
     # 92 and 18 of them, so a cover may assert a drop of at least 1, never exactly 1.
-    drops = Counter()
+    # The shape of a cover (Brylawski's covers of the dominance order): P moves by at
+    # most one box, and Q loses one box or keeps its size and moves by at most one.
+    # Every comparable pair in place of the covers breaks the shape (654 of the 1,097
+    # pairs with j <= 8), and the shape also holds on all 2,576 covers with j <= 12.
+    drops, shapes = Counter(), Counter()
     for j in range(1, 11):
         for d in range(1, j + 1):
             for H, special in hasse_edges(d, j):
-                drop = dims(H, d, j).dim_grass - dims(special, d, j).dim_grass
+                r, s = dims(H, d, j), dims(special, d, j)
+                drop = r.dim_grass - s.dim_grass
                 assert drop >= 1, (H, special, d, j)
                 drops[drop] += 1
+                shape = _l1(r.P, s.P), sum(r.Q) - sum(s.Q), _l1(r.Q, s.Q)
+                assert shape[0] in (0, 2) and shape[1:] in ((1, 1), (0, 0), (0, 2)), (H, special)
+                shapes[shape] += 1
     assert drops == {1: 446, 2: 329, 3: 92, 4: 18}
+    assert shapes == {(0, 0, 2): 79, (0, 1, 1): 354, (2, 0, 0): 236, (2, 0, 2): 171, (2, 1, 1): 45}
 
 
 def test_hasse_edges_postcondition_checks_emitted_edges(monkeypatch):
