@@ -15,9 +15,10 @@ diagram termwise, as a transitive reduction on bitsets: one mask per
 coordinate and value, covers by a walk that skips members already reached,
 edges in enumeration order (see `hasse_edges`).
 
-Acceptability is decided once, by the partition round trip in `is_acceptable`;
-the private helpers (`_pq`, `_from_pq`, `_betti`, `_le_pq`, `_staircase_pairs`)
-work on sequences or partitions known to be acceptable.
+Acceptability is decided once, by the partition round trip in `_acceptable_pq`,
+for all three algebras of V: it admits H, the nose and the tail by Q's largest
+part against τ - 1 with `=`, `>=` and `<=`.  The private helpers (`_pq`, `_from_pq`,
+`_betti`, `_le_pq`, `_staircase_pairs`) work on sequences or partitions known to be acceptable.
 """
 
 from __future__ import annotations
@@ -46,17 +47,17 @@ def is_acceptable(H: OSequence, d: int, j: int) -> bool:
     """Is H the Hilbert function of an ancestor algebra of some V in Grass(d, R_j)?
 
     Decided by the partition round trip: 1 <= d <= j+1, H is not the zero-ideal
-    sequence, and its (P, Q, c) pass `_refusal`, have |P| = d and rebuild H."""
+    sequence, H_j = j+1-d (that is, |P| = d), and its (P, Q, c) pass `_refusal` and rebuild H."""
     return _acceptable_pq(H, d, j) is not None
 
 
-def _acceptable_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition] | None:
-    """H's (P, Q) if it `is_acceptable`, else None."""
-    if not 1 <= d <= j + 1 or H.is_zero_ideal:
+def _acceptable_pq(H: OSequence, d: int, j: int, tie=operator.eq) -> tuple[Partition, Partition] | None:
+    """H's (P, Q) if it `is_acceptable`, else None; `tie` goes to `_refusal`, to admit noses or tails."""
+    if not 1 <= d <= j + 1 or H.is_zero_ideal or H.value(j) != j + 1 - d:  # |P| = j+1-H_j
         return None
     P, Q = _pq(H, j)
     c = H.constant
-    ok = sum(P) == d and _refusal(P, Q, j, c) is None and _from_pq(P, Q, j, c) == H
+    ok = _refusal(P, Q, j, c, tie) is None and _from_pq(P, Q, j, c) == H
     return (P, Q) if ok else None
 
 
@@ -82,17 +83,16 @@ def _pq(H: OSequence, j: int) -> tuple[Partition, Partition]:
     return P, Q
 
 
-def _refusal(P: Partition, Q: Partition, j: int, c: int) -> str | None:
+def _refusal(P: Partition, Q: Partition, j: int, c: int, tie=operator.eq) -> str | None:
     """The message of the first condition of `hilbert_from_partitions` that
-    (P, Q, c) fails, or None."""
+    (P, Q, c) fails, or None.  The τ coupling holds when tie(Q's largest part
+    or 0, τ - 1): `=` for H, relaxed to `>=` for a nose and `<=` for a tail."""
     if not P or any(x <= 0 for x in P + tuple(Q)) or c < 0:
         return "bad partition data"
     if any(p[k] < p[k + 1] for p in (P, Q) for k in range(len(p) - 1)):
         return "partition parts must be weakly decreasing"
-    if Q and Q[0] != P[0] - 1:
-        return "largest part of Q must be τ-1"
-    if not Q and P[0] != 1:
-        return "Q may be empty only when τ = 1"
+    if not tie(Q[0] if Q else 0, P[0] - 1):
+        return "largest part of Q must be τ-1" if Q else "Q may be empty only when τ = 1"
     if len(P) > j + 1:
         return "P has more than j+1 parts"
     if j + 1 - sum(P) - sum(Q) != c:
@@ -176,26 +176,16 @@ def nose_tail(H: OSequence, j: int) -> tuple[OSequence, OSequence]:
 
 
 def is_permissible_nose(N: OSequence, d: int, j: int) -> bool:
-    if N.constant != 0 or N.value(j) != j + 1 - d:
-        return False
-    if any(N.value(i) != 0 for i in range(j + 1, N.stabilization() + 1)):
-        return False
-    if any(not 0 <= N.value(i) <= i + 1 for i in range(j + 1)):
-        return False
-    E = [N.e(i) for i in range(j + 1)]
-    if any(E[i] > E[i + 1] for i in range(j)):
-        return False
-    return E[j] <= j + 1 - d
+    """N = H(LA(V)), V in Grass(d, R_j): zero past j, Q = (j+1-d) >= τ - 1 (Q = () when d = j+1)."""
+    if d == 0:  # the zero space's nose 1, 2, …, j+1 (0): τ = 0 has no partitions
+        return N.constant == 0 and N.prefix == tuple(range(1, j + 2))
+    return N.constant == 0 and N.stabilization() <= j + 1 and _acceptable_pq(N, d, j, operator.ge) is not None
 
 
 def is_permissible_tail(T: OSequence, d: int, j: int) -> bool:
-    if T.constant is None or T.value(j) != j + 1 - d:
-        return False
-    if any(T.value(i) != i + 1 for i in range(j)):
-        return False
-    top = max(T.stabilization(), j) + 1
-    E = [T.e(i) for i in range(top + 2)]
-    return all(E[i] >= E[i + 1] for i in range(j, top + 1))
+    """T = H(R/(V)), V in Grass(d, R_j): full below j, P = (d), Q's largest part <= τ - 1."""
+    pq = _acceptable_pq(T, d, j, operator.le)
+    return pq is not None and len(pq[0]) == 1
 
 
 # ── dimension and codimension formulas ───────────────────────────────────────

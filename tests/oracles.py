@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -488,6 +489,34 @@ def oracle_is_acceptable(H: OSequence, d: int, j: int) -> bool:
     return 0 <= E[j] <= min(j + 1 - d, d - 1)
 
 
+def oracle_permissible_nose(N: OSequence, d: int, j: int) -> bool:
+    """A nose as inequalities on the difference sequence: N_j = j+1-d, zero
+    past j, 0 <= N_i <= i+1, E weakly increasing up to j and E_j <= j+1-d.
+    The library reads the same question off the partition round trip."""
+    if N.constant != 0 or N.value(j) != j + 1 - d:
+        return False
+    if any(N.value(i) != 0 for i in range(j + 1, N.stabilization() + 1)):
+        return False
+    if any(not 0 <= N.value(i) <= i + 1 for i in range(j + 1)):
+        return False
+    E = [N.e(i) for i in range(j + 1)]
+    if any(E[i] > E[i + 1] for i in range(j)):
+        return False
+    return E[j] <= j + 1 - d
+
+
+def oracle_permissible_tail(T: OSequence, d: int, j: int) -> bool:
+    """A tail as inequalities on the difference sequence: T_i = i+1 below j,
+    T_j = j+1-d, and E weakly decreasing from j on."""
+    if T.constant is None or T.value(j) != j + 1 - d:
+        return False
+    if any(T.value(i) != i + 1 for i in range(j)):
+        return False
+    top = max(T.stabilization(), j) + 1
+    E = [T.e(i) for i in range(top + 2)]
+    return all(E[i] >= E[i + 1] for i in range(j, top + 1))
+
+
 def oracle_ell(p: tuple[int, ...]) -> int:
     """ℓ(p) pair by pair: Σ over u ≤ v of (p_u - p_v - 1)^+."""
     return sum(
@@ -565,10 +594,12 @@ def count_partitions_largest(n: int, k: int) -> int:
 def census(d: int, j: int, q: int) -> dict:
     """|Z_H(F_q)| for every H reached, by counting every V in Grass(d, R_j)(F_q):
     one V per RREF d x (j+1) matrix (pivot columns, then every free entry),
-    classified by H(R/Anc V).  Returns {H: (points, monomial points)}; a
-    monomial point is a V with no nonzero free entry, a span of monomials."""
+    classified by H(R/Anc V).  Returns {H: (points, monomial points, {r: points})};
+    a monomial point is a V with no nonzero free entry, a span of monomials, and
+    r is the number of `related_classes` of V."""
     from binforms.fields import GF
     from binforms.ideals import ancestor_ideal, hilbert_function
+    from binforms.related import related_classes
     from binforms.spaces import span
 
     F, out = GF(q), {}
@@ -578,10 +609,12 @@ def census(d: int, j: int, q: int) -> dict:
             rows = [[int(c == a) for c in range(j + 1)] for a in pivots]
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            H = hilbert_function(ancestor_ideal(span(F, j, rows)))
-            points, monomial = out.get(H, (0, 0))
-            out[H] = (points + 1, monomial + (not any(values)))
-    return out
+            V = span(F, j, rows)
+            entry = out.setdefault(hilbert_function(ancestor_ideal(V)), [0, 0, Counter()])
+            entry[0] += 1
+            entry[1] += not any(values)
+            entry[2][len(related_classes(V))] += 1
+    return {H: (points, monomial, dict(sorted(by_r.items()))) for H, (points, monomial, by_r) in out.items()}
 
 
 def oracle_down_dim(space, k: int) -> int:
@@ -747,16 +780,14 @@ def oracle_extend_inside(base, cap, target_dim: int):
 def oracle_check_nose_pair(Nprime: OSequence, N: OSequence) -> tuple[int, int]:
     """The nose pair check that infers (d, j) from each sequence, target first,
     and compares them (`closure._check_nose_pair` reads them off the target and
-    tests the source at them)."""
-    from binforms.hilbert import is_permissible_nose
-
+    tests the source at them), each through `oracle_permissible_nose`."""
     params = []
     for S in (N, Nprime):
         if S.is_zero_ideal or S.constant != 0 or not S.prefix:
             raise PreconditionError("not a level-type sequence", N=str(S))
         j = len(S.prefix) - 1
         d = j + 1 - S.value(j)
-        if not is_permissible_nose(S, d, j):
+        if not oracle_permissible_nose(S, d, j):
             raise PreconditionError("sequence is not a permissible nose", N=str(S))
         params.append((d, j))
     d, j = params[0]
@@ -769,16 +800,14 @@ def oracle_check_nose_pair(Nprime: OSequence, N: OSequence) -> tuple[int, int]:
 
 def oracle_check_tail_pair(Tprime: OSequence, T: OSequence) -> tuple[int, int, int]:
     """The tail pair check that infers (d, j) from each sequence, as
-    `oracle_check_nose_pair` does, and the walk's top."""
-    from binforms.hilbert import is_permissible_tail
-
+    `oracle_check_nose_pair` does, through `oracle_permissible_tail`, and the walk's top."""
     params = []
     for S in (T, Tprime):
         if S.is_zero_ideal:
             raise PreconditionError("not a tail sequence", T=str(S))
         j = S.order()
         d = j + 1 - S.value(j)
-        if not is_permissible_tail(S, d, j):
+        if not oracle_permissible_tail(S, d, j):
             raise PreconditionError("sequence is not a permissible tail", T=str(S))
         params.append((d, j))
     d, j = params[0]

@@ -13,6 +13,7 @@ from binforms.forms import form
 from binforms.hilbert import (
     Cmp,
     enumerate_acceptable,
+    is_permissible_nose,
     le_partial,
     nose_tail,
     realize_staircase,
@@ -24,6 +25,7 @@ from binforms.ideals import (
     ancestor_ideal,
     graded_ideal,
     hilbert_function,
+    level_ideal,
 )
 from binforms.osequence import oseq
 from binforms.spaces import principal_space, random_space, space_sum, span, zero_space
@@ -198,6 +200,15 @@ def test_constant_drop_needs_split_factor():
     source5 = ancestor_ideal(principal_space(f_5, 4))
     tr = build_h(source5, target, 4)
     assert hilbert_function(tr.final_ideal) == target
+
+
+def test_the_zero_space_nose_is_permissible_and_built_in_no_steps():
+    # H(LA(0)) = 1, 2, …, j+1 (0) at d = 0 has no (P, Q); the nose check admits it by name
+    for j in range(7):
+        N = oseq(range(1, j + 2), 0)
+        assert is_permissible_nose(N, 0, j)
+        for F in (GF(101), QQ):
+            assert build_n(level_ideal(zero_space(F, j)), N).steps == ()
 
 
 def test_build_n_and_t_directly():

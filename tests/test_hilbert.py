@@ -56,6 +56,8 @@ from oracles import (
     oracle_h_tau,
     oracle_hasse_edges,
     oracle_is_acceptable,
+    oracle_permissible_nose,
+    oracle_permissible_tail,
     partitions_of,
 )
 
@@ -410,6 +412,30 @@ def test_permissible_means_the_nose_or_tail_of_an_acceptable_sequence():
                     for constant in range(j + 2):
                         T = oseq([*range(1, j + 1), j + 1 - d, *past], constant)
                         assert is_permissible_tail(T, d, j) == (T in tails), (d, j, str(T))
+
+
+def test_permissibility_matches_the_difference_sequence_oracles():
+    # every sequence with a prefix of length <= 5 over 0 .. 5 and a constant in
+    # {0, 1, 2, 3, None}, at each 0 <= j <= 5 with d = j+1-S_j (the d that S's
+    # value at j names), one below it, and 0 (the zero space)
+    seqs = {
+        oseq(prefix, c)
+        for k in range(6)
+        for prefix in itertools.product(range(6), repeat=k)
+        for c in (0, 1, 2, 3, None)
+    }
+    assert len(seqs) == 38880
+    start = time.perf_counter()
+    mismatches = [
+        (str(S), d, j)
+        for S in seqs
+        for j in range(6)
+        for d in {j + 1 - S.value(j), j - S.value(j), 0}
+        if is_permissible_nose(S, d, j) != oracle_permissible_nose(S, d, j)
+        or is_permissible_tail(S, d, j) != oracle_permissible_tail(S, d, j)
+    ]
+    assert mismatches == []
+    assert time.perf_counter() - start < 3.0
 
 
 def test_le_partial_examples():
