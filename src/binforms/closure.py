@@ -10,6 +10,16 @@ from the lowest disagreement upward.  When the eventual constant has to
 drop, the common factor loses one linear factor per move, so those moves
 need the factor to split over the base field.  Both walks edit one component
 list in place; each public call checks its pair once and assembles one ideal.
+
+The assembled ideal is not validated again; each of its facts is certified
+where it is made.  `le_partial` (or a public call's pair check) certifies both
+endpoints; `_step_n`/`_step_t` certify each step's sequence, and the walks'
+scans each step's component dimensions and tail degree, so H is right.
+`_extend_inside`'s rank profile certifies that each edited component holds
+its base and lies in its cap, so the list stays closed under R_1, the nose
+shrinks inside I' and the tail grows over it; a constant drop swaps the
+blocks above t for those of a divisor of the tail.  The source ideal was
+validated where it entered (`ideals.ideal_from_json`) or built closed.
 """
 
 from __future__ import annotations
@@ -26,15 +36,9 @@ from .hilbert import (
     le_partial,
     nose_tail,
 )
-from .ideals import GradedIdeal, _assemble_ideal, _with_unit_tail, graded_ideal, hilbert_function
+from .ideals import GradedIdeal, _assemble_ideal, _with_unit_tail, hilbert_function
 from .osequence import OSequence, oseq
-from .spaces import (
-    FormSpace,
-    contained,
-    principal_space,
-    shift,
-    zero_space,
-)
+from .spaces import FormSpace, principal_space, shift, zero_space
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,10 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     """An ideal I with H(R/I) = H and I_j = I'_j, for H' ≥ H in the order.
 
     Both walks edit one list I'_0 .. I'_top in place, the nose below j and the
-    tail above j; neither writes I'_j, and the list they leave is I's window."""
+    tail above j; neither writes I'_j, and the list they leave is I's window.
+    It is assembled unchecked: `le_partial` vouches for both endpoints, the
+    walks for each step's H, and `_extend_inside` for R_1-closure and for
+    I ⊆ I' below j and I' ⊆ I above it (see the module header)."""
     Hp = hilbert_function(Iprime)
     d = j + 1 - Hp.value(j)
     order = le_partial(Hp, H, d, j)  # both acceptable and H' >= H: so are the walks' pairs
@@ -278,13 +285,4 @@ def build_h(Iprime: GradedIdeal, H: OSequence, j: int) -> BuildTrace:
     comps = [Iprime.component(i) for i in range(top + 1)]
     nose_steps = _nose_steps(comps, Np, N, d, j)
     tail_steps, gcd = _tail_steps(comps, Iprime.tail_gcd, Tp, T, d, j)
-    ideal = graded_ideal(Iprime.field, 0, comps, gcd)
-    if hilbert_function(ideal) != H:
-        raise RuntimeError("glued ideal has the wrong Hilbert function")
-    for i in range(j + 1):
-        if not contained(ideal.component(i), Iprime.component(i)):
-            raise RuntimeError(f"inclusion fails below j at degree {i}")
-    for i in range(j, top + 2):
-        if not contained(Iprime.component(i), ideal.component(i)):
-            raise RuntimeError(f"inclusion fails above j at degree {i}")
-    return BuildTrace(nose_steps + tail_steps, ideal)
+    return BuildTrace(nose_steps + tail_steps, _assemble_ideal(Iprime.field, 0, comps, gcd))

@@ -21,11 +21,11 @@ The tail gcd is read off the stable top: there the component is a principal
 block f.R_s, which knows its f.
 
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
-R_1-closure, tail) runs in `ideal_from_json`, on `closure.build_h`'s final
-ideal and for direct callers.  Ideals closed under R_1 by construction (the
-ladders above, `ideal_from_generators`, the annihilator, the final ideals of
-`closure.build_n` and `build_t`) go through `_assemble_ideal`, which checks
-nothing; the closure walks themselves assemble no ideal.
+R_1-closure, tail) runs in `ideal_from_json` and for direct callers.  Ideals
+closed under R_1 by construction (the ladders above, `ideal_from_generators`,
+the annihilator, the final ideals of `closure.build_n`, `build_t` and
+`build_h`) go through `_assemble_ideal`, which checks nothing; the closure
+walks certify each edit as they make it and themselves assemble no ideal.
 """
 
 from __future__ import annotations

@@ -18,7 +18,16 @@ import sympy
 
 from binforms.errors import PreconditionError
 from binforms.fields import FieldSpec
-from binforms.forms import BinaryForm, divide_form, require_pairing_char
+from binforms.forms import (
+    BinaryForm,
+    add_form,
+    divide_form,
+    form,
+    linear_power,
+    mul_form,
+    require_pairing_char,
+    zero_form,
+)
 from binforms.linalg import Matrix, kernel, rref, row_basis
 from binforms.osequence import OSequence, oseq
 
@@ -89,10 +98,6 @@ def zassenhaus_intersect(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ----- sympy bridge for binary forms ----------------------------------------
-
-
-def _sym_domain(field: FieldSpec):
-    return sympy.QQ if field.p is None else sympy.GF(field.p)
 
 
 def coeffs_to_poly(coeffs, degree):
@@ -185,6 +190,35 @@ def divides(g: BinaryForm, f: BinaryForm) -> bool:
         return True
     except PreconditionError:
         return False
+
+
+# ----- the GL_2 action ---------------------------------------------------------
+
+
+def _substitute(f: BinaryForm, g) -> BinaryForm:
+    """f(a x + b y, c x + d y) for g = ((a, b), (c, d))."""
+    F, j = f.field, f.degree
+    (a, b), (c, d) = g
+    acc = zero_form(F, j)
+    for k, fk in enumerate(f.coeffs):
+        term = mul_form(linear_power(form(F, 1, [a, b]), j - k), linear_power(form(F, 1, [c, d]), k))
+        acc = add_form(acc, form(F, j, [fk * x for x in term.coeffs]))
+    return acc
+
+
+def random_gl2(field: FieldSpec, rng):
+    """A seeded g = ((a, b), (c, d)) with entries in -3..3, drawn until it is invertible over field."""
+    while True:
+        g = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+        if field.coerce(g[0][0] * g[1][1] - g[0][1] * g[1][0]):
+            return g
+
+
+def gl2_image(V, g):
+    """g.V: the span of f(a x + b y, c x + d y) over V's basis forms f."""
+    from binforms.spaces import span
+
+    return span(V.field, V.degree, [_substitute(f, g) for f in V.basis_forms()])
 
 
 # ----- apolarity and roots ---------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binforms import closure, linalg
+from binforms import closure, ideals, linalg
 from binforms.closure import BuildTrace, build_h, build_n, build_t, step_n, step_t
 from binforms.errors import PreconditionError
 from binforms.fields import GF, QQ
@@ -31,10 +31,12 @@ from binforms.osequence import oseq
 from binforms.spaces import principal_space, random_space, space_sum, span, zero_space
 
 from oracles import (
+    gl2_image,
     oracle_build_h,
     oracle_check_nose_pair,
     oracle_check_tail_pair,
     oracle_extend_inside,
+    random_gl2,
     walked_halves,
 )
 
@@ -265,19 +267,12 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
     _, source = realize_staircase(Hs, d, j, field)
     with walked_halves() as halves:
         tr = build_h(source, Ht, j)
-    ideal = tr.final_ideal
-    # build_n and build_t assemble their halves without graded_ideal's checks;
-    # each half build_h walks, like build_h's final ideal, passes them
+    # build_n, build_t and build_h assemble their ideals without graded_ideal's
+    # checks; each half build_h walks, like its final ideal, passes them
     assert len(halves) == 2
-    for I in [half for _, half in halves] + [ideal]:
+    for I in [half for _, half in halves]:
         assert graded_ideal(I.field, I.window_lo, I.components, I.tail_gcd) == I
-    assert hilbert_function(ideal) == Ht
-    assert ideal.component(j) == source.component(j)
-    top = max(hilbert_function(source).stabilization(), j) + 1
-    for i in range(j + 1):
-        assert _contained(ideal.component(i), source.component(i))
-    for i in range(j, top + 1):
-        assert _contained(source.component(i), ideal.component(i))
+    _assert_witness(source, tr.final_ideal, Ht, j)
     # recorded interpolants chain together inside each half
     noses = [r for r in tr.steps if r.degrees[1] <= j]
     tails = [r for r in tr.steps if r.degrees[0] > j]
@@ -286,6 +281,44 @@ def test_build_h_on_comparable_pairs(dj, p1, p2, field):
         assert a.after == b.before
     for a, b in zip(tails, tails[1:]):
         assert a.after == b.before
+
+
+def _assert_witness(source, ideal, H, j):
+    """A closure witness, checked from outside build_h: the ideal passes graded_ideal, has
+    Hilbert function H and the source's degree-j component, lies inside the source up to j
+    and holds it from j up (to one past the source's stabilization, where both are blocks)."""
+    assert graded_ideal(ideal.field, ideal.window_lo, ideal.components, ideal.tail_gcd) == ideal
+    assert hilbert_function(ideal) == H
+    assert ideal.component(j) == source.component(j)
+    top = max(hilbert_function(source).stabilization(), j) + 1
+    for i in range(j + 1):
+        assert _contained(ideal.component(i), source.component(i))
+    for i in range(j, top + 1):
+        assert _contained(source.component(i), ideal.component(i))
+
+
+_GL2_BUILDS = [(GF(101), range(1, 8)), (GF(7), (4, 6)), (QQ, (4, 5))]
+
+
+@pytest.mark.parametrize("field,js", _GL2_BUILDS, ids=[F.name for F, _ in _GL2_BUILDS])
+def test_build_h_on_gl2_images_of_staircases(field, js):
+    # a staircase source is monomial, and so is every cap its walks read: a walk that
+    # dropped its base could still pick an ideal.  The ancestor ideal of g.V, for the swap
+    # x <-> y and a seeded invertible g, is not monomial; every comparable target is built
+    for j in js:
+        for d in range(1, j + 1):
+            pool = enumerate_acceptable(d, j)
+            for Hs in pool:
+                targets = [Ht for Ht in pool if le_partial(Hs, Ht, d, j) is Cmp.GREATER]
+                if not targets:
+                    continue
+                V = realize_staircase(Hs, d, j, field)[0]
+                rng = random.Random(f"gl2-build|{field.name}|{Hs}")
+                for g in (((0, 1), (1, 0)), random_gl2(field, rng)):
+                    source = ancestor_ideal(gl2_image(V, g))
+                    assert hilbert_function(source) == Hs
+                    for Ht in targets:
+                        _assert_witness(source, build_h(source, Ht, j).final_ideal, Ht, j)
 
 
 def _changed(before, after, lo, hi):
@@ -324,7 +357,7 @@ def test_step_blocks_are_where_the_sequences_differ(field):
 def test_builds_check_their_pair_once(monkeypatch):
     # each public step and build checks its pair on entry, and each step
     # trusts it and checks its output; build_h's le_partial vouches for both
-    # of its pairs, and the glued ideal is the one ideal it assembles
+    # of its pairs, and the glued ideal is the one ideal it assembles, unvalidated
     calls = []
     for name in ("_check_nose_pair", "_check_tail_pair"):
         real = getattr(closure, name)
@@ -339,9 +372,9 @@ def test_builds_check_their_pair_once(monkeypatch):
     assert step_t(oseq([1, 2, 3, 4, 2, 1, 0], 0), oseq([1, 2, 3, 4, 2], 0)) == oseq([1, 2, 3, 4, 2], 0)
     assert calls == ["_check_tail_pair"]
     made, glued = [], []
-    real_init, real_glue = GradedIdeal.__init__, closure.graded_ideal
+    real_init, real_glue = GradedIdeal.__init__, ideals.graded_ideal
     monkeypatch.setattr(GradedIdeal, "__init__", lambda I, *a: made.append(I) or real_init(I, *a))
-    monkeypatch.setattr(closure, "graded_ideal", lambda *a: glued.append(a) or real_glue(*a))
+    monkeypatch.setattr(ideals, "graded_ideal", lambda *a: glued.append(a) or real_glue(*a))
     F = GF(101)
     for Hs, Ht, j in [
         (oseq([1, 2, 3, 3, 2, 1], 0), oseq([1, 2, 3, 4, 2], 0), 4),
@@ -352,7 +385,7 @@ def test_builds_check_their_pair_once(monkeypatch):
         del calls[:], made[:], glued[:]
         tr = build_h(source, Ht, j)
         assert hilbert_function(tr.final_ideal) == Ht and len(tr.steps) >= 2
-        assert calls == [] and len(glued) == 1
+        assert calls == [] and glued == []
         assert len(made) == 1 and made[0] is tr.final_ideal
         # the public builds on the half-ideals check their pairs once each
         N, T = nose_tail(Ht, j)

@@ -71,10 +71,10 @@ def _callers(name: str) -> set[tuple[str, str]]:
 
 def test_an_ideal_is_validated_where_it_enters():
     """Only `ideals` builds a GradedIdeal itself, and the validating `graded_ideal` runs on the
-    two ideals that enter from outside the constructions: a JSON ideal and `build_h`'s glued one.
-    Every other ideal is closed under R_1 by construction and goes through `_assemble_ideal`."""
+    one ideal that enters from outside the constructions: a JSON ideal.  Every other ideal,
+    `build_h`'s glued one too, is closed under R_1 by construction and goes through `_assemble_ideal`."""
     assert {module for module, _ in _callers("GradedIdeal")} == {"ideals"}
-    assert _callers("graded_ideal") == {("ideals", "ideal_from_json"), ("closure", "build_h")}
+    assert _callers("graded_ideal") == {("ideals", "ideal_from_json")}
 
 
 def test_only_oseq_builds_an_osequence():

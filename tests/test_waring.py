@@ -52,6 +52,7 @@ from binforms.waring import (
     tau_delta,
 )
 from oracles import (
+    gl2_image,
     oracle_ann_component,
     oracle_gad,
     oracle_gad_cofactors,
@@ -59,6 +60,7 @@ from oracles import (
     oracle_mu,
     oracle_q_roots,
     oracle_tau_delta,
+    random_gl2,
 )
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -798,21 +800,6 @@ def test_ann_component_below_j_reads_the_ranked_catalecticant(field, j):
 # ── coordinate-free invariants under GL_2 (a spot check) ─────────────────────
 
 
-def _substitute(f, g):
-    """f(a x + b y, c x + d y) for g = ((a, b), (c, d))."""
-    F, j = f.field, f.degree
-    (a, b), (c, d) = g
-    acc = zero_form(F, j)
-    for k, fk in enumerate(f.coeffs):
-        term = mul_form(linear_power(form(F, 1, [a, b]), j - k), linear_power(form(F, 1, [c, d]), k))
-        acc = add_form(acc, form(F, j, [fk * x for x in term.coeffs]))
-    return acc
-
-
-def _gl2_image(V, g):
-    return span(V.field, V.degree, [_substitute(f, g) for f in V.basis_forms()])
-
-
 _GL2_CASES = [(GF(7), j) for j in (2, 4, 6)] + [(GF(101), j) for j in (5, 8, 10)] + [(QQ, j) for j in (4, 7, 10)]
 
 
@@ -829,13 +816,10 @@ def test_apolar_invariants_are_gl2_invariant(field, j):
                for c in (1, 2) for m in range(1, j // 2 + 1) for seed in range(2)]
     split = 0
     for V in spaces:
-        while True:
-            g = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-            if field.coerce(g[0][0] * g[1][1] - g[0][1] * g[1][0]):
-                break
+        g = random_gl2(field, rng)
         W = perp(V)
         for h in (((0, 1), (1, 0)), g):
-            W2 = perp(_gl2_image(V, h))
+            W2 = perp(gl2_image(V, h))
             assert (mu(W2), tau_delta(W2)) == (mu(W), tau_delta(W)), (V, h)
             assert W2._initial[1].dim == W._initial[1].dim, (V, h)
             if W._initial[1].dim == 1:
