@@ -175,15 +175,15 @@ def _extend_inside(base: FormSpace, cap: FormSpace, target_dim: int) -> FormSpac
     the cap forms the greedy loop adjoins, dim cap of them iff base lies in
     cap.  A second one reduces the choice."""
     F, rows = cap.field, base.mat.ints + cap.mat.ints  # scaling a row moves no pivot and no span
-    _, _, pivots = linalg.rref(linalg.from_ints(F, tuple(zip(*rows)), len(rows)))
-    if len(pivots) != cap.dim:
+    profile = linalg.pivots(linalg.rref(linalg.from_ints(F, tuple(zip(*rows)), len(rows))))
+    if len(profile) != cap.dim:
         raise RuntimeError("subspace choice: base escapes its cap")
     if not base.dim <= target_dim <= cap.dim:
         raise RuntimeError(
             f"subspace choice impossible: {base.dim} <= {target_dim} <= {cap.dim}"
         )
-    chosen = linalg.from_ints(F, tuple(rows[c] for c in pivots[:target_dim]), cap.degree + 1)
-    return FormSpace(F, cap.degree, linalg.row_basis(chosen))
+    chosen = linalg.from_ints(F, tuple(rows[c] for c in profile[:target_dim]), cap.degree + 1)
+    return FormSpace(F, cap.degree, linalg.rref(chosen))
 
 
 # ── ideal constructions ───────────────────────────────────────────────────────

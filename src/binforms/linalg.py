@@ -11,9 +11,9 @@ rows (`from_ints`): nothing here converts them, since values are made
 canonical once, where they enter the system (`forms.form`, `spaces.span`,
 the JSON readers).
 
-`rref` is the one entry point: `row_basis`, `rank` (which `waring` and `verify` call),
-`rref_reversed` (which `kernel` and `spaces` call) and `closure._extend_inside` reach it
-through this module's global, never by name, so rebinding `linalg.rref` sees every
+`rref` is the one entry point, and it returns the basis it found: a rank is its `nrows`, its
+pivots `pivots`.  `rref_reversed` (which `kernel` and `spaces` call) and the other modules
+reach it through this module's global, never by name, so rebinding `linalg.rref` sees every
 elimination; `kernel_from`, `contains_vector` and `hankel` (the one builder of stacked Hankel
 windows: residue rows and catalecticants) eliminate nothing.  Once per call, it picks a
 Gauss-Jordan kernel by field:
@@ -33,9 +33,9 @@ Gauss-Jordan kernel by field:
   primitive, so its entries never exceed that input's Hadamard bound prod_i
   max(1, |row_i|_2) (Bareiss, Math. Comp. 22, 1968, does so by exact division).
 
-Both kernels give the same canonical RREF, with Fraction entries over Q
-and residues in [0, p) over F_p.  Sizes here stay small (the up-ladder of a
-degree-j space climbs to about degree 2j: 79 for j = 40), so dense
+Both kernels give the same canonical RREF, its pivot rows only, with Fraction
+entries over Q and residues in [0, p) over F_p.  Sizes here stay small (the
+up-ladder of a degree-j space climbs to about degree 2j: 79 for j = 40), so dense
 elimination is the right tool; exact arithmetic needs no pivoting heuristics.
 """
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -120,16 +121,19 @@ def hankel(field: FieldSpec, rows: Sequence[tuple[int, ...]], width: int) -> Mat
     return from_ints(field, tuple(z[r : r + width] for r in range(n - width + 1) for z in rows), width)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank, pivot columns.
+def rref(m: Matrix) -> Matrix:
+    """The canonical basis of m's row space: its reduced row echelon form, with no zero row.
 
-    Shape is preserved: zero rows sink to the bottom.  Leading entries are
-    1 and pivot columns are cleared, so the result is the canonical form
-    of the row space (padded with zero rows).
+    Leading entries are 1 and pivot columns are cleared, so two matrices
+    have one row space iff their `rref`s are equal.
     """
     p = m.field.p
-    rows, pivots = _rref_fp(m.ints, m.ncols, p) if p else _rref_q(m.ints, m.ncols)
-    return from_ints(m.field, rows, m.ncols), len(pivots), pivots
+    return from_ints(m.field, _rref_fp(m.ints, m.ncols, p) if p else _rref_q(m.ints, m.ncols), m.ncols)
+
+
+def pivots(m: Matrix) -> tuple[int, ...]:
+    """The pivot columns of an RREF basis: where its rows lead."""
+    return tuple(next(compress(count(), r)) for r in m.ints)
 
 
 def _pivot_walk(rows: list[list], ncols: int):
@@ -154,7 +158,7 @@ def _pivot_walk(rows: list[list], ncols: int):
 def _rref_fp(rows_in, ncols: int, p: int):
     """Gauss-Jordan on int rows with residues in [0, p), updated in place over each pivot row's support."""
     rows = [list(r) for r in rows_in]
-    pivots = []
+    rank = 0
     for r, c in _pivot_walk(rows, ncols):
         prow = rows[r]
         a = prow[c]
@@ -172,14 +176,14 @@ def _rref_fp(rows_in, ncols: int, p: int):
                 row[c] = 0
                 for k in nz:
                     row[k] = (row[k] - f * prow[k]) % p
-        pivots.append(c)
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+        rank = r + 1
+    return tuple(map(tuple, rows[:rank]))
 
 
 def _rref_q(rows_in, ncols: int):
     """Fraction-free Gauss-Jordan on integer rows: primitive rows out, pivot entries positive."""
     rows = [list(r) for r in rows_in]
-    pivots = []
+    rank = 0
     for r, c in _pivot_walk(rows, ncols):
         prow = rows[r]
         g = gcd(*prow) if prow[c] > 0 else -gcd(*prow)
@@ -201,8 +205,8 @@ def _rref_q(rows_in, ncols: int):
             for k in nz:
                 new[k] -= fg * prow[k]
             rows[i] = _primitive(new)
-        pivots.append(c)
-    return tuple(map(tuple, rows)), tuple(pivots)
+        rank = r + 1
+    return tuple(map(tuple, rows[:rank]))
 
 
 def _integer_row(row) -> list[int]:
@@ -221,48 +225,36 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def row_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the row space: RREF with zero rows dropped."""
-    red, rank, _ = rref(m)
-    return from_ints(m.field, red.ints[:rank], m.ncols)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
-
-
 def kernel(m: Matrix) -> Matrix:
     """Canonical basis (as rows) of {x : m . x = 0}, from one elimination."""
     return kernel_from(rref_reversed(m))
 
 
-def rref_reversed(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """`rref` of m with its columns reversed: m's rank, and its kernel by `kernel_from`."""
+def rref_reversed(m: Matrix) -> Matrix:
+    """`rref` of m with its columns reversed: m's rank is its `nrows`, m's kernel its `kernel_from`."""
     return rref(from_ints(m.field, tuple(r[::-1] for r in m.ints), m.ncols))
 
 
-def kernel_from(reduced: tuple[Matrix, int, tuple[int, ...]]) -> Matrix:
+def kernel_from(red: Matrix) -> Matrix:
     """kernel(m) read off `rref_reversed(m)`: the `integral_dual` vectors of that RREF (lead at a
     free column, other entries at pivots left of it), reversed back and listed last first."""
-    red, _, pivots = reduced
-    dual = integral_dual(red, pivots)  # red's zero rows lie below its pivot rows: none is read
-    return from_ints(red.field, tuple(z[::-1] for z in reversed(dual)), red.ncols)
+    return from_ints(red.field, tuple(z[::-1] for z in reversed(integral_dual(red))), red.ncols)
 
 
-def integral_dual(m: Matrix, pivots: Sequence[int] | None = None) -> tuple:
-    """A basis of kernel(m) for an RREF basis m (its pivots given or found), read off `m.ints`: for
-    each free column f, e_f minus column f at the pivots, over Q times the lcm of the pivot entries
-    left of f, made primitive.  Its dot with w is (over Q a multiple of) entry f of w's normal form."""
+def integral_dual(m: Matrix) -> tuple:
+    """A basis of kernel(m) for an RREF basis m, read off `m.ints`: for each free column f, e_f
+    minus column f at the pivots, over Q times the lcm of the pivot entries left of f, made
+    primitive.  Its dot with w is (over Q a multiple of) entry f of w's normal form."""
     p, rows, n = m.field.p, m.ints, m.ncols
-    pivots = [next(c for c, x in enumerate(r) if x) for r in rows] if pivots is None else pivots
-    leads = [r[c] for r, c in zip(rows, pivots)]
+    cols = pivots(m)
+    leads = [r[c] for r, c in zip(rows, cols)]
     out = []
-    for f in sorted(set(range(n)).difference(pivots)):
-        k = bisect(pivots, f)
+    for f in sorted(set(range(n)).difference(cols)):
+        k = bisect(cols, f)
         v = [0] * n
         v[f] = den = 1 if p else lcm(*leads[:k])
         for i in range(k):
-            v[pivots[i]] = -rows[i][f] % p if p else -rows[i][f] * (den // leads[i])
+            v[cols[i]] = -rows[i][f] % p if p else -rows[i][f] * (den // leads[i])
         out.append(tuple(v) if p else tuple(_primitive(v)))
     return tuple(out)
 

@@ -28,9 +28,9 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   the block (gcd V).R_s.
 * Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each vector z of V's `_dual`, a basis of V^perp,
   gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those 2 cod V Hankel windows,
-  written on first read.  V keeps their reversed RREF, which pins R_1V too.  A down-rung is the
-  kernel of such an RREF, whose rows span its V^perp and are its `_dual`: no rung's rows are
-  written on the way down, nor by a membership test.
+  written on first read.  V keeps their reversed RREF basis, whose rank pins R_1V too.  A
+  down-rung is the kernel of such a basis, whose rows span its V^perp and are its `_dual`: no
+  rung's rows are written on the way down, nor by a membership test.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
 
+from . import linalg
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic
@@ -53,7 +54,6 @@ from .linalg import (
     integral_dual,
     kernel_from,
     lazy_matrix,
-    row_basis,
     rref_reversed,
     zero_matrix,
 )
@@ -110,11 +110,12 @@ class FormSpace:
         """A basis of V^perp (w is in V iff its dot with each row is 0): V's `integral_dual`, or for a
         down-rung the reduced rows it is the kernel of, turned back, so that none of its rows is written."""
         red = self.__dict__.get("_kernel_of")
-        return integral_dual(self.mat) if red is None else tuple(r[::-1] for r in red[0].ints[:red[1]])
+        return integral_dual(self.mat) if red is None else tuple(r[::-1] for r in red.ints)
 
     @cached_property
-    def _residues(self) -> tuple:
-        """`rref_reversed` of the 2 cod V width-j windows z[:j] (x.z), z[1:] (y.z) of V's `_dual`: they kill R_{-1}V."""
+    def _residues(self) -> Matrix:
+        """The `rref_reversed` basis of the 2 cod V width-j windows z[:j] (x.z), z[1:] (y.z) of V's `_dual`:
+        their kernel, its `kernel_from`, is R_{-1}V, so its `nrows` is j - dim R_{-1}V."""
         return rref_reversed(hankel(self.field, self._dual, self.degree))
 
     @cached_property
@@ -180,7 +181,7 @@ def span(field: FieldSpec, degree: int, forms) -> FormSpace:
         if len(row) != degree + 1:
             raise PreconditionError("spanning row of wrong length", degree=degree, length=len(row))
         rows.append(row)
-    return FormSpace(field, degree, row_basis(Matrix(field, tuple(rows), degree + 1)))
+    return FormSpace(field, degree, linalg.rref(Matrix(field, tuple(rows), degree + 1)))
 
 
 def zero_space(field: FieldSpec, degree: int) -> FormSpace:
@@ -194,7 +195,7 @@ def full_space(field: FieldSpec, degree: int) -> FormSpace:
 def space_sum(a: FormSpace, b: FormSpace) -> FormSpace:
     if a.degree != b.degree or a.field != b.field:
         raise PreconditionError("sum of spaces in different degrees or fields")
-    return FormSpace(a.field, a.degree, row_basis(from_ints(a.field, a.mat.ints + b.mat.ints, a.degree + 1)))
+    return FormSpace(a.field, a.degree, linalg.rref(from_ints(a.field, a.mat.ints + b.mat.ints, a.degree + 1)))
 
 
 def contained(inner: FormSpace, outer: FormSpace) -> bool:
@@ -222,7 +223,7 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
 def _ladder_step(F: FieldSpec, rung: Matrix, base, k: int) -> Matrix:
     """The basis of x.R_{k-1}B + y^k.B from R_{k-1}B's matrix and B's `ints`: x.f appends a 0."""
     rows = tuple(r + (0,) for r in rung.ints) + tuple((0,) * k + b for b in base)
-    return row_basis(from_ints(F, rows, rung.ncols + 1))
+    return linalg.rref(from_ints(F, rows, rung.ncols + 1))
 
 
 def _shift_up_once(V: FormSpace) -> FormSpace:
@@ -247,14 +248,14 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
     if V.is_zero or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
     reduced = V._residues
-    down = FormSpace(F, j - 1, lazy_matrix(F, j - reduced[1], j, lambda: kernel_from(reduced)))
+    down = FormSpace(F, j - 1, lazy_matrix(F, j - reduced.nrows, j, lambda: kernel_from(reduced)))
     down.__dict__["_kernel_of"] = reduced  # rows, never a space
     return down
 
 
 def _fills_next(V: FormSpace) -> bool:
     """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2): V's residue rows are independent."""
-    return V._residues[1] == 2 * V.cod
+    return V._residues.nrows == 2 * V.cod
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
@@ -368,7 +369,7 @@ def random_space(d: int, j: int, field: FieldSpec, seed) -> FormSpace:
     rng = random.Random(f"formspace|{seed}|{d}|{j}|{field.name}")
     while True:
         rows = tuple(tuple(field.random_scalar(rng) for _ in range(j + 1)) for _ in range(d))
-        m = row_basis(Matrix(field, rows, j + 1))
+        m = linalg.rref(Matrix(field, rows, j + 1))
         if m.nrows == d:
             return FormSpace(field, j, m)
 

@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+from . import linalg
 from .closure import build_h, step_n
 from .errors import PreconditionError
 from .fields import GF, QQ
@@ -48,7 +49,6 @@ from .ideals import (
     relation_degrees,
     same_ideal,
 )
-from .linalg import hankel, rank
 from .osequence import oseq
 from .related import apply_chain, berman_check, normalize_chain, related_classes
 from .spaces import (
@@ -491,7 +491,8 @@ def criterion_9(max_j: int = 10) -> CriterionResult:
                 tau_delta(W) == t,
                 f"realized class (d={d},j={j},tau={t}): tau_delta = {tau_delta(W)}",
             )
-            m = next(i for i in range(j + 2) if rank(hankel(F101, W._weighted, i + 1)) <= i)  # upward scan
+            ranks = (linalg.rref(linalg.hankel(F101, W._weighted, i + 1)).nrows for i in range(j + 2))
+            m = next(i for i, r in enumerate(ranks) if r <= i)  # upward scan
             run.check(
                 m == mu_generic(t, d, j),
                 f"realized class (d={d},j={j},tau={t}): mu = {m} != {mu_generic(t, d, j)}",

@@ -24,6 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
+from . import linalg
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import (
@@ -39,7 +40,7 @@ from .forms import (
 )
 from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
-from .linalg import Matrix, hankel, kernel, rank
+from .linalg import Matrix, hankel, kernel
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
@@ -90,7 +91,7 @@ class DualSpace:
         y.w iff f.w = 0), so its dimension is the rank of that catalecticant.
         The zero space gets 1 (no rows); at j = 0 the degree -1 catalecticant
         has no columns, so the answer is 1 - dim W."""
-        return 1 + rank(hankel(self.field, self._weighted, self.degree)) - self.dim
+        return 1 + linalg.rref(hankel(self.field, self._weighted, self.degree)).nrows - self.dim
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:

@@ -28,7 +28,7 @@ from binforms.forms import (
     require_pairing_char,
     zero_form,
 )
-from binforms.linalg import Matrix, kernel, rref, row_basis
+from binforms.linalg import Matrix, kernel, rref
 from binforms.osequence import OSequence, oseq
 
 x, y = sympy.symbols("x y")
@@ -39,8 +39,9 @@ x, y = sympy.symbols("x y")
 
 def oracle_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Gauss-Jordan one scalar at a time, each result made canonical by
-    `coerce`, normalizing each pivot row before it clears its column.  Same
-    contract as `linalg.rref`, which runs one integer kernel per field kind."""
+    `coerce`, normalizing each pivot row before it clears its column: the RREF
+    padded with its zero rows, its rank and its pivot columns.  `linalg.rref`
+    returns its first `rank` rows alone, by one integer kernel per field kind."""
     F = m.field
     rows = [list(r) for r in m.rows]
     pivots: list[int] = []
@@ -68,7 +69,8 @@ def oracle_kernel(m: Matrix) -> Matrix:
     RREF of m in its own column order, then row-reduce them.  `linalg.kernel`
     eliminates once, on the column-reversed matrix."""
     F = m.field
-    red, _, pivots = rref(m)
+    red = rref(m)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in red.rows]
     basis = []
     for fc in (c for c in range(m.ncols) if c not in pivots):
         v = [F.zero] * m.ncols
@@ -76,7 +78,7 @@ def oracle_kernel(m: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             v[pc] = F.coerce(-red.rows[i][fc])
         basis.append(tuple(v))
-    return row_basis(Matrix(F, tuple(basis), m.ncols))
+    return rref(Matrix(F, tuple(basis), m.ncols))
 
 
 def oracle_intersect(a: Matrix, b: Matrix) -> Matrix:
@@ -92,9 +94,8 @@ def zassenhaus_intersect(a: Matrix, b: Matrix) -> Matrix:
     `oracle_intersect`, so the two routes check each other."""
     F, n = a.field, a.ncols
     block = [r + r for r in a.rows] + [r + (F.zero,) * n for r in b.rows]
-    red, rank_, _ = rref(Matrix(F, tuple(block), 2 * n))
-    keep = [r[n:] for r in red.rows[:rank_] if not any(r[:n])]
-    return row_basis(Matrix(F, tuple(keep), n))
+    keep = [r[n:] for r in rref(Matrix(F, tuple(block), 2 * n)).rows if not any(r[:n])]
+    return rref(Matrix(F, tuple(keep), n))
 
 
 # ----- sympy bridge for binary forms ----------------------------------------
@@ -181,7 +182,7 @@ def oracle_principal_space(f: BinaryForm, degree: int):
         return zero_space(F, degree)
     s, z = degree - f.degree, (F.zero,)
     rows = tuple(z * a + f.coeffs + z * (s - a) for a in range(s + 1))
-    return FormSpace(F, degree, row_basis(Matrix(F, rows, degree + 1)))
+    return FormSpace(F, degree, rref(Matrix(F, rows, degree + 1)))
 
 
 def divides(g: BinaryForm, f: BinaryForm) -> bool:
@@ -354,7 +355,7 @@ def oracle_gad_cofactors(W, linear_forms, weights):
     gens = [mul_form(monomial(F, b - 1 - t, t), P).coeffs
             for P, b in zip(powers, weights) for t in range(b)]
     m = len(gens)
-    if m and row_basis(Matrix(F, tuple(gens), j + 1)).nrows != m:
+    if m and rref(Matrix(F, tuple(gens), j + 1)).nrows != m:
         return None
     cofactors = []
     for w in W.basis_forms():
@@ -735,7 +736,7 @@ def brute_force_hilbert(space, max_degree):
                 m = monomial(F, i - j - a, a)
                 rows.append(mul_form(b, m).coeffs)
         mat = Matrix(F, tuple(rows), i + 1) if rows else Matrix(F, (), i + 1)
-        dims.append((i + 1) - row_basis(mat).nrows)
+        dims.append((i + 1) - rref(mat).nrows)
     return dims
 
 
@@ -920,7 +921,7 @@ def oracle_shift_up_once(m: Matrix) -> Matrix:
     for r in m.rows:
         rows.append((m.field.zero,) + r)  # y * v: y-exponent grows
         rows.append(r + (m.field.zero,))  # x * v
-    return row_basis(Matrix(m.field, tuple(rows), m.ncols + 1))
+    return rref(Matrix(m.field, tuple(rows), m.ncols + 1))
 
 
 def oracle_shift_down_once(m: Matrix) -> Matrix:

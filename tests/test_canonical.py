@@ -31,7 +31,7 @@ from binforms.ideals import (
     ideal_from_generators,
     level_ideal,
 )
-from binforms.linalg import row_basis
+from binforms.linalg import rref
 from binforms.osequence import oseq, parse_oseq
 from binforms.spaces import principal_space, random_space, shift, span
 from binforms.waring import DualSpace, _ann_component, mu, n_mu_tau, perp, tau_delta
@@ -40,7 +40,7 @@ FIELDS = [GF(2), GF(7), GF(101), QQ]
 
 
 def assert_canonical(V):
-    assert V.mat == row_basis(V.mat), (V.field.name, V.degree, V.mat.rows)
+    assert V.mat == rref(V.mat), (V.field.name, V.degree, V.mat.rows)
 
 
 def assert_normalized(H, upto=0):

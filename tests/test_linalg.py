@@ -15,8 +15,6 @@ from binforms.linalg import (
     hankel,
     integral_dual,
     kernel,
-    rank,
-    row_basis,
     rref,
     zero_matrix,
 )
@@ -24,6 +22,8 @@ from binforms.spaces import FormSpace, space_sum
 from oracles import oracle_intersect, oracle_kernel, oracle_rref, zassenhaus_intersect
 
 FIELDS = [QQ, GF(5), GF(101)]
+KERNEL_FIELDS = [GF(2), GF(3), GF(7), GF(101), GF(10007), GF(2**61 - 1), QQ]
+BIG = 2**128
 
 
 def matrix(field, rows, ncols=None):
@@ -40,35 +40,65 @@ def inside(space, vec):
 
 def row_space_sum(a, b):
     """The sum of two row spaces, by `spaces.space_sum` on the spaces they span."""
-    return space_sum(*(FormSpace(m.field, m.ncols - 1, row_basis(m)) for m in (a, b))).mat
+    return space_sum(*(FormSpace(m.field, m.ncols - 1, rref(m)) for m in (a, b))).mat
 
 
 def ident(field, n):
     return matrix(field, [[1 if i == k else 0 for k in range(n)] for i in range(n)])
 
 
+def assert_same_matrix(got, want):
+    assert got == want
+    p = got.field.p
+    for grow, wrow in zip(got.rows, want.rows, strict=True):
+        for g, w in zip(grow, wrow, strict=True):
+            assert type(g) is type(w)
+            assert p is None or 0 <= g < p
+
+
+def assert_oracle_basis(got, m):
+    """`got`, m's `rref`, is `oracle_rref(m)` without its zero rows: no row of it is zero, its
+    `nrows` and `pivots` are the oracle's rank and pivots, its rows the oracle's first `rank`
+    rows (entry types included, F_p residues in [0, p)), and it is its own `rref`."""
+    want, rk, piv = oracle_rref(m)
+    assert all(any(r) for r in got.rows)
+    assert (got.nrows, linalg.pivots(got)) == (rk, piv)
+    assert_same_matrix(got, Matrix(m.field, want.rows[:rk], m.ncols))
+    assert rref(got) == got
+
+
 def test_rref_identity():
-    m = ident(QQ, 2)
-    red, rk, piv = rref(m)
-    assert red == m and rk == 2 and piv == (0, 1)
+    for field in KERNEL_FIELDS:
+        m = ident(field, 2)
+        red = rref(m)
+        assert red == m and linalg.pivots(red) == (0, 1)
+        assert_oracle_basis(red, m)
 
 
 def test_rref_zero():
-    m = matrix(QQ, [[0, 0, 0]] * 3)
-    red, rk, piv = rref(m)
-    assert red == m and rk == 0 and piv == ()
+    """An all-zero or 0 x n matrix has the 0-row basis, of the same width."""
+    for field in KERNEL_FIELDS:
+        for m in (matrix(field, [[0, 0, 0]] * 3), _zeros(field, 0, 3)):
+            red = rref(m)
+            assert (red.rows, red.nrows, red.ncols, linalg.pivots(red)) == ((), 0, 3, ())
+            assert_oracle_basis(red, m)
 
 
 def test_rref_dependent_rows():
-    red, rk, piv = rref(matrix(QQ, [[1, 2], [2, 4]]))
-    assert red.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
-    assert rk == 1 and piv == (0,)
+    for field in KERNEL_FIELDS:
+        m = matrix(field, [[1, 2], [2, 4]])
+        red = rref(m)
+        assert red.rows == ((field.one, field.coerce(2)),) and linalg.pivots(red) == (0,)
+        assert_oracle_basis(red, m)
 
 
 def test_rref_mod_p():
-    # 2x = 1 has solution x = 3 in F_5
-    red, rk, _ = rref(matrix(GF(5), [[2, 1]]))
-    assert red.rows == ((1, 3),)
+    # 2x = 1 has solution x = 1/2 in F_p, p odd; over F_2 the row is (0, 1)
+    for field in (F for F in KERNEL_FIELDS if F.p):
+        m = matrix(field, [[2, 1]])
+        red = rref(m)
+        assert red.rows == (((1, pow(2, -1, field.p)) if field.p > 2 else (0, 1)),)
+        assert_oracle_basis(red, m)
 
 
 def test_sum_basis_vectors():
@@ -79,7 +109,7 @@ def test_sum_basis_vectors():
 
 def test_sum_idempotent():
     v = matrix(QQ, [[1, 2, 3], [0, 1, 1]])
-    assert row_space_sum(v, v) == row_basis(v)
+    assert row_space_sum(v, v) == rref(v)
 
 
 def test_sum_two_lines():
@@ -89,7 +119,7 @@ def test_sum_two_lines():
 
 
 def test_intersect_self():
-    v = row_basis(matrix(QQ, [[1, 2, 3], [0, 1, 1]]))
+    v = rref(matrix(QQ, [[1, 2, 3], [0, 1, 1]]))
     assert zassenhaus_intersect(v, v) == v
 
 
@@ -160,23 +190,13 @@ def mat_pairs(draw, max_dim=5):
     return one(), one()
 
 
-@given(mats())
-@settings(max_examples=150, deadline=None)
-def test_rref_idempotent(m):
-    red, rk, piv = rref(m)
-    again, rk2, piv2 = rref(red)
-    assert again == red and rk2 == rk and piv2 == piv
-    assert list(piv) == sorted(piv)
-    assert rk == sum(1 for r in red.rows if any(r))
-
-
 @given(mat_pairs())
 @settings(max_examples=150, deadline=None)
 def test_grassmann_identity(pair):
     a, b = pair
     s = row_space_sum(a, b)
     i = zassenhaus_intersect(a, b)
-    assert s.nrows + i.nrows == rank(a) + rank(b)
+    assert s.nrows + i.nrows == rref(a).nrows + rref(b).nrows
 
 
 @given(mat_pairs())
@@ -190,7 +210,7 @@ def test_intersect_matches_oracle(pair):
 @settings(max_examples=150, deadline=None)
 def test_rank_nullity_and_kernel_membership(m):
     k = kernel(m)
-    assert rank(m) + k.nrows == m.ncols
+    assert rref(m).nrows + k.nrows == m.ncols
     F = m.field
     for kr in k.rows:
         for mr in m.rows:
@@ -205,17 +225,13 @@ def test_rank_nullity_and_kernel_membership(m):
 def test_intersection_contained_in_both(pair):
     a, b = pair
     inter = zassenhaus_intersect(a, b)
-    ra, rb = row_basis(a), row_basis(b)
+    ra, rb = rref(a), rref(b)
     for row in inter.rows:
         assert inside(ra, row)
         assert inside(rb, row)
 
 
 # ------------------------------------------------- kernels against the oracle
-
-KERNEL_FIELDS = [GF(2), GF(3), GF(101), GF(10007), GF(2**61 - 1), QQ]
-BIG = 2**128
-
 
 @st.composite
 def scalars(draw, fld):
@@ -250,19 +266,6 @@ def kernel_mats(draw, fields=KERNEL_FIELDS):
     return Matrix(fld, tuple(rows[i] for i in order), nc)
 
 
-def assert_identical(got, want):
-    """Equal matrices, ranks and pivots, entry types included, and F_p
-    residues in [0, p)."""
-    (gm, gr, gp), (wm, wr, wp) = got, want
-    assert (gm, gr, gp) == (wm, wr, wp)
-    p = gm.field.p
-    for grow, wrow in zip(gm.rows, wm.rows, strict=True):
-        for g, w in zip(grow, wrow, strict=True):
-            assert type(g) is type(w)
-            if p is not None:
-                assert 0 <= g < p
-
-
 def _zeros(fld, nr, nc):
     return Matrix(fld, ((fld.zero,) * nc,) * nr, nc)
 
@@ -277,17 +280,28 @@ def _zeros(fld, nr, nc):
 @example(Matrix(GF(2**61 - 1), ((2**61 - 2, 2, 5), (5, 1, 11)), 3))
 @example(Matrix(QQ, ((Fraction(BIG, 3), Fraction(-1, BIG)), (Fraction(-2), Fraction(0))), 2))
 def test_rref_matches_scalar_oracle(m):
-    assert_identical(rref(m), oracle_rref(m))
+    assert_oracle_basis(rref(m), m)
 
 
 @given(kernel_mats(fields=[QQ]))
 @settings(max_examples=80, deadline=None)
 def test_rref_over_q_matches_sympy(m):
-    red, rk, piv = rref(m)
+    red = rref(m)
     flat = [sympy.Rational(x.numerator, x.denominator) for row in m.rows for x in row]
     want, want_piv = sympy.Matrix(m.nrows, m.ncols, flat).rref()
     got = [sympy.Rational(x.numerator, x.denominator) for row in red.rows for x in row]
-    assert got == list(want) and piv == tuple(want_piv) and rk == len(want_piv)
+    assert got == list(want)[: len(want_piv) * m.ncols] and red.nrows == len(want_piv)
+    assert linalg.pivots(red) == tuple(want_piv) and all(any(r) for r in red.rows)
+
+
+@given(kernel_mats())
+@settings(max_examples=150, deadline=None)
+def test_rref_idempotent(m):
+    red = rref(m)
+    assert rref(red) == red
+    assert all(any(r) for r in red.rows)
+    piv = linalg.pivots(red)
+    assert len(piv) == red.nrows and list(piv) == sorted(set(piv))
 
 
 # ------------------------------------- the shapes the library feeds `rref`
@@ -376,7 +390,7 @@ def library_shapes(draw):
 @given(library_shapes())
 @settings(max_examples=250, deadline=None)
 def test_rref_on_library_shapes_matches_scalar_oracle(m):
-    assert_identical(rref(m), oracle_rref(m))
+    assert_oracle_basis(rref(m), m)
 
 
 def _primitive_rows(m):
@@ -419,7 +433,7 @@ def test_q_kernel_rows_stay_primitive_and_bounded(seed):
         got = rref(m)
     finally:
         sys.settrace(previous)
-    assert_identical(got, oracle_rref(m))
+    assert_oracle_basis(got, m)
     assert len(held) > nr
     for r in held:
         assert all(x * x <= bound_sq for x in r)
@@ -437,15 +451,6 @@ def _kernel_examples(test):
     ):
         test = example(ex)(test)
     return test
-
-
-def assert_same_matrix(got, want):
-    assert got == want
-    p = got.field.p
-    for grow, wrow in zip(got.rows, want.rows, strict=True):
-        for g, w in zip(grow, wrow, strict=True):
-            assert type(g) is type(w)
-            assert p is None or 0 <= g < p
 
 
 @given(kernel_mats())
@@ -474,7 +479,7 @@ def test_kernel_matches_sympy_nullspace(m):
     dm = DomainMatrix([[K.convert(int(x) if F.p else sympy.Rational(x.numerator, x.denominator))
                         for x in row] for row in m.rows], (m.nrows, m.ncols), K)
     null = [tuple(scalar(x) for x in row) for row in dm.nullspace().to_list()]
-    assert_same_matrix(kernel(m), row_basis(Matrix(F, tuple(null), m.ncols)))
+    assert_same_matrix(kernel(m), rref(Matrix(F, tuple(null), m.ncols)))
 
 
 def test_kernel_is_one_elimination(monkeypatch):
@@ -491,7 +496,7 @@ def test_kernel_is_one_elimination(monkeypatch):
 def test_contains_vector_runs_no_elimination(monkeypatch):
     calls = []
     real = linalg.rref
-    basis = {F: row_basis(matrix(F, [[1, 2, 3, 4], [2, 4, 6, 9]])) for F in FIELDS}
+    basis = {F: rref(matrix(F, [[1, 2, 3, 4], [2, 4, 6, 9]])) for F in FIELDS}
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
     for F in FIELDS:
         dual = integral_dual(basis[F])

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from binforms.fields import QQ
 from binforms.ideals import ancestor_ideal
-from binforms.linalg import Matrix, kernel, row_basis
+from binforms.linalg import Matrix, kernel, rref
 from binforms.spaces import gcd_of_space, random_space, shift, space_sum, span, tau
 from binforms.waring import mu, perp, random_dual, tau_delta
 from oracles import oracle_rref
@@ -111,7 +111,7 @@ def test_matrix_fields_are_unchanged():
 
 def test_lazy_rows_are_the_eager_ones():
     m = Matrix(QQ, ((Fraction(HIGH, 3), Fraction(-1, HIGH), Fraction(0)), (Fraction(-2), Fraction(0), Fraction(5, 7))), 3)
-    lazy = row_basis(m)
+    lazy = rref(m)
     assert lazy.nrows == 2 and set(lazy.__dict__) == {"field", "_ints", "ncols", "nrows"}  # nrows builds no rows
     _assert_same(lazy, Matrix(QQ, _basis(m.rows, 3).rows, 3))
 
