@@ -22,6 +22,7 @@ from .fields import GF, FieldSpec
 from .forms import format_form
 from .hilbert import (
     StratumReport,
+    _enumerate_pq,
     _hasse_edges,
     dims,
     enumerate_acceptable,
@@ -207,9 +208,9 @@ def _cmd_dims(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_hasse(args: argparse.Namespace) -> tuple[int, str]:
-    seqs = enumerate_acceptable(args.d, args.j)
-    nodes = [str(H) for H in seqs]
-    edges = [(str(u), str(v)) for u, v in _hasse_edges(seqs, args.j)]
+    pairs = _enumerate_pq(args.d, args.j)
+    nodes = [str(H) for H, _ in pairs]
+    edges = [(str(u), str(v)) for u, v in _hasse_edges(pairs, args.j)]
     if args.dot:
         lines = ["digraph hasse {", "  rankdir=BT;"]
         lines.extend(f'  "{n}";' for n in nodes)

@@ -76,11 +76,10 @@ def partitions_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition]:
 
 def _pq(H: OSequence, j: int) -> tuple[Partition, Partition]:
     """(P, Q) read off the difference sequence of any H but the zero ideal's."""
-    mu = H.order()
     s = H.stabilization()
-    P = tuple(H.e(i) + 1 for i in range(j, mu - 1, -1))
-    Q = tuple(H.e(i) for i in range(j + 1, s + 1))
-    return P, Q
+    h = (0,) + H.values(max(s, j))  # h[i] = H_{i-1}
+    E = tuple(map(operator.sub, h, h[1:]))  # E[i] = e_i
+    return tuple(e + 1 for e in reversed(E[H.order() : j + 1])), E[j + 1 : s + 1]
 
 
 def _refusal(P: Partition, Q: Partition, j: int, c: int, tie=operator.eq) -> str | None:
@@ -101,9 +100,12 @@ def _refusal(P: Partition, Q: Partition, j: int, c: int, tie=operator.eq) -> str
 
 
 def dual_partition(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for u in p if u >= k) for k in range(1, p[0] + 1))
+    """A_k = #{parts >= k}, which is n for p_{n+1} < k <= p_n: one walk from the last part."""
+    out, below = [], 0
+    for n in range(len(p), 0, -1):
+        out += [n] * (p[n - 1] - below)
+        below = p[n - 1]
+    return tuple(out)
 
 
 def ell(p: Partition) -> int:
@@ -132,8 +134,9 @@ def _betti(
     tau = P[0]
     A = dual_partition(P)
     B = dual_partition(Q)
-    C = tuple(sorted([a + 1 for a in A] + [1] * (j + 2 - d - tau), reverse=True))
-    D = tuple(sorted([b + 1 for b in B] + [1] * (d - tau), reverse=True))
+    # A and B descend and every a + 1 >= 2, so the ones pad at the end
+    C = tuple(a + 1 for a in A) + (1,) * (j + 2 - d - tau)
+    D = tuple(b + 1 for b in B) + (1,) * (d - tau)
     return A, B, C, D
 
 
@@ -166,13 +169,8 @@ def _from_pq(P: Partition, Q: Partition, j: int, c: int) -> OSequence:
 
 def nose_tail(H: OSequence, j: int) -> tuple[OSequence, OSequence]:
     """N agrees with H up to j then drops to 0; T is full below j then follows H."""
-    s = max(H.stabilization(), j)
-    N = oseq([H.value(i) for i in range(j + 1)], 0)
-    T = oseq(
-        [i + 1 for i in range(j)] + [H.value(i) for i in range(j, s + 1)],
-        H.constant,
-    )
-    return N, T
+    h = H.values(max(H.stabilization(), j))
+    return oseq(h[: j + 1], 0), oseq(tuple(range(1, j + 1)) + h[j:], H.constant)
 
 
 def is_permissible_nose(N: OSequence, d: int, j: int) -> bool:
@@ -226,26 +224,22 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     = (d - τ)(j + 2 - d - τ) is checked there too, as the "ecodtau" entry."""
     P, Q = partitions_pq(H, d, j)
     A, B, C, D = _betti(P, Q, d, j)
-    mu = H.order()
-    s = H.stabilization()
-    c = H.constant
-    tau = tau_of_h(H, j)
-    E = [H.e(i) for i in range(max(s, j) + 3)]
+    mu, tau = j + 1 - len(P), P[0]
+    s, c = H.stabilization(), H.constant
+    h = (0,) + H.values(max(s, j) + 2)  # h[i] = H_{i-1}
+    E = tuple(map(operator.sub, h, h[1:]))  # E[i] = e_i
+    W = tuple(map(operator.mul, [e + 1 for e in E], E[1:]))  # W[i] = (E_i + 1) E_{i+1}
 
     ambient = d * (j + 1 - d)
-    dim_grass = c + sum((E[i] + 1) * E[i + 1] for i in range(mu, s + 2))
-    dim_la = sum((E[i] + 1) * E[i + 1] for i in range(mu, j)) + tau * (j + 1 - d)
-    dim_ga = c + sum((E[i] + 1) * E[i + 1] for i in range(j + 1, s + 2)) + d * E[j + 1]
+    dim_grass = c + sum(W[mu : s + 2])
+    dim_la = sum(W[mu:j]) + tau * (j + 1 - d)
+    dim_ga = c + sum(W[j + 1 : s + 2]) + d * E[j + 1]
     dim_grass_tau = tau * (j + 2 - tau) - d
     ecodtau = (d - tau) * (j + 2 - d - tau)
 
     # nose N = H up to j, tail T = H from j on: the sums over N_{i-1}, T_{i+1} read H
-    ecod_n = sum((E[i + 1] - E[i]) * (i - H.value(i - 1)) for i in range(mu, j)) + ecodtau
-    ecod_t = (
-        (2 * d - 2 - j) * c
-        + sum((E[i] - E[i + 1]) * H.value(i + 1) for i in range(j + 1, s + 2))
-        + ecodtau
-    )
+    ecod_n = sum((E[i + 1] - E[i]) * (i - h[i]) for i in range(mu, j)) + ecodtau
+    ecod_t = (2 * d - 2 - j) * c + sum((E[i] - E[i + 1]) * h[i + 2] for i in range(j + 1, s + 2)) + ecodtau
     ecod_h = ecod_n + ecod_t - ecodtau
 
     lA, lB, lC, lD = ell(A), ell(B), ell(C), ell(D)
@@ -385,6 +379,11 @@ def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
     yields τ descending and c ascending, `_parts_at_most` the partitions of n
     lexicographically descending.  Each class's size is checked against
     `count_by_tau`."""
+    return [H for H, _ in _enumerate_pq(d, j)]
+
+
+def _enumerate_pq(d: int, j: int) -> list[tuple[OSequence, tuple[Partition, Partition]]]:
+    """`enumerate_acceptable` with each H's (P, Q), the partitions it was built from."""
     if not 1 <= d <= j:
         raise PreconditionError("need 1 <= d <= j", d=d, j=j)
     out = []
@@ -393,7 +392,7 @@ def enumerate_acceptable(d: int, j: int) -> list[OSequence]:
         Qs = partitions_exact_largest(j + 1 - d - c, tau - 1)
         if len(Ps) * len(Qs) != count_by_tau(d, j, tau, c):
             raise RuntimeError(f"count formula disagrees at (tau,c)=({tau},{c})")
-        out += [_from_pq(P, Q, j, c) for P in Ps for Q in Qs]
+        out += [(_from_pq(P, Q, j, c), (P, Q)) for P in Ps for Q in Qs]
     return out
 
 
@@ -493,22 +492,26 @@ def hasse_edges(d: int, j: int) -> list[tuple[OSequence, OSequence]]:
     most one OR per member not skipped, and in enumeration order, a linear
     extension, one per cover.  Edges come out by source, then target, in bit
     order, which is the enumeration order the pairwise scan used.  Each edge
-    is re-checked through the partitions `le_partial` compares, read once per
-    sequence (criterion 8 compares the bitsets against them on every pair)."""
-    return _hasse_edges(enumerate_acceptable(d, j), j)
+    is re-checked through the partitions `le_partial` compares, those each
+    sequence was built from (criterion 8 compares the bitsets against them on
+    every pair)."""
+    return _hasse_edges(_enumerate_pq(d, j), j)
 
 
-def _hasse_edges(seqs: list[OSequence], j: int) -> list[tuple[OSequence, OSequence]]:
-    up = _up_sets(seqs, j)
-    edges = [(seqs[a], seqs[b]) for a, b in _cover_pairs(up)]
-    pq = {H: _pq(H, j) for H in seqs}
-    for a, b in edges:
-        via = _le_pq(pq[a], pq[b])
+def _hasse_edges(
+    pairs: list[tuple[OSequence, tuple[Partition, Partition]]], j: int
+) -> list[tuple[OSequence, OSequence]]:
+    """`hasse_edges` on `_enumerate_pq`'s (H, (P, Q)) pairs."""
+    seqs = [H for H, _ in pairs]
+    edges = []
+    for a, b in _cover_pairs(_up_sets(seqs, j)):
+        via = _le_pq(pairs[a][1], pairs[b][1])
         if via is not Cmp.LESS:
             raise RuntimeError(
-                f"hasse_edges postcondition: edge {a} -> {b} compares {via.value} "
+                f"hasse_edges postcondition: edge {seqs[a]} -> {seqs[b]} compares {via.value} "
                 "through the partitions"
             )
+        edges.append((seqs[a], seqs[b]))
     return edges
 
 

@@ -30,7 +30,11 @@ class OSequence:
         return self.constant if self.constant is not None else i + 1
 
     def values(self, upto: int) -> tuple[int, ...]:
-        return tuple(self.value(i) for i in range(upto + 1))
+        """(H_0, …, H_upto), read as one slice of the prefix and its padding."""
+        head = self.prefix[: max(upto + 1, 0)]
+        if self.constant is None:
+            return head + tuple(range(len(head) + 1, upto + 2))
+        return head + (self.constant,) * (upto + 1 - len(head))
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -38,8 +42,8 @@ class OSequence:
 
     def order(self) -> int | None:
         """Smallest i with H_i < i+1 (the ideal's initial degree); None if never."""
-        for i in range(len(self.prefix)):
-            if self.value(i) < i + 1:
+        for i, h in enumerate(self.prefix):
+            if h < i + 1:
                 return i
         if self.constant is None:
             return None
@@ -64,7 +68,7 @@ class OSequence:
 def oseq(values, constant: int | None) -> OSequence:
     """Normalizing constructor: trims prefix entries equal to the eventual value."""
     prefix = list(values)
-    if any(type(v) is not int or v < 0 for v in prefix):
+    if not set(map(type, prefix)) <= {int} or (prefix and min(prefix) < 0):
         raise PreconditionError("Hilbert function values must be non-negative ints")
     if constant is not None and (type(constant) is not int or constant < 0):
         raise PreconditionError("eventual constant must be a non-negative int")

@@ -559,6 +559,73 @@ def oracle_ell(p: tuple[int, ...]) -> int:
     )
 
 
+def oracle_dual_partition(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The counting definition: the k-th part is the number of parts >= k."""
+    return tuple(sum(1 for u in p if u >= k) for k in range(1, max(p, default=0) + 1))
+
+
+def oracle_betti(P: tuple, Q: tuple, d: int, j: int) -> tuple:
+    """A = P*, B = Q*, and C, D: A + 1̄, B + 1̄ padded with ones and sorted."""
+    tau = P[0]
+    A, B = oracle_dual_partition(P), oracle_dual_partition(Q)
+    C = tuple(sorted([a + 1 for a in A] + [1] * (j + 2 - d - tau), reverse=True))
+    D = tuple(sorted([b + 1 for b in B] + [1] * (d - tau), reverse=True))
+    return A, B, C, D
+
+
+def oracle_dims(H: OSequence, d: int, j: int):
+    """`dims` index by index: E from `H.e(i)`, µ from `H.order()`, τ from
+    `tau_of_h`, P and Q read term by term, A-D from `oracle_betti` and ℓ
+    from `oracle_ell`.  For acceptable H only."""
+    from binforms.hilbert import StratumReport, tau_of_h
+
+    mu, s, c = H.order(), H.stabilization(), H.constant
+    tau = tau_of_h(H, j)
+    P = tuple(H.e(i) + 1 for i in range(j, mu - 1, -1))
+    Q = tuple(H.e(i) for i in range(j + 1, s + 1))
+    A, B, C, D = oracle_betti(P, Q, d, j)
+    E = [H.e(i) for i in range(max(s, j) + 3)]
+
+    ambient = d * (j + 1 - d)
+    dim_grass = c + sum((E[i] + 1) * E[i + 1] for i in range(mu, s + 2))
+    dim_la = sum((E[i] + 1) * E[i + 1] for i in range(mu, j)) + tau * (j + 1 - d)
+    dim_ga = c + sum((E[i] + 1) * E[i + 1] for i in range(j + 1, s + 2)) + d * E[j + 1]
+    dim_grass_tau = tau * (j + 2 - tau) - d
+    ecodtau = (d - tau) * (j + 2 - d - tau)
+    ecod_n = sum((E[i + 1] - E[i]) * (i - H.value(i - 1)) for i in range(mu, j)) + ecodtau
+    ecod_t = (
+        (2 * d - 2 - j) * c
+        + sum((E[i] - E[i + 1]) * H.value(i + 1) for i in range(j + 1, s + 2))
+        + ecodtau
+    )
+    lA, lB, lC, lD = (oracle_ell(p) for p in (A, B, C, D))
+    ledger = {
+        "codb": (lA, dim_grass_tau - dim_la),
+        "codc": (lB + (d - 1) * c, dim_grass_tau - dim_ga),
+        "coda": (lA + lB + (d - 1) * c, dim_grass_tau - dim_grass),
+        "code": (lC, ambient - dim_la),
+        "codf": (lD + (d - 1) * c, ambient - dim_ga),
+        "codd": (lC + lD + (d - 1) * c - ecodtau, ambient - dim_grass),
+        "code2": (lC + lB + (d - 1) * c, ambient - dim_grass),
+        "ecodN": (ecod_n, ambient - dim_la),
+        "ecodT": (ecod_t, ambient - dim_ga),
+        "ecodH": (ecod_n + ecod_t - ecodtau, ambient - dim_grass),
+        "ecodtau": (ecodtau, ambient - dim_grass_tau),
+    }
+    return StratumReport(
+        H=H, d=d, j=j, tau=tau, c=c, mu=mu, P=P, Q=Q, A=A, B=B, C=C, D=D,
+        ambient=ambient, dim_grass=dim_grass, dim_la=dim_la, dim_ga=dim_ga,
+        dim_grass_tau=dim_grass_tau, cod_grass=ambient - dim_grass,
+        cod_tau_grass=dim_grass_tau - dim_grass,
+        formulas={name: formula for name, (formula, _) in ledger.items()},
+        discrepancies=tuple(
+            f"{name}: formula gives {formula}, truth {truth}"
+            for name, (formula, truth) in ledger.items()
+            if formula != truth
+        ),
+    )
+
+
 def oracle_enumerate_acceptable(d: int, j: int) -> list:
     """`enumerate_acceptable` with every sequence built by the public
     `hilbert_from_partitions` and re-checked by `oracle_is_acceptable`."""

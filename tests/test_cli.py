@@ -565,14 +565,15 @@ def test_hasse_enumerates_once(monkeypatch, name):
     from test_golden_cli import CASES, GOLDEN, run_case
 
     calls = []
-    real = hilbert.enumerate_acceptable
+    real = hilbert._enumerate_pq
 
     def counting(d, j):
         calls.append((d, j))
         return real(d, j)
 
-    monkeypatch.setattr(cli, "enumerate_acceptable", counting)
-    monkeypatch.setattr(hilbert, "enumerate_acceptable", counting)
+    # the nodes and the edges' postcondition read one enumeration's (H, (P, Q)) pairs
+    monkeypatch.setattr(cli, "_enumerate_pq", counting)
+    monkeypatch.setattr(hilbert, "_enumerate_pq", counting)
     rc, stdout = run_case(next(c["argv"] for c in CASES if c["name"] == name))
     assert rc == 0 and len(calls) == 1
     assert stdout == (GOLDEN / "stdout" / f"{name}.txt").read_bytes()

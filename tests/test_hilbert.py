@@ -51,6 +51,8 @@ from oracles import (
     count_partitions_largest,
     join_nose_tail,
     le_values,
+    oracle_dims,
+    oracle_dual_partition,
     oracle_ell,
     oracle_enumerate_acceptable,
     oracle_h_tau,
@@ -283,6 +285,21 @@ def test_zero_ideal_sequence_has_no_order():
 
 
 @pytest.mark.parametrize(
+    "H",
+    [oseq([], 0), oseq([], 3), oseq([], None), oseq([1, 2, 3, 2, 1], 0), oseq([1, 2, 2], 4),
+     oseq([1, 1], None), oseq([1, 3], None), oseq([0], None)],
+    ids=str,
+)
+def test_bulk_reads_match_per_index_definitions(H):
+    # values(upto) is a slice of the prefix and its padding, order() a walk of the prefix
+    n = len(H.prefix)
+    for upto in range(-3, n + 4):  # below, at and past the prefix
+        assert H.values(upto) == tuple(H.value(i) for i in range(upto + 1)), upto
+    reach = n + (H.constant or 0) + 1  # past the prefix, H_i = c < i + 1 from i = c on
+    assert H.order() == next((i for i in range(reach) if H.value(i) < i + 1), None)
+
+
+@pytest.mark.parametrize(
     "text,message",
     [("  ", "empty Hilbert-function text"), (",,", "bad Hilbert-function text"),
      ("1,x,1(0)", "bad integer 'x'"), ("1,2(y)", "bad integer 'y'")],
@@ -295,7 +312,7 @@ def test_parse_oseq_refusals(text, message):
 @pytest.mark.parametrize(
     "values,constant",
     [([1, 2.9, 1.5], 0), ([True, 2], 1), ([1, Fraction(2)], 0), ([1, "2"], 0), ([1, -1], 0),
-     ([1, 2], 1.0), ([1, 2], True), ([1, 2], Fraction(1)), ([1, 2], -1)],
+     ([1, 2], 1.0), ([1, 2], True), ([1, 2], Fraction(1)), ([1, 2], -1), ([1, True], 0)],
 )
 def test_oseq_refuses_what_is_not_a_non_negative_int(values, constant):
     # nothing is truncated: oseq([1, 2.9, 1.5], 0) is refused, not 1,2,1(0)
@@ -351,6 +368,24 @@ def test_partition_helpers():
     assert ell((3, 3, 2, 1)) == 2
     assert ell((2,)) == 0
     assert ell(()) == 0
+
+
+def test_dual_partition_is_the_counting_definition():
+    for n in range(17):
+        for p in partitions_of(n):
+            assert dual_partition(p) == oracle_dual_partition(p), p
+
+
+def test_dims_matches_per_index_oracle():
+    # every field of every report; the oracle's A, B are the counting duals and its
+    # C, D the sorted, padded definition, so this checks `_betti`'s padding too
+    reports = 0
+    for j in range(1, 13):
+        for d in range(1, j + 1):
+            for H in enumerate_acceptable(d, j):
+                assert dims(H, d, j) == oracle_dims(H, d, j), (str(H), d, j)
+                reports += 1
+    assert reports == 1602
 
 
 def test_ell_matches_pairwise_oracle():
@@ -537,8 +572,24 @@ def test_hasse_edges_postcondition_checks_emitted_edges(monkeypatch):
     assert hasse_edges(1, 1) == []  # no edges, nothing to check
 
 
+def test_hasse_edges_postcondition_reads_the_enumerated_partitions(monkeypatch):
+    # the check compares the (P, Q) each sequence was built from: swapping the
+    # pairs of one edge's ends turns that edge around
+    import binforms.hilbert as hilbert
 
-@pytest.mark.parametrize("d,j", [(d, j) for j in range(1, 13) for d in range(1, j + 1)])
+    pairs = hilbert._enumerate_pq(4, 5)
+    seqs = [H for H, _ in pairs]
+    a, b = (seqs.index(H) for H in hasse_edges(4, 5)[0])
+    swapped = list(pairs)
+    swapped[a], swapped[b] = (seqs[a], pairs[b][1]), (seqs[b], pairs[a][1])
+    monkeypatch.setattr(hilbert, "_enumerate_pq", lambda d, j: swapped)
+    with pytest.raises(RuntimeError, match="postcondition: edge .* compares greater"):
+        hasse_edges(4, 5)
+
+
+@pytest.mark.parametrize(
+    "d,j", [(d, j) for j in range(1, 13) for d in range(1, j + 1)] + [(7, 14), (8, 16)]
+)
 def test_hasse_edges_match_pairwise_oracle(d, j):
     # exact lists, in order, against the all-pairs scan the bitsets replaced
     assert hasse_edges(d, j) == oracle_hasse_edges(enumerate_acceptable(d, j), j)
