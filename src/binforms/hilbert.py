@@ -324,16 +324,9 @@ def le_partial(H1: OSequence, H2: OSequence, d: int, j: int) -> Cmp:
 
 
 def _majorizes(p: Partition, q: Partition) -> bool:
-    """p ≥ q: |p| ≥ |q| and the partial sums of p dominate those of q."""
-    if sum(p) < sum(q):
-        return False
-    acc_p = acc_q = 0
-    for k in range(max(len(p), len(q))):
-        acc_p += p[k] if k < len(p) else 0
-        acc_q += q[k] if k < len(q) else 0
-        if acc_p < acc_q:
-            return False
-    return True
+    """p ≥ q: |p| ≥ |q| and the partial sums of p dominate those of q (past the shorter
+    partition they do if |p| ≥ |q|, as every part is positive)."""
+    return sum(p) >= sum(q) and all(map(operator.ge, accumulate(p), accumulate(q)))
 
 
 def _le_pq(pq1: tuple[Partition, Partition], pq2: tuple[Partition, Partition]) -> Cmp:
@@ -462,13 +455,12 @@ def _staircase_pairs(A: Partition, B: Partition, j: int) -> list[tuple[int, int]
 
 
 def realize_staircase(H: OSequence, d: int, j: int, field: FieldSpec):
-    """A monomial ideal I with H(R/I) = H, plus its degree-j component."""
-    from .forms import monomial
-    from .ideals import generator_degrees, hilbert_function, ideal_from_generators, relation_degrees
+    """A monomial ideal I with H(R/I) = H, plus its degree-j component; `ideals.monomial_ideal`
+    builds I and each component's R_1 in closed form, with no elimination."""
+    from .ideals import generator_degrees, hilbert_function, monomial_ideal, relation_degrees
 
     A, B, _, _ = betti_partitions(H, d, j)
-    gens = [monomial(field, p, q) for p, q in _staircase_pairs(A, B, j)]
-    ideal = ideal_from_generators(field, gens)
+    ideal = monomial_ideal(field, _staircase_pairs(A, B, j))
     want_gens = tuple(sorted(j + 1 - a for a in A))
     want_rels = tuple(sorted(j + 1 + b for b in B))
     if hilbert_function(ideal) != H:

@@ -23,9 +23,11 @@ block f.R_s, which knows its f.
 An ideal is validated once, where it enters: `graded_ideal` (fields, degrees,
 R_1-closure, tail) runs in `ideal_from_json` and for direct callers.  Ideals
 closed under R_1 by construction (the ladders above, `ideal_from_generators`,
-the annihilator, the final ideals of `closure.build_n`, `build_t` and
-`build_h`) go through `_assemble_ideal`, which checks nothing; the closure
-walks certify each edit as they make it and themselves assemble no ideal.
+`monomial_ideal`, whose components and their R_1 are unit rows read off the
+exponents by `spaces.monomial_rungs`, the annihilator, the final ideals of
+`closure.build_n`, `build_t` and `build_h`) go through `_assemble_ideal`,
+which checks nothing; the closure walks certify each edit as they make it and
+themselves assemble no ideal.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .spaces import (
     _up_rungs,
     contained,
     full_space,
+    monomial_rungs,
     principal_space,
     shift,
     space_from_json,
@@ -216,6 +219,16 @@ def ideal_from_generators(field: FieldSpec, gens) -> GradedIdeal:
         grown.append(space_sum(up, span(field, i, by_degree[i])) if i in by_degree else up)
     top = generated_ideal(grown.pop())
     return _assemble_ideal(field, lo, grown + list(top.components), top.tail_gcd)
+
+
+def monomial_ideal(field: FieldSpec, exponents) -> GradedIdeal:
+    """The ideal of the monomials x^p y^q, (p, q) in exponents: `ideal_from_generators` on them, window
+    included, with no elimination: each component's rows, and R_1 of each, are read off the exponents."""
+    pairs = list(exponents)
+    if not pairs:
+        return zero_ideal(field)
+    comps = monomial_rungs(field, pairs)
+    return _assemble_ideal(field, comps[0].degree, comps, comps[-1]._principal)
 
 
 # ── numeric invariants ────────────────────────────────────────────────────────

@@ -31,6 +31,8 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   written on first read.  V keeps their reversed RREF basis, whose rank pins R_1V too.  A
   down-rung is the kernel of such a basis, whose rows span its V^perp and are its `_dual`: no
   rung's rows are written on the way down, nor by a membership test.
+* Monomial ideals, `monomial_rungs`: a component of (x^p y^q) and its R_1 are spans of unit rows e_b,
+  an RREF when sorted by b: read off the exponents with no elimination, R_1 kept as the component's `_up`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import gcd
 from . import linalg
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic
+from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic, monomial
 from .linalg import (
     Matrix,
     _primitive,
@@ -215,6 +217,31 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
     V = FormSpace(F, degree, lazy_matrix(F, s + 1, n, lambda: Matrix(F, tuple(_block_rows(f, s))[::-1], n)))
     V.__dict__["_principal"] = f  # the memo, set the way cached_property would
     return V
+
+
+def monomial_rungs(field: FieldSpec, pairs) -> list[FormSpace]:
+    """[I_lo, .., I_hi] of the ideal I of the monomials x^p y^q, (p, q) in pairs (not empty), on the window
+    `ideals.ideal_from_generators` gives it: lo and t the least and top pair degrees, hi = t + 1 + cod I_{t+1}
+    (= t + max(1, t + 3 - dim I_{t+1})), I_hi the block (x^min p y^min q).R_s.  Below, I_i is spanned by the
+    e_b, q <= b <= i - p for a pair of degree <= i: sorted by b, an RREF, written on first read.  Its `_up`
+    is that span in degree i + 1 over the same pairs: I_{i+1} itself when no pair has degree i + 1."""
+    F, degs = field, {p + q for p, q in pairs}
+    lo, t = min(degs), max(degs)
+
+    def rung(i: int, n: int) -> FormSpace:  # the span in degree n of the pairs of degree <= i
+        bs, unit = sorted({b for p, q in pairs if p + q <= i for b in range(q, n - p + 1)}), (0,) * n
+
+        def write() -> Matrix:
+            return from_ints(F, tuple(unit[:b] + (1,) + unit[b:] for b in bs), n + 1)
+
+        return FormSpace(F, n, lazy_matrix(F, len(bs), n + 1, write))
+
+    hi = t + 1 + rung(t, t + 1).cod
+    gcd_form = monomial(F, min(p for p, _ in pairs), min(q for _, q in pairs))
+    comps = [rung(i, i) for i in range(lo, hi)] + [principal_space(gcd_form, hi)]
+    for i, (comp, nxt) in enumerate(zip(comps, comps[1:]), lo):
+        comp.__dict__["_up"] = rung(i, i + 1) if i + 1 in degs else nxt
+    return comps
 
 
 # ----- shifts -------------------------------------------------------------------

@@ -564,6 +564,20 @@ def oracle_dual_partition(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for u in p if u >= k) for k in range(1, max(p, default=0) + 1))
 
 
+def oracle_majorizes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """p ≥ q index by index: |p| ≥ |q| and, with both padded by zeros, every partial sum of p
+    at least q's."""
+    if sum(p) < sum(q):
+        return False
+    acc_p = acc_q = 0
+    for k in range(max(len(p), len(q))):
+        acc_p += p[k] if k < len(p) else 0
+        acc_q += q[k] if k < len(q) else 0
+        if acc_p < acc_q:
+            return False
+    return True
+
+
 def oracle_betti(P: tuple, Q: tuple, d: int, j: int) -> tuple:
     """A = P*, B = Q*, and C, D: A + 1̄, B + 1̄ padded with ones and sorted."""
     tau = P[0]

@@ -58,6 +58,7 @@ from oracles import (
     oracle_h_tau,
     oracle_hasse_edges,
     oracle_is_acceptable,
+    oracle_majorizes,
     oracle_permissible_nose,
     oracle_permissible_tail,
     partitions_of,
@@ -502,6 +503,13 @@ def test_majorization_unequal_lengths():
     assert (_majorizes((1, 1, 1, 1), (2, 2)), _majorizes((2, 2), (1, 1, 1, 1))) == (False, True)
 
 
+def test_majorizes_matches_per_index_oracle():
+    # every ordered pair of partitions of n, m <= 9, sizes and lengths unequal included
+    parts = [p for n in range(10) for p in partitions_of(n)]
+    for p, q in itertools.product(parts, repeat=2):
+        assert _majorizes(p, q) is oracle_majorizes(p, q), (p, q)
+
+
 def test_hasse_4_5():
     edges = {(str(u), str(v)) for u, v in hasse_edges(4, 5)}
     assert edges == {
@@ -671,6 +679,22 @@ def test_staircase_examples():
     V, ideal = realize_staircase(H, 9, 14, GF(101))
     assert V.dim == 9 and V.degree == 14
     assert hilbert_function(ideal) == H
+
+
+def test_staircase_runs_no_elimination_and_no_sigma_pass(monkeypatch):
+    # the cost `realize_staircase` may have: no row handed to `rref`, no order-basis pass
+    from binforms import linalg, spaces
+
+    calls, rref, sigma = [], linalg.rref, spaces._order_basis_degrees
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append("rref") or rref(m))
+    monkeypatch.setattr(spaces, "_order_basis_degrees", lambda *a: calls.append("sigma") or sigma(*a))
+    for field, top in ((GF(101), 9), (QQ, 6)):
+        for j in range(1, top + 1):
+            for d in range(1, j + 1):
+                for H in enumerate_acceptable(d, j):
+                    V, ideal = realize_staircase(H, d, j, field)
+                    assert V.dim == d and hilbert_function(ideal) == H
+    assert calls == []
 
 
 def test_counting_against_oracle():

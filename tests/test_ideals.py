@@ -5,13 +5,14 @@ import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binforms import ideals
 from binforms.errors import PreconditionError
 
 from binforms.fields import GF, QQ
 from binforms.forms import form, form_to_json, format_form, monomial, mul_form
+from binforms.hilbert import _staircase_pairs, betti_partitions, enumerate_acceptable
 from binforms.ideals import (
     GradedIdeal,
     ancestor_ideal,
@@ -24,6 +25,7 @@ from binforms.ideals import (
     ideal_to_json,
     is_ancestor_ideal_of,
     level_ideal,
+    monomial_ideal,
     nu_min,
     relation_degrees,
     same_ideal,
@@ -35,6 +37,7 @@ from binforms.osequence import oseq
 from binforms.waring import annihilator, perp
 from binforms.spaces import (
     FormSpace,
+    _shift_up_once,
     full_space,
     principal_space,
     random_space,
@@ -467,6 +470,43 @@ def test_generator_oracle_catches_dropped_new_degree_generators(monkeypatch):
     # without the span of each new degree's generators, only the lowest degree's would count
     monkeypatch.setattr(ideals, "space_sum", lambda a, b: a)
     assert all(_first_oracle_mismatch(F, _mixed_generators(F, seed)) is not None for F, seed in MIXED)
+
+
+def _staircases(top):
+    """The exponents of every staircase ideal with d <= j <= top."""
+    for j in range(1, top + 1):
+        for d in range(1, j + 1):
+            for H in enumerate_acceptable(d, j):
+                A, B, _, _ = betti_partitions(H, d, j)
+                yield _staircase_pairs(A, B, j)
+
+
+def _check_monomial_ideal(F, pairs):
+    """`monomial_ideal` against `ideal_from_generators`, windows included, and each `_up` memo it set
+    against the elimination on a memo-free copy of its component."""
+    I = monomial_ideal(F, pairs)
+    assert I == ideal_from_generators(F, [monomial(F, p, q) for p, q in pairs]), pairs
+    for comp in I.components[:-1]:
+        assert comp.__dict__["_up"] == _shift_up_once(FormSpace(F, comp.degree, comp.mat)), (pairs, comp.degree)
+
+
+@pytest.mark.parametrize("F,top", [(GF(101), 10), (GF(2), 10), (QQ, 7)], ids=lambda v: getattr(v, "name", v))
+def test_monomial_ideal_of_every_staircase_matches_its_generators(F, top):
+    for pairs in _staircases(top):
+        _check_monomial_ideal(F, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.sampled_from([QQ, GF(101), GF(2)]),
+)
+@example([(0, 0)], (0, 0), QQ)  # the unit ideal
+@example([(2, 0), (2, 0), (1, 2), (3, 1)], (0, 2), GF(101))  # duplicate, redundant, y^2 in the tail gcd
+def test_monomial_ideal_matches_its_generators(exponents, shift_by, F):
+    # redundant and duplicate pairs come up on their own; the common shift puts x^a y^b in the tail gcd
+    _check_monomial_ideal(F, [(p + shift_by[0], q + shift_by[1]) for p, q in exponents])
 
 
 @settings(max_examples=25, deadline=None)
