@@ -198,15 +198,19 @@ def _monic_form(F: FieldSpec, cs: list[int]) -> BinaryForm:
 
 
 def gcd_rows(F: FieldSpec, degree: int, rows) -> BinaryForm:
-    """Monic gcd of the degree-`degree` forms with these nonzero `Matrix.ints` rows: the least
-    degree drop over all rows is the power of x, one gcd chain in t, stopped once constant, the rest."""
+    """Monic gcd of the degree-`degree` forms with these RREF `Matrix.ints` rows: row 0's pivot is the power of y,
+    the least degree drop over all rows that of x.  As gcd(t^a g, t^b h) = t^min(a, b) gcd(g, h) if g(0)h(0) != 0,
+    one chain in t runs on the rows stripped of their power of t from the last row up, stopped once constant: the
+    last row's pivot is >= dim - 1, so the chain starts on at most cod + 1 entries."""
     polys = [_trim(list(r)) for r in rows]
-    core = polys[0]
-    for b in polys[1:]:
+    cores = (b[next(i for i, c in enumerate(b) if c):] for b in reversed(polys))
+    core = next(cores)
+    for b in cores:
         if len(core) == 1:
             break
         core = _gcd_p(core, b, F.p) if F.p else _prs_gcd(core, b)
-    return _monic_form(F, core + [0] * (degree + 1 - max(map(len, polys))))
+    lead = next(i for i, c in enumerate(polys[0]) if c)
+    return _monic_form(F, [0] * lead + core + [0] * (degree + 1 - max(map(len, polys))))
 
 
 def divide_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:

@@ -17,6 +17,7 @@ as `tau` does, off a rung of I_{i-1} already built or, above the window, off
 the block (tail_gcd).R_s itself.  Above degree j + 1 a window's components
 are sized by V's syzygy degrees and below j each is a kernel (`spaces`): their
 rows are written only when read, so H and the Betti counts build no basis.
+The walk down stops at the first zero rung, as every rung below it is zero.
 The tail gcd is read off the stable top: there the component is a principal
 block f.R_s, which knows its f.
 
@@ -46,7 +47,7 @@ from .forms import (
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
-    _rungs,
+    _down_rungs,
     _up_dim,
     _up_rungs,
     contained,
@@ -170,23 +171,24 @@ def _stable_top(V: FormSpace) -> int:
     return max(1, V.cod - tau(V) + 2)
 
 
-def _rung_window(V: FormSpace, lo: int) -> GradedIdeal:
-    """The ideal with components R_sV, s = lo .. `_stable_top(V)`; the top one is a block f.R_k, f the tail."""
+def _rung_window(V: FormSpace, depth: int) -> GradedIdeal:
+    """Components R_sV, s = -depth .. `_stable_top(V)` (none below a zero rung); the top one is a block f.R_k."""
     if V.is_zero:
         return zero_ideal(V.field)
     top = _stable_top(V)  # before the walk down: tau may build R_1V, which the down-step reads
-    comps = _rungs(V, lo)[:0:-1] + _up_rungs(V, top)
-    return _assemble_ideal(V.field, V.degree + lo, comps, comps[-1]._principal)
+    below, comps = _down_rungs(V, depth)[:0:-1], _up_rungs(V, top)
+    return _assemble_ideal(V.field, V.degree - len(below), below + comps, comps[-1]._principal)
 
 
 def ancestor_ideal(V: FormSpace) -> GradedIdeal:
     """Largest ideal whose degree-j component is V: components R_{i-j}V."""
-    return _rung_window(V, -V.degree)
+    return _rung_window(V, V.degree)
 
 
 def level_ideal(V: FormSpace) -> GradedIdeal:
     """Ancestor components up to degree j, then everything."""
-    return _with_unit_tail(V.field, _rungs(V, -V.degree)[::-1])
+    comps = [*_down_rungs(V, V.degree)[::-1], full_space(V.field, V.degree + 1)]
+    return _assemble_ideal(V.field, V.degree + 2 - len(comps), comps, unit_form(V.field))
 
 
 def _with_unit_tail(field: FieldSpec, comps) -> GradedIdeal:

@@ -297,6 +297,14 @@ def _rungs(V: FormSpace, s: int) -> list[FormSpace]:
     return list(itertools.accumulate(range(abs(s)), lambda W, _: W._up if s > 0 else W._down, initial=V))
 
 
+def _down_rungs(V: FormSpace, s: int) -> list[FormSpace]:
+    """[V, R_{-1}V, .., R_{-s}V], cut after its first zero rung: every rung below that one is zero."""
+    rungs = [V]
+    while len(rungs) <= s and not rungs[-1].is_zero:
+        rungs.append(rungs[-1]._down)
+    return rungs
+
+
 def _up_dim(W: FormSpace) -> int:
     """dim R_1W, read off R_{-1}W (built, or W a down-rung) or a block's f if known, else off R_1W."""
     if "_down" in W.__dict__ or W.degree and "_kernel_of" in W.__dict__:

@@ -146,6 +146,22 @@ def oracle_gcd(f_coeffs, f_deg, g_coeffs, g_deg, field: FieldSpec):
     return tuple(field.coerce(inv * c) for c in coeffs), deg
 
 
+def oracle_gcd_rows(F: FieldSpec, degree: int, rows) -> BinaryForm:
+    """Monic gcd of the degree-`degree` forms with these nonzero `Matrix.ints` rows by one gcd
+    chain in t over the whole rows, first row to last, stopped once constant; the least degree
+    drop over all rows is the power of x.  `forms.gcd_rows` strips each row's power of t and
+    chains from the last row of an RREF up."""
+    from binforms.forms import _gcd_p, _monic_form, _prs_gcd, _trim
+
+    polys = [_trim(list(r)) for r in rows]
+    core = polys[0]
+    for b in polys[1:]:
+        if len(core) == 1:
+            break
+        core = _gcd_p(core, b, F.p) if F.p else _prs_gcd(core, b)
+    return _monic_form(F, core + [0] * (degree + 1 - max(map(len, polys))))
+
+
 def oracle_contract(f_coeffs, f_deg, big_coeffs, big_deg):
     """Differentiation action over Q: f(x,y) acts as f(d/dX, d/dY)."""
     X, Y = sympy.symbols("X Y")

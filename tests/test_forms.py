@@ -10,7 +10,7 @@ from binforms import forms
 from binforms.errors import PreconditionError
 from binforms.linalg import _integer_row
 from binforms.fields import GF, QQ
-from binforms.spaces import gcd_of_space, span
+from binforms.spaces import gcd_of_space, random_space, span
 from binforms.forms import (
     BinaryForm,
     _fp_roots,
@@ -35,6 +35,7 @@ from oracles import (
     oracle_contract,
     oracle_fp_roots,
     oracle_gcd,
+    oracle_gcd_rows,
     oracle_linear_factors,
     oracle_mul,
     oracle_q_roots,
@@ -102,6 +103,91 @@ def test_gcd_reads_the_powers_of_x_and_y_off_every_row(field):
     for f, g, want in ((m(1, 1), m(0, 2), m(0, 1)), (m(2, 0), m(0, 2), m(0, 0)),
                        (m(2, 1), m(1, 2), m(1, 1))):
         assert gcd2(f, g) == gcd2(g, f) == want, (f, g)
+
+
+GCD_FIELDS = [GF(2), F7, F101, QQ]
+
+
+@st.composite
+def gcd_spaces(draw):
+    """A random V, a planted x^a y^b f W, one form, a span of monomials or all of R_j; j <= 12."""
+    F, j = draw(st.sampled_from(GCD_FIELDS)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["random", "planted", "one", "monomial", "full"]))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+
+    def nonzero(n):
+        cs = [rng.randint(-9, 9) for _ in range(n + 1)]
+        cs[rng.randrange(n + 1)] = 1
+        return form(F, n, cs)
+
+    if kind == "random":
+        return random_space(rng.randint(1, j + 1), j, F, seed)
+    if kind == "planted":
+        a = rng.randint(0, j)
+        b = rng.randint(0, j - a)
+        f = nonzero(rng.randint(0, j - a - b))
+        W = random_space(rng.randint(1, j - a - b - f.degree + 1), j - a - b - f.degree, F, seed)
+        return span(F, j, [mul_form(monomial(F, a, b), mul_form(f, w)) for w in W.basis_forms()])
+    if kind == "one":
+        return span(F, j, [nonzero(j)])
+    if kind == "monomial":
+        ys = rng.sample(range(j + 1), rng.randint(1, j + 1))
+        return span(F, j, [monomial(F, j - b, b) for b in ys])
+    return random_space(j + 1, j, F, seed)
+
+
+@given(gcd_spaces())
+@settings(max_examples=200, deadline=None)
+def test_gcd_rows_matches_the_all_rows_chain(V):
+    want = oracle_gcd_rows(V.field, V.degree, V.mat.ints)
+    assert forms.gcd_rows(V.field, V.degree, V.mat.ints) == want == gcd_of_space(V)
+
+
+def _stripped(row):
+    cs = list(row)
+    while not cs[-1]:
+        cs.pop()
+    return cs[next(i for i, c in enumerate(cs) if c):]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
+def test_gcd_chain_starts_at_the_last_rows_stripped_core(monkeypatch, field):
+    # the last RREF row has its pivot at >= dim - 1: stripped of its power of t it has at most
+    # cod + 1 entries, and the first gcd of the chain gets it, not a whole row of degree j
+    calls = []
+    for name in ("_gcd_p", "_prs_gcd"):
+        real = getattr(forms, name)
+        monkeypatch.setattr(forms, name, lambda a, b, *p, real=real: calls.append(a) or real(a, b, *p))
+    f = form(field, 3, [1, 2, 0, 5])
+    for d, j, seed in ((2, 9, 0), (5, 12, 1), (8, 12, 2), (3, 20, 3)):
+        W = random_space(d, j - 3, field, seed)
+        for V in (random_space(d, j, field, seed), span(field, j, [mul_form(f, w) for w in W.basis_forms()])):
+            del calls[:]
+            assert gcd_of_space(V) == oracle_gcd_rows(field, j, V.mat.ints)
+            assert calls and calls[0] == _stripped(V.mat.ints[-1]), (d, j, seed)
+            assert len(calls[0]) <= V.cod + 1
+
+
+def test_q_gcd_of_a_planted_12_18_space_at_height_2_64_within_a_deadline():
+    # twelve forms f w_i, f of degree 2, all entries a / b with |a|, b <= 2^64: the chain
+    # starts from the last RREF row's short core, not from two whole 18-degree rows
+    rng = random.Random(0)
+    h = lambda: Fraction(rng.randint(-(2**64), 2**64), rng.randint(1, 2**64))
+    f = q(2, [h() for _ in range(3)])
+    V = span(QQ, 18, [mul_form(f, q(16, [h() for _ in range(17)])) for _ in range(12)])
+
+    def overran(signum, frame):
+        raise TimeoutError("gcd_of_space ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        got = gcd_of_space(V)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == monic(f)
 
 
 # ----- division --------------------------------------------------------------

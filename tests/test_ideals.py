@@ -54,6 +54,7 @@ from oracles import (
     is_proper_osequence,
     oracle_down_dim,
     oracle_rref,
+    oracle_shift_down_once,
     walked_halves,
 )
 
@@ -574,6 +575,64 @@ def test_ladder_ideals_match_oracles(field, d, j, seed):
     assert generator_degrees(ancestor_ideal(fresh)) == generator_degrees(A)
     assert relation_degrees(ancestor_ideal(fresh)) == relation_degrees(A)
 
+
+
+def _oracle_down_chain(V):
+    """[V, R_{-1}V, ..]'s matrices by plain eliminations, to degree 0 or the last nonzero rung."""
+    chain = [V.mat]
+    while len(chain) <= V.degree and (m := oracle_shift_down_once(chain[-1])).rows:
+        chain.append(m)
+    return chain
+
+
+def _walk_cases(F):
+    """Spaces whose down-walk reaches degree 0 nonzero (R_j as a block, a span, f.R_j with deg f = 0),
+    stops at a zero rung pinned off R_1V (random, small dim), at once (one form, a block f.R_0), or
+    after one or more kernel rungs (R_1U, R_2U, a planted factor times R_1U)."""
+    rng = random.Random(F.name)
+    forms = lambda n: [form(F, 6, [rng.randint(-9, 9) for _ in range(7)]) for _ in range(n)]
+    U = random_space(2, 5, F, 0)
+    return [
+        full_space(F, 6),
+        span(F, 6, [monomial(F, 6 - b, b) for b in range(7)]),
+        principal_space(form(F, 0, [3]), 6),
+        random_space(2, 6, F, 1),
+        random_space(3, 9, F, 2),
+        span(F, 6, forms(1)),
+        shift(U, 1),
+        shift(U, 2),
+        span(F, 8, [mul_form(form(F, 2, [1, 1, 2]), g) for g in shift(U, 1).basis_forms()]),
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda F: F.name)
+def test_down_walks_stop_at_the_first_zero_rung(monkeypatch, field):
+    # each ideal walks V's down-rungs once, to degree 0 or to its first zero rung: one
+    # `_shift_down_once` per nonzero rung above the bottom, and none on a zero space
+    import binforms.spaces as spaces_mod
+
+    built = []
+    real = spaces_mod._shift_down_once
+    monkeypatch.setattr(spaces_mod, "_shift_down_once", lambda V: built.append(V) or real(V))
+    for V in _walk_cases(field):
+        j, chain = V.degree, _oracle_down_chain(V)
+        steps = len(chain) - (chain[-1].ncols == 1)  # a walk that reaches degree 0 stops there
+        for make, walks in ((ancestor_ideal, True), (level_ideal, True), (generated_ideal, False)):
+            del built[:]
+            I = make(FormSpace(field, j, V.mat))
+            assert not any(W.is_zero for W in built), make.__name__
+            assert len(built) == (steps if walks else 0), (make.__name__, j, V.dim)
+            assert I.window_lo == (j + 1 - len(chain) if walks else j)
+            for s, m in enumerate(chain if walks else chain[:1]):
+                assert I.component(j - s).mat == m
+    assert {len(_oracle_down_chain(V)) for V in _walk_cases(field)} >= {1, 2, 3, 7}
+
+
+def test_a_zero_rung_pinned_off_r1v_ends_the_walk():
+    # dim R_1V = 2 dim V pins R_{-1}V = 0: the walk builds it from R_1V, which tau built, with no kernel
+    V = random_space(2, 6, GF(101), 1)
+    ancestor_ideal(V)
+    assert V._up.dim == 2 * V.dim and V._down.is_zero and "_kernel_of" not in V._down.__dict__
 
 
 def _assert_dims_read_off(I):
