@@ -6,11 +6,17 @@
 
 Copies the parent revision (`git archive`) and the working tree (tracked files
 and the untracked ones .gitignore keeps) into two fresh directories and byte-
-compiles both.  Then, workload by workload, it runs `perfbench/run.py --trace 0`
-on both copies for every seed of the range, the side that runs first alternating
-(parent first on odd seeds); one more pair on seed 0 (change first), whose ops
-the worker checks against perfbench/digests.json; and one `--trace 1` run per
-side on seed 0.  The run length is BENCHMARK.json's `run_seconds`.
+compiles both, so `setup_s` here leaves out the compile cost that a checkout
+without bytecode (PYTHONDONTWRITEBYTECODE set; the header records its value)
+pays on every launch: a `perfbench/worker.py --setup-only` launch took 0.101 s
+without bytecode and 0.072 s with it (median of 9, Python 3.11.7, 2 vCPUs).
+Both sides are compiled alike, so the ratios compare like with like, but a
+`setup_s` here is lower than one read in a fresh checkout.  Then, workload by
+workload, it runs `perfbench/run.py --trace 0` on both copies for every seed of
+the range, the side that runs first alternating (parent first on odd seeds);
+one more pair on seed 0 (change first), whose ops the worker checks against
+perfbench/digests.json; and one `--trace 1` run per side on seed 0.  The run
+length is BENCHMARK.json's `run_seconds`.
 
 Writes BENCH_<name>.json at the root of the working tree: every run's result
 line, and, per workload and end-to-end metric of BENCHMARK.json, each side's
@@ -173,6 +179,8 @@ def main() -> int:
             f"seed 0. Workloads: {listed}."
         ),
         "parent_commit": parent_commit,
+        "compiled": True,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "summary": summarize(end_to_end, spec["end_to_end"]),

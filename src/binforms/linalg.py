@@ -9,7 +9,9 @@ canonical, so two spaces are equal iff their basis matrices are equal.
 Entries must already be canonical scalars of the field, or over Q integer
 rows (`from_ints`): nothing here converts them, since values are made
 canonical once, where they enter the system (`forms.form`, `spaces.span`,
-the JSON readers).
+the JSON readers).  Over Q, outside `waring.gad`, rows are integer rows from
+where they enter (`span`, the closed-form blocks) until the output: a Matrix
+builds its Fraction `rows` only when they are read.
 
 `rref` is the one entry point, and it returns the basis it found: a rank is its `nrows`, its
 pivots `pivots`.  `rref_reversed` (which `kernel` and `spaces` call) and the other modules
@@ -33,8 +35,9 @@ Gauss-Jordan kernel by field:
   primitive, so its entries never exceed that input's Hadamard bound prod_i
   max(1, |row_i|_2) (Bareiss, Math. Comp. 22, 1968, does so by exact division).
 
-Both kernels give the same canonical RREF, its pivot rows only, with Fraction
-entries over Q and residues in [0, p) over F_p.  Sizes here stay small (the
+Both kernels give the same canonical RREF, its pivot rows only: primitive
+integer rows over Q (Fraction entries when `rows` is read) and residues in
+[0, p) over F_p.  Sizes here stay small (the
 up-ladder of a degree-j space climbs to about degree 2j: 79 for j = 40), so dense
 elimination is the right tool; exact arithmetic needs no pivoting heuristics.
 """
@@ -111,7 +114,7 @@ def lazy_matrix(field: FieldSpec, nrows: int, ncols: int, write) -> Matrix:
 
 
 def zero_matrix(field: FieldSpec, ncols: int) -> Matrix:
-    return Matrix(field, (), ncols)
+    return from_ints(field, (), ncols)
 
 
 def hankel(field: FieldSpec, rows: Sequence[tuple[int, ...]], width: int) -> Matrix:

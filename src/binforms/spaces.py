@@ -10,11 +10,14 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
 * A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a) needs no
   elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last k columns,
   rho_m being the remainders of 1/g: rho_0 = (-1, 0, ..., 0), rho_{m+1}[q] = rho_m[q+1]
-  - rho_m[0] g[q+1], rho_m[k] = 0.  `_principal` reads f off the last row (its pivot is
-  >= s in any RREF of s+1 rows), rejects most other spaces on one entry (rho_2[0] = g_2 -
-  g_1^2 in the second-to-last row, g_2 = 0 if k = 1) and then compares every row.  R_{+-1}
-  of a block is the block f.R_{s+-1}, built from (f, s +- 1) alone in O(1): its rows are
-  written when first read.
+  - rho_m[0] g[q+1], rho_m[k] = 0.  The rows are written as `ints`: over Q, for l the lcm
+  of f's denominators (l.g is primitive, with lead l) and P_m = l^m rho_m, row a+i is
+  l^m e_{a+i} + P_m, P_{m+1}[q] = l P_m[q+1] - P_m[0] (l.g)[q+1], the pair (l^m, P_m) divided
+  by its gcd at each step, so no entry outgrows the primitive row.  `_principal` reads f off
+  the last `ints` row (its pivot is >= s in any RREF of s+1 rows), rejects most other spaces
+  on one entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if k = 1, an int
+  tested mod p) and then compares every `ints` row.  R_{+-1} of a block is the block
+  f.R_{s+-1}, built from (f, s +- 1) alone in O(1): its rows are written when first read.
 * Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
   iff V's 2 cod V free-column rows (below) are independent: one rank, tried if 2 dim V >=
   j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
@@ -41,7 +44,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
@@ -49,6 +53,7 @@ from .fields import FieldSpec
 from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic, monomial
 from .linalg import (
     Matrix,
+    _integer_row,
     _primitive,
     contains_vector,
     from_ints,
@@ -138,52 +143,64 @@ class FormSpace:
     @cached_property
     def _principal(self) -> BinaryForm | None:
         """The monic f with V = f.R_s, or None (closed-form blocks store it).  The last of V's s + 1
-        RREF rows has its pivot at column >= s, so f is that row from column s on."""
-        F, s, ints = self.field, self.dim - 1, self.mat.ints
+        RREF rows has its pivot at column >= s, so f is that `ints` row from column s on, over its lead."""
+        p, s, ints = self.field.p, self.dim - 1, self.mat.ints
         if self.is_zero:
             return None
         last = ints[-1]
         c = next(i for i, x in enumerate(last) if x)  # f = last[s:] / a leads at column c
         if s and c < self.degree:  # the one-entry pre-test, rho_2[0] = g_2 - g_1^2, on int rows
             pen, (a, g1, g2) = ints[-2], (last[c:c + 3] + (0,))[:3]  # g_i = last[c + i] / a
-            if F.coerce(pen[c + 1] * a * a - next(filter(None, pen)) * (g2 * a - g1 * g1)):
+            e = pen[c + 1] * a * a - next(filter(None, pen)) * (g2 * a - g1 * g1)
+            if e % p if p else e:
                 return None
-        rows = self.mat.rows
-        f = BinaryForm(F, self.degree - s, rows[-1][s:])
-        return f if all(r == w for r, w in zip(reversed(rows), _block_rows(f, s))) else None
+        f = BinaryForm(self.field, self.degree - s, last[s:] if p else tuple(Fraction(x, last[c]) for x in last[s:]))
+        return f if all(r == w for r, w in zip(reversed(ints), _block_rows(f, s))) else None
 
 
 def _block_rows(f: BinaryForm, s: int):
-    """The canonical basis rows of f.R_s (f monic), last row first: rho_1 = h = g[1:]; mod p over F_p."""
-    p, zero, one = f.field.p, f.field.zero, f.field.one
-    a = f.coeffs.index(one)  # f is monic: its first 1 leads
-    h = rho = f.coeffs[a + 1:]
+    """The `ints` rows of f.R_s (f monic), last row first: over Q, l.f for l the lcm of f's
+    denominators is primitive with lead l, and the row with pivot a + i is (l^m, P_m) made primitive."""
+    p, cs = f.field.p, f.coeffs
+    a, l = cs.index(1), 1 if p else lcm(*(x.denominator for x in cs))  # f's first 1 leads
+    h = rho = cs[a + 1:] if p else tuple(x.numerator * (l // x.denominator) for x in cs[a + 1:])
+    lead = l
     for i in range(s, -1, -1):
-        yield (zero,) * (a + i) + (one,) + (zero,) * (s - i) + rho
-        c, rho = (rho[0], rho[1:] + (zero,)) if rho else (zero, rho)
-        if c:
+        yield (0,) * (a + i) + (lead,) + (0,) * (s - i) + rho
+        c, rho = (rho[0], rho[1:] + (0,)) if rho else (0, rho)
+        if l != 1:  # over Q, (l^m, P_m) over its gcd: P_{m+1}[q] = l P_m[q+1] - P_m[0] (l.g)[q+1]
+            rho, lead = tuple(l * r - c * b for r, b in zip(rho, h)), l * lead
+            e = gcd(lead, *rho)
+            rho, lead = tuple(r // e for r in rho), lead // e
+        elif c:
             rho = tuple((r - c * b) % p for r, b in zip(rho, h)) if p else tuple(r - c * b for r, b in zip(rho, h))
 
 
 def span(field: FieldSpec, degree: int, forms) -> FormSpace:
-    """Span of forms or raw coefficient rows.  Forms of this field hold
-    canonical scalars already; raw rows and forms of another field are
-    coerced here, once.  This is where rows of caller-chosen length enter,
-    so their length is checked here and `Matrix` trusts it."""
-    rows = []
+    """Span of forms or raw coefficient rows, eliminated as the `ints` rows made here, once: a form of
+    this field over F_p is taken as it is, a row of ints reduced mod p or taken as it is over Q (no
+    Fraction built), any other row (a form's over Q too) put through `FieldSpec.coerce` and over Q one
+    `_integer_row`.  Rows of caller-chosen length enter here, so their length is checked here and
+    `Matrix` trusts it."""
+    p, rows = field.p, []
     for f in forms:
         if isinstance(f, BinaryForm):
             if f.degree != degree:
                 raise PreconditionError("spanning form of wrong degree")
-            if f.field == field:
+            if p and f.field == field:  # residues in [0, p) already
                 rows.append(f.coeffs)
                 continue
             f = f.coeffs
-        row = tuple(field.coerce(c) for c in f)
+        row = tuple(f)
+        if all(type(c) is int for c in row):  # not bool
+            row = tuple(c % p for c in row) if p else row
+        else:
+            row = tuple(map(field.coerce, row))
+            row = row if p else tuple(_integer_row(row))
         if len(row) != degree + 1:
             raise PreconditionError("spanning row of wrong length", degree=degree, length=len(row))
         rows.append(row)
-    return FormSpace(field, degree, linalg.rref(Matrix(field, tuple(rows), degree + 1)))
+    return FormSpace(field, degree, linalg.rref(from_ints(field, tuple(rows), degree + 1)))
 
 
 def zero_space(field: FieldSpec, degree: int) -> FormSpace:
@@ -214,7 +231,7 @@ def principal_space(f: BinaryForm, degree: int) -> FormSpace:
     if degree < f.degree or f.is_zero:
         return zero_space(f.field, degree)
     F, f, s, n = f.field, monic(f), degree - f.degree, degree + 1
-    V = FormSpace(F, degree, lazy_matrix(F, s + 1, n, lambda: Matrix(F, tuple(_block_rows(f, s))[::-1], n)))
+    V = FormSpace(F, degree, lazy_matrix(F, s + 1, n, lambda: from_ints(F, tuple(_block_rows(f, s))[::-1], n)))
     V.__dict__["_principal"] = f  # the memo, set the way cached_property would
     return V
 
@@ -403,10 +420,9 @@ def random_space(d: int, j: int, field: FieldSpec, seed) -> FormSpace:
         raise PreconditionError(f"need 0 <= d <= j+1, got d={d}, j={j}")
     rng = random.Random(f"formspace|{seed}|{d}|{j}|{field.name}")
     while True:
-        rows = tuple(tuple(field.random_scalar(rng) for _ in range(j + 1)) for _ in range(d))
-        m = linalg.rref(Matrix(field, rows, j + 1))
-        if m.nrows == d:
-            return FormSpace(field, j, m)
+        V = span(field, j, [[field.random_scalar(rng) for _ in range(j + 1)] for _ in range(d)])
+        if V.dim == d:
+            return V
 
 
 # ----- JSON ---------------------------------------------------------------------

@@ -201,6 +201,22 @@ def oracle_principal_space(f: BinaryForm, degree: int):
     return FormSpace(F, degree, rref(Matrix(F, rows, degree + 1)))
 
 
+def oracle_block_rows(f: BinaryForm, s: int) -> list[tuple]:
+    """The canonical rows of f.R_s (f monic) as canonical scalars, last row first, by the remainders
+    of 1/g (f = t^a g): the row with pivot a + i is e_{a+i} with rho_{s+1-i} in its last deg f - a
+    columns, rho_1 = g[1:], rho_{m+1}[q] = rho_m[q+1] - rho_m[0] g[q+1], one scalar at a time.
+    `spaces._block_rows` keeps each row over Q as a primitive integer row instead."""
+    F = f.field
+    a = f.coeffs.index(F.one)
+    h = rho = f.coeffs[a + 1:]
+    rows = []
+    for i in range(s, -1, -1):
+        rows.append((F.zero,) * (a + i) + (F.one,) + (F.zero,) * (s - i) + rho)
+        c, rho = (rho[0], rho[1:] + (F.zero,)) if rho else (F.zero, rho)
+        rho = tuple(F.coerce(r - c * b) for r, b in zip(rho, h))
+    return rows
+
+
 def divides(g: BinaryForm, f: BinaryForm) -> bool:
     try:
         divide_form(f, g)

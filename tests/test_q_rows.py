@@ -7,15 +7,17 @@ Fraction at a time, on random, sparse and high-height inputs, and the lazy
 matrices are compared with eagerly built ones."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from binforms.fields import QQ
-from binforms.ideals import ancestor_ideal
+from binforms.ideals import GradedIdeal, ancestor_ideal, generator_degrees, hilbert_function
 from binforms.linalg import Matrix, kernel, rref
-from binforms.spaces import gcd_of_space, random_space, shift, space_sum, span, tau
+from binforms.related import related_classes
+from binforms.spaces import FormSpace, gcd_of_space, random_space, shift, space_sum, span, tau
 from binforms.waring import mu, perp, random_dual, tau_delta
 from oracles import oracle_rref
 
@@ -126,18 +128,52 @@ def test_up_ladder_builds_no_fraction_rows(seed):
     assert all("rows" not in R.mat.__dict__ for R in built)
 
 
+def _matrices(*roots) -> list[Matrix]:
+    """Every Matrix reachable from these spaces and ideals: their bases, rungs and residue rows."""
+    found, stack, seen = [], list(roots), set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Matrix):
+            found.append(x)
+        elif isinstance(x, FormSpace):
+            stack += vars(x).values()
+        elif isinstance(x, GradedIdeal):
+            stack += x.components
+        elif isinstance(x, (list, tuple)):
+            stack += x
+    return found
+
+
 def test_apolarity_and_gcd_clear_no_denominators(monkeypatch):
-    # once the inputs are built, the catalecticants and gcd(V) read `Matrix.ints`: no row of
-    # Fractions is cleared back to integers, in `linalg` or in `forms`
+    # once the inputs are built, the catalecticants and gcd(V) read `Matrix.ints`; from int rows,
+    # span, tau, the ancestor ideal and the related classes with their Betti and Hilbert data build
+    # `ints` alone: no row of Fractions is cleared back to integers, in `linalg`, `forms` or `spaces`,
+    # and no matrix they reach, blocks included, builds its Fraction rows
     import binforms.forms as forms
     import binforms.linalg as linalg
+    import binforms.spaces as spaces
 
     inputs = [(random_dual(6, 24, QQ, s), random_space(5, 12, QQ, s)) for s in range(4)]
+    rng = random.Random(49)
+    raw = [(j, [[rng.randint(-9, 9) for _ in range(j + 1)] for _ in range(rng.randint(1, j + 1))])
+           for j in range(1, 11) for _ in range(3)]
     calls, real = [], linalg._integer_row
-    for mod in (linalg, forms):
+    for mod in (linalg, forms, spaces):
         monkeypatch.setattr(mod, "_integer_row", lambda row: calls.append(row) or real(row))
     assert Matrix(QQ, ((Fraction(1, 2), Fraction(1)),), 2).ints == ((1, 2),) and len(calls) == 1  # the spy sees
     calls.clear()
     for W, V in inputs:
         tau_delta(W), mu(W), perp(V), gcd_of_space(V)
+    reached = []
+    for j, rows in raw:
+        V = span(QQ, j, rows)
+        tau(V)
+        reached += [V, ancestor_ideal(V), related_classes(V)]
+        for I in reached[-1]:
+            generator_degrees(I), hilbert_function(I)
     assert calls == []
+    mats = _matrices(*reached)
+    assert len(mats) > 100 and not [m for m in mats if "rows" in vars(m)]

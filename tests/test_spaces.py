@@ -1,5 +1,6 @@
 import random
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,11 @@ from binforms.ideals import (
     relation_degrees,
     same_ideal,
 )
-from binforms.linalg import Matrix
+from binforms.linalg import Matrix, _integer_row
 from binforms.osequence import oseq
 from binforms.spaces import (
     FormSpace,
+    _block_rows,
     contained,
     equivalent,
     full_space,
@@ -35,7 +37,7 @@ from binforms.spaces import (
     zero_space,
 )
 
-from oracles import oracle_contained, oracle_down_dim, oracle_principal_space
+from oracles import oracle_block_rows, oracle_contained, oracle_down_dim, oracle_principal_space, oracle_rref
 
 F101 = GF(101)
 
@@ -180,6 +182,49 @@ def test_span_raw_rows_match_form_route(field):
         assert all(type(c) is want for r in got.mat.rows for c in r)
         if field.p:
             assert all(0 <= c < field.p for r in got.mat.rows for c in r)
+
+
+_BIG = 2**64 + 13
+
+
+def _entry_rows(field):
+    """One spanning row per entry kind, made afresh (one is a generator), with the scalars it stands for."""
+    other = F101 if field.p is None else QQ
+    return [
+        ([-3, _BIG, 0, -7 * _BIG], [-3, _BIG, 0, -7 * _BIG]),
+        ([Fraction(-2, 3), Fraction(_BIG, 5), 0, 1], [Fraction(-2, 3), Fraction(_BIG, 5), 0, 1]),
+        ([Decimal("0.25"), Decimal("-1.5e3"), Decimal(7), 0], [Fraction(1, 4), -1500, 7, 0]),
+        (form(field, 3, [1, 2, -1, 0]), [1, 2, -1, 0]),
+        (form(other, 3, [Fraction(1, 2), 0, 5, -_BIG]), form(other, 3, [Fraction(1, 2), 0, 5, -_BIG]).coeffs),
+        ((x for x in (0, 1, -_BIG, 4)), [0, 1, -_BIG, 4]),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=lambda F: F.name)
+def test_span_takes_each_entry_kind_at_its_value(field):
+    n = len(_entry_rows(field))
+    for picked in [[k] for k in range(n)] + [list(range(n)), [0, 3, 5], [1, 2, 4]]:
+        rows = [_entry_rows(field)[k] for k in picked]
+        coerced = tuple(tuple(field.coerce(x) for x in want) for _, want in rows)
+        red, rank, _ = oracle_rref(Matrix(field, coerced, 4))
+        assert span(field, 3, [got for got, _ in rows]).mat.rows == red.rows[:rank], picked
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=lambda F: F.name)
+@pytest.mark.parametrize(
+    "bad",
+    [[1, True, 0, 0], [1, 0.5, 0, 0], [1, "2", 0, 0], [1, 0, 0], [1, 0, 0, 0, 0],
+     [1, 0, Decimal("1e5000"), 0], [1, 0, Decimal("9" * 4301), 0]],
+    ids=["bool", "float", "str", "short", "long", "decimal-exponent", "decimal-digits"],
+)
+def test_span_refuses_a_bad_entry_before_any_elimination(monkeypatch, field, bad):
+    import binforms.linalg as linalg
+
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m))
+    with pytest.raises(PreconditionError):
+        span(field, 3, [[1, 2, 3, 4], bad])
+    assert calls == []
 
 
 def test_span_rejects_denominator_divisible_by_p():
@@ -493,6 +538,38 @@ def test_principal_space_matches_band_elimination(case):
         assert_same_basis(shift(P, k), oracle_principal_space(f, j + k))
     if f.degree:
         assert principal_space(f, f.degree - 1).is_zero
+
+
+BLOCK_HEIGHT = 2**64
+
+
+@st.composite
+def block_forms(draw):
+    """(f, s), f monic = y^a core x^b, core of degree k >= 0, s >= 0, a > 0 or s = 0 or deg f = 0 often:
+    over Q at heights up to 2^64, also small ones (whose leads share factors with the tail)."""
+    F = draw(st.sampled_from([QQ, GF(2), F101]))
+    a, b, k = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 5))
+    if F.p is None:
+        h = draw(st.sampled_from([4, 12, BLOCK_HEIGHT]))
+        x = st.builds(Fraction, st.integers(-h, h), st.integers(1, h))
+        core = [Fraction(1)] + [draw(x) for _ in range(k)]
+    else:
+        core = [F.one] + [draw(st.integers(0, F.p - 1)) for _ in range(k)]
+    if k and not core[-1]:
+        core[-1] = F.one
+    coeffs = (F.zero,) * a + tuple(core) + (F.zero,) * b
+    return BinaryForm(F, len(coeffs) - 1, coeffs), draw(st.sampled_from([0, 1, 2, 5, 9]))
+
+
+@given(block_forms())
+@settings(max_examples=300, deadline=None)
+def test_block_rows_are_the_integer_rows_of_the_fraction_recursion(case):
+    f, s = case
+    want = oracle_block_rows(f, s)
+    got = list(_block_rows(f, s))
+    assert got == (want if f.field.p else [tuple(_integer_row(r)) for r in want])
+    assert all(type(x) is int for r in got for x in r)
+    assert principal_space(f, f.degree + s).mat.rows == tuple(want[::-1])
 
 
 def _rows_unwritten(m):
