@@ -145,10 +145,10 @@ class FieldSpec:
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"bad scalar {text!r} for field {self.name}") from None
 
-    def random_scalar(self, rng: random.Random) -> Scalar:
-        if self.p is None:
-            return Fraction(rng.randint(-9, 9))  # bounded height keeps Q runs fast
-        return rng.randrange(self.p)
+    def random_scalar(self, rng: random.Random) -> int:
+        """An int, not a Fraction over Q: `randint(-9, 9)` there (bounded height keeps Q runs fast), a residue
+        over F_p.  `spaces.span` and `forms.form` take an int at its value, so it enters with no Fraction built."""
+        return rng.randint(-9, 9) if self.p is None else rng.randrange(self.p)
 
 
 QQ = FieldSpec(None)

@@ -261,13 +261,15 @@ def linear_power(L: BinaryForm, n: int) -> BinaryForm:
         raise PreconditionError("linear_power needs a degree-1 form")
     if L.is_zero:
         raise PreconditionError("linear_power of the zero form")
-    (a, b), p = L.coeffs, L.field.p
+    return BinaryForm(L.field, n, tuple(_power_list(*L.coeffs, n, L.field.p)))
+
+
+def _power_list(a, b, n: int, p: int | None) -> list:
+    """The coefficients of (a x + b y)^n: C(n, k) a^(n-k) b^k, reduced mod p over F_p."""
     binom = itertools.accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)  # exact C(n, k)
     if p is None:
-        cs = (c * a ** (n - k) * b**k for k, c in enumerate(binom))
-    else:
-        cs = (c % p * pow(a, n - k, p) * pow(b, k, p) % p for k, c in enumerate(binom))
-    return BinaryForm(L.field, n, tuple(cs))
+        return [c * a ** (n - k) * b**k for k, c in enumerate(binom)]
+    return [c % p * pow(a, n - k, p) * pow(b, k, p) % p for k, c in enumerate(binom)]
 
 
 # ----- factoring into linear forms -----------------------------------------------
@@ -351,40 +353,47 @@ def _rational_roots(f: list) -> list:
     return sorted(roots)
 
 
-def _linear_split(f: BinaryForm) -> tuple[BinaryForm, Callable[[], list[tuple[BinaryForm, int]]]]:
-    """(remainder, factors) with `linear_factors(f)` == (factors(), remainder).
-    Over F_p the remainder of the core (f less its powers of x and y) costs
-    one Frobenius power, g = `_root_gcd(core, p)`, then rem <- rem /
-    gcd(rem, g) until that gcd is 1; factors() splits that g.  Over Q the
-    roots come first.  Multiplicities are counted by exact division."""
-    if f.is_zero:
+def _linear_split(F: FieldSpec, coeffs) -> tuple[list, Callable[[], list[tuple[BinaryForm, int]]]]:
+    """(remainder, factors) of the nonzero form with these coefficients (canonical scalars, or ints over Q):
+    `linear_factors` is factors() and the remainder, a list in t, made a monic form.  Over F_p the remainder
+    of the core (f less its powers of x and y) costs one Frobenius power, g = `_root_gcd(core, p)`, then
+    rem <- rem / d_k for the chain d_k = gcd(rem, g) until d_k = 1.  d_k holds the roots of multiplicity
+    >= k, so factors() splits g and counts the d_k each root is a root of.  Over Q the roots come first,
+    and multiplicities are counted by exact division."""
+    p, cs = F.p, _trim(list(coeffs))
+    if not cs:
         raise PreconditionError("cannot factor the zero form")
-    F, p = f.field, f.field.p
-    cs = _trim(list(f.coeffs))
-    mx = f.degree + 1 - len(cs)  # the degree drop is the power of x
+    mx = len(coeffs) - len(cs)  # the degree drop is the power of x
     my = next(a for a, c in enumerate(cs) if c)  # the root t = 0
     core = cs[my:] if p else _integer_row(cs[my:])
 
-    def strip(roots) -> tuple[list, list]:
-        rem = core
+    def strip(mults: dict) -> list:
+        # root t of the polynomial in t <-> factor y - t x
         factors = [(l, m) for l, m in ((monomial(F, 0, 1), my), (monomial(F, 1, 0), mx)) if m]
-        for t in roots:
-            # root t of the polynomial in t <-> factor y - t x
-            lin = [-t % p, 1] if p else [-t.numerator, t.denominator]
-            mult = 0
-            while (q := _exquo(rem, lin, p)) is not None:
-                rem, mult = q, mult + 1
-            factors.append((_monic_form(F, lin), mult))
+        factors += [(_monic_form(F, [-t % p, 1] if p else [-t.numerator, t.denominator]), m) for t, m in mults.items()]
         factors.sort(key=lambda fm: [(c.numerator, c.denominator) for c in map(Fraction, fm[0].coeffs)])
-        return factors, rem
+        return factors
 
     if p is None or len(core) < 2:
-        factors, rem = strip(_rational_roots(core))
-        return _monic_form(F, rem), lambda: factors
-    g, rem = _root_gcd(core, p), core
+        rem, mults = core, {}
+        for t in _rational_roots(core):
+            while (q := _exquo(rem, [-t.numerator, t.denominator], None)) is not None:
+                rem, mults[t] = q, mults.get(t, 0) + 1
+        factors = strip(mults)
+        return rem, lambda: factors
+    g, rem, chain = _root_gcd(core, p), core, []
     while len(d := _gcd_p(rem, g, p)) > 1:
         rem = _divmod_p(rem, d, p)[0]
-    return _monic_form(F, rem), lambda: strip(_fp_roots(g, p))[0]
+        chain.append(d)
+    return rem, lambda: strip({t: sum(not _eval_p(d, t, p) for d in chain) for t in _fp_roots(g, p)})
+
+
+def _eval_p(f: list[int], t: int, p: int) -> int:
+    """f(t) mod p, by Horner."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * t + c) % p
+    return acc
 
 
 def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryForm]:
@@ -395,8 +404,8 @@ def linear_factors(f: BinaryForm) -> tuple[list[tuple[BinaryForm, int]], BinaryF
     tuple, so the result is deterministic.  remainder is monic with no
     roots in k (degree 0 when f splits completely).
     """
-    rem, factors = _linear_split(f)
-    return factors(), rem
+    rem, factors = _linear_split(f.field, f.coeffs)
+    return factors(), _monic_form(f.field, rem)
 
 
 # ----- text & JSON --------------------------------------------------------------

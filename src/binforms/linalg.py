@@ -9,9 +9,9 @@ canonical, so two spaces are equal iff their basis matrices are equal.
 Entries must already be canonical scalars of the field, or over Q integer
 rows (`from_ints`): nothing here converts them, since values are made
 canonical once, where they enter the system (`forms.form`, `spaces.span`,
-the JSON readers).  Over Q, outside `waring.gad`, rows are integer rows from
-where they enter (`span`, the closed-form blocks) until the output: a Matrix
-builds its Fraction `rows` only when they are read.
+the JSON readers).  Over Q rows are integer rows from where they enter
+(`span`, the closed-form blocks) until the output: a Matrix builds its
+Fraction `rows` only when they are read.
 
 `rref` is the one entry point, and it returns the basis it found: a rank is its `nrows`, its
 pivots `pivots`.  `rref_reversed` (which `kernel` and `spaces` call) and the other modules

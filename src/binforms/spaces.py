@@ -33,7 +33,8 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those 2 cod V Hankel windows,
   written on first read.  V keeps their reversed RREF basis, whose rank pins R_1V too.  A
   down-rung is the kernel of such a basis, whose rows span its V^perp and are its `_dual`: no
-  rung's rows are written on the way down, nor by a membership test.
+  rung's rows are written on the way down, nor by a membership test.  `kernel_space` makes such a
+  lazy kernel of any independent rows (`waring`'s (Ann W)_{j-1} off tau_delta's RREF).
 * Monomial ideals, `monomial_rungs`: a component of (x^p y^q) and its R_1 are spans of unit rows e_b,
   an RREF when sorted by b: read off the exponents with no elimination, R_1 kept as the component's `_up`.
 """
@@ -59,6 +60,7 @@ from .linalg import (
     from_ints,
     hankel,
     integral_dual,
+    kernel,
     kernel_from,
     lazy_matrix,
     rref_reversed,
@@ -115,9 +117,9 @@ class FormSpace:
     @cached_property
     def _dual(self) -> tuple:
         """A basis of V^perp (w is in V iff its dot with each row is 0): V's `integral_dual`, or for a
-        down-rung the reduced rows it is the kernel of, turned back, so that none of its rows is written."""
-        red = self.__dict__.get("_kernel_of")
-        return integral_dual(self.mat) if red is None else tuple(r[::-1] for r in red.ints)
+        lazy kernel (a down-rung, `kernel_space`) the rows it is the kernel of, so that none of its rows is written."""
+        dual = self.__dict__.get("_kernel_of")
+        return integral_dual(self.mat) if dual is None else dual
 
     @cached_property
     def _residues(self) -> Matrix:
@@ -292,9 +294,21 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
     if V.is_zero or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
     reduced = V._residues
-    down = FormSpace(F, j - 1, lazy_matrix(F, j - reduced.nrows, j, lambda: kernel_from(reduced)))
-    down.__dict__["_kernel_of"] = reduced  # rows, never a space
-    return down
+    return _lazy_kernel(F, j - 1, tuple(r[::-1] for r in reduced.ints), lambda: kernel_from(reduced))
+
+
+def _lazy_kernel(F: FieldSpec, degree: int, dual: tuple, write) -> FormSpace:
+    """The space with the independent int rows `dual` as its `_dual` (rows, never a space), written by write()."""
+    V = FormSpace(F, degree, lazy_matrix(F, degree + 1 - len(dual), degree + 1, write))
+    V.__dict__["_kernel_of"] = dual
+    return V
+
+
+def kernel_space(field: FieldSpec, degree: int, dual: tuple) -> FormSpace:
+    """The degree-`degree` forms whose dot with each of the independent int rows `dual` (residues over F_p) is 0.
+    As a down-rung, it keeps `dual` as its `_dual` and writes its rows on first read, so a walk down from it
+    eliminates only residue rows."""
+    return _lazy_kernel(field, degree, dual, lambda: kernel(from_ints(field, dual, degree + 1)))
 
 
 def _fills_next(V: FormSpace) -> bool:

@@ -14,12 +14,16 @@ codimension of the locus where mu drops.  `_ann_component` has one rule:
 windows of width i+1 of W's weighted rows), whatever i is, and tau_delta is
 the rank of the degree-(j-1) one.  Below degree j+1 each component of Ann W
 is the colon R_{-1} of the next, so mu is read off the down-rungs of one
-catalecticant kernel, taken at the bound mu_generic(tau_delta, d, j).
+catalecticant kernel, taken at the bound mu_generic(tau_delta, d, j).  When
+mu_generic >= j-1, mu starts from tau_delta's elimination instead: the kernel
+of its RREF is (Ann W)_{j-1}, and when that is 0, mu = j.  `gad` certifies
+its decompositions on int lists and builds forms only for its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
@@ -27,24 +31,15 @@ from operator import mul
 from . import linalg
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .forms import (
-    BinaryForm,
-    _linear_split,
-    linear_power,
-    monic,
-    monomial,
-    mul_form,
-    add_form,
-    require_pairing_char,
-    zero_form,
-)
+from .forms import BinaryForm, _linear_split, _monic_form, _power_list, monic, require_pairing_char
 from .hilbert import _pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
-from .linalg import Matrix, hankel, kernel
+from .linalg import Matrix, _integer_row, from_ints, hankel, kernel
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
     full_space,
+    kernel_space,
     random_space,
     shift,
     span,
@@ -60,8 +55,8 @@ DUAL_VARS = ("X", "Y")
 @dataclass(frozen=True)
 class DualSpace:
     """A subspace of the degree-j dual forms in X, Y (canonical RREF basis).
-    Its weighted rows, tau_delta and (mu, (Ann W)_mu) are cached, not fields; no
-    catalecticant or its RREF is kept, so each rank or kernel eliminates afresh."""
+    Its weighted rows, the RREF of its degree-(j-1) catalecticant (tau_delta's) and
+    (mu, (Ann W)_mu) are cached, not fields; any other catalecticant kernel eliminates afresh."""
 
     space: FormSpace
 
@@ -85,13 +80,12 @@ class DualSpace:
         return tuple(tuple(x % p for x in r) if p else tuple(r) for r in rows)
 
     @cached_property
-    def _tau_delta(self) -> int:
-        """1 + dim R_1.W - dim W = tau((Ann W)_j).  R_1.W is the complement of
-        (Ann W)_{j-1} under the perfect degree-(j-1) pairing (f kills x.w and
-        y.w iff f.w = 0), so its dimension is the rank of that catalecticant.
-        The zero space gets 1 (no rows); at j = 0 the degree -1 catalecticant
-        has no columns, so the answer is 1 - dim W."""
-        return 1 + linalg.rref(hankel(self.field, self._weighted, self.degree)).nrows - self.dim
+    def _catalecticant(self) -> Matrix:
+        """The RREF of the degree-(j-1) catalecticant, eliminated once in plain column order.  R_1.W is
+        the complement of (Ann W)_{j-1} under the perfect degree-(j-1) pairing (f kills x.w and y.w iff
+        f.w = 0), so its rank is dim R_1.W and its rows span the dot-dual of (Ann W)_{j-1}.  At j = 0
+        the degree -1 catalecticant has no columns, and the zero space has no rows."""
+        return linalg.rref(hankel(self.field, self._weighted, self.degree))
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:
@@ -100,14 +94,20 @@ class DualSpace:
         mu_g bounds mu, and one kernel checks it: (Ann W)_{mu_g} = 0 raises.
         For 1 <= i <= j, (Ann W)_{i-1} = R_{-1}(Ann W)_i, as f.w of positive
         degree killed by x and y is 0; so the down-rungs of (Ann W)_{mu_g} are
-        the lower components, and the lowest nonzero one is (Ann W)_mu.  The
-        full dual space (d = 0) has mu = j+1, where that identity fails.
+        the lower components, and the lowest nonzero one is (Ann W)_mu.  From
+        mu_g >= j-1 on, no catalecticant is eliminated again: (Ann W)_{j-1} is
+        the `kernel_space` of tau_delta's RREF, and when it is 0 (then
+        tau_delta = d and mu_g = j) mu = j and (Ann W)_j is the `kernel_space`
+        of W's weighted rows.  The full dual space (d = 0) has mu = j+1, where
+        that identity fails.
         """
-        j, d = self.degree, self.space.cod
+        F, j, d = self.field, self.degree, self.space.cod
         if d == 0:
-            return j + 1, full_space(self.field, j + 1)
-        top = mu_generic(self._tau_delta, d, j)
-        comp = _ann_component(self, top)
+            return j + 1, full_space(F, j + 1)
+        top, red = mu_generic(tau_delta(self), d, j), self._catalecticant
+        if red.nrows == j:  # (Ann W)_{j-1} = 0
+            return j, kernel_space(F, j, self._weighted)
+        comp = kernel_space(F, j - 1, red.ints) if top >= j - 1 else _ann_component(self, top)
         if comp.is_zero:
             raise RuntimeError(f"(Ann W)_{top} = 0: mu exceeds its bound mu_generic = {top}")
         while comp.degree and shift(comp, -1).dim:
@@ -170,15 +170,17 @@ def annihilator(W: DualSpace) -> GradedIdeal:
 
 
 def tau_delta(W: DualSpace) -> int:
-    """1 + dim R_1.W - dim W = tau((Ann W)_j), computed once per dual space."""
-    return W._tau_delta
+    """1 + dim R_1.W - dim W = tau((Ann W)_j): 1 + the rank of the degree-(j-1) catalecticant - dim W,
+    eliminated once per dual space (the zero space gets 1; at j = 0 the answer is 1 - dim W)."""
+    return 1 + W._catalecticant.nrows - W.dim
 
 
 def mu(W: DualSpace) -> int:
     """Initial degree of the annihilator; c <= mu(W) <= mu_generic(tau_delta).
 
-    One catalecticant kernel at the bound, then down-rungs to the lowest
-    nonzero component (j+1 when W is the full dual space).
+    One catalecticant kernel at the bound (from mu_generic >= j-1 on, tau_delta's
+    elimination), then down-rungs to the lowest nonzero component (j+1 when W is
+    the full dual space).
     """
     return W._initial[0]
 
@@ -230,49 +232,52 @@ def gad(W: DualSpace) -> GAD | Unsplit:
     candidate splits, returns Unsplit with the rootless part of the
     lex-first candidate.
 
-    One kernel per split candidate certifies and solves: with columns w_1..w_c
-    (W's basis), g_1..g_m (the X^sY^t L_i^{j+1-beta_i}) its RREF basis has c
-    rows with pivots 0..c-1 iff the g are independent and span every w, and
-    then row k is (e_k | -coords of w_k).
+    One kernel per split candidate certifies and solves, on int lists (`Matrix.ints`):
+    with columns w_1..w_c (W's basis) and g_1..g_m, g = X^sY^t L_i^{j+1-beta_i} the
+    power's list shifted by t, its RREF basis has c rows with pivots 0..c-1 iff the g
+    are independent and span every w, and then row k is z = (z_k e_k | -coords of
+    z_k w_k).  Over Q, w_k is lambda_k times W's basis element and L_i's primitive row
+    s_i times L_i, so a coordinate times s_i^{j+1-beta_i} / (z_k lambda_k) is the
+    cofactor's.  Each z is checked to reconstruct z_k w_k from the g.
     """
-    F, j, c = W.field, W.degree, W.dim
+    F, p, j, c = W.field, W.field.p, W.degree, W.dim
     m, comp = W._initial
     first_rem = None
-    for row in comp.mat.rows[::-1]:  # lex-smallest first: a later RREF row is 0 at an earlier one's pivot 1
-        rem, split = _linear_split(BinaryForm(F, m, row))
+    for row in comp.mat.ints[::-1]:  # lex-smallest first: a later RREF row is 0 at an earlier one's pivot 1
+        rem, split = _linear_split(F, row)
         if first_rem is None:
             first_rem = rem
-        if rem.degree > 0:
+        if len(rem) > 1:
             continue
         factors = split()
         linear_forms = tuple(_dual_of_linear(l) for l, _ in factors)
         weights = tuple(b for _, b in factors)
         if sum(weights) != m:
             raise RuntimeError("factor multiplicities do not add up to mu")
-        powers = [linear_power(L, j + 1 - b) for L, b in zip(linear_forms, weights)]
+        lins = [L.coeffs if p else _integer_row(L.coeffs) for L in linear_forms]
+        powers = [_power_list(*L, j + 1 - b, p) for L, b in zip(lins, weights)]
         # factor by factor, t = 0..b-1 inside each: the cofactor slices read this order
-        gens = [mul_form(monomial(F, b - 1 - t, t), P)
-                for P, b in zip(powers, weights) for t in range(b)]
-        cols = W.space.mat.rows + tuple(g.coeffs for g in gens)
-        ker = kernel(Matrix(F, tuple(zip(*cols)), c + m)).rows
+        gens = [[0] * t + P + [0] * (b - 1 - t) for P, b in zip(powers, weights) for t in range(b)]
+        ws = W.space.mat.ints
+        ker = kernel(from_ints(F, tuple(zip(*ws, *gens)), c + m)).ints
         if len(ker) != c or any(not z[k] for k, z in enumerate(ker)):
             raise RuntimeError("dual space escapes its apolar power span")
+        scales = [1 if p else next(filter(None, L)) ** (j + 1 - b) for L, b in zip(lins, weights) for _ in range(b)]
         cofactors = []
-        for w, z in zip(W.basis_forms(), ker):
-            coords = [F.coerce(-x) for x in z[c:]]  # z = (e_k | -coords of w_k)
-            per_factor = [
-                BinaryForm(F, b - 1, tuple(coords[end - b : end]))
-                for b, end in zip(weights, accumulate(weights))
-            ]
-            # reconstruct to be safe: w = sum G_i L_i^{j+1-beta_i}
-            acc = zero_form(F, j)
-            for G, P in zip(per_factor, powers):
-                acc = add_form(acc, mul_form(G, P))
-            if acc != w:
+        for k, (w, z) in enumerate(zip(ws, ker)):
+            acc = [z[k] * x for x in w]  # reconstruct to be safe: z_k w_k + sum z_i g_i = 0
+            for x, g in zip(z[c:], gens):
+                if x:
+                    acc = [a + x * v for a, v in zip(acc, g)]
+            if any(a % p if p else a for a in acc):
                 raise RuntimeError("cofactor reconstruction mismatch")
-            cofactors.append(tuple(per_factor))
+            den = 1 if p else z[k] * next(filter(None, w))
+            coords = [-x % p if p else Fraction(-x * s, den) for x, s in zip(z[c:], scales)]
+            cofactors.append(tuple(
+                BinaryForm(F, b - 1, tuple(coords[end - b : end])) for b, end in zip(weights, accumulate(weights))
+            ))
         return GAD(linear_forms, weights, tuple(cofactors))
-    return Unsplit(first_rem)
+    return Unsplit(_monic_form(F, first_rem))
 
 
 # ── generic values of mu and the drop-locus codimension ───────────────────────

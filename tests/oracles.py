@@ -357,9 +357,13 @@ def oracle_q_roots(core) -> list:
 
 
 def oracle_linear_factors(f: BinaryForm) -> tuple[dict, tuple]:
-    """`linear_factors` of a form over Q, from sympy's factorization in x, y:
-    ({monic linear coefficient pair: multiplicity}, monic remainder coeffs)."""
+    """`linear_factors` of a form, from sympy's factorization: in x, y over Q, and
+    over F_p of f(1, t) (sympy factors no bivariate polynomial mod p), the drop in
+    degree being the power of x: ({monic linear coefficient pair: multiplicity},
+    monic remainder coeffs)."""
     F = f.field
+    if F.p:
+        return _oracle_linear_factors_fp(f)
 
     def monic_coeffs(poly):
         cs = poly_to_coeffs(poly, poly.total_degree(), F)
@@ -373,6 +377,23 @@ def oracle_linear_factors(f: BinaryForm) -> tuple[dict, tuple]:
         else:
             rest *= fac**m
     return linear, monic_coeffs(rest)
+
+
+def _oracle_linear_factors_fp(f: BinaryForm) -> tuple[dict, tuple]:
+    p, t = f.field.p, sympy.Symbol("t")
+    cs = [int(c) for c in f.coeffs]
+    n = max(k for k, c in enumerate(cs) if c)
+    linear, rest = ({(1, 0): f.degree - n} if f.degree > n else {}), sympy.Poly(1, t, modulus=p)
+    for fac, m in sympy.Poly(sum(c * t**k for k, c in enumerate(cs)), t, modulus=p).factor_list()[1]:
+        if fac.degree() == 1:  # a t + b: the root r = -b/a, the factor y - r x
+            a, b = (int(c) % p for c in fac.all_coeffs())
+            r = -b * pow(a, -1, p) % p
+            linear[(0, 1) if r == 0 else (1, pow(-r, -1, p))] = m
+        else:
+            rest *= fac**m
+    rem = [int(c) % p for c in reversed(rest.all_coeffs())]  # constant first, nonzero
+    inv = pow(rem[0], -1, p)
+    return linear, tuple(c * inv % p for c in rem)
 
 
 def oracle_gad_cofactors(W, linear_forms, weights):

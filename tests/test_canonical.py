@@ -33,7 +33,7 @@ from binforms.ideals import (
 )
 from binforms.linalg import rref
 from binforms.osequence import oseq, parse_oseq
-from binforms.spaces import principal_space, random_space, shift, span
+from binforms.spaces import kernel_space, principal_space, random_space, shift, span
 from binforms.waring import DualSpace, _ann_component, mu, n_mu_tau, perp, tau_delta
 
 FIELDS = [GF(2), GF(7), GF(101), QQ]
@@ -69,6 +69,9 @@ def test_every_space_the_library_builds_is_in_canonical_rref(V, seed):
     if F.p is None or F.p > j:  # the contraction pairing's characteristic
         W = perp(V)
         built += [W.space] + [_ann_component(W, i) for i in range(j + 3)]
+        # the apolar path's lazy rungs: (Ann W)_{j-1} off tau_delta's RREF, (Ann W)_j off W's weighted rows
+        built += [W._initial[1], kernel_space(F, j, W._weighted)]
+        built += [kernel_space(F, j - 1, W._catalecticant.ints)] if j else []
     for I in (ancestor_ideal(V), level_ideal(V), generated_ideal(V)):
         built += _ideal_components(I)
     gens = [form(F, k, [rng.randint(-3, 3) for _ in range(k + 1)]) for k in rng.choices(range(j + 2), k=3)]

@@ -293,24 +293,27 @@ def test_waring_split_and_unsplit(tmp_path):
 
 
 def test_waring_bisects_once(tmp_path, monkeypatch):
-    # mu(W) and gad(W) share the dual space's memoized (Ann W)_mu, so one CLI
-    # run builds as many catalecticant kernels as one mu(W)
+    # mu(W) and gad(W) share the dual space's memoized (Ann W)_mu, so one CLI run
+    # eliminates as often as reading W, one mu(W), writing (Ann W)_mu's rows (a lazy
+    # rung when mu >= j-1, as here) and gad's one certificate kernel when a row splits
+    import binforms.linalg as linalg
     import binforms.waring as waring
 
     calls = []
-    real = waring._ann_component
-    monkeypatch.setattr(waring, "_ann_component", lambda W, i: calls.append(i) or real(W, i))
-    for field in (GF(7), QQ):  # the first splits, the second stays Unsplit
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    for field, splits in ((GF(7), True), (QQ, False)):  # the first splits, the second stays Unsplit
         W = dual_space(field, 3, [form(field, 3, [0, 1, -1, 0])])
         path = tmp_path / f"W{field.p}.json"
         path.write_text(json.dumps(space_to_json(W.space)))
-        assert waring.mu(W) == 2
-        want, calls[:] = len(calls), []
+        calls.clear()
+        W = waring.dual_from_json(json.loads(path.read_text()))
+        assert waring.mu(W) == 2 and W._initial[1].mat.ints
+        want, calls[:] = len(calls) + splits, []
         rc, out, _ = _run(["waring", str(path)])
         assert rc == 0
         assert out.startswith("tau_delta = 2   mu = 2\n")
-        assert len(calls) == want > 0
-        calls.clear()
+        assert len(calls) == want == 4 + splits
 
 
 def test_related_class_list(tmp_path):

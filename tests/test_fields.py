@@ -86,6 +86,33 @@ def test_q_constants_are_shared_fractions():
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=lambda F: F.name)
+def test_random_scalars_are_ints_and_random_spaces_enter_with_no_fraction_row(monkeypatch, field):
+    # over Q the draw is randint(-9, 9) as an int, which `span` takes at its value: the same
+    # space as the Fraction rows of those draws, and no `_integer_row` per drawn row
+    import random
+
+    import binforms.spaces as spaces
+    from binforms.linalg import Matrix
+    from oracles import oracle_rref
+
+    calls = []
+    real = spaces._integer_row
+    monkeypatch.setattr(spaces, "_integer_row", lambda row: calls.append(row) or real(row))
+    for seed in range(12):
+        d, j = 1 + seed % 6, 6 + seed % 7
+        V = spaces.random_space(d, j, field, seed)
+        rng = random.Random(f"formspace|{seed}|{d}|{j}|{field.name}")
+        while True:  # random_space's draws, as canonical scalars
+            draws = [[field.random_scalar(rng) for _ in range(j + 1)] for _ in range(d)]
+            assert all(type(x) is int for r in draws for x in r)
+            red, rank, _ = oracle_rref(Matrix(field, tuple(tuple(map(field.coerce, r)) for r in draws), j + 1))
+            if rank == d:
+                break
+        assert V.mat.rows == red.rows[:d], (seed, field.name)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=lambda F: F.name)
 @pytest.mark.parametrize("text", ["1e999999", "1e-999999", "1e4301", "7" * 4000 + "e400", "1" * 4301, "e5"])
 def test_scalars_that_cannot_be_printed_back_are_refused(field, text):
     t0 = time.perf_counter()

@@ -537,6 +537,56 @@ def test_linear_factors_q_match_sympy(my, mx):
         assert rem.coeffs == rest
 
 
+# Over F_p a root's multiplicity is the number of d_k = gcd(rem, g) in the remainder
+# chain it is a root of: repeated roots, roots beside t = 0 and t = oo, rootless rests.
+
+
+def _planted_fp_form(p, rng):
+    """(y - r x)^m products with m up to 4 at distinct roots r != 0, times x^a y^b and,
+    for p > 2, sometimes a rootless quadratic: a form over F_p."""
+    core = [rng.randrange(1, p)]
+    for r in rng.sample(range(1, p), min(p - 1, rng.randint(1, 3))):
+        for _ in range(rng.randint(1, 4)):
+            core = _times_root(p, core, r)
+    if p > 2 and rng.random() < 0.5:
+        quad = _rootless_quadratic(p)
+        core = [sum(core[i] * quad[k - i] for i in range(len(core)) if 0 <= k - i < 3) % p
+                for k in range(len(core) + 2)]
+    my, mx = rng.randint(0, 2), rng.randint(0, 2)
+    return form(GF(p), my + len(core) - 1 + mx, [0] * my + core + [0] * mx)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 10007])
+def test_fp_multiplicities_read_off_the_remainder_chain_match_sympy(p):
+    rng = random.Random(f"fp-chain|{p}")
+    for _ in range(30):
+        f = _planted_fp_form(p, rng)
+        factors, rem = linear_factors(f)
+        assert ({l.coeffs: m for l, m in factors}, rem.coeffs) == oracle_linear_factors(f), f
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(7), GF(101), QQ], ids=lambda F: F.name)
+def test_strip_linear_divides_out_the_first_linear_factor(field):
+    # closure's constant-drop step divides by the first factor in coefficient-tuple order
+    from binforms.closure import _strip_linear
+
+    rng = random.Random(f"strip|{field.name}")
+    key = lambda cs: [(Fraction(c).numerator, Fraction(c).denominator) for c in cs]
+    for _ in range(25):
+        if field.p:
+            f = _planted_fp_form(field.p, rng)
+        else:
+            core, _ = _planted_q_core(rng, 16)
+            my, mx = rng.randint(0, 2), rng.randint(0, 2)
+            f = form(QQ, my + len(core) - 1 + mx, [0] * my + core + [0] * mx)
+        linear, _ = oracle_linear_factors(f)
+        if not linear:
+            with pytest.raises(PreconditionError, match="no linear factor"):
+                _strip_linear(f)
+            continue
+        assert _strip_linear(f) == divide_form(f, BinaryForm(field, 1, min(linear, key=key))), f
+
+
 # ----- json ---------------------------------------------------------------------
 
 

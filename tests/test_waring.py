@@ -676,7 +676,7 @@ def test_gad_refuses_powers_that_miss_the_dual_space(monkeypatch, lines):
     W, _ = _planted(F, 2, 6, 2, seed=1)
     assert mu(W) == 2
     fake = [(form(F, 1, ab), 1) for ab in lines]
-    monkeypatch.setattr(waring, "_linear_split", lambda f: (form(F, 0, [1]), lambda: fake))
+    monkeypatch.setattr(waring, "_linear_split", lambda field, coeffs: ([1], lambda: fake))
     with pytest.raises(RuntimeError, match="dual space escapes its apolar power span"):
         gad(W)
 
@@ -751,6 +751,33 @@ def test_gad_counts_the_repeated_factors_of_the_kept_candidate(field, j, lins, w
     assert g == oracle_gad(W)
 
 
+_CHAIN_CASES = [(GF(5), 4), (GF(7), 6), (GF(101), 10), (GF(10007), 12), (GF(2**61 - 1), 9)]
+
+
+@pytest.mark.parametrize("field,j", _CHAIN_CASES, ids=[f"{F.name}-j{j}" for F, j in _CHAIN_CASES])
+def test_gad_reads_weights_of_two_and_more_off_the_remainder_chain(field, j):
+    # over F_p a root's multiplicity is counted on the chain gcd(rem, g), not by division
+    rng = random.Random(f"chain|{field.name}|{j}")
+    split = 0
+    for _ in range(8):
+        lins, want = rng.choice([[], [(1, 0)], [(0, 1)]]), rng.randint(1, 3)
+        while len(lins) < want:
+            a, b = rng.randrange(field.p), rng.randrange(field.p)
+            if (a, b) != (0, 0) and all(field.coerce(a * v - b * u) for u, v in lins):
+                lins.append((a, b))
+        weights = [rng.randint(2, 4) for _ in lins]
+        while sum(weights) > (j + 1) // 2 and max(weights) > 2:
+            weights[weights.index(max(weights))] -= 1
+        W = _weighted_planted(field, rng.randint(1, sum(weights)), j, lins, weights, rng)
+        g = gad(W)
+        assert g == oracle_gad(W), W
+        split += isinstance(g, GAD) and max(g.weights, default=0) >= 2
+        for f in W._initial[1].basis_forms():
+            factors, rem = linear_factors(f)
+            assert ({l.coeffs: m for l, m in factors}, rem.coeffs) == oracle_linear_factors(f), f
+    assert split
+
+
 def _unsplit_fp(p, j):
     return next(W for W in (random_dual(2, j, GF(p), seed) for seed in range(50))
                 if isinstance(gad(W), Unsplit))
@@ -795,6 +822,77 @@ def test_ann_component_below_j_reads_the_ranked_catalecticant(field, j):
         assert _ann_component(fresh, j - 1) == oracle_ann_component(W, j - 1), W
         assert mu(fresh) == oracle_mu(W)
         assert fresh._initial[1] == oracle_ann_component(W, mu(W)), W
+
+
+# ── mu read off tau_delta's elimination from mu_generic >= j-1 on ──────────────
+
+
+def _route(W):
+    """Where `_initial` starts: 0 for mu_generic = j, 1 for j-1, 2 below (a catalecticant kernel)."""
+    return min(2, W.degree - mu_generic(tau_delta(W), W.space.cod, W.degree))
+
+
+_READOUT_CASES = (
+    [(GF(7), j) for j in (3, 6)] + [(GF(101), j) for j in (5, 9, 14)]
+    + [(GF(10007), j) for j in (8, 12)] + [(QQ, j) for j in (4, 7, 10)]
+)
+
+
+@pytest.mark.parametrize("field,j", _READOUT_CASES, ids=[f"{F.name}-j{j}" for F, j in _READOUT_CASES])
+def test_mu_tau_delta_and_the_apolar_component_match_the_oracles_on_every_route(field, j):
+    duals = [random_dual(c, j, field, seed=c) for c in range(1, j + 1)]
+    duals += [_planted(field, c, j, m, seed=j)[0] for c in (1, 2) for m in range(1, j // 2 + 1)]
+    duals += [perp(random_space(d, j, field, seed=d)) for d in range(1, j + 1)]
+    routes = set()
+    for W in duals:
+        W = DualSpace(W.space)  # fresh memos
+        m = mu(W)
+        assert (tau_delta(W), m) == (oracle_tau_delta(W), oracle_mu(W)), W
+        assert W._initial[1].mat.rows == oracle_ann_component(W, m).mat.rows, W
+        routes.add(_route(W))
+    assert routes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(10007), QQ], ids=lambda F: F.name)
+def test_perp_at_mu_generic_j_eliminates_once_and_writes_no_component_row(monkeypatch, field):
+    # mu_generic = j exactly when (Ann W)_{j-1} = 0: tau_delta's one elimination
+    # gives both, and (Ann W)_j is the lazy kernel of W's weighted rows
+    calls, real, seen = [], linalg.rref, 0
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    for j in (4, 8, 12):
+        for d in range(1, j + 1):
+            W = perp(random_space(d, j, field, seed=d))
+            calls.clear()
+            if (tau_delta(W), mu(W)) != (d, j):  # mu_generic = j iff tau_delta = d = cod W
+                assert _route(W), (j, d)
+                continue
+            seen += 1
+            comp = W._initial[1]
+            assert len(calls) == 1 and comp.dim == j + 1 - W.dim
+            assert not {"rows", "_ints"} & set(vars(comp.mat)), (j, d)  # no row written
+            assert comp.mat.rows == oracle_ann_component(W, j).mat.rows  # written on this read
+    assert seen >= 6
+
+
+@pytest.mark.parametrize("field,j", [(GF(101), 10), (GF(10007), 12), (QQ, 8)], ids=lambda x: str(x))
+def test_the_walk_from_j_minus_1_eliminates_no_catalecticant_again(monkeypatch, field, j):
+    # from mu_generic = j-1 the walk starts at (Ann W)_{j-1} read off tau_delta's RREF: mu = j-1
+    # costs that elimination and the residue one that finds (Ann W)_{j-2} = 0, no catalecticant kernel
+    import binforms.waring as waring
+
+    comps, calls = [], []
+    real, real_rref = waring._ann_component, linalg.rref
+    monkeypatch.setattr(waring, "_ann_component", lambda V, i: comps.append(i) or real(V, i))
+    duals = [W for W in _at_j_minus_1(field, j, range(2)) if mu(DualSpace(W.space)) == j - 1]
+    assert duals
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
+    for W in duals:
+        W, calls[:] = DualSpace(W.space), []
+        mu(W)
+        comp = W._initial[1]
+        assert comps == [] and len(calls) == 2
+        assert comp.degree == j - 1 and not {"rows", "_ints"} & set(vars(comp.mat))
+        assert comp == oracle_ann_component(W, j - 1)
 
 
 # ── coordinate-free invariants under GL_2 (a spot check) ─────────────────────
