@@ -171,6 +171,19 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
+_GCD_PRIME = 2**61 - 1  # `_gcd_z`'s prime
+
+
+def _gcd_z(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[t] of trimmed lists, a nonzero: [1] when p = `_GCD_PRIME` does not divide
+    lc(a) and gcd(a, b) mod p is constant, else `_prs_gcd`.  The gcd g over Z has lc(g) | lc(a), so
+    g mod p keeps the degree of g and divides gcd(a, b) mod p: a constant one proves g = 1."""
+    p = _GCD_PRIME
+    if a[-1] % p and len(_gcd_p(_mod(a, p), _mod(b, p), p)) == 1:
+        return [1]
+    return _prs_gcd(a, b)
+
+
 def _exquo(num: list[int], den: list[int], p: int | None) -> list[int] | None:
     """num / den when den divides num, else None: mod p, or over Z (p None)
     for a primitive den, where Gauss's lemma makes the quotient integral."""
@@ -208,7 +221,7 @@ def gcd_rows(F: FieldSpec, degree: int, rows) -> BinaryForm:
     for b in cores:
         if len(core) == 1:
             break
-        core = _gcd_p(core, b, F.p) if F.p else _prs_gcd(core, b)
+        core = _gcd_p(core, b, F.p) if F.p else _gcd_z(core, b)
     lead = next(i for i, c in enumerate(polys[0]) if c)
     return _monic_form(F, [0] * lead + core + [0] * (degree + 1 - max(map(len, polys))))
 

@@ -15,10 +15,10 @@ diagram termwise, as a transitive reduction on bitsets: one mask per
 coordinate and value, covers by a walk that skips members already reached,
 edges in enumeration order (see `hasse_edges`).
 
-Acceptability is decided once, by the partition round trip in `_acceptable_pq`,
-for all three algebras of V: it admits H, the nose and the tail by Q's largest
-part against τ - 1 with `=`, `>=` and `<=`.  The private helpers (`_pq`, `_from_pq`,
-`_betti`, `_le_pq`, `_staircase_pairs`) work on sequences or partitions known to be acceptable.
+Acceptability is decided once, by one decode of H that `dims` reads too (`_decode`: H full below its
+order, and the (P, Q, c) off its difference sequence pass `_refusal`), for all three algebras of V: it
+admits H, the nose and the tail by Q's largest part against τ - 1 with `=`, `>=` and `<=`.  The private
+helpers (`_from_pq`, `_betti`, `_le_pq`, `_staircase_pairs`) work on partitions known to be acceptable.
 """
 
 from __future__ import annotations
@@ -46,40 +46,51 @@ def tau_of_h(H: OSequence, j: int) -> int:
 def is_acceptable(H: OSequence, d: int, j: int) -> bool:
     """Is H the Hilbert function of an ancestor algebra of some V in Grass(d, R_j)?
 
-    Decided by the partition round trip: 1 <= d <= j+1, H is not the zero-ideal
-    sequence, H_j = j+1-d (that is, |P| = d), and its (P, Q, c) pass `_refusal` and rebuild H."""
-    return _acceptable_pq(H, d, j) is not None
+    Decided by one decode (`_decode`): 1 <= d <= j+1, H is not the zero-ideal
+    sequence, H_j = j+1-d (that is, |P| = d), H is full below its order, and the
+    (P, Q, c) read off its difference sequence pass `_refusal`."""
+    return _decode(H, d, j) is not None
 
 
 def _acceptable_pq(H: OSequence, d: int, j: int, tie=operator.eq) -> tuple[Partition, Partition] | None:
     """H's (P, Q) if it `is_acceptable`, else None; `tie` goes to `_refusal`, to admit noses or tails."""
-    if not 1 <= d <= j + 1 or H.is_zero_ideal or H.value(j) != j + 1 - d:  # |P| = j+1-H_j
+    read = _decode(H, d, j, tie)
+    return None if read is None else read[3:]
+
+
+def _decode(H: OSequence, d: int, j: int, tie=operator.eq):
+    """(h, E, µ, P, Q) of an acceptable H from one `values` read, else None: h[i] = H_{i-1}, E[i] = e_i
+    (i <= max(s, j) + 2), µ = H.order(), P = (e_j+1, …, e_µ+1), Q = (e_{j+1}, …, e_s).  This is the partition
+    round trip without the rebuild: `_from_pq(P, Q, j, c)` is full below j+1-len(P) = µ, then subtracts e_µ,
+    e_{µ+1}, … from µ, so H (normalized, as `oseq` builds it) rebuilds itself iff it is full below µ, where
+    H_i >= i+1: a sum check.  (At µ-1 `_refusal` checks it too: |P| + |Q| + c = j+1 - µ + H_{µ-1}.)"""
+    if not 1 <= d <= j + 1 or H.is_zero_ideal:
         return None
-    P, Q = _pq(H, j)
-    c = H.constant
-    ok = _refusal(P, Q, j, c, tie) is None and _from_pq(P, Q, j, c) == H
-    return (P, Q) if ok else None
+    s, mu = H.stabilization(), H.order()
+    h = (0,) + H.values(max(s, j) + 2)
+    if h[j + 1] != j + 1 - d or sum(h[: mu + 1]) != mu * (mu + 1) // 2:  # H_j = j+1-d; full below µ
+        return None
+    E = tuple(map(operator.sub, h, h[1:]))
+    P, Q = tuple(e + 1 for e in reversed(E[mu : j + 1])), E[j + 1 : s + 1]
+    return None if _refusal(P, Q, j, H.constant, tie) is not None else (h, E, mu, P, Q)
+
+
+def _require(H: OSequence, d: int, j: int):
+    """`_decode` of an H that `is_acceptable`; any other H is refused."""
+    if (read := _decode(H, d, j)) is None:
+        raise PreconditionError(
+            "sequence is not acceptable for these parameters", H=str(H), d=d, j=j
+        )
+    return read
 
 
 # ── partitions ────────────────────────────────────────────────────────────────
 
 
 def partitions_pq(H: OSequence, d: int, j: int) -> tuple[Partition, Partition]:
-    """P = (e_j+1, …, e_µ+1) ⊢ d;  Q = (e_{j+1}, …, e_s) ⊢ j+1-d-c.  Refuses H
-    unless it `is_acceptable`."""
-    if (pq := _acceptable_pq(H, d, j)) is None:
-        raise PreconditionError(
-            "sequence is not acceptable for these parameters", H=str(H), d=d, j=j
-        )
-    return pq
-
-
-def _pq(H: OSequence, j: int) -> tuple[Partition, Partition]:
-    """(P, Q) read off the difference sequence of any H but the zero ideal's."""
-    s = H.stabilization()
-    h = (0,) + H.values(max(s, j))  # h[i] = H_{i-1}
-    E = tuple(map(operator.sub, h, h[1:]))  # E[i] = e_i
-    return tuple(e + 1 for e in reversed(E[H.order() : j + 1])), E[j + 1 : s + 1]
+    """P = (e_j+1, …, e_µ+1) ⊢ d;  Q = (e_{j+1}, …, e_s) ⊢ j+1-d-c, read off one decode
+    of H.  Refuses H unless it `is_acceptable`."""
+    return _require(H, d, j)[3:]
 
 
 def _refusal(P: Partition, Q: Partition, j: int, c: int, tie=operator.eq) -> str | None:
@@ -222,12 +233,9 @@ def dims(H: OSequence, d: int, j: int) -> StratumReport:
     `discrepancies` (several of the formulas are only correct when the
     eventual constant vanishes).  The τ-stratum identity ambient - dim τ-stratum
     = (d - τ)(j + 2 - d - τ) is checked there too, as the "ecodtau" entry."""
-    P, Q = partitions_pq(H, d, j)
+    h, E, mu, P, Q = _require(H, d, j)  # h[i] = H_{i-1}, E[i] = e_i
     A, B, C, D = _betti(P, Q, d, j)
-    mu, tau = j + 1 - len(P), P[0]
-    s, c = H.stabilization(), H.constant
-    h = (0,) + H.values(max(s, j) + 2)  # h[i] = H_{i-1}
-    E = tuple(map(operator.sub, h, h[1:]))  # E[i] = e_i
+    tau, s, c = P[0], H.stabilization(), H.constant
     W = tuple(map(operator.mul, [e + 1 for e in E], E[1:]))  # W[i] = (E_i + 1) E_{i+1}
 
     ambient = d * (j + 1 - d)
@@ -515,9 +523,10 @@ def _up_sets(seqs: list[OSequence], j: int) -> list[int]:
     top = max(j, *(H.stabilization() for H in seqs)) + 1
     vals = [H.values(top) for H in seqs]
     up = [((1 << len(vals)) - 1) ^ (1 << a) for a in range(len(vals))]
-    for i in range(len(vals[0])):
-        column = [v[i] for v in vals]
+    for i, column in enumerate(zip(*vals)):
         ascending = sorted(set(column))
+        if len(ascending) == 1:  # every sequence agrees (below every order, at j): each mask is all ones
+            continue
         groups = dict.fromkeys(ascending, 0)
         for b, x in enumerate(column):
             groups[x] |= 1 << b

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
+from operator import ge, mul
 
 from . import linalg
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import BinaryForm, _linear_split, _monic_form, _power_list, monic, require_pairing_char
-from .hilbert import _pq, dual_partition, ell, is_permissible_nose
+from .hilbert import _acceptable_pq, dual_partition, ell, is_permissible_nose
 from .ideals import GradedIdeal, level_ideal
 from .linalg import Matrix, _integer_row, from_ints, hankel, kernel
 from .osequence import OSequence, oseq
@@ -165,8 +165,9 @@ def _ann_component(W: DualSpace, i: int) -> FormSpace:
 
 def annihilator(W: DualSpace) -> GradedIdeal:
     """The ideal of forms contracting W to zero: the level ideal of its
-    degree-j part V, so annihilator(perp(V)) == level_ideal(V)."""
-    return level_ideal(_ann_component(W, W.degree))
+    degree-j part V, so annihilator(perp(V)) == level_ideal(V).  V is the lazy `kernel_space` of W's
+    weighted rows, as `_initial` builds it when mu = j: the walk down eliminates residue rows only."""
+    return level_ideal(kernel_space(W.field, W.degree, W._weighted))
 
 
 def tau_delta(W: DualSpace) -> int:
@@ -324,7 +325,7 @@ def gad_locus_codim(mu_: int, tau: int, c: int, j: int) -> int:
     """
     d = j + 1 - c
     N = n_mu_tau(mu_, tau, d, j)
-    A = dual_partition(_pq(N, j)[0])
+    A = dual_partition(_acceptable_pq(N, d, j, ge)[0])  # N's nose partition P
     value = ell(A)
     if mu_ >= c + tau - 1 and N.e(mu_) == 0:
         closed = (j - mu_) * tau - (d - 1)

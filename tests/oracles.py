@@ -555,11 +555,29 @@ def oracle_hasse_edges(seqs: list, j: int) -> list:
 # ----- partitions & counting -------------------------------------------------
 
 
+def oracle_round_trip_pq(H: OSequence, d: int, j: int, tie=operator.eq):
+    """(P, Q) by the partition round trip, else None: P and Q read term by term
+    off `H.e(i)`, (P, Q, c) pass `_refusal` with `tie`, and `_from_pq` rebuilds
+    exactly H.  The library decodes H once and checks fullness below its order
+    instead of rebuilding it."""
+    from binforms.hilbert import _from_pq, _refusal
+
+    if not 1 <= d <= j + 1 or H.is_zero_ideal or H.value(j) != j + 1 - d:
+        return None
+    mu, s, c = H.order(), H.stabilization(), H.constant
+    P = tuple(H.e(i) + 1 for i in range(j, mu - 1, -1))
+    Q = tuple(H.e(i) for i in range(j + 1, s + 1))
+    ok = _refusal(P, Q, j, c, tie) is None and _from_pq(P, Q, j, c) == H
+    return (P, Q) if ok else None
+
+
 def oracle_is_acceptable(H: OSequence, d: int, j: int) -> bool:
     """Acceptability as inequalities on the difference sequence: H_j = j+1-d,
     0 <= H_i <= i+1, E weakly increasing up to j+1 and weakly decreasing from
     j on, and 0 <= E_j <= min(j+1-d, d-1).  The library decides the same
-    question by the partition round trip instead."""
+    question by one decode of H (P, Q and c off its difference sequence, H full
+    below its order, `_refusal`); `oracle_round_trip_pq` is the round trip it
+    replaced."""
     if not (1 <= d <= j + 1):
         return False
     if H.is_zero_ideal:

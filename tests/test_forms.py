@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,7 +157,7 @@ def test_gcd_chain_starts_at_the_last_rows_stripped_core(monkeypatch, field):
     # the last RREF row has its pivot at >= dim - 1: stripped of its power of t it has at most
     # cod + 1 entries, and the first gcd of the chain gets it, not a whole row of degree j
     calls = []
-    for name in ("_gcd_p", "_prs_gcd"):
+    for name in ("_gcd_p", "_gcd_z"):
         real = getattr(forms, name)
         monkeypatch.setattr(forms, name, lambda a, b, *p, real=real: calls.append(a) or real(a, b, *p))
     f = form(field, 3, [1, 2, 0, 5])
@@ -188,6 +189,62 @@ def test_q_gcd_of_a_planted_12_18_space_at_height_2_64_within_a_deadline():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert got == monic(f)
+
+
+def _z_poly(rng, degree, bits):
+    """An integer list in t of this degree, entries of absolute value <= 2^bits, lc nonzero."""
+    cs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree + 1)]
+    cs[-1] = cs[-1] or 1
+    return cs
+
+
+def _z_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+@given(st.integers(0, 10**6), st.sampled_from([4, 64, 200]), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_gcd_z_matches_sympy_on_planted_factors(seed, bits, planted):
+    # a = g u, b = g v: the primitive gcd is g's primitive part, or 1 when planted = 0 and u, v are coprime
+    import sympy
+
+    rng = random.Random(seed)
+    g = _z_poly(rng, planted, bits)
+    a, b = (_z_mul(g, _z_poly(rng, rng.randint(0, 5), bits)) for _ in range(2))
+    t = sympy.Symbol("t")
+    want = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1], t)).primitive()[1].all_coeffs()[::-1]
+    got = forms._gcd_z(a, b)
+    assert got in ([int(c) for c in want], [-int(c) for c in want]), (seed, bits, planted)
+
+
+def test_gcd_z_falls_back_where_the_prime_cannot_decide(monkeypatch):
+    p = forms._GCD_PRIME
+    fallbacks, real = [], forms._prs_gcd
+    monkeypatch.setattr(forms, "_prs_gcd", lambda a, b: fallbacks.append((a, b)) or real(a, b))
+    # 1 + t and 1 + p + t share their factor mod p only: the gcd mod p is not constant
+    assert forms._gcd_z([1, 1], [1 + p, 1]) in ([1], [-1]) and len(fallbacks) == 1
+    # p divides lc(a) = p: a mod p loses the common factor 1 + p t, so its constant gcd proves nothing
+    a, b = _z_mul([1, p], [2, 1]), _z_mul([1, p], [3, 1])
+    assert forms._gcd_z(a, b) in ([1, p], [-1, -p]) and len(fallbacks) == 2
+    # coprime with lc(a) a unit mod p: settled mod p, no fallback
+    assert forms._gcd_z([2, 1], [3, 1]) == [1] and len(fallbacks) == 2
+
+
+@pytest.mark.parametrize("d,j", [(6, 21), (12, 18)])
+@pytest.mark.parametrize("bits", [64, 200])
+def test_q_gcd_of_a_random_space_at_height_takes_one_prime(d, j, bits):
+    # every entry a / b with |a|, b <= 2^bits: gcd V = 1 is proved by one gcd mod p, not by a PRS
+    rng = random.Random(0)
+    h = lambda: Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+    V = span(QQ, j, [q(j, [h() for _ in range(j + 1)]) for _ in range(d)])
+    start = time.process_time()
+    got = gcd_of_space(V)
+    assert time.process_time() - start <= 0.05
+    assert got == q(0, [1])
 
 
 # ----- division --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import operator
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,9 +14,10 @@ from binforms.fields import GF, QQ
 from binforms.errors import PreconditionError
 from binforms.hilbert import (
     Cmp,
+    _acceptable_pq,
     _cover_pairs,
+    _from_pq,
     _majorizes,
-    _pq,
     _staircase_pairs,
     _up_sets,
     betti_partitions,
@@ -61,6 +63,7 @@ from oracles import (
     oracle_majorizes,
     oracle_permissible_nose,
     oracle_permissible_tail,
+    oracle_round_trip_pq,
     partitions_of,
 )
 
@@ -232,10 +235,55 @@ def test_is_acceptable_matches_inequality_oracle():
                 assert is_acceptable(H, d, j) == oracle_is_acceptable(H, d, j), (str(H), d, j)
 
 
+@pytest.mark.parametrize("tie", [operator.eq, operator.ge, operator.le], ids=["eq", "ge", "le"])
+def test_acceptable_pq_matches_the_round_trip_oracle(tie):
+    # one decode and fullness below the order against the rebuild of H from its (P, Q), for H
+    # and for noses and tails: the small sequences and every one a step from an acceptable H
+    small = ((H, d, j) for H in _small_sequences() for j in range(6) for d in range(j + 3))
+    near = (
+        (H, d, j)
+        for j in range(1, 11)
+        for d in range(1, j + 1)
+        for H in set().union(*(_mutations(H, j) for H in enumerate_acceptable(d, j)))
+    )
+    accepted = 0
+    for H, d, j in itertools.chain(small, near):
+        got = _acceptable_pq(H, d, j, tie)
+        assert got == oracle_round_trip_pq(H, d, j, tie), (str(H), d, j)
+        accepted += got is not None
+    # each acceptable H is one step from itself, and every tie admits it
+    assert accepted > sum(len(enumerate_acceptable(d, j)) for j in range(1, 11) for d in range(1, j + 1))
+
+
+def test_from_pq_rebuilds_every_acceptable_sequence_from_its_partitions():
+    built = 0
+    for j in range(1, 13):
+        for d in range(1, j + 1):
+            for H in enumerate_acceptable(d, j):
+                assert _from_pq(*partitions_pq(H, d, j), j, H.constant) == H, (str(H), d, j)
+                built += 1
+    assert built == 1602
+
+
+def test_dims_and_partitions_pq_read_h_once_and_build_no_sequence(monkeypatch):
+    import binforms.hilbert as hilbert
+    from binforms.osequence import OSequence
+
+    cases = [(H, d, j) for j in (1, 5, 9) for d in range(1, j + 1) for H in enumerate_acceptable(d, j)]
+    calls, values = [], OSequence.values
+    monkeypatch.setattr(hilbert, "oseq", lambda *a: calls.append("oseq") or oseq(*a))
+    monkeypatch.setattr(OSequence, "values", lambda H, upto: calls.append("values") or values(H, upto))
+    for read in (dims, partitions_pq):
+        for H, d, j in cases:
+            del calls[:]
+            read(H, d, j)
+            assert calls == ["values"], (read.__name__, str(H), d, j)
+
+
 @pytest.mark.parametrize("j", range(10))
 def test_hilbert_from_partitions_inverts_pq_on_every_shape(j):
     # every pair of partitions of size <= j+2: built exactly when the shape
-    # conditions hold, and then acceptable with (P, Q) read back by _pq
+    # conditions hold, and then acceptable with (P, Q) read back by partitions_pq
     parts = [p for n in range(j + 3) for p in partitions_of(n)]
     built = 0
     for P in parts:
@@ -254,7 +302,7 @@ def test_hilbert_from_partitions_inverts_pq_on_every_shape(j):
                     continue
                 assert shaped, (P, Q, c)
                 assert oracle_is_acceptable(H, sum(P), j), (P, Q, c)
-                assert _pq(H, j) == (P, Q) and H.constant == c
+                assert partitions_pq(H, sum(P), j) == (P, Q) and H.constant == c
                 built += 1
     # d = j+1 has one sequence, P = (1, …, 1), which enumerate_acceptable omits
     assert built == 1 + sum(len(enumerate_acceptable(d, j)) for d in range(1, j + 1))

@@ -31,7 +31,7 @@ from binforms.hilbert import (
     realize_staircase,
     tau_of_h,
 )
-from binforms.ideals import hilbert_function, level_ideal
+from binforms.ideals import hilbert_function, level_ideal, same_ideal
 from binforms.osequence import oseq
 from binforms.spaces import FormSpace, full_space, random_space, space_to_json, span, zero_space
 from binforms.waring import (
@@ -115,6 +115,30 @@ def test_annihilator_equals_level_ideal():
     # the degree-2 component is spanned by x^2 + x y + y^2
     assert L.component(2).dim == 1
     assert L.component(2).contains(form(QQ, 2, [1, 1, 1]))
+
+
+_ANN_CASES = [(GF(7), j) for j in range(7)] + [(F, j) for F in (GF(101), QQ) for j in (2, 5, 8, 12)]
+
+
+@pytest.mark.parametrize("field,j", _ANN_CASES, ids=[f"{F.name}-j{j}" for F, j in _ANN_CASES])
+def test_annihilator_is_the_level_ideal_of_the_degree_j_catalecticant_kernel(field, j):
+    # the lazy kernel of W's weighted rows against the eliminated one, for random, planted and perp duals
+    duals = [random_dual(c, j, field, seed=c) for c in range(1, j + 1)]
+    duals += [_planted(field, c, j, m, seed=c)[0] for c in (1, 2) for m in range(1, j // 2 + 1)]
+    duals += [perp(random_space(d, j, field, seed=d)) for d in range(1, j + 1)]
+    for W in duals:
+        A, old = annihilator(W), level_ideal(_ann_component(W, j))
+        assert same_ideal(A, old) and A == old, W
+
+
+def test_annihilator_after_mu_eliminates_no_weighted_row(monkeypatch):
+    # after mu (= j here), one elimination: the level ideal's first residue step, no kernel of W's weighted rows
+    W = perp(random_space(6, 12, GF(101), 0))
+    assert mu(W) == 12
+    elims, real_rref = [], linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda mat: elims.append((mat.nrows, mat.ncols)) or real_rref(mat))
+    annihilator(W)
+    assert elims == [(14, 12)]
 
 
 def test_annihilator_single_power():
@@ -250,7 +274,7 @@ def test_mu_and_annihilator_build_one_catalecticant_kernel(monkeypatch, c, j):
         assert mu(W) == bound and comps == [bound]  # generic: the walk stops at once
         comps.clear()
         annihilator(W)
-        assert comps == [j]
+        assert comps == []  # the lazy kernel of W's weighted rows: no catalecticant eliminated
         elims.clear()
         tau_delta(W)
         assert elims == []  # computed once per dual space
