@@ -13,12 +13,14 @@ the JSON readers).  Over Q rows are integer rows from where they enter
 (`span`, the closed-form blocks) until the output: a Matrix builds its
 Fraction `rows` only when they are read.
 
-`rref` is the one entry point, and it returns the basis it found: a rank is its `nrows`, its
-pivots `pivots`.  `rref_reversed` (which `kernel` and `spaces` call) and the other modules
-reach it through this module's global, never by name, so rebinding `linalg.rref` sees every
-elimination; `kernel_from`, `contains_vector` and `hankel` (the one builder of stacked Hankel
-windows: residue rows and catalecticants) eliminate nothing.  Once per call, it picks a
-Gauss-Jordan kernel by field:
+There are two entry points, and the other modules reach both through this module's globals,
+never by name.  `rref` returns the basis it found: a rank is its `nrows`, its pivots `pivots`;
+`kernel` calls it too.  `echelon_extend` extends an echelon basis keyed by lead with no
+back-substitution: `spaces` walks down on it, so rebinding `linalg.rref` alone no longer sees
+the down-rungs' work, and rebinding both sees every elimination.  `integral_dual`,
+`contains_vector` and `hankel` (the one builder of stacked Hankel windows: catalecticants)
+eliminate nothing.  Once per call, `rref` picks a Gauss-Jordan kernel by field, and
+`echelon_extend` reduces each row the same way:
 
 * F_p: rows are plain int lists reduced with a local `p`.  A pivot row is
   scaled by the inverse of its pivot only when that is not 1.  Each row with
@@ -212,6 +214,44 @@ def _rref_q(rows_in, ncols: int):
     return tuple(map(tuple, rows[:rank]))
 
 
+def echelon_extend(field: FieldSpec, basis: dict, rows) -> dict:
+    """`basis`, independent int rows keyed by their leads (first nonzero columns), extended in place by
+    `rows`: each is reduced against it until its first nonzero entry is at no lead, as in `_rref_fp` (at
+    the basis row's support, each entry taken mod p only when read as a lead) or `_rref_q` (fraction-free,
+    made primitive after each step), then normalized (lead 1 over F_p, primitive with a positive lead over
+    Q) and added, or dropped if zero; once it has a row per column, it spans them all and the rest are
+    dropped unread.  No back-substitution: the basis is in echelon form, not reduced."""
+    p = field.p
+    for row in rows:
+        if len(basis) == len(row):
+            break
+        row, n, c = list(row), len(row), 0
+        while c < n:
+            f = row[c] % p if p else row[c]
+            if f:
+                b = basis.get(c)
+                if b is None:
+                    break
+                row[c] = 0
+                if p:  # at most n steps: |row[k]| < (n + 1) p^2
+                    for k in range(c + 1, n):
+                        y = b[k]
+                        if y:
+                            row[k] -= f * y
+                else:
+                    g = gcd(b[c], f)
+                    a, f = b[c] // g, f // g
+                    for k in range(c + 1, n):
+                        row[k] = a * row[k] - f * b[k]
+                    row = _primitive(row)
+            c += 1
+        else:
+            continue  # reduced to zero
+        g = pow(row[c], -1, p) if p else gcd(*row) if row[c] > 0 else -gcd(*row)
+        basis[c] = tuple(x * g % p for x in row) if p else tuple(x // g for x in row)
+    return basis
+
+
 def _integer_row(row) -> list[int]:
     """The primitive integer row proportional to a row of Fractions."""
     dens = [x.denominator for x in row]
@@ -229,19 +269,11 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def kernel(m: Matrix) -> Matrix:
-    """Canonical basis (as rows) of {x : m . x = 0}, from one elimination."""
-    return kernel_from(rref_reversed(m))
-
-
-def rref_reversed(m: Matrix) -> Matrix:
-    """`rref` of m with its columns reversed: m's rank is its `nrows`, m's kernel its `kernel_from`."""
-    return rref(from_ints(m.field, tuple(r[::-1] for r in m.ints), m.ncols))
-
-
-def kernel_from(red: Matrix) -> Matrix:
-    """kernel(m) read off `rref_reversed(m)`: the `integral_dual` vectors of that RREF (lead at a
-    free column, other entries at pivots left of it), reversed back and listed last first."""
-    return from_ints(red.field, tuple(z[::-1] for z in reversed(integral_dual(red))), red.ncols)
+    """Canonical basis (as rows) of {x : m . x = 0}, from one elimination: the `integral_dual` vectors of
+    the `rref` of m with its columns reversed (lead at a free column, other entries at pivots left of
+    it), reversed back and listed last first."""
+    red = rref(from_ints(m.field, tuple(r[::-1] for r in m.ints), m.ncols))
+    return from_ints(m.field, tuple(z[::-1] for z in reversed(integral_dual(red))), m.ncols)
 
 
 def integral_dual(m: Matrix) -> tuple:
@@ -263,8 +295,8 @@ def integral_dual(m: Matrix) -> tuple:
 
 
 def contains_vector(dual: Sequence[Sequence[int]], vec: Sequence[Scalar], field: FieldSpec) -> bool:
-    """Membership of vec in the row space with `integral_dual` dual, with no elimination:
-    vec's dots with it are (over Q, multiples of) the free entries of vec's normal form.  Over Q
-    vec may be integers or Fractions, dotted exactly as they are: a zero test ignores scale."""
+    """Membership of vec in the row space whose orthogonal complement `dual` spans, any basis of it (an
+    `integral_dual`, an `echelon_extend` basis), with no elimination: vec is in it iff every dot is 0.
+    Over Q vec may be integers or Fractions, dotted exactly as they are: a zero test ignores scale."""
     p = field.p
     return not any(sum(map(mul, z, vec)) % p if p else sum(map(mul, z, vec)) for z in dual)

@@ -29,12 +29,15 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   window sizes each R_kV, 2 <= k < max mu - 1, by them, writes its rows on first read as
   x.R_{k-1}V + y^k.V (x divides every degree-k monomial but y^k), and from there on R_kV is
   the block (gcd V).R_s.
-* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each vector z of V's `_dual`, a basis of V^perp,
-  gives z[:j].u = 0 and z[1:].u = 0, so R_{-1}V is the kernel of those 2 cod V Hankel windows,
-  written on first read.  V keeps their reversed RREF basis, whose rank pins R_1V too.  A
-  down-rung is the kernel of such a basis, whose rows span its V^perp and are its `_dual`: no
-  rung's rows are written on the way down, nor by a membership test.  `kernel_space` makes such a
-  lazy kernel of any independent rows (`waring`'s (Ann W)_{j-1} off tau_delta's RREF).
+* Down, otherwise, R_{-1}V = {u : x.u, y.u in V}: each z in V^perp gives z[:j].u = 0 and z[1:].u = 0.
+  For V = R_{-k}T, V^perp is spanned by the width-(j+1) windows of T^perp's rows, so (R_{-1}V)^perp is
+  spanned by V^perp's rows less their first entry and by the windows g[:j] of G, the cod T windows
+  that start T^perp's rows.  Each space keeps (E, G) as `_echelon`: E an echelon basis of V^perp, rows
+  reversed and keyed by lead, so that dropping a first entry keeps every lead.  `_residues` extends the
+  shortened copy by the windows (`linalg.echelon_extend`, no back-substitution); its |E| pins R_1V too.
+  A down-rung is the lazy kernel of its E, which is its `_dual`: no rung's rows are written on the way
+  down, nor by a membership test, and one `linalg.kernel` writes them when read.  `kernel_space` makes
+  such a lazy kernel of independent rows (`waring`'s (Ann W)_{j-1} off tau_delta's RREF).
 * Monomial ideals, `monomial_rungs`: a component of (x^p y^q) and its R_1 are spans of unit rows e_b,
   an RREF when sorted by b: read off the exponents with no elimination, R_1 kept as the component's `_up`.
 """
@@ -52,20 +55,8 @@ from . import linalg
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .forms import BinaryForm, form_from_json, form_to_json, gcd_rows, json_int, json_list, monic, monomial
-from .linalg import (
-    Matrix,
-    _integer_row,
-    _primitive,
-    contains_vector,
-    from_ints,
-    hankel,
-    integral_dual,
-    kernel,
-    kernel_from,
-    lazy_matrix,
-    rref_reversed,
-    zero_matrix,
-)
+from .linalg import (Matrix, _integer_row, _primitive, contains_vector, from_ints, integral_dual, lazy_matrix,
+                     zero_matrix)
 
 
 @dataclass(frozen=True)
@@ -116,16 +107,30 @@ class FormSpace:
 
     @cached_property
     def _dual(self) -> tuple:
-        """A basis of V^perp (w is in V iff its dot with each row is 0): V's `integral_dual`, or for a
-        lazy kernel (a down-rung, `kernel_space`) the rows it is the kernel of, so that none of its rows is written."""
-        dual = self.__dict__.get("_kernel_of")
-        return integral_dual(self.mat) if dual is None else dual
+        """A basis of V^perp, any one serves (w is in V iff its dot with each row is 0): V's `integral_dual`, or
+        for a lazy kernel (a down-rung, `kernel_space`) the rows it is the kernel of, so that none of its rows is
+        written."""
+        rows = self.__dict__.get("_kernel")
+        return integral_dual(self.mat) if rows is None else rows()
 
     @cached_property
-    def _residues(self) -> Matrix:
-        """The `rref_reversed` basis of the 2 cod V width-j windows z[:j] (x.z), z[1:] (y.z) of V's `_dual`:
-        their kernel, its `kernel_from`, is R_{-1}V, so its `nrows` is j - dim R_{-1}V."""
-        return rref_reversed(hankel(self.field, self._dual, self.degree))
+    def _echelon(self) -> tuple[dict, tuple]:
+        """(E, G), rows reversed: E a `linalg.echelon_extend` basis of V^perp, G the V^perp rows of the space
+        V is a colon space of, cut to width j + 1.  A written space or a `kernel_space` starts from its `_dual`
+        (an `integral_dual` is echelon already once reversed: each row leads at its free column); a down-rung
+        is made with its own."""
+        G = tuple(z[::-1] for z in self._dual)
+        return linalg.echelon_extend(self.field, {}, G), G
+
+    @cached_property
+    def _residues(self) -> tuple[dict, tuple]:
+        """R_{-1}V's `_echelon`, whose |E| is j - dim R_{-1}V: (R_{-1}V)^perp is spanned by z[1:] (y.z) and z[:j]
+        (x.z) for z in V^perp, that is by E's rows less their first entry (their last, reversed: every lead stays,
+        and a row leading there is gone) and the windows g[:j] of G: any other z[:j] is a window of T^perp
+        starting past T's first column, some z[1:] already."""
+        (E, G), j = self._echelon, self.degree
+        G = tuple(g[1:] for g in G)
+        return linalg.echelon_extend(self.field, {c: r[:-1] for c, r in E.items() if c < j}, G), G
 
     @cached_property
     def _mu(self) -> tuple[int, ...]:
@@ -285,35 +290,38 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
-    """R_{-1}V: f.R_{s-1} for a block f.R_s (not tested on a down-rung, whose rows may be unwritten), zero
-    when pinned, else the kernel of V's residue rows, written on first read."""
+    """R_{-1}V: f.R_{s-1} for a block f.R_s (not tested on a lazy kernel, whose rows may be unwritten), zero
+    when pinned, else the lazy kernel of V's `_residues`' E turned back."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
     up = V.__dict__.get("_up")
-    if "_kernel_of" not in V.__dict__ and V._principal is not None:
+    if "_kernel" not in V.__dict__ and V._principal is not None:
         return principal_space(V._principal, j - 1)  # zero below deg f
     if V.is_zero or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
-    reduced = V._residues
-    return _lazy_kernel(F, j - 1, tuple(r[::-1] for r in reduced.ints), lambda: kernel_from(reduced))
+    E, G = V._residues
+    down = _lazy_kernel(F, j - 1, len(E), lambda: tuple(r[::-1] for r in E.values()))
+    down.__dict__["_echelon"] = E, G
+    return down
 
 
-def _lazy_kernel(F: FieldSpec, degree: int, dual: tuple, write) -> FormSpace:
-    """The space with the independent int rows `dual` as its `_dual` (rows, never a space), written by write()."""
-    V = FormSpace(F, degree, lazy_matrix(F, degree + 1 - len(dual), degree + 1, write))
-    V.__dict__["_kernel_of"] = dual
+def _lazy_kernel(F: FieldSpec, degree: int, rank: int, rows) -> FormSpace:
+    """The space whose `_dual` is the `rank` independent int rows rows() (rows, never a space), the thunk kept
+    as its `_kernel`, and its rows written by one `linalg.kernel` of them when read."""
+    n = degree + 1
+    V = FormSpace(F, degree, lazy_matrix(F, n - rank, n, lambda: linalg.kernel(from_ints(F, rows(), n))))
+    V.__dict__["_kernel"] = rows
     return V
 
 
 def kernel_space(field: FieldSpec, degree: int, dual: tuple) -> FormSpace:
-    """The degree-`degree` forms whose dot with each of the independent int rows `dual` (residues over F_p) is 0.
-    As a down-rung, it keeps `dual` as its `_dual` and writes its rows on first read, so a walk down from it
-    eliminates only residue rows."""
-    return _lazy_kernel(field, degree, dual, lambda: kernel(from_ints(field, dual, degree + 1)))
+    """The degree-`degree` forms whose dot with each of the independent int rows `dual` (residues over F_p) is 0,
+    a lazy kernel: its `_echelon` echelonizes them when a walk down first reads it, and no rung is put in RREF."""
+    return _lazy_kernel(field, degree, len(dual), lambda: dual)
 
 
 def _fills_next(V: FormSpace) -> bool:
-    """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2): V's residue rows are independent."""
-    return V._residues.nrows == 2 * V.cod
+    """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2): |E| of R_{-1}V is 2 cod V."""
+    return len(V._residues[0]) == 2 * V.cod
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
@@ -338,7 +346,7 @@ def _down_rungs(V: FormSpace, s: int) -> list[FormSpace]:
 
 def _up_dim(W: FormSpace) -> int:
     """dim R_1W, read off R_{-1}W (built, or W a down-rung) or a block's f if known, else off R_1W."""
-    if "_down" in W.__dict__ or W.degree and "_kernel_of" in W.__dict__:
+    if "_down" in W.__dict__ or W.degree and "_kernel" in W.__dict__:
         return 2 * W.dim - W._down.dim
     return W.dim + 1 if W.__dict__.get("_principal") is not None else W._up.dim
 

@@ -166,7 +166,7 @@ def _ann_component(W: DualSpace, i: int) -> FormSpace:
 def annihilator(W: DualSpace) -> GradedIdeal:
     """The ideal of forms contracting W to zero: the level ideal of its
     degree-j part V, so annihilator(perp(V)) == level_ideal(V).  V is the lazy `kernel_space` of W's
-    weighted rows, as `_initial` builds it when mu = j: the walk down eliminates residue rows only."""
+    weighted rows, as `_initial` builds it when mu = j: the walk down reduces windows of those rows only."""
     return level_ideal(kernel_space(W.field, W.degree, W._weighted))
 
 

@@ -294,14 +294,17 @@ def test_waring_split_and_unsplit(tmp_path):
 
 def test_waring_bisects_once(tmp_path, monkeypatch):
     # mu(W) and gad(W) share the dual space's memoized (Ann W)_mu, so one CLI run
-    # eliminates as often as reading W, one mu(W), writing (Ann W)_mu's rows (a lazy
-    # rung when mu >= j-1, as here) and gad's one certificate kernel when a row splits
+    # eliminates as often as reading W, one mu(W) (tau_delta's catalecticant: its down step
+    # to (Ann W)_1 = 0 runs none), writing (Ann W)_mu's rows (a lazy rung when mu >= j-1,
+    # as here) and gad's one certificate kernel when a row splits
     import binforms.linalg as linalg
     import binforms.waring as waring
 
-    calls = []
-    real = linalg.rref
+    calls, steps = [], []
+    real, real_echelon = linalg.rref, linalg.echelon_extend
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(linalg, "echelon_extend", lambda F, basis, rows: steps.append(len(rows := tuple(rows)))
+                        or real_echelon(F, basis, rows))
     for field, splits in ((GF(7), True), (QQ, False)):  # the first splits, the second stays Unsplit
         W = dual_space(field, 3, [form(field, 3, [0, 1, -1, 0])])
         path = tmp_path / f"W{field.p}.json"
@@ -309,11 +312,13 @@ def test_waring_bisects_once(tmp_path, monkeypatch):
         calls.clear()
         W = waring.dual_from_json(json.loads(path.read_text()))
         assert waring.mu(W) == 2 and W._initial[1].mat.ints
-        want, calls[:] = len(calls) + splits, []
+        want, calls[:], steps[:] = len(calls) + splits, [], []
         rc, out, _ = _run(["waring", str(path)])
         assert rc == 0
         assert out.startswith("tau_delta = 2   mu = 2\n")
-        assert len(calls) == want == 4 + splits
+        assert len(calls) == want == 3 + splits
+        # (Ann W)_2's echelon basis from the catalecticant's 2 rows, then one step of its |G| = 2 windows
+        assert steps == [2, 2]
 
 
 def test_related_class_list(tmp_path):

@@ -1,10 +1,14 @@
-"""Module layering: every elimination goes through `linalg.rref`, the Q row
-representation stays inside `linalg`, and an ideal is validated where it enters.
+"""Module layering: every elimination goes through one of `linalg`'s two entry
+points, `rref` (Gauss-Jordan) and `echelon_extend` (the down-rungs' echelon
+reduction), the Q row representation stays inside `linalg`, and an ideal is
+validated where it enters.
 
-`linalg` calls `rref` through its module global, so rebinding
-`binforms.linalg.rref` (as the bench tracer and the elimination-count tests
-do) sees every call made that way.  A module that imported `rref` or one of
-its kernels by name would hold its own reference and run unseen."""
+`linalg` calls `rref` through its module global and `spaces` calls
+`echelon_extend` through `linalg`'s, so rebinding `binforms.linalg.rref` or
+`binforms.linalg.echelon_extend` (as the elimination-count tests do) sees every
+call made that way; the bench tracer rebinds `rref` alone, so it does not see
+down-rung work.  A module that imported an entry point or one of the kernels by
+name would hold its own reference and run unseen."""
 
 import ast
 from pathlib import Path
@@ -12,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "binforms"
-KERNELS = {"rref", "_rref_fp", "_rref_q"}
+KERNELS = {"rref", "echelon_extend", "_rref_fp", "_rref_q"}
 
 
 def _imported_names(tree: ast.AST):
@@ -90,6 +94,6 @@ def _dict_reads(tree: ast.AST):
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "spaces.py"), ids=lambda p: p.name
 )
 def test_only_spaces_touches_the_memos_of_a_space(path):
-    """A FormSpace's memos (`_up`, `_down`, `_principal`, `_kernel_of`) live in its `__dict__`: only
+    """A FormSpace's memos (`_up`, `_down`, `_principal`, `_kernel`, `_echelon`) live in its `__dict__`: only
     `spaces` reads or sets them there, so the memo protocol stays in one module."""
     assert not _dict_reads(ast.parse(path.read_text(encoding="utf-8"))), f"{path.name} touches __dict__"

@@ -283,6 +283,22 @@ def test_rref_matches_scalar_oracle(m):
     assert_oracle_basis(rref(m), m)
 
 
+@given(kernel_mats(), st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_echelon_extend_keeps_an_echelon_basis_of_the_span(m, cut):
+    """The basis rows (the first `cut` input rows' echelon basis, extended in place by the rest) lead at
+    their keys, lead 1 over F_p and are primitive with a positive lead over Q, and span what the
+    input rows span: as many rows as its rank, with the same RREF."""
+    F, ints = m.field, m.ints
+    start = linalg.echelon_extend(F, {}, ints[:cut])
+    basis = linalg.echelon_extend(F, start, ints[cut:])
+    assert basis is start and len(basis) == rref(m).nrows
+    for c, row in basis.items():
+        assert len(row) == m.ncols and not any(row[:c]) and type(row) is tuple
+        assert row[c] == 1 if F.p else row[c] > 0 and gcd(*row) == 1
+    assert rref(linalg.from_ints(F, tuple(basis.values()), m.ncols)) == rref(m)
+
+
 @given(kernel_mats(fields=[QQ]))
 @settings(max_examples=80, deadline=None)
 def test_rref_over_q_matches_sympy(m):
@@ -333,8 +349,8 @@ def _ladder(rng, fld):
 
 
 def _residues(rng, fld):
-    """z[:j] over z[1:] for the rows z of an echelon block, as `FormSpace._residues`
-    stacks them before it eliminates with reversed columns."""
+    """z[:j] over z[1:] for the rows z of an echelon block: the two Hankel windows of width j,
+    stacked as the down-rungs' residue rows once were."""
     j = rng.randint(1, 59)
     Z = _random_rows(rng, fld, rng.randint(1, min(j + 1, 20)), j + 1, rng.choice([0.0, 0.5]))
     red, rk, _ = oracle_rref(Matrix(fld, tuple(Z), j + 1))

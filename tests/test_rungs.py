@@ -1,7 +1,7 @@
-"""The one-step rungs of `spaces`: x.V + y.V going up, the kernel of the
-free-column residue rows (below the first, read off the reduced rows above) going down, checked
-against plain eliminations, for their sizes and for the garbage they leave;
-and dim R_1W read off the rung already built (dim R_1W = 2 dim W - dim R_{-1}W)."""
+"""The one-step rungs of `spaces`: x.V + y.V going up, going down the lazy kernel of an echelon
+basis of (R_{-1}V)^perp, V^perp's rows less their first entry extended by the top space's cod windows,
+checked against plain eliminations, for their sizes and for the garbage they leave; and dim R_1W read
+off the rung already built (dim R_1W = 2 dim W - dim R_{-1}W)."""
 
 import fractions
 import gc
@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 from binforms import fields, linalg, spaces
 from binforms.fields import GF, QQ
 from binforms.forms import form, mul_form
-from binforms.ideals import ancestor_ideal, generator_degrees, relation_degrees
+from binforms.ideals import _stable_top, ancestor_ideal, generator_degrees, relation_degrees
 from binforms.related import related_classes
 from binforms.spaces import (
     FormSpace,
+    kernel_space,
     principal_space,
     random_space,
     shift,
@@ -28,7 +29,7 @@ from binforms.spaces import (
     tau,
 )
 
-from oracles import oracle_down_dim, oracle_shift_down_once, oracle_shift_up_once
+from oracles import oracle_down_dim, oracle_kernel, oracle_shift_down_once, oracle_shift_up_once
 
 F101 = GF(101)
 LADDER_FIELDS = [F101, GF(7), QQ]
@@ -145,30 +146,59 @@ def eliminations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def echelons(monkeypatch):
+    """The rows handed to each `linalg.echelon_extend` call, after the size of the basis they extend."""
+    calls = []
+    real = linalg.echelon_extend
+
+    def spy(field, basis, rows):
+        rows = tuple(rows)
+        calls.append((len(basis), rows))
+        return real(field, basis, rows)
+
+    monkeypatch.setattr(linalg, "echelon_extend", spy)
+    return calls
+
+
+def _one_down_step(echelons, V):
+    """The cost of V's `_residues`, V a written space: its `integral_dual` rows start an empty basis, then
+    one step hands the kernel its |G| = cod V windows, ints over Q as over F_p."""
+    (start, top_rows), (_, windows) = echelons
+    assert (start, len(top_rows), len(windows)) == (0, V.cod, V.cod)
+    assert all(type(x) is int for r in windows for x in r)
+
+
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
-def test_pencil_up_rung_eliminates_twice_dim_rows(eliminations, field):
-    # every rung below the last stacks its 2 dim rows x.v and y.v, after one rank of its 2 cod
-    # free-column rows when 2 dim >= j + 2; the last one fills R_{j+1}, and that rank shows it
+def test_pencil_up_rung_eliminates_twice_dim_rows(eliminations, echelons, field):
+    # every rung below the last stacks its 2 dim rows x.v and y.v, after one down step (cod rows
+    # handed to the echelon kernel, no `rref`) when 2 dim >= j + 2; the last one fills R_{j+1}, and
+    # its down step shows it: |E| of R_{-1} is 2 cod
     V = random_space(2, 12, field, 3)
     W, rungs = V, []
     while W._principal is None:
         eliminations.clear()
+        echelons.clear()
         up = W._up
-        rungs.append((W, [m.nrows for m in eliminations]))
+        rungs.append((W, [m.nrows for m in eliminations], [len(rows) for _, rows in echelons]))
         W = up
-    *below, (last, top) = rungs
-    pinned = [[2 * U.cod] if 2 * U.dim >= U.degree + 2 else [] for U, _ in below]
-    assert len(below) >= 2 and [sizes for _, sizes in below] == [p + [2 * U.dim] for p, (U, _) in zip(pinned, below)]
-    assert W.is_full and top == [2 * last.cod] == [2]
+    *below, (last, top, reduced) = rungs
+    pinned = [[U.cod, U.cod] if 2 * U.dim >= U.degree + 2 else [] for U, _, _ in below]
+    assert len(below) >= 2 and [sizes for _, sizes, _ in below] == [[2 * U.dim] for U, _, _ in below]
+    assert [rows for _, _, rows in below] == pinned
+    assert W.is_full and top == [] and reduced == [last.cod, last.cod] == [1, 1]
+    assert len(last._residues[0]) == 2 * last.cod
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
 @pytest.mark.parametrize("d,j", [(5, 8), (9, 12), (30, 40)])
-def test_full_up_rung_runs_one_rank_of_2_cod_rows(eliminations, field, d, j):
+def test_full_up_rung_runs_one_rank_of_2_cod_rows(eliminations, echelons, field, d, j):
+    # the rank is |E| of R_{-1}V, one down step, with no `rref`
     V = _fresh(random_space(d, j, field, 4))
     eliminations.clear()
     up = V._up
-    assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
+    assert eliminations == [] and len(V._residues[0]) == 2 * V.cod
+    _one_down_step(echelons, V)
     assert up.is_full and up._principal is not None  # later rungs are closed form
     assert up.mat == oracle_shift_up_once(V.mat)
 
@@ -213,12 +243,17 @@ def test_near_miss_is_no_full_rung_either_way(field):
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
 @pytest.mark.parametrize("d,j", [(2, 40), (5, 16), (8, 15), (38, 40), (12, 16), (9, 15)])  # dim <= cod, then dim > cod
-def test_down_rung_solves_on_free_columns(eliminations, field, d, j):
+def test_down_rung_solves_on_free_columns(eliminations, echelons, field, d, j):
+    # V's `integral_dual` rows lead at its free columns (last, reversed): they start the echelon
+    # basis as they are, and the step reduces only the cod V windows; reading the rows runs one kernel
     V = _fresh(random_space(d, j, field, 1))
     eliminations.clear()
     down = V._down
-    assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
+    assert eliminations == []
+    _one_down_step(echelons, V)
+    assert [kept for kept, _ in echelons] == [0, V.cod - (V.mat.ints[0][0] == 0)]  # a row led by e_0 goes
     assert down.mat == oracle_shift_down_once(V.mat)
+    assert [(m.nrows, m.ncols) for m in eliminations] == [(down.cod, j)]
 
 
 def test_ladders_leave_nothing_for_the_cyclic_collector():
@@ -273,15 +308,19 @@ def test_rungs_do_no_field_arithmetic_in_spaces(field, d, j):
         assert "%" not in source and "Fraction" not in source
 
 
-def test_q_down_rung_runs_the_integer_kernel(monkeypatch):
+def test_q_down_rung_runs_the_integer_kernel(monkeypatch, echelons):
     V = _fresh(random_space(20, 40, QQ, 0))
     assert V.dim <= V.cod
     seen = []
     real = linalg._rref_q
     monkeypatch.setattr(linalg, "_rref_q", lambda rows, n: seen.append(rows) or real(rows, n))
     down = V._down
-    assert len(seen) == 1
-    # the residue rows reach the kernel as integers, not Fractions
+    # the windows reach the echelon kernel as integers, not Fractions, and no RREF runs
+    assert seen == []
+    _one_down_step(echelons, V)
+    # reading the rows runs one integer kernel of the echelon basis
+    down.mat.ints
+    assert len(seen) == 1 and len(seen[0]) == down.cod
     assert all(type(x) is int for row in seen[0] for x in row)
     assert down.mat == oracle_shift_down_once(V.mat)
 
@@ -338,21 +377,22 @@ def test_ladder_rungs_match_the_oracle_whichever_neighbour_is_built_first(V, dow
 @given(pinned_spaces(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_shared_residue_rref_pins_both_rungs_whichever_is_built_first(V, down_first):
-    # R_1V's fullness is the rank of the reversed RREF of V's 2 cod V residue
-    # rows and R_{-1}V its kernel; building both rungs eliminates those rows at
-    # most once, in either order
+    # R_1V's fullness is |E| of V's `_residues`, the echelon basis of (R_{-1}V)^perp, and R_{-1}V
+    # its kernel; building both rungs runs that down step at most once, in either order, and no RREF
     up_m, down_m = oracle_shift_up_once(V.mat), oracle_shift_down_once(V.mat)
     full = up_m.nrows == V.degree + 2
-    reduced = _bare(V)._residues
-    assert (reduced.nrows == 2 * V.cod) is full
-    _assert_same(FormSpace(V.field, V.degree - 1, linalg.kernel_from(reduced)), down_m)
-    W, residue_eliminations = _bare(V), []
-    real = spaces.rref_reversed
+    E, G = _bare(V)._residues
+    assert (len(E) == 2 * V.cod) is full and len(G) == V.cod
+    dual = linalg.from_ints(V.field, tuple(r[::-1] for r in E.values()), V.degree)
+    _assert_same(FormSpace(V.field, V.degree - 1, linalg.kernel(dual)), down_m)
+    W, steps, rrefs = _bare(V), [], []
+    real, real_rref = linalg.echelon_extend, linalg.rref
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spaces, "rref_reversed", lambda m: residue_eliminations.append(m) or real(m))
+        mp.setattr(linalg, "echelon_extend", lambda F, basis, rows: steps.append(len(basis)) or real(F, basis, rows))
+        mp.setattr(linalg, "rref", lambda m: rrefs.append(m.ncols) or real_rref(m))
         for rung in ("_down", "_up") if down_first else ("_up", "_down"):
             getattr(W, rung)
-    assert len(residue_eliminations) <= 1
+    assert len(steps) <= 2 and V.degree not in rrefs  # V's start and one step; an up-rung has V.degree + 2 columns
     assert W._up.is_full is full
     _assert_same(W._up, up_m)
     _assert_same(W._down, down_m)
@@ -360,19 +400,21 @@ def test_shared_residue_rref_pins_both_rungs_whichever_is_built_first(V, down_fi
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
 @pytest.mark.parametrize("d,j", [(6, 8), (9, 12), (30, 40)])  # R_1V full, R_{-1}V nonzero
-def test_tau_then_down_rung_run_one_residue_elimination(eliminations, field, d, j):
+def test_tau_then_down_rung_run_one_residue_elimination(eliminations, echelons, field, d, j):
+    # tau's rank of R_1V is the down step, which R_{-1}V then reads: one step, no `rref`
     V = _fresh(random_space(d, j, field, 4))
     eliminations.clear()
     t = tau(V)
     down = shift(V, -1)
-    assert [(m.nrows, m.ncols) for m in eliminations] == [(2 * V.cod, j)]
+    assert eliminations == []
+    _one_down_step(echelons, V)
     assert t == j + 2 - d and V._up.is_full and not down.is_zero
     assert down.mat == oracle_shift_down_once(V.mat)
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
 def test_a_down_rung_reads_its_dual_and_members_with_no_row_written(field):
-    # a down-rung's `_dual` is the reduced rows it is the kernel of, turned back, so its residues
+    # a down-rung's `_dual` is the echelon basis it is the kernel of, turned back, so its residues
     # and a membership test read those rows alone: over F_p `rows`, over Q `_ints`, stay unset
     V = random_space(10, 12, field, 0)
     R = shift(V, -1)
@@ -387,3 +429,63 @@ def test_a_down_rung_reads_its_dual_and_members_with_no_row_written(field):
     assert [R.contains(f) for f in others] == [False] * 3
     assert "rows" not in vars(R.mat) and "_ints" not in vars(R.mat)
     assert R.mat == want
+
+
+WALK_FIELDS = [GF(2), GF(7), F101, QQ]
+
+
+@st.composite
+def walk_tops(draw):
+    """A space to walk down from, j <= 12: a `span`, a `kernel_space` of independent rows (a random RREF,
+    each row plus a multiple of the one before it), or a rung of an ideal's up-ladder (a lazy rung sized by
+    mu, or a block), its rows unwritten; entries are residues over F_p, up to 2^64 in size over Q."""
+    F = draw(st.sampled_from(WALK_FIELDS))
+    j = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["span", "kernel", "up"]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    h = F.p - 1 if F.p else 2**64
+
+    def rows(n):
+        return tuple(tuple(rng.randint(0 if F.p else -h, h) for _ in range(j + 1)) for _ in range(n))
+
+    if kind == "kernel":
+        dual = list(span(F, j, rows(rng.randint(0, j + 1))).mat.ints)
+        for i in range(1, len(dual)):
+            k = rng.randint(-h, h)
+            dual[i] = tuple((x + k * y) % F.p if F.p else x + k * y for x, y in zip(dual[i], dual[i - 1]))
+        return kernel_space(F, j, tuple(dual))
+    if kind == "span":
+        return span(F, j, rows(rng.randint(1, j + 1)))
+    V = span(F, j, rows(rng.randint(1, max(1, (j + 1) // 4))))
+    return V if V.is_zero else draw(st.sampled_from(spaces._up_rungs(V, _stable_top(V))[1:]))
+
+
+def _oracle_chain(m):
+    """[R_{-1}V, R_{-2}V, ..] of V with basis m by repeated `oracle_shift_down_once`, to the first zero or degree 0."""
+    chain = []
+    while m.ncols > 1 and m.nrows:
+        m = oracle_shift_down_once(m)
+        chain.append(m)
+    return chain
+
+
+@given(walk_tops(), st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_every_echelon_down_rung_matches_repeated_oracle_steps(top, seed):
+    # The whole walk runs before any rung is read, so a step that changed the rung above it (its basis
+    # dict shared and extended, say) shows in that rung's dimension, membership or rows.
+    rungs = spaces._down_rungs(top, top.degree)[1:]
+    want = _oracle_chain(top.mat)
+    assert [W.dim for W in rungs] == [m.nrows for m in want]
+    F, rng = top.field, random.Random(seed)
+    for W, m in zip(rungs, want):
+        n, perp = W.degree + 1, oracle_kernel(m).rows
+        combos = [[rng.randint(-3, 3) for _ in m.rows] for _ in range(3)]
+        members = [[sum(map(mul, a, col)) for col in zip(*m.rows)] if m.rows else [0] * n for a in combos]
+        others = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)] + [v[:-1] + [v[-1] + 1] for v in members]
+        for vec in members + others:  # in V iff its dot with each row of the oracle's V^perp is 0
+            f = form(F, W.degree, vec)
+            assert W.contains(f) is not any(F.coerce(sum(map(mul, z, f.coeffs))) for z in perp)
+        assert all(W.contains(form(F, W.degree, vec)) for vec in members)
+    for W, m in zip(rungs, want):
+        _assert_same(W, m)

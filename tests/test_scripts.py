@@ -32,6 +32,16 @@ def test_script_runs(name, args):
     assert proc.stdout
 
 
+def test_q_height_table_prints_one_row_per_cell():
+    proc = _run_script("q_height_table.py", "--shapes", "2,4", "--heights", "2^3", "--cap", "30")
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header == "| d | j | h | seed | dim | span | related | analyze | gcd_of_space |"
+    assert rule == "|---" * 9 + "|" and len(rows) == 1
+    cells = rows[0].strip("| ").split(" | ")
+    assert cells[:5] == ["2", "4", "2^3", "0", "2"] and all(c.endswith(" s") and ">" not in c for c in cells[5:])
+
+
 def _result(ops_per_s, p50_ms, failed=0):
     metrics = {"ops_per_s": {"value": ops_per_s, "unit": "ops/s"},
                "op_p50_ms": {"value": p50_ms, "unit": "ms"}}

@@ -166,13 +166,14 @@ def test_lazy_ideals_once_forced_equal_the_eager_window(V):
 @pytest.mark.parametrize("d", [3, 58])  # up-rungs sized by mu; R_1V full, and many down-rungs
 def test_betti_counts_run_no_elimination_and_write_no_rung(monkeypatch, d):
     # the counts read dimensions only: mu sizes the up-rungs, and each down-rung is the kernel of
-    # residue rows already reduced; no rung's rows are written but V's and R_1V's
+    # an echelon basis already reduced; no rung's rows are written but V's and R_1V's
     A = ancestor_ideal(random_space(d, 60, F101, 0))
     lazy = [W for W in A.components if W.degree not in (60, 61)]
     assert len(lazy) > 12 and all("rows" not in vars(W.mat) for W in lazy)
     work = []
-    monkeypatch.setattr(linalg, "rref", lambda m: work.append("rref"))
-    for name in ("kernel_from", "_ladder_step", "_block_rows"):
+    for name in ("rref", "echelon_extend", "kernel"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name: work.append(name))
+    for name in ("_ladder_step", "_block_rows"):
         monkeypatch.setattr(spaces, name, lambda *a, name=name: work.append(name))
     hilbert_function(A), generator_degrees(A), relation_degrees(A)
     assert work == []

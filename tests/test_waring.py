@@ -132,13 +132,17 @@ def test_annihilator_is_the_level_ideal_of_the_degree_j_catalecticant_kernel(fie
 
 
 def test_annihilator_after_mu_eliminates_no_weighted_row(monkeypatch):
-    # after mu (= j here), one elimination: the level ideal's first residue step, no kernel of W's weighted rows
+    # after mu (= j here), no elimination and no kernel of W's weighted rows: the level ideal's walk
+    # starts an echelon basis from W's c weighted rows, and each down step hands it c windows
     W = perp(random_space(6, 12, GF(101), 0))
     assert mu(W) == 12
     elims, real_rref = [], linalg.rref
+    steps, real_echelon = [], linalg.echelon_extend
     monkeypatch.setattr(linalg, "rref", lambda mat: elims.append((mat.nrows, mat.ncols)) or real_rref(mat))
+    monkeypatch.setattr(linalg, "echelon_extend", lambda F, basis, rows: steps.append(len(rows := tuple(rows)))
+                        or real_echelon(F, basis, rows))
     annihilator(W)
-    assert elims == [(14, 12)]
+    assert elims == [] and len(steps) >= 2 and steps == [W.dim] * len(steps)
 
 
 def test_annihilator_single_power():
@@ -901,20 +905,24 @@ def test_perp_at_mu_generic_j_eliminates_once_and_writes_no_component_row(monkey
 @pytest.mark.parametrize("field,j", [(GF(101), 10), (GF(10007), 12), (QQ, 8)], ids=lambda x: str(x))
 def test_the_walk_from_j_minus_1_eliminates_no_catalecticant_again(monkeypatch, field, j):
     # from mu_generic = j-1 the walk starts at (Ann W)_{j-1} read off tau_delta's RREF: mu = j-1
-    # costs that elimination and the residue one that finds (Ann W)_{j-2} = 0, no catalecticant kernel
+    # costs that elimination alone, no catalecticant kernel; the echelon basis of its rows and one
+    # down step of their |G| windows find (Ann W)_{j-2} = 0
     import binforms.waring as waring
 
-    comps, calls = [], []
-    real, real_rref = waring._ann_component, linalg.rref
+    comps, calls, steps = [], [], []
+    real, real_rref, real_echelon = waring._ann_component, linalg.rref, linalg.echelon_extend
     monkeypatch.setattr(waring, "_ann_component", lambda V, i: comps.append(i) or real(V, i))
     duals = [W for W in _at_j_minus_1(field, j, range(2)) if mu(DualSpace(W.space)) == j - 1]
     assert duals
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
+    monkeypatch.setattr(linalg, "echelon_extend", lambda F, basis, rows: steps.append(len(rows := tuple(rows)))
+                        or real_echelon(F, basis, rows))
     for W in duals:
-        W, calls[:] = DualSpace(W.space), []
+        W, calls[:], steps[:] = DualSpace(W.space), [], []
         mu(W)
         comp = W._initial[1]
-        assert comps == [] and len(calls) == 2
+        assert comps == [] and len(calls) == 1
+        assert steps == [W._catalecticant.nrows] * 2
         assert comp.degree == j - 1 and not {"rows", "_ints"} & set(vars(comp.mat))
         assert comp == oracle_ann_component(W, j - 1)
 
