@@ -1,4 +1,4 @@
-"""Time the Q calls at height: `related`, `analyze` and `gcd_of_space` of random spaces.
+"""Time the Q calls at height: `related`, `analyze`, `gcd_of_space` and `waring` of random spaces.
 
 For each (d, j) shape, height h and seed, the d rows of j + 1 entries are
 drawn row by row as Fraction(randint(-h, h), randint(1, h)) from
@@ -10,6 +10,7 @@ SIGALRM cap: a call past the cap is stopped and printed as "> cap".
                 Hilbert function (what `binforms related` prints)
   analyze       the `binforms analyze` analysis of the space
   gcd_of_space  the gcd of the space's basis
+  waring        gad of the space read as dual forms (what `binforms waring` decomposes)
 
 Prints one markdown table row per (d, j, h, seed), the span's time included.
 
@@ -31,13 +32,18 @@ from binforms.fields import QQ
 from binforms.ideals import generator_degrees, hilbert_function
 from binforms.related import related_classes
 from binforms.spaces import FormSpace, gcd_of_space, span
+from binforms.waring import DualSpace, gad
 
 
 def _related(V):
     return [(generator_degrees(I), hilbert_function(I)) for I in related_classes(V)]
 
 
-CALLS = {"related": _related, "analyze": _analysis, "gcd_of_space": gcd_of_space}
+def _waring(V):
+    return gad(DualSpace(V))
+
+
+CALLS = {"related": _related, "analyze": _analysis, "gcd_of_space": gcd_of_space, "waring": _waring}
 
 
 class _Cap(Exception):

@@ -7,8 +7,8 @@ t = y/x, constant term first: trailing zeros are the power of x (the degree
 drop), leading zeros the power of y (the root t = 0).  Polynomials in t are
 int lists, one kernel per field kind picked once per call by `F.p`: residues
 mod a local p, or primitive integer lists over Q (Fractions only for the
-result).  `_linear_split` gives the rootless part of f at once and its
-linear factors on demand, F_2 like any F_p.  The dual ring acts by differentiation:
+result), whose gcd is `_gcd_p`'s lifted by CRT.  `_linear_split` gives the rootless
+part of f at once and its linear factors on demand, F_2 like any F_p.  The dual ring acts by differentiation:
 x^a y^b . X^c Y^d = c(c-1)...(c-a+1) d(d-1)...(d-b+1) X^(c-a) Y^(d-b),
 which is a perfect pairing exactly when char k = 0 or p > degree.
 """
@@ -153,35 +153,35 @@ def _powmod_p(a: int, e: int, mod: list[int], p: int) -> list[int]:
     return [(A >> s) & mask for s in shifts]
 
 
-def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[t] by the primitive PRS (Brown, JACM 18, 1971): each
-    fraction-free remainder, num <- (lc/g) num - (c/g) t^k den for top entry c
-    and g = gcd(lc, c), is divided by its content, so it is the primitive part
-    of a subresultant and never outgrows it, as Euclid over Q does."""
-    while b:
-        num, n, lc = list(a), len(b) - 1, b[-1]
-        for k in range(len(num) - n - 1, -1, -1):
-            c = num.pop()
-            if c:
-                g = math.gcd(lc, c)
-                s, c = lc // g, c // g
-                num[:k] = [s * x for x in num[:k]]
-                num[k:] = [s * x - c * d for x, d in zip(num[k:], b)]
-        a, b = b, _primitive(_trim(num))
-    return _primitive(a)
-
-
-_GCD_PRIME = 2**61 - 1  # `_gcd_z`'s prime
+_GCD_PRIMES = [2**61 - 1]  # `_gcd_z`'s primes, largest first, each found once as the loop needs it
 
 
 def _gcd_z(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[t] of trimmed lists, a nonzero: [1] when p = `_GCD_PRIME` does not divide
-    lc(a) and gcd(a, b) mod p is constant, else `_prs_gcd`.  The gcd g over Z has lc(g) | lc(a), so
-    g mod p keeps the degree of g and divides gcd(a, b) mod p: a constant one proves g = 1."""
-    p = _GCD_PRIME
-    if a[-1] % p and len(_gcd_p(_mod(a, p), _mod(b, p), p)) == 1:
-        return [1]
-    return _prs_gcd(a, b)
+    """Primitive gcd g in Z[t] of nonzero trimmed lists (Brown, JACM 18, 1971; von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 6).  For p not dividing lc(a), g mod p keeps its degree (lc(g) | lc(a)) and
+    divides gcd(a, b) mod p: a constant one proves g = 1.  Otherwise the gcds mod p of least degree, scaled
+    to lead gcd(lc a, lc b), are joined by CRT until the primitive part of the symmetric lift divides a and
+    b exactly: then it divides g and has g's degree, so it is g, and no coefficient bound is needed."""
+    h, lift, m = math.gcd(a[-1], b[-1]), [], 1
+    for k in itertools.count():
+        if k == len(_GCD_PRIMES):
+            _GCD_PRIMES.append(next(n for n in range(_GCD_PRIMES[-1] - 1, 1, -1) if _is_prime(n)))
+        p = _GCD_PRIMES[k]
+        if a[-1] % p == 0:
+            continue
+        gp = _gcd_p(_mod(a, p), _mod(b, p), p)
+        if len(gp) == 1:
+            return [1]
+        if not lift or len(gp) < len(lift):
+            lift, m = [0] * len(gp), 1  # p is the first prime, or every earlier one was unlucky
+        elif len(gp) > len(lift):
+            continue  # p is unlucky
+        u = pow(m, -1, p)
+        lift = [x + m * ((c * h - x) * u % p) for x, c in zip(lift, gp)]
+        m *= p
+        g = _primitive([x - m if 2 * x > m else x for x in lift])
+        if _exquo(a, g, None) is not None and _exquo(b, g, None) is not None:
+            return g
 
 
 def _exquo(num: list[int], den: list[int], p: int | None) -> list[int] | None:
@@ -331,21 +331,19 @@ def _rational_roots(f: list) -> list:
     first); a constant f, over any field, has none.
 
     The roots mod p are lifted p-adically (Loos, SIAM J. Comput. 12,
-    1983).  A lifting prime among the first 8 odd primes certifies f
-    squarefree; without one, f becomes f / gcd(f, f') by the primitive PRS
-    and p its least odd lifting prime.  A root a/b has a | f_0 and b | f_n,
-    so it is a simple root mod p and u = f_n a/b is an integer, |u| <= |f_0 f_n|
-    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).  Newton's iteration
-    lifts the root to r mod m = p^k > 2 |f_0 f_n|, so u is the symmetric residue
-    of f_n r mod m; s = 1/f'(r) is lifted with r, s <- s (2 - f'(r) s), with no
-    inverse past the first.  Only the u with f(u/f_n) = 0 are kept.
+    1983).  f becomes its squarefree part f / `_gcd_z`(f, f'), one gcd mod p
+    when f is squarefree, and p its least odd lifting prime.  A root a/b has
+    a | f_0 and b | f_n, so it is a simple root mod p and u = f_n a/b is an
+    integer, |u| <= |f_0 f_n| (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 15).  Newton's iteration lifts the root to r mod m = p^k > 2 |f_0 f_n|,
+    so u is the symmetric residue of f_n r mod m; s = 1/f'(r) is lifted with r,
+    s <- s (2 - f'(r) s), with no inverse past the first.  Only the u with
+    f(u/f_n) = 0 are kept.
     """
     if len(f) < 2:
         return []
-    p = next((p for p in (3, 5, 7, 11, 13, 17, 19, 23) if _lifting_prime(f, p)), None)
-    if p is None:
-        f = _exquo(f, _prs_gcd(f, _deriv(f)), None)
-        p = next(p for p in itertools.count(3, 2) if _is_prime(p) and _lifting_prime(f, p))
+    f = _exquo(f, _gcd_z(f, _deriv(f)), None)
+    p = next(p for p in itertools.count(3, 2) if _is_prime(p) and _lifting_prime(f, p))
     bound, roots = 2 * abs(f[0] * f[-1]), []
     for r in _fp_roots(_root_gcd(_mod(f, p), p), p):
         m = p

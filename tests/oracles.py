@@ -150,16 +150,23 @@ def oracle_gcd_rows(F: FieldSpec, degree: int, rows) -> BinaryForm:
     """Monic gcd of the degree-`degree` forms with these nonzero `Matrix.ints` rows by one gcd
     chain in t over the whole rows, first row to last, stopped once constant; the least degree
     drop over all rows is the power of x.  `forms.gcd_rows` strips each row's power of t and
-    chains from the last row of an RREF up."""
-    from binforms.forms import _gcd_p, _monic_form, _prs_gcd, _trim
+    chains from the last row of an RREF up; over Q each gcd here is the primitive part of sympy's."""
+    from binforms.forms import _gcd_p, _monic_form, _trim
 
     polys = [_trim(list(r)) for r in rows]
     core = polys[0]
     for b in polys[1:]:
         if len(core) == 1:
             break
-        core = _gcd_p(core, b, F.p) if F.p else _prs_gcd(core, b)
+        core = _gcd_p(core, b, F.p) if F.p else oracle_gcd_z(core, b)
     return _monic_form(F, core + [0] * (degree + 1 - max(map(len, polys))))
+
+
+def oracle_gcd_z(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd in Z[t] of nonzero integer lists in t (constant term first), by sympy."""
+    t = sympy.Symbol("t")
+    g = sympy.gcd(sympy.Poly(a[::-1], t, domain="ZZ"), sympy.Poly(b[::-1], t, domain="ZZ"))
+    return [int(c) for c in g.primitive()[1].all_coeffs()[::-1]]
 
 
 def oracle_contract(f_coeffs, f_deg, big_coeffs, big_deg):

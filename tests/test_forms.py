@@ -37,6 +37,7 @@ from oracles import (
     oracle_fp_roots,
     oracle_gcd,
     oracle_gcd_rows,
+    oracle_gcd_z,
     oracle_linear_factors,
     oracle_mul,
     oracle_q_roots,
@@ -206,38 +207,52 @@ def _z_mul(a, b):
     return out
 
 
-@given(st.integers(0, 10**6), st.sampled_from([4, 64, 200]), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_gcd_z_matches_sympy_on_planted_factors(seed, bits, planted):
-    # a = g u, b = g v: the primitive gcd is g's primitive part, or 1 when planted = 0 and u, v are coprime
+def test_gcd_z_falls_back_where_the_prime_cannot_decide(monkeypatch):
+    # the primes tried, read off the gcds mod p: the largest below 2^61 first
     import sympy
 
-    rng = random.Random(seed)
-    g = _z_poly(rng, planted, bits)
-    a, b = (_z_mul(g, _z_poly(rng, rng.randint(0, 5), bits)) for _ in range(2))
-    t = sympy.Symbol("t")
-    want = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1], t)).primitive()[1].all_coeffs()[::-1]
-    got = forms._gcd_z(a, b)
-    assert got in ([int(c) for c in want], [-int(c) for c in want]), (seed, bits, planted)
-
-
-def test_gcd_z_falls_back_where_the_prime_cannot_decide(monkeypatch):
-    p = forms._GCD_PRIME
-    fallbacks, real = [], forms._prs_gcd
-    monkeypatch.setattr(forms, "_prs_gcd", lambda a, b: fallbacks.append((a, b)) or real(a, b))
-    # 1 + t and 1 + p + t share their factor mod p only: the gcd mod p is not constant
-    assert forms._gcd_z([1, 1], [1 + p, 1]) in ([1], [-1]) and len(fallbacks) == 1
-    # p divides lc(a) = p: a mod p loses the common factor 1 + p t, so its constant gcd proves nothing
+    p = 2**61 - 1
+    q = sympy.prevprime(p)
+    r = sympy.prevprime(q)
+    tried, real = [], forms._gcd_p
+    monkeypatch.setattr(forms, "_gcd_p", lambda a, b, p: tried.append(p) or real(a, b, p))
+    # (t+1)(t+2) and (t+1)(t+3) + p share t + 1 mod p only: its lift does not divide b, and q settles it
+    a, b = _z_mul([1, 1], [2, 1]), _z_mul([1, 1], [3, 1])
+    b[0] += p
+    assert forms._gcd_z(a, b) in ([1], [-1]) and tried == [p, q]
+    # p divides lc(a) = p: a mod p loses the common factor 1 + p t, so p is skipped, and 1 + p t
+    # needs q r > 2p to lift
+    del tried[:]
     a, b = _z_mul([1, p], [2, 1]), _z_mul([1, p], [3, 1])
-    assert forms._gcd_z(a, b) in ([1, p], [-1, -p]) and len(fallbacks) == 2
-    # coprime with lc(a) a unit mod p: settled mod p, no fallback
-    assert forms._gcd_z([2, 1], [3, 1]) == [1] and len(fallbacks) == 2
+    assert forms._gcd_z(a, b) in ([1, p], [-1, -p]) and tried == [q, r]
+    # the lift 2 (t + 1), led by gcd(lc a, lc b) = 2, divides a and b: only its primitive part is the gcd
+    del tried[:]
+    assert forms._gcd_z(_z_mul([2, 2], [2, 1]), _z_mul([2, 2], [3, 1])) in ([1, 1], [-1, -1]) and tried == [p]
+    # coprime with lc(a) a unit mod p: settled mod p
+    del tried[:]
+    assert forms._gcd_z([2, 1], [3, 1]) == [1] and tried == [p]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([4, 64, 200]), st.integers(0, 3), st.sampled_from(["", "shift", "lead"]))
+@settings(max_examples=90, deadline=None)
+def test_gcd_z_matches_sympy_on_planted_factors(seed, bits, planted, unlucky):
+    # a = g u, b = g v: the primitive gcd is g's primitive part, or 1 when planted = 0 and u, v are coprime.
+    # Unlucky at the first prime p: "shift" adds p to b, so g still divides b mod p but not b;
+    # "lead" plants 1 + p t too, so p divides lc(a) and a mod p loses that factor
+    p = 2**61 - 1
+    rng = random.Random(seed)
+    g = _z_mul(_z_poly(rng, planted, bits), [1, p] if unlucky == "lead" else [1])
+    a, b = (_z_mul(g, _z_poly(rng, rng.randint(0, 5), bits)) for _ in range(2))
+    b[0] += p if unlucky == "shift" else 0
+    want = oracle_gcd_z(a, b)
+    got = forms._gcd_z(a, b)
+    assert got in (want, [-c for c in want]), (seed, bits, planted, unlucky)
 
 
 @pytest.mark.parametrize("d,j", [(6, 21), (12, 18)])
 @pytest.mark.parametrize("bits", [64, 200])
 def test_q_gcd_of_a_random_space_at_height_takes_one_prime(d, j, bits):
-    # every entry a / b with |a|, b <= 2^bits: gcd V = 1 is proved by one gcd mod p, not by a PRS
+    # every entry a / b with |a|, b <= 2^bits: gcd V = 1 is proved by one gcd mod p
     rng = random.Random(0)
     h = lambda: Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
     V = span(QQ, j, [q(j, [h() for _ in range(j + 1)]) for _ in range(d)])
@@ -514,26 +529,34 @@ def test_q_roots_match_sympy(bits):
 
 
 def test_q_roots_without_a_certificate_prime(monkeypatch):
-    # every one of the first 8 odd primes divides the leading coefficient, so
-    # none certifies this squarefree core and the PRS fallback runs
-    import binforms.forms as forms
-
+    # every one of the first 8 odd primes divides the leading coefficient of this squarefree
+    # core: one gcd mod 2^61 - 1 proves it squarefree, and its roots lift at 29
     M = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
     core = _q_times([-1, M], [-2, 1])  # (M t - 1)(t - 2)
-    calls = []
-    real = forms._prs_gcd
-    monkeypatch.setattr(forms, "_prs_gcd", lambda a, b: calls.append(a) or real(a, b))
-    got = _rational_roots(core)
-    assert got == [Fraction(1, M), 2] == oracle_q_roots(core)
-    assert len(calls) == 1
-    calls.clear()
-    assert _rational_roots(_q_times([-1, 1], [-2, 1])) == [1, 2]  # 3 certifies
-    assert calls == []
+    gcds, lifts = [], []
+    real_gcd, real_root = forms._gcd_z, forms._root_gcd
+
+    def gcd_z(a, b):
+        gcds.append(real_gcd(a, b))
+        return gcds[-1]
+
+    monkeypatch.setattr(forms, "_gcd_z", gcd_z)
+    monkeypatch.setattr(forms, "_root_gcd", lambda f, p: lifts.append(p) or real_root(f, p))
+    assert _rational_roots(core) == [Fraction(1, M), 2] == oracle_q_roots(core)
+    assert gcds == [[1]] and lifts == [29]
+    del gcds[:], lifts[:]
+    assert _rational_roots(_q_times([-1, 1], [-2, 1])) == [1, 2]  # 3 lifts
+    assert gcds == [[1]] and lifts == [3]
+    del gcds[:], lifts[:]
+    # (t - 1)^2 (t - 2): f / gcd(f, f') is (t - 1)(t - 2), which 3 lifts
+    assert _rational_roots(_q_times(_q_times([-1, 1], [-1, 1]), [-2, 1])) == [1, 2]
+    assert gcds in ([[-1, 1]], [[1, -1]]) and lifts == [3]
 
 
 def test_q_roots_of_2048_bit_planted_cores_lift_one_inverse_per_root_within_a_deadline(monkeypatch):
     # five cores, each four planted roots a/b of 2048 bits times t^2 + 1; 1/f'(r) is lifted with r
-    # by s <- s (2 - f'(r) s), so the one modular inverse per root is mod p
+    # by s <- s (2 - f'(r) s), so the one modular inverse per root is mod p; the squarefree
+    # test's gcd takes its inverses mod `_gcd_z`'s primes, and none is mod p^k
     rng = random.Random("q-roots|2048")
     cases = []
     for _ in range(5):
@@ -556,7 +579,8 @@ def test_q_roots_of_2048_bit_planted_cores_lift_one_inverse_per_root_within_a_de
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert inverses and max(inverses) < 100  # mod a small lifting prime, never mod p^k
+    lifting = [m for m in inverses if m not in forms._GCD_PRIMES]
+    assert lifting and max(lifting) < 100  # mod a small lifting prime, never mod p^k
 
 
 def test_q_roots_lift_past_twice_f0_fn():
