@@ -17,7 +17,7 @@ as `tau` does, off a rung of I_{i-1} already built or, above the window, off
 the block (tail_gcd).R_s itself.  Above degree j + 1 a window's components
 are sized by V's syzygy degrees and below j each is a kernel (`spaces`): their
 rows are written only when read, so H and the Betti counts build no basis.
-The walk down stops at the first zero rung, as every rung below it is zero.
+The walk down is `shift`'s own (`spaces._rungs`): it stops at the first zero rung.
 The tail gcd is read off the stable top: there the component is a principal
 block f.R_s, which knows its f.
 
@@ -47,7 +47,7 @@ from .forms import (
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
-    _down_rungs,
+    _rungs,
     _up_dim,
     _up_rungs,
     contained,
@@ -176,7 +176,7 @@ def _rung_window(V: FormSpace, depth: int) -> GradedIdeal:
     if V.is_zero:
         return zero_ideal(V.field)
     top = _stable_top(V)  # before the walk down: tau may build R_1V, which the down-step reads
-    below, comps = _down_rungs(V, depth)[:0:-1], _up_rungs(V, top)
+    below, comps = _rungs(V, -depth)[:0:-1], _up_rungs(V, top)
     return _assemble_ideal(V.field, V.degree - len(below), below + comps, comps[-1]._principal)
 
 
@@ -187,7 +187,7 @@ def ancestor_ideal(V: FormSpace) -> GradedIdeal:
 
 def level_ideal(V: FormSpace) -> GradedIdeal:
     """Ancestor components up to degree j, then everything."""
-    comps = [*_down_rungs(V, V.degree)[::-1], full_space(V.field, V.degree + 1)]
+    comps = [*_rungs(V, -V.degree)[::-1], full_space(V.field, V.degree + 1)]
     return _assemble_ideal(V.field, V.degree + 2 - len(comps), comps, unit_form(V.field))
 
 

@@ -5,7 +5,7 @@ R_{-s} V = {f : R_s f is contained in V}.  tau(V) = dim R_1 V - dim V
 measures how far V is from a principal block f.R_{j-c}; it controls the
 number of generators of every ideal V determines.  As xV ∩ yV = xy.R_{-1}V,
 dim R_1V = 2 dim V - dim R_{-1}V, so `tau` reads whichever neighbour rung is
-built.  `shift` walks one-step rungs, built once per space and kept on it:
+built.  `shift` walks one-step rungs (`_rungs`), kept on each space, and stops at a zero one:
 
 * A principal block f.R_s (f monic, f = t^a g for t = y/x, k = deg f - a) needs no
   elimination: the row with pivot a+i is e_{a+i} with rho_{s+1-i} in the last k columns,
@@ -18,14 +18,14 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   on one entry (rho_2[0] = g_2 - g_1^2 in the second-to-last row, g_2 = 0 if k = 1, an int
   tested mod p) and then compares every `ints` row.  R_{+-1} of a block is the block
   f.R_{s+-1}, built from (f, s +- 1) alone in O(1): its rows are written when first read.
-* Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, i.e.
-  iff V's 2 cod V free-column rows (below) are independent: one rank, tried if 2 dim V >=
-  j + 2.  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
+* Rungs their dimension pins: R_1V = R_{j+1} iff dim R_{-1}V = 2 dim V - j - 2, read off the
+  down-rung (one step, below, kept for the walk down), tried if 2 dim V >= j + 2.
+  R_{-1}V = 0 iff dim R_1V = 2 dim V, read off R_1V if built.
 * Up, otherwise: R_1V = x.V + y.V, one elimination of 2 dim V rows.  A rung keeps no space
   it was built from, only rows (a space would form a reference cycle).
 * mu, dimensions before bases: the d - 1 syzygy degrees of V's basis sum to j - deg gcd V, and
   dim R_kV = d(k+1) - sum_i max(0, k - mu_i + 1) (Hilbert-Burch).  `syzygy_degrees` reads them
-  off one order-basis pass.  Unless R_1V is a block or R_2V is pinned full by one rank, an ideal's
+  off one order-basis pass.  Unless R_1V is a block or R_2V is pinned full (above), an ideal's
   window sizes each R_kV, 2 <= k < max mu - 1, by them, writes its rows on first read as
   x.R_{k-1}V + y^k.V (x divides every degree-k monomial but y^k), and from there on R_kV is
   the block (gcd V).R_s.
@@ -33,18 +33,17 @@ built.  `shift` walks one-step rungs, built once per space and kept on it:
   For V = R_{-k}T, V^perp is spanned by the width-(j+1) windows of T^perp's rows, so (R_{-1}V)^perp is
   spanned by V^perp's rows less their first entry and by the windows g[:j] of G, the cod T windows
   that start T^perp's rows.  Each space keeps (E, G) as `_echelon`: E an echelon basis of V^perp, rows
-  reversed and keyed by lead, so that dropping a first entry keeps every lead.  `_residues` extends the
-  shortened copy by the windows (`linalg.echelon_extend`, no back-substitution); its |E| pins R_1V too.
+  reversed and keyed by lead, so that dropping a first entry keeps every lead.  `_shift_down_once` extends
+  the shortened copy by the windows (`linalg.echelon_extend`, no back-substitution) into R_{-1}V's E.
   A down-rung is the lazy kernel of its E, which is its `_dual`: no rung's rows are written on the way
   down, nor by a membership test, and one `linalg.kernel` writes them when read.  `kernel_space` makes
-  such a lazy kernel of independent rows (`waring`'s (Ann W)_{j-1} off tau_delta's RREF).
+  such a lazy kernel of independent rows (`waring`'s (Ann W)_{j-1} off tau_delta's RREF, (Ann W)_j off W's).
 * Monomial ideals, `monomial_rungs`: a component of (x^p y^q) and its R_1 are spans of unit rows e_b,
   an RREF when sorted by b: read off the exponents with no elimination, R_1 kept as the component's `_up`.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -121,16 +120,6 @@ class FormSpace:
         is made with its own."""
         G = tuple(z[::-1] for z in self._dual)
         return linalg.echelon_extend(self.field, {}, G), G
-
-    @cached_property
-    def _residues(self) -> tuple[dict, tuple]:
-        """R_{-1}V's `_echelon`, whose |E| is j - dim R_{-1}V: (R_{-1}V)^perp is spanned by z[1:] (y.z) and z[:j]
-        (x.z) for z in V^perp, that is by E's rows less their first entry (their last, reversed: every lead stays,
-        and a row leading there is gone) and the windows g[:j] of G: any other z[:j] is a window of T^perp
-        starting past T's first column, some z[1:] already."""
-        (E, G), j = self._echelon, self.degree
-        G = tuple(g[1:] for g in G)
-        return linalg.echelon_extend(self.field, {c: r[:-1] for c, r in E.items() if c < j}, G), G
 
     @cached_property
     def _mu(self) -> tuple[int, ...]:
@@ -291,14 +280,19 @@ def _shift_up_once(V: FormSpace) -> FormSpace:
 
 def _shift_down_once(V: FormSpace) -> FormSpace:
     """R_{-1}V: f.R_{s-1} for a block f.R_s (not tested on a lazy kernel, whose rows may be unwritten), zero
-    when pinned, else the lazy kernel of V's `_residues`' E turned back."""
+    when pinned, else the lazy kernel of E for (E, G), its `_echelon`, made here, |E| = j - dim R_{-1}V:
+    (R_{-1}V)^perp is spanned by z[1:] (y.z) and z[:j] (x.z) for z in V^perp, that is by V's E less each row's
+    first entry (its last, reversed: every lead stays, and a row leading there is gone) and the windows g[:j]
+    of V's G: any other z[:j] is a window of T^perp starting past T's first column, some z[1:] already."""
     F, j = V.field, V.degree  # j >= 1: `shift` refuses to go below degree 0
     up = V.__dict__.get("_up")
     if "_kernel" not in V.__dict__ and V._principal is not None:
         return principal_space(V._principal, j - 1)  # zero below deg f
     if V.is_zero or up is not None and up.dim == 2 * V.dim:
         return zero_space(F, j - 1)
-    E, G = V._residues
+    E, G = V._echelon
+    G = tuple(g[1:] for g in G)
+    E = linalg.echelon_extend(F, {c: r[:-1] for c, r in E.items() if c < j}, G)
     down = _lazy_kernel(F, j - 1, len(E), lambda: tuple(r[::-1] for r in E.values()))
     down.__dict__["_echelon"] = E, G
     return down
@@ -320,27 +314,23 @@ def kernel_space(field: FieldSpec, degree: int, dual: tuple) -> FormSpace:
 
 
 def _fills_next(V: FormSpace) -> bool:
-    """Whether R_1V = R_{j+1}, i.e. dim R_{-1}V = 2 dim V - (j + 2): |E| of R_{-1}V is 2 cod V."""
-    return len(V._residues[0]) == 2 * V.cod
+    """Whether R_1V = R_{j+1}: dim R_1V = 2 dim V - dim R_{-1}V, the down-rung built here kept for the walk."""
+    return 2 * V.dim - V._down.dim == V.degree + 2
 
 
 def shift(V: FormSpace, s: int) -> FormSpace:
-    """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs."""
-    return _rungs(V, s)[-1]
+    """R_s V (s >= 0) or the colon space (s < 0); steps never mix signs, and past a zero rung it is zero."""
+    rungs = _rungs(V, s)
+    return rungs[-1] if len(rungs) > abs(s) else zero_space(V.field, V.degree + s)
 
 
 def _rungs(V: FormSpace, s: int) -> list[FormSpace]:
-    """[V, R_{±1}V, .., R_sV] in one walk of V's memoized rungs, so repeated shifts of one space are free."""
+    """[V, R_{±1}V, .., R_sV] in one walk of V's memoized rungs, cut after its first zero rung (all past it are)."""
     if V.degree + s < 0:
         raise PreconditionError(f"shift to negative degree {V.degree + s}")
-    return list(itertools.accumulate(range(abs(s)), lambda W, _: W._up if s > 0 else W._down, initial=V))
-
-
-def _down_rungs(V: FormSpace, s: int) -> list[FormSpace]:
-    """[V, R_{-1}V, .., R_{-s}V], cut after its first zero rung: every rung below that one is zero."""
     rungs = [V]
-    while len(rungs) <= s and not rungs[-1].is_zero:
-        rungs.append(rungs[-1]._down)
+    while len(rungs) <= abs(s) and not rungs[-1].is_zero:
+        rungs.append(rungs[-1]._up if s > 0 else rungs[-1]._down)
     return rungs
 
 

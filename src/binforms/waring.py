@@ -9,15 +9,15 @@ annihilator measures how many powers of linear dual forms are needed to
 span W.  This module computes perp/annihilator, tau_delta and mu, extracts
 generalized additive decompositions by factoring a minimal-degree apolar
 form, and evaluates the generic-value formulas mu(tau,d,j) and the
-codimension of the locus where mu drops.  `_ann_component` has one rule:
-(Ann W)_i is the kernel of the degree-i catalecticant (the `linalg.hankel`
-windows of width i+1 of W's weighted rows), whatever i is, and tau_delta is
-the rank of the degree-(j-1) one.  Below degree j+1 each component of Ann W
-is the colon R_{-1} of the next, so mu is read off the down-rungs of one
-catalecticant kernel, taken at the bound mu_generic(tau_delta, d, j).  When
-mu_generic >= j-1, mu starts from tau_delta's elimination instead: the kernel
-of its RREF is (Ann W)_{j-1}, and when that is 0, mu = j.  `gad` certifies
-its decompositions on int lists and builds forms only for its result.
+codimension of the locus where mu drops.  (Ann W)_i is the kernel of the
+degree-i catalecticant (the `linalg.hankel` windows of width i+1 of W's
+weighted rows), and tau_delta is the rank of the degree-(j-1) one.  Below
+degree j+1 each component of Ann W is the colon R_{-1} of the next, so mu is
+read off the down-rungs of one kernel at the bound mu_generic(tau_delta, d, j):
+`_ann_component` below j-1, from j-1 on the kernel of tau_delta's RREF, and
+when that is 0, mu = j.  (Ann W)_j, V^perp too (V read as dual forms), is the
+lazy `kernel_space` of the weighted rows, its rows written when first read.
+`gad` certifies on int lists and builds forms only for its result.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from .linalg import Matrix, _integer_row, from_ints, hankel, kernel
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
+    _rungs,
     full_space,
     kernel_space,
     random_space,
-    shift,
     span,
     space_from_json,
 )
@@ -110,8 +110,7 @@ class DualSpace:
         comp = kernel_space(F, j - 1, red.ints) if top >= j - 1 else _ann_component(self, top)
         if comp.is_zero:
             raise RuntimeError(f"(Ann W)_{top} = 0: mu exceeds its bound mu_generic = {top}")
-        while comp.degree and shift(comp, -1).dim:
-            comp = shift(comp, -1)
+        comp = next(W for W in reversed(_rungs(comp, -comp.degree)) if W.dim)
         return comp.degree, comp
 
     @property
@@ -149,10 +148,10 @@ def dual_from_json(obj: dict, field: FieldSpec | None = None) -> DualSpace:
 def perp(V: FormSpace) -> DualSpace:
     """V^perp, the dual forms killed by every element of V; dim V^perp = j+1 - dim V.
 
-    The pairing is symmetric, so V^perp = (Ann V)_j with V read as dual forms:
-    the kernel of V's weighted rows, which are its degree-j catalecticant.
+    The pairing is symmetric, so V^perp = (Ann V)_j with V read as dual forms: the lazy
+    `kernel_space` of V's weighted rows, as `annihilator` builds it, its rows written when first read.
     """
-    return DualSpace(_ann_component(DualSpace(V), V.degree))
+    return DualSpace(kernel_space(V.field, V.degree, DualSpace(V)._weighted))
 
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:

@@ -33,7 +33,7 @@ from binforms.ideals import (
 )
 from binforms.linalg import rref
 from binforms.osequence import oseq, parse_oseq
-from binforms.spaces import _down_rungs, kernel_space, principal_space, random_space, shift, span
+from binforms.spaces import _rungs, kernel_space, principal_space, random_space, shift, span
 from binforms.waring import DualSpace, _ann_component, mu, n_mu_tau, perp, tau_delta
 
 FIELDS = [GF(2), GF(7), GF(101), QQ]
@@ -82,7 +82,7 @@ def test_every_space_the_library_builds_is_in_canonical_rref(V, seed):
     # echelon down-rungs, walked to the first zero rung before any of their rows is written: from
     # a span, from an up-rung and from the kernel of a random span's rows
     for top in (V, shift(V, 2), kernel_space(F, j, built[1].mat.ints)):
-        walk = _down_rungs(top, top.degree)[1:]
+        walk = _rungs(top, -top.degree)[1:]
         assert not any({"rows", "_ints"} & set(vars(W.mat)) for W in walk if "_kernel" in vars(W))
         built += walk
     for S in built:

@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from binforms import ideals
+from binforms import ideals, linalg
 from binforms.errors import PreconditionError
 
 from binforms.fields import GF, QQ
@@ -608,7 +608,10 @@ def _walk_cases(F):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda F: F.name)
 def test_down_walks_stop_at_the_first_zero_rung(monkeypatch, field):
     # each ideal walks V's down-rungs once, to degree 0 or to its first zero rung: one
-    # `_shift_down_once` per nonzero rung above the bottom, and none on a zero space
+    # `_shift_down_once` per nonzero rung above the bottom, and none on a zero space.  The
+    # generated ideal builds no rung below V's R_{-1}V, which `_fills_next` reads when tau
+    # builds R_1V (2 dim V >= j + 2, V no block); above V only R_1V's down step runs, for
+    # the same read by the up-walk
     import binforms.spaces as spaces_mod
 
     built = []
@@ -619,20 +622,30 @@ def test_down_walks_stop_at_the_first_zero_rung(monkeypatch, field):
         steps = len(chain) - (chain[-1].ncols == 1)  # a walk that reaches degree 0 stops there
         for make, walks in ((ancestor_ideal, True), (level_ideal, True), (generated_ideal, False)):
             del built[:]
-            I = make(FormSpace(field, j, V.mat))
+            top = FormSpace(field, j, V.mat)
+            I = make(top)
+            below = [W for W in built if W.degree <= j]
             assert not any(W.is_zero for W in built), make.__name__
-            assert len(built) == (steps if walks else 0), (make.__name__, j, V.dim)
+            assert all(W.degree == j + 1 for W in built if W.degree > j), make.__name__
+            fills = 2 * V.dim >= j + 2 and top._principal is None
+            assert len(below) == (steps if walks else fills), (make.__name__, j, V.dim)
+            assert walks or all(W is top for W in below), (j, V.dim)
             assert I.window_lo == (j + 1 - len(chain) if walks else j)
             for s, m in enumerate(chain if walks else chain[:1]):
                 assert I.component(j - s).mat == m
     assert {len(_oracle_down_chain(V)) for V in _walk_cases(field)} >= {1, 2, 3, 7}
 
 
-def test_a_zero_rung_pinned_off_r1v_ends_the_walk():
-    # dim R_1V = 2 dim V pins R_{-1}V = 0: the walk builds it from R_1V, which tau built, with no kernel
+def test_a_zero_rung_pinned_off_r1v_ends_the_walk(monkeypatch):
+    # dim R_1V = 2 dim V pins R_{-1}V = 0: the walk builds it from R_1V, which tau built, with no
+    # kernel and no echelon step
+    steps = []
+    real = linalg.echelon_extend
+    monkeypatch.setattr(linalg, "echelon_extend", lambda *args: steps.append(args) or real(*args))
     V = random_space(2, 6, GF(101), 1)
     ancestor_ideal(V)
-    assert V._up.dim == 2 * V.dim and V._down.is_zero and "_residues" not in vars(V) and "_kernel" not in vars(V._down)
+    assert V._up.dim == 2 * V.dim and V._down.is_zero and "_kernel" not in vars(V._down)
+    assert steps == []
 
 
 def _assert_dims_read_off(I):

@@ -111,7 +111,7 @@ def test_tau_of_zero_and_degree_zero_spaces(field):
     R0 = principal_space(form(field, 0, [1]), 0)  # a block, which knows its f
     assert tau(R0) == tau(_bare(R0)) == 1
     Z, Z_down = spaces.zero_space(field, 3), spaces.zero_space(field, 3)
-    shift(Z_down, -1)
+    Z_down._down  # built, so tau reads it: a shift past a zero rung builds none
     assert tau(Z) == tau(Z_down) == 0
 
 
@@ -162,7 +162,7 @@ def echelons(monkeypatch):
 
 
 def _one_down_step(echelons, V):
-    """The cost of V's `_residues`, V a written space: its `integral_dual` rows start an empty basis, then
+    """The cost of V's down step, V a written space: its `integral_dual` rows start an empty basis, then
     one step hands the kernel its |G| = cod V windows, ints over Q as over F_p."""
     (start, top_rows), (_, windows) = echelons
     assert (start, len(top_rows), len(windows)) == (0, V.cod, V.cod)
@@ -187,7 +187,7 @@ def test_pencil_up_rung_eliminates_twice_dim_rows(eliminations, echelons, field)
     assert len(below) >= 2 and [sizes for _, sizes, _ in below] == [[2 * U.dim] for U, _, _ in below]
     assert [rows for _, _, rows in below] == pinned
     assert W.is_full and top == [] and reduced == [last.cod, last.cod] == [1, 1]
-    assert len(last._residues[0]) == 2 * last.cod
+    assert len(last._down._echelon[0]) == 2 * last.cod
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=lambda F: F.name)
@@ -197,7 +197,7 @@ def test_full_up_rung_runs_one_rank_of_2_cod_rows(eliminations, echelons, field,
     V = _fresh(random_space(d, j, field, 4))
     eliminations.clear()
     up = V._up
-    assert eliminations == [] and len(V._residues[0]) == 2 * V.cod
+    assert eliminations == [] and len(V._down._echelon[0]) == 2 * V.cod
     _one_down_step(echelons, V)
     assert up.is_full and up._principal is not None  # later rungs are closed form
     assert up.mat == oracle_shift_up_once(V.mat)
@@ -377,12 +377,15 @@ def test_ladder_rungs_match_the_oracle_whichever_neighbour_is_built_first(V, dow
 @given(pinned_spaces(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_shared_residue_rref_pins_both_rungs_whichever_is_built_first(V, down_first):
-    # R_1V's fullness is |E| of V's `_residues`, the echelon basis of (R_{-1}V)^perp, and R_{-1}V
-    # its kernel; building both rungs runs that down step at most once, in either order, and no RREF
+    # R_1V's fullness is |E| of R_{-1}V's `_echelon`, the echelon basis of (R_{-1}V)^perp, and R_{-1}V
+    # its kernel; building both rungs runs that down step at most once, in either order, and no RREF.
+    # G is the cod V windows the step reduced, or for a rung built in closed form (V zero or a block)
+    # its own `integral_dual`
     up_m, down_m = oracle_shift_up_once(V.mat), oracle_shift_down_once(V.mat)
     full = up_m.nrows == V.degree + 2
-    E, G = _bare(V)._residues
-    assert (len(E) == 2 * V.cod) is full and len(G) == V.cod
+    down = _bare(V)._down
+    E, G = down._echelon
+    assert (len(E) == 2 * V.cod) is full and len(G) == (V.cod if "_kernel" in vars(down) else down.cod)
     dual = linalg.from_ints(V.field, tuple(r[::-1] for r in E.values()), V.degree)
     _assert_same(FormSpace(V.field, V.degree - 1, linalg.kernel(dual)), down_m)
     W, steps, rrefs = _bare(V), [], []
@@ -423,7 +426,7 @@ def test_a_down_rung_reads_its_dual_and_members_with_no_row_written(field):
     combos = [[rng.randint(-3, 3) for _ in want.rows] for _ in range(3)]
     members = [form(field, 11, [sum(map(mul, a, col)) for col in zip(*want.rows)]) for a in combos]
     others = [_random_form(field, 11, rng) for _ in range(3)]
-    R._residues
+    R._down._echelon
     assert len(R._dual) == R.cod
     assert all(R.contains(f) for f in members)
     assert [R.contains(f) for f in others] == [False] * 3
@@ -474,7 +477,7 @@ def _oracle_chain(m):
 def test_every_echelon_down_rung_matches_repeated_oracle_steps(top, seed):
     # The whole walk runs before any rung is read, so a step that changed the rung above it (its basis
     # dict shared and extended, say) shows in that rung's dimension, membership or rows.
-    rungs = spaces._down_rungs(top, top.degree)[1:]
+    rungs = spaces._rungs(top, -top.degree)[1:]
     want = _oracle_chain(top.mat)
     assert [W.dim for W in rungs] == [m.nrows for m in want]
     F, rng = top.field, random.Random(seed)
@@ -489,3 +492,56 @@ def test_every_echelon_down_rung_matches_repeated_oracle_steps(top, seed):
         assert all(W.contains(form(F, W.degree, vec)) for vec in members)
     for W, m in zip(rungs, want):
         _assert_same(W, m)
+
+
+@st.composite
+def shift_tops(draw):
+    """A random space (every d from 0 to j + 1), a random space times a planted factor, a span of
+    monomials or a principal block f.R_s, over F_2, F_7, F_101 or Q; j <= 10."""
+    F = draw(st.sampled_from(WALK_FIELDS))
+    j = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["random", "factor", "monomial", "principal"]))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+
+    def unit_form(e):  # a coefficient set to 1: nonzero over F_2 too
+        coeffs = [rng.randint(-5, 5) for _ in range(e + 1)]
+        coeffs[rng.randrange(e + 1)] = 1
+        return form(F, e, coeffs)
+
+    if kind == "random":
+        return random_space(draw(st.integers(0, j + 1)), j, F, seed)
+    if kind == "factor" and j:
+        e = draw(st.integers(1, j))
+        W = random_space(draw(st.integers(1, j - e + 1)), j - e, F, seed)
+        return span(F, j, [mul_form(unit_form(e), b) for b in W.basis_forms()])
+    if kind == "monomial":
+        cols = draw(st.lists(st.integers(0, j), max_size=j + 1, unique=True))
+        return span(F, j, [[int(i == c) for i in range(j + 1)] for c in cols])
+    return principal_space(unit_form(draw(st.integers(0, j))), j)
+
+
+@given(shift_tops())
+@settings(max_examples=200, deadline=None)
+def test_shift_is_one_walk_cut_at_its_first_zero_rung(V):
+    # R_sV for s = -j..3 against stepwise oracles, the walk behind it ending right after its first zero
+    # rung (a shift past it is the zero space of degree j + s), and R_1V's fullness read off R_{-1}V
+    F, j = V.field, V.degree
+    want, m = {0: V.mat}, V.mat
+    for s in range(1, 4):
+        want[s] = m = oracle_shift_up_once(m)
+    m = V.mat
+    for s in range(1, j + 1):
+        want[-s] = m = oracle_shift_down_once(m)
+        assert m.nrows == oracle_down_dim(V, s)
+    for s in range(-j, 4):
+        W = _bare(V)
+        got = shift(W, s)
+        assert (got.field, got.degree) == (F, j + s)
+        _assert_same(got, want[s])
+        rungs = spaces._rungs(_bare(V), s)
+        zero = next((i for i, U in enumerate(rungs) if U.is_zero), abs(s))
+        assert len(rungs) == min(zero, abs(s)) + 1, s
+        assert [U.degree for U in rungs] == [j + (i if s > 0 else -i) for i in range(len(rungs))]
+    if j and 2 * V.dim >= j + 2:
+        assert spaces._fills_next(_bare(V)) is shift(_bare(V), 1).is_full is (want[1].nrows == j + 2)

@@ -100,6 +100,27 @@ def test_perp_worked_example():
     assert perp(zero_space(QQ, 4)).dim == 5
 
 
+@pytest.mark.parametrize("field", [GF(7), GF(101), QQ], ids=lambda F: F.name)
+def test_perp_is_the_lazy_kernel_of_the_weighted_rows(monkeypatch, field):
+    # V^perp is the `kernel_space` of V's weighted rows, the (Ann W)_j that `annihilator` builds: perp
+    # eliminates nothing and calls no catalecticant kernel, and one kernel writes its rows when read
+    import binforms.waring as waring
+
+    comps, elims = [], []
+    real_comp, real_rref = waring._ann_component, linalg.rref
+    monkeypatch.setattr(waring, "_ann_component", lambda W, i: comps.append(i) or real_comp(W, i))
+    monkeypatch.setattr(linalg, "rref", lambda m: elims.append(m) or real_rref(m))
+    for j in range(1, min(field.p or 11, 11)):  # p > j, for the pairing
+        for d in range(j + 2):
+            V = random_space(d, j, field, seed=j)
+            want = oracle_ann_component(DualSpace(V), j)
+            elims.clear()
+            W = perp(V)
+            assert comps == elims == [] and W.dim == j + 1 - d
+            assert not {"rows", "_ints"} & set(vars(W.space.mat)), (j, d)
+            assert W.space.mat.rows == want.mat.rows and len(elims) == 1, (j, d)
+
+
 def test_dual_contains_refuses_a_form_of_another_field():
     W = dual_space(GF(101), 2, [[1, 0, 0]])
     with pytest.raises(PreconditionError, match="field mismatch"):
@@ -884,12 +905,14 @@ def test_mu_tau_delta_and_the_apolar_component_match_the_oracles_on_every_route(
 @pytest.mark.parametrize("field", [GF(101), GF(10007), QQ], ids=lambda F: F.name)
 def test_perp_at_mu_generic_j_eliminates_once_and_writes_no_component_row(monkeypatch, field):
     # mu_generic = j exactly when (Ann W)_{j-1} = 0: tau_delta's one elimination
-    # gives both, and (Ann W)_j is the lazy kernel of W's weighted rows
+    # gives both, and (Ann W)_j is the lazy kernel of W's weighted rows.  W = perp(V) is
+    # itself a lazy kernel, so its rows are read (one kernel elimination) before counting
     calls, real, seen = [], linalg.rref, 0
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
     for j in (4, 8, 12):
         for d in range(1, j + 1):
             W = perp(random_space(d, j, field, seed=d))
+            W.space.mat.ints
             calls.clear()
             if (tau_delta(W), mu(W)) != (d, j):  # mu_generic = j iff tau_delta = d = cod W
                 assert _route(W), (j, d)
