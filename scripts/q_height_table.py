@@ -11,6 +11,7 @@ SIGALRM cap: a call past the cap is stopped and printed as "> cap".
   analyze       the `binforms analyze` analysis of the space
   gcd_of_space  the gcd of the space's basis
   waring        gad of the space read as dual forms (what `binforms waring` decomposes)
+  perp          tau_delta and mu of the space's perp
 
 Prints one markdown table row per (d, j, h, seed), the span's time included.
 
@@ -32,7 +33,7 @@ from binforms.fields import QQ
 from binforms.ideals import generator_degrees, hilbert_function
 from binforms.related import related_classes
 from binforms.spaces import FormSpace, gcd_of_space, span
-from binforms.waring import DualSpace, gad
+from binforms.waring import DualSpace, gad, mu, perp, tau_delta
 
 
 def _related(V):
@@ -43,7 +44,12 @@ def _waring(V):
     return gad(DualSpace(V))
 
 
-CALLS = {"related": _related, "analyze": _analysis, "gcd_of_space": gcd_of_space, "waring": _waring}
+def _perp(V):
+    W = perp(V)
+    return tau_delta(W), mu(W)
+
+
+CALLS = {"related": _related, "analyze": _analysis, "gcd_of_space": gcd_of_space, "waring": _waring, "perp": _perp}
 
 
 class _Cap(Exception):

@@ -269,8 +269,6 @@ def _ladder_step(F: FieldSpec, rung: Matrix, base, k: int) -> Matrix:
 def _shift_up_once(V: FormSpace) -> FormSpace:
     """R_1V: f.R_{s+1} for a block f.R_s, else x.V + y.V."""
     F, j = V.field, V.degree
-    if V.is_zero:
-        return zero_space(F, j + 1)
     if V._principal is not None:
         return principal_space(V._principal, j + 1)
     if 2 * V.dim >= j + 2 and _fills_next(V):  # dim R_1V <= 2 dim V
@@ -299,8 +297,8 @@ def _shift_down_once(V: FormSpace) -> FormSpace:
 
 
 def _lazy_kernel(F: FieldSpec, degree: int, rank: int, rows) -> FormSpace:
-    """The space whose `_dual` is the `rank` independent int rows rows() (rows, never a space), the thunk kept
-    as its `_kernel`, and its rows written by one `linalg.kernel` of them when read."""
+    """The space whose `_dual` is the `rank` independent int rows rows(), the thunk kept as its `_kernel` (over
+    rows, or `waring.perp`'s V, never a space that keeps this one), its rows written by one `linalg.kernel`."""
     n = degree + 1
     V = FormSpace(F, degree, lazy_matrix(F, n - rank, n, lambda: linalg.kernel(from_ints(F, rows(), n))))
     V.__dict__["_kernel"] = rows

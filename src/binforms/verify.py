@@ -70,7 +70,6 @@ from .waring import (
     n_mu_tau,
     perp,
     random_dual,
-    tau_delta,
 )
 
 F101 = GF(101)
@@ -487,11 +486,9 @@ def criterion_9(max_j: int = 10) -> CriterionResult:
         for t in range(1, min(d, j + 2 - d) + 1):
             V, _ = realize_staircase(h_tau(d, j, t), d, j, F101)
             W = perp(V)
-            run.check(
-                tau_delta(W) == t,
-                f"realized class (d={d},j={j},tau={t}): tau_delta = {tau_delta(W)}",
-            )
-            ranks = (linalg.rref(linalg.hankel(F101, W._weighted, i + 1)).nrows for i in range(j + 2))
+            ranks = [linalg.rref(linalg.hankel(F101, W._weighted, i + 1)).nrows for i in range(j + 2)]
+            td = 1 + ranks[j - 1] - W.dim  # 1 + dim R_1.W - dim W, not tau(V) read back
+            run.check(td == t, f"realized class (d={d},j={j},tau={t}): tau_delta = {td}")
             m = next(i for i, r in enumerate(ranks) if r <= i)  # upward scan
             run.check(
                 m == mu_generic(t, d, j),

@@ -11,12 +11,15 @@ generalized additive decompositions by factoring a minimal-degree apolar
 form, and evaluates the generic-value formulas mu(tau,d,j) and the
 codimension of the locus where mu drops.  (Ann W)_i is the kernel of the
 degree-i catalecticant (the `linalg.hankel` windows of width i+1 of W's
-weighted rows), and tau_delta is the rank of the degree-(j-1) one.  Below
-degree j+1 each component of Ann W is the colon R_{-1} of the next, so mu is
-read off the down-rungs of one kernel at the bound mu_generic(tau_delta, d, j):
+weighted rows), and tau_delta = tau((Ann W)_j) is 1 + the rank of the
+degree-(j-1) one - dim W.  Below degree j+1 each component of Ann W is the
+colon R_{-1} of the next, so mu is read off down-rungs.  W = perp(V) keeps V
+as (Ann W)_j (the level algebra R/Ann(V^perp) is R/L(V)): tau_delta is tau(V),
+mu the degree of V's lowest nonzero down-rung, the annihilator level_ideal(V),
+and V^perp's rows, a lazy kernel of V's weighted rows, are written only when
+read.  Any other W walks from one kernel at mu_generic(tau_delta, d, j):
 `_ann_component` below j-1, from j-1 on the kernel of tau_delta's RREF, and
-when that is 0, mu = j.  (Ann W)_j, V^perp too (V read as dual forms), is the
-lazy `kernel_space` of the weighted rows, its rows written when first read.
+when that is 0, mu = j and (Ann W)_j is the lazy `kernel_space` of W's rows.
 `gad` certifies on int lists and builds forms only for its result.
 """
 
@@ -38,12 +41,14 @@ from .linalg import Matrix, _integer_row, from_ints, hankel, kernel
 from .osequence import OSequence, oseq
 from .spaces import (
     FormSpace,
+    _lazy_kernel,
     _rungs,
     full_space,
     kernel_space,
     random_space,
     span,
     space_from_json,
+    tau,
 )
 
 DUAL_VARS = ("X", "Y")
@@ -59,6 +64,7 @@ class DualSpace:
     (mu, (Ann W)_mu) are cached, not fields; any other catalecticant kernel eliminates afresh."""
 
     space: FormSpace
+    _ann_j = None  # (Ann W)_j = V when W = perp(V), set by perp: no field, so == and hash ignore it
 
     def __post_init__(self):
         require_pairing_char(self.space.field, self.space.degree)
@@ -89,28 +95,25 @@ class DualSpace:
 
     @cached_property
     def _initial(self) -> tuple[int, FormSpace]:
-        """mu(W) and (Ann W)_mu, walked down from mu_g = mu_generic(tau_delta, d, j).
-
-        mu_g bounds mu, and one kernel checks it: (Ann W)_{mu_g} = 0 raises.
-        For 1 <= i <= j, (Ann W)_{i-1} = R_{-1}(Ann W)_i, as f.w of positive
-        degree killed by x and y is 0; so the down-rungs of (Ann W)_{mu_g} are
-        the lower components, and the lowest nonzero one is (Ann W)_mu.  From
-        mu_g >= j-1 on, no catalecticant is eliminated again: (Ann W)_{j-1} is
-        the `kernel_space` of tau_delta's RREF, and when it is 0 (then
-        tau_delta = d and mu_g = j) mu = j and (Ann W)_j is the `kernel_space`
-        of W's weighted rows.  The full dual space (d = 0) has mu = j+1, where
-        that identity fails.
-        """
+        """mu(W) and (Ann W)_mu, the lowest nonzero down-rung of a nonzero component; mu above
+        mu_g = mu_generic(tau_delta, d, j) raises.  For 1 <= i <= j, (Ann W)_{i-1} = R_{-1}(Ann W)_i,
+        as f.w of positive degree killed by x and y is 0.  (Ann W)_j = V, kept by W = perp(V), is
+        walked from j, a written V's blocks in closed form.  Otherwise the walk starts at mu_g, and from mu_g
+        >= j-1 on no catalecticant is eliminated again: (Ann W)_{j-1} is the `kernel_space` of
+        tau_delta's RREF, and when it is 0 (then tau_delta = d and mu_g = j) mu = j and (Ann W)_j is
+        the `kernel_space` of W's weighted rows.  The full dual space (d = 0) has mu = j+1."""
         F, j, d = self.field, self.degree, self.space.cod
         if d == 0:
             return j + 1, full_space(F, j + 1)
-        top, red = mu_generic(tau_delta(self), d, j), self._catalecticant
-        if red.nrows == j:  # (Ann W)_{j-1} = 0
-            return j, kernel_space(F, j, self._weighted)
-        comp = kernel_space(F, j - 1, red.ints) if top >= j - 1 else _ann_component(self, top)
-        if comp.is_zero:
+        top, comp = mu_generic(tau_delta(self), d, j), self._ann_j
+        if comp is None:
+            red = self._catalecticant
+            if red.nrows == j:  # (Ann W)_{j-1} = 0
+                return j, kernel_space(F, j, self._weighted)
+            comp = kernel_space(F, j - 1, red.ints) if top >= j - 1 else _ann_component(self, top)
+        comp = next((U for U in reversed(_rungs(comp, -comp.degree)) if U.dim), None)
+        if comp is None or comp.degree > top:
             raise RuntimeError(f"(Ann W)_{top} = 0: mu exceeds its bound mu_generic = {top}")
-        comp = next(W for W in reversed(_rungs(comp, -comp.degree)) if W.dim)
         return comp.degree, comp
 
     @property
@@ -148,10 +151,14 @@ def dual_from_json(obj: dict, field: FieldSpec | None = None) -> DualSpace:
 def perp(V: FormSpace) -> DualSpace:
     """V^perp, the dual forms killed by every element of V; dim V^perp = j+1 - dim V.
 
-    The pairing is symmetric, so V^perp = (Ann V)_j with V read as dual forms: the lazy
-    `kernel_space` of V's weighted rows, as `annihilator` builds it, its rows written when first read.
+    The pairing is symmetric, so V^perp = (Ann V)_j with V read as dual forms: a lazy kernel of V's
+    weighted rows, weighted and written only when first read.  As (Ann V^perp)_j = V, V is kept as
+    its `_ann_j`, and tau_delta, mu and the annihilator read V's own rungs.
     """
-    return DualSpace(kernel_space(V.field, V.degree, DualSpace(V)._weighted))
+    D = DualSpace(V)  # its weights are a cached property, computed once, when W's rows are first read
+    W = DualSpace(_lazy_kernel(V.field, V.degree, V.dim, lambda: D._weighted))
+    object.__setattr__(W, "_ann_j", V)  # W is frozen; its fields stay `space` alone
+    return W
 
 
 def _ann_component(W: DualSpace, i: int) -> FormSpace:
@@ -163,24 +170,26 @@ def _ann_component(W: DualSpace, i: int) -> FormSpace:
 
 
 def annihilator(W: DualSpace) -> GradedIdeal:
-    """The ideal of forms contracting W to zero: the level ideal of its
-    degree-j part V, so annihilator(perp(V)) == level_ideal(V).  V is the lazy `kernel_space` of W's
-    weighted rows, as `_initial` builds it when mu = j: the walk down reduces windows of those rows only."""
-    return level_ideal(kernel_space(W.field, W.degree, W._weighted))
+    """The ideal of forms contracting W to zero: the level ideal of its degree-j part, V itself
+    for W = perp(V), else the lazy `kernel_space` of W's weighted rows, as `_initial` builds it."""
+    V = W._ann_j
+    return level_ideal(kernel_space(W.field, W.degree, W._weighted) if V is None else V)
 
 
 def tau_delta(W: DualSpace) -> int:
-    """1 + dim R_1.W - dim W = tau((Ann W)_j): 1 + the rank of the degree-(j-1) catalecticant - dim W,
-    eliminated once per dual space (the zero space gets 1; at j = 0 the answer is 1 - dim W)."""
-    return 1 + W._catalecticant.nrows - W.dim
+    """1 + dim R_1.W - dim W = tau((Ann W)_j): tau(V) for W = perp(V); else 1 + the rank
+    of the degree-(j-1) catalecticant - dim W, eliminated once per dual space (the zero space gets 1;
+    at j = 0 the answer is 1 - dim W)."""
+    V = W._ann_j
+    return 1 + W._catalecticant.nrows - W.dim if V is None else tau(V)
 
 
 def mu(W: DualSpace) -> int:
     """Initial degree of the annihilator; c <= mu(W) <= mu_generic(tau_delta).
 
-    One catalecticant kernel at the bound (from mu_generic >= j-1 on, tau_delta's
-    elimination), then down-rungs to the lowest nonzero component (j+1 when W is
-    the full dual space).
+    For W = perp(V), the degree of the lowest nonzero down-rung of V; else one catalecticant kernel at
+    the bound (from mu_generic >= j-1 on, tau_delta's elimination), then down-rungs to the lowest
+    nonzero component (j+1 when W is the full dual space).
     """
     return W._initial[0]
 

@@ -338,6 +338,27 @@ def oracle_mu(W) -> int:
     return W.degree + 1
 
 
+def oracle_catalecticant_scan(W):
+    """(tau_delta, mu, (Ann W)_mu) from W's written rows alone.  The degree-i catalecticant has, for
+    each basis row w and r = 0..j-i, the row (w'_{k+r})_{k=0..i} of the weighted entries
+    w'_a = (j-a)! a! w_a; its kernel is (Ann W)_i.  tau_delta is 1 + its rank at i = j-1 - dim W
+    (1 - dim W at j = 0), and mu the first i, scanning upward, with a nonzero kernel (j+1 if none)."""
+    from math import factorial
+
+    from binforms.spaces import full_space, span
+
+    F, j = W.field, W.degree
+    ws = [[F.coerce(factorial(j - a) * factorial(a) * c) for a, c in enumerate(w.coeffs)] for w in W.basis_forms()]
+
+    def ann(i):
+        cat = Matrix(F, tuple(tuple(w[r : r + i + 1]) for w in ws for r in range(j - i + 1)), i + 1)
+        return span(F, i, (form(F, i, row) for row in kernel(cat).rows))
+
+    td = 1 + (j - ann(j - 1).dim if j else 0) - W.dim
+    m = next((i for i in range(j + 1) if ann(i).dim), j + 1)
+    return td, m, ann(m) if m <= j else full_space(F, m)
+
+
 def oracle_fp_roots(p: int, core) -> list:
     """Roots in F_p of sum_k core[k] t^k, by evaluating every residue."""
     out = []

@@ -553,6 +553,24 @@ def test_q_roots_without_a_certificate_prime(monkeypatch):
     assert gcds in ([[-1, 1]], [[1, -1]]) and lifts == [3]
 
 
+@pytest.mark.parametrize("factors,roots", [
+    ([[-1, 1], [-1, 1], [2, 1]], [-2, 1]),  # (t - 1)^2 (t + 2)
+    ([[-1, 1], [-1, 1], [-1, 1], [3, 2]], [Fraction(-3, 2), 1]),  # (t - 1)^3 (2t + 3)
+    ([[5, 3], [5, 3], [-7, 1], [-7, 1], [1, 0, 1]], [Fraction(-5, 3), 7]),  # (3t + 5)^2 (t - 7)^2 (t^2 + 1)
+    ([[2, 0, 1], [2, 0, 1], [-1, 4]], [Fraction(1, 4)]),  # (t^2 + 2)^2 (4t - 1)
+    ([[3, 0, 1], [3, 0, 1]], []),  # (t^2 + 3)^2: no root
+])
+def test_q_roots_of_cores_with_a_square_factor(monkeypatch, factors, roots):
+    # one gcd over Z, on the core itself, takes its squarefree part, and the roots are sympy's
+    core = [1]
+    for g in factors:
+        core = _q_times(core, g)
+    calls, real = [], forms._gcd_z
+    monkeypatch.setattr(forms, "_gcd_z", lambda a, b: calls.append(a) or real(a, b))
+    assert _rational_roots(core) == roots == oracle_q_roots(core)
+    assert calls == [core]
+
+
 def test_q_roots_of_2048_bit_planted_cores_lift_one_inverse_per_root_within_a_deadline(monkeypatch):
     # five cores, each four planted roots a/b of 2048 bits times t^2 + 1; 1/f'(r) is lifted with r
     # by s <- s (2 - f'(r) s), so the one modular inverse per root is mod p; the squarefree

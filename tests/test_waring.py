@@ -33,7 +33,7 @@ from binforms.hilbert import (
 )
 from binforms.ideals import hilbert_function, level_ideal, same_ideal
 from binforms.osequence import oseq
-from binforms.spaces import FormSpace, full_space, random_space, space_to_json, span, zero_space
+from binforms.spaces import FormSpace, full_space, principal_space, random_space, space_to_json, span, zero_space
 from binforms.waring import (
     GAD,
     DualSpace,
@@ -54,6 +54,7 @@ from binforms.waring import (
 from oracles import (
     gl2_image,
     oracle_ann_component,
+    oracle_catalecticant_scan,
     oracle_gad,
     oracle_gad_cofactors,
     oracle_linear_factors,
@@ -121,6 +122,39 @@ def test_perp_is_the_lazy_kernel_of_the_weighted_rows(monkeypatch, field):
             assert W.space.mat.rows == want.mat.rows and len(elims) == 1, (j, d)
 
 
+@pytest.mark.parametrize("field", [GF(7), GF(101), GF(10007), QQ], ids=lambda F: F.name)
+def test_perp_reads_tau_delta_mu_and_the_annihilator_off_v(monkeypatch, field):
+    # W = perp(V) keeps V as (Ann W)_j: tau_delta is tau(V), (Ann W)_mu the lowest nonzero down-rung
+    # of V (closed-form blocks too), annihilator(W) the level ideal of V.  Against the catalecticant
+    # rank and upward scan on W's written rows, for random V and blocks f.R_s of every d = dim V,
+    # j <= 16 (j < p), and V = (Ann W')_j for planted W' (mu below its bound), as the lazy kernel
+    # `annihilator` builds and as a copy whose rows are written when read.  mu is checked against
+    # its bound: with mu_generic lowered to mu - 1, mu of a fresh perp(V) raises.
+    import binforms.waring as waring
+
+    rng = random.Random(f"perp-rungs|{field.name}")
+    for j in range(min(field.p or 17, 17)):
+        spaces = [random_space(d, j, field, seed=j) for d in range(j + 2)]
+        spaces += [principal_space(form(field, j + 1 - d, [field.random_scalar(rng) for _ in range(j + 2 - d)]), j)
+                   for d in range(1, j + 1)]
+        lazy = [annihilator(_planted(field, c, j, m, seed=j)[0]).component(j)
+                for c in (1, 2) for m in range(1, j // 2 + 1) if c < j]
+        spaces += lazy + [FormSpace(field, j, U.mat) for U in lazy]  # walked by echelon steps, then written
+        for V in spaces:
+            W = perp(V)
+            assert W._ann_j is V
+            got = tau_delta(W), mu(W), W._initial[1].mat.rows, annihilator(W)
+            td, m, comp = oracle_catalecticant_scan(W)
+            assert got[:3] == (td, m, comp.mat.rows), (j, V)
+            assert got[3] == level_ideal(FormSpace(field, j, V.mat)), (j, V)
+            if V.is_zero:  # the full dual space: mu = j + 1, no bound
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(waring, "mu_generic", lambda t, d, j: m - 1)
+                with pytest.raises(RuntimeError, match="mu_generic"):
+                    mu(perp(FormSpace(field, j, V.mat)))
+
+
 def test_dual_contains_refuses_a_form_of_another_field():
     W = dual_space(GF(101), 2, [[1, 0, 0]])
     with pytest.raises(PreconditionError, match="field mismatch"):
@@ -153,17 +187,27 @@ def test_annihilator_is_the_level_ideal_of_the_degree_j_catalecticant_kernel(fie
 
 
 def test_annihilator_after_mu_eliminates_no_weighted_row(monkeypatch):
-    # after mu (= j here), no elimination and no kernel of W's weighted rows: the level ideal's walk
-    # starts an echelon basis from W's c weighted rows, and each down step hands it c windows
-    W = perp(random_space(6, 12, GF(101), 0))
-    assert mu(W) == 12
-    elims, real_rref = [], linalg.rref
-    steps, real_echelon = [], linalg.echelon_extend
-    monkeypatch.setattr(linalg, "rref", lambda mat: elims.append((mat.nrows, mat.ncols)) or real_rref(mat))
+    # W = perp(V) keeps V as (Ann W)_j: mu (= j here) walks V's own down-rung, and the level ideal
+    # then reads the same memoized rungs, with no elimination, no echelon step and no catalecticant,
+    # and none of W's rows is weighted or written
+    import binforms.waring as waring
+
+    V = random_space(6, 12, GF(101), 0)
+    W, other = perp(V), DualSpace(perp(V).space)  # `other` has no V to read: the catalecticant route
+    assert mu(W) == mu(other) == 12
+    calls, steps = [], []
+    real_rref, real_echelon, real_hankel = linalg.rref, linalg.echelon_extend, waring.hankel
+    monkeypatch.setattr(linalg, "rref", lambda mat: calls.append("rref") or real_rref(mat))
     monkeypatch.setattr(linalg, "echelon_extend", lambda F, basis, rows: steps.append(len(rows := tuple(rows)))
                         or real_echelon(F, basis, rows))
+    monkeypatch.setattr(waring, "hankel", lambda *a: calls.append("hankel") or real_hankel(*a))
     annihilator(W)
-    assert elims == [] and len(steps) >= 2 and steps == [W.dim] * len(steps)
+    assert calls == [] and steps == []
+    assert not {"rows", "_ints"} & set(vars(W.space.mat)) and "_weighted" not in vars(W)
+    # on the catalecticant route, after mu no elimination and no kernel of W's weighted rows: the level
+    # ideal's walk starts an echelon basis from W's c weighted rows, and each down step hands it c windows
+    annihilator(other)
+    assert "rref" not in calls and len(steps) >= 2 and steps == [other.dim] * len(steps)
 
 
 def test_annihilator_single_power():
@@ -904,24 +948,37 @@ def test_mu_tau_delta_and_the_apolar_component_match_the_oracles_on_every_route(
 
 @pytest.mark.parametrize("field", [GF(101), GF(10007), QQ], ids=lambda F: F.name)
 def test_perp_at_mu_generic_j_eliminates_once_and_writes_no_component_row(monkeypatch, field):
-    # mu_generic = j exactly when (Ann W)_{j-1} = 0: tau_delta's one elimination
-    # gives both, and (Ann W)_j is the lazy kernel of W's weighted rows.  W = perp(V) is
-    # itself a lazy kernel, so its rows are read (one kernel elimination) before counting
-    calls, real, seen = [], linalg.rref, 0
+    # W = perp(V) keeps V as (Ann W)_j, so tau_delta, mu and the annihilator read V's own rungs:
+    # no catalecticant is built or eliminated and none of W's rows is weighted or written.  At
+    # mu_generic = j ((Ann V^perp)_{j-1} = R_{-1}V = 0) (Ann W)_mu is V itself, and the one
+    # elimination is R_1V's, for tau(V), unless the down-rung that mu reads was built first.
+    # A fresh dual of W's space has no V to read: there tau_delta's one elimination gives both,
+    # and (Ann W)_j is the lazy kernel of W's weighted rows
+    import binforms.waring as waring
+
+    calls, hankels, real, real_hankel, seen = [], [], linalg.rref, waring.hankel, 0
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(waring, "hankel", lambda *a: hankels.append(a) or real_hankel(*a))
     for j in (4, 8, 12):
         for d in range(1, j + 1):
-            W = perp(random_space(d, j, field, seed=d))
-            W.space.mat.ints
+            V = random_space(d, j, field, seed=d)
+            V.mat.ints
+            W, calls[:], hankels[:] = perp(V), [], []
+            tau_delta(W), mu(W), annihilator(W)
+            assert hankels == [] and len(calls) <= 1, (j, d)
+            assert not {"rows", "_ints"} & set(vars(W.space.mat)) and "_weighted" not in vars(W), (j, d)
+            other = DualSpace(W.space)
+            other.space.mat.ints  # W's rows, a lazy kernel, are read (one kernel elimination) before counting
             calls.clear()
-            if (tau_delta(W), mu(W)) != (d, j):  # mu_generic = j iff tau_delta = d = cod W
-                assert _route(W), (j, d)
+            if (tau_delta(other), mu(other)) != (d, j):  # mu_generic = j iff tau_delta = d = cod W
+                assert _route(other), (j, d)
                 continue
             seen += 1
-            comp = W._initial[1]
-            assert len(calls) == 1 and comp.dim == j + 1 - W.dim
+            assert W._initial[1] is V
+            comp = other._initial[1]
+            assert len(calls) == 1 and comp.dim == j + 1 - other.dim
             assert not {"rows", "_ints"} & set(vars(comp.mat)), (j, d)  # no row written
-            assert comp.mat.rows == oracle_ann_component(W, j).mat.rows  # written on this read
+            assert comp.mat.rows == oracle_ann_component(other, j).mat.rows  # written on this read
     assert seen >= 6
 
 
